@@ -125,10 +125,16 @@ def cmd_components(h: Hypergraph, cfg: AnalysisConfig) -> tuple[dict, int]:
 
 
 def cmd_zero_eigenvectors(h: Hypergraph, cfg: AnalysisConfig) -> tuple[dict, int]:
+    factored = eigenstructure.factor_components(h)
     report = {
         "operators": [
             eigenstructure.zero_eigenvector_report(
-                h, op, enumerate_limit=cfg.budget, tolerance=cfg.tolerance, budget=cfg.budget
+                h,
+                op,
+                enumerate_limit=cfg.budget,
+                tolerance=cfg.tolerance,
+                budget=cfg.budget,
+                factored=factored,
             )
             for op in _operators(cfg)
         ]
@@ -186,8 +192,9 @@ def cmd_crosscheck(h: Hypergraph, cfg: AnalysisConfig) -> tuple[dict, int]:
     """Algebraic counts versus combinatorial partition counts, both operators."""
     checks = []
     mismatch = False
+    factored = eigenstructure.factor_components(h)
     for op in _operators(cfg):
-        counts = eigenstructure.structure_counts(h, op, cfg.budget)
+        counts = eigenstructure.structure_counts(h, op, cfg.budget, factored)
         entry = {
             "operator": op,
             "H_count": counts.h_count,

@@ -10,26 +10,33 @@ self-conjugate pattern is forced into two values pi apart, which is H.
 
 Counting is closed-form (Smith form solution counts plus a modulus-2
 subsystem for the H classes when k is even); enumeration is reserved for
-explicitly requested class listings.
+explicitly requested class listings. Each component's incidence rows are
+Smith-factored once per call (``factor_components``); counts, the H
+subsystem and class listings for both operators all solve from that one
+factorization.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import BudgetExceededError, VerificationError
-from .hypergraph import ComponentDecomposition, Hypergraph, connected_components
+from .hypergraph import Hypergraph, connected_components
 from .tensor_ops import Eigenpair, eig_residual
 from .zk_solver import (
     LAPLACIAN,
     SIGNLESS,
     ZERO_EIG_OPERATORS,
+    SmithFactorization,
+    SolutionDescription,
     ZkAssignment,
     ZkLinearSystem,
     build_zero_eig_system,
     classify_H_or_N,
     conjugate_assignment,
     enumerate_solutions,
+    factor_rows,
+    incidence_rows,
     shift_canonicalize,
     solve_mod_k,
 )
@@ -83,13 +90,43 @@ class StructureCounts:
     crosscheck_matched: bool | None
 
 
-def _component_items(h: Hypergraph, decomp: ComponentDecomposition | None = None):
-    decomp = decomp or connected_components(h)
-    return list(zip(decomp.components, decomp.singleton))
+@dataclass(frozen=True)
+class FactoredComponent:
+    """One connected component with its incidence rows Smith-factored.
+
+    ``factorization`` is None on singletons, whose systems have no rows.
+    """
+
+    component: tuple[int, ...]
+    singleton: bool
+    factorization: SmithFactorization | None
+
+
+def factor_components(h: Hypergraph) -> tuple[FactoredComponent, ...]:
+    """Components in order, each with edges factored exactly once.
+
+    Pass the result as ``factored`` to the functions below to share it
+    across operators; each of them factors on its own when given None.
+    """
+    decomp = connected_components(h)
+    out = []
+    for comp, single in zip(decomp.components, decomp.singleton):
+        _, rows = incidence_rows(h, comp)
+        out.append(FactoredComponent(comp, single, factor_rows(rows) if rows else None))
+    return tuple(out)
+
+
+def _solve(h: Hypergraph, fc: FactoredComponent, operator: str) -> SolutionDescription | None:
+    """The operator's edge system on ``fc``, solved; None when it has no system."""
+    sys = build_zero_eig_system(h, fc.component, operator)
+    return None if sys is None else solve_mod_k(sys, fc.factorization)
 
 
 def minimal_zero_eigenvectors(
-    h: Hypergraph, operator: str, max_classes: int | None = None
+    h: Hypergraph,
+    operator: str,
+    max_classes: int | None = None,
+    factored: tuple[FactoredComponent, ...] | None = None,
 ) -> list[EigenvectorClass]:
     """All shift-canonical zero-eigenvector classes, component by component.
 
@@ -101,16 +138,18 @@ def minimal_zero_eigenvectors(
     """
     if operator not in ZERO_EIG_OPERATORS:
         raise ValueError(f"unknown operator {operator!r}")
+    if factored is None:
+        factored = factor_components(h)
     out: list[EigenvectorClass] = []
-    for comp, _single in _component_items(h):
+    for fc in factored:
         remaining = None if max_classes is None else max_classes - len(out)
         if remaining is not None and remaining <= 0:
             break
-        out.extend(_component_classes(h, operator, comp, remaining))
+        out.extend(_component_classes(h, operator, fc, remaining))
     return out
 
 
-def _h_class_count(h: Hypergraph, comp: tuple[int, ...], singleton: bool, operator: str) -> int:
+def _h_class_count(h: Hypergraph, fc: FactoredComponent, operator: str) -> int:
     """Closed-form count of H classes on one component.
 
     Odd k admits only constant patterns, so the Laplacian always has the
@@ -122,12 +161,12 @@ def _h_class_count(h: Hypergraph, comp: tuple[int, ...], singleton: bool, operat
     if k % 2 == 1:
         if operator == LAPLACIAN:
             return 1
-        return 1 if singleton else 0
-    sys = build_zero_eig_system(h, comp, operator)
+        return 1 if fc.singleton else 0
+    sys = build_zero_eig_system(h, fc.component, operator)
     sub = ZkLinearSystem(
         2, sys.vertices, sys.rows, tuple(0 if operator == LAPLACIAN else 1 for _ in sys.rows)
     )
-    desc = solve_mod_k(sub)
+    desc = solve_mod_k(sub, fc.factorization)
     return desc.solution_count // 2 if desc.feasible else 0
 
 
@@ -169,47 +208,44 @@ def _crosscheck_formula(h: Hypergraph, operator: str) -> str:
     return "odd-bipartition count"
 
 
-def _component_structure(
-    h: Hypergraph, comp: tuple[int, ...], singleton: bool, operator: str, budget: int
-) -> ComponentStructure:
-    expected = _component_expected(h, comp, singleton, operator, budget)
-    sys = build_zero_eig_system(h, comp, operator)
-    desc = solve_mod_k(sys) if sys is not None else None
+def _component_counts(h: Hypergraph, fc: FactoredComponent, operator: str) -> ComponentStructure:
+    """Closed-form counts on one component; the cross-check is left unset."""
+    desc = _solve(h, fc, operator)
     if desc is None or not desc.feasible:
-        matched = None if expected is None else expected == 0
-        return ComponentStructure(comp, singleton, False, 0, 0, 0, 0, expected, matched)
+        return ComponentStructure(fc.component, fc.singleton, False, 0, 0, 0, 0)
     classes = desc.solution_count // h.k
-    h_count = _h_class_count(h, comp, singleton, operator)
+    h_count = _h_class_count(h, fc, operator)
     n_classes = classes - h_count
     if n_classes % 2:
         raise VerificationError(
-            f"odd N class count {n_classes} on component {comp}: conjugate pairing broken"
+            f"odd N class count {n_classes} on component {fc.component}: conjugate pairing broken"
         )
-    matched = None if expected is None else expected == h_count
     return ComponentStructure(
-        comp,
-        singleton,
-        True,
-        desc.solution_count,
-        classes,
-        h_count,
-        n_classes // 2,
-        expected,
-        matched,
+        fc.component, fc.singleton, True, desc.solution_count, classes, h_count, n_classes // 2
     )
 
 
+def _component_structure(
+    h: Hypergraph, fc: FactoredComponent, operator: str, budget: int
+) -> ComponentStructure:
+    expected = _component_expected(h, fc.component, fc.singleton, operator, budget)
+    counts = _component_counts(h, fc, operator)
+    matched = None if expected is None else expected == counts.h_count
+    return replace(counts, crosscheck_expected=expected, crosscheck_matched=matched)
+
+
 def structure_counts(
-    h: Hypergraph, operator: str, budget: int = DEFAULT_CROSSCHECK_BUDGET
+    h: Hypergraph,
+    operator: str,
+    budget: int = DEFAULT_CROSSCHECK_BUDGET,
+    factored: tuple[FactoredComponent, ...] | None = None,
 ) -> StructureCounts:
     """Closed-form per-component counts plus the combinatorial cross-check."""
     if operator not in ZERO_EIG_OPERATORS:
         raise ValueError(f"unknown operator {operator!r}")
-    decomp = connected_components(h)
-    per_comp = tuple(
-        _component_structure(h, comp, single, operator, budget)
-        for comp, single in zip(decomp.components, decomp.singleton)
-    )
+    if factored is None:
+        factored = factor_components(h)
+    per_comp = tuple(_component_structure(h, fc, operator, budget) for fc in factored)
     h_total = sum(c.h_count for c in per_comp)
     n_total = sum(c.n_pair_count for c in per_comp)
     if any(c.crosscheck_expected is None for c in per_comp):
@@ -236,29 +272,12 @@ def count_minimal_H(
 def count_N_pairs(h: Hypergraph, operator: str) -> int:
     """Number of conjugate N-class pairs over all components.
 
-    Uses the closed-form solution counts; no enumeration. Pairing is total
-    because no N class is self-conjugate.
+    Uses the closed-form solution counts; no enumeration and no partition
+    scan. Pairing is total because no N class is self-conjugate.
     """
     if operator not in ZERO_EIG_OPERATORS:
         raise ValueError(f"unknown operator {operator!r}")
-    k = h.k
-    decomp = connected_components(h)
-    total = 0
-    for comp, single in zip(decomp.components, decomp.singleton):
-        sys = build_zero_eig_system(h, comp, operator)
-        if sys is None:
-            continue
-        desc = solve_mod_k(sys)
-        if not desc.feasible:
-            continue
-        classes = desc.solution_count // k
-        n_classes = classes - _h_class_count(h, comp, single, operator)
-        if n_classes % 2:
-            raise VerificationError(
-                f"odd N class count {n_classes} on component {comp}: conjugate pairing broken"
-            )
-        total += n_classes // 2
-    return total
+    return sum(_component_counts(h, fc, operator).n_pair_count for fc in factor_components(h))
 
 
 def solution_export(
@@ -290,29 +309,27 @@ def solution_export(
 
 def _grouped_classes(h: Hypergraph, operator: str, limit: int | None):
     """(classes, ComponentStructure) pairs in component order."""
-    counts = structure_counts(h, operator)
-    by_comp: dict[tuple[int, ...], list[EigenvectorClass]] = {}
+    factored = factor_components(h)
+    counts = structure_counts(h, operator, factored=factored)
+    out = []
     remaining = limit
-    for cs in counts.components:
+    for fc, cs in zip(factored, counts.components):
         if not cs.feasible:
-            by_comp[cs.component] = []
+            out.append(([], cs))
             continue
         take = cs.class_count if remaining is None else min(cs.class_count, remaining)
-        comp_classes = _component_classes(h, operator, cs.component, take)
-        by_comp[cs.component] = comp_classes
+        comp_classes = _component_classes(h, operator, fc, take)
+        out.append((comp_classes, cs))
         if remaining is not None:
             remaining -= len(comp_classes)
-    return [(by_comp[cs.component], cs) for cs in counts.components]
+    return out
 
 
 def _component_classes(
-    h: Hypergraph, operator: str, comp: tuple[int, ...], max_classes: int | None = None
+    h: Hypergraph, operator: str, fc: FactoredComponent, max_classes: int | None = None
 ) -> list[EigenvectorClass]:
-    sys = build_zero_eig_system(h, comp, operator)
-    if sys is None:
-        return []
-    desc = solve_mod_k(sys)
-    if not desc.feasible:
+    desc = _solve(h, fc, operator)
+    if desc is None or not desc.feasible:
         return []
     target = desc.solution_count // h.k
     if max_classes is not None:
@@ -327,7 +344,7 @@ def _component_classes(
             if len(seen) == target:
                 break
     return [
-        EigenvectorClass(operator, comp, rep, classify_H_or_N(rep), conjugate_assignment(rep))
+        EigenvectorClass(operator, fc.component, rep, classify_H_or_N(rep), conjugate_assignment(rep))
         for rep in seen.values()
     ]
 
@@ -370,6 +387,7 @@ def zero_eigenvector_report(
     enumerate_limit: int | None = None,
     tolerance: float = 1e-9,
     budget: int = DEFAULT_CROSSCHECK_BUDGET,
+    factored: tuple[FactoredComponent, ...] | None = None,
 ) -> dict:
     """Machine-readable per-component summary used by the command line.
 
@@ -377,8 +395,10 @@ def zero_eigenvector_report(
     ``enumerate_limit`` per component; counts always come from the closed
     form, so a truncated listing is detectable by comparing lengths.
     """
-    counts = structure_counts(h, operator, budget)
-    classes = minimal_zero_eigenvectors(h, operator, enumerate_limit)
+    if factored is None:
+        factored = factor_components(h)
+    counts = structure_counts(h, operator, budget, factored)
+    classes = minimal_zero_eigenvectors(h, operator, enumerate_limit, factored)
     by_comp: dict[tuple[int, ...], list[EigenvectorClass]] = {}
     for c in classes:
         by_comp.setdefault(c.component, []).append(c)

@@ -13,6 +13,11 @@ from typing import IO, Iterable, NamedTuple
 from .errors import HypergraphFormatError
 
 
+def _is_int(x) -> bool:
+    """True for integers proper; bool subclasses int but is not a vertex id or size."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 @dataclass(frozen=True)
 class Hypergraph:
     """An undirected simple k-uniform hypergraph on vertex set {1, ..., n}.
@@ -28,20 +33,25 @@ class Hypergraph:
     edges: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        if not isinstance(self.k, int) or self.k < 2:
+        if not _is_int(self.k) or self.k < 2:
             raise HypergraphFormatError(f"uniformity k must be an integer >= 2, got {self.k!r}")
-        if not isinstance(self.n, int) or self.n < 0:
+        if not _is_int(self.n) or self.n < 0:
             raise HypergraphFormatError(f"vertex count n must be a nonnegative integer, got {self.n!r}")
         normalized = []
         seen = set()
         for edge in self.edges:
+            for v in edge:
+                if not _is_int(v):
+                    raise HypergraphFormatError(
+                        f"vertex id {v!r} in edge {list(edge)} is not an integer"
+                    )
             vs = tuple(sorted(edge))
             if len(vs) != self.k or len(set(vs)) != len(vs):
                 raise HypergraphFormatError(
                     f"edge {tuple(edge)} must contain exactly {self.k} distinct vertices"
                 )
             for v in vs:
-                if not isinstance(v, int) or not 1 <= v <= self.n:
+                if not 1 <= v <= self.n:
                     raise HypergraphFormatError(f"vertex id {v!r} outside 1..{self.n}")
             if vs in seen:
                 raise HypergraphFormatError(f"duplicate edge {vs}")
@@ -192,7 +202,7 @@ def induced_subhypergraph(h: Hypergraph, subset: Iterable[int]) -> InducedSubhyp
     """
     ids = tuple(sorted(set(subset)))
     for v in ids:
-        if not isinstance(v, int) or not 1 <= v <= h.n:
+        if not _is_int(v) or not 1 <= v <= h.n:
             raise ValueError(f"vertex id {v!r} outside 1..{h.n}")
     index = {old: new for new, old in enumerate(ids, start=1)}
     wanted = set(ids)

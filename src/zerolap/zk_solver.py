@@ -11,11 +11,17 @@ solution count.
 Everything is integer arithmetic; Smith normal form is computed over Z so
 that composite moduli (k = 4, 6, ...) are handled uniformly. Z_k is not a
 field for composite k, so naive modular pivoting would be unsound.
+
+The Smith form depends only on a component's 0/1 incidence rows, not on
+the operator, the right-hand side or the modulus. ``factor_rows`` computes
+it once, and ``solve_mod_k`` reuses that one factorization for the
+Laplacian and signless systems and for the modulus-2 subsystem.
 """
 
 import itertools
 import math
 from dataclasses import dataclass
+from operator import mul
 from typing import Iterable, Iterator, Sequence
 
 from .errors import VerificationError
@@ -107,21 +113,54 @@ def build_zero_eig_system(
     """
     if operator not in ZERO_EIG_OPERATORS:
         raise ValueError(f"unknown operator {operator!r}")
-    verts = tuple(sorted(set(component)))
-    vset = set(verts)
-    edges = [e for e in h.edges if vset.issuperset(e)]
+    verts, rows = incidence_rows(h, component)
     k = h.k
-    if operator == SIGNLESS and k % 2 == 1 and edges:
+    if operator == SIGNLESS and k % 2 == 1 and rows:
         return None
     residue = 0 if operator == LAPLACIAN else k // 2
+    return ZkLinearSystem(k, verts, rows, tuple(residue for _ in rows))
+
+
+def incidence_rows(
+    h: Hypergraph, component: Sequence[int]
+) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
+    """Sorted vertices of ``component`` and one 0/1 row per edge inside it.
+
+    These rows are the coefficient matrix of every edge system on the
+    component, whatever the operator, right-hand side or modulus.
+    """
+    verts = tuple(sorted(set(component)))
+    vset = set(verts)
     index = {v: j for j, v in enumerate(verts)}
     rows = []
-    for e in edges:
-        row = [0] * len(verts)
-        for v in e:
-            row[index[v]] = 1
-        rows.append(tuple(row))
-    return ZkLinearSystem(k, verts, tuple(rows), tuple(residue for _ in rows))
+    for e in h.edges:
+        if vset.issuperset(e):
+            row = [0] * len(verts)
+            for v in e:
+                row[index[v]] = 1
+            rows.append(tuple(row))
+    return verts, tuple(rows)
+
+
+@dataclass(frozen=True)
+class SmithFactorization:
+    """U * rows * V == diag(diagonal) of one integer matrix.
+
+    Independent of right-hand side and modulus, so one factorization of a
+    component's incidence rows serves both operators' systems and the
+    modulus-2 subsystem. ``diagonal`` holds S[i][i] for i < min(rows, cols).
+    """
+
+    rows: tuple[tuple[int, ...], ...]
+    U: list[list[int]]
+    V: list[list[int]]
+    diagonal: tuple[int, ...]
+
+
+def factor_rows(rows: tuple[tuple[int, ...], ...]) -> SmithFactorization:
+    """Smith-factor a nonempty coefficient matrix for repeated solves."""
+    U, S, V = smith_normal_form(rows)
+    return SmithFactorization(rows, U, V, tuple(S[i][i] for i in range(min(len(S), len(V)))))
 
 
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -190,6 +229,8 @@ def smith_normal_form(
         U[j] = [r * x + s * y for x, y in zip(Ui, Uj)]
 
     def min_pivot(t):
+        # First entry of least nonzero absolute value in row-major order; a
+        # unit cannot be beaten under the strict comparison, so stop there.
         best = None
         for i in range(t, nrows):
             row = S[i]
@@ -197,6 +238,8 @@ def smith_normal_form(
                 v = abs(row[j])
                 if v and (best is None or v < best[0]):
                     best = (v, i, j)
+                    if v == 1:
+                        return best
         return best
 
     t = 0
@@ -247,21 +290,25 @@ def smith_normal_form(
             add_col(i + 1, i, -(y * b) // g)
             changed = True
 
-    # Exactness: re-multiply U * matrix * V and compare with S.
-    prod = [
-        [sum(U[i][r] * matrix[r][j] for r in range(nrows)) for j in range(ncols)]
-        for i in range(nrows)
-    ]
-    prod = [
-        [sum(prod[i][c] * V[c][j] for c in range(ncols)) for j in range(ncols)]
-        for i in range(nrows)
-    ]
+    # Exactness: re-multiply U * matrix * V and compare with S. U * matrix
+    # only visits the matrix's nonzero entries (k per incidence row).
+    prod = [[0] * ncols for _ in range(nrows)]
+    nonzero = [[(j, int(x)) for j, x in enumerate(row) if x] for row in matrix]
+    for acc, u_row in zip(prod, U):
+        for u, entries in zip(u_row, nonzero):
+            if u:
+                for j, x in entries:
+                    acc[j] += u * x
+    columns = list(zip(*V))
+    prod = [[sum(map(mul, row, col)) for col in columns] for row in prod]
     if prod != S:
         raise VerificationError("Smith normal form reconstruction failed")
     return U, S, V
 
 
-def solve_mod_k(sys: ZkLinearSystem) -> SolutionDescription:
+def solve_mod_k(
+    sys: ZkLinearSystem, factorization: SmithFactorization | None = None
+) -> SolutionDescription:
     """Solve rows * alpha == rhs (mod k) exactly via integer Smith form.
 
     With U*A*V = S diagonal, substituting alpha = V*beta turns the system
@@ -269,7 +316,8 @@ def solve_mod_k(sys: ZkLinearSystem) -> SolutionDescription:
     feasible iff gcd(d_i, k) divides each transformed residue, with zero
     rows requiring the residue to vanish mod k. The beta coordinates are
     independent, so kernel generators mapped back through V enumerate all
-    solutions without repetition.
+    solutions without repetition. ``factorization`` (of ``sys.rows``) skips
+    the Smith form; without it the rows are factored here.
     """
     k = sys.modulus
     m = len(sys.vertices)
@@ -279,12 +327,15 @@ def solve_mod_k(sys: ZkLinearSystem) -> SolutionDescription:
         )
         return SolutionDescription(sys, True, tuple(0 for _ in range(m)), kernel, (), k**m)
 
-    U, S, V = smith_normal_form(sys.rows)
+    if factorization is None:
+        factorization = factor_rows(sys.rows)
+    elif factorization.rows != sys.rows:
+        raise ValueError("factorization is of a different coefficient matrix")
+    U, V, diag = factorization.U, factorization.V, factorization.diagonal
     nrows = len(sys.rows)
     transformed = [
         sum(U[i][r] * sys.rhs[r] for r in range(nrows)) % k for i in range(nrows)
     ]
-    diag = [S[i][i] for i in range(min(nrows, m))]
     rank = sum(1 for d in diag if d)
 
     for i in range(nrows):

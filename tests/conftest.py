@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from zerolap import Hypergraph
+from zerolap import Hypergraph, zk_solver
 
 sys.path.insert(0, str(Path(__file__).parent))
 
@@ -30,3 +30,17 @@ def k4_overlap() -> Hypergraph:
 def k3_complete4() -> Hypergraph:
     """All four 3-subsets of a 4-set; admits no head-mass bipartition."""
     return Hypergraph(3, 4, ((1, 2, 3), (2, 3, 4), (1, 3, 4), (1, 2, 4)))
+
+
+@pytest.fixture
+def snf_calls(monkeypatch):
+    """Records the matrix of every Smith normal form computed."""
+    calls = []
+    real = zk_solver.smith_normal_form
+
+    def counting(matrix):
+        calls.append(matrix)
+        return real(matrix)
+
+    monkeypatch.setattr(zk_solver, "smith_normal_form", counting)
+    return calls

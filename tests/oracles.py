@@ -102,6 +102,8 @@ def bareiss_det(matrix):
     """Exact integer determinant (fraction-free Gaussian elimination)."""
     m = [row[:] for row in matrix]
     n = len(m)
+    if n == 0:
+        return 1
     sign = 1
     prev = 1
     for i in range(n - 1):

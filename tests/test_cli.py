@@ -45,6 +45,19 @@ class TestComponentsCommand:
         bad.write_text('{"k": 3, "n": 3, "edges": [[1, 2, 2]]}')
         assert main(["components", "--input", str(bad)]) == 2
 
+    @pytest.mark.parametrize(
+        "edges,message",
+        [
+            ("[[true, 2, 3]]", "vertex id True in edge [True, 2, 3] is not an integer"),
+            ("[[1.0, 2, 3]]", "vertex id 1.0 in edge [1.0, 2, 3] is not an integer"),
+        ],
+    )
+    def test_non_integer_vertex_exits_2(self, tmp_path, capsys, edges, message):
+        bad = tmp_path / "bad.json"
+        bad.write_text(f'{{"k": 3, "n": 3, "edges": {edges}}}')
+        assert main(["components", "--input", str(bad)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     def test_byte_identical_reruns(self, capsys):
         _, first = run(capsys, "components", "--input", CHAIN)
         _, second = run(capsys, "components", "--input", CHAIN)
@@ -162,14 +175,20 @@ class TestSpectralTransformsCommand:
         assert report["error"] == "no hm-bipartition exists"
 
 
+@pytest.mark.parametrize("command", ["zero-eigenvectors", "crosscheck"])
+def test_both_operators_share_one_factorization(command, capsys, snf_calls):
+    assert main([command, "--input", K4, "--operator", "both"]) == 0
+    assert len(snf_calls) == 1  # one non-singleton component
+
+
 class TestFailureExitCodes:
     def test_crosscheck_mismatch_exits_5(self, capsys, monkeypatch):
         """Wiring check: a count disagreement must surface as exit 5."""
         import zerolap.cli as cli_mod
         from zerolap.eigenstructure import structure_counts as real_counts
 
-        def broken_counts(h, operator, budget=200_000):
-            counts = real_counts(h, operator, budget)
+        def broken_counts(h, operator, budget=200_000, factored=None):
+            counts = real_counts(h, operator, budget, factored)
             import dataclasses
 
             return dataclasses.replace(

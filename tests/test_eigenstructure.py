@@ -15,11 +15,39 @@ from zerolap.corpus import (
     random_hypergraph,
     with_isolated_vertices,
 )
-from zerolap.eigenstructure import zero_eigenvector_report
+from zerolap import connected_components, load_hypergraph, structure_counts
+from zerolap.eigenstructure import factor_components, zero_eigenvector_report
 from zerolap.zk_solver import conjugate_assignment
 
 import oracles
-from conftest import single_edge
+from conftest import FIXTURE_DIR, single_edge
+
+
+ONE_FACTORIZATION_CASES = [
+    pytest.param(load_hypergraph(FIXTURE_DIR / "k4_overlap_n6.json"), id="k4_overlap"),
+    pytest.param(load_hypergraph(FIXTURE_DIR / "k3_chain_n7.json"), id="k3_chain"),
+    pytest.param(Hypergraph(4, 9, ((1, 2, 3, 4), (5, 6, 7, 8))), id="k4_two_edges_and_singleton"),
+]
+
+
+class TestOneFactorizationPerComponent:
+    @pytest.mark.parametrize("h", ONE_FACTORIZATION_CASES)
+    def test_shared_across_operators(self, h, snf_calls):
+        factored = factor_components(h)
+        for operator in ("laplacian", "signless"):
+            zero_eigenvector_report(h, operator, factored=factored)
+            structure_counts(h, operator, factored=factored)
+        assert len(snf_calls) == sum(not s for s in connected_components(h).singleton)
+
+    @pytest.mark.parametrize("call", [zero_eigenvector_report, structure_counts, count_N_pairs])
+    @pytest.mark.parametrize("h", ONE_FACTORIZATION_CASES)
+    def test_one_per_component_per_call(self, h, call, snf_calls):
+        call(h, "laplacian")
+        assert len(snf_calls) == sum(not s for s in connected_components(h).singleton)
+
+    def test_foreign_factorization_rejected(self, chain, k4_overlap):
+        with pytest.raises(ValueError, match="different coefficient matrix"):
+            structure_counts(k4_overlap, "laplacian", factored=factor_components(chain))
 
 
 class TestMinimalClasses:

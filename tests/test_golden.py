@@ -1,0 +1,57 @@
+"""Byte-level regression gate: every subcommand on every fixture.
+
+Each file under ``tests/golden/`` holds the exit code on its first line
+("exit N") followed by the exact stdout of one ``zerolap`` run. Reports
+embed the ``--input`` string, so runs use paths relative to the repo root.
+
+Regenerate after an intended output change with
+
+    PYTHONPATH=src python tests/test_golden.py
+"""
+
+import contextlib
+import io
+import os
+import sys
+from pathlib import Path
+
+import pytest
+
+from zerolap.cli import _COMMANDS, main
+
+ROOT = Path(__file__).resolve().parent.parent
+GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
+FIXTURES = sorted(p.name for p in (ROOT / "fixtures").iterdir() if p.is_file())
+CASES = [(fixture, command) for fixture in FIXTURES for command in sorted(_COMMANDS)]
+
+
+def _golden_path(fixture: str, command: str) -> Path:
+    return GOLDEN_DIR / f"{fixture}.{command}.out"
+
+
+def _render(fixture: str, command: str) -> str:
+    """Exit line plus stdout of one run, from the repo root."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = main([command, "--input", f"fixtures/{fixture}"])
+    return f"exit {code}\n{out.getvalue()}"
+
+
+@pytest.mark.parametrize("fixture,command", CASES)
+def test_output_matches_golden(fixture, command, monkeypatch):
+    monkeypatch.chdir(ROOT)
+    expected = _golden_path(fixture, command).read_text()
+    assert _render(fixture, command) == expected
+
+
+def test_every_golden_file_is_used():
+    wanted = {_golden_path(f, c).name for f, c in CASES}
+    assert {p.name for p in GOLDEN_DIR.iterdir()} == wanted
+
+
+if __name__ == "__main__":
+    os.chdir(ROOT)
+    GOLDEN_DIR.mkdir(exist_ok=True)
+    for fixture, command in CASES:
+        _golden_path(fixture, command).write_text(_render(fixture, command))
+    print(f"wrote {len(CASES)} files to {GOLDEN_DIR}", file=sys.stderr)

@@ -90,6 +90,11 @@ class TestLoading:
             "[1, 2]",
             '{"k": 3, "n": 7}',
             '{"k": 3, "n": 7, "edges": [1, 2]}',
+            '{"k": 3, "n": 3, "edges": [[true, 2, 3]]}',
+            '{"k": 3, "n": 3, "edges": [[1.0, 2, 3]]}',
+            '{"k": 3, "n": 3, "edges": [["a", 2, 3]]}',
+            '{"k": 3, "n": true, "edges": []}',
+            '{"k": true, "n": 3, "edges": []}',
         ],
     )
     def test_malformed_json_rejected(self, text):

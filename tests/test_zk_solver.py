@@ -60,6 +60,42 @@ def _random_int_matrix(rng, rows, cols, lo=-4, hi=4):
     return [[rng.randint(lo, hi) for _ in range(cols)] for _ in range(rows)]
 
 
+def _snf_case_matrix(case):
+    """(rows, cols, matrix) for one parameter case of the sympy comparison.
+
+    "mixed": small entries in -4..4. "incidence": 0/1 matrices up to 12x12,
+    where the unit-pivot shortcut fires. "no-unit": every nonzero entry has
+    absolute value at least 2. "empty": a zero-width or row-free shape; a
+    row-free matrix is the empty list whatever its nominal width.
+    """
+    kind, arg = case
+    if kind == "empty":
+        rows, cols = arg
+        return rows, cols, [[] for _ in range(rows)]
+    rng = random.Random(arg)
+    if kind == "mixed":
+        rows, cols = rng.randint(1, 5), rng.randint(1, 5)
+        return rows, cols, _random_int_matrix(rng, rows, cols)
+    if kind == "incidence":
+        rows, cols = rng.randint(1, 12), rng.randint(1, 12)
+        density = rng.choice([0.2, 0.4, 0.6])
+        return rows, cols, [[int(rng.random() < density) for _ in range(cols)] for _ in range(rows)]
+    rows, cols = rng.randint(1, 6), rng.randint(1, 6)  # "no-unit"
+    entries = [x for x in range(-9, 10) if abs(x) != 1]
+    return rows, cols, [[rng.choice(entries) for _ in range(cols)] for _ in range(rows)]
+
+
+SNF_CASES = (
+    [pytest.param(("mixed", seed), id=str(seed)) for seed in range(30)]
+    + [pytest.param(("incidence", seed), id=f"incidence-{seed}") for seed in range(15)]
+    + [pytest.param(("no-unit", seed), id=f"no-unit-{seed}") for seed in range(15)]
+    + [
+        pytest.param(("empty", shape), id=f"empty-{shape[0]}x{shape[1]}")
+        for shape in [(0, 0), (0, 4), (1, 0), (3, 0)]
+    ]
+)
+
+
 class TestSmithNormalForm:
     def test_identity(self):
         U, S, V = smith_normal_form([[1, 0], [0, 1]])
@@ -79,14 +115,13 @@ class TestSmithNormalForm:
         _, S, _ = smith_normal_form([[0, 0], [0, 0]])
         assert S == [[0, 0], [0, 0]]
 
-    @pytest.mark.parametrize("seed", range(30))
-    def test_random_matrices_against_sympy(self, seed):
+    @pytest.mark.parametrize("case", SNF_CASES)
+    def test_random_matrices_against_sympy(self, case):
         sympy = pytest.importorskip("sympy")
         from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 
-        rng = random.Random(seed)
-        rows, cols = rng.randint(1, 5), rng.randint(1, 5)
-        M = _random_int_matrix(rng, rows, cols)
+        shape_rows, shape_cols, M = _snf_case_matrix(case)
+        rows, cols = len(M), len(M[0]) if M else 0  # a row-free list has no width
         U, S, V = smith_normal_form(M)
 
         # reconstruction over plain integers
@@ -109,8 +144,8 @@ class TestSmithNormalForm:
         for a, b in zip(nonzero, nonzero[1:]):
             assert b % a == 0
 
-        expected = sympy_snf(sympy.Matrix(M))
-        expected_diag = [abs(expected[i, i]) for i in range(min(rows, cols))]
+        expected = sympy_snf(sympy.Matrix(shape_rows, shape_cols, [x for row in M for x in row]))
+        expected_diag = [abs(expected[i, i]) for i in range(min(shape_rows, shape_cols))]
         assert sorted(nonzero) == sorted(d for d in expected_diag if d)
 
 
