@@ -16,17 +16,10 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from zerolap import connected_components, count_N_pairs, count_minimal_H  # noqa: E402
 from zerolap.corpus import mixed_corpus  # noqa: E402
-from zerolap.errors import BudgetExceededError  # noqa: E402
-from zerolap import partitions  # noqa: E402
+from zerolap.eigenstructure import crosscheck, factor_components  # noqa: E402
 
-N_PAIR_KINDS = {
-    (3, "laplacian"): partitions.TRIPARTITE,
-    (4, "laplacian"): partitions.L_QUAD,
-    (4, "signless"): partitions.SL_QUAD,
-    (5, "laplacian"): partitions.PENTA,
-}
+STATUS = {True: "ok", False: "MISMATCH", None: "skipped"}
 
 
 def main() -> int:
@@ -38,31 +31,24 @@ def main() -> int:
     failures = 0
     instances = mixed_corpus(args.seed, args.budget)
     for idx, h in enumerate(instances):
+        factored = factor_components(h)
         for operator in ("laplacian", "signless"):
-            rep = count_minimal_H(h, operator, args.budget)
-            status = {True: "ok", False: "MISMATCH", None: "skipped"}[rep.crosscheck_matched]
-            if rep.crosscheck_matched is False:
-                failures += 1
+            result = crosscheck(h, operator, args.budget, factored)
+            rep = result.counts
+            failures += (rep.crosscheck_matched is False) + (result.n_matched is False)
             line = (
                 f"[{idx:02d}] k={h.k} n={h.n} |E|={h.edge_count} {operator:9s} "
-                f"H={rep.h_count} expected={rep.crosscheck_expected} ({status})"
+                f"H={rep.h_count} expected={rep.crosscheck_expected} "
+                f"({STATUS[rep.crosscheck_matched]})"
             )
-            kind = N_PAIR_KINDS.get((h.k, operator))
-            if kind is not None:
-                decomp = connected_components(h)
-                try:
-                    witnesses = sum(
-                        len(partitions.enumerate_multipartitions(h, c, kind, "residue", args.budget))
-                        for c, single in zip(decomp.components, decomp.singleton)
-                        if not single
-                    )
-                    pairs = count_N_pairs(h, operator)
-                    n_status = "ok" if witnesses == pairs else "MISMATCH"
-                    if witnesses != pairs:
-                        failures += 1
-                    line += f"  Npairs={pairs} {kind}={witnesses} ({n_status})"
-                except BudgetExceededError:
-                    line += f"  Npairs {kind}: skipped (budget)"
+            kind = result.n_kind
+            if kind is not None and result.n_expected is None:
+                line += f"  Npairs {kind}: skipped (budget)"
+            elif kind is not None:
+                line += (
+                    f"  Npairs={rep.n_pair_count} {kind}={result.n_expected} "
+                    f"({STATUS[result.n_matched]})"
+                )
             print(line)
 
     print(f"\n{len(instances)} instances checked, {failures} mismatches")

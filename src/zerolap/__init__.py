@@ -5,7 +5,6 @@ __version__ = "0.1.0"
 
 from .errors import BudgetExceededError, HypergraphFormatError, VerificationError
 from .hypergraph import (
-    ComponentDecomposition,
     Hypergraph,
     connected_components,
     degrees,
@@ -15,9 +14,6 @@ from .hypergraph import (
     parse_hypergraph_text,
 )
 from .zk_solver import (
-    LAPLACIAN,
-    SIGNLESS,
-    SolutionDescription,
     ZkAssignment,
     ZkLinearSystem,
     assignment_satisfies,
@@ -30,9 +26,6 @@ from .zk_solver import (
     solve_mod_k,
 )
 from .tensor_ops import (
-    ADJACENCY,
-    DenseTensor,
-    Eigenpair,
     apply_adjacency,
     apply_laplacian,
     apply_signless,
@@ -43,9 +36,6 @@ from .tensor_ops import (
     nqz_spectral_radius,
 )
 from .eigenstructure import (
-    EigenvectorClass,
-    StructureCounts,
-    count_minimal_H,
     count_N_pairs,
     minimal_zero_eigenvectors,
     realize_complex,
@@ -54,7 +44,6 @@ from .eigenstructure import (
 )
 from .partitions import (
     BipartitionWitness,
-    DiscrepancyReport,
     MultipartitionWitness,
     assignment_from_partition,
     discrepancy_scan,

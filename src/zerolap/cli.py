@@ -6,14 +6,16 @@ rendering). Identical input, config, and seed produce byte-identical
 reports. Every number in a report comes from a library call; the CLI does
 no arithmetic of its own.
 
-Exit codes: 0 success, 2 parse/validation failure, 3 internal verification
-failure, 4 budget exhaustion, 5 cross-check mismatch, 6 structural
-precondition not met.
+Exit codes: 0 success, 1 stdout closed before the report was written
+(for example piped into ``head``; the run ends without a traceback), 2
+parse/validation failure, 3 internal verification failure, 4 budget
+exhaustion, 5 cross-check mismatch, 6 structural precondition not met.
 """
 
 import argparse
 import dataclasses
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -23,6 +25,7 @@ from .hypergraph import Hypergraph, connected_components, degrees, induced_subhy
 from . import eigenstructure, partitions, tensor_ops
 
 EXIT_OK = 0
+EXIT_BROKEN_PIPE = 1
 EXIT_PARSE = 2
 EXIT_VERIFICATION = 3
 EXIT_BUDGET = 4
@@ -148,13 +151,11 @@ def _applicable_kinds(h: Hypergraph, cfg: AnalysisConfig) -> list[str]:
     kinds = ["hm"]
     if h.k % 2 == 0:
         kinds += ["odd", "even"]
-    if h.k == 3:
-        kinds.append("tri")
-    elif h.k == 4:
-        kinds += ["lquad", "slquad"]
-    elif h.k == 5:
-        kinds.append("penta")
-    return kinds
+    return kinds + [
+        flag
+        for flag, (family, kind) in _KIND_FLAGS.items()
+        if family == "multipartition" and partitions.KIND_SPECS[kind].k == h.k
+    ]
 
 
 def cmd_partitions(h: Hypergraph, cfg: AnalysisConfig) -> tuple[dict, int]:
@@ -194,7 +195,8 @@ def cmd_crosscheck(h: Hypergraph, cfg: AnalysisConfig) -> tuple[dict, int]:
     mismatch = False
     factored = eigenstructure.factor_components(h)
     for op in _operators(cfg):
-        counts = eigenstructure.structure_counts(h, op, cfg.budget, factored)
+        result = eigenstructure.crosscheck(h, op, cfg.budget, factored)
+        counts = result.counts
         entry = {
             "operator": op,
             "H_count": counts.h_count,
@@ -216,37 +218,21 @@ def cmd_crosscheck(h: Hypergraph, cfg: AnalysisConfig) -> tuple[dict, int]:
                 for c in counts.components
             ],
         }
-        if counts.crosscheck_matched is False:
-            mismatch = True
-        kind = {
-            (3, "laplacian"): partitions.TRIPARTITE,
-            (4, "laplacian"): partitions.L_QUAD,
-            (4, "signless"): partitions.SL_QUAD,
-            (5, "laplacian"): partitions.PENTA,
-        }.get((h.k, op))
-        if kind is not None:
-            decomp = connected_components(h)
-            try:
-                def _witness_total(predicate: str) -> int:
-                    return sum(
-                        len(partitions.enumerate_multipartitions(h, comp, kind, predicate, cfg.budget))
-                        for comp, single in zip(decomp.components, decomp.singleton)
-                        if not single
-                    )
-
-                residue_total = _witness_total("residue")
-                entry["N_expected"] = residue_total
-                entry["N_formula"] = f"residue-valid {kind} multipartition count"
-                entry["N_matched"] = residue_total == counts.n_pair_count
-                if not entry["N_matched"]:
-                    mismatch = True
-                # the case-by-case clause lists can legitimately diverge from
-                # the residue condition; report the counts side by side
-                entry["N_literal_count"] = _witness_total("literal")
-            except BudgetExceededError:
-                entry["N_expected"] = None
-                entry["N_formula"] = f"residue-valid {kind} count (budget exceeded, unchecked)"
-                entry["N_matched"] = None
+        kind = result.n_kind
+        if kind is not None and result.n_expected is None:
+            entry["N_expected"] = None
+            entry["N_formula"] = f"residue-valid {kind} count (budget exceeded, unchecked)"
+            entry["N_matched"] = None
+        elif kind is not None:
+            entry["N_expected"] = result.n_expected
+            entry["N_formula"] = f"residue-valid {kind} multipartition count"
+            entry["N_matched"] = result.n_matched
+            # the case-by-case clause lists can legitimately diverge from
+            # the residue condition; report the counts side by side
+            entry["N_literal_count"] = eigenstructure.multipartition_count(
+                h, kind, "literal", cfg.budget, factored
+            )
+        mismatch = mismatch or result.mismatch
         checks.append(entry)
     scans = [
         partitions.discrepancy_scan(kind).to_json_dict()
@@ -395,8 +381,14 @@ def main(argv: list[str] | None = None) -> int:
     )
     if cfg.out:
         Path(cfg.out).write_text(rendered + "\n")
-    else:
-        print(rendered)
+        return code
+    try:
+        print(rendered, flush=True)
+    except BrokenPipeError:
+        # The reader went away. Point stdout at devnull so that the flush at
+        # interpreter exit does not raise again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
     return code
 
 

@@ -11,12 +11,13 @@ self-conjugate pattern is forced into two values pi apart, which is H.
 Counting is closed-form (Smith form solution counts plus a modulus-2
 subsystem for the H classes when k is even); enumeration is reserved for
 explicitly requested class listings. Each component's incidence rows are
-Smith-factored once per call (``factor_components``); counts, the H
-subsystem and class listings for both operators all solve from that one
-factorization.
+Smith-factored once per call (``factor_components``) and shared by both
+operators. Each (component, operator) system is then solved once per call
+(``solve_components``); counts, class listings, the solution export and
+the cross-checks all read that one solve.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -25,7 +26,6 @@ from .hypergraph import Hypergraph, connected_components
 from .tensor_ops import Eigenpair, eig_residual
 from .zk_solver import (
     LAPLACIAN,
-    SIGNLESS,
     ZERO_EIG_OPERATORS,
     SmithFactorization,
     SolutionDescription,
@@ -34,6 +34,7 @@ from .zk_solver import (
     build_zero_eig_system,
     classify_H_or_N,
     conjugate_assignment,
+    edge_residue,
     enumerate_solutions,
     factor_rows,
     incidence_rows,
@@ -65,6 +66,9 @@ class EigenvectorClass:
 
 @dataclass(frozen=True)
 class ComponentStructure:
+    """One component's closed-form counts for one operator and the one solve
+    they come from; ``description`` is None where the operator has no system."""
+
     component: tuple[int, ...]
     singleton: bool
     feasible: bool
@@ -72,6 +76,7 @@ class ComponentStructure:
     class_count: int
     h_count: int
     n_pair_count: int
+    description: SolutionDescription | None = field(repr=False)
     crosscheck_expected: int | None = None  # None when the scan hit its budget
     crosscheck_matched: bool | None = None
 
@@ -116,17 +121,60 @@ def factor_components(h: Hypergraph) -> tuple[FactoredComponent, ...]:
     return tuple(out)
 
 
-def _solve(h: Hypergraph, fc: FactoredComponent, operator: str) -> SolutionDescription | None:
-    """The operator's edge system on ``fc``, solved; None when it has no system."""
+def solve_components(
+    h: Hypergraph, operator: str, factored: tuple[FactoredComponent, ...] | None = None
+) -> tuple[ComponentStructure, ...]:
+    """Each component's ``operator`` system, built and solved once, in order.
+
+    Pass the result as ``solved`` to ``structure_counts`` and
+    ``minimal_zero_eigenvectors`` to share the solves; cross-checks are unset.
+    """
+    if operator not in ZERO_EIG_OPERATORS:
+        raise ValueError(f"unknown operator {operator!r}")
+    if factored is None:
+        factored = factor_components(h)
+    return tuple(_solve_component(h, fc, operator) for fc in factored)
+
+
+def _solve_component(h: Hypergraph, fc: FactoredComponent, operator: str) -> ComponentStructure:
     sys = build_zero_eig_system(h, fc.component, operator)
-    return None if sys is None else solve_mod_k(sys, fc.factorization)
+    desc = None if sys is None else solve_mod_k(sys, fc.factorization)
+    if desc is None or not desc.feasible:
+        return ComponentStructure(fc.component, fc.singleton, False, 0, 0, 0, 0, desc)
+    classes = desc.solution_count // h.k
+    h_count = _h_class_count(sys, fc.factorization)
+    n_classes = classes - h_count
+    if n_classes % 2:
+        raise VerificationError(
+            f"odd N class count {n_classes} on component {fc.component}: conjugate pairing broken"
+        )
+    return ComponentStructure(
+        fc.component, fc.singleton, True, desc.solution_count, classes, h_count, n_classes // 2, desc
+    )
+
+
+def _h_class_count(sys: ZkLinearSystem, factorization: SmithFactorization | None) -> int:
+    """Closed-form count of H classes of one feasible component system.
+
+    Odd k admits only constant patterns, so there is exactly one class:
+    the all-ones vector, or the scalar on a singleton. For even k the H
+    classes biject with the solutions of the modulus-2 subsystem (exponents
+    restricted to {0, k/2}, so each edge residue r becomes r / (k/2)), two
+    solutions per class.
+    """
+    k = sys.modulus
+    if k % 2 == 1:
+        return 1
+    sub = ZkLinearSystem(2, sys.vertices, sys.rows, tuple(r // (k // 2) for r in sys.rhs))
+    desc = solve_mod_k(sub, factorization)
+    return desc.solution_count // 2 if desc.feasible else 0
 
 
 def minimal_zero_eigenvectors(
     h: Hypergraph,
     operator: str,
     max_classes: int | None = None,
-    factored: tuple[FactoredComponent, ...] | None = None,
+    solved: tuple[ComponentStructure, ...] | None = None,
 ) -> list[EigenvectorClass]:
     """All shift-canonical zero-eigenvector classes, component by component.
 
@@ -136,38 +184,15 @@ def minimal_zero_eigenvectors(
     H class (the scalar 1; their tensor block is zero). ``max_classes``
     caps the total enumeration; counts are unaffected by the cap.
     """
-    if operator not in ZERO_EIG_OPERATORS:
-        raise ValueError(f"unknown operator {operator!r}")
-    if factored is None:
-        factored = factor_components(h)
+    if solved is None:
+        solved = solve_components(h, operator)
     out: list[EigenvectorClass] = []
-    for fc in factored:
+    for cs in solved:
         remaining = None if max_classes is None else max_classes - len(out)
         if remaining is not None and remaining <= 0:
             break
-        out.extend(_component_classes(h, operator, fc, remaining))
+        out.extend(_component_classes(operator, cs, remaining))
     return out
-
-
-def _h_class_count(h: Hypergraph, fc: FactoredComponent, operator: str) -> int:
-    """Closed-form count of H classes on one component.
-
-    Odd k admits only constant patterns, so the Laplacian always has the
-    all-ones class and the signless operator only the singleton scalar.
-    For even k the H classes biject with the solutions of the modulus-2
-    subsystem (exponents restricted to {0, k/2}), two solutions per class.
-    """
-    k = h.k
-    if k % 2 == 1:
-        if operator == LAPLACIAN:
-            return 1
-        return 1 if fc.singleton else 0
-    sys = build_zero_eig_system(h, fc.component, operator)
-    sub = ZkLinearSystem(
-        2, sys.vertices, sys.rows, tuple(0 if operator == LAPLACIAN else 1 for _ in sys.rows)
-    )
-    desc = solve_mod_k(sub, fc.factorization)
-    return desc.solution_count // 2 if desc.feasible else 0
 
 
 def _component_expected(
@@ -184,12 +209,10 @@ def _component_expected(
     singletons for the signless operator. None when the bipartition scan
     would exceed its budget.
     """
-    if h.k % 2 == 1:
-        if operator == LAPLACIAN:
-            return 1
-        return 1 if singleton else 0
     if singleton:
         return 1
+    if h.k % 2 == 1:
+        return 1 if operator == LAPLACIAN else 0
     flavor = _partitions.EVEN if operator == LAPLACIAN else _partitions.ODD
     try:
         witnesses = len(_partitions.enumerate_bipartitions(h, comp, flavor, budget))
@@ -208,44 +231,21 @@ def _crosscheck_formula(h: Hypergraph, operator: str) -> str:
     return "odd-bipartition count"
 
 
-def _component_counts(h: Hypergraph, fc: FactoredComponent, operator: str) -> ComponentStructure:
-    """Closed-form counts on one component; the cross-check is left unset."""
-    desc = _solve(h, fc, operator)
-    if desc is None or not desc.feasible:
-        return ComponentStructure(fc.component, fc.singleton, False, 0, 0, 0, 0)
-    classes = desc.solution_count // h.k
-    h_count = _h_class_count(h, fc, operator)
-    n_classes = classes - h_count
-    if n_classes % 2:
-        raise VerificationError(
-            f"odd N class count {n_classes} on component {fc.component}: conjugate pairing broken"
-        )
-    return ComponentStructure(
-        fc.component, fc.singleton, True, desc.solution_count, classes, h_count, n_classes // 2
-    )
-
-
-def _component_structure(
-    h: Hypergraph, fc: FactoredComponent, operator: str, budget: int
-) -> ComponentStructure:
-    expected = _component_expected(h, fc.component, fc.singleton, operator, budget)
-    counts = _component_counts(h, fc, operator)
-    matched = None if expected is None else expected == counts.h_count
-    return replace(counts, crosscheck_expected=expected, crosscheck_matched=matched)
-
-
 def structure_counts(
     h: Hypergraph,
     operator: str,
     budget: int = DEFAULT_CROSSCHECK_BUDGET,
     factored: tuple[FactoredComponent, ...] | None = None,
+    solved: tuple[ComponentStructure, ...] | None = None,
 ) -> StructureCounts:
     """Closed-form per-component counts plus the combinatorial cross-check."""
-    if operator not in ZERO_EIG_OPERATORS:
-        raise ValueError(f"unknown operator {operator!r}")
-    if factored is None:
-        factored = factor_components(h)
-    per_comp = tuple(_component_structure(h, fc, operator, budget) for fc in factored)
+    if solved is None:
+        solved = solve_components(h, operator, factored)
+    per_comp = []
+    for cs in solved:
+        expected = _component_expected(h, cs.component, cs.singleton, operator, budget)
+        matched = None if expected is None else expected == cs.h_count
+        per_comp.append(replace(cs, crosscheck_expected=expected, crosscheck_matched=matched))
     h_total = sum(c.h_count for c in per_comp)
     n_total = sum(c.n_pair_count for c in per_comp)
     if any(c.crosscheck_expected is None for c in per_comp):
@@ -253,20 +253,8 @@ def structure_counts(
     else:
         expected = sum(c.crosscheck_expected for c in per_comp)
         matched = all(c.crosscheck_matched for c in per_comp)
-    return StructureCounts(
-        operator, per_comp, h_total, n_total, expected, _crosscheck_formula(h, operator), matched
-    )
-
-
-def count_minimal_H(
-    h: Hypergraph, operator: str, budget: int = DEFAULT_CROSSCHECK_BUDGET
-) -> StructureCounts:
-    """H class count with its cross-check report; the count is ``.h_count``.
-
-    A cross-check mismatch is reported through ``crosscheck_matched``, never
-    swallowed: callers decide whether a mismatch is fatal.
-    """
-    return structure_counts(h, operator, budget)
+    formula = _crosscheck_formula(h, operator)
+    return StructureCounts(operator, tuple(per_comp), h_total, n_total, expected, formula, matched)
 
 
 def count_N_pairs(h: Hypergraph, operator: str) -> int:
@@ -275,9 +263,67 @@ def count_N_pairs(h: Hypergraph, operator: str) -> int:
     Uses the closed-form solution counts; no enumeration and no partition
     scan. Pairing is total because no N class is self-conjugate.
     """
-    if operator not in ZERO_EIG_OPERATORS:
-        raise ValueError(f"unknown operator {operator!r}")
-    return sum(_component_counts(h, fc, operator).n_pair_count for fc in factor_components(h))
+    return sum(cs.n_pair_count for cs in solve_components(h, operator))
+
+
+@dataclass(frozen=True)
+class OperatorCrosscheck:
+    """Both count identities of one operator.
+
+    ``counts`` holds the H classes against the bipartition counts. The N
+    pairs are held against the residue-valid multipartitions of
+    ``n_kind``, the kind matching (k, operator), or None when no kind
+    does. ``n_expected`` is None without a kind or when the scan hit its
+    budget.
+    """
+
+    counts: StructureCounts
+    n_kind: str | None
+    n_expected: int | None
+
+    @property
+    def n_matched(self) -> bool | None:
+        return None if self.n_expected is None else self.n_expected == self.counts.n_pair_count
+
+    @property
+    def mismatch(self) -> bool:
+        return self.counts.crosscheck_matched is False or self.n_matched is False
+
+
+def crosscheck(
+    h: Hypergraph, operator: str, budget: int, factored: tuple[FactoredComponent, ...]
+) -> OperatorCrosscheck:
+    """Algebraic counts of one operator against the partition inventories."""
+    counts = structure_counts(h, operator, budget, factored)
+    kind = _partitions.N_PAIR_KINDS.get((h.k, operator))
+    if kind is None:
+        return OperatorCrosscheck(counts, None, None)
+    try:
+        expected = multipartition_count(h, kind, "residue", budget, factored)
+    except BudgetExceededError:
+        expected = None
+    return OperatorCrosscheck(counts, kind, expected)
+
+
+def multipartition_count(
+    h: Hypergraph, kind: str, predicate: str, budget: int, factored: tuple[FactoredComponent, ...]
+) -> int:
+    """Witnesses of ``kind`` under ``predicate`` over the non-singleton components."""
+    return sum(
+        len(_partitions.enumerate_multipartitions(h, fc.component, kind, predicate, budget))
+        for fc in factored
+        if not fc.singleton
+    )
+
+
+def _listed_classes(
+    h: Hypergraph, operator: str, limit: int | None, solved: tuple[ComponentStructure, ...]
+) -> list[list[EigenvectorClass]]:
+    """Each component's listed classes, in order, at most ``limit`` in total."""
+    by_comp: dict[tuple[int, ...], list[EigenvectorClass]] = {}
+    for c in minimal_zero_eigenvectors(h, operator, limit, solved=solved):
+        by_comp.setdefault(c.component, []).append(c)
+    return [by_comp.get(cs.component, []) for cs in solved]
 
 
 def solution_export(
@@ -286,65 +332,42 @@ def solution_export(
     """Per-component solution sets in the wire format.
 
     Each entry is {"k", "component", "rhs", "count", "classes"} with one
-    {"alpha", "kind"} record per shift class (up to ``limit`` per
-    component). Infeasible components report rhs None and count 0.
+    {"alpha", "kind"} record per shift class. ``limit`` caps the classes
+    listed in total across components, in component order, so later
+    components may list fewer than their count or none. Infeasible
+    components report rhs None and count 0.
     """
-    if operator not in ZERO_EIG_OPERATORS:
-        raise ValueError(f"unknown operator {operator!r}")
-    k = h.k
-    out = []
-    for cls_list, cs in _grouped_classes(h, operator, limit):
-        entry = {
-            "k": k,
+    solved = solve_components(h, operator)
+    rhs = edge_residue(h.k, operator)
+    return [
+        {
+            "k": h.k,
             "component": list(cs.component),
-            "rhs": (0 if operator == LAPLACIAN else k // 2) if cs.feasible else None,
+            "rhs": rhs if cs.feasible else None,
             "count": cs.solution_count,
-            "classes": [
-                {"alpha": list(c.representative.values), "kind": c.kind} for c in cls_list
-            ],
+            "classes": [{"alpha": list(c.representative.values), "kind": c.kind} for c in listed],
         }
-        out.append(entry)
-    return out
-
-
-def _grouped_classes(h: Hypergraph, operator: str, limit: int | None):
-    """(classes, ComponentStructure) pairs in component order."""
-    factored = factor_components(h)
-    counts = structure_counts(h, operator, factored=factored)
-    out = []
-    remaining = limit
-    for fc, cs in zip(factored, counts.components):
-        if not cs.feasible:
-            out.append(([], cs))
-            continue
-        take = cs.class_count if remaining is None else min(cs.class_count, remaining)
-        comp_classes = _component_classes(h, operator, fc, take)
-        out.append((comp_classes, cs))
-        if remaining is not None:
-            remaining -= len(comp_classes)
-    return out
+        for cs, listed in zip(solved, _listed_classes(h, operator, limit, solved))
+    ]
 
 
 def _component_classes(
-    h: Hypergraph, operator: str, fc: FactoredComponent, max_classes: int | None = None
+    operator: str, cs: ComponentStructure, max_classes: int | None = None
 ) -> list[EigenvectorClass]:
-    desc = _solve(h, fc, operator)
-    if desc is None or not desc.feasible:
+    if not cs.feasible:
         return []
-    target = desc.solution_count // h.k
+    target = cs.class_count
     if max_classes is not None:
         target = min(target, max_classes)
-    if target <= 0:
-        return []
     seen: dict[tuple[int, ...], ZkAssignment] = {}
-    for sol in enumerate_solutions(desc):
+    for sol in enumerate_solutions(cs.description):
         rep = shift_canonicalize(sol)
         if rep.values not in seen:
             seen[rep.values] = rep
             if len(seen) == target:
                 break
     return [
-        EigenvectorClass(operator, fc.component, rep, classify_H_or_N(rep), conjugate_assignment(rep))
+        EigenvectorClass(operator, cs.component, rep, classify_H_or_N(rep), conjugate_assignment(rep))
         for rep in seen.values()
     ]
 
@@ -362,7 +385,7 @@ def realize_complex(
     k = h.k
     rep = cls.representative
     alpha = rep.as_dict()
-    residue = 0 if cls.operator == LAPLACIAN else k // 2
+    residue = edge_residue(k, cls.operator)
     comp_set = set(cls.component)
     for e in h.edges:
         if comp_set.issuperset(e):
@@ -392,25 +415,23 @@ def zero_eigenvector_report(
     """Machine-readable per-component summary used by the command line.
 
     Classes are enumerated (and realized, reporting residuals) up to
-    ``enumerate_limit`` per component; counts always come from the closed
-    form, so a truncated listing is detectable by comparing lengths.
+    ``enumerate_limit`` in total across components, in component order;
+    counts always come from the closed form, so each component's
+    ``truncated`` flag tells whether its listing fell short of its count.
     """
-    if factored is None:
-        factored = factor_components(h)
-    counts = structure_counts(h, operator, budget, factored)
-    classes = minimal_zero_eigenvectors(h, operator, enumerate_limit, factored)
-    by_comp: dict[tuple[int, ...], list[EigenvectorClass]] = {}
-    for c in classes:
-        by_comp.setdefault(c.component, []).append(c)
+    solved = solve_components(h, operator, factored)
+    counts = structure_counts(h, operator, budget, solved=solved)
+    listings = _listed_classes(h, operator, enumerate_limit, solved)
+    rhs = edge_residue(h.k, operator)
 
     components = []
-    for cs in counts.components:
+    for cs, listed in zip(counts.components, listings):
         entry = {
             "vertices": list(cs.component),
             "operator": operator,
             "singleton": cs.singleton,
             "feasible": cs.feasible,
-            "rhs": None if not cs.feasible else (0 if operator == LAPLACIAN else h.k // 2),
+            "rhs": rhs if cs.feasible else None,
             "count": cs.solution_count,
             "class_count": cs.class_count,
             "H_count": cs.h_count,
@@ -420,9 +441,8 @@ def zero_eigenvector_report(
                 "matched": cs.crosscheck_matched,
             },
         }
-        if not cs.feasible and h.k % 2 == 1 and operator == SIGNLESS and not cs.singleton:
+        if cs.description is None:
             entry["reason"] = ODD_SIGNLESS_REASON
-        listed = by_comp.get(cs.component, [])
         entry["classes"] = [
             {
                 "alpha": list(c.representative.values),

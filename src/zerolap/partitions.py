@@ -136,6 +136,16 @@ KIND_SPECS: dict[str, KindSpec] = {
 }
 
 
+# Multipartition kind whose residue-valid witnesses match the N classes of
+# each (k, operator); the other pairs have no kind.
+N_PAIR_KINDS: dict[tuple[int, str], str] = {
+    (3, "laplacian"): TRIPARTITE,
+    (4, "laplacian"): L_QUAD,
+    (4, "signless"): SL_QUAD,
+    (5, "laplacian"): PENTA,
+}
+
+
 @dataclass(frozen=True)
 class BipartitionWitness:
     component: tuple[int, ...]
@@ -477,12 +487,7 @@ def partition_from_assignment(
         v2 = tuple(v for v, x in zip(a.vertices, a.values) if x == 0)
         flavor = EVEN if operator == "laplacian" else ODD
         return BipartitionWitness(comp, v1, v2, flavor)
-    kind = {
-        (3, "laplacian"): TRIPARTITE,
-        (4, "laplacian"): L_QUAD,
-        (4, "signless"): SL_QUAD,
-        (5, "laplacian"): PENTA,
-    }.get((k, operator))
+    kind = N_PAIR_KINDS.get((k, operator))
     if kind is None:
         raise ValueError(f"no multipartition kind for k={k}, operator={operator}")
     parts = tuple(

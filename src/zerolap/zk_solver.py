@@ -117,8 +117,13 @@ def build_zero_eig_system(
     k = h.k
     if operator == SIGNLESS and k % 2 == 1 and rows:
         return None
-    residue = 0 if operator == LAPLACIAN else k // 2
+    residue = edge_residue(k, operator)
     return ZkLinearSystem(k, verts, rows, tuple(residue for _ in rows))
+
+
+def edge_residue(k: int, operator: str) -> int:
+    """Exponent sum mod k that every edge needs: 0 (Laplacian) or k/2 (signless)."""
+    return 0 if operator == LAPLACIAN else k // 2
 
 
 def incidence_rows(

@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from zerolap import Hypergraph, zk_solver
+from zerolap import Hypergraph, eigenstructure, zk_solver
 
 sys.path.insert(0, str(Path(__file__).parent))
 
@@ -43,4 +43,19 @@ def snf_calls(monkeypatch):
         return real(matrix)
 
     monkeypatch.setattr(zk_solver, "smith_normal_form", counting)
+    return calls
+
+
+@pytest.fixture
+def solve_calls(monkeypatch):
+    """Records the system of every ``solve_mod_k`` call, modulus k or 2."""
+    calls = []
+    real = zk_solver.solve_mod_k
+
+    def counting(sys, factorization=None):
+        calls.append(sys)
+        return real(sys, factorization)
+
+    for module in (zk_solver, eigenstructure):
+        monkeypatch.setattr(module, "solve_mod_k", counting)
     return calls

@@ -14,7 +14,7 @@ from zerolap import (
     Hypergraph,
     build_zero_eig_system,
     connected_components,
-    count_minimal_H,
+    structure_counts,
     count_N_pairs,
     diag_similarity,
     discrepancy_scan,
@@ -57,7 +57,7 @@ def test_criterion_01_even_bipartitions_of_k4_fixture():
 
 def test_criterion_02_k4_fixture_h_count():
     """H count 4 = 3 even-bipartitions + 1 component - 0 singletons. Exact."""
-    rep = count_minimal_H(K4_OVERLAP, "laplacian")
+    rep = structure_counts(K4_OVERLAP, "laplacian")
     assert rep.h_count == 4
     assert rep.crosscheck_expected == 3 + 1 - 0
     assert rep.crosscheck_matched is True
@@ -68,7 +68,7 @@ def test_criterion_02_k4_fixture_h_count():
 
 def test_criterion_03_chain_fixture_counts():
     """One H class; the three listed tripartitions validate; 13 N pairs. Exact."""
-    rep = count_minimal_H(CHAIN, "laplacian")
+    rep = structure_counts(CHAIN, "laplacian")
     assert rep.h_count == 1
 
     comp = tuple(range(1, 8))
@@ -111,7 +111,7 @@ def test_criterion_05_oracle_equivalence_on_corpus():
         assert all(h.k ** len(c) <= 200_000 for c in comps)
         for operator in ("laplacian", "signless"):
             rhs = 0 if operator == "laplacian" else h.k // 2
-            rep = count_minimal_H(h, operator)
+            rep = structure_counts(h, operator)
             brute_h = brute_pairs = 0
             for cs, comp in zip(rep.components, comps):
                 assert cs.component == comp
@@ -139,14 +139,14 @@ def test_criterion_06_count_identities_on_corpus():
     for h in list(mixed_corpus(seed=77)) + singles:
         decomp = connected_components(h)
         if h.k % 2 == 0:
-            rep = count_minimal_H(h, "signless")
+            rep = structure_counts(h, "signless")
             assert rep.crosscheck_matched is True, "odd-bipartition identity"
-            rep = count_minimal_H(h, "laplacian")
+            rep = structure_counts(h, "laplacian")
             assert rep.crosscheck_matched is True, "even-bipartition identity"
         else:
-            rep = count_minimal_H(h, "laplacian")
+            rep = structure_counts(h, "laplacian")
             assert rep.h_count == len(decomp)
-            rep = count_minimal_H(h, "signless")
+            rep = structure_counts(h, "signless")
             assert rep.h_count == decomp.singleton_count
     _report(6, "bipartition/component/singleton count identities hold")
 

@@ -1,8 +1,11 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
-from zerolap.cli import main
+from zerolap.cli import EXIT_BROKEN_PIPE, main
 
 from conftest import FIXTURE_DIR
 
@@ -199,6 +202,26 @@ class TestFailureExitCodes:
         code, report = run_json(capsys, "crosscheck", "--input", EDGE3)
         assert code == 5
         assert any(e["H_matched"] is False for e in report["crosschecks"])
+
+    def test_closed_stdout_exits_without_traceback(self, tmp_path):
+        """``zerolap ... | head -1``: the report (about 3 MB, far beyond a
+        pipe buffer) is cut off after one byte."""
+        tree = tmp_path / "hypertree.json"
+        edges = [[2 * i + 1, 2 * i + 2, 2 * i + 3] for i in range(8)]
+        tree.write_text(json.dumps({"k": 3, "n": 17, "edges": edges}))
+        env = dict(os.environ, PYTHONPATH=str(FIXTURE_DIR.parent / "src"))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "zerolap.cli", "zero-eigenvectors", "--input", str(tree)],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=env,
+        )
+        assert proc.stdout.read(1) == b"{"
+        proc.stdout.close()
+        stderr = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait() == EXIT_BROKEN_PIPE
+        assert stderr == b""
 
     def test_verification_failure_exits_3(self, monkeypatch, capsys):
         import zerolap.cli as cli_mod

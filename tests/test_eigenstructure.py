@@ -5,7 +5,6 @@ import pytest
 
 from zerolap import (
     Hypergraph,
-    count_minimal_H,
     count_N_pairs,
     minimal_zero_eigenvectors,
     realize_complex,
@@ -17,7 +16,7 @@ from zerolap.corpus import (
 )
 from zerolap import connected_components, load_hypergraph, structure_counts
 from zerolap.eigenstructure import factor_components, zero_eigenvector_report
-from zerolap.zk_solver import conjugate_assignment
+from zerolap.zk_solver import build_zero_eig_system, conjugate_assignment, solve_mod_k
 
 import oracles
 from conftest import FIXTURE_DIR, single_edge
@@ -44,6 +43,24 @@ class TestOneFactorizationPerComponent:
     def test_one_per_component_per_call(self, h, call, snf_calls):
         call(h, "laplacian")
         assert len(snf_calls) == sum(not s for s in connected_components(h).singleton)
+
+    @pytest.mark.parametrize("h", ONE_FACTORIZATION_CASES)
+    def test_one_solve_per_component_and_operator(self, h, solve_calls):
+        systems = [
+            build_zero_eig_system(h, comp, operator)
+            for operator in ("laplacian", "signless")
+            for comp in connected_components(h).components
+        ]
+        systems = [sys for sys in systems if sys is not None]
+        feasible_even = sum(h.k % 2 == 0 and solve_mod_k(sys).feasible for sys in systems)
+        solve_calls.clear()
+        factored = factor_components(h)
+        for operator in ("laplacian", "signless"):
+            zero_eigenvector_report(h, operator, factored=factored)
+        moduli = [sys.modulus for sys in solve_calls]
+        assert moduli.count(h.k) == len(systems)
+        assert moduli.count(2) == feasible_even
+        assert len(moduli) == len(systems) + feasible_even
 
     def test_foreign_factorization_rejected(self, chain, k4_overlap):
         with pytest.raises(ValueError, match="different coefficient matrix"):
@@ -100,30 +117,30 @@ class TestMinimalClasses:
 
 class TestHCounts:
     def test_k4_laplacian_count_and_crosscheck(self, k4_overlap):
-        rep = count_minimal_H(k4_overlap, "laplacian")
+        rep = structure_counts(k4_overlap, "laplacian")
         assert rep.h_count == 4
         assert rep.crosscheck_expected == 4  # 3 even-bipartitions + 1 component - 0 singletons
         assert rep.crosscheck_matched is True
 
     def test_chain_laplacian_single_class(self, chain):
-        rep = count_minimal_H(chain, "laplacian")
+        rep = structure_counts(chain, "laplacian")
         assert rep.h_count == 1
         assert rep.crosscheck_matched is True
 
     def test_edgeless_signless_counts_singletons(self):
-        rep = count_minimal_H(Hypergraph(3, 3, ()), "signless")
+        rep = structure_counts(Hypergraph(3, 3, ()), "signless")
         assert rep.h_count == 3
         assert rep.crosscheck_expected == 3
         assert rep.crosscheck_matched is True
 
     def test_k4_signless_odd_bipartitions(self, k4_overlap):
-        rep = count_minimal_H(k4_overlap, "signless")
+        rep = structure_counts(k4_overlap, "signless")
         assert rep.h_count == 4
         assert rep.crosscheck_matched is True
 
     def test_unknown_operator_rejected(self, chain):
         with pytest.raises(ValueError):
-            count_minimal_H(chain, "adjacency")
+            structure_counts(chain, "adjacency")
 
 
 class TestNPairs:
@@ -194,7 +211,7 @@ def test_counts_match_brute_force_on_corpus(operator):
         if h.k ** max(len(c) for c in oracles.component_split(h.n, h.edges)) > 60_000:
             continue  # keep the unit suite fast; acceptance covers the full corpus
         expected_h, expected_pairs, per_comp = _brute_component_counts(h, operator)
-        rep = count_minimal_H(h, operator)
+        rep = structure_counts(h, operator)
         assert rep.h_count == expected_h
         assert count_N_pairs(h, operator) == expected_pairs
         for cs, (comp, count, h_cls, pairs) in zip(rep.components, per_comp):
@@ -211,7 +228,7 @@ def test_crosschecks_hold_on_200_random_instances():
         n = rng.randint(k, 9)
         h = random_hypergraph(rng, k, n, rng.randint(0, 5))
         for operator in ("laplacian", "signless"):
-            rep = count_minimal_H(h, operator)
+            rep = structure_counts(h, operator)
             assert rep.crosscheck_matched is True, (
                 f"k={k} n={n} edges={h.edges} op={operator}: algebra says "
                 f"{rep.h_count}, partitions say {rep.crosscheck_expected} "
@@ -226,17 +243,17 @@ class TestClassicGraphSanity:
 
     def test_path_graph(self):
         path = Hypergraph(2, 3, ((1, 2), (2, 3)))
-        assert count_minimal_H(path, "laplacian").h_count == 1
-        assert count_minimal_H(path, "signless").h_count == 1  # bipartite
+        assert structure_counts(path, "laplacian").h_count == 1
+        assert structure_counts(path, "signless").h_count == 1  # bipartite
 
     def test_odd_cycle(self):
         triangle = Hypergraph(2, 3, ((1, 2), (2, 3), (1, 3)))
-        assert count_minimal_H(triangle, "laplacian").h_count == 1
-        assert count_minimal_H(triangle, "signless").h_count == 0  # odd cycle
+        assert structure_counts(triangle, "laplacian").h_count == 1
+        assert structure_counts(triangle, "signless").h_count == 0  # odd cycle
 
     def test_even_cycle(self):
         square = Hypergraph(2, 4, ((1, 2), (2, 3), (3, 4), (1, 4)))
-        assert count_minimal_H(square, "signless").h_count == 1
+        assert structure_counts(square, "signless").h_count == 1
 
     def test_no_n_classes_for_graphs(self):
         triangle = Hypergraph(2, 3, ((1, 2), (2, 3), (1, 3)))
@@ -302,3 +319,10 @@ def test_solution_export_limit(chain):
     (entry,) = solution_export(chain, "laplacian", limit=5)
     assert entry["count"] == 81
     assert len(entry["classes"]) == 5
+
+    # The limit caps the total across components, in component order.
+    two = Hypergraph(3, 6, ((1, 2, 3), (4, 5, 6)))
+    assert [len(e["classes"]) for e in solution_export(two, "laplacian", limit=4)] == [3, 1]
+    report = zero_eigenvector_report(two, "laplacian", enumerate_limit=4)
+    assert [len(c["classes"]) for c in report["components"]] == [3, 1]
+    assert [c["truncated"] for c in report["components"]] == [False, True]

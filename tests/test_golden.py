@@ -1,8 +1,10 @@
-"""Byte-level regression gate: every subcommand on every fixture.
+"""Byte-level regression gate: every subcommand on every fixture, and the
+cross-check script over its seeded corpus.
 
 Each file under ``tests/golden/`` holds the exit code on its first line
-("exit N") followed by the exact stdout of one ``zerolap`` run. Reports
-embed the ``--input`` string, so runs use paths relative to the repo root.
+("exit N") followed by the exact stdout of one ``zerolap`` run or one
+``scripts/run_crosschecks.py`` run. Reports embed the ``--input`` string,
+so runs use paths relative to the repo root.
 
 Regenerate after an intended output change with
 
@@ -12,6 +14,7 @@ Regenerate after an intended output change with
 import contextlib
 import io
 import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -23,10 +26,16 @@ ROOT = Path(__file__).resolve().parent.parent
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 FIXTURES = sorted(p.name for p in (ROOT / "fixtures").iterdir() if p.is_file())
 CASES = [(fixture, command) for fixture in FIXTURES for command in sorted(_COMMANDS)]
+# golden name -> arguments of scripts/run_crosschecks.py
+SCRIPT_CASES = {"default": [], "budget2000": ["--budget", "2000"]}
 
 
 def _golden_path(fixture: str, command: str) -> Path:
     return GOLDEN_DIR / f"{fixture}.{command}.out"
+
+
+def _script_golden_path(name: str) -> Path:
+    return GOLDEN_DIR / f"run_crosschecks.{name}.out"
 
 
 def _render(fixture: str, command: str) -> str:
@@ -37,6 +46,16 @@ def _render(fixture: str, command: str) -> str:
     return f"exit {code}\n{out.getvalue()}"
 
 
+def _render_script(name: str) -> str:
+    """Exit line plus stdout of one cross-check script run."""
+    run = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "run_crosschecks.py"), *SCRIPT_CASES[name]],
+        capture_output=True,
+        text=True,
+    )
+    return f"exit {run.returncode}\n{run.stdout}"
+
+
 @pytest.mark.parametrize("fixture,command", CASES)
 def test_output_matches_golden(fixture, command, monkeypatch):
     monkeypatch.chdir(ROOT)
@@ -44,8 +63,14 @@ def test_output_matches_golden(fixture, command, monkeypatch):
     assert _render(fixture, command) == expected
 
 
+@pytest.mark.parametrize("name", sorted(SCRIPT_CASES))
+def test_crosscheck_script_matches_golden(name):
+    assert _render_script(name) == _script_golden_path(name).read_text()
+
+
 def test_every_golden_file_is_used():
     wanted = {_golden_path(f, c).name for f, c in CASES}
+    wanted |= {_script_golden_path(name).name for name in SCRIPT_CASES}
     assert {p.name for p in GOLDEN_DIR.iterdir()} == wanted
 
 
@@ -54,4 +79,6 @@ if __name__ == "__main__":
     GOLDEN_DIR.mkdir(exist_ok=True)
     for fixture, command in CASES:
         _golden_path(fixture, command).write_text(_render(fixture, command))
-    print(f"wrote {len(CASES)} files to {GOLDEN_DIR}", file=sys.stderr)
+    for name in SCRIPT_CASES:
+        _script_golden_path(name).write_text(_render_script(name))
+    print(f"wrote {len(CASES) + len(SCRIPT_CASES)} files to {GOLDEN_DIR}", file=sys.stderr)
