@@ -21,7 +21,14 @@ from pathlib import Path
 
 from . import __version__
 from .errors import BudgetExceededError, HypergraphFormatError, VerificationError
-from .hypergraph import Hypergraph, connected_components, degrees, induced_subhypergraph, load_hypergraph
+from .hypergraph import (
+    ComponentDecomposition,
+    Hypergraph,
+    connected_components,
+    degrees,
+    induced_subhypergraph,
+    load_hypergraph,
+)
 from . import eigenstructure, partitions, tensor_ops
 
 EXIT_OK = 0
@@ -63,6 +70,8 @@ class AnalysisConfig:
             raise ValueError("tolerance must be positive")
         if self.budget <= 0 or self.dense_budget <= 0:
             raise ValueError("budgets must be positive")
+        if self.predicate not in partitions.PREDICATES:
+            raise ValueError(f"unknown predicate {self.predicate!r}")
 
 
 def _merge_config(args: argparse.Namespace) -> AnalysisConfig:
@@ -99,8 +108,7 @@ def _operators(cfg: AnalysisConfig) -> list[str]:
     return [cfg.operator]
 
 
-def _instance_summary(h: Hypergraph) -> dict:
-    decomp = connected_components(h)
+def _instance_summary(h: Hypergraph, decomp: ComponentDecomposition) -> dict:
     return {
         "k": h.k,
         "n": h.n,
@@ -110,8 +118,9 @@ def _instance_summary(h: Hypergraph) -> dict:
     }
 
 
-def cmd_components(h: Hypergraph, cfg: AnalysisConfig) -> tuple[dict, int]:
-    decomp = connected_components(h)
+def cmd_components(
+    h: Hypergraph, decomp: ComponentDecomposition, cfg: AnalysisConfig
+) -> tuple[dict, int]:
     return {
         "components": [
             {
@@ -127,8 +136,10 @@ def cmd_components(h: Hypergraph, cfg: AnalysisConfig) -> tuple[dict, int]:
     }, EXIT_OK
 
 
-def cmd_zero_eigenvectors(h: Hypergraph, cfg: AnalysisConfig) -> tuple[dict, int]:
-    factored = eigenstructure.factor_components(h)
+def cmd_zero_eigenvectors(
+    h: Hypergraph, decomp: ComponentDecomposition, cfg: AnalysisConfig
+) -> tuple[dict, int]:
+    factored = eigenstructure.factor_components(h, decomp)
     report = {
         "operators": [
             eigenstructure.zero_eigenvector_report(
@@ -158,8 +169,9 @@ def _applicable_kinds(h: Hypergraph, cfg: AnalysisConfig) -> list[str]:
     ]
 
 
-def cmd_partitions(h: Hypergraph, cfg: AnalysisConfig) -> tuple[dict, int]:
-    decomp = connected_components(h)
+def cmd_partitions(
+    h: Hypergraph, decomp: ComponentDecomposition, cfg: AnalysisConfig
+) -> tuple[dict, int]:
     inventories = []
     budget_hit = False
     for flag in _applicable_kinds(h, cfg):
@@ -177,9 +189,9 @@ def cmd_partitions(h: Hypergraph, cfg: AnalysisConfig) -> tuple[dict, int]:
                     found = partitions.enumerate_bipartitions(h, comp, kind, cfg.budget)
                     entry["witnesses"] += [w.to_json_dict() for w in found]
                 else:
-                    found = partitions.enumerate_multipartitions(
-                        h, comp, kind, cfg.predicate, cfg.budget
-                    )
+                    found = partitions.enumerate_multipartitions(h, comp, kind, cfg.budget)[
+                        cfg.predicate
+                    ]
                     entry["witnesses"] += [w.to_json_dict(cfg.predicate) for w in found]
                 entry["count"] += len(found)
             except BudgetExceededError as exc:
@@ -189,11 +201,13 @@ def cmd_partitions(h: Hypergraph, cfg: AnalysisConfig) -> tuple[dict, int]:
     return {"partitions": inventories}, EXIT_BUDGET if budget_hit else EXIT_OK
 
 
-def cmd_crosscheck(h: Hypergraph, cfg: AnalysisConfig) -> tuple[dict, int]:
+def cmd_crosscheck(
+    h: Hypergraph, decomp: ComponentDecomposition, cfg: AnalysisConfig
+) -> tuple[dict, int]:
     """Algebraic counts versus combinatorial partition counts, both operators."""
     checks = []
     mismatch = False
-    factored = eigenstructure.factor_components(h)
+    factored = eigenstructure.factor_components(h, decomp)
     for op in _operators(cfg):
         result = eigenstructure.crosscheck(h, op, cfg.budget, factored)
         counts = result.counts
@@ -229,9 +243,7 @@ def cmd_crosscheck(h: Hypergraph, cfg: AnalysisConfig) -> tuple[dict, int]:
             entry["N_matched"] = result.n_matched
             # the case-by-case clause lists can legitimately diverge from
             # the residue condition; report the counts side by side
-            entry["N_literal_count"] = eigenstructure.multipartition_count(
-                h, kind, "literal", cfg.budget, factored
-            )
+            entry["N_literal_count"] = result.n_literal
         mismatch = mismatch or result.mismatch
         checks.append(entry)
     scans = [
@@ -243,7 +255,9 @@ def cmd_crosscheck(h: Hypergraph, cfg: AnalysisConfig) -> tuple[dict, int]:
     return report, EXIT_MISMATCH if mismatch else EXIT_OK
 
 
-def cmd_spectral_transforms(h: Hypergraph, cfg: AnalysisConfig) -> tuple[dict, int]:
+def cmd_spectral_transforms(
+    h: Hypergraph, decomp: ComponentDecomposition, cfg: AnalysisConfig
+) -> tuple[dict, int]:
     """Root-of-unity eigenvalue rotations on every head-mass component.
 
     Each non-singleton component must admit an hm-bipartition; otherwise
@@ -251,7 +265,6 @@ def cmd_spectral_transforms(h: Hypergraph, cfg: AnalysisConfig) -> tuple[dict, i
     diagonal-similarity identity between the two Laplacian family tensors
     is asserted on the dense form.
     """
-    decomp = connected_components(h)
     results = []
     budget_hit = False
     for comp, edges, single in zip(decomp.components, decomp.edge_lists, decomp.singleton):
@@ -360,8 +373,9 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
 
+    decomp = connected_components(h)
     try:
-        body, code = _COMMANDS[args.command](h, cfg)
+        body, code = _COMMANDS[args.command](h, decomp, cfg)
     except BudgetExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET
@@ -372,7 +386,7 @@ def main(argv: list[str] | None = None) -> int:
     report = {
         "command": args.command,
         "version": __version__,
-        "instance": _instance_summary(h),
+        "instance": _instance_summary(h, decomp),
         "config": dataclasses.asdict(cfg),
     }
     report.update(body)

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import BudgetExceededError, VerificationError
-from .hypergraph import Hypergraph, connected_components
+from .hypergraph import ComponentDecomposition, Hypergraph, connected_components
 from .tensor_ops import Eigenpair, eig_residual
 from .zk_solver import (
     LAPLACIAN,
@@ -107,13 +107,17 @@ class FactoredComponent:
     factorization: SmithFactorization | None
 
 
-def factor_components(h: Hypergraph) -> tuple[FactoredComponent, ...]:
+def factor_components(
+    h: Hypergraph, decomp: ComponentDecomposition | None = None
+) -> tuple[FactoredComponent, ...]:
     """Components in order, each with edges factored exactly once.
 
+    ``decomp`` is ``h``'s decomposition when the caller already has it.
     Pass the result as ``factored`` to the functions below to share it
     across operators; each of them factors on its own when given None.
     """
-    decomp = connected_components(h)
+    if decomp is None:
+        decomp = connected_components(h)
     out = []
     for comp, single in zip(decomp.components, decomp.singleton):
         _, rows = incidence_rows(h, comp)
@@ -273,13 +277,15 @@ class OperatorCrosscheck:
     ``counts`` holds the H classes against the bipartition counts. The N
     pairs are held against the residue-valid multipartitions of
     ``n_kind``, the kind matching (k, operator), or None when no kind
-    does. ``n_expected`` is None without a kind or when the scan hit its
-    budget.
+    does. ``n_literal`` counts the multipartitions matching the kind's
+    literal clause lists, from the same scan. Both counts are None without
+    a kind or when the scan hit its budget.
     """
 
     counts: StructureCounts
     n_kind: str | None
     n_expected: int | None
+    n_literal: int | None
 
     @property
     def n_matched(self) -> bool | None:
@@ -293,27 +299,25 @@ class OperatorCrosscheck:
 def crosscheck(
     h: Hypergraph, operator: str, budget: int, factored: tuple[FactoredComponent, ...]
 ) -> OperatorCrosscheck:
-    """Algebraic counts of one operator against the partition inventories."""
+    """Algebraic counts of one operator against the partition inventories.
+
+    Each non-singleton component is scanned once for the matching kind,
+    and that one scan yields both the residue and the literal witnesses.
+    """
     counts = structure_counts(h, operator, budget, factored)
     kind = _partitions.N_PAIR_KINDS.get((h.k, operator))
     if kind is None:
-        return OperatorCrosscheck(counts, None, None)
+        return OperatorCrosscheck(counts, None, None, None)
     try:
-        expected = multipartition_count(h, kind, "residue", budget, factored)
+        scans = [
+            _partitions.enumerate_multipartitions(h, fc.component, kind, budget)
+            for fc in factored
+            if not fc.singleton
+        ]
     except BudgetExceededError:
-        expected = None
-    return OperatorCrosscheck(counts, kind, expected)
-
-
-def multipartition_count(
-    h: Hypergraph, kind: str, predicate: str, budget: int, factored: tuple[FactoredComponent, ...]
-) -> int:
-    """Witnesses of ``kind`` under ``predicate`` over the non-singleton components."""
-    return sum(
-        len(_partitions.enumerate_multipartitions(h, fc.component, kind, predicate, budget))
-        for fc in factored
-        if not fc.singleton
-    )
+        return OperatorCrosscheck(counts, kind, None, None)
+    residue, literal = (sum(len(s[pred]) for s in scans) for pred in ("residue", "literal"))
+    return OperatorCrosscheck(counts, kind, residue, literal)
 
 
 def _listed_classes(

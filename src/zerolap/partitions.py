@@ -15,11 +15,19 @@ Bipartition flavors: ``hm`` (every edge has exactly one head vertex in V1),
 ``odd`` and ``even`` (every edge meets V1 in an odd / even number of
 vertices; k even). The hm flavor is ordered; odd/even are quotiented by
 swapping the two sides.
+
+``enumerate_multipartitions`` scans all p^m part assignments of an
+m-vertex component in one pass of numpy blocks of ``CHUNK`` assignments.
+Each edge's intersection profile is coded as one small integer and looked
+up in a table per predicate, so the one pass yields the witnesses of both
+predicates, and a block's arrays stay small whatever p^m is.
 """
 
 import itertools
 from dataclasses import dataclass
 from typing import Sequence
+
+import numpy as np
 
 from .errors import BudgetExceededError
 from .hypergraph import Hypergraph
@@ -36,7 +44,13 @@ SL_QUAD = "slquad"
 PENTA = "penta"
 MULTIPARTITION_KINDS = (TRIPARTITE, L_QUAD, SL_QUAD, PENTA)
 
+PREDICATES = ("literal", "residue")
+
 DEFAULT_ENUM_BUDGET = 200_000
+
+# Assignments per block of the multipartition scan: a block's arrays stay
+# well under a megabyte.
+CHUNK = 4096
 
 
 @dataclass(frozen=True)
@@ -383,37 +397,53 @@ def validate_multipartition(h: Hypergraph, w: MultipartitionWitness, predicate: 
     raise ValueError(f"unknown predicate {predicate!r}")
 
 
-def _orbit_key(vals: tuple[int, ...], p: int) -> tuple[int, ...]:
-    # canonical key under value shift and negation
-    best = None
-    for neg in (False, True):
-        base = tuple((-v) % p for v in vals) if neg else vals
-        for t in range(p):
-            cand = tuple((v + t) % p for v in base)
-            if best is None or cand < best:
-                best = cand
-    return best
+def _edge_predicates(spec: KindSpec, multiset: tuple[int, ...]) -> tuple[bool, bool]:
+    """(literal, residue) validity of an edge whose vertices carry ``multiset``."""
+    prof = tuple(multiset.count(j) for j in range(spec.parts))
+    return prof in spec.profiles, sum(multiset) % spec.k == spec.rhs
+
+
+def _profile_tables(spec: KindSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Weights coding an edge's intersection profile, and both predicates by code.
+
+    An edge whose vertices carry values v_1..v_k has profile code
+    sum_i (k+1)^(v_i): the base-(k+1) digits of the code are the part
+    counts, each at most k. The tables say, per code, whether that profile
+    is a literal clause and whether it meets the residue.
+    """
+    k, p = spec.k, spec.parts
+    weights = (k + 1) ** np.arange(p, dtype=np.int16)
+    literal = np.zeros((k + 1) ** p, dtype=bool)
+    residue = np.zeros((k + 1) ** p, dtype=bool)
+    for multiset in itertools.combinations_with_replacement(range(p), k):
+        code = int(weights[list(multiset)].sum())
+        literal[code], residue[code] = _edge_predicates(spec, multiset)
+    return weights, literal, residue
 
 
 def enumerate_multipartitions(
     h: Hypergraph,
     component: Sequence[int],
     kind: str,
-    predicate: str = "residue",
     budget: int = DEFAULT_ENUM_BUDGET,
-) -> list[MultipartitionWitness]:
-    """Exhaustive multipartition inventory of one component.
+) -> dict[str, list[MultipartitionWitness]]:
+    """Exhaustive multipartition inventory of one component, per predicate.
 
-    Scans all part assignments, keeps those passing the chosen predicate
-    and the kind's nonemptiness constraint, and quotients by the symmetry
-    group generated by cyclic part-index shifts and index negation (for
-    three parts this group is the full symmetric group, matching the
+    One pass scans all part assignments and tests both predicates on each;
+    an assignment is kept under a predicate when it passes it and the
+    kind's nonemptiness constraint. Kept assignments are quotiented by the
+    symmetry group generated by cyclic part-index shifts and index negation
+    (for three parts this group is the full symmetric group, matching the
     renumbering identification of tripartitions). Assignments whose value
     pattern is real-scalable are excluded: those are bipartition phenomena
     and are inventoried by ``enumerate_bipartitions``.
 
-    One witness per orbit is returned, built from the lexicographically
-    least valid assignment, in deterministic order.
+    Returns ``{"literal": [...], "residue": [...]}``: per predicate, one
+    witness per orbit, built from the lexicographically least kept
+    assignment, in ascending order of the orbit's least member.
+
+    Assignment j (0 <= j < p^m) gives vertex i the i-th base-p digit of j,
+    most significant first, so codes ascend in lexicographic order.
     """
     spec = KIND_SPECS[kind]
     if h.k != spec.k:
@@ -421,47 +451,62 @@ def enumerate_multipartitions(
     comp = tuple(sorted(set(component)))
     m = len(comp)
     p = spec.parts
-    if p**m > budget:
+    total = p**m
+    if total > budget:
         raise BudgetExceededError(
             f"multipartition scan needs {p}^{m} assignments, budget is {budget}"
         )
-    edges = _induced_edges(h, set(comp))
-    edge_idx = [tuple(comp.index(v) for v in e) for e in edges]
+    pos = {v: i for i, v in enumerate(comp)}
+    edge_idx = np.array(
+        [[pos[v] for v in e] for e in _induced_edges(h, set(comp))], dtype=np.intp
+    ).reshape(-1, spec.k)
+    place = p ** np.arange(m - 1, -1, -1, dtype=np.int64)  # digit weights, vertex order
+    weights, literal_table, residue_table = _profile_tables(spec)
 
-    chosen: dict[tuple[int, ...], tuple[int, ...]] = {}
-    for vals in itertools.product(range(p), repeat=m):
-        nonempty = len(set(vals))
-        if nonempty < spec.min_nonempty:
+    chosen: dict[str, dict[int, int]] = {pred: {} for pred in PREDICATES}
+    for start in range(0, total, CHUNK):
+        codes = np.arange(start, min(start + CHUNK, total), dtype=np.int64)
+        vals = (codes[:, None] // place % p).astype(np.int8)
+        vertex_weight = weights[vals]
+        # profile codes stay below (k+1)^p <= 6^5, so int16 holds them
+        profile = np.zeros((len(codes), len(edge_idx)), dtype=np.int16)
+        for slot in edge_idx.T:
+            profile += vertex_weight[:, slot]
+        ok = {
+            "literal": literal_table[profile].all(axis=1),
+            "residue": residue_table[profile].all(axis=1),
+        }
+        rows = np.flatnonzero(ok["literal"] | ok["residue"])
+        if not len(rows):
             continue
-        if is_real_scalable(vals, spec.k):
-            continue
-        if predicate == "residue":
-            ok = all(sum(vals[i] for i in e) % spec.k == spec.rhs for e in edge_idx)
-        elif predicate == "literal":
-            ok = True
-            for e in edge_idx:
-                prof = [0] * p
-                for i in e:
-                    prof[vals[i]] += 1
-                if tuple(prof) not in spec.profiles:
-                    ok = False
-                    break
-        else:
-            raise ValueError(f"unknown predicate {predicate!r}")
-        if not ok:
-            continue
-        key = _orbit_key(vals, p)
-        if key not in chosen or vals < chosen[key]:
-            chosen[key] = vals
-
-    witnesses = []
-    for key in sorted(chosen):
-        vals = chosen[key]
-        parts = tuple(
-            tuple(v for v, a in zip(comp, vals) if a == j) for j in range(p)
+        sub = vals[rows]
+        present = np.stack([(sub == j).any(axis=1) for j in range(p)], axis=1)
+        nonempty = present.sum(axis=1)
+        scalable = nonempty == 1
+        if p % 2 == 0:  # two values half a turn apart (p == k for every kind)
+            half = p // 2
+            scalable |= (nonempty == 2) & (present[:, :half] & present[:, half:]).any(axis=1)
+        keep = (nonempty >= spec.min_nonempty) & ~scalable
+        # orbit key: least code over the shift and negation images
+        keys = np.min(
+            [((sign * sub + t) % p) @ place for sign in (1, -1) for t in range(p)], axis=0
         )
-        witnesses.append(MultipartitionWitness(comp, parts, kind))
-    return witnesses
+        for pred in PREDICATES:
+            mask = keep & ok[pred][rows]
+            # codes ascend within the chunk, so each key's first index is its least code
+            uniq, first = np.unique(keys[mask], return_index=True)
+            for key, code in zip(uniq.tolist(), codes[rows[mask]][first].tolist()):
+                chosen[pred].setdefault(key, code)  # earlier chunks hold smaller codes
+
+    def witness(code: int) -> MultipartitionWitness:
+        digits = [code // int(w) % p for w in place]
+        parts = tuple(tuple(v for v, d in zip(comp, digits) if d == j) for j in range(p))
+        return MultipartitionWitness(comp, parts, kind)
+
+    return {
+        pred: [witness(chosen[pred][key]) for key in sorted(chosen[pred])]
+        for pred in PREDICATES
+    }
 
 
 def partition_from_assignment(
@@ -536,14 +581,9 @@ def discrepancy_scan(kind: str) -> DiscrepancyReport:
     kind, not on any particular hypergraph.
     """
     spec = KIND_SPECS[kind]
-    k, p = spec.k, spec.parts
     disagreements = []
-    for multiset in itertools.combinations_with_replacement(range(k), k):
-        residue_ok = sum(multiset) % k == spec.rhs
-        prof = [0] * p
-        for v in multiset:
-            prof[v] += 1
-        literal_ok = tuple(prof) in spec.profiles
+    for multiset in itertools.combinations_with_replacement(range(spec.k), spec.k):
+        literal_ok, residue_ok = _edge_predicates(spec, multiset)
         if literal_ok != residue_ok:
             disagreements.append(DiscrepancyEntry(multiset, literal_ok, residue_ok))
-    return DiscrepancyReport(kind, k, spec.rhs, tuple(disagreements))
+    return DiscrepancyReport(kind, spec.k, spec.rhs, tuple(disagreements))

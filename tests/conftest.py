@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from zerolap import Hypergraph, eigenstructure, zk_solver
+from zerolap import Hypergraph, eigenstructure, partitions, zk_solver
 
 sys.path.insert(0, str(Path(__file__).parent))
 
@@ -58,4 +58,18 @@ def solve_calls(monkeypatch):
 
     for module in (zk_solver, eigenstructure):
         monkeypatch.setattr(module, "solve_mod_k", counting)
+    return calls
+
+
+@pytest.fixture
+def multipartition_scans(monkeypatch):
+    """Records (component, kind) of every multipartition scan."""
+    calls = []
+    real = partitions.enumerate_multipartitions
+
+    def counting(h, component, kind, *args, **kwargs):
+        calls.append((tuple(sorted(set(component))), kind))
+        return real(h, component, kind, *args, **kwargs)
+
+    monkeypatch.setattr(partitions, "enumerate_multipartitions", counting)
     return calls

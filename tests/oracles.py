@@ -7,6 +7,7 @@ library: no Smith form, no kernel parametrization, no edge-sum shortcut.
 
 import itertools
 import math
+import operator
 
 import numpy as np
 
@@ -120,3 +121,56 @@ def bareiss_det(matrix):
                 m[r][c] = (m[r][c] * m[i][i] - m[r][i] * m[i][c]) // prev
         prev = m[i][i]
     return sign * m[-1][-1]
+
+
+
+
+def multipartition_witnesses(spec, vertices, edges):
+    """Parts of the least kept assignment per shift/negation orbit, per predicate.
+
+    A plain ``itertools.product`` walk over every assignment of the
+    ``spec.parts`` part indices to ``vertices``. Each induced edge is looked
+    up by its tuple of values in a table made from the definitions: the
+    value sum for ``residue``, the sorted value multiset against the clause
+    profiles spelled out as multisets for ``literal``. ``spec`` supplies
+    only the kind's data (k, parts, residue, nonemptiness demand, clause
+    profiles).
+    """
+    verts = sorted(vertices)
+    vset = set(verts)
+    pos = {v: i for i, v in enumerate(verts)}
+    getters = [
+        operator.itemgetter(*(pos[v] for v in e)) for e in edges if vset.issuperset(e)
+    ]
+    k, p = spec.k, spec.parts
+    clauses = {
+        tuple(j for j, count in enumerate(prof) for _ in range(count)) for prof in spec.profiles
+    }
+    edge_ok = {
+        vals: (tuple(sorted(vals)) in clauses, sum(vals) % k == spec.rhs)
+        for vals in itertools.product(range(p), repeat=k)
+    }
+    least = {"literal": {}, "residue": {}}
+    for vals in itertools.product(range(p), repeat=len(verts)):
+        literal = residue = True
+        for g in getters:
+            lit, res = edge_ok[g(vals)]
+            literal &= lit
+            residue &= res
+            if not (literal or residue):
+                break
+        if not (literal or residue):
+            continue
+        if len(set(vals)) < spec.min_nonempty or real_scalable(vals, k):
+            continue
+        orbit = min(tuple((s * v + t) % p for v in vals) for s in (1, -1) for t in range(p))
+        for pred, ok in (("literal", literal), ("residue", residue)):
+            if ok and orbit not in least[pred]:
+                least[pred][orbit] = vals  # product order: the first seen is least
+    return {
+        pred: [
+            tuple(tuple(v for v, a in zip(verts, vals) if a == j) for j in range(p))
+            for _, vals in sorted(chosen.items())
+        ]
+        for pred, chosen in least.items()
+    }

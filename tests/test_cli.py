@@ -5,7 +5,9 @@ import sys
 
 import pytest
 
-from zerolap.cli import EXIT_BROKEN_PIPE, main
+from zerolap import eigenstructure, hypergraph, partitions, tensor_ops
+from zerolap import cli as cli_module
+from zerolap.cli import _COMMANDS, EXIT_BROKEN_PIPE, main
 
 from conftest import FIXTURE_DIR
 
@@ -184,6 +186,46 @@ def test_both_operators_share_one_factorization(command, capsys, snf_calls):
     assert len(snf_calls) == 1  # one non-singleton component
 
 
+@pytest.mark.parametrize("path", [CHAIN, K4, EDGE3, EDGE4])
+def test_crosscheck_scans_each_component_and_kind_once(path, capsys, multipartition_scans):
+    h = hypergraph.load_hypergraph(path)
+    decomp = hypergraph.connected_components(h)
+    kinds = [
+        partitions.N_PAIR_KINDS[(h.k, op)]
+        for op in ("laplacian", "signless")
+        if (h.k, op) in partitions.N_PAIR_KINDS
+    ]
+    comps = [c for c, single in zip(decomp.components, decomp.singleton) if not single]
+    assert main(["crosscheck", "--input", path]) == 0
+    assert multipartition_scans == [(comp, kind) for kind in kinds for comp in comps]
+
+
+@pytest.mark.parametrize("path", [CHAIN, K4])
+@pytest.mark.parametrize("command", sorted(_COMMANDS))
+def test_components_computed_once_per_run(command, path, capsys, monkeypatch):
+    """Counts calls on the loaded hypergraph only: the spectral check on an
+    induced subhypergraph decomposes that other hypergraph."""
+    loaded = []
+    real_load = cli_module.load_hypergraph
+
+    def loading(source):
+        loaded.append(real_load(source))
+        return loaded[-1]
+
+    calls = []
+    real = hypergraph.connected_components
+
+    def counting(h):
+        calls.append(h)
+        return real(h)
+
+    monkeypatch.setattr(cli_module, "load_hypergraph", loading)
+    for module in (hypergraph, cli_module, eigenstructure, tensor_ops):
+        monkeypatch.setattr(module, "connected_components", counting)
+    main([command, "--input", path])
+    assert sum(h is loaded[0] for h in calls) == 1
+
+
 class TestFailureExitCodes:
     def test_crosscheck_mismatch_exits_5(self, capsys, monkeypatch):
         """Wiring check: a count disagreement must surface as exit 5."""
@@ -271,3 +313,9 @@ class TestConfigHandling:
 
     def test_invalid_tolerance_exits_2(self, capsys):
         assert main(["components", "--input", CHAIN, "--tolerance", "-1"]) == 2
+
+    def test_unknown_predicate_in_config_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"input": CHAIN, "predicate": "exact"}))
+        assert main(["partitions", "--config", str(cfg)]) == 2
+        assert "unknown predicate 'exact'" in capsys.readouterr().err

@@ -1,5 +1,6 @@
-"""Byte-level regression gate: every subcommand on every fixture, and the
-cross-check script over its seeded corpus.
+"""Byte-level regression gate: every subcommand on every fixture (the
+``partitions`` subcommand once per predicate), and the cross-check script
+over its seeded corpus.
 
 Each file under ``tests/golden/`` holds the exit code on its first line
 ("exit N") followed by the exact stdout of one ``zerolap`` run or one
@@ -25,7 +26,10 @@ from zerolap.cli import _COMMANDS, main
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 FIXTURES = sorted(p.name for p in (ROOT / "fixtures").iterdir() if p.is_file())
-CASES = [(fixture, command) for fixture in FIXTURES for command in sorted(_COMMANDS)]
+# golden name -> zerolap arguments before ``--input``
+COMMANDS = {command: [command] for command in _COMMANDS}
+COMMANDS["partitions-literal"] = ["partitions", "--predicate", "literal"]
+CASES = [(fixture, command) for fixture in FIXTURES for command in sorted(COMMANDS)]
 # golden name -> arguments of scripts/run_crosschecks.py
 SCRIPT_CASES = {"default": [], "budget2000": ["--budget", "2000"]}
 
@@ -42,7 +46,7 @@ def _render(fixture: str, command: str) -> str:
     """Exit line plus stdout of one run, from the repo root."""
     out = io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
-        code = main([command, "--input", f"fixtures/{fixture}"])
+        code = main([*COMMANDS[command], "--input", f"fixtures/{fixture}"])
     return f"exit {code}\n{out.getvalue()}"
 
 

@@ -1,7 +1,10 @@
 import itertools
 import random
+import tracemalloc
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from zerolap import (
     BudgetExceededError,
@@ -18,10 +21,13 @@ from zerolap import (
     validate_bipartition,
     validate_multipartition,
 )
-from zerolap.corpus import random_connected_hypergraph, random_hypergraph
+from zerolap import partitions
+from zerolap.corpus import mixed_corpus, random_connected_hypergraph, random_hypergraph
+from zerolap.hypergraph import connected_components
 from zerolap.zk_solver import ZkAssignment
 
 from conftest import single_edge
+from oracles import multipartition_witnesses
 
 CHAIN_COMPONENT = tuple(range(1, 8))
 K4_COMPONENT = tuple(range(1, 7))
@@ -174,27 +180,26 @@ class TestValidateMultipartition:
 
 class TestEnumerateMultipartitions:
     def test_single_edge_unique_tripartition(self):
-        found = enumerate_multipartitions(single_edge(3), (1, 2, 3), "tripartite")
+        found = enumerate_multipartitions(single_edge(3), (1, 2, 3), "tripartite")["residue"]
         assert len(found) == 1
         assert found[0].parts == ((1,), (2,), (3,))
 
     def test_chain_thirteen_tripartitions(self, chain):
-        assert len(enumerate_multipartitions(chain, CHAIN_COMPONENT, "tripartite")) == 13
+        assert len(enumerate_multipartitions(chain, CHAIN_COMPONENT, "tripartite")["residue"]) == 13
 
     def test_chain_literal_equals_residue(self, chain):
-        lit = enumerate_multipartitions(chain, CHAIN_COMPONENT, "tripartite", "literal")
-        res = enumerate_multipartitions(chain, CHAIN_COMPONENT, "tripartite", "residue")
-        assert lit == res
+        found = enumerate_multipartitions(chain, CHAIN_COMPONENT, "tripartite")
+        assert found["literal"] == found["residue"]
 
     def test_known_witnesses_present(self, chain):
-        found = enumerate_multipartitions(chain, CHAIN_COMPONENT, "tripartite")
+        found = enumerate_multipartitions(chain, CHAIN_COMPONENT, "tripartite")["residue"]
         normalized = {frozenset(frozenset(p) for p in w.parts if p) for w in found}
         assert frozenset({frozenset({1}), frozenset({2}), frozenset({3, 4, 5, 6, 7})}) in normalized
         assert frozenset({frozenset({1, 4, 7}), frozenset({2, 5}), frozenset({3, 6})}) in normalized
 
     def test_every_witness_validates(self, k4_overlap):
         for kind in ("lquad", "slquad"):
-            for w in enumerate_multipartitions(k4_overlap, K4_COMPONENT, kind, "residue"):
+            for w in enumerate_multipartitions(k4_overlap, K4_COMPONENT, kind)["residue"]:
                 assert validate_multipartition(k4_overlap, w, "residue")
 
     def test_wrong_uniformity_rejected(self, chain):
@@ -218,7 +223,7 @@ class TestEnumerateMultipartitions:
             5: [("penta", "laplacian")],
         }[k]
         for kind, operator in cases:
-            found = enumerate_multipartitions(h, comp, kind, "residue")
+            found = enumerate_multipartitions(h, comp, kind)["residue"]
             assert len(found) == count_N_pairs(h, operator)
 
     @pytest.mark.parametrize("seed", range(5))
@@ -226,8 +231,71 @@ class TestEnumerateMultipartitions:
         rng = random.Random(333 + seed)
         n = rng.randint(3, 7)
         h = random_connected_hypergraph(rng, 3, n)
-        for w in enumerate_multipartitions(h, tuple(range(1, n + 1)), "tripartite", "residue"):
+        for w in enumerate_multipartitions(h, tuple(range(1, n + 1)), "tripartite")["residue"]:
             assert sum(1 for p in w.parts if p) == 3
+
+
+def _scan_parts(h, component, kind):
+    found = enumerate_multipartitions(h, component, kind)
+    return {pred: [w.parts for w in found[pred]] for pred in partitions.PREDICATES}
+
+
+@st.composite
+def scan_instances(draw):
+    """A small hypergraph, a vertex subset to scan and a kind for its k."""
+    k = draw(st.sampled_from([3, 4, 5]))
+    n = draw(st.integers(k, {3: 8, 4: 6, 5: 6}[k]))
+    edge = st.lists(st.integers(1, n), min_size=k, max_size=k, unique=True)
+    edges = draw(st.lists(edge.map(lambda e: tuple(sorted(e))), max_size=5, unique=True))
+    component = draw(st.lists(st.integers(1, n), min_size=1, unique=True))
+    kind = draw(st.sampled_from([kd for kd, spec in partitions.KIND_SPECS.items() if spec.k == k]))
+    return Hypergraph(k, n, tuple(edges)), tuple(component), kind
+
+
+class TestScanAgainstOracle:
+    """Full witness lists, both predicates, against a plain itertools scan."""
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_mixed_corpus(self, seed):
+        kinds_seen = set()
+        for h in mixed_corpus(seed):
+            decomp = connected_components(h)
+            for comp, single in zip(decomp.components, decomp.singleton):
+                if single:
+                    continue
+                for kind, spec in partitions.KIND_SPECS.items():
+                    if spec.k == h.k:
+                        expected = multipartition_witnesses(spec, comp, h.edges)
+                        assert _scan_parts(h, comp, kind) == expected, (h, comp, kind)
+                        kinds_seen.add(kind)
+        assert kinds_seen == set(partitions.MULTIPARTITION_KINDS)
+
+    @settings(max_examples=60, deadline=None)
+    @given(scan_instances())
+    def test_small_instances(self, instance):
+        h, component, kind = instance
+        expected = multipartition_witnesses(partitions.KIND_SPECS[kind], component, h.edges)
+        assert _scan_parts(h, component, kind) == expected
+
+    def test_budget_equal_to_scan_size_scans(self, chain):
+        at_edge = enumerate_multipartitions(chain, CHAIN_COMPONENT, "tripartite", budget=3**7)
+        assert at_edge == enumerate_multipartitions(chain, CHAIN_COMPONENT, "tripartite")
+
+    def test_budget_one_short_refuses_before_allocating(self, chain, monkeypatch):
+        monkeypatch.setattr(partitions, "np", None)  # any array work would raise
+        with pytest.raises(BudgetExceededError, match=r"3\^7 assignments, budget is 2186"):
+            enumerate_multipartitions(chain, CHAIN_COMPONENT, "tripartite", budget=3**7 - 1)
+
+    def test_memory_stays_chunked(self):
+        """3^11 assignments: one int64 row per assignment alone would be 15.6 MB."""
+        h = random_connected_hypergraph(random.Random(11), 3, 11, extra_edges=2)
+        tracemalloc.start()
+        try:
+            enumerate_multipartitions(h, tuple(range(1, 12)), "tripartite")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
 
 
 class TestAssignmentConversion:
@@ -250,7 +318,7 @@ class TestAssignmentConversion:
         assert partition_from_assignment(a, "laplacian") is None
 
     def test_round_trip_multipartition(self, chain):
-        for w in enumerate_multipartitions(chain, CHAIN_COMPONENT, "tripartite"):
+        for w in enumerate_multipartitions(chain, CHAIN_COMPONENT, "tripartite")["residue"]:
             a = assignment_from_partition(w)
             back = partition_from_assignment(a, "laplacian")
             assert back == w
