@@ -48,6 +48,7 @@ _KIND_FLAGS = {
     "slquad": ("multipartition", partitions.SL_QUAD),
     "penta": ("multipartition", partitions.PENTA),
 }
+_OPERATOR_CHOICES = ("laplacian", "signless", "both")
 
 
 @dataclasses.dataclass
@@ -72,6 +73,10 @@ class AnalysisConfig:
             raise ValueError("budgets must be positive")
         if self.predicate not in partitions.PREDICATES:
             raise ValueError(f"unknown predicate {self.predicate!r}")
+        if self.operator not in _OPERATOR_CHOICES:
+            raise ValueError(f"unknown operator {self.operator!r}")
+        if self.kind is not None and self.kind not in _KIND_FLAGS:
+            raise ValueError(f"unknown kind {self.kind!r}")
 
 
 def _merge_config(args: argparse.Namespace) -> AnalysisConfig:
@@ -352,7 +357,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("command", choices=sorted(_COMMANDS))
     parser.add_argument("--input", help="hypergraph file (JSON or plain text)")
     parser.add_argument("--config", help="JSON config file with AnalysisConfig fields")
-    parser.add_argument("--operator", choices=["laplacian", "signless", "both"])
+    parser.add_argument("--operator", choices=_OPERATOR_CHOICES)
     parser.add_argument("--predicate", choices=["literal", "residue"])
     parser.add_argument("--kind", choices=sorted(_KIND_FLAGS))
     parser.add_argument("--tolerance", type=float)

@@ -15,16 +15,28 @@ Smith-factored once per call (``factor_components``) and shared by both
 operators. Each (component, operator) system is then solved once per call
 (``solve_components``); counts, class listings, the solution export and
 the cross-checks all read that one solve.
+
+A listing is an integer array with one row of exponents per class. It is
+built from blocks of solutions (``zk_solver.solution_blocks``) and stops
+at its cap; kinds, conjugates, the exact residue check and the residuals
+are computed on whole blocks of rows, never class by class.
 """
 
+import itertools
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .errors import BudgetExceededError, VerificationError
-from .hypergraph import ComponentDecomposition, Hypergraph, connected_components
+from .hypergraph import (
+    ComponentDecomposition,
+    Hypergraph,
+    connected_components,
+    induced_subhypergraph,
+)
 from .tensor_ops import Eigenpair, eig_residual
 from .zk_solver import (
+    BLOCK_CELLS,
     LAPLACIAN,
     ZERO_EIG_OPERATORS,
     SmithFactorization,
@@ -32,13 +44,10 @@ from .zk_solver import (
     ZkAssignment,
     ZkLinearSystem,
     build_zero_eig_system,
-    classify_H_or_N,
-    conjugate_assignment,
     edge_residue,
-    enumerate_solutions,
     factor_rows,
     incidence_rows,
-    shift_canonicalize,
+    solution_blocks,
     solve_mod_k,
 )
 from . import partitions as _partitions
@@ -190,12 +199,14 @@ def minimal_zero_eigenvectors(
     """
     if solved is None:
         solved = solve_components(h, operator)
+    k = h.k
     out: list[EigenvectorClass] = []
-    for cs in solved:
-        remaining = None if max_classes is None else max_classes - len(out)
-        if remaining is not None and remaining <= 0:
-            break
-        out.extend(_component_classes(operator, cs, remaining))
+    for cs, alphas in zip(solved, _listed_classes(k, max_classes, solved)):
+        conjugates = _conjugates(alphas, k).tolist()
+        for values, kind, conj in zip(alphas.tolist(), _kinds(alphas, k), conjugates):
+            rep = ZkAssignment(k, cs.component, tuple(values))
+            partner = ZkAssignment(k, cs.component, tuple(conj))
+            out.append(EigenvectorClass(operator, cs.component, rep, kind, partner))
     return out
 
 
@@ -321,13 +332,53 @@ def crosscheck(
 
 
 def _listed_classes(
-    h: Hypergraph, operator: str, limit: int | None, solved: tuple[ComponentStructure, ...]
-) -> list[list[EigenvectorClass]]:
-    """Each component's listed classes, in order, at most ``limit`` in total."""
-    by_comp: dict[tuple[int, ...], list[EigenvectorClass]] = {}
-    for c in minimal_zero_eigenvectors(h, operator, limit, solved=solved):
-        by_comp.setdefault(c.component, []).append(c)
-    return [by_comp.get(cs.component, []) for cs in solved]
+    k: int, limit: int | None, solved: tuple[ComponentStructure, ...]
+) -> list[np.ndarray]:
+    """Each component's listed classes, in order, at most ``limit`` in total.
+
+    A listing holds one shift-canonical exponent row per class (exponent 0
+    at the component's first vertex), in the order in which the classes
+    first appear in ``solution_blocks``.
+    """
+    out = []
+    remaining = limit
+    for cs in solved:
+        target = cs.class_count if remaining is None else min(cs.class_count, remaining)
+        out.append(_component_classes(k, cs, target))
+        if remaining is not None:
+            remaining -= len(out[-1])
+    return out
+
+
+def _component_classes(k: int, cs: ComponentStructure, target: int) -> np.ndarray:
+    """The first ``target`` classes of one component, enumerating only the
+    blocks of solutions needed to find them."""
+    dtype = np.min_scalar_type(k)
+    seen: dict[bytes, None] = {}
+    if target > 0:
+        for block in solution_blocks(cs.description):
+            canon = ((block - block[:, :1]) % k).astype(dtype)
+            seen.update(dict.fromkeys(canon.view(f"V{canon.strides[0]}").ravel().tolist()))
+            if len(seen) >= target:
+                break
+    first = b"".join(itertools.islice(seen, target))
+    return np.frombuffer(first, dtype).reshape(-1, len(cs.component))
+
+
+def _kinds(alphas: np.ndarray, k: int) -> list[str]:
+    """"H" for rows whose phases take at most two values pi apart, else "N".
+
+    Rows are shift-canonical, so they contain 0 and the other allowed
+    value can only be k/2 (even k).
+    """
+    half = k // 2 if k % 2 == 0 else 0
+    real = np.all((alphas == 0) | (alphas == half), axis=1)
+    return ["H" if r else "N" for r in real.tolist()]
+
+
+def _conjugates(alphas: np.ndarray, k: int) -> np.ndarray:
+    """Entrywise negation mod k; canonical rows stay canonical (0 -> 0)."""
+    return (k - alphas) % k
 
 
 def solution_export(
@@ -349,31 +400,62 @@ def solution_export(
             "component": list(cs.component),
             "rhs": rhs if cs.feasible else None,
             "count": cs.solution_count,
-            "classes": [{"alpha": list(c.representative.values), "kind": c.kind} for c in listed],
+            "classes": [
+                {"alpha": alpha, "kind": kind}
+                for alpha, kind in zip(alphas.tolist(), _kinds(alphas, h.k))
+            ],
         }
-        for cs, listed in zip(solved, _listed_classes(h, operator, limit, solved))
+        for cs, alphas in zip(solved, _listed_classes(h.k, limit, solved))
     ]
 
 
-def _component_classes(
-    operator: str, cs: ComponentStructure, max_classes: int | None = None
-) -> list[EigenvectorClass]:
-    if not cs.feasible:
-        return []
-    target = cs.class_count
-    if max_classes is not None:
-        target = min(target, max_classes)
-    seen: dict[tuple[int, ...], ZkAssignment] = {}
-    for sol in enumerate_solutions(cs.description):
-        rep = shift_canonicalize(sol)
-        if rep.values not in seen:
-            seen[rep.values] = rep
-            if len(seen) == target:
-                break
-    return [
-        EigenvectorClass(operator, cs.component, rep, classify_H_or_N(rep), conjugate_assignment(rep))
-        for rep in seen.values()
-    ]
+def _phases(k: int) -> np.ndarray:
+    """exp(2*pi*i*a/k) for a = 0..k-1, each from the scalar expression."""
+    return np.array([np.exp(2j * np.pi * a / k) for a in range(k)])
+
+
+def realize_classes(
+    h: Hypergraph,
+    operator: str,
+    component: tuple[int, ...],
+    alphas: np.ndarray,
+    tolerance: float = 1e-9,
+) -> np.ndarray:
+    """Verified residuals of one component's classes for eigenvalue 0.
+
+    Row r of ``alphas`` holds the exponents of one class on ``component``;
+    its vector carries exp(2*pi*i*alpha_v/k) there and zeros elsewhere.
+    Both checks run on every row: the exact integer residue of every
+    induced edge, and the numeric residual under ``tolerance``. The first
+    row failing either is an internal bug and raises VerificationError.
+    Rows go through ``eig_residual`` in blocks, on the component's induced
+    sub-hypergraph; the zeros outside the component add nothing to the
+    residual.
+    """
+    k = h.k
+    sub, _ = induced_subhypergraph(h, component)
+    edges = np.array(sub.edges, dtype=np.intp).reshape(-1, k) - 1
+    residue = edge_residue(k, operator)
+    phases = _phases(k)
+    out = np.empty(len(alphas))
+    step = max(1, BLOCK_CELLS // len(component))
+    for start in range(0, len(alphas), step):
+        block = alphas[start : start + step]
+        exact = block[:, edges].sum(axis=2) % k == residue
+        resid = eig_residual(sub, operator, 0.0, phases[block])
+        failed = ~exact.all(axis=1) | (resid > tolerance)
+        if failed.any():
+            row = np.argmax(failed)
+            if not exact[row].all():
+                e = tuple(component[v] for v in edges[np.argmin(exact[row])])
+                raise VerificationError(
+                    f"class on {component} violates the exact residue at edge {e}"
+                )
+            raise VerificationError(
+                f"realized class residual {resid[row]:.3e} exceeds tolerance {tolerance:.1e}"
+            )
+        out[start : start + len(block)] = resid
+    return out
 
 
 def realize_complex(
@@ -382,30 +464,13 @@ def realize_complex(
     """Materialize a class as a verified complex eigenpair for eigenvalue 0.
 
     The vector carries exp(2*pi*i*alpha_v/k) on the component and zeros
-    elsewhere. Both checks must pass: the exact integer residue of every
-    induced edge, and the numeric residual under ``tolerance``. Failure of
-    either is an internal bug and raises VerificationError.
+    elsewhere; ``realize_classes`` checks it as a batch of one row.
     """
-    k = h.k
-    rep = cls.representative
-    alpha = rep.as_dict()
-    residue = edge_residue(k, cls.operator)
-    comp_set = set(cls.component)
-    for e in h.edges:
-        if comp_set.issuperset(e):
-            if sum(alpha[v] for v in e) % k != residue:
-                raise VerificationError(
-                    f"class on {cls.component} violates the exact residue at edge {e}"
-                )
+    alphas = np.array([cls.representative.values])
+    resid = realize_classes(h, cls.operator, cls.component, alphas, tolerance)[0]
     x = np.zeros(h.n, dtype=complex)
-    for v, a in alpha.items():
-        x[v - 1] = np.exp(2j * np.pi * a / k)
-    resid = eig_residual(h, cls.operator, 0.0, x)
-    if resid > tolerance:
-        raise VerificationError(
-            f"realized class residual {resid:.3e} exceeds tolerance {tolerance:.1e}"
-        )
-    return Eigenpair(cls.operator, 0j, x, resid)
+    x[np.array(cls.component) - 1] = _phases(h.k)[alphas[0]]
+    return Eigenpair(cls.operator, 0j, x, float(resid))
 
 
 def zero_eigenvector_report(
@@ -425,11 +490,11 @@ def zero_eigenvector_report(
     """
     solved = solve_components(h, operator, factored)
     counts = structure_counts(h, operator, budget, solved=solved)
-    listings = _listed_classes(h, operator, enumerate_limit, solved)
+    listings = _listed_classes(h.k, enumerate_limit, solved)
     rhs = edge_residue(h.k, operator)
 
     components = []
-    for cs, listed in zip(counts.components, listings):
+    for cs, alphas in zip(counts.components, listings):
         entry = {
             "vertices": list(cs.component),
             "operator": operator,
@@ -447,15 +512,12 @@ def zero_eigenvector_report(
         }
         if cs.description is None:
             entry["reason"] = ODD_SIGNLESS_REASON
+        residuals = realize_classes(h, operator, cs.component, alphas, tolerance).tolist()
         entry["classes"] = [
-            {
-                "alpha": list(c.representative.values),
-                "kind": c.kind,
-                "residual": realize_complex(h, c, tolerance).residual,
-            }
-            for c in listed
+            {"alpha": alpha, "kind": kind, "residual": resid}
+            for alpha, kind, resid in zip(alphas.tolist(), _kinds(alphas, h.k), residuals)
         ]
-        entry["truncated"] = len(listed) < cs.class_count
+        entry["truncated"] = len(alphas) < cs.class_count
         components.append(entry)
     return {
         "operator": operator,

@@ -3,9 +3,19 @@
 The implicit application of the adjacency tensor to a vector collapses, for
 each vertex i, to a sum over incident edges of the product of the other
 k-1 entries; this edge-sum form costs O(k|E|) and is the only application
-path used for verification. Dense materialization (exact rationals) exists
-for small instances so the implicit path can be cross-checked entry by
-entry and so diagonal similarity transforms can be evaluated exactly.
+path used for verification. ``apply_adjacency`` is its one implementation:
+it takes one vector or a (rows, n) batch, and a batch costs a fixed number
+of numpy calls however many rows it has.
+
+The batch gives the same bits as applying the edge sums one vector and one
+edge at a time with complex scalars. numpy's array complex multiply may
+fuse its multiply-adds, which changes the last bit of some products, so
+products are formed in split form, re = ar*br - ai*bi and im = ar*bi +
+ai*br, each product rounded on its own as in the scalar multiply. Each
+vertex accumulates its edge terms in edge order (``np.add.at``), never by
+a pairwise reduction. Dense materialization (exact rationals) exists for
+small instances so the implicit path can be cross-checked entry by entry
+and so diagonal similarity transforms can be evaluated exactly.
 """
 
 import cmath
@@ -31,28 +41,39 @@ DEFAULT_DENSE_BUDGET = 10**7
 
 def _as_vector(h: Hypergraph, x) -> np.ndarray:
     arr = np.asarray(x, dtype=complex)
-    if arr.shape != (h.n,):
-        raise ValueError(f"vector has shape {arr.shape}, expected ({h.n},)")
+    if arr.ndim not in (1, 2) or arr.shape[-1] != h.n:
+        raise ValueError(f"vector has shape {arr.shape}, expected ({h.n},) or (rows, {h.n})")
     return arr
+
+
+def _split_mul(a, b):
+    """Complex product of (re, im) pairs, each float product rounded alone."""
+    (ar, ai), (br, bi) = a, b
+    return ar * br - ai * bi, ar * bi + ai * br
 
 
 def apply_adjacency(h: Hypergraph, x) -> np.ndarray:
     """Edge-sum form: result_i = sum over edges e containing i of
-    prod_{j in e, j != i} x_j. Prefix/suffix products keep each edge O(k)."""
+    prod_{j in e, j != i} x_j, for one vector or each row of a batch.
+    Prefix/suffix products keep each edge O(k)."""
     x = _as_vector(h, x)
-    out = np.zeros(h.n, dtype=complex)
-    k = h.k
-    for e in h.edges:
-        vals = [x[v - 1] for v in e]
-        prefix = [1.0 + 0j] * (k + 1)
-        for i in range(k):
-            prefix[i + 1] = prefix[i] * vals[i]
-        suffix = [1.0 + 0j] * (k + 1)
-        for i in range(k - 1, -1, -1):
-            suffix[i] = suffix[i + 1] * vals[i]
-        for i, v in enumerate(e):
-            out[v - 1] += prefix[i] * suffix[i + 1]
-    return out
+    rows = np.atleast_2d(x)
+    edges = np.array(h.edges, dtype=np.intp).reshape(-1, h.k) - 1
+    vals = [(rows.real[:, edges[:, i]], rows.imag[:, edges[:, i]]) for i in range(h.k)]
+    one = (np.ones((len(rows), len(edges))), np.zeros((len(rows), len(edges))))
+    prefix = [one]
+    for v in vals:
+        prefix.append(_split_mul(prefix[-1], v))
+    suffix = [one]
+    for v in reversed(vals):
+        suffix.append(_split_mul(suffix[-1], v))
+    suffix.reverse()
+    terms = np.empty((len(edges), h.k, len(rows)), dtype=complex)
+    for i in range(h.k):
+        terms[:, i].real, terms[:, i].imag = (t.T for t in _split_mul(prefix[i], suffix[i + 1]))
+    out = np.zeros((h.n, len(rows)), dtype=complex)
+    np.add.at(out, edges.ravel(), terms.reshape(-1, len(rows)))
+    return out.T.reshape(x.shape)
 
 
 def apply_laplacian(h: Hypergraph, x) -> np.ndarray:
@@ -79,19 +100,21 @@ def apply_operator(h: Hypergraph, operator: str, x) -> np.ndarray:
     raise ValueError(f"unknown operator {operator!r}")
 
 
-def eig_residual(h: Hypergraph, operator: str, lam: complex, x) -> float:
+def eig_residual(h: Hypergraph, operator: str, lam: complex, x) -> float | np.ndarray:
     """Max-norm defect of the eigenvalue equation after canonical scaling.
 
     The vector is rescaled to unit maximum modulus first, so the result is
-    scale-invariant. Returns max_i |lam * y_i^{k-1} - (T y^{k-1})_i|.
+    scale-invariant. Returns max_i |lam * y_i^{k-1} - (T y^{k-1})_i| as a
+    float, or one such defect per row of a (rows, n) batch.
     """
     x = _as_vector(h, x)
-    scale = np.max(np.abs(x))
-    if scale == 0:
+    scale = np.max(np.abs(x), axis=-1, keepdims=True)
+    if not scale.all():
         raise ValueError("residual undefined for the zero vector")
     y = x / scale
     lhs = complex(lam) * y ** (h.k - 1)
-    return float(np.max(np.abs(lhs - apply_operator(h, operator, y))))
+    resid = np.max(np.abs(lhs - apply_operator(h, operator, y)), axis=-1)
+    return float(resid) if x.ndim == 1 else resid
 
 
 @dataclass(frozen=True, eq=False)

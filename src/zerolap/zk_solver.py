@@ -24,12 +24,17 @@ from dataclasses import dataclass
 from operator import mul
 from typing import Iterable, Iterator, Sequence
 
+import numpy as np
+
 from .errors import VerificationError
 from .hypergraph import Hypergraph
 
 LAPLACIAN = "laplacian"
 SIGNLESS = "signless"
 ZERO_EIG_OPERATORS = (LAPLACIAN, SIGNLESS)
+# Entries (solutions x vertices) per array block: bounds the memory of a
+# block while keeping the number of numpy calls per block small.
+BLOCK_CELLS = 1 << 12
 
 
 @dataclass(frozen=True)
@@ -77,9 +82,6 @@ class ZkAssignment:
             raise ValueError("support vertices must be sorted ascending")
         if any(not 0 <= v < self.modulus for v in self.values):
             raise ValueError(f"values must lie in 0..{self.modulus - 1}")
-
-    def as_dict(self) -> dict[int, int]:
-        return dict(zip(self.vertices, self.values))
 
 
 @dataclass(frozen=True)
@@ -379,6 +381,32 @@ def solve_mod_k(
     )
 
 
+def solution_blocks(desc: SolutionDescription) -> Iterator[np.ndarray]:
+    """Every solution once, in ``enumerate_solutions`` order, as int64
+    arrays with one row per solution and one column per vertex.
+
+    The trailing kernel coordinates whose orders multiply to at most
+    ``BLOCK_CELLS // m`` rows are combined once into a table; each block is
+    one setting of the leading coordinates plus that table, mod k. Raises
+    on infeasible descriptions.
+    """
+    if not desc.feasible:
+        raise ValueError("cannot enumerate an infeasible system")
+    k = desc.system.modulus
+    m = len(desc.system.vertices)
+    rows = max(1, BLOCK_CELLS // m)
+    orders = [order for _, order in desc.kernel]
+    gens = np.array([gen for gen, _ in desc.kernel], dtype=np.int64).reshape(-1, m)
+    split, size = len(orders), 1
+    while split and size * orders[split - 1] <= rows:
+        split -= 1
+        size *= orders[split]
+    coeffs = np.array(list(itertools.product(*map(range, orders[split:]))), dtype=np.int64)
+    table = desc.particular + coeffs.reshape(size, -1) @ gens[split:]
+    for lead in itertools.product(*map(range, orders[:split])):
+        yield (table + np.array(lead, dtype=np.int64) @ gens[:split]) % k
+
+
 def enumerate_solutions(
     desc: SolutionDescription, limit: int | None = None
 ) -> Iterator[ZkAssignment]:
@@ -386,24 +414,15 @@ def enumerate_solutions(
 
     The particular solution comes first. Raises on infeasible descriptions.
     """
-    if not desc.feasible:
-        raise ValueError("cannot enumerate an infeasible system")
     k = desc.system.modulus
     verts = desc.system.vertices
-    m = len(verts)
-    gens = [g for g, _ in desc.kernel]
-    ranges = [range(order) for _, order in desc.kernel]
     emitted = 0
-    for coeffs in itertools.product(*ranges):
-        if limit is not None and emitted >= limit:
-            return
-        vals = list(desc.particular)
-        for t, gen in zip(coeffs, gens):
-            if t:
-                for j in range(m):
-                    vals[j] += t * gen[j]
-        yield ZkAssignment(k, verts, tuple(v % k for v in vals))
-        emitted += 1
+    for block in solution_blocks(desc):
+        for values in block.tolist():
+            if limit is not None and emitted >= limit:
+                return
+            yield ZkAssignment(k, verts, tuple(values))
+            emitted += 1
 
 
 def assignment_satisfies(sys: ZkLinearSystem, a: ZkAssignment) -> bool:

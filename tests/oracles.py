@@ -1,8 +1,14 @@
-"""Independent brute-force oracles.
+"""Independent brute-force oracles, and the scalar reference loops.
 
-Everything here recomputes results by direct exhaustive enumeration or by
-the textbook dense-tensor definition, sharing no algorithmic path with the
-library: no Smith form, no kernel parametrization, no edge-sum shortcut.
+Everything above the scalar section recomputes results by direct
+exhaustive enumeration or by the textbook dense-tensor definition, sharing
+no algorithmic path with the library: no Smith form, no kernel
+parametrization, no edge-sum shortcut.
+
+The scalar section keeps the library's former per-class pipeline: one
+solution, one class and one edge at a time with complex scalars. The
+library now does the same arithmetic on whole arrays, and the tests hold
+it to these loops' exact bits, listing order and error messages.
 """
 
 import itertools
@@ -10,6 +16,8 @@ import math
 import operator
 
 import numpy as np
+
+from zerolap.errors import VerificationError
 
 
 def edge_sum_solutions(k, vertices, edges, rhs):
@@ -174,3 +182,120 @@ def multipartition_witnesses(spec, vertices, edges):
         ]
         for pred, chosen in least.items()
     }
+
+
+# ---------------------------------------------------------------------------
+# scalar reference loops
+
+
+def scalar_apply_adjacency(h, x):
+    """Edge sums one edge at a time, prefix/suffix products as complex scalars."""
+    x = np.asarray(x, dtype=complex)
+    out = np.zeros(h.n, dtype=complex)
+    k = h.k
+    for e in h.edges:
+        vals = [x[v - 1] for v in e]
+        prefix = [1.0 + 0j] * (k + 1)
+        for i in range(k):
+            prefix[i + 1] = prefix[i] * vals[i]
+        suffix = [1.0 + 0j] * (k + 1)
+        for i in range(k - 1, -1, -1):
+            suffix[i] = suffix[i + 1] * vals[i]
+        for i, v in enumerate(e):
+            out[v - 1] += prefix[i] * suffix[i + 1]
+    return out
+
+
+def scalar_eig_residual(h, operator, lam, x):
+    """max_i |lam y_i^{k-1} - (T y^{k-1})_i| for y = x scaled to unit max modulus."""
+    x = np.asarray(x, dtype=complex)
+    y = x / np.max(np.abs(x))
+    lhs = complex(lam) * y ** (h.k - 1)
+    adj = scalar_apply_adjacency(h, y)
+    d = np.array([sum(v in e for e in h.edges) for v in range(1, h.n + 1)], dtype=float)
+    if operator == "adjacency":
+        image = adj
+    elif operator == "laplacian":
+        image = d * y ** (h.k - 1) - adj
+    else:
+        image = d * y ** (h.k - 1) + adj
+    return float(np.max(np.abs(lhs - image)))
+
+
+def scalar_spectral_radius(h, max_iterations=10**4, tolerance=1e-12):
+    """The power iteration of ``nqz_spectral_radius`` on scalar edge sums:
+    (value, residual, vector)."""
+    k = h.k
+    x = np.ones(h.n, dtype=float)
+    lam = math.inf
+    for _ in range(max_iterations):
+        y = scalar_apply_adjacency(h, x).real + x ** (k - 1)
+        ratios = y / x ** (k - 1)
+        lo, hi = float(np.min(ratios)), float(np.max(ratios))
+        lam = (lo + hi) / 2
+        if hi - lo <= tolerance:
+            break
+        x = y ** (1.0 / (k - 1))
+        x = x / np.max(x)
+    value = complex(lam - 1.0)
+    return value, scalar_eig_residual(h, "adjacency", value, x), x.astype(complex)
+
+
+def scalar_solutions(desc):
+    """Solutions one at a time, in ``itertools.product`` kernel-coordinate order."""
+    k = desc.system.modulus
+    m = len(desc.system.vertices)
+    gens = [g for g, _ in desc.kernel]
+    for coeffs in itertools.product(*(range(order) for _, order in desc.kernel)):
+        vals = list(desc.particular)
+        for t, gen in zip(coeffs, gens):
+            if t:
+                for j in range(m):
+                    vals[j] += t * gen[j]
+        yield tuple(v % k for v in vals)
+
+
+def scalar_classes(k, solved, limit=None):
+    """Per component, the (alpha, kind, conjugate) of each listed class.
+
+    Classes are kept in order of first appearance among the solutions,
+    each shifted to exponent 0 at the first vertex, until the component's
+    class count or the remainder of ``limit`` (over all components) is
+    reached; components past the limit list nothing.
+    """
+    out = []
+    listed = 0
+    for cs in solved:
+        target = cs.class_count if limit is None else min(cs.class_count, limit - listed)
+        seen = {}
+        if cs.feasible and target > 0:
+            for sol in scalar_solutions(cs.description):
+                canon = tuple((v - sol[0]) % k for v in sol)
+                seen.setdefault(canon, None)
+                if len(seen) == target:
+                    break
+        classes = []
+        for alpha in seen:
+            kind = "H" if real_scalable(alpha, k) else "N"
+            conj = tuple((-v) % k for v in alpha)
+            classes.append((alpha, kind, tuple((v - conj[0]) % k for v in conj)))
+        out.append(classes)
+        listed += len(classes)
+    return out
+
+
+def scalar_realize(h, operator, component, alpha, tolerance=1e-9):
+    """(vector, residual) of one class, checked edge by edge, then numerically."""
+    k = h.k
+    residue = 0 if operator == "laplacian" else k // 2
+    values = dict(zip(component, alpha))
+    for e in h.edges:
+        if set(component).issuperset(e) and sum(values[v] for v in e) % k != residue:
+            raise VerificationError(f"class on {component} violates the exact residue at edge {e}")
+    x = np.zeros(h.n, dtype=complex)
+    for v, a in values.items():
+        x[v - 1] = np.exp(2j * np.pi * a / k)
+    resid = scalar_eig_residual(h, operator, 0.0, x)
+    if resid > tolerance:
+        raise VerificationError(f"realized class residual {resid:.3e} exceeds tolerance {tolerance:.1e}")
+    return x, resid

@@ -1,0 +1,261 @@
+"""The array passes of listing, realization and the edge-sum kernel against
+the scalar reference loops in ``oracles``: same bits, same order, same
+errors, and work bounded by the listing cap."""
+
+import math
+import random
+import tracemalloc
+import warnings
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from zerolap import Hypergraph, apply_adjacency, nqz_spectral_radius, realize_complex, tensor_ops
+from zerolap import eigenstructure, zk_solver
+from zerolap.cli import main
+from zerolap.corpus import (
+    disjoint_union,
+    mixed_corpus,
+    random_connected_hypergraph,
+    random_hm_bipartite,
+    with_isolated_vertices,
+)
+from zerolap.eigenstructure import (
+    ComponentStructure,
+    minimal_zero_eigenvectors,
+    realize_classes,
+    solve_components,
+    zero_eigenvector_report,
+)
+from zerolap.errors import VerificationError
+from zerolap.hypergraph import connected_components, induced_subhypergraph
+from zerolap.zk_solver import SolutionDescription, ZkLinearSystem
+
+import oracles
+from conftest import FIXTURE_DIR, single_edge
+
+OPERATORS = ("laplacian", "signless")
+CHAIN = Hypergraph(3, 7, ((1, 2, 3), (3, 4, 5), (5, 6, 7)))
+
+
+@st.composite
+def multi_component_instances(draw):
+    """Disjoint unions of 1-3 random connected components plus isolated
+    vertices, with a listing cap that keeps the scalar loops quick."""
+    k = draw(st.sampled_from([3, 4, 5, 6]))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    parts = [
+        random_connected_hypergraph(rng, k, rng.randint(k, k + 4), rng.randint(0, 2))
+        for _ in range(draw(st.integers(1, 3)))
+    ]
+    h = with_isolated_vertices(disjoint_union(parts), draw(st.integers(0, 2)))
+    limit = draw(st.one_of(st.none(), st.integers(0, 250)))
+    if limit is None and max(
+        sum(cs.class_count for cs in solve_components(h, op)) for op in OPERATORS
+    ) > 250:
+        limit = 250
+    return h, limit
+
+
+class TestSameBitsAsScalarLoops:
+    @settings(max_examples=40, deadline=None)
+    @given(multi_component_instances())
+    def test_report_classes_and_residual_reprs(self, instance):
+        h, limit = instance
+        for op in OPERATORS:
+            solved = solve_components(h, op)
+            report = zero_eigenvector_report(h, op, enumerate_limit=limit)
+            expected = oracles.scalar_classes(h.k, solved, limit)
+            for entry, cs, classes in zip(report["components"], solved, expected):
+                got = [(tuple(c["alpha"]), c["kind"], repr(c["residual"])) for c in entry["classes"]]
+                want = [
+                    (alpha, kind, repr(oracles.scalar_realize(h, op, cs.component, alpha)[1]))
+                    for alpha, kind, _ in classes
+                ]
+                assert got == want
+
+    @settings(max_examples=40, deadline=None)
+    @given(multi_component_instances())
+    def test_listing_order_kinds_and_conjugates(self, instance):
+        h, limit = instance
+        for op in OPERATORS:
+            solved = solve_components(h, op)
+            listed = minimal_zero_eigenvectors(h, op, limit, solved=solved)
+            expected = [
+                (cs.component, alpha, kind, conj)
+                for cs, classes in zip(solved, oracles.scalar_classes(h.k, solved, limit))
+                for alpha, kind, conj in classes
+            ]
+            got = [
+                (c.component, c.representative.values, c.kind, c.conjugate.values) for c in listed
+            ]
+            assert got == expected
+
+    def test_total_limit_spans_components(self):
+        h = disjoint_union([single_edge(3), single_edge(3), single_edge(3)])
+        solved = solve_components(h, "laplacian")
+        listed = minimal_zero_eigenvectors(h, "laplacian", 4, solved=solved)
+        assert [c.component for c in listed] == [(1, 2, 3)] * 3 + [(4, 5, 6)]
+        report = zero_eigenvector_report(h, "laplacian", enumerate_limit=4)
+        assert [len(c["classes"]) for c in report["components"]] == [3, 1, 0]
+        assert [c["truncated"] for c in report["components"]] == [False, True, True]
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_realize_complex_vector_and_residual(self, seed):
+        rng = random.Random(seed)
+        k = 3 + seed
+        h = with_isolated_vertices(random_connected_hypergraph(rng, k, k + 3, 1), 1)
+        for op in OPERATORS:
+            for cls in minimal_zero_eigenvectors(h, op, 60):
+                pair = realize_complex(h, cls)
+                x, resid = oracles.scalar_realize(h, op, cls.component, cls.representative.values)
+                assert pair.vector.tobytes() == x.tobytes()
+                assert repr(pair.residual) == repr(resid)
+
+    @pytest.mark.parametrize("k", [3, 4, 5, 6])
+    def test_apply_adjacency_batch_rows(self, k):
+        rng = random.Random(k)
+        h = random_connected_hypergraph(rng, k, 14, 6)
+        gen = np.random.default_rng(k)
+        batch = gen.normal(size=(9, h.n)) + 1j * gen.normal(size=(9, h.n))
+        batch[3] = 0
+        batch[4, ::2] = -0.0
+        out = apply_adjacency(h, batch)
+        for row, got in zip(batch, out):
+            assert got.tobytes() == oracles.scalar_apply_adjacency(h, row).tobytes()
+            assert apply_adjacency(h, row).tobytes() == got.tobytes()
+
+    def test_spectral_radius_on_corpus_and_hm_instances(self):
+        rng = random.Random(11)
+        graphs = [random_hm_bipartite(rng, k, 4, 7, 3)[0] for k in (3, 4)]
+        for h in mixed_corpus(1)[:6]:
+            for comp in connected_components(h).components:
+                sub, _ = induced_subhypergraph(h, comp)
+                if sub.edge_count:
+                    graphs.append(sub)
+        assert len(graphs) > 4
+        for h in graphs:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)
+                pair = nqz_spectral_radius(h, max_iterations=400)
+            value, resid, vector = oracles.scalar_spectral_radius(h, max_iterations=400)
+            assert repr(pair.value) == repr(value)
+            assert repr(pair.residual) == repr(resid)
+            assert pair.vector.tobytes() == vector.tobytes()
+
+
+def _repeating_description() -> ComponentStructure:
+    """x1 + x2 + x3 == 0 (mod 3) with the all-ones direction as the last
+    kernel coordinate, so each class's three solutions come in a row."""
+    sys = ZkLinearSystem(3, (1, 2, 3), ((1, 1, 1),), (0,))
+    desc = SolutionDescription(sys, True, (0, 0, 0), (((1, 2, 0), 3), ((1, 1, 1), 3)), (1,), 9)
+    return ComponentStructure((1, 2, 3), False, True, 9, 3, 1, 1, desc)
+
+
+class TestDeduplication:
+    @pytest.mark.parametrize("cells", [zk_solver.BLOCK_CELLS, 1])
+    def test_repeats_in_kernel_order_are_dropped(self, cells, monkeypatch):
+        """The three classes appear at solutions 1, 4 and 7; with one
+        solution per block the repeats straddle block boundaries."""
+        monkeypatch.setattr(zk_solver, "BLOCK_CELLS", cells)
+        solved = (_repeating_description(),)
+        listed = minimal_zero_eigenvectors(single_edge(3), "laplacian", solved=solved)
+        assert [c.representative.values for c in listed] == [(0, 0, 0), (0, 1, 2), (0, 2, 1)]
+        assert oracles.scalar_classes(3, solved)[0] == [
+            (c.representative.values, c.kind, c.conjugate.values) for c in listed
+        ]
+        partial = minimal_zero_eigenvectors(single_edge(3), "laplacian", 2, solved=solved)
+        assert [c.representative.values for c in partial] == [(0, 0, 0), (0, 1, 2)]
+
+
+class TestChecksFireOnBatches:
+    def _chain_plus_edge(self):
+        return disjoint_union([CHAIN, single_edge(3)])
+
+    @pytest.mark.parametrize("component", [(1, 2, 3, 4, 5, 6, 7), (8, 9, 10)])
+    def test_corrupted_entry_names_component_and_edge(self, component):
+        h = self._chain_plus_edge()
+        classes = [c for c in minimal_zero_eigenvectors(h, "laplacian") if c.component == component]
+        alphas = np.array([c.representative.values for c in classes])
+        alphas[1, 2] = (alphas[1, 2] + 1) % 3
+        with pytest.raises(VerificationError) as err:
+            realize_classes(h, "laplacian", component, alphas)
+        edge = next(e for e in h.edges if component[2] in e)
+        assert str(err.value) == f"class on {component} violates the exact residue at edge {edge}"
+        with pytest.raises(VerificationError) as scalar_err:
+            oracles.scalar_realize(h, "laplacian", component, tuple(alphas[1].tolist()))
+        assert str(err.value) == str(scalar_err.value)
+
+    def test_tolerance_below_known_residual(self, capsys):
+        tolerance = 1e-15
+        solved = solve_components(CHAIN, "laplacian")
+        first_bad = next(
+            resid
+            for alpha, _, _ in oracles.scalar_classes(3, solved)[0]
+            for resid in [oracles.scalar_realize(CHAIN, "laplacian", solved[0].component, alpha)[1]]
+            if resid > tolerance
+        )
+        with pytest.raises(VerificationError) as err:
+            zero_eigenvector_report(CHAIN, "laplacian", tolerance=tolerance)
+        assert str(err.value) == (
+            f"realized class residual {first_bad:.3e} exceeds tolerance {tolerance:.1e}"
+        )
+        path = str(FIXTURE_DIR / "k3_chain_n7.json")
+        assert main(["zero-eigenvectors", "--input", path, "--tolerance", str(tolerance)]) == 3
+        assert "exceeds tolerance" in capsys.readouterr().err
+
+
+def _hypertree_25():
+    """k = 3, n = 25, 12 edges: 3^13 solutions in 531 441 classes."""
+    h = random_connected_hypergraph(random.Random(0), 3, 25)
+    assert solve_components(h, "laplacian")[0].class_count == 531_441
+    return h
+
+
+class TestBoundedWork:
+    def test_report_memory_stays_bounded_at_the_limit(self):
+        h = _hypertree_25()
+        tracemalloc.start()
+        try:
+            report = zero_eigenvector_report(h, "laplacian", enumerate_limit=1000)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(report["components"][0]["classes"]) == 1000
+        # all 531 441 classes as int64 rows alone would take 106 MB
+        assert peak < 8 * 2**20
+
+    def test_enumeration_stops_at_the_limit(self, monkeypatch):
+        drawn = []
+        real = eigenstructure.solution_blocks
+
+        def counting(desc):
+            for block in real(desc):
+                drawn.append(len(block))
+                yield block
+
+        monkeypatch.setattr(eigenstructure, "solution_blocks", counting)
+        zero_eigenvector_report(_hypertree_25(), "laplacian", enumerate_limit=1000)
+        assert sum(drawn[:-1]) < 1000
+
+    def test_report_makes_no_per_class_calls(self, monkeypatch):
+        calls = {"realize": 0, "apply": 0}
+        real_apply = tensor_ops.apply_adjacency
+
+        def apply_spy(h, x):
+            calls["apply"] += 1
+            return real_apply(h, x)
+
+        def realize_spy(*args, **kwargs):
+            calls["realize"] += 1
+            raise AssertionError("per-class realization")
+
+        monkeypatch.setattr(tensor_ops, "apply_adjacency", apply_spy)
+        monkeypatch.setattr(eigenstructure, "realize_complex", realize_spy)
+        limit = 5000
+        report = zero_eigenvector_report(_hypertree_25(), "laplacian", enumerate_limit=limit)
+        assert len(report["components"][0]["classes"]) == limit
+        assert calls["realize"] == 0
+        assert calls["apply"] == math.ceil(limit / (zk_solver.BLOCK_CELLS // 25))

@@ -319,3 +319,15 @@ class TestConfigHandling:
         cfg.write_text(json.dumps({"input": CHAIN, "predicate": "exact"}))
         assert main(["partitions", "--config", str(cfg)]) == 2
         assert "unknown predicate 'exact'" in capsys.readouterr().err
+
+    def test_unknown_operator_in_config_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"input": CHAIN, "operator": "foo"}))
+        assert main(["zero-eigenvectors", "--config", str(cfg)]) == 2
+        assert "unknown operator 'foo'" in capsys.readouterr().err
+
+    def test_unknown_kind_in_config_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"input": CHAIN, "kind": "foo"}))
+        assert main(["partitions", "--config", str(cfg)]) == 2
+        assert "unknown kind 'foo'" in capsys.readouterr().err
