@@ -3,13 +3,17 @@
 Subcommands ingest a hypergraph file, run one analysis, and emit a JSON
 report (stdout by default, ``--out`` for a file, ``--pretty`` for a human
 rendering). Identical input, config, and seed produce byte-identical
-reports. Every number in a report comes from a library call; the CLI does
-no arithmetic of its own.
+reports. ``render_report`` writes a report byte for byte as
+``json.dumps(report, indent=2, sort_keys=True)`` does, built from the same
+stdlib primitives but without that call's pure-Python encoder. Every
+number in a report comes from a library call; the CLI does no arithmetic
+of its own.
 
 Exit codes: 0 success, 1 stdout closed before the report was written
 (for example piped into ``head``; the run ends without a traceback), 2
-parse/validation failure, 3 internal verification failure, 4 budget
-exhaustion, 5 cross-check mismatch, 6 structural precondition not met.
+parse/validation failure (a bad input or config file, or an unwritable
+``--out`` path), 3 internal verification failure, 4 budget exhaustion, 5
+cross-check mismatch, 6 structural precondition not met.
 """
 
 import argparse
@@ -17,6 +21,8 @@ import dataclasses
 import json
 import os
 import sys
+from itertools import chain, repeat
+from json.encoder import encode_basestring_ascii as _encode_str
 from pathlib import Path
 
 from . import __version__
@@ -50,6 +56,10 @@ _KIND_FLAGS = {
 }
 _OPERATOR_CHOICES = ("laplacian", "signless", "both")
 
+_INF = float("inf")
+_float_repr = float.__repr__
+_int_repr = int.__repr__
+
 
 @dataclasses.dataclass
 class AnalysisConfig:
@@ -67,7 +77,17 @@ class AnalysisConfig:
     pretty: bool = False
 
     def __post_init__(self):
-        if self.tolerance <= 0:
+        for field in dataclasses.fields(self):
+            value = getattr(self, field.name)
+            # a config file's numbers may be JSON integers; bool is an int
+            # subclass but never a number or a count here
+            expected = (int, float) if field.type is float else field.type
+            if not isinstance(value, expected) or (
+                isinstance(value, bool) and field.type is not bool
+            ):
+                name = getattr(field.type, "__name__", field.type)
+                raise ValueError(f"config field {field.name!r} must be {name}, got {value!r}")
+        if not self.tolerance > 0:
             raise ValueError("tolerance must be positive")
         if self.budget <= 0 or self.dense_budget <= 0:
             raise ValueError("budgets must be positive")
@@ -83,9 +103,16 @@ def _merge_config(args: argparse.Namespace) -> AnalysisConfig:
     values: dict = {}
     if args.config:
         try:
-            values.update(json.loads(Path(args.config).read_text()))
+            values = json.loads(Path(args.config).read_text())
         except (OSError, json.JSONDecodeError) as exc:
             raise HypergraphFormatError(f"cannot read config file: {exc}") from exc
+        if not isinstance(values, dict):
+            raise HypergraphFormatError(
+                f"config file must hold a JSON object, not {type(values).__name__}"
+            )
+        unknown = sorted(values.keys() - {f.name for f in dataclasses.fields(AnalysisConfig)})
+        if unknown:
+            raise HypergraphFormatError(f"unknown config field {unknown[0]!r}")
     for name in (
         "input",
         "operator",
@@ -349,6 +376,111 @@ def _render_pretty(report: dict, indent: int = 0) -> str:
     return "\n".join(ln for ln in lines if ln)
 
 
+def _float_text(x: float) -> str:
+    if x != x:
+        return "NaN"
+    if x == _INF:
+        return "Infinity"
+    if x == -_INF:
+        return "-Infinity"
+    return _float_repr(x)
+
+
+# JSON text of a scalar by exact type; subclasses take the isinstance path.
+_SCALAR_TEXT = {
+    str: _encode_str,
+    int: _int_repr,
+    float: _float_text,
+    bool: lambda b: "true" if b else "false",
+    type(None): lambda _: "null",
+}
+
+
+def _int_lists_text(lists, pad: str) -> list[str] | None:
+    """The texts of lists or tuples whose items are all exactly ``int``, or
+    None if some item is not; each item's line starts with ``pad``."""
+    if not set(map(type, chain.from_iterable(lists))) <= {int}:
+        return None
+    sep, close = "," + pad, pad[:-2] + "]"
+    return ["[" + pad + sep.join(map(_int_repr, v)) + close if v else "[]" for v in lists]
+
+
+def _records_text(records: list, pad: str) -> str | None:
+    """A list of dicts sharing one key set, field by field, or None unless
+    each field holds scalars in every record or int lists in every record.
+    Each record's line starts with ``pad``."""
+    keys = records[0].keys() if type(records[0]) is dict else None
+    if not keys:
+        return None
+    for record in records:
+        if type(record) is not dict or record.keys() != keys:
+            return None
+    key_pad = pad + "  "
+    fields = []
+    for i, key in enumerate(sorted(keys)):
+        values = [record[key] for record in records]
+        types = set(map(type, values))
+        if types <= {list, tuple}:
+            texts = _int_lists_text(values, key_pad + "  ")
+        elif types <= _SCALAR_TEXT.keys():
+            texts = [_SCALAR_TEXT[type(v)](v) for v in values]
+        else:
+            texts = None
+        if texts is None:
+            return None
+        fields += [repeat(("," if i else pad + "{") + key_pad + _encode_str(key) + ": "), texts]
+    fields.append(repeat(pad + "}"))
+    return "[" + ",".join(map("".join, zip(*fields))) + pad[:-2] + "]"
+
+
+def _render(value, level: int, parts: list) -> None:
+    """Append the text ``json.dumps(value, indent=2, sort_keys=True)`` gives
+    ``value`` nested ``level`` deep, checking types in the order ``json``
+    does."""
+    text_of = _SCALAR_TEXT.get(type(value))
+    if text_of is not None:
+        parts.append(text_of(value))
+    elif isinstance(value, str):
+        parts.append(_encode_str(value))
+    elif isinstance(value, int):
+        parts.append(_int_repr(value))
+    elif isinstance(value, float):
+        parts.append(_float_text(value))
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            parts.append("[]")
+            return
+        pad = "\n" + "  " * (level + 1)
+        ints = _int_lists_text([value], pad)
+        text = ints[0] if ints else _records_text(value, pad)
+        if text is not None:
+            parts.append(text)
+            return
+        for i, item in enumerate(value):
+            parts.append(("," if i else "[") + pad)
+            _render(item, level + 1, parts)
+        parts.append(pad[:-2] + "]")
+    elif isinstance(value, dict):
+        if not value:
+            parts.append("{}")
+            return
+        pad = "\n" + "  " * (level + 1)
+        for i, key in enumerate(sorted(value)):
+            parts.append(("," if i else "{") + pad + _encode_str(key) + ": ")
+            _render(value[key], level + 1, parts)
+        parts.append(pad[:-2] + "}")
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+def render_report(report: dict) -> str:
+    """The report as ``json.dumps(report, indent=2, sort_keys=True)`` spells
+    it, byte for byte, without that call's pure-Python encoder."""
+    parts: list[str] = []
+    _render(report, 0, parts)
+    return "".join(parts)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="zerolap",
@@ -395,11 +527,13 @@ def main(argv: list[str] | None = None) -> int:
         "config": dataclasses.asdict(cfg),
     }
     report.update(body)
-    rendered = (
-        _render_pretty(report) if cfg.pretty else json.dumps(report, indent=2, sort_keys=True)
-    )
+    rendered = _render_pretty(report) if cfg.pretty else render_report(report)
     if cfg.out:
-        Path(cfg.out).write_text(rendered + "\n")
+        try:
+            Path(cfg.out).write_text(rendered + "\n")
+        except OSError as exc:
+            print(f"error: cannot write report: {exc}", file=sys.stderr)
+            return EXIT_PARSE
         return code
     try:
         print(rendered, flush=True)

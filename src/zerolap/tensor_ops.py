@@ -5,7 +5,8 @@ each vertex i, to a sum over incident edges of the product of the other
 k-1 entries; this edge-sum form costs O(k|E|) and is the only application
 path used for verification. ``apply_adjacency`` is its one implementation:
 it takes one vector or a (rows, n) batch, and a batch costs a fixed number
-of numpy calls however many rows it has.
+of numpy calls however many rows it has. The power iteration builds the
+(|E|, k) edge index once and calls the kernel behind it at every step.
 
 The batch gives the same bits as applying the edge sums one vector and one
 edge at a time with complex scalars. numpy's array complex multiply may
@@ -52,13 +53,22 @@ def _split_mul(a, b):
     return ar * br - ai * bi, ar * bi + ai * br
 
 
+def _edge_index(h: Hypergraph) -> np.ndarray:
+    """The (|E|, k) array of 0-based vertex indices, one row per edge."""
+    return np.array(h.edges, dtype=np.intp).reshape(-1, h.k) - 1
+
+
 def apply_adjacency(h: Hypergraph, x) -> np.ndarray:
     """Edge-sum form: result_i = sum over edges e containing i of
     prod_{j in e, j != i} x_j, for one vector or each row of a batch.
     Prefix/suffix products keep each edge O(k)."""
-    x = _as_vector(h, x)
+    return _apply_adjacency(h, _edge_index(h), _as_vector(h, x))
+
+
+def _apply_adjacency(h: Hypergraph, edges: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """``apply_adjacency`` on a checked vector or batch, with the edge index
+    built by the caller."""
     rows = np.atleast_2d(x)
-    edges = np.array(h.edges, dtype=np.intp).reshape(-1, h.k) - 1
     vals = [(rows.real[:, edges[:, i]], rows.imag[:, edges[:, i]]) for i in range(h.k)]
     one = (np.ones((len(rows), len(edges))), np.zeros((len(rows), len(edges))))
     prefix = [one]
@@ -273,8 +283,9 @@ def nqz_spectral_radius(
     x = np.ones(h.n, dtype=float)
     lam = math.inf
     converged = False
+    edges = _edge_index(h)
     for _ in range(max_iterations):
-        y = apply_adjacency(h, x).real + x ** (k - 1)
+        y = _apply_adjacency(h, edges, x.astype(complex)).real + x ** (k - 1)
         ratios = y / x ** (k - 1)
         lo, hi = float(np.min(ratios)), float(np.max(ratios))
         lam = (lo + hi) / 2

@@ -1,13 +1,17 @@
 import json
+import math
 import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from zerolap import eigenstructure, hypergraph, partitions, tensor_ops
 from zerolap import cli as cli_module
-from zerolap.cli import _COMMANDS, EXIT_BROKEN_PIPE, main
+from zerolap.cli import _COMMANDS, EXIT_BROKEN_PIPE, main, render_report
 
 from conftest import FIXTURE_DIR
 
@@ -331,3 +335,151 @@ class TestConfigHandling:
         cfg.write_text(json.dumps({"input": CHAIN, "kind": "foo"}))
         assert main(["partitions", "--config", str(cfg)]) == 2
         assert "unknown kind 'foo'" in capsys.readouterr().err
+
+    def test_config_not_an_object_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text("[1, 2]")
+        assert main(["components", "--input", CHAIN, "--config", str(cfg)]) == 2
+        assert "config file must hold a JSON object, not list" in capsys.readouterr().err
+
+    def test_unknown_config_field_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"input": CHAIN, "bogus": 1}))
+        assert main(["components", "--config", str(cfg)]) == 2
+        assert "unknown config field 'bogus'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("tolerance", "x"),
+            ("seed", "abc"),
+            ("budget", True),
+            ("dense_budget", 1.5),
+            ("operator", 3),
+            ("kind", [1]),
+            ("out", 0),
+            ("pretty", 1),
+        ],
+    )
+    def test_mistyped_config_field_exits_2(self, tmp_path, capsys, field, value):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"input": CHAIN, field: value}))
+        assert main(["components", "--config", str(cfg)]) == 2
+        assert f"config field {field!r} must be" in capsys.readouterr().err
+
+    def test_integer_tolerance_in_config_accepted(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"input": CHAIN, "tolerance": 1}))
+        code, report = run_json(capsys, "components", "--config", str(cfg))
+        assert code == 0
+        assert report["config"]["tolerance"] == 1
+
+    def test_nan_tolerance_exits_2(self, capsys):
+        assert main(["components", "--input", CHAIN, "--tolerance", "nan"]) == 2
+        assert "tolerance must be positive" in capsys.readouterr().err
+
+    def test_unwritable_out_exits_2(self, tmp_path, capsys):
+        target = tmp_path / "missing" / "report.json"
+        assert main(["components", "--input", CHAIN, "--out", str(target)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot write report: ")
+        assert "Traceback" not in err
+        assert not target.exists()
+
+
+# JSON trees holding what the report renderer must spell as json.dumps does:
+# escapes, big ints, float edge cases, bools among ints, tuples, and record
+# lists (dicts sharing a key set) with and without values that break them.
+_strings = st.text(st.sampled_from('ab"\\/%\x00\x1f\x7f\n\té€ 😀')) | st.text(max_size=4)
+_floats = st.floats(allow_subnormal=True) | st.sampled_from(
+    [-0.0, 0.0, 5e-324, -2.2250738585072014e-308, float("nan"), math.inf, -math.inf]
+)
+_ints = st.integers() | st.integers(-(2**200), 2**200)
+_scalars = st.none() | st.booleans() | _ints | _floats | _strings
+_int_lists = st.lists(_ints, max_size=5) | st.lists(_ints | st.booleans(), max_size=5)
+
+
+@st.composite
+def _record_lists(draw, children):
+    keys = draw(st.lists(_strings, min_size=1, max_size=4, unique=True))
+    value = _scalars | _int_lists | _int_lists.map(tuple)
+    if draw(st.booleans()):
+        value = value | children
+    records = draw(st.lists(st.fixed_dictionaries({k: value for k in keys}), min_size=1, max_size=5))
+    if draw(st.booleans()):
+        records.insert(
+            draw(st.integers(0, len(records))), draw(st.dictionaries(_strings, value, max_size=3))
+        )
+    return records
+
+
+_trees = st.recursive(
+    _scalars | _int_lists,
+    lambda children: st.lists(children, max_size=4)
+    | st.lists(children, max_size=3).map(tuple)
+    | st.dictionaries(_strings, children, max_size=4)
+    | _record_lists(children),
+    max_leaves=25,
+)
+
+
+class IntSub(int):
+    pass
+
+
+class StrSub(str):
+    pass
+
+
+class TestRenderReport:
+    @settings(max_examples=200, deadline=None)
+    @given(_trees)
+    def test_matches_json_dumps(self, tree):
+        assert render_report(tree) == json.dumps(tree, indent=2, sort_keys=True)
+
+    @pytest.mark.parametrize(
+        "tree",
+        [
+            {"a": np.int64(1)},
+            {"a": [1, np.int64(2)]},
+            [{"a": 1}, {"a": np.int64(2)}],
+            [{"a": [1]}, {"a": [np.int64(2)]}],
+            {"a": {1, 2}},
+            {"a": np.bool_(True)},
+        ],
+    )
+    def test_unserializable_value_raises(self, tree):
+        with pytest.raises(TypeError):
+            json.dumps(tree, indent=2, sort_keys=True)
+        with pytest.raises(TypeError):
+            render_report(tree)
+
+    @pytest.mark.parametrize("tree", [{1: "a"}, {"a": {2: 0}}, [{1: 0}, {1: 1}]])
+    def test_non_str_key_raises(self, tree):
+        with pytest.raises(TypeError):
+            render_report(tree)
+
+    def test_scalar_subclasses_render_as_json_does(self):
+        tree = {"f": np.float64(0.1), "i": [IntSub(3)], "s": [{"k": StrSub("v")}]}
+        assert render_report(tree) == json.dumps(tree, indent=2, sort_keys=True)
+
+    def test_cli_report_of_thousands_of_classes(self, tmp_path, capsys, monkeypatch):
+        """stdout and ``--out`` both hold json.dumps of the report plus a newline."""
+        tree = tmp_path / "hypertree.json"
+        edges = [[2 * i + 1, 2 * i + 2, 2 * i + 3] for i in range(7)]
+        tree.write_text(json.dumps({"k": 3, "n": 15, "edges": edges}))
+        reports = []
+        real = cli_module.render_report
+        monkeypatch.setattr(
+            cli_module, "render_report", lambda report: reports.append(report) or real(report)
+        )
+        target = tmp_path / "report.json"
+        argv = ["zero-eigenvectors", "--input", str(tree)]
+        code, out = run(capsys, *argv)
+        assert code == 0
+        assert main(argv + ["--out", str(target)]) == 0
+        assert capsys.readouterr().out == ""
+        listed = [c for op in reports[0]["operators"] for comp in op["components"] for c in comp["classes"]]
+        assert len(listed) >= 2000
+        assert out == json.dumps(reports[0], indent=2, sort_keys=True) + "\n"
+        assert target.read_text() == json.dumps(reports[1], indent=2, sort_keys=True) + "\n"

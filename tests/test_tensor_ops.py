@@ -219,6 +219,21 @@ class TestSpectralRadius:
         assert pair.residual <= 1e-8
         assert np.all(pair.vector.real > 0)
 
+    def test_edge_index_built_once_per_call(self, chain, monkeypatch):
+        """Every power step reuses one edge index; only the closing residual
+        check, through the public ``apply_adjacency``, builds another."""
+        from zerolap import tensor_ops
+
+        builds, steps = [], []
+        build, kernel = tensor_ops._edge_index, tensor_ops._apply_adjacency
+        monkeypatch.setattr(tensor_ops, "_edge_index", lambda h: builds.append(h) or build(h))
+        monkeypatch.setattr(
+            tensor_ops, "_apply_adjacency", lambda *args: steps.append(1) or kernel(*args)
+        )
+        nqz_spectral_radius(chain)
+        assert len(steps) > 10
+        assert len(builds) == 2
+
     def test_disconnected_rejected(self):
         h = Hypergraph(3, 6, ((1, 2, 3),))
         with pytest.raises(ValueError):
