@@ -293,16 +293,18 @@ def cmd_spectral_transforms(
     """Root-of-unity eigenvalue rotations on every head-mass component.
 
     Each non-singleton component must admit an hm-bipartition; otherwise
-    the structural precondition fails (exit 6). For even k the exact
-    diagonal-similarity identity between the two Laplacian family tensors
-    is asserted on the dense form.
+    the structural precondition fails (exit 6). The search for it is
+    bounded by ``cfg.budget`` head trials, and the power iteration by its
+    iteration cap; running out of either raises BudgetExceededError (exit
+    4). For even k the exact diagonal-similarity identity between the two
+    Laplacian family tensors is asserted on the dense form.
     """
     results = []
     budget_hit = False
     for comp, edges, single in zip(decomp.components, decomp.edge_lists, decomp.singleton):
         if single:
             continue
-        witness = partitions.find_hm_bipartition(h, comp)
+        witness = partitions.find_hm_bipartition(h, comp, cfg.budget)
         if witness is None:
             return {
                 "error": "no hm-bipartition exists",

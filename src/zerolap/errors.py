@@ -6,7 +6,8 @@ class HypergraphFormatError(ValueError):
 
 
 class BudgetExceededError(RuntimeError):
-    """Raised when an enumeration or dense materialization would exceed its budget."""
+    """Raised when an enumeration, search, iteration or dense materialization
+    would exceed its budget."""
 
 
 class VerificationError(RuntimeError):

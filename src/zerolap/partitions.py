@@ -24,6 +24,7 @@ predicates, and a block's arrays stay small whatever p^m is.
 """
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -31,7 +32,13 @@ import numpy as np
 
 from .errors import BudgetExceededError
 from .hypergraph import Hypergraph
-from .zk_solver import ZkAssignment, is_real_scalable, shift_canonicalize
+from .zk_solver import (
+    ZkAssignment,
+    eliminate_mod_prime,
+    incidence_rows,
+    is_real_scalable,
+    shift_canonicalize,
+)
 
 HM = "hm"
 ODD = "odd"
@@ -293,70 +300,173 @@ def enumerate_bipartitions(
     return out
 
 
-def find_hm_bipartition(h: Hypergraph, component: Sequence[int]) -> BipartitionWitness | None:
+def _least_prime_above(k: int) -> int:
+    p = k + 1
+    while any(p % q == 0 for q in range(2, math.isqrt(p) + 1)):
+        p += 1
+    return p
+
+
+class _AffineCheck:
+    """The solutions of the edge system A x == 1 (mod p), narrowed as
+    vertices are assigned, for the forward check of the hm search.
+
+    Row v of ``form`` holds vertex v's value as an affine function of the
+    free variables still unset: x_v = form[v, :-1] @ t + form[v, -1]
+    (mod p). Assigning a vertex substitutes out one free variable; the
+    trail of substitutions lets the search undo them.
+    """
+
+    def __init__(self, x0: np.ndarray, basis: np.ndarray, p: int):
+        self.p = p
+        self.form = np.concatenate([basis.T, x0[:, None]], axis=1)
+        self.trail: list = []
+
+    def consistent(self, rows=slice(None)) -> bool:
+        """No vertex among ``rows`` is fixed to a value outside {0, 1}."""
+        sub = self.form[rows]
+        return not ((sub[:, -1] > 1) & ~sub[:, :-1].any(axis=1)).any()
+
+    def assign(self, v: int, value: int) -> bool:
+        """Fix x_v = value; False if that leaves no 0/1 solution."""
+        p, form = self.p, self.form
+        row = form[v]
+        free = np.flatnonzero(row[:-1])
+        if not len(free):
+            return row[-1] == value
+        j = int(free[0])
+        inv = pow(int(row[j]), -1, p)
+        # t_j = s @ (t, 1), with t_j's own coefficient zero
+        s = -row * inv % p
+        s[-1] = (value - row[-1]) * inv % p
+        s[j] = 0
+        hit = np.flatnonzero(form[:, j])
+        col = form[hit, j].copy()
+        form[hit] = (form[hit] + np.outer(col, s)) % p
+        form[hit, j] = 0
+        self.trail.append((j, hit, col, s))
+        return self.consistent(hit)
+
+    def undo(self, mark: int) -> None:
+        form, p = self.form, self.p
+        while len(self.trail) > mark:
+            j, hit, col, s = self.trail.pop()
+            form[hit] = (form[hit] - np.outer(col, s)) % p
+            form[hit, j] = col
+
+
+_DEAD_END = object()
+
+
+def find_hm_bipartition(
+    h: Hypergraph, component: Sequence[int], budget: int = DEFAULT_ENUM_BUDGET
+) -> BipartitionWitness | None:
     """Search for a head assignment giving every edge exactly one head.
 
-    Backtracks over edges with forward checking: committing a head forces
-    every other vertex sharing an edge with it into the mass side. Head
-    candidates are tried in ascending vertex order, so the witness found is
-    deterministic. Vertices in no edge default to the mass side; trivial
-    components return the vacuous witness with an empty head side.
+    A depth-first search over the edges in input order, on an explicit
+    stack: each edge takes the head it already has, or tries its unset
+    vertices as head in ascending order, and a new head forces every vertex
+    sharing an edge with it to the mass side. Every witness lies in the
+    search tree and its leaves come in lexicographic order of the per-edge
+    head tuple, so the witness returned is the one whose head tuple is
+    least, whatever pruning removes branches holding no witness.
+
+    That pruning starts at the search's first dead end. Since |S cap e|
+    lies in [0, k], a vertex set S has exactly one head in every edge
+    precisely when its 0/1 indicator solves A x == 1 (mod p) for the least
+    prime p above k. The component's system is eliminated once to
+    x = x0 + N t, and the search restarts from the root, with every
+    assignment substituting out one free variable: a branch dies as soon as
+    some vertex's value becomes a constant outside {0, 1}. An inconsistent
+    system means no witness.
+
+    Every candidate tried, an edge's existing head included, counts one
+    trial over both passes; more than ``budget`` trials raise
+    BudgetExceededError. Trivial components return the vacuous witness
+    with an empty head side.
     """
     comp = tuple(sorted(set(component)))
     edges = _induced_edges(h, set(comp))
     if not edges:
         return BipartitionWitness(comp, (), comp, HM)
 
-    edges_at: dict[int, list[tuple[int, ...]]] = {v: [] for v in comp}
-    for e in edges:
+    pos = {v: i for i, v in enumerate(comp)}
+    edge_list = [[pos[v] for v in e] for e in edges]
+    co_edge: list[set] = [set() for _ in comp]
+    for e in edge_list:
         for v in e:
-            edges_at[v].append(e)
+            co_edge[v].update(e)
+    neighbours = [sorted(s - {v}) for v, s in enumerate(co_edge)]
+    trials = 0
 
-    state: dict[int, bool] = {}  # True = head, False = mass
+    def search(check: _AffineCheck | None):
+        """Head states at the first witness, None if there is none, or
+        _DEAD_END at the first dead end when there is no check."""
+        nonlocal trials
+        state = [-1] * len(comp)  # -1 unset, 0 mass, 1 head
+        assigned: list[int] = []
+        frames: list[list] = []  # [candidates, next candidate, assigned mark, check mark]
 
-    def set_state(v: int, val: bool, trail: list) -> bool:
-        if v in state:
-            return state[v] == val
-        state[v] = val
-        trail.append(v)
-        if val:
-            # a head's co-edge vertices are all mass
-            for f in edges_at[v]:
-                for u in f:
-                    if u != v and not set_state(u, False, trail):
-                        return False
-        return True
-
-    def solve(idx: int) -> bool:
-        if idx == len(edges):
-            return True
-        e = edges[idx]
-        fixed_heads = [v for v in e if state.get(v) is True]
-        if fixed_heads:
-            if len(fixed_heads) > 1:
-                return False
-            trail: list = []
-            if all(set_state(u, False, trail) for u in e if u != fixed_heads[0]):
-                if solve(idx + 1):
-                    return True
-            for u in trail:
-                del state[u]
-            return False
-        for v in e:
-            if state.get(v) is False:
-                continue
-            trail = []
-            ok = set_state(v, True, trail)
-            if ok and solve(idx + 1):
+        def place(v: int) -> bool:
+            if state[v] == 1:
                 return True
-            for u in trail:
-                del state[u]
-        return False
+            state[v] = 1
+            assigned.append(v)
+            if check is not None and not check.assign(v, 1):
+                return False
+            for u in neighbours[v]:
+                if state[u] < 0:
+                    state[u] = 0
+                    assigned.append(u)
+                    if check is not None and not check.assign(u, 0):
+                        return False
+            return True
 
-    if not solve(0):
+        idx = 0
+        while idx < len(edge_list):
+            e = edge_list[idx]
+            candidates = [v for v in e if state[v] == 1] or [v for v in e if state[v] < 0]
+            if not candidates and check is None:
+                return _DEAD_END
+            frames.append([candidates, 0, len(assigned), len(check.trail) if check else 0])
+            while frames:
+                frame = frames[-1]
+                candidates, i, mark, check_mark = frame
+                for v in assigned[mark:]:
+                    state[v] = -1
+                del assigned[mark:]
+                if check is not None:
+                    check.undo(check_mark)
+                if i == len(candidates):
+                    frames.pop()
+                    idx -= 1
+                    continue
+                frame[1] = i + 1
+                trials += 1
+                if trials > budget:
+                    raise BudgetExceededError(
+                        f"hm-bipartition search needs more than {budget} head trials"
+                    )
+                if place(candidates[i]):
+                    idx += 1
+                    break
+            else:
+                return None
+        return state
+
+    state = search(None)
+    if state is _DEAD_END:
+        p = _least_prime_above(h.k)
+        _, rows = incidence_rows(h, comp)
+        affine = eliminate_mod_prime(np.array(rows), np.ones(len(rows), dtype=np.int64), p)
+        if affine is None:
+            return None
+        check = _AffineCheck(*affine, p)
+        state = search(check) if check.consistent() else None
+    if state is None:
         return None
-    v1 = tuple(v for v in comp if state.get(v) is True)
-    v2 = tuple(v for v in comp if v not in set(v1))
+    v1 = tuple(v for v, s in zip(comp, state) if s == 1)
+    v2 = tuple(v for v, s in zip(comp, state) if s != 1)
     return BipartitionWitness(comp, v1, v2, HM)
 
 

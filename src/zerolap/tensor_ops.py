@@ -272,8 +272,10 @@ def nqz_spectral_radius(
 
     Iterates the shifted map x -> ((A + I) x^{k-1})^{[1/(k-1)]} under
     max-norm scaling; the min/max of the per-entry ratios pinch the shifted
-    eigenvalue, and iteration stops when they agree to ``tolerance`` or the
-    cap is hit. Non-convergence is reported as a warning, not an error.
+    eigenvalue, and iteration stops when they agree to ``tolerance``.
+    Raises BudgetExceededError when ``max_iterations`` steps do not get
+    there. A converged pair whose residual exceeds ``residual_tolerance``
+    is reported as a warning.
     """
     if h.edge_count == 0:
         raise ValueError("spectral radius iteration needs at least one edge")
@@ -281,28 +283,23 @@ def nqz_spectral_radius(
         raise ValueError("spectral radius iteration needs a connected hypergraph")
     k = h.k
     x = np.ones(h.n, dtype=float)
-    lam = math.inf
-    converged = False
     edges = _edge_index(h)
     for _ in range(max_iterations):
         y = _apply_adjacency(h, edges, x.astype(complex)).real + x ** (k - 1)
         ratios = y / x ** (k - 1)
         lo, hi = float(np.min(ratios)), float(np.max(ratios))
-        lam = (lo + hi) / 2
         if hi - lo <= tolerance:
-            converged = True
             break
         x = y ** (1.0 / (k - 1))
         x = x / np.max(x)
-    if not converged:
-        warnings.warn(
+    else:
+        raise BudgetExceededError(
             f"power iteration did not converge within {max_iterations} iterations "
-            f"(eigenvalue bracket width {hi - lo:.3e})",
-            RuntimeWarning,
+            f"(eigenvalue bracket width {hi - lo:.3e})"
         )
-    value = complex(lam - 1.0)
+    value = complex((lo + hi) / 2 - 1.0)
     resid = eig_residual(h, ADJACENCY, value, x)
-    if converged and resid > residual_tolerance:
+    if resid > residual_tolerance:
         warnings.warn(
             f"converged eigenpair residual {resid:.3e} above {residual_tolerance:.1e}",
             RuntimeWarning,

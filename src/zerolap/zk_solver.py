@@ -381,6 +381,60 @@ def solve_mod_k(
     )
 
 
+def eliminate_mod_prime(
+    rows: np.ndarray, rhs: np.ndarray, p: int
+) -> tuple[np.ndarray, np.ndarray] | None:
+    """Affine form of the solutions of rows * x == rhs (mod p), p prime.
+
+    Gauss-Jordan elimination over GF(p), pivoting on the columns in
+    ascending order. Returns None if the system is inconsistent, else
+    ``(x0, basis)`` with ``basis`` of shape (d, columns): the solutions are
+    exactly x0 + t @ basis (mod p) for t in GF(p)^d, each given by one t.
+    Row j of the basis sets the j-th non-pivot column to 1 and the other
+    non-pivot columns to 0. Both parts are checked against the rows before
+    returning; a mismatch raises VerificationError.
+    """
+    rows = np.asarray(rows, dtype=np.int64) % p
+    rhs = np.asarray(rhs, dtype=np.int64) % p
+    ncols = rows.shape[1]
+    work = np.concatenate([rows, rhs[:, None]], axis=1)
+    pivots: list[int] = []
+    for c in range(ncols):
+        r = len(pivots)
+        if r == len(work):
+            break
+        below = np.flatnonzero(work[r:, c])
+        if not len(below):
+            continue
+        i = r + int(below[0])
+        work[[r, i]] = work[[i, r]]
+        work[r] = work[r] * pow(int(work[r, c]), -1, p) % p
+        hit = np.flatnonzero(work[:, c])
+        hit = hit[hit != r]
+        work[hit] = (work[hit] - np.outer(work[hit, c], work[r])) % p
+        pivots.append(c)
+    rank = len(pivots)
+    if work[rank:, ncols].any():
+        return None
+    free = np.setdiff1d(np.arange(ncols), pivots)
+    x0 = np.zeros(ncols, dtype=np.int64)
+    x0[pivots] = work[:rank, ncols]
+    basis = np.zeros((len(free), ncols), dtype=np.int64)
+    basis[np.arange(len(free)), free] = 1
+    basis[:, pivots] = -work[:rank, free].T % p
+    # rows @ [basis.T | x0] - [0 | rhs], summed over the nonzeros of rows only
+    terms = np.concatenate([basis.T, x0[:, None]], axis=1)
+    r, c = np.nonzero(rows)
+    defect = np.zeros((len(rows), terms.shape[1]), dtype=np.int64)
+    products = terms[c]
+    products *= rows[r, c][:, None]
+    np.add.at(defect, r, products)
+    defect[:, -1] -= rhs
+    if (defect % p).any():
+        raise VerificationError("elimination mod p produced a non-solution")
+    return x0, basis
+
+
 def solution_blocks(desc: SolutionDescription) -> Iterator[np.ndarray]:
     """Every solution once, in ``enumerate_solutions`` order, as int64
     arrays with one row per solution and one column per vertex.

@@ -18,6 +18,7 @@ import operator
 import numpy as np
 
 from zerolap.errors import VerificationError
+from zerolap.partitions import HM, BipartitionWitness
 
 
 def edge_sum_solutions(k, vertices, edges, rhs):
@@ -182,6 +183,77 @@ def multipartition_witnesses(spec, vertices, edges):
         ]
         for pred, chosen in least.items()
     }
+
+
+def hm_bipartition_dfs(h, component):
+    """Search for a head assignment giving every edge exactly one head.
+
+    The library's former recursive search, kept as the reference for its
+    explicit-stack successor: one recursion level per edge, no budget.
+
+    Backtracks over edges with forward checking: committing a head forces
+    every other vertex sharing an edge with it into the mass side. Head
+    candidates are tried in ascending vertex order, so the witness found is
+    deterministic. Vertices in no edge default to the mass side; trivial
+    components return the vacuous witness with an empty head side.
+    """
+    comp = tuple(sorted(set(component)))
+    vertex_set = set(comp)
+    edges = [e for e in h.edges if vertex_set.issuperset(e)]
+    if not edges:
+        return BipartitionWitness(comp, (), comp, HM)
+
+    edges_at: dict[int, list[tuple[int, ...]]] = {v: [] for v in comp}
+    for e in edges:
+        for v in e:
+            edges_at[v].append(e)
+
+    state: dict[int, bool] = {}  # True = head, False = mass
+
+    def set_state(v: int, val: bool, trail: list) -> bool:
+        if v in state:
+            return state[v] == val
+        state[v] = val
+        trail.append(v)
+        if val:
+            # a head's co-edge vertices are all mass
+            for f in edges_at[v]:
+                for u in f:
+                    if u != v and not set_state(u, False, trail):
+                        return False
+        return True
+
+    def solve(idx: int) -> bool:
+        if idx == len(edges):
+            return True
+        e = edges[idx]
+        fixed_heads = [v for v in e if state.get(v) is True]
+        if fixed_heads:
+            if len(fixed_heads) > 1:
+                return False
+            trail: list = []
+            if all(set_state(u, False, trail) for u in e if u != fixed_heads[0]):
+                if solve(idx + 1):
+                    return True
+            for u in trail:
+                del state[u]
+            return False
+        for v in e:
+            if state.get(v) is False:
+                continue
+            trail = []
+            ok = set_state(v, True, trail)
+            if ok and solve(idx + 1):
+                return True
+            for u in trail:
+                del state[u]
+        return False
+
+    if not solve(0):
+        return None
+    v1 = tuple(v for v in comp if state.get(v) is True)
+    v2 = tuple(v for v in comp if v not in set(v1))
+    return BipartitionWitness(comp, v1, v2, HM)
 
 
 # ---------------------------------------------------------------------------

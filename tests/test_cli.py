@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 from zerolap import eigenstructure, hypergraph, partitions, tensor_ops
 from zerolap import cli as cli_module
 from zerolap.cli import _COMMANDS, EXIT_BROKEN_PIPE, main, render_report
+from zerolap.corpus import random_hm_bipartite
 
 from conftest import FIXTURE_DIR
 
@@ -182,6 +184,35 @@ class TestSpectralTransformsCommand:
         code, report = run_json(capsys, "spectral-transforms", "--input", COMPLETE4)
         assert code == 6
         assert report["error"] == "no hm-bipartition exists"
+
+    def test_power_iteration_cap_exits_4(self, tmp_path, capsys):
+        """A loose 3-uniform path of 100 edges leaves the power iteration's
+        eigenvalue bracket near 5e-8 after its 10^4 steps."""
+        path = tmp_path / "loose_path.json"
+        edges = [[2 * i + 1, 2 * i + 2, 2 * i + 3] for i in range(100)]
+        path.write_text(json.dumps({"k": 3, "n": 201, "edges": edges}))
+        assert main(["spectral-transforms", "--input", str(path)]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: power iteration did not converge within 10000")
+
+    def test_hm_search_budget_exits_4_without_traceback(self, tmp_path):
+        """The hm search on an instance where the recursive search used to
+        backtrack needs more than 50 head trials, and far fewer than the
+        default budget."""
+        h, _ = random_hm_bipartite(random.Random(0), 3, 130, 30, 20)
+        path = tmp_path / "hard_hm.json"
+        path.write_text(json.dumps({"k": h.k, "n": h.n, "edges": [list(e) for e in h.edges]}))
+        env = dict(os.environ, PYTHONPATH=str(FIXTURE_DIR.parent / "src"))
+        command = [sys.executable, "-m", "zerolap.cli", "spectral-transforms", "--input", str(path)]
+        capped = subprocess.run(command + ["--budget", "50"], capture_output=True, env=env)
+        assert capped.returncode == 4
+        assert capped.stdout == b""
+        assert capped.stderr == b"error: hm-bipartition search needs more than 50 head trials\n"
+        full = subprocess.run(command, capture_output=True, env=env)
+        assert full.returncode == 0
+        assert full.stderr == b""
+        assert len(json.loads(full.stdout)["spectral_transforms"]) == 1
 
 
 @pytest.mark.parametrize("command", ["zero-eigenvectors", "crosscheck"])

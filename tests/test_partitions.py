@@ -1,5 +1,6 @@
 import itertools
 import random
+import sys
 import tracemalloc
 
 import pytest
@@ -22,12 +23,17 @@ from zerolap import (
     validate_multipartition,
 )
 from zerolap import partitions
-from zerolap.corpus import mixed_corpus, random_connected_hypergraph, random_hypergraph
+from zerolap.corpus import (
+    mixed_corpus,
+    random_connected_hypergraph,
+    random_hm_bipartite,
+    random_hypergraph,
+)
 from zerolap.hypergraph import connected_components
 from zerolap.zk_solver import ZkAssignment
 
 from conftest import single_edge
-from oracles import multipartition_witnesses
+from oracles import hm_bipartition_dfs, multipartition_witnesses
 
 CHAIN_COMPONENT = tuple(range(1, 8))
 K4_COMPONENT = tuple(range(1, 7))
@@ -134,6 +140,72 @@ class TestFindHm:
             assert all(len(set(w.v1) & set(e)) == 1 for e in edges)
         else:
             assert w is None
+
+
+def _hard_hm_instance(seed):
+    """The shape on which the recursive search backtracks for 0.1-0.4 s."""
+    h, _ = random_hm_bipartite(random.Random(seed), 3, 130, 30, 20)
+    return h
+
+
+def _loose_path(edge_count):
+    return Hypergraph(
+        3, 2 * edge_count + 1, tuple((2 * i + 1, 2 * i + 2, 2 * i + 3) for i in range(edge_count))
+    )
+
+
+@st.composite
+def hm_search_instances(draw):
+    """Head-mass bipartite instances, which always have a witness, and
+    random k-uniform ones, which often have none."""
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    k = draw(st.sampled_from([3, 4, 5]))
+    if draw(st.booleans()):
+        h, _ = random_hm_bipartite(
+            rng, k, rng.randint(1, 12), k - 1 + rng.randint(0, 10), rng.randint(0, 15)
+        )
+    else:
+        h = random_hypergraph(rng, k, rng.randint(k, 12), rng.randint(1, 14))
+    return h
+
+
+class TestHmSearchAgainstRecursiveOracle:
+    @settings(max_examples=150, deadline=None)
+    @given(hm_search_instances())
+    def test_same_witness_or_both_none(self, h):
+        for comp in connected_components(h).components:
+            w = find_hm_bipartition(h, comp)
+            ref = hm_bipartition_dfs(h, comp)
+            assert (w is None) == (ref is None)
+            if w is not None:
+                assert (w.v1, w.v2) == (ref.v1, ref.v2)
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_hard_instance_witness_pinned_within_two_trials_per_edge(self, seed):
+        h = _hard_hm_instance(seed)
+        comp = tuple(range(1, h.n + 1))
+        # at most 2|E| - 1 head trials over both passes, or this raises
+        w = find_hm_bipartition(h, comp, budget=2 * h.edge_count - 1)
+        assert w == hm_bipartition_dfs(h, comp)
+
+    def test_budget_counts_head_trials(self):
+        """Every edge takes at least one trial, so |E| - 1 cannot suffice."""
+        h = _hard_hm_instance(0)
+        with pytest.raises(BudgetExceededError, match="more than 149 head trials"):
+            find_hm_bipartition(h, range(1, h.n + 1), budget=h.edge_count - 1)
+
+    def test_long_loose_path_needs_no_recursion(self):
+        h = _loose_path(3000)
+        comp = tuple(range(1, h.n + 1))
+        assert h.edge_count > sys.getrecursionlimit()
+        w = find_hm_bipartition(h, comp)
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(10_000)  # the oracle recurses once per edge
+        try:
+            ref = hm_bipartition_dfs(h, comp)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert w == ref
 
 
 class TestValidateMultipartition:

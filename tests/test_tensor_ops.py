@@ -234,6 +234,10 @@ class TestSpectralRadius:
         assert len(steps) > 10
         assert len(builds) == 2
 
+    def test_exhausted_iteration_cap_raises(self, chain):
+        with pytest.raises(BudgetExceededError, match="within 3 iterations"):
+            nqz_spectral_radius(chain, max_iterations=3)
+
     def test_disconnected_rejected(self):
         h = Hypergraph(3, 6, ((1, 2, 3),))
         with pytest.raises(ValueError):

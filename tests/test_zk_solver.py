@@ -1,5 +1,7 @@
+import itertools
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -18,6 +20,7 @@ from zerolap import (
     solve_mod_k,
 )
 from zerolap.corpus import random_hypergraph
+from zerolap.zk_solver import eliminate_mod_prime
 
 import oracles
 from conftest import single_edge
@@ -339,3 +342,34 @@ def test_shift_orbits_partition_solutions(seed):
     desc = solve_mod_k(sys)
     canonical = {shift_canonicalize(a).values for a in enumerate_solutions(desc)}
     assert len(canonical) * k == desc.solution_count
+
+
+@st.composite
+def prime_systems(draw):
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    m = draw(st.integers(1, 4))
+    row = st.lists(st.integers(0, 2 * p), min_size=m, max_size=m)
+    rows = draw(st.lists(row, min_size=1, max_size=5))
+    rhs = draw(st.lists(st.integers(0, p - 1), min_size=len(rows), max_size=len(rows)))
+    return p, rows, rhs
+
+
+@given(prime_systems())
+def test_elimination_mod_prime_matches_brute_force(system):
+    p, rows, rhs = system
+    solutions = {
+        x
+        for x in itertools.product(range(p), repeat=len(rows[0]))
+        if all(sum(a * b for a, b in zip(row, x)) % p == r for row, r in zip(rows, rhs))
+    }
+    affine = eliminate_mod_prime(np.array(rows), np.array(rhs), p)
+    if not solutions:
+        assert affine is None
+        return
+    x0, basis = affine
+    listed = [
+        tuple(((x0 + np.array(t, dtype=np.int64) @ basis) % p).tolist())
+        for t in itertools.product(range(p), repeat=len(basis))
+    ]
+    assert len(set(listed)) == len(listed)
+    assert set(listed) == solutions
