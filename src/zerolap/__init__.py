@@ -14,14 +14,8 @@ from .hypergraph import (
     parse_hypergraph_text,
 )
 from .zk_solver import (
-    ZkAssignment,
     ZkLinearSystem,
-    assignment_satisfies,
     build_zero_eig_system,
-    classify_H_or_N,
-    conjugate_assignment,
-    enumerate_solutions,
-    shift_canonicalize,
     smith_normal_form,
     solve_mod_k,
 )
@@ -35,22 +29,14 @@ from .tensor_ops import (
     materialize_dense,
     nqz_spectral_radius,
 )
-from .eigenstructure import (
-    count_N_pairs,
-    minimal_zero_eigenvectors,
-    realize_complex,
-    solution_export,
-    structure_counts,
-)
+from .eigenstructure import structure_counts
 from .partitions import (
     BipartitionWitness,
     MultipartitionWitness,
-    assignment_from_partition,
     discrepancy_scan,
     enumerate_bipartitions,
     enumerate_multipartitions,
     find_hm_bipartition,
-    partition_from_assignment,
     validate_bipartition,
     validate_multipartition,
 )

@@ -87,8 +87,8 @@ class AnalysisConfig:
             ):
                 name = getattr(field.type, "__name__", field.type)
                 raise ValueError(f"config field {field.name!r} must be {name}, got {value!r}")
-        if not self.tolerance > 0:
-            raise ValueError("tolerance must be positive")
+        if not 0 < self.tolerance < _INF:  # also rejects NaN
+            raise ValueError("tolerance must be positive and finite")
         if self.budget <= 0 or self.dense_budget <= 0:
             raise ValueError("budgets must be positive")
         if self.predicate not in partitions.PREDICATES:

@@ -13,13 +13,14 @@ subsystem for the H classes when k is even); enumeration is reserved for
 explicitly requested class listings. Each component's incidence rows are
 Smith-factored once per call (``factor_components``) and shared by both
 operators. Each (component, operator) system is then solved once per call
-(``solve_components``); counts, class listings, the solution export and
-the cross-checks all read that one solve.
+(``solve_components``); counts, class listings and the cross-checks all
+read that one solve.
 
-A listing is an integer array with one row of exponents per class. It is
-built from blocks of solutions (``zk_solver.solution_blocks``) and stops
-at its cap; kinds, conjugates, the exact residue check and the residuals
-are computed on whole blocks of rows, never class by class.
+A listing is an integer array with one row of exponents per class, the
+only representation of a class. It is built from blocks of solutions
+(``zk_solver.solution_blocks``) and stops at its cap; kinds, the exact
+residue check and the residuals (``realize_classes``) are computed on
+whole blocks of rows, never class by class.
 """
 
 import itertools
@@ -34,14 +35,13 @@ from .hypergraph import (
     connected_components,
     induced_subhypergraph,
 )
-from .tensor_ops import Eigenpair, eig_residual
+from .tensor_ops import eig_residual
 from .zk_solver import (
     BLOCK_CELLS,
     LAPLACIAN,
     ZERO_EIG_OPERATORS,
     SmithFactorization,
     SolutionDescription,
-    ZkAssignment,
     ZkLinearSystem,
     build_zero_eig_system,
     edge_residue,
@@ -60,17 +60,6 @@ ODD_SIGNLESS_REASON = (
     "odd uniformity: zero is not a signless Laplacian eigenvalue on a "
     "component with at least one edge"
 )
-
-
-@dataclass(frozen=True)
-class EigenvectorClass:
-    """One shift-canonical solution class with full support on its component."""
-
-    operator: str
-    component: tuple[int, ...]
-    representative: ZkAssignment
-    kind: str  # "H" or "N"
-    conjugate: ZkAssignment  # canonical partner; equals representative iff H
 
 
 @dataclass(frozen=True)
@@ -139,8 +128,8 @@ def solve_components(
 ) -> tuple[ComponentStructure, ...]:
     """Each component's ``operator`` system, built and solved once, in order.
 
-    Pass the result as ``solved`` to ``structure_counts`` and
-    ``minimal_zero_eigenvectors`` to share the solves; cross-checks are unset.
+    Pass the result as ``solved`` to ``structure_counts`` to share the
+    solves; cross-checks are unset.
     """
     if operator not in ZERO_EIG_OPERATORS:
         raise ValueError(f"unknown operator {operator!r}")
@@ -181,33 +170,6 @@ def _h_class_count(sys: ZkLinearSystem, factorization: SmithFactorization | None
     sub = ZkLinearSystem(2, sys.vertices, sys.rows, tuple(r // (k // 2) for r in sys.rhs))
     desc = solve_mod_k(sub, factorization)
     return desc.solution_count // 2 if desc.feasible else 0
-
-
-def minimal_zero_eigenvectors(
-    h: Hypergraph,
-    operator: str,
-    max_classes: int | None = None,
-    solved: tuple[ComponentStructure, ...] | None = None,
-) -> list[EigenvectorClass]:
-    """All shift-canonical zero-eigenvector classes, component by component.
-
-    Minimality holds by construction: a zero eigenvector restricts to full
-    support on every component it touches, so single-component support is
-    as small as support gets. Singleton components contribute exactly one
-    H class (the scalar 1; their tensor block is zero). ``max_classes``
-    caps the total enumeration; counts are unaffected by the cap.
-    """
-    if solved is None:
-        solved = solve_components(h, operator)
-    k = h.k
-    out: list[EigenvectorClass] = []
-    for cs, alphas in zip(solved, _listed_classes(k, max_classes, solved)):
-        conjugates = _conjugates(alphas, k).tolist()
-        for values, kind, conj in zip(alphas.tolist(), _kinds(alphas, k), conjugates):
-            rep = ZkAssignment(k, cs.component, tuple(values))
-            partner = ZkAssignment(k, cs.component, tuple(conj))
-            out.append(EigenvectorClass(operator, cs.component, rep, kind, partner))
-    return out
 
 
 def _component_expected(
@@ -270,15 +232,6 @@ def structure_counts(
         matched = all(c.crosscheck_matched for c in per_comp)
     formula = _crosscheck_formula(h, operator)
     return StructureCounts(operator, tuple(per_comp), h_total, n_total, expected, formula, matched)
-
-
-def count_N_pairs(h: Hypergraph, operator: str) -> int:
-    """Number of conjugate N-class pairs over all components.
-
-    Uses the closed-form solution counts; no enumeration and no partition
-    scan. Pairing is total because no N class is self-conjugate.
-    """
-    return sum(cs.n_pair_count for cs in solve_components(h, operator))
 
 
 @dataclass(frozen=True)
@@ -376,39 +329,6 @@ def _kinds(alphas: np.ndarray, k: int) -> list[str]:
     return ["H" if r else "N" for r in real.tolist()]
 
 
-def _conjugates(alphas: np.ndarray, k: int) -> np.ndarray:
-    """Entrywise negation mod k; canonical rows stay canonical (0 -> 0)."""
-    return (k - alphas) % k
-
-
-def solution_export(
-    h: Hypergraph, operator: str, limit: int | None = None
-) -> list[dict]:
-    """Per-component solution sets in the wire format.
-
-    Each entry is {"k", "component", "rhs", "count", "classes"} with one
-    {"alpha", "kind"} record per shift class. ``limit`` caps the classes
-    listed in total across components, in component order, so later
-    components may list fewer than their count or none. Infeasible
-    components report rhs None and count 0.
-    """
-    solved = solve_components(h, operator)
-    rhs = edge_residue(h.k, operator)
-    return [
-        {
-            "k": h.k,
-            "component": list(cs.component),
-            "rhs": rhs if cs.feasible else None,
-            "count": cs.solution_count,
-            "classes": [
-                {"alpha": alpha, "kind": kind}
-                for alpha, kind in zip(alphas.tolist(), _kinds(alphas, h.k))
-            ],
-        }
-        for cs, alphas in zip(solved, _listed_classes(h.k, limit, solved))
-    ]
-
-
 def _phases(k: int) -> np.ndarray:
     """exp(2*pi*i*a/k) for a = 0..k-1, each from the scalar expression."""
     return np.array([np.exp(2j * np.pi * a / k) for a in range(k)])
@@ -456,21 +376,6 @@ def realize_classes(
             )
         out[start : start + len(block)] = resid
     return out
-
-
-def realize_complex(
-    h: Hypergraph, cls: EigenvectorClass, tolerance: float = 1e-9
-) -> Eigenpair:
-    """Materialize a class as a verified complex eigenpair for eigenvalue 0.
-
-    The vector carries exp(2*pi*i*alpha_v/k) on the component and zeros
-    elsewhere; ``realize_classes`` checks it as a batch of one row.
-    """
-    alphas = np.array([cls.representative.values])
-    resid = realize_classes(h, cls.operator, cls.component, alphas, tolerance)[0]
-    x = np.zeros(h.n, dtype=complex)
-    x[np.array(cls.component) - 1] = _phases(h.k)[alphas[0]]
-    return Eigenpair(cls.operator, 0j, x, float(resid))
 
 
 def zero_eigenvector_report(

@@ -32,13 +32,7 @@ import numpy as np
 
 from .errors import BudgetExceededError
 from .hypergraph import Hypergraph
-from .zk_solver import (
-    ZkAssignment,
-    eliminate_mod_prime,
-    incidence_rows,
-    is_real_scalable,
-    shift_canonicalize,
-)
+from .zk_solver import eliminate_mod_prime, incidence_rows
 
 HM = "hm"
 ODD = "odd"
@@ -617,69 +611,6 @@ def enumerate_multipartitions(
         pred: [witness(chosen[pred][key]) for key in sorted(chosen[pred])]
         for pred in PREDICATES
     }
-
-
-def partition_from_assignment(
-    a: ZkAssignment, operator: str
-) -> BipartitionWitness | MultipartitionWitness | None:
-    """Vertex partition whose parts are the phase-value classes of ``a``.
-
-    Constant assignments describe the all-ones eigenvector and carry no
-    partition, so they map to None. Real-scalable two-value assignments
-    (even k) map to a bipartition witness: the even flavor for the
-    Laplacian, the odd flavor for the signless operator. Everything else
-    maps to the multipartition kind matching (k, operator).
-    """
-    a = shift_canonicalize(a)
-    k = a.modulus
-    values = set(a.values)
-    if len(values) == 1:
-        return None
-    comp = a.vertices
-    if is_real_scalable(a.values, k):
-        half = k // 2
-        v1 = tuple(v for v, x in zip(a.vertices, a.values) if x == half)
-        v2 = tuple(v for v, x in zip(a.vertices, a.values) if x == 0)
-        flavor = EVEN if operator == "laplacian" else ODD
-        return BipartitionWitness(comp, v1, v2, flavor)
-    kind = N_PAIR_KINDS.get((k, operator))
-    if kind is None:
-        raise ValueError(f"no multipartition kind for k={k}, operator={operator}")
-    parts = tuple(
-        tuple(v for v, x in zip(a.vertices, a.values) if x == j) for j in range(k)
-    )
-    return MultipartitionWitness(comp, parts, kind)
-
-
-def assignment_from_partition(
-    w: BipartitionWitness | MultipartitionWitness, k: int | None = None
-) -> ZkAssignment:
-    """Inverse of partition_from_assignment, up to shift canonicalization.
-
-    Multipartition witnesses know their modulus through the kind; for a
-    bipartition witness ``k`` must be supplied, and the v1 side carries
-    exponent k/2.
-    """
-    if isinstance(w, MultipartitionWitness):
-        spec = KIND_SPECS[w.kind]
-        value_of = {}
-        for j, part in enumerate(w.parts):
-            for v in part:
-                value_of[v] = j
-        verts = tuple(sorted(value_of))
-        return shift_canonicalize(
-            ZkAssignment(spec.k, verts, tuple(value_of[v] for v in verts))
-        )
-    if k is None:
-        raise ValueError("bipartition witnesses need an explicit modulus k")
-    if k % 2:
-        raise ValueError("two-sided phase patterns need even k")
-    value_of = {v: k // 2 for v in w.v1}
-    value_of.update({v: 0 for v in w.v2})
-    verts = tuple(sorted(value_of))
-    return shift_canonicalize(
-        ZkAssignment(k, verts, tuple(value_of[v] for v in verts))
-    )
 
 
 def discrepancy_scan(kind: str) -> DiscrepancyReport:

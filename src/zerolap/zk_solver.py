@@ -6,7 +6,8 @@ of unity exp(2*pi*i*alpha_v/k) whose exponents satisfy one linear congruence
 per edge: the exponents of an edge sum to 0 (resp. k/2) mod k. This module
 solves those systems exactly: feasibility, a particular solution, a kernel
 description that enumerates every solution exactly once, and the exact
-solution count.
+solution count. ``solution_blocks`` lists the solutions as integer arrays,
+one row of exponents per solution.
 
 Everything is integer arithmetic; Smith normal form is computed over Z so
 that composite moduli (k = 4, 6, ...) are handled uniformly. Z_k is not a
@@ -22,7 +23,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from operator import mul
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -58,30 +59,6 @@ class ZkLinearSystem:
         m = len(self.vertices)
         if any(len(r) != m for r in self.rows):
             raise ValueError("row width does not match vertex count")
-
-
-@dataclass(frozen=True)
-class ZkAssignment:
-    """Phase exponents over Z_k on a support set of vertices.
-
-    ``values[j]`` is the exponent of ``vertices[j]``; vertices are sorted
-    ascending. Encodes the eigenvector x_v = exp(2*pi*i*alpha_v/k) on the
-    support, zero elsewhere.
-    """
-
-    modulus: int
-    vertices: tuple[int, ...]
-    values: tuple[int, ...]
-
-    def __post_init__(self):
-        if not self.vertices:
-            raise ValueError("support must be nonempty")
-        if len(self.vertices) != len(self.values):
-            raise ValueError("vertices and values length mismatch")
-        if tuple(sorted(self.vertices)) != self.vertices:
-            raise ValueError("support vertices must be sorted ascending")
-        if any(not 0 <= v < self.modulus for v in self.values):
-            raise ValueError(f"values must lie in 0..{self.modulus - 1}")
 
 
 @dataclass(frozen=True)
@@ -436,8 +413,9 @@ def eliminate_mod_prime(
 
 
 def solution_blocks(desc: SolutionDescription) -> Iterator[np.ndarray]:
-    """Every solution once, in ``enumerate_solutions`` order, as int64
-    arrays with one row per solution and one column per vertex.
+    """Every solution once, in ``itertools.product`` kernel-coordinate
+    order (the particular solution first), as int64 arrays with one row
+    per solution and one column per vertex.
 
     The trailing kernel coordinates whose orders multiply to at most
     ``BLOCK_CELLS // m`` rows are combined once into a table; each block is
@@ -460,73 +438,3 @@ def solution_blocks(desc: SolutionDescription) -> Iterator[np.ndarray]:
     for lead in itertools.product(*map(range, orders[:split])):
         yield (table + np.array(lead, dtype=np.int64) @ gens[:split]) % k
 
-
-def enumerate_solutions(
-    desc: SolutionDescription, limit: int | None = None
-) -> Iterator[ZkAssignment]:
-    """Yield distinct solutions in lexicographic kernel-coordinate order.
-
-    The particular solution comes first. Raises on infeasible descriptions.
-    """
-    k = desc.system.modulus
-    verts = desc.system.vertices
-    emitted = 0
-    for block in solution_blocks(desc):
-        for values in block.tolist():
-            if limit is not None and emitted >= limit:
-                return
-            yield ZkAssignment(k, verts, tuple(values))
-            emitted += 1
-
-
-def assignment_satisfies(sys: ZkLinearSystem, a: ZkAssignment) -> bool:
-    """Exact integer check of every row; no tolerances involved."""
-    if a.vertices != sys.vertices or a.modulus != sys.modulus:
-        return False
-    return all(
-        sum(c * v for c, v in zip(row, a.values)) % sys.modulus == r
-        for row, r in zip(sys.rows, sys.rhs)
-    )
-
-
-def shift_canonicalize(a: ZkAssignment) -> ZkAssignment:
-    """Lexicographically smallest member of the shift orbit {a + t*1 mod k}.
-
-    Vertices are ordered ascending, so the canonical representative is the
-    unique shift with exponent 0 at the first vertex. Idempotent. Shift
-    classes quotient out the scalar freedom of the eigenvector: multiplying
-    the vector by a k-th root of unity adds a constant to all exponents.
-    """
-    t = a.values[0]
-    if t == 0:
-        return a
-    k = a.modulus
-    return ZkAssignment(k, a.vertices, tuple((v - t) % k for v in a.values))
-
-
-def conjugate_assignment(a: ZkAssignment) -> ZkAssignment:
-    """Entrywise negation mod k (complex conjugation), then canonicalize."""
-    k = a.modulus
-    return shift_canonicalize(
-        ZkAssignment(k, a.vertices, tuple((-v) % k for v in a.values))
-    )
-
-
-def is_real_scalable(values: Iterable[int], k: int) -> bool:
-    """True iff phases exp(2*pi*i*v/k) fit in two values exactly pi apart.
-
-    Such a vector times a unit scalar is real; for odd k only constant
-    exponent patterns qualify since k/2 is not an integer.
-    """
-    distinct = set(values)
-    if len(distinct) == 1:
-        return True
-    if k % 2 == 0 and len(distinct) == 2:
-        lo, hi = sorted(distinct)
-        return hi - lo == k // 2
-    return False
-
-
-def classify_H_or_N(a: ZkAssignment) -> str:
-    """Classify an assignment's eigenvector as "H" (real-scalable) or "N"."""
-    return "H" if is_real_scalable(a.values, a.modulus) else "N"

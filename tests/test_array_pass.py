@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from zerolap import Hypergraph, apply_adjacency, nqz_spectral_radius, realize_complex, tensor_ops
+from zerolap import Hypergraph, apply_adjacency, nqz_spectral_radius, tensor_ops
 from zerolap import eigenstructure, zk_solver
 from zerolap.cli import main
 from zerolap.corpus import (
@@ -24,7 +24,6 @@ from zerolap.corpus import (
 )
 from zerolap.eigenstructure import (
     ComponentStructure,
-    minimal_zero_eigenvectors,
     realize_classes,
     solve_components,
     zero_eigenvector_report,
@@ -72,47 +71,54 @@ class TestSameBitsAsScalarLoops:
                 got = [(tuple(c["alpha"]), c["kind"], repr(c["residual"])) for c in entry["classes"]]
                 want = [
                     (alpha, kind, repr(oracles.scalar_realize(h, op, cs.component, alpha)[1]))
-                    for alpha, kind, _ in classes
+                    for alpha, kind in classes
                 ]
                 assert got == want
 
     @settings(max_examples=40, deadline=None)
     @given(multi_component_instances())
-    def test_listing_order_kinds_and_conjugates(self, instance):
+    def test_class_rows_keep_the_paper_invariants(self, instance):
+        """On every fully listed component: distinct rows with exponent 0
+        first; H exactly when every exponent is 0 or k/2; negation mod k
+        permutes the rows, fixing exactly the H rows; 2 x N_pair_count N rows."""
         h, limit = instance
+        k = h.k
         for op in OPERATORS:
-            solved = solve_components(h, op)
-            listed = minimal_zero_eigenvectors(h, op, limit, solved=solved)
-            expected = [
-                (cs.component, alpha, kind, conj)
-                for cs, classes in zip(solved, oracles.scalar_classes(h.k, solved, limit))
-                for alpha, kind, conj in classes
-            ]
-            got = [
-                (c.component, c.representative.values, c.kind, c.conjugate.values) for c in listed
-            ]
-            assert got == expected
+            report = zero_eigenvector_report(h, op, enumerate_limit=limit)
+            for entry in report["components"]:
+                if entry["truncated"]:
+                    continue
+                rows = [tuple(c["alpha"]) for c in entry["classes"]]
+                kinds = [c["kind"] for c in entry["classes"]]
+                assert len(set(rows)) == len(rows) == entry["class_count"]
+                assert all(row[0] == 0 for row in rows)
+                for row, kind in zip(rows, kinds):
+                    assert (kind == "H") == all(2 * v % k == 0 for v in row)
+                negated = [tuple(-v % k for v in row) for row in rows]
+                assert sorted(negated) == sorted(rows)
+                fixed = [neg == row for neg, row in zip(negated, rows)]
+                assert fixed == [kind == "H" for kind in kinds]
+                assert kinds.count("N") == 2 * entry["N_pair_count"]
 
     def test_total_limit_spans_components(self):
         h = disjoint_union([single_edge(3), single_edge(3), single_edge(3)])
-        solved = solve_components(h, "laplacian")
-        listed = minimal_zero_eigenvectors(h, "laplacian", 4, solved=solved)
-        assert [c.component for c in listed] == [(1, 2, 3)] * 3 + [(4, 5, 6)]
         report = zero_eigenvector_report(h, "laplacian", enumerate_limit=4)
         assert [len(c["classes"]) for c in report["components"]] == [3, 1, 0]
         assert [c["truncated"] for c in report["components"]] == [False, True, True]
 
     @pytest.mark.parametrize("seed", range(4))
-    def test_realize_complex_vector_and_residual(self, seed):
+    def test_single_rows_realize_as_in_the_batch(self, seed):
         rng = random.Random(seed)
         k = 3 + seed
         h = with_isolated_vertices(random_connected_hypergraph(rng, k, k + 3, 1), 1)
         for op in OPERATORS:
-            for cls in minimal_zero_eigenvectors(h, op, 60):
-                pair = realize_complex(h, cls)
-                x, resid = oracles.scalar_realize(h, op, cls.component, cls.representative.values)
-                assert pair.vector.tobytes() == x.tobytes()
-                assert repr(pair.residual) == repr(resid)
+            for entry in zero_eigenvector_report(h, op, enumerate_limit=60)["components"]:
+                comp = tuple(entry["vertices"])
+                for cls in entry["classes"]:
+                    alphas = np.array([cls["alpha"]], dtype=np.int64)
+                    (resid,) = realize_classes(h, op, comp, alphas).tolist()
+                    _, scalar = oracles.scalar_realize(h, op, comp, tuple(cls["alpha"]))
+                    assert repr(resid) == repr(scalar) == repr(cls["residual"])
 
     @pytest.mark.parametrize("k", [3, 4, 5, 6])
     def test_apply_adjacency_batch_rows(self, k):
@@ -161,13 +167,15 @@ class TestDeduplication:
         solution per block the repeats straddle block boundaries."""
         monkeypatch.setattr(zk_solver, "BLOCK_CELLS", cells)
         solved = (_repeating_description(),)
-        listed = minimal_zero_eigenvectors(single_edge(3), "laplacian", solved=solved)
-        assert [c.representative.values for c in listed] == [(0, 0, 0), (0, 1, 2), (0, 2, 1)]
-        assert oracles.scalar_classes(3, solved)[0] == [
-            (c.representative.values, c.kind, c.conjugate.values) for c in listed
-        ]
-        partial = minimal_zero_eigenvectors(single_edge(3), "laplacian", 2, solved=solved)
-        assert [c.representative.values for c in partial] == [(0, 0, 0), (0, 1, 2)]
+        monkeypatch.setattr(eigenstructure, "solve_components", lambda *args: solved)
+
+        def listed(limit=None):
+            report = zero_eigenvector_report(single_edge(3), "laplacian", enumerate_limit=limit)
+            return [(tuple(c["alpha"]), c["kind"]) for c in report["components"][0]["classes"]]
+
+        assert listed() == [((0, 0, 0), "H"), ((0, 1, 2), "N"), ((0, 2, 1), "N")]
+        assert oracles.scalar_classes(3, solved)[0] == listed()
+        assert listed(2) == [((0, 0, 0), "H"), ((0, 1, 2), "N")]
 
 
 class TestChecksFireOnBatches:
@@ -177,8 +185,9 @@ class TestChecksFireOnBatches:
     @pytest.mark.parametrize("component", [(1, 2, 3, 4, 5, 6, 7), (8, 9, 10)])
     def test_corrupted_entry_names_component_and_edge(self, component):
         h = self._chain_plus_edge()
-        classes = [c for c in minimal_zero_eigenvectors(h, "laplacian") if c.component == component]
-        alphas = np.array([c.representative.values for c in classes])
+        report = zero_eigenvector_report(h, "laplacian")
+        (entry,) = [e for e in report["components"] if tuple(e["vertices"]) == component]
+        alphas = np.array([c["alpha"] for c in entry["classes"]])
         alphas[1, 2] = (alphas[1, 2] + 1) % 3
         with pytest.raises(VerificationError) as err:
             realize_classes(h, "laplacian", component, alphas)
@@ -193,7 +202,7 @@ class TestChecksFireOnBatches:
         solved = solve_components(CHAIN, "laplacian")
         first_bad = next(
             resid
-            for alpha, _, _ in oracles.scalar_classes(3, solved)[0]
+            for alpha, _ in oracles.scalar_classes(3, solved)[0]
             for resid in [oracles.scalar_realize(CHAIN, "laplacian", solved[0].component, alpha)[1]]
             if resid > tolerance
         )
@@ -241,21 +250,16 @@ class TestBoundedWork:
         assert sum(drawn[:-1]) < 1000
 
     def test_report_makes_no_per_class_calls(self, monkeypatch):
-        calls = {"realize": 0, "apply": 0}
+        calls = 0
         real_apply = tensor_ops.apply_adjacency
 
         def apply_spy(h, x):
-            calls["apply"] += 1
+            nonlocal calls
+            calls += 1
             return real_apply(h, x)
 
-        def realize_spy(*args, **kwargs):
-            calls["realize"] += 1
-            raise AssertionError("per-class realization")
-
         monkeypatch.setattr(tensor_ops, "apply_adjacency", apply_spy)
-        monkeypatch.setattr(eigenstructure, "realize_complex", realize_spy)
         limit = 5000
         report = zero_eigenvector_report(_hypertree_25(), "laplacian", enumerate_limit=limit)
         assert len(report["components"][0]["classes"]) == limit
-        assert calls["realize"] == 0
-        assert calls["apply"] == math.ceil(limit / (zk_solver.BLOCK_CELLS // 25))
+        assert calls == math.ceil(limit / (zk_solver.BLOCK_CELLS // 25))

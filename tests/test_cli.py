@@ -409,6 +409,28 @@ class TestConfigHandling:
         assert main(["components", "--input", CHAIN, "--tolerance", "nan"]) == 2
         assert "tolerance must be positive" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", ["inf", "Infinity", "1e400"])
+    def test_infinite_tolerance_flag_exits_2(self, capsys, value):
+        assert main(["zero-eigenvectors", "--input", CHAIN, "--tolerance", value]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "tolerance must be positive and finite" in captured.err
+
+    def test_overflowing_tolerance_in_config_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        # json.loads reads 1e400 as float("inf")
+        cfg.write_text('{"input": %s, "tolerance": 1e400}' % json.dumps(CHAIN))
+        assert main(["zero-eigenvectors", "--config", str(cfg)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "tolerance must be positive and finite" in captured.err
+
+    def test_largest_finite_tolerance_accepted(self, capsys):
+        largest = repr(sys.float_info.max)
+        code, report = run_json(capsys, "components", "--input", CHAIN, "--tolerance", largest)
+        assert code == 0
+        assert report["config"]["tolerance"] == sys.float_info.max
+
     def test_unwritable_out_exits_2(self, tmp_path, capsys):
         target = tmp_path / "missing" / "report.json"
         assert main(["components", "--input", CHAIN, "--out", str(target)]) == 2

@@ -3,23 +3,32 @@ import random
 import numpy as np
 import pytest
 
-from zerolap import (
-    Hypergraph,
-    count_N_pairs,
-    minimal_zero_eigenvectors,
-    realize_complex,
-)
+from zerolap import Hypergraph
 from zerolap.corpus import (
     mixed_corpus,
     random_hypergraph,
     with_isolated_vertices,
 )
 from zerolap import connected_components, load_hypergraph, structure_counts
-from zerolap.eigenstructure import factor_components, zero_eigenvector_report
-from zerolap.zk_solver import build_zero_eig_system, conjugate_assignment, solve_mod_k
+from zerolap.eigenstructure import factor_components, realize_classes, zero_eigenvector_report
+from zerolap.zk_solver import build_zero_eig_system, solve_mod_k
 
 import oracles
 from conftest import FIXTURE_DIR, single_edge
+
+
+def _classes(h, operator, limit=None):
+    """(component, alpha, kind) of every listed class of the report, in order."""
+    report = zero_eigenvector_report(h, operator, enumerate_limit=limit)
+    return [
+        (tuple(entry["vertices"]), tuple(c["alpha"]), c["kind"])
+        for entry in report["components"]
+        for c in entry["classes"]
+    ]
+
+
+def _n_pairs(h, operator):
+    return structure_counts(h, operator).n_pair_count
 
 
 ONE_FACTORIZATION_CASES = [
@@ -38,7 +47,7 @@ class TestOneFactorizationPerComponent:
             structure_counts(h, operator, factored=factored)
         assert len(snf_calls) == sum(not s for s in connected_components(h).singleton)
 
-    @pytest.mark.parametrize("call", [zero_eigenvector_report, structure_counts, count_N_pairs])
+    @pytest.mark.parametrize("call", [zero_eigenvector_report, structure_counts])
     @pytest.mark.parametrize("h", ONE_FACTORIZATION_CASES)
     def test_one_per_component_per_call(self, h, call, snf_calls):
         call(h, "laplacian")
@@ -69,50 +78,40 @@ class TestOneFactorizationPerComponent:
 
 class TestMinimalClasses:
     def test_chain_class_inventory(self, chain):
-        classes = minimal_zero_eigenvectors(chain, "laplacian")
-        assert len(classes) == 27
-        kinds = [c.kind for c in classes]
+        kinds = [kind for _, _, kind in _classes(chain, "laplacian")]
+        assert len(kinds) == 27
         assert kinds.count("H") == 1
         assert kinds.count("N") == 26
 
     def test_k4_h_classes(self, k4_overlap):
-        classes = minimal_zero_eigenvectors(k4_overlap, "laplacian")
-        assert sum(1 for c in classes if c.kind == "H") == 4
+        assert sum(kind == "H" for _, _, kind in _classes(k4_overlap, "laplacian")) == 4
 
     def test_single_edge_k3_signless_empty(self):
-        assert minimal_zero_eigenvectors(single_edge(3), "signless") == []
+        assert _classes(single_edge(3), "signless") == []
 
     def test_full_support_on_component(self, chain):
-        for c in minimal_zero_eigenvectors(chain, "laplacian"):
-            assert c.representative.vertices == c.component
+        for comp, alpha, _ in _classes(chain, "laplacian"):
+            assert len(alpha) == len(comp)
 
     def test_representatives_are_canonical_and_distinct(self, chain):
-        classes = minimal_zero_eigenvectors(chain, "laplacian")
-        reps = {c.representative.values for c in classes}
+        reps = {alpha for _, alpha, _ in _classes(chain, "laplacian")}
         assert len(reps) == 27
         assert all(values[0] == 0 for values in reps)
 
     def test_h_classes_self_conjugate_n_classes_paired(self, chain):
-        classes = minimal_zero_eigenvectors(chain, "laplacian")
-        reps = {c.representative.values for c in classes}
-        for c in classes:
-            if c.kind == "H":
-                assert c.conjugate == c.representative
-            else:
-                assert c.conjugate != c.representative
-                assert c.conjugate.values in reps
+        classes = _classes(chain, "laplacian")
+        reps = {alpha for _, alpha, _ in classes}
+        for _, alpha, kind in classes:
+            conj = tuple((-v) % 3 for v in alpha)
+            assert (conj == alpha) == (kind == "H")
+            assert conj in reps
 
     def test_class_limit_truncates(self, chain):
-        classes = minimal_zero_eigenvectors(chain, "laplacian", max_classes=5)
-        assert len(classes) == 5
+        assert len(_classes(chain, "laplacian", limit=5)) == 5
 
     def test_singleton_contributes_scalar_class(self):
         h = with_isolated_vertices(single_edge(3), 1)
-        classes = minimal_zero_eigenvectors(h, "signless")
-        assert len(classes) == 1
-        assert classes[0].component == (4,)
-        assert classes[0].kind == "H"
-        assert classes[0].representative.values == (0,)
+        assert _classes(h, "signless") == [((4,), (0,), "H")]
 
 
 class TestHCounts:
@@ -145,44 +144,32 @@ class TestHCounts:
 
 class TestNPairs:
     def test_single_edge_k3(self):
-        assert count_N_pairs(single_edge(3), "laplacian") == 1
+        assert _n_pairs(single_edge(3), "laplacian") == 1
 
     def test_chain_thirteen_pairs(self, chain):
-        assert count_N_pairs(chain, "laplacian") == 13
+        assert _n_pairs(chain, "laplacian") == 13
 
     def test_single_edge_k3_signless_zero(self):
-        assert count_N_pairs(single_edge(3), "signless") == 0
+        assert _n_pairs(single_edge(3), "signless") == 0
 
     def test_k4_six_pairs_each_operator(self, k4_overlap):
-        assert count_N_pairs(k4_overlap, "laplacian") == 6
-        assert count_N_pairs(k4_overlap, "signless") == 6
+        assert _n_pairs(k4_overlap, "laplacian") == 6
+        assert _n_pairs(k4_overlap, "signless") == 6
 
 
 class TestRealization:
-    def test_constant_class_realizes_to_ones(self, chain):
-        classes = minimal_zero_eigenvectors(chain, "laplacian")
-        constant = next(c for c in classes if c.kind == "H")
-        pair = realize_complex(chain, constant)
-        assert np.allclose(pair.vector, np.ones(7))
-        assert pair.residual == 0.0
+    def test_constant_class_has_zero_residual(self, chain):
+        ones = np.zeros((1, 7), dtype=np.int64)
+        assert realize_classes(chain, "laplacian", tuple(range(1, 8)), ones).tolist() == [0.0]
 
     def test_every_chain_class_verifies(self, chain):
-        for c in minimal_zero_eigenvectors(chain, "laplacian"):
-            pair = realize_complex(chain, c)
-            assert pair.residual <= 1e-12
+        report = zero_eigenvector_report(chain, "laplacian")
+        assert all(c["residual"] <= 1e-12 for c in report["components"][0]["classes"])
 
-    def test_singleton_class_is_unit_coordinate(self):
+    def test_singleton_class_has_zero_residual(self):
         h = with_isolated_vertices(single_edge(3), 1)
-        cls = minimal_zero_eigenvectors(h, "signless")[0]
-        pair = realize_complex(h, cls)
-        assert np.allclose(pair.vector, [0, 0, 0, 1])
-
-    def test_support_matches_component(self, k4_overlap):
-        h = with_isolated_vertices(k4_overlap, 1)
-        for c in minimal_zero_eigenvectors(h, "laplacian"):
-            pair = realize_complex(h, c)
-            support = {i + 1 for i in np.flatnonzero(np.abs(pair.vector) > 0)}
-            assert support == set(c.component)
+        scalar = np.zeros((1, 1), dtype=np.int64)
+        assert realize_classes(h, "signless", (4,), scalar).tolist() == [0.0]
 
 
 def _brute_component_counts(h, operator):
@@ -213,7 +200,7 @@ def test_counts_match_brute_force_on_corpus(operator):
         expected_h, expected_pairs, per_comp = _brute_component_counts(h, operator)
         rep = structure_counts(h, operator)
         assert rep.h_count == expected_h
-        assert count_N_pairs(h, operator) == expected_pairs
+        assert rep.n_pair_count == expected_pairs
         for cs, (comp, count, h_cls, pairs) in zip(rep.components, per_comp):
             assert cs.component == comp
             assert cs.solution_count == count
@@ -257,21 +244,21 @@ class TestClassicGraphSanity:
 
     def test_no_n_classes_for_graphs(self):
         triangle = Hypergraph(2, 3, ((1, 2), (2, 3), (1, 3)))
-        assert count_N_pairs(triangle, "laplacian") == 0
-        assert count_N_pairs(triangle, "signless") == 0
+        assert _n_pairs(triangle, "laplacian") == 0
+        assert _n_pairs(triangle, "signless") == 0
 
 
 def test_pairing_is_perfect_matching_on_small_instances(chain):
     for h in [chain, single_edge(3), single_edge(4), single_edge(5)]:
         for operator in ("laplacian", "signless"):
-            classes = minimal_zero_eigenvectors(h, operator)
-            n_reps = {c.representative.values for c in classes if c.kind == "N"}
-            for c in classes:
-                if c.kind != "N":
+            classes = _classes(h, operator)
+            n_reps = {alpha for _, alpha, kind in classes if kind == "N"}
+            for _, alpha, kind in classes:
+                if kind != "N":
                     continue
-                partner = conjugate_assignment(c.representative)
-                assert partner.values != c.representative.values
-                assert partner.values in n_reps
+                partner = oracles.shift_min(tuple((-v) % h.k for v in alpha), h.k)
+                assert partner != alpha
+                assert partner in n_reps
 
 
 def test_report_shape(chain):
@@ -287,42 +274,29 @@ def test_report_shape(chain):
     assert set(comp) >= {"vertices", "operator", "H_count", "N_pair_count", "crosscheck"}
 
 
-def test_solution_export_schema(chain):
-    from zerolap import solution_export
-
+def test_report_singleton_and_infeasible_entries(chain):
     h = with_isolated_vertices(chain, 1)
-    (comp_entry, singleton_entry) = solution_export(h, "laplacian")
-    assert set(comp_entry) == {"k", "component", "rhs", "count", "classes"}
-    assert comp_entry["k"] == 3
-    assert comp_entry["component"] == list(range(1, 8))
+    comp_entry, singleton_entry = zero_eigenvector_report(h, "laplacian")["components"]
     assert comp_entry["rhs"] == 0
     assert comp_entry["count"] == 81
     assert len(comp_entry["classes"]) == 27
-    assert all(set(c) == {"alpha", "kind"} for c in comp_entry["classes"])
-    assert singleton_entry["component"] == [8]
+    assert singleton_entry["vertices"] == [8]
     assert singleton_entry["count"] == 3
-    assert singleton_entry["classes"] == [{"alpha": [0], "kind": "H"}]
+    assert singleton_entry["classes"] == [{"alpha": [0], "kind": "H", "residual": 0.0}]
 
-
-def test_solution_export_infeasible_component():
-    from zerolap import solution_export
-
-    (entry,) = solution_export(single_edge(3), "signless")
+    (entry,) = zero_eigenvector_report(single_edge(3), "signless")["components"]
     assert entry["rhs"] is None
     assert entry["count"] == 0
     assert entry["classes"] == []
 
 
-def test_solution_export_limit(chain):
-    from zerolap import solution_export
-
-    (entry,) = solution_export(chain, "laplacian", limit=5)
+def test_report_limit(chain):
+    (entry,) = zero_eigenvector_report(chain, "laplacian", enumerate_limit=5)["components"]
     assert entry["count"] == 81
     assert len(entry["classes"]) == 5
 
     # The limit caps the total across components, in component order.
     two = Hypergraph(3, 6, ((1, 2, 3), (4, 5, 6)))
-    assert [len(e["classes"]) for e in solution_export(two, "laplacian", limit=4)] == [3, 1]
     report = zero_eigenvector_report(two, "laplacian", enumerate_limit=4)
     assert [len(c["classes"]) for c in report["components"]] == [3, 1]
     assert [c["truncated"] for c in report["components"]] == [False, True]

@@ -12,13 +12,11 @@ from zerolap import (
     BipartitionWitness,
     Hypergraph,
     MultipartitionWitness,
-    assignment_from_partition,
-    count_N_pairs,
     discrepancy_scan,
     enumerate_bipartitions,
     enumerate_multipartitions,
     find_hm_bipartition,
-    partition_from_assignment,
+    structure_counts,
     validate_bipartition,
     validate_multipartition,
 )
@@ -29,11 +27,16 @@ from zerolap.corpus import (
     random_hm_bipartite,
     random_hypergraph,
 )
+from zerolap.eigenstructure import zero_eigenvector_report
 from zerolap.hypergraph import connected_components
-from zerolap.zk_solver import ZkAssignment
 
 from conftest import single_edge
-from oracles import hm_bipartition_dfs, multipartition_witnesses
+from oracles import (
+    assignment_from_partition,
+    hm_bipartition_dfs,
+    multipartition_witnesses,
+    partition_from_assignment,
+)
 
 CHAIN_COMPONENT = tuple(range(1, 8))
 K4_COMPONENT = tuple(range(1, 7))
@@ -296,7 +299,7 @@ class TestEnumerateMultipartitions:
         }[k]
         for kind, operator in cases:
             found = enumerate_multipartitions(h, comp, kind)["residue"]
-            assert len(found) == count_N_pairs(h, operator)
+            assert len(found) == structure_counts(h, operator).n_pair_count
 
     @pytest.mark.parametrize("seed", range(5))
     def test_tripartite_never_two_valued(self, seed):
@@ -372,37 +375,63 @@ class TestScanAgainstOracle:
 
 class TestAssignmentConversion:
     def test_distinct_values_to_parts(self):
-        a = ZkAssignment(3, (1, 2, 3), (0, 1, 2))
-        w = partition_from_assignment(a, "laplacian")
+        w = partition_from_assignment(3, (1, 2, 3), (0, 1, 2), "laplacian")
         assert isinstance(w, MultipartitionWitness)
         assert w.parts == ((1,), (2,), (3,))
 
     def test_half_turn_values_to_bipartition(self):
-        a = ZkAssignment(4, (1, 2, 3, 4), (0, 2, 0, 2))
-        w_lap = partition_from_assignment(a, "laplacian")
+        w_lap = partition_from_assignment(4, (1, 2, 3, 4), (0, 2, 0, 2), "laplacian")
         assert isinstance(w_lap, BipartitionWitness)
         assert (w_lap.flavor, w_lap.v1) == ("even", (2, 4))
-        w_sig = partition_from_assignment(a, "signless")
+        w_sig = partition_from_assignment(4, (1, 2, 3, 4), (0, 2, 0, 2), "signless")
         assert w_sig.flavor == "odd"
 
     def test_constant_maps_to_none(self):
-        a = ZkAssignment(5, (1, 2, 3), (0, 0, 0))
-        assert partition_from_assignment(a, "laplacian") is None
+        assert partition_from_assignment(5, (1, 2, 3), (0, 0, 0), "laplacian") is None
 
     def test_round_trip_multipartition(self, chain):
         for w in enumerate_multipartitions(chain, CHAIN_COMPONENT, "tripartite")["residue"]:
-            a = assignment_from_partition(w)
-            back = partition_from_assignment(a, "laplacian")
-            assert back == w
+            k, verts, values = assignment_from_partition(w)
+            assert partition_from_assignment(k, verts, values, "laplacian") == w
 
     def test_round_trip_bipartition(self, k4_overlap):
         for w in enumerate_bipartitions(k4_overlap, K4_COMPONENT, "even"):
-            a = assignment_from_partition(w, k=4)
-            back = partition_from_assignment(a, "laplacian")
+            k, verts, values = assignment_from_partition(w, k=4)
+            back = partition_from_assignment(k, verts, values, "laplacian")
             assert {frozenset(back.v1), frozenset(back.v2)} == {
                 frozenset(w.v1),
                 frozenset(w.v2),
             }
+
+    @pytest.mark.parametrize(
+        "h, operator",
+        [
+            (Hypergraph(3, 7, ((1, 2, 3), (3, 4, 5), (5, 6, 7))), "laplacian"),
+            (Hypergraph(4, 6, ((1, 2, 3, 4), (1, 3, 5, 6), (1, 2, 3, 6))), "laplacian"),
+            (Hypergraph(4, 6, ((1, 2, 3, 4), (1, 3, 5, 6), (1, 2, 3, 6))), "signless"),
+        ],
+        ids=["chain-laplacian", "k4-laplacian", "k4-signless"],
+    )
+    def test_listed_classes_map_to_valid_witnesses(self, h, operator):
+        """Every class row of the report maps to a valid witness: the
+        constant Laplacian class to none, H classes to bipartitions, and
+        the 2 x N_pair_count N classes to residue-valid multipartitions,
+        which the scan finds once per conjugate pair."""
+        (entry,) = zero_eigenvector_report(h, operator)["components"]
+        witnesses = [
+            partition_from_assignment(h.k, entry["vertices"], c["alpha"], operator)
+            for c in entry["classes"]
+        ]
+        assert sum(w is None for w in witnesses) == (operator == "laplacian")
+        multi = [w for w in witnesses if isinstance(w, MultipartitionWitness)]
+        for w in witnesses:
+            if isinstance(w, BipartitionWitness):
+                assert validate_bipartition(h, w)
+        for w in multi:
+            assert validate_multipartition(h, w, "residue")
+        assert len(multi) == 2 * entry["N_pair_count"]
+        scan = enumerate_multipartitions(h, entry["vertices"], multi[0].kind)["residue"]
+        assert len(scan) == entry["N_pair_count"]
 
 
 class TestDiscrepancyScan:

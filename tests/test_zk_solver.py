@@ -8,22 +8,30 @@ from hypothesis import strategies as st
 
 from zerolap import (
     Hypergraph,
-    ZkAssignment,
     ZkLinearSystem,
-    assignment_satisfies,
     build_zero_eig_system,
-    classify_H_or_N,
-    conjugate_assignment,
-    enumerate_solutions,
-    shift_canonicalize,
     smith_normal_form,
     solve_mod_k,
 )
 from zerolap.corpus import random_hypergraph
-from zerolap.zk_solver import eliminate_mod_prime
+from zerolap import zk_solver
+from zerolap.zk_solver import eliminate_mod_prime, solution_blocks
 
 import oracles
 from conftest import single_edge
+
+
+def _all_solutions(desc):
+    """Every row of ``solution_blocks``, stacked in order."""
+    return np.concatenate(list(solution_blocks(desc)))
+
+
+def _satisfies(sys, values):
+    """Exact integer check of every row of ``sys`` on one exponent tuple."""
+    return all(
+        sum(c * v for c, v in zip(row, values)) % sys.modulus == r
+        for row, r in zip(sys.rows, sys.rhs)
+    )
 
 
 # ---------------------------------------------------------------- systems
@@ -177,8 +185,7 @@ class TestSolveModK:
     def test_particular_solution_satisfies(self, chain):
         sys = build_zero_eig_system(chain, range(1, 8), "laplacian")
         desc = solve_mod_k(sys)
-        a = ZkAssignment(sys.modulus, sys.vertices, desc.particular)
-        assert assignment_satisfies(sys, a)
+        assert _satisfies(sys, desc.particular)
 
     @pytest.mark.parametrize("seed", range(12))
     def test_counts_match_brute_force(self, seed):
@@ -202,111 +209,126 @@ class TestSolveModK:
 class TestEnumeration:
     def test_chain_enumerates_81_distinct(self, chain):
         sys = build_zero_eig_system(chain, range(1, 8), "laplacian")
-        desc = solve_mod_k(sys)
-        sols = list(enumerate_solutions(desc, 81))
+        sols = _all_solutions(solve_mod_k(sys)).tolist()
         assert len(sols) == 81
-        assert len({a.values for a in sols}) == 81
-        assert all(assignment_satisfies(sys, a) for a in sols)
+        assert len({tuple(v) for v in sols}) == 81
+        assert all(_satisfies(sys, v) for v in sols)
 
     def test_limit_one_gives_particular(self, chain):
         sys = build_zero_eig_system(chain, range(1, 8), "laplacian")
         desc = solve_mod_k(sys)
-        (first,) = enumerate_solutions(desc, 1)
-        assert first.values == desc.particular
+        first = next(solution_blocks(desc))
+        assert tuple(first[0].tolist()) == desc.particular
 
     def test_single_edge_k3_nine_solutions(self):
         sys = build_zero_eig_system(single_edge(3), (1, 2, 3), "laplacian")
-        sols = list(enumerate_solutions(solve_mod_k(sys), 9))
-        assert len(sols) == 9
-        assert all(sum(a.values) % 3 == 0 for a in sols)
+        sols = _all_solutions(solve_mod_k(sys))
+        assert sols.shape == (9, 3)
+        assert (sols.sum(axis=1) % 3 == 0).all()
 
     def test_infeasible_enumeration_raises(self):
         desc = solve_mod_k(ZkLinearSystem(4, (1,), ((2,),), (1,)))
         with pytest.raises(ValueError):
-            list(enumerate_solutions(desc))
+            next(solution_blocks(desc))
 
     def test_enumeration_exhausts_exactly(self):
         sys = build_zero_eig_system(single_edge(4), (1, 2, 3, 4), "signless")
-        sols = list(enumerate_solutions(solve_mod_k(sys)))
+        sols = _all_solutions(solve_mod_k(sys)).tolist()
         assert len(sols) == 64
-        assert len({a.values for a in sols}) == 64
+        assert len({tuple(v) for v in sols}) == 64
+
+    @pytest.mark.parametrize("cells", [1, 7, 1 << 12])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_rows_follow_kernel_coordinate_order(self, seed, cells, monkeypatch):
+        """Whatever the block size, the stacked rows are the scalar
+        solutions in ``itertools.product`` order of the kernel coordinates."""
+        monkeypatch.setattr(zk_solver, "BLOCK_CELLS", cells)
+        rng = random.Random(5000 + seed)
+        k = rng.choice([3, 4, 6])
+        n = rng.randint(k, 7)
+        h = random_hypergraph(rng, k, n, rng.randint(1, 3))
+        sys = build_zero_eig_system(h, range(1, n + 1), "laplacian")
+        desc = solve_mod_k(sys)
+        rows = [tuple(v) for v in _all_solutions(desc).tolist()]
+        assert rows == list(oracles.scalar_solutions(desc))
+        assert len(rows) == desc.solution_count
 
 
-# ---------------------------------------------------------------- canonicalization
+# ---------------------------------------------------------------- canonical form and kind
+
+def _conjugate(values, k):
+    return oracles.shift_min(tuple((-v) % k for v in values), k)
+
 
 class TestCanonicalization:
     def test_constant_collapses_to_zero(self):
-        a = ZkAssignment(3, (1, 2, 3), (2, 2, 2))
-        assert shift_canonicalize(a).values == (0, 0, 0)
+        assert oracles.shift_min((2, 2, 2), 3) == (0, 0, 0)
 
     def test_lexicographic_choice(self):
-        a = ZkAssignment(3, (1, 2, 3), (1, 2, 0))
-        assert shift_canonicalize(a).values == (0, 1, 2)
+        assert oracles.shift_min((1, 2, 0), 3) == (0, 1, 2)
 
     def test_conjugate_example(self):
-        a = ZkAssignment(3, (1, 2, 3), (0, 1, 2))
-        assert conjugate_assignment(a).values == (0, 2, 1)
+        assert _conjugate((0, 1, 2), 3) == (0, 2, 1)
 
     def test_constant_class_self_conjugate(self):
-        a = ZkAssignment(5, (1, 2), (0, 0))
-        assert conjugate_assignment(a) == a
+        assert _conjugate((0, 0), 5) == (0, 0)
 
 
 small_assignments = st.integers(2, 7).flatmap(
-    lambda k: st.lists(st.integers(0, k - 1), min_size=1, max_size=8).map(
-        lambda vals: ZkAssignment(k, tuple(range(1, len(vals) + 1)), tuple(vals))
-    )
+    lambda k: st.tuples(st.just(k), st.lists(st.integers(0, k - 1), min_size=1, max_size=8).map(tuple))
 )
 
 
 @given(small_assignments)
 def test_canonicalize_idempotent(a):
-    c = shift_canonicalize(a)
-    assert shift_canonicalize(c) == c
-    assert c.values[0] == 0
+    k, values = a
+    c = oracles.shift_min(values, k)
+    assert oracles.shift_min(c, k) == c
+    assert c[0] == 0
+    assert c == tuple((v - values[0]) % k for v in values)
 
 
 @given(small_assignments, st.integers(0, 6))
 def test_canonicalize_kills_shifts(a, t):
-    shifted = ZkAssignment(
-        a.modulus, a.vertices, tuple((v + t) % a.modulus for v in a.values)
-    )
-    assert shift_canonicalize(shifted) == shift_canonicalize(a)
+    k, values = a
+    shifted = tuple((v + t) % k for v in values)
+    assert oracles.shift_min(shifted, k) == oracles.shift_min(values, k)
 
 
 @given(small_assignments)
 def test_conjugation_is_involution_on_canonical(a):
-    c = shift_canonicalize(a)
-    assert conjugate_assignment(conjugate_assignment(c)) == c
+    k, values = a
+    c = oracles.shift_min(values, k)
+    assert _conjugate(_conjugate(c, k), k) == c
 
 
 @given(small_assignments, st.integers(0, 6))
 def test_classification_invariant_under_shift_and_conjugation(a, t):
-    shifted = ZkAssignment(
-        a.modulus, a.vertices, tuple((v + t) % a.modulus for v in a.values)
-    )
-    assert classify_H_or_N(a) == classify_H_or_N(shifted)
-    assert classify_H_or_N(a) == classify_H_or_N(conjugate_assignment(a))
+    k, values = a
+    shifted = tuple((v + t) % k for v in values)
+    assert oracles.real_scalable(values, k) == oracles.real_scalable(shifted, k)
+    assert oracles.real_scalable(values, k) == oracles.real_scalable(_conjugate(values, k), k)
 
 
 @given(small_assignments)
 def test_odd_modulus_H_means_constant(a):
-    if a.modulus % 2 == 1 and classify_H_or_N(a) == "H":
-        assert len(set(a.values)) == 1
+    k, values = a
+    if k % 2 == 1 and oracles.real_scalable(values, k):
+        assert len(set(values)) == 1
 
 
 class TestClassification:
     def test_constant_is_H(self):
-        assert classify_H_or_N(ZkAssignment(4, (1, 2), (3, 3))) == "H"
+        assert oracles.real_scalable((3, 3), 4)
 
     def test_half_turn_values_are_H(self):
-        assert classify_H_or_N(ZkAssignment(4, (1, 2, 3), (0, 2, 0))) == "H"
+        assert oracles.real_scalable((0, 2, 0), 4)
 
     def test_three_values_are_N(self):
-        assert classify_H_or_N(ZkAssignment(3, (1, 2, 3), (0, 1, 2))) == "N"
+        assert not oracles.real_scalable((0, 1, 2), 3)
 
     def test_two_values_not_half_turn_are_N(self):
-        assert classify_H_or_N(ZkAssignment(4, (1, 2), (0, 1))) == "N"
+        assert not oracles.real_scalable((0, 1), 4)
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -324,11 +346,8 @@ def test_all_ones_shift_stays_in_solution_set(seed):
         desc = solve_mod_k(sys)
         if not desc.feasible:
             continue
-        for a in list(enumerate_solutions(desc, 10)):
-            shifted = ZkAssignment(
-                k, a.vertices, tuple((v + 1) % k for v in a.values)
-            )
-            assert assignment_satisfies(sys, shifted)
+        for values in _all_solutions(desc)[:10].tolist():
+            assert _satisfies(sys, [(v + 1) % k for v in values])
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -340,7 +359,7 @@ def test_shift_orbits_partition_solutions(seed):
     h = random_hypergraph(rng, k, n, 2)
     sys = build_zero_eig_system(h, range(1, n + 1), "laplacian")
     desc = solve_mod_k(sys)
-    canonical = {shift_canonicalize(a).values for a in enumerate_solutions(desc)}
+    canonical = {oracles.shift_min(v, k) for v in _all_solutions(desc).tolist()}
     assert len(canonical) * k == desc.solution_count
 
 
