@@ -17,7 +17,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from zerolap.corpus import mixed_corpus  # noqa: E402
-from zerolap.eigenstructure import crosscheck, factor_components  # noqa: E402
+from zerolap.eigenstructure import crosscheck, solve_components  # noqa: E402
 
 STATUS = {True: "ok", False: "MISMATCH", None: "skipped"}
 
@@ -31,9 +31,9 @@ def main() -> int:
     failures = 0
     instances = mixed_corpus(args.seed, args.budget)
     for idx, h in enumerate(instances):
-        factored = factor_components(h)
+        solved = solve_components(h, budget=args.budget)
         for operator in ("laplacian", "signless"):
-            result = crosscheck(h, operator, args.budget, factored)
+            result = crosscheck(h, operator, args.budget, solved[operator])
             rep = result.counts
             failures += (rep.crosscheck_matched is False) + (result.n_matched is False)
             line = (

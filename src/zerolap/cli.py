@@ -2,8 +2,8 @@
 
 Subcommands ingest a hypergraph file, run one analysis, and emit a JSON
 report (stdout by default, ``--out`` for a file, ``--pretty`` for a human
-rendering). Identical input, config, and seed produce byte-identical
-reports. ``render_report`` writes a report byte for byte as
+rendering). Identical input and config produce byte-identical reports.
+``render_report`` writes a report byte for byte as
 ``json.dumps(report, indent=2, sort_keys=True)`` does, built from the same
 stdlib primitives but without that call's pure-Python encoder. Every
 number in a report comes from a library call; the CLI does no arithmetic
@@ -72,7 +72,6 @@ class AnalysisConfig:
     tolerance: float = 1e-9
     budget: int = 200_000
     dense_budget: int = 10_000_000
-    seed: int = 0
     out: str | None = None
     pretty: bool = False
 
@@ -113,22 +112,10 @@ def _merge_config(args: argparse.Namespace) -> AnalysisConfig:
         unknown = sorted(values.keys() - {f.name for f in dataclasses.fields(AnalysisConfig)})
         if unknown:
             raise HypergraphFormatError(f"unknown config field {unknown[0]!r}")
-    for name in (
-        "input",
-        "operator",
-        "predicate",
-        "kind",
-        "tolerance",
-        "budget",
-        "dense_budget",
-        "seed",
-        "out",
-    ):
-        flag = getattr(args, name, None)
+    for field in dataclasses.fields(AnalysisConfig):
+        flag = getattr(args, field.name)
         if flag is not None:
-            values[name] = flag
-    if args.pretty:
-        values["pretty"] = True
+            values[field.name] = flag
     if "input" not in values:
         raise HypergraphFormatError("no input file given (flag --input or config file)")
     return AnalysisConfig(**values)
@@ -171,7 +158,7 @@ def cmd_components(
 def cmd_zero_eigenvectors(
     h: Hypergraph, decomp: ComponentDecomposition, cfg: AnalysisConfig
 ) -> tuple[dict, int]:
-    factored = eigenstructure.factor_components(h, decomp)
+    solved = eigenstructure.solve_components(h, decomp, cfg.budget)
     report = {
         "operators": [
             eigenstructure.zero_eigenvector_report(
@@ -180,7 +167,7 @@ def cmd_zero_eigenvectors(
                 enumerate_limit=cfg.budget,
                 tolerance=cfg.tolerance,
                 budget=cfg.budget,
-                factored=factored,
+                solved=solved[op],
             )
             for op in _operators(cfg)
         ]
@@ -206,6 +193,7 @@ def cmd_partitions(
 ) -> tuple[dict, int]:
     inventories = []
     budget_hit = False
+    bipartitions: dict = {}  # component -> its one scan, shared by every bipartition kind
     for flag in _applicable_kinds(h, cfg):
         family, kind = _KIND_FLAGS[flag]
         entry: dict = {"kind": kind, "family": family, "witnesses": [], "count": 0}
@@ -218,7 +206,9 @@ def cmd_partitions(
                 continue
             try:
                 if family == "bipartition":
-                    found = partitions.enumerate_bipartitions(h, comp, kind, cfg.budget)
+                    if comp not in bipartitions:
+                        bipartitions[comp] = partitions.enumerate_bipartitions(h, comp, cfg.budget)
+                    found = bipartitions[comp][kind]
                     entry["witnesses"] += [w.to_json_dict() for w in found]
                 else:
                     found = partitions.enumerate_multipartitions(h, comp, kind, cfg.budget)[
@@ -239,9 +229,9 @@ def cmd_crosscheck(
     """Algebraic counts versus combinatorial partition counts, both operators."""
     checks = []
     mismatch = False
-    factored = eigenstructure.factor_components(h, decomp)
+    solved = eigenstructure.solve_components(h, decomp, cfg.budget)
     for op in _operators(cfg):
-        result = eigenstructure.crosscheck(h, op, cfg.budget, factored)
+        result = eigenstructure.crosscheck(h, op, cfg.budget, solved[op])
         counts = result.counts
         entry = {
             "operator": op,
@@ -336,7 +326,8 @@ def cmd_spectral_transforms(
             try:
                 dense_lap = tensor_ops.materialize_dense(sub, "laplacian", cfg.dense_budget)
                 dense_sig = tensor_ops.materialize_dense(sub, "signless", cfg.dense_budget)
-                signs = [1 if v in set(v1) else -1 for v in range(1, sub.n + 1)]
+                heads = set(v1)
+                signs = [1 if v in heads else -1 for v in range(1, sub.n + 1)]
                 transformed = tensor_ops.diag_similarity(dense_lap, signs)
                 identical = transformed.same_entries(dense_sig)
                 entry["similarity_identity_exact"] = identical
@@ -492,14 +483,13 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--input", help="hypergraph file (JSON or plain text)")
     parser.add_argument("--config", help="JSON config file with AnalysisConfig fields")
     parser.add_argument("--operator", choices=_OPERATOR_CHOICES)
-    parser.add_argument("--predicate", choices=["literal", "residue"])
+    parser.add_argument("--predicate", choices=partitions.PREDICATES)
     parser.add_argument("--kind", choices=sorted(_KIND_FLAGS))
     parser.add_argument("--tolerance", type=float)
     parser.add_argument("--budget", type=int)
     parser.add_argument("--dense-budget", dest="dense_budget", type=int)
-    parser.add_argument("--seed", type=int)
     parser.add_argument("--out", help="write the report here instead of stdout")
-    parser.add_argument("--pretty", action="store_true")
+    parser.add_argument("--pretty", action="store_const", const=True)
     return parser
 
 

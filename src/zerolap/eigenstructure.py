@@ -10,11 +10,13 @@ self-conjugate pattern is forced into two values pi apart, which is H.
 
 Counting is closed-form (Smith form solution counts plus a modulus-2
 subsystem for the H classes when k is even); enumeration is reserved for
-explicitly requested class listings. Each component's incidence rows are
-Smith-factored once per call (``factor_components``) and shared by both
-operators. Each (component, operator) system is then solved once per call
-(``solve_components``); counts, class listings and the cross-checks all
-read that one solve.
+explicitly requested class listings. ``solve_components`` is the one pass
+per run: per component it Smith-factors the incidence rows once, solves
+both operators' systems and their H counts from that factorization, and
+fills both operators' cross-checks from one bipartition scan (the
+even-bipartitions for the Laplacian, the odd ones for the signless
+operator). Counts, class listings and the cross-checks all read the
+records it returns.
 
 A listing is an integer array with one row of exponents per class, the
 only representation of a class. It is built from blocks of solutions
@@ -24,7 +26,7 @@ whole blocks of rows, never class by class.
 """
 
 import itertools
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -39,6 +41,7 @@ from .tensor_ops import eig_residual
 from .zk_solver import (
     BLOCK_CELLS,
     LAPLACIAN,
+    SIGNLESS,
     ZERO_EIG_OPERATORS,
     SmithFactorization,
     SolutionDescription,
@@ -46,7 +49,6 @@ from .zk_solver import (
     build_zero_eig_system,
     edge_residue,
     factor_rows,
-    incidence_rows,
     solution_blocks,
     solve_mod_k,
 )
@@ -64,8 +66,9 @@ ODD_SIGNLESS_REASON = (
 
 @dataclass(frozen=True)
 class ComponentStructure:
-    """One component's closed-form counts for one operator and the one solve
-    they come from; ``description`` is None where the operator has no system."""
+    """One component's closed-form counts for one operator, the one solve
+    they come from, and the count identity's check of the H count;
+    ``description`` is None where the operator has no system."""
 
     component: tuple[int, ...]
     singleton: bool
@@ -76,7 +79,10 @@ class ComponentStructure:
     n_pair_count: int
     description: SolutionDescription | None = field(repr=False)
     crosscheck_expected: int | None = None  # None when the scan hit its budget
-    crosscheck_matched: bool | None = None
+
+    @property
+    def crosscheck_matched(self) -> bool | None:
+        return None if self.crosscheck_expected is None else self.crosscheck_expected == self.h_count
 
 
 @dataclass(frozen=True)
@@ -93,66 +99,44 @@ class StructureCounts:
     crosscheck_matched: bool | None
 
 
-@dataclass(frozen=True)
-class FactoredComponent:
-    """One connected component with its incidence rows Smith-factored.
+def solve_components(
+    h: Hypergraph,
+    decomp: ComponentDecomposition | None = None,
+    budget: int = DEFAULT_CROSSCHECK_BUDGET,
+) -> dict[str, tuple[ComponentStructure, ...]]:
+    """Each component's records for both operators, in component order.
 
-    ``factorization`` is None on singletons, whose systems have no rows.
-    """
-
-    component: tuple[int, ...]
-    singleton: bool
-    factorization: SmithFactorization | None
-
-
-def factor_components(
-    h: Hypergraph, decomp: ComponentDecomposition | None = None
-) -> tuple[FactoredComponent, ...]:
-    """Components in order, each with edges factored exactly once.
-
-    ``decomp`` is ``h``'s decomposition when the caller already has it.
-    Pass the result as ``factored`` to the functions below to share it
-    across operators; each of them factors on its own when given None.
+    Per component, both operators' systems are built, their shared rows
+    are Smith-factored once, and both systems and their H counts are
+    solved from that factorization; one bipartition scan under ``budget``
+    fills both records' cross-checks. ``decomp`` is ``h``'s decomposition
+    when the caller already has it. Pass ``result[operator]`` as ``solved``
+    to the functions below to share this one pass across them.
     """
     if decomp is None:
         decomp = connected_components(h)
-    out = []
+    out: dict[str, list[ComponentStructure]] = {op: [] for op in ZERO_EIG_OPERATORS}
     for comp, single in zip(decomp.components, decomp.singleton):
-        _, rows = incidence_rows(h, comp)
-        out.append(FactoredComponent(comp, single, factor_rows(rows) if rows else None))
-    return tuple(out)
-
-
-def solve_components(
-    h: Hypergraph, operator: str, factored: tuple[FactoredComponent, ...] | None = None
-) -> tuple[ComponentStructure, ...]:
-    """Each component's ``operator`` system, built and solved once, in order.
-
-    Pass the result as ``solved`` to ``structure_counts`` to share the
-    solves; cross-checks are unset.
-    """
-    if operator not in ZERO_EIG_OPERATORS:
-        raise ValueError(f"unknown operator {operator!r}")
-    if factored is None:
-        factored = factor_components(h)
-    return tuple(_solve_component(h, fc, operator) for fc in factored)
-
-
-def _solve_component(h: Hypergraph, fc: FactoredComponent, operator: str) -> ComponentStructure:
-    sys = build_zero_eig_system(h, fc.component, operator)
-    desc = None if sys is None else solve_mod_k(sys, fc.factorization)
-    if desc is None or not desc.feasible:
-        return ComponentStructure(fc.component, fc.singleton, False, 0, 0, 0, 0, desc)
-    classes = desc.solution_count // h.k
-    h_count = _h_class_count(sys, fc.factorization)
-    n_classes = classes - h_count
-    if n_classes % 2:
-        raise VerificationError(
-            f"odd N class count {n_classes} on component {fc.component}: conjugate pairing broken"
-        )
-    return ComponentStructure(
-        fc.component, fc.singleton, True, desc.solution_count, classes, h_count, n_classes // 2, desc
-    )
+        systems = {op: build_zero_eig_system(h, comp, op) for op in ZERO_EIG_OPERATORS}
+        rows = systems[LAPLACIAN].rows
+        factorization = factor_rows(rows) if rows else None
+        expected = _component_expected(h, comp, single, budget)
+        for op, sys in systems.items():
+            desc = None if sys is None else solve_mod_k(sys, factorization)
+            feasible = desc is not None and desc.feasible
+            count = desc.solution_count if feasible else 0
+            classes = count // h.k
+            h_count = _h_class_count(sys, factorization) if feasible else 0
+            n_classes = classes - h_count
+            if n_classes % 2:
+                raise VerificationError(
+                    f"odd N class count {n_classes} on component {comp}: conjugate pairing broken"
+                )
+            record = ComponentStructure(
+                comp, single, feasible, count, classes, h_count, n_classes // 2, desc, expected[op]
+            )
+            out[op].append(record)
+    return {op: tuple(records) for op, records in out.items()}
 
 
 def _h_class_count(sys: ZkLinearSystem, factorization: SmithFactorization | None) -> int:
@@ -173,9 +157,9 @@ def _h_class_count(sys: ZkLinearSystem, factorization: SmithFactorization | None
 
 
 def _component_expected(
-    h: Hypergraph, comp: tuple[int, ...], singleton: bool, operator: str, budget: int
-) -> int | None:
-    """Per-component right-hand side of the matching count identity.
+    h: Hypergraph, comp: tuple[int, ...], singleton: bool, budget: int
+) -> dict[str, int | None]:
+    """Per-component right-hand sides of both operators' count identities.
 
     Even k: the signless H count equals the number of odd-bipartitions and
     the Laplacian H count equals the even-bipartition count plus the
@@ -187,15 +171,14 @@ def _component_expected(
     would exceed its budget.
     """
     if singleton:
-        return 1
+        return {LAPLACIAN: 1, SIGNLESS: 1}
     if h.k % 2 == 1:
-        return 1 if operator == LAPLACIAN else 0
-    flavor = _partitions.EVEN if operator == LAPLACIAN else _partitions.ODD
+        return {LAPLACIAN: 1, SIGNLESS: 0}
     try:
-        witnesses = len(_partitions.enumerate_bipartitions(h, comp, flavor, budget))
+        scan = _partitions.enumerate_bipartitions(h, comp, budget)
     except BudgetExceededError:
-        return None
-    return witnesses + 1 if operator == LAPLACIAN else witnesses
+        return {LAPLACIAN: None, SIGNLESS: None}
+    return {LAPLACIAN: len(scan[_partitions.EVEN]) + 1, SIGNLESS: len(scan[_partitions.ODD])}
 
 
 def _crosscheck_formula(h: Hypergraph, operator: str) -> str:
@@ -212,26 +195,26 @@ def structure_counts(
     h: Hypergraph,
     operator: str,
     budget: int = DEFAULT_CROSSCHECK_BUDGET,
-    factored: tuple[FactoredComponent, ...] | None = None,
     solved: tuple[ComponentStructure, ...] | None = None,
 ) -> StructureCounts:
-    """Closed-form per-component counts plus the combinatorial cross-check."""
+    """``operator``'s per-component records summed, with the cross-check.
+
+    ``solved`` holds the records from ``solve_components``; without them
+    the components are solved here, scanning under ``budget``.
+    """
+    if operator not in ZERO_EIG_OPERATORS:
+        raise ValueError(f"unknown operator {operator!r}")
     if solved is None:
-        solved = solve_components(h, operator, factored)
-    per_comp = []
-    for cs in solved:
-        expected = _component_expected(h, cs.component, cs.singleton, operator, budget)
-        matched = None if expected is None else expected == cs.h_count
-        per_comp.append(replace(cs, crosscheck_expected=expected, crosscheck_matched=matched))
-    h_total = sum(c.h_count for c in per_comp)
-    n_total = sum(c.n_pair_count for c in per_comp)
-    if any(c.crosscheck_expected is None for c in per_comp):
+        solved = solve_components(h, budget=budget)[operator]
+    h_total = sum(c.h_count for c in solved)
+    n_total = sum(c.n_pair_count for c in solved)
+    if any(c.crosscheck_expected is None for c in solved):
         expected, matched = None, None
     else:
-        expected = sum(c.crosscheck_expected for c in per_comp)
-        matched = all(c.crosscheck_matched for c in per_comp)
+        expected = sum(c.crosscheck_expected for c in solved)
+        matched = all(c.crosscheck_matched for c in solved)
     formula = _crosscheck_formula(h, operator)
-    return StructureCounts(operator, tuple(per_comp), h_total, n_total, expected, formula, matched)
+    return StructureCounts(operator, solved, h_total, n_total, expected, formula, matched)
 
 
 @dataclass(frozen=True)
@@ -261,22 +244,25 @@ class OperatorCrosscheck:
 
 
 def crosscheck(
-    h: Hypergraph, operator: str, budget: int, factored: tuple[FactoredComponent, ...]
+    h: Hypergraph,
+    operator: str,
+    budget: int,
+    solved: tuple[ComponentStructure, ...] | None = None,
 ) -> OperatorCrosscheck:
     """Algebraic counts of one operator against the partition inventories.
 
     Each non-singleton component is scanned once for the matching kind,
     and that one scan yields both the residue and the literal witnesses.
     """
-    counts = structure_counts(h, operator, budget, factored)
+    counts = structure_counts(h, operator, budget, solved=solved)
     kind = _partitions.N_PAIR_KINDS.get((h.k, operator))
     if kind is None:
         return OperatorCrosscheck(counts, None, None, None)
     try:
         scans = [
-            _partitions.enumerate_multipartitions(h, fc.component, kind, budget)
-            for fc in factored
-            if not fc.singleton
+            _partitions.enumerate_multipartitions(h, cs.component, kind, budget)
+            for cs in counts.components
+            if not cs.singleton
         ]
     except BudgetExceededError:
         return OperatorCrosscheck(counts, kind, None, None)
@@ -384,7 +370,7 @@ def zero_eigenvector_report(
     enumerate_limit: int | None = None,
     tolerance: float = 1e-9,
     budget: int = DEFAULT_CROSSCHECK_BUDGET,
-    factored: tuple[FactoredComponent, ...] | None = None,
+    solved: tuple[ComponentStructure, ...] | None = None,
 ) -> dict:
     """Machine-readable per-component summary used by the command line.
 
@@ -392,10 +378,10 @@ def zero_eigenvector_report(
     ``enumerate_limit`` in total across components, in component order;
     counts always come from the closed form, so each component's
     ``truncated`` flag tells whether its listing fell short of its count.
+    ``solved`` is as for ``structure_counts``.
     """
-    solved = solve_components(h, operator, factored)
     counts = structure_counts(h, operator, budget, solved=solved)
-    listings = _listed_classes(h.k, enumerate_limit, solved)
+    listings = _listed_classes(h.k, enumerate_limit, counts.components)
     rhs = edge_residue(h.k, operator)
 
     components = []

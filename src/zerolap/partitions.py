@@ -14,7 +14,8 @@ Two predicates decide whether a vertex partition is admissible:
 Bipartition flavors: ``hm`` (every edge has exactly one head vertex in V1),
 ``odd`` and ``even`` (every edge meets V1 in an odd / even number of
 vertices; k even). The hm flavor is ordered; odd/even are quotiented by
-swapping the two sides.
+swapping the two sides. ``enumerate_bipartitions`` finds all three flavors
+in one pass over the subsets.
 
 ``enumerate_multipartitions`` scans all p^m part assignments of an
 m-vertex component in one pass of numpy blocks of ``CHUNK`` assignments.
@@ -168,12 +169,12 @@ class BipartitionWitness:
     v2: tuple[int, ...]
     flavor: str
 
-    def to_json_dict(self, predicate: str = "literal", valid: bool = True) -> dict:
+    def to_json_dict(self) -> dict:
         return {
             "kind": self.flavor,
             "parts": [list(self.v1), list(self.v2)],
-            "predicate": predicate,
-            "valid": valid,
+            "predicate": "literal",
+            "valid": True,
         }
 
 
@@ -183,12 +184,12 @@ class MultipartitionWitness:
     parts: tuple[tuple[int, ...], ...]
     kind: str
 
-    def to_json_dict(self, predicate: str, valid: bool = True) -> dict:
+    def to_json_dict(self, predicate: str) -> dict:
         return {
             "kind": self.kind,
             "parts": [list(p) for p in self.parts],
             "predicate": predicate,
-            "valid": valid,
+            "valid": True,
         }
 
 
@@ -252,45 +253,53 @@ def validate_bipartition(h: Hypergraph, w: BipartitionWitness) -> bool:
 
 
 def enumerate_bipartitions(
-    h: Hypergraph,
-    component: Sequence[int],
-    flavor: str,
-    budget: int = DEFAULT_ENUM_BUDGET,
-) -> list[BipartitionWitness]:
-    """All valid bipartitions of one component, exhaustively.
+    h: Hypergraph, component: Sequence[int], budget: int = DEFAULT_ENUM_BUDGET
+) -> dict[str, list[BipartitionWitness]]:
+    """All valid bipartitions of one component, exhaustively, per flavor.
+
+    One pass visits each nonempty proper subset v1 once, in
+    ``itertools.combinations`` order by size, and leaves it at the first
+    edge where no flavor can still hold: every edge of an hm or odd
+    witness meets v1 an odd number of times, every edge of an even one an
+    even number, so one edge off the first edge's parity rules them all out.
 
     For odd/even flavors the swap (v1, v2) -> (v2, v1) also satisfies the
     flavor condition, so those are quotiented: the returned side v1 is the
     one containing the smallest vertex. The hm flavor is ordered (v1 holds
     the heads) and is not quotiented. Trivial components yield nothing: a
     singleton is bipartite by convention but carries no two-sided witness.
+
+    Returns ``{"hm": [...], "odd": [...], "even": [...]}``.
     """
-    if flavor not in BIPARTITION_FLAVORS:
-        raise ValueError(f"unknown flavor {flavor!r}")
     comp = tuple(sorted(set(component)))
     if 2 ** len(comp) > budget:
         raise BudgetExceededError(
             f"bipartition scan needs 2^{len(comp)} subsets, budget is {budget}"
         )
+    out: dict[str, list[BipartitionWitness]] = {flavor: [] for flavor in BIPARTITION_FLAVORS}
     edges = _induced_edges(h, set(comp))
     if not edges:
-        return []
-    out = []
+        return out
+    bit = {v: 1 << i for i, v in enumerate(comp)}
+    edge_masks = [sum(bit[v] for v in e) for e in edges]
     for r in range(1, len(comp)):
-        for chosen in itertools.combinations(comp, r):
-            s1 = set(chosen)
-            if flavor == HM:
-                ok = all(len(s1.intersection(e)) == 1 for e in edges)
-            elif flavor == ODD:
-                ok = all(len(s1.intersection(e)) % 2 == 1 for e in edges)
+        for chosen in itertools.combinations(bit.values(), r):
+            s1 = sum(chosen)
+            parity = (s1 & edge_masks[0]).bit_count() % 2
+            hm = parity == 1
+            for e in edge_masks:
+                meet = (s1 & e).bit_count()
+                if meet % 2 != parity:
+                    break
+                hm = hm and meet == 1
             else:
-                ok = all(len(s1.intersection(e)) % 2 == 0 for e in edges)
-            if not ok:
-                continue
-            if flavor != HM and comp[0] not in s1:
-                continue  # swap representative: keep the side with the least vertex
-            v2 = tuple(v for v in comp if v not in s1)
-            out.append(BipartitionWitness(comp, tuple(sorted(s1)), v2, flavor))
+                v1 = tuple(v for v, b in bit.items() if s1 & b)
+                v2 = tuple(v for v, b in bit.items() if not s1 & b)
+                if hm:
+                    out[HM].append(BipartitionWitness(comp, v1, v2, HM))
+                if s1 & 1:  # swap representative: keep the side with the least vertex
+                    flavor = ODD if parity else EVEN
+                    out[flavor].append(BipartitionWitness(comp, v1, v2, flavor))
     return out
 
 

@@ -73,3 +73,17 @@ def multipartition_scans(monkeypatch):
 
     monkeypatch.setattr(partitions, "enumerate_multipartitions", counting)
     return calls
+
+
+@pytest.fixture
+def bipartition_scans(monkeypatch):
+    """Records the component of every bipartition scan."""
+    calls = []
+    real = partitions.enumerate_bipartitions
+
+    def counting(h, component, *args, **kwargs):
+        calls.append(tuple(sorted(set(component))))
+        return real(h, component, *args, **kwargs)
+
+    monkeypatch.setattr(partitions, "enumerate_bipartitions", counting)
+    return calls

@@ -3,7 +3,12 @@
 Everything above the scalar section recomputes results by direct
 exhaustive enumeration or by the textbook dense-tensor definition, sharing
 no algorithmic path with the library: no Smith form, no kernel
-parametrization, no edge-sum shortcut.
+parametrization, no edge-sum shortcut. Two of them are the library's
+former algorithms, kept as references for what replaced them:
+``bipartition_witnesses`` scans the subsets once per flavor, where
+``enumerate_bipartitions`` finds all three flavors in one pass, and
+``hm_bipartition_dfs`` is the recursive search that
+``find_hm_bipartition`` replaced.
 
 The scalar section keeps the library's former per-class pipeline: one
 solution, one class and one edge at a time with complex scalars. The
@@ -35,6 +40,7 @@ import numpy as np
 
 from zerolap.errors import VerificationError
 from zerolap.partitions import (
+    BIPARTITION_FLAVORS,
     EVEN,
     HM,
     KIND_SPECS,
@@ -207,6 +213,41 @@ def multipartition_witnesses(spec, vertices, edges):
         ]
         for pred, chosen in least.items()
     }
+
+
+def bipartition_witnesses(h, component, flavor):
+    """All valid bipartitions of one component, exhaustively.
+
+    The library's former scan of one flavor, kept as the reference for the
+    one-pass scan of all three: a set intersection per edge and subset,
+    subsets in ``itertools.combinations`` order by size. For odd/even
+    flavors the returned side v1 is the one containing the smallest vertex;
+    the hm flavor is ordered and is not quotiented. Trivial components
+    yield nothing.
+    """
+    if flavor not in BIPARTITION_FLAVORS:
+        raise ValueError(f"unknown flavor {flavor!r}")
+    comp = tuple(sorted(set(component)))
+    edges = [e for e in h.edges if set(comp).issuperset(e)]
+    if not edges:
+        return []
+    out = []
+    for r in range(1, len(comp)):
+        for chosen in itertools.combinations(comp, r):
+            s1 = set(chosen)
+            if flavor == HM:
+                ok = all(len(s1.intersection(e)) == 1 for e in edges)
+            elif flavor == ODD:
+                ok = all(len(s1.intersection(e)) % 2 == 1 for e in edges)
+            else:
+                ok = all(len(s1.intersection(e)) % 2 == 0 for e in edges)
+            if not ok:
+                continue
+            if flavor != HM and comp[0] not in s1:
+                continue  # swap representative: keep the side with the least vertex
+            v2 = tuple(v for v in comp if v not in s1)
+            out.append(BipartitionWitness(comp, tuple(sorted(s1)), v2, flavor))
+    return out
 
 
 def hm_bipartition_dfs(h, component):

@@ -40,7 +40,7 @@ def test_criterion_01_even_bipartitions_of_k4_fixture():
     """Exactly three even-bipartitions, matching the known list. Exact."""
     found = {
         frozenset((frozenset(w.v1), frozenset(w.v2)))
-        for w in enumerate_bipartitions(K4_OVERLAP, tuple(range(1, 7)), "even")
+        for w in enumerate_bipartitions(K4_OVERLAP, tuple(range(1, 7)))["even"]
     }
     expected = {
         frozenset((frozenset({1, 2, 5}), frozenset({3, 4, 6}))),

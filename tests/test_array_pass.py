@@ -52,7 +52,7 @@ def multi_component_instances(draw):
     h = with_isolated_vertices(disjoint_union(parts), draw(st.integers(0, 2)))
     limit = draw(st.one_of(st.none(), st.integers(0, 250)))
     if limit is None and max(
-        sum(cs.class_count for cs in solve_components(h, op)) for op in OPERATORS
+        sum(cs.class_count for cs in solve_components(h)[op]) for op in OPERATORS
     ) > 250:
         limit = 250
     return h, limit
@@ -64,7 +64,7 @@ class TestSameBitsAsScalarLoops:
     def test_report_classes_and_residual_reprs(self, instance):
         h, limit = instance
         for op in OPERATORS:
-            solved = solve_components(h, op)
+            solved = solve_components(h)[op]
             report = zero_eigenvector_report(h, op, enumerate_limit=limit)
             expected = oracles.scalar_classes(h.k, solved, limit)
             for entry, cs, classes in zip(report["components"], solved, expected):
@@ -167,10 +167,11 @@ class TestDeduplication:
         solution per block the repeats straddle block boundaries."""
         monkeypatch.setattr(zk_solver, "BLOCK_CELLS", cells)
         solved = (_repeating_description(),)
-        monkeypatch.setattr(eigenstructure, "solve_components", lambda *args: solved)
 
         def listed(limit=None):
-            report = zero_eigenvector_report(single_edge(3), "laplacian", enumerate_limit=limit)
+            report = zero_eigenvector_report(
+                single_edge(3), "laplacian", enumerate_limit=limit, solved=solved
+            )
             return [(tuple(c["alpha"]), c["kind"]) for c in report["components"][0]["classes"]]
 
         assert listed() == [((0, 0, 0), "H"), ((0, 1, 2), "N"), ((0, 2, 1), "N")]
@@ -199,7 +200,7 @@ class TestChecksFireOnBatches:
 
     def test_tolerance_below_known_residual(self, capsys):
         tolerance = 1e-15
-        solved = solve_components(CHAIN, "laplacian")
+        solved = solve_components(CHAIN)["laplacian"]
         first_bad = next(
             resid
             for alpha, _ in oracles.scalar_classes(3, solved)[0]
@@ -219,7 +220,7 @@ class TestChecksFireOnBatches:
 def _hypertree_25():
     """k = 3, n = 25, 12 edges: 3^13 solutions in 531 441 classes."""
     h = random_connected_hypergraph(random.Random(0), 3, 25)
-    assert solve_components(h, "laplacian")[0].class_count == 531_441
+    assert solve_components(h)["laplacian"][0].class_count == 531_441
     return h
 
 

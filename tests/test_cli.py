@@ -235,6 +235,35 @@ def test_crosscheck_scans_each_component_and_kind_once(path, capsys, multipartit
     assert multipartition_scans == [(comp, kind) for kind in kinds for comp in comps]
 
 
+def _even_k_inputs(tmp_path):
+    """The even-k fixtures, plus two 4-edges and an isolated vertex."""
+    two = tmp_path / "two_edges_k4.json"
+    two.write_text(json.dumps({"k": 4, "n": 9, "edges": [[1, 2, 3, 4], [5, 6, 7, 8]]}))
+    return [K4, EDGE4, str(FIXTURE_DIR / "single_edge_k6.json"), str(two)]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["zero-eigenvectors", "--operator", "both"],
+        ["crosscheck", "--operator", "both"],
+        ["partitions"],
+    ],
+    ids=["zero-eigenvectors", "crosscheck", "partitions"],
+)
+def test_one_bipartition_scan_per_component(argv, tmp_path, capsys, bipartition_scans):
+    """One scan per non-singleton component serves both operators'
+    cross-checks, or every bipartition kind that ``partitions`` lists."""
+    for path in _even_k_inputs(tmp_path):
+        h = hypergraph.load_hypergraph(path)
+        decomp = hypergraph.connected_components(h)
+        comps = [c for c, single in zip(decomp.components, decomp.singleton) if not single]
+        bipartition_scans.clear()
+        assert main([*argv, "--input", path]) == 0
+        capsys.readouterr()
+        assert bipartition_scans == comps, path
+
+
 @pytest.mark.parametrize("path", [CHAIN, K4])
 @pytest.mark.parametrize("command", sorted(_COMMANDS))
 def test_components_computed_once_per_run(command, path, capsys, monkeypatch):
@@ -267,8 +296,8 @@ class TestFailureExitCodes:
         import zerolap.cli as cli_mod
         from zerolap.eigenstructure import structure_counts as real_counts
 
-        def broken_counts(h, operator, budget=200_000, factored=None):
-            counts = real_counts(h, operator, budget, factored)
+        def broken_counts(h, operator, budget=200_000, solved=None):
+            counts = real_counts(h, operator, budget, solved=solved)
             import dataclasses
 
             return dataclasses.replace(
@@ -336,9 +365,21 @@ class TestConfigHandling:
         assert json.loads(target.read_text())["instance"]["n"] == 7
 
     def test_config_echoed_in_report(self, capsys):
-        _, report = run_json(capsys, "components", "--input", CHAIN, "--seed", "7")
-        assert report["config"]["seed"] == 7
+        _, report = run_json(capsys, "components", "--input", CHAIN, "--budget", "7")
+        assert report["config"]["budget"] == 7
         assert report["version"]
+
+    def test_seed_flag_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["components", "--input", CHAIN, "--seed", "1"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
+
+    def test_seed_in_config_is_unknown(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"input": CHAIN, "seed": 0}))
+        assert main(["components", "--config", str(cfg)]) == 2
+        assert "unknown config field 'seed'" in capsys.readouterr().err
 
     def test_pretty_renders_text(self, capsys):
         code, out = run(capsys, "components", "--input", CHAIN, "--pretty")
@@ -383,12 +424,11 @@ class TestConfigHandling:
         "field, value",
         [
             ("tolerance", "x"),
-            ("seed", "abc"),
             ("budget", True),
             ("dense_budget", 1.5),
             ("operator", 3),
-            ("kind", [1]),
             ("out", 0),
+            ("kind", [1]),
             ("pretty", 1),
         ],
     )

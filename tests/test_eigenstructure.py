@@ -10,7 +10,12 @@ from zerolap.corpus import (
     with_isolated_vertices,
 )
 from zerolap import connected_components, load_hypergraph, structure_counts
-from zerolap.eigenstructure import factor_components, realize_classes, zero_eigenvector_report
+from zerolap.eigenstructure import (
+    crosscheck,
+    realize_classes,
+    solve_components,
+    zero_eigenvector_report,
+)
 from zerolap.zk_solver import build_zero_eig_system, solve_mod_k
 
 import oracles
@@ -41,10 +46,10 @@ ONE_FACTORIZATION_CASES = [
 class TestOneFactorizationPerComponent:
     @pytest.mark.parametrize("h", ONE_FACTORIZATION_CASES)
     def test_shared_across_operators(self, h, snf_calls):
-        factored = factor_components(h)
+        solved = solve_components(h)
         for operator in ("laplacian", "signless"):
-            zero_eigenvector_report(h, operator, factored=factored)
-            structure_counts(h, operator, factored=factored)
+            zero_eigenvector_report(h, operator, solved=solved[operator])
+            structure_counts(h, operator, solved=solved[operator])
         assert len(snf_calls) == sum(not s for s in connected_components(h).singleton)
 
     @pytest.mark.parametrize("call", [zero_eigenvector_report, structure_counts])
@@ -63,17 +68,29 @@ class TestOneFactorizationPerComponent:
         systems = [sys for sys in systems if sys is not None]
         feasible_even = sum(h.k % 2 == 0 and solve_mod_k(sys).feasible for sys in systems)
         solve_calls.clear()
-        factored = factor_components(h)
+        solved = solve_components(h)
         for operator in ("laplacian", "signless"):
-            zero_eigenvector_report(h, operator, factored=factored)
+            zero_eigenvector_report(h, operator, solved=solved[operator])
         moduli = [sys.modulus for sys in solve_calls]
         assert moduli.count(h.k) == len(systems)
         assert moduli.count(2) == feasible_even
         assert len(moduli) == len(systems) + feasible_even
 
-    def test_foreign_factorization_rejected(self, chain, k4_overlap):
-        with pytest.raises(ValueError, match="different coefficient matrix"):
-            structure_counts(k4_overlap, "laplacian", factored=factor_components(chain))
+    @pytest.mark.parametrize("h", ONE_FACTORIZATION_CASES)
+    def test_one_bipartition_scan_per_component(self, h, bipartition_scans):
+        """Both operators' cross-checks read one scan of each non-singleton
+        component when k is even; odd k needs none."""
+        decomp = connected_components(h)
+        solved = solve_components(h, decomp)
+        comps = [c for c, single in zip(decomp.components, decomp.singleton) if not single]
+        assert bipartition_scans == (comps if h.k % 2 == 0 else [])
+        for operator in ("laplacian", "signless"):
+            assert solved[operator] == structure_counts(h, operator).components
+
+    @pytest.mark.parametrize("call", [zero_eigenvector_report, crosscheck])
+    def test_unknown_operator_is_a_value_error(self, call, chain):
+        with pytest.raises(ValueError, match="unknown operator 'adjacency'"):
+            call(chain, "adjacency", budget=200_000)
 
 
 class TestMinimalClasses:

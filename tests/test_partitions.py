@@ -33,6 +33,7 @@ from zerolap.hypergraph import connected_components
 from conftest import single_edge
 from oracles import (
     assignment_from_partition,
+    bipartition_witnesses,
     hm_bipartition_dfs,
     multipartition_witnesses,
     partition_from_assignment,
@@ -70,7 +71,7 @@ class TestEnumerateBipartitions:
     def test_k4_even_exactly_three(self, k4_overlap):
         found = {
             frozenset((frozenset(w.v1), frozenset(w.v2)))
-            for w in enumerate_bipartitions(k4_overlap, K4_COMPONENT, "even")
+            for w in enumerate_bipartitions(k4_overlap, K4_COMPONENT)["even"]
         }
         expected = {
             frozenset((frozenset({1, 2, 5}), frozenset({3, 4, 6}))),
@@ -80,25 +81,61 @@ class TestEnumerateBipartitions:
         assert found == expected
 
     def test_single_edge_k4_odd_four(self):
-        found = enumerate_bipartitions(single_edge(4), (1, 2, 3, 4), "odd")
+        found = enumerate_bipartitions(single_edge(4), (1, 2, 3, 4))["odd"]
         assert len(found) == 4
 
     def test_single_edge_k4_even_three(self):
-        found = enumerate_bipartitions(single_edge(4), (1, 2, 3, 4), "even")
+        found = enumerate_bipartitions(single_edge(4), (1, 2, 3, 4))["even"]
         assert len(found) == 3
 
     def test_hm_is_ordered_not_quotiented(self):
-        found = enumerate_bipartitions(single_edge(3), (1, 2, 3), "hm")
+        found = enumerate_bipartitions(single_edge(3), (1, 2, 3))["hm"]
         assert [w.v1 for w in found] == [(1,), (2,), (3,)]
 
     def test_all_witnesses_validate(self, k4_overlap):
         for flavor in ("hm", "odd", "even"):
-            for w in enumerate_bipartitions(k4_overlap, K4_COMPONENT, flavor):
+            for w in enumerate_bipartitions(k4_overlap, K4_COMPONENT)[flavor]:
                 assert validate_bipartition(k4_overlap, w)
 
     def test_budget_guard(self, k4_overlap):
         with pytest.raises(BudgetExceededError):
-            enumerate_bipartitions(k4_overlap, K4_COMPONENT, "even", budget=8)
+            enumerate_bipartitions(k4_overlap, K4_COMPONENT, budget=8)
+
+
+@st.composite
+def bipartition_instances(draw):
+    """A small k-uniform hypergraph, k in 2..5, and a vertex subset to scan."""
+    k = draw(st.integers(2, 5))
+    n = draw(st.integers(k, k + 6))
+    edge = st.lists(st.integers(1, n), min_size=k, max_size=k, unique=True)
+    edges = draw(st.lists(edge.map(lambda e: tuple(sorted(e))), max_size=6, unique=True))
+    component = draw(st.lists(st.integers(1, n), min_size=1, unique=True))
+    return Hypergraph(k, n, tuple(edges)), tuple(component)
+
+
+class TestBipartitionScanAgainstOracle:
+    """The one-pass scan against the former per-flavor scan, order included."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(bipartition_instances())
+    def test_every_flavor(self, instance):
+        h, component = instance
+        found = enumerate_bipartitions(h, component)
+        assert list(found) == list(partitions.BIPARTITION_FLAVORS)
+        for flavor, witnesses in found.items():
+            assert witnesses == bipartition_witnesses(h, component, flavor), flavor
+
+    def test_budget_equal_to_scan_size_scans(self, k4_overlap):
+        at_edge = enumerate_bipartitions(k4_overlap, K4_COMPONENT, budget=2**6)
+        assert at_edge == enumerate_bipartitions(k4_overlap, K4_COMPONENT)
+
+    def test_budget_one_short_refuses_before_any_work(self, k4_overlap, monkeypatch):
+        def no_work(*args):
+            raise AssertionError("scanned past the budget")
+
+        monkeypatch.setattr(partitions, "_induced_edges", no_work)
+        with pytest.raises(BudgetExceededError, match=r"2\^6 subsets, budget is 63"):
+            enumerate_bipartitions(k4_overlap, K4_COMPONENT, budget=2**6 - 1)
 
 
 class TestFindHm:
@@ -395,7 +432,7 @@ class TestAssignmentConversion:
             assert partition_from_assignment(k, verts, values, "laplacian") == w
 
     def test_round_trip_bipartition(self, k4_overlap):
-        for w in enumerate_bipartitions(k4_overlap, K4_COMPONENT, "even"):
+        for w in enumerate_bipartitions(k4_overlap, K4_COMPONENT)["even"]:
             k, verts, values = assignment_from_partition(w, k=4)
             back = partition_from_assignment(k, verts, values, "laplacian")
             assert {frozenset(back.v1), frozenset(back.v2)} == {

@@ -182,6 +182,12 @@ class TestSolveModK:
         assert not desc.feasible
         assert desc.solution_count == 0
 
+    def test_foreign_factorization_rejected(self, chain, k4_overlap):
+        sys = build_zero_eig_system(k4_overlap, range(1, 7), "laplacian")
+        _, chain_rows = zk_solver.incidence_rows(chain, range(1, 8))
+        with pytest.raises(ValueError, match="different coefficient matrix"):
+            solve_mod_k(sys, zk_solver.factor_rows(chain_rows))
+
     def test_particular_solution_satisfies(self, chain):
         sys = build_zero_eig_system(chain, range(1, 8), "laplacian")
         desc = solve_mod_k(sys)
