@@ -199,9 +199,7 @@ def cmd_partitions(
         entry: dict = {"kind": kind, "family": family, "witnesses": [], "count": 0}
         if family == "multipartition":
             entry["predicate"] = cfg.predicate
-        for comp, edges, single in zip(
-            decomp.components, decomp.edge_lists, decomp.singleton
-        ):
+        for comp, single in zip(decomp.components, decomp.singleton):
             if single:
                 continue
             try:
@@ -291,19 +289,17 @@ def cmd_spectral_transforms(
     """
     results = []
     budget_hit = False
-    for comp, edges, single in zip(decomp.components, decomp.edge_lists, decomp.singleton):
+    for comp, single in zip(decomp.components, decomp.singleton):
         if single:
             continue
-        witness = partitions.find_hm_bipartition(h, comp, cfg.budget)
+        sub, original = induced_subhypergraph(h, comp)
+        witness = partitions.find_hm_bipartition(sub, range(1, sub.n + 1), cfg.budget)
         if witness is None:
             return {
                 "error": "no hm-bipartition exists",
                 "component": list(comp),
             }, EXIT_STRUCTURE
-        sub, original = induced_subhypergraph(h, comp)
-        relabel = {orig: new for new, orig in enumerate(original, start=1)}
-        v1 = tuple(sorted(relabel[v] for v in witness.v1))
-        v2 = tuple(sorted(relabel[v] for v in witness.v2))
+        v1, v2 = witness.v1, witness.v2
         pair = tensor_ops.nqz_spectral_radius(h=sub)
         rotations = []
         for r in range(h.k):
@@ -317,7 +313,7 @@ def cmd_spectral_transforms(
             )
         entry = {
             "component": list(comp),
-            "heads": list(witness.v1),
+            "heads": [original[j - 1] for j in v1],
             "spectral_radius": pair.value.real,
             "base_residual": pair.residual,
             "rotations": rotations,

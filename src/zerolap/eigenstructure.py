@@ -37,7 +37,7 @@ from .hypergraph import (
     connected_components,
     induced_subhypergraph,
 )
-from .tensor_ops import eig_residual
+from .tensor_ops import edge_index, eig_residual
 from .zk_solver import (
     BLOCK_CELLS,
     LAPLACIAN,
@@ -340,7 +340,7 @@ def realize_classes(
     """
     k = h.k
     sub, _ = induced_subhypergraph(h, component)
-    edges = np.array(sub.edges, dtype=np.intp).reshape(-1, k) - 1
+    edges = edge_index(sub)
     residue = edge_residue(k, operator)
     phases = _phases(k)
     out = np.empty(len(alphas))

@@ -6,7 +6,9 @@ construction and all operations are pure.
 """
 
 import json
+import re
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import IO, Iterable, NamedTuple
 
@@ -63,6 +65,15 @@ class Hypergraph:
     def edge_count(self) -> int:
         return len(self.edges)
 
+    @cached_property
+    def incidence(self) -> dict[int, list[int]]:
+        """Vertex -> ascending indices of its edges; isolated vertices are absent."""
+        out: dict[int, list[int]] = {}
+        for i, e in enumerate(self.edges):
+            for v in e:
+                out.setdefault(v, []).append(i)
+        return out
+
     def to_json_dict(self) -> dict:
         return {"k": self.k, "n": self.n, "edges": [list(e) for e in self.edges]}
 
@@ -95,11 +106,7 @@ class InducedSubhypergraph(NamedTuple):
 
 def degrees(h: Hypergraph) -> tuple[int, ...]:
     """Per-vertex incidence counts; position i-1 holds the degree of vertex i."""
-    d = [0] * h.n
-    for e in h.edges:
-        for v in e:
-            d[v - 1] += 1
-    return tuple(d)
+    return tuple(len(h.incidence.get(v, ())) for v in range(1, h.n + 1))
 
 
 def connected_components(h: Hypergraph) -> ComponentDecomposition:
@@ -163,12 +170,19 @@ def parse_hypergraph_text(text: str) -> Hypergraph:
     header = lines[0].split()
     if len(header) != 2:
         raise HypergraphFormatError(f'first line must be "k n", got {lines[0]!r}')
-    try:
-        k, n = int(header[0]), int(header[1])
-        edges = tuple(tuple(int(tok) for tok in ln.split()) for ln in lines[1:])
-    except ValueError as exc:
-        raise HypergraphFormatError(f"non-integer token: {exc}") from exc
+    k, n = _parse_int(header[0]), _parse_int(header[1])
+    edges = tuple(tuple(_parse_int(tok) for tok in ln.split()) for ln in lines[1:])
     return Hypergraph(k, n, edges)
+
+
+_INT_TOKEN = re.compile("-?[0-9]+")
+
+
+def _parse_int(token: str) -> int:
+    """``int`` on JSON's integer grammar only: no ``1_0``, ``+1`` or non-ASCII digits."""
+    if not _INT_TOKEN.fullmatch(token):
+        raise HypergraphFormatError(f"non-integer token {token!r}")
+    return int(token)
 
 
 def load_hypergraph(source: str | Path | bytes | IO) -> Hypergraph:
@@ -197,16 +211,19 @@ def load_hypergraph(source: str | Path | bytes | IO) -> Hypergraph:
 def induced_subhypergraph(h: Hypergraph, subset: Iterable[int]) -> InducedSubhypergraph:
     """Sub-hypergraph induced by a vertex subset, relabeled to 1..|S|.
 
-    Keeps exactly the edges entirely contained in the subset; the returned
-    mapping recovers original ids.
+    Keeps exactly the edges entirely contained in the subset, in input
+    order, gathered through ``h.incidence`` at a cost that follows the
+    subset's degrees; the returned mapping recovers original ids.
     """
     ids = tuple(sorted(set(subset)))
     for v in ids:
         if not _is_int(v) or not 1 <= v <= h.n:
             raise ValueError(f"vertex id {v!r} outside 1..{h.n}")
-    index = {old: new for new, old in enumerate(ids, start=1)}
-    wanted = set(ids)
+    local = {old: new for new, old in enumerate(ids, start=1)}
+    near = sorted({i for v in ids for i in h.incidence.get(v, ())})
     edges = tuple(
-        tuple(index[v] for v in e) for e in h.edges if wanted.issuperset(e)
+        tuple(local[v] for v in e)
+        for e in (h.edges[i] for i in near)
+        if all(v in local for v in e)
     )
     return InducedSubhypergraph(Hypergraph(h.k, len(ids), edges), ids)

@@ -32,8 +32,9 @@ from typing import Sequence
 import numpy as np
 
 from .errors import BudgetExceededError
-from .hypergraph import Hypergraph
-from .zk_solver import eliminate_mod_prime, incidence_rows
+from .hypergraph import Hypergraph, induced_subhypergraph
+from .tensor_ops import edge_index
+from .zk_solver import eliminate_mod_prime
 
 HM = "hm"
 ODD = "odd"
@@ -227,10 +228,6 @@ class DiscrepancyReport:
         }
 
 
-def _induced_edges(h: Hypergraph, vertex_set: set) -> list[tuple[int, ...]]:
-    return [e for e in h.edges if vertex_set.issuperset(e)]
-
-
 def validate_bipartition(h: Hypergraph, w: BipartitionWitness) -> bool:
     """Check the flavor condition on every induced edge.
 
@@ -240,15 +237,17 @@ def validate_bipartition(h: Hypergraph, w: BipartitionWitness) -> bool:
     s1, s2 = set(w.v1), set(w.v2)
     if s1 & s2 or (s1 | s2) != set(w.component):
         raise ValueError("witness sides do not partition the component")
-    edges = _induced_edges(h, set(w.component))
-    if not edges:
+    sub, comp = induced_subhypergraph(h, w.component)
+    if not sub.edges:
         return True
+    in_v1 = [v in s1 for v in comp]
+    meets = [sum(in_v1[v - 1] for v in e) for e in sub.edges]
     if w.flavor == HM:
-        return bool(s1) and all(len(s1.intersection(e)) == 1 for e in edges)
+        return bool(s1) and all(meet == 1 for meet in meets)
     if w.flavor == ODD:
-        return bool(s1) and bool(s2) and all(len(s1.intersection(e)) % 2 == 1 for e in edges)
+        return bool(s1) and bool(s2) and all(meet % 2 == 1 for meet in meets)
     if w.flavor == EVEN:
-        return bool(s1) and bool(s2) and all(len(s1.intersection(e)) % 2 == 0 for e in edges)
+        return bool(s1) and bool(s2) and all(meet % 2 == 0 for meet in meets)
     raise ValueError(f"unknown flavor {w.flavor!r}")
 
 
@@ -271,19 +270,17 @@ def enumerate_bipartitions(
 
     Returns ``{"hm": [...], "odd": [...], "even": [...]}``.
     """
-    comp = tuple(sorted(set(component)))
-    if 2 ** len(comp) > budget:
-        raise BudgetExceededError(
-            f"bipartition scan needs 2^{len(comp)} subsets, budget is {budget}"
-        )
+    m = len(set(component))
+    if 2**m > budget:
+        raise BudgetExceededError(f"bipartition scan needs 2^{m} subsets, budget is {budget}")
     out: dict[str, list[BipartitionWitness]] = {flavor: [] for flavor in BIPARTITION_FLAVORS}
-    edges = _induced_edges(h, set(comp))
-    if not edges:
+    sub, comp = induced_subhypergraph(h, component)
+    if not sub.edges:
         return out
-    bit = {v: 1 << i for i, v in enumerate(comp)}
-    edge_masks = [sum(bit[v] for v in e) for e in edges]
-    for r in range(1, len(comp)):
-        for chosen in itertools.combinations(bit.values(), r):
+    bits = [1 << i for i in range(m)]  # vertex j of the component is bit j-1
+    edge_masks = [sum(bits[v - 1] for v in e) for e in sub.edges]
+    for r in range(1, m):
+        for chosen in itertools.combinations(bits, r):
             s1 = sum(chosen)
             parity = (s1 & edge_masks[0]).bit_count() % 2
             hm = parity == 1
@@ -293,8 +290,8 @@ def enumerate_bipartitions(
                     break
                 hm = hm and meet == 1
             else:
-                v1 = tuple(v for v, b in bit.items() if s1 & b)
-                v2 = tuple(v for v, b in bit.items() if not s1 & b)
+                v1 = tuple(v for v, b in zip(comp, bits) if s1 & b)
+                v2 = tuple(v for v, b in zip(comp, bits) if not s1 & b)
                 if hm:
                     out[HM].append(BipartitionWitness(comp, v1, v2, HM))
                 if s1 & 1:  # swap representative: keep the side with the least vertex
@@ -388,13 +385,12 @@ def find_hm_bipartition(
     BudgetExceededError. Trivial components return the vacuous witness
     with an empty head side.
     """
-    comp = tuple(sorted(set(component)))
-    edges = _induced_edges(h, set(comp))
-    if not edges:
+    sub, comp = induced_subhypergraph(h, component)
+    if not sub.edges:
         return BipartitionWitness(comp, (), comp, HM)
 
-    pos = {v: i for i, v in enumerate(comp)}
-    edge_list = [[pos[v] for v in e] for e in edges]
+    edges = edge_index(sub)
+    edge_list = edges.tolist()
     co_edge: list[set] = [set() for _ in comp]
     for e in edge_list:
         for v in e:
@@ -460,8 +456,9 @@ def find_hm_bipartition(
     state = search(None)
     if state is _DEAD_END:
         p = _least_prime_above(h.k)
-        _, rows = incidence_rows(h, comp)
-        affine = eliminate_mod_prime(np.array(rows), np.ones(len(rows), dtype=np.int64), p)
+        rows = np.zeros((len(edges), len(comp)), dtype=np.int64)
+        rows[np.arange(len(edges))[:, None], edges] = 1
+        affine = eliminate_mod_prime(rows, np.ones(len(rows), dtype=np.int64), p)
         if affine is None:
             return None
         check = _AffineCheck(*affine, p)
@@ -473,8 +470,11 @@ def find_hm_bipartition(
     return BipartitionWitness(comp, v1, v2, HM)
 
 
-def _edge_profile(e: Sequence[int], parts: Sequence[set]) -> tuple[int, ...]:
-    return tuple(len(p.intersection(e)) for p in parts)
+def _kind_spec(kind: str, k: int) -> KindSpec:
+    spec = KIND_SPECS[kind]
+    if k != spec.k:
+        raise ValueError(f"{kind} applies to {spec.k}-uniform hypergraphs, got k={k}")
+    return spec
 
 
 def validate_multipartition(h: Hypergraph, w: MultipartitionWitness, predicate: str = "literal") -> bool:
@@ -483,31 +483,25 @@ def validate_multipartition(h: Hypergraph, w: MultipartitionWitness, predicate: 
     ``literal`` matches edges against the kind's clause profiles;
     ``residue`` checks the exponent-sum congruence with part V_j carrying
     exponent j-1. The literal nonemptiness constraint applies to both.
-    Raises if the parts do not partition the component.
+    Raises if the parts do not partition the component or the kind does
+    not apply to ``h``'s uniformity.
     """
-    spec = KIND_SPECS[w.kind]
+    spec = _kind_spec(w.kind, h.k)
     if len(w.parts) != spec.parts:
         raise ValueError(f"{w.kind} witness needs {spec.parts} parts, got {len(w.parts)}")
     sets = [set(p) for p in w.parts]
-    union: set = set()
-    total = 0
-    for s in sets:
-        union |= s
-        total += len(s)
-    if total != len(union) or union != set(w.component):
+    part_of = {v: j for j, s in enumerate(sets) for v in s}
+    if len(part_of) != sum(map(len, sets)) or part_of.keys() != set(w.component):
         raise ValueError("witness parts do not partition the component")
     if sum(1 for s in sets if s) < spec.min_nonempty:
         return False
-    edges = _induced_edges(h, union)
-    if predicate == "literal":
-        return all(_edge_profile(e, sets) in spec.profiles for e in edges)
-    if predicate == "residue":
-        k = spec.k
-        return all(
-            sum(j * c for j, c in enumerate(_edge_profile(e, sets))) % k == spec.rhs
-            for e in edges
-        )
-    raise ValueError(f"unknown predicate {predicate!r}")
+    weights, literal, residue = _profile_tables(spec)
+    table = {"literal": literal, "residue": residue}.get(predicate)
+    if table is None:
+        raise ValueError(f"unknown predicate {predicate!r}")
+    sub, comp = induced_subhypergraph(h, part_of)
+    vertex_weight = weights[[part_of[v] for v in comp]]
+    return bool(table[vertex_weight[edge_index(sub)].sum(axis=1)].all())
 
 
 def _edge_predicates(spec: KindSpec, multiset: tuple[int, ...]) -> tuple[bool, bool]:
@@ -558,21 +552,16 @@ def enumerate_multipartitions(
     Assignment j (0 <= j < p^m) gives vertex i the i-th base-p digit of j,
     most significant first, so codes ascend in lexicographic order.
     """
-    spec = KIND_SPECS[kind]
-    if h.k != spec.k:
-        raise ValueError(f"{kind} applies to {spec.k}-uniform hypergraphs, got k={h.k}")
-    comp = tuple(sorted(set(component)))
-    m = len(comp)
+    spec = _kind_spec(kind, h.k)
+    m = len(set(component))
     p = spec.parts
     total = p**m
     if total > budget:
         raise BudgetExceededError(
             f"multipartition scan needs {p}^{m} assignments, budget is {budget}"
         )
-    pos = {v: i for i, v in enumerate(comp)}
-    edge_idx = np.array(
-        [[pos[v] for v in e] for e in _induced_edges(h, set(comp))], dtype=np.intp
-    ).reshape(-1, spec.k)
+    sub, comp = induced_subhypergraph(h, component)
+    edge_idx = edge_index(sub)
     place = p ** np.arange(m - 1, -1, -1, dtype=np.int64)  # digit weights, vertex order
     weights, literal_table, residue_table = _profile_tables(spec)
 

@@ -53,7 +53,7 @@ def _split_mul(a, b):
     return ar * br - ai * bi, ar * bi + ai * br
 
 
-def _edge_index(h: Hypergraph) -> np.ndarray:
+def edge_index(h: Hypergraph) -> np.ndarray:
     """The (|E|, k) array of 0-based vertex indices, one row per edge."""
     return np.array(h.edges, dtype=np.intp).reshape(-1, h.k) - 1
 
@@ -62,7 +62,7 @@ def apply_adjacency(h: Hypergraph, x) -> np.ndarray:
     """Edge-sum form: result_i = sum over edges e containing i of
     prod_{j in e, j != i} x_j, for one vector or each row of a batch.
     Prefix/suffix products keep each edge O(k)."""
-    return _apply_adjacency(h, _edge_index(h), _as_vector(h, x))
+    return _apply_adjacency(h, edge_index(h), _as_vector(h, x))
 
 
 def _apply_adjacency(h: Hypergraph, edges: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -283,7 +283,7 @@ def nqz_spectral_radius(
         raise ValueError("spectral radius iteration needs a connected hypergraph")
     k = h.k
     x = np.ones(h.n, dtype=float)
-    edges = _edge_index(h)
+    edges = edge_index(h)
     for _ in range(max_iterations):
         y = _apply_adjacency(h, edges, x.astype(complex)).real + x ** (k - 1)
         ratios = y / x ** (k - 1)

@@ -28,7 +28,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .errors import VerificationError
-from .hypergraph import Hypergraph
+from .hypergraph import Hypergraph, induced_subhypergraph
 
 LAPLACIAN = "laplacian"
 SIGNLESS = "signless"
@@ -113,16 +113,13 @@ def incidence_rows(
     These rows are the coefficient matrix of every edge system on the
     component, whatever the operator, right-hand side or modulus.
     """
-    verts = tuple(sorted(set(component)))
-    vset = set(verts)
-    index = {v: j for j, v in enumerate(verts)}
+    sub, verts = induced_subhypergraph(h, component)
     rows = []
-    for e in h.edges:
-        if vset.issuperset(e):
-            row = [0] * len(verts)
-            for v in e:
-                row[index[v]] = 1
-            rows.append(tuple(row))
+    for e in sub.edges:
+        row = [0] * len(verts)
+        for v in e:
+            row[v - 1] = 1
+        rows.append(tuple(row))
     return verts, tuple(rows)
 
 

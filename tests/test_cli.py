@@ -69,6 +69,12 @@ class TestComponentsCommand:
         assert main(["components", "--input", str(bad)]) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
 
+    def test_underscored_text_token_exits_2(self, tmp_path, capsys):
+        bad = tmp_path / "bad.txt"
+        bad.write_text("3 4\n1_0 2 3\n")
+        assert main(["components", "--input", str(bad)]) == 2
+        assert capsys.readouterr().err == "error: non-integer token '1_0'\n"
+
     def test_byte_identical_reruns(self, capsys):
         _, first = run(capsys, "components", "--input", CHAIN)
         _, second = run(capsys, "components", "--input", CHAIN)
@@ -288,6 +294,39 @@ def test_components_computed_once_per_run(command, path, capsys, monkeypatch):
         monkeypatch.setattr(module, "connected_components", counting)
     main([command, "--input", path])
     assert sum(h is loaded[0] for h in calls) == 1
+
+
+class _CountingEdges(tuple):
+    """An edge tuple that counts the full passes made over it."""
+
+    def __iter__(self):
+        self.passes += 1
+        return super().__iter__()
+
+
+def _edge_passes(command: str, isolated: int, monkeypatch, capsys) -> int:
+    """Full passes over ``h.edges`` in one run of ``command`` on a k=4
+    instance with two edge-bearing components and ``isolated`` more
+    vertices."""
+    edges = ((1, 2, 3, 4), (3, 4, 5, 6), (7, 8, 9, 10), (8, 9, 10, 11))
+    h = hypergraph.Hypergraph(4, 11 + isolated, edges)
+    counting = _CountingEdges(h.edges)
+    counting.passes = 0
+    object.__setattr__(h, "edges", counting)
+    monkeypatch.setattr(cli_module, "load_hypergraph", lambda source: h)
+    assert main([command, "--input", "unused", "--operator", "both"]) == 0
+    capsys.readouterr()
+    return counting.passes
+
+
+@pytest.mark.parametrize("command", ["zero-eigenvectors", "crosscheck"])
+def test_edge_passes_independent_of_component_count(command, monkeypatch, capsys):
+    """Per-component steps read their edges through the hypergraph's
+    vertex-to-edge index, so a run scans all edges a fixed number of times
+    however many components there are."""
+    few = _edge_passes(command, 0, monkeypatch, capsys)
+    many = _edge_passes(command, 200, monkeypatch, capsys)
+    assert many == few <= 3
 
 
 class TestFailureExitCodes:

@@ -77,6 +77,8 @@ class TestLoading:
             "3\n1 2 3",
             "3 seven\n1 2 3",
             "3 7\n1 2 x",
+            "3 4\n1_0 2 3",
+            "3 12\n1 2 3\n\u0661\u0660 11 12",
         ],
     )
     def test_malformed_text_rejected(self, text):
@@ -158,6 +160,17 @@ class TestInduced:
         sub, ids = induced_subhypergraph(chain, {3, 4, 5, 6, 7})
         assert sub.n == 5
         assert sub.edges == ((1, 2, 3), (3, 4, 5))
+
+    def test_edges_keep_input_order(self):
+        """Edges come back in input order, not in the order of their
+        vertices, and edges leaving the subset are dropped."""
+        h = Hypergraph(3, 9, ((5, 6, 7), (1, 2, 3), (3, 8, 9), (2, 6, 8)))
+        sub, ids = induced_subhypergraph(h, {1, 2, 3, 5, 6, 7, 8})
+        assert ids == (1, 2, 3, 5, 6, 7, 8)
+        assert sub.edges == ((4, 5, 6), (1, 2, 3), (2, 5, 7))
+        for bad in ({1, 2, 10}, {0, 1}):
+            with pytest.raises(ValueError):
+                induced_subhypergraph(h, bad)
 
 
 @pytest.mark.parametrize("seed", range(8))

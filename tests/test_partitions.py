@@ -133,7 +133,7 @@ class TestBipartitionScanAgainstOracle:
         def no_work(*args):
             raise AssertionError("scanned past the budget")
 
-        monkeypatch.setattr(partitions, "_induced_edges", no_work)
+        monkeypatch.setattr(partitions, "induced_subhypergraph", no_work)
         with pytest.raises(BudgetExceededError, match=r"2\^6 subsets, budget is 63"):
             enumerate_bipartitions(k4_overlap, K4_COMPONENT, budget=2**6 - 1)
 

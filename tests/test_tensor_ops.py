@@ -225,8 +225,8 @@ class TestSpectralRadius:
         from zerolap import tensor_ops
 
         builds, steps = [], []
-        build, kernel = tensor_ops._edge_index, tensor_ops._apply_adjacency
-        monkeypatch.setattr(tensor_ops, "_edge_index", lambda h: builds.append(h) or build(h))
+        build, kernel = tensor_ops.edge_index, tensor_ops._apply_adjacency
+        monkeypatch.setattr(tensor_ops, "edge_index", lambda h: builds.append(h) or build(h))
         monkeypatch.setattr(
             tensor_ops, "_apply_adjacency", lambda *args: steps.append(1) or kernel(*args)
         )
