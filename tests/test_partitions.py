@@ -289,6 +289,11 @@ class TestValidateMultipartition:
         with pytest.raises(ValueError):
             validate_multipartition(chain, w)
 
+    def test_kind_of_other_uniformity_rejected(self):
+        w = MultipartitionWitness((1, 2, 3, 4), ((1,), (2,), (3, 4)), "tripartite")
+        with pytest.raises(ValueError, match="3-uniform"):
+            validate_multipartition(single_edge(4), w, "residue")
+
 
 class TestEnumerateMultipartitions:
     def test_single_edge_unique_tripartition(self):
