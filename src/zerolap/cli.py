@@ -3,6 +3,10 @@
 Subcommands ingest a hypergraph file, run one analysis, and emit a JSON
 report (stdout by default, ``--out`` for a file, ``--pretty`` for a human
 rendering). Identical input and config produce byte-identical reports.
+``zero-eigenvectors`` lists each component's classes in lexicographic
+order of their exponents, shifted to 0 at the component's first vertex,
+and ``--budget`` keeps the lexicographically first classes, components in
+order; the order depends only on the solution set, not on the solver.
 ``render_report`` writes a report byte for byte as
 ``json.dumps(report, indent=2, sort_keys=True)`` does, built from the same
 stdlib primitives but without that call's pure-Python encoder. Every

@@ -8,24 +8,27 @@ can be rotated onto a real vector, otherwise N; conjugation (exponent
 negation) pairs up the N classes with no fixed points, since a
 self-conjugate pattern is forced into two values pi apart, which is H.
 
-Counting is closed-form (Smith form solution counts plus a modulus-2
-subsystem for the H classes when k is even); enumeration is reserved for
-explicitly requested class listings. ``solve_components`` is the one pass
-per run: per component it Smith-factors the incidence rows once, solves
-both operators' systems and their H counts from that factorization, and
-fills both operators' cross-checks from one bipartition scan (the
-even-bipartitions for the Laplacian, the odd ones for the signless
-operator). Counts, class listings and the cross-checks all read the
-records it returns.
+Counting is closed-form (solution counts of the Howell-form solve plus a
+modulus-2 subsystem for the H classes when k is even); enumeration is
+reserved for explicitly requested class listings. ``solve_components`` is
+the one pass per run: per component it builds the incidence rows once,
+eliminates them once modulo k (and once modulo 2 for even k), solves both
+operators' systems and their H counts from those forms, and fills both
+operators' cross-checks from one bipartition scan (the even-bipartitions
+for the Laplacian, the odd ones for the signless operator). Counts, class
+listings and the cross-checks all read the records it returns.
 
 A listing is an integer array with one row of exponents per class, the
-only representation of a class. It is built from blocks of solutions
-(``zk_solver.solution_blocks``) and stops at its cap; kinds, the exact
+only representation of a class. Within each component the classes are
+listed in lexicographic order of their shift-canonical exponents
+(exponent 0 at the component's first vertex): they are the first
+solutions in ``zk_solver.lex_solutions`` order. A listing therefore
+depends only on the solution set, not on how it was solved, and a capped
+listing holds the lexicographically first classes. Kinds, the exact
 residue check and the residuals (``realize_classes``) are computed on
 whole blocks of rows, never class by class.
 """
 
-import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -39,22 +42,25 @@ from .hypergraph import (
 )
 from .tensor_ops import edge_index, eig_residual
 from .zk_solver import (
-    BLOCK_CELLS,
     LAPLACIAN,
     SIGNLESS,
     ZERO_EIG_OPERATORS,
-    SmithFactorization,
+    HowellForm,
     SolutionDescription,
     ZkLinearSystem,
-    build_zero_eig_system,
     edge_residue,
-    factor_rows,
-    solution_blocks,
+    edge_system,
+    howell_form,
+    incidence_rows,
+    lex_solutions,
     solve_mod_k,
 )
 from . import partitions as _partitions
 
 DEFAULT_CROSSCHECK_BUDGET = 200_000
+# Entries (classes x vertices) per realization block: bounds the memory of
+# a block while keeping the number of numpy calls per block small.
+BLOCK_CELLS = 1 << 12
 
 # Reason attached to reports when the signless system has no solutions
 # because k is odd and the component is not a singleton.
@@ -106,27 +112,33 @@ def solve_components(
 ) -> dict[str, tuple[ComponentStructure, ...]]:
     """Each component's records for both operators, in component order.
 
-    Per component, both operators' systems are built, their shared rows
-    are Smith-factored once, and both systems and their H counts are
-    solved from that factorization; one bipartition scan under ``budget``
-    fills both records' cross-checks. ``decomp`` is ``h``'s decomposition
-    when the caller already has it. Pass ``result[operator]`` as ``solved``
-    to the functions below to share this one pass across them.
+    Per component, the incidence rows are built once and eliminated once
+    modulo k (and once modulo 2 for even k); both operators' systems and
+    their H counts are solved from those forms, and one bipartition scan
+    under ``budget`` fills both records' cross-checks. ``decomp`` is
+    ``h``'s decomposition when the caller already has it. Pass
+    ``result[operator]`` as ``solved`` to the functions below to share
+    this one pass across them.
     """
     if decomp is None:
         decomp = connected_components(h)
+    k = h.k
     out: dict[str, list[ComponentStructure]] = {op: [] for op in ZERO_EIG_OPERATORS}
     for comp, single in zip(decomp.components, decomp.singleton):
-        systems = {op: build_zero_eig_system(h, comp, op) for op in ZERO_EIG_OPERATORS}
-        rows = systems[LAPLACIAN].rows
-        factorization = factor_rows(rows) if rows else None
+        verts, rows = incidence_rows(h, comp)
+        form = form2 = None
+        if rows:
+            form = howell_form(rows, len(verts), k)
+            if k % 2 == 0:
+                form2 = form if k == 2 else howell_form(rows, len(verts), 2)
         expected = _component_expected(h, comp, single, budget)
-        for op, sys in systems.items():
-            desc = None if sys is None else solve_mod_k(sys, factorization)
+        for op in ZERO_EIG_OPERATORS:
+            sys = edge_system(k, verts, rows, op)
+            desc = None if sys is None else solve_mod_k(sys, form)
             feasible = desc is not None and desc.feasible
             count = desc.solution_count if feasible else 0
-            classes = count // h.k
-            h_count = _h_class_count(sys, factorization) if feasible else 0
+            classes = count // k
+            h_count = _h_class_count(sys, form2) if feasible else 0
             n_classes = classes - h_count
             if n_classes % 2:
                 raise VerificationError(
@@ -139,20 +151,20 @@ def solve_components(
     return {op: tuple(records) for op, records in out.items()}
 
 
-def _h_class_count(sys: ZkLinearSystem, factorization: SmithFactorization | None) -> int:
+def _h_class_count(sys: ZkLinearSystem, form2: HowellForm | None) -> int:
     """Closed-form count of H classes of one feasible component system.
 
     Odd k admits only constant patterns, so there is exactly one class:
     the all-ones vector, or the scalar on a singleton. For even k the H
     classes biject with the solutions of the modulus-2 subsystem (exponents
     restricted to {0, k/2}, so each edge residue r becomes r / (k/2)), two
-    solutions per class.
+    solutions per class; ``form2`` is the rows' form modulo 2.
     """
     k = sys.modulus
     if k % 2 == 1:
         return 1
     sub = ZkLinearSystem(2, sys.vertices, sys.rows, tuple(r // (k // 2) for r in sys.rhs))
-    desc = solve_mod_k(sub, factorization)
+    desc = solve_mod_k(sub, form2)
     return desc.solution_count // 2 if desc.feasible else 0
 
 
@@ -271,37 +283,38 @@ def crosscheck(
 
 
 def _listed_classes(
-    k: int, limit: int | None, solved: tuple[ComponentStructure, ...]
+    limit: int | None, solved: tuple[ComponentStructure, ...]
 ) -> list[np.ndarray]:
     """Each component's listed classes, in order, at most ``limit`` in total.
 
     A listing holds one shift-canonical exponent row per class (exponent 0
-    at the component's first vertex), in the order in which the classes
-    first appear in ``solution_blocks``.
+    at the component's first vertex), in lexicographic order, so a capped
+    listing holds the lexicographically first classes.
     """
     out = []
     remaining = limit
     for cs in solved:
         target = cs.class_count if remaining is None else min(cs.class_count, remaining)
-        out.append(_component_classes(k, cs, target))
+        out.append(_component_classes(cs, target))
         if remaining is not None:
             remaining -= len(out[-1])
     return out
 
 
-def _component_classes(k: int, cs: ComponentStructure, target: int) -> np.ndarray:
-    """The first ``target`` classes of one component, enumerating only the
-    blocks of solutions needed to find them."""
-    dtype = np.min_scalar_type(k)
-    seen: dict[bytes, None] = {}
-    if target > 0:
-        for block in solution_blocks(cs.description):
-            canon = ((block - block[:, :1]) % k).astype(dtype)
-            seen.update(dict.fromkeys(canon.view(f"V{canon.strides[0]}").ravel().tolist()))
-            if len(seen) >= target:
-                break
-    first = b"".join(itertools.islice(seen, target))
-    return np.frombuffer(first, dtype).reshape(-1, len(cs.component))
+def _component_classes(cs: ComponentStructure, target: int) -> np.ndarray:
+    """The lexicographically first ``target`` classes of one component.
+
+    Adding 1 to every exponent keeps every edge sum (each edge has k
+    vertices), so each value at the first vertex is taken by the same
+    number of solutions: the first class_count solutions in lexicographic
+    order are exactly those with exponent 0 there, one per class.
+    """
+    if target == 0:
+        return np.zeros((0, len(cs.component)), dtype=np.int64)
+    classes = lex_solutions(cs.description, target)
+    if classes[:, 0].any():
+        raise VerificationError(f"shift symmetry broken on component {cs.component}")
+    return classes
 
 
 def _kinds(alphas: np.ndarray, k: int) -> list[str]:
@@ -381,7 +394,7 @@ def zero_eigenvector_report(
     ``solved`` is as for ``structure_counts``.
     """
     counts = structure_counts(h, operator, budget, solved=solved)
-    listings = _listed_classes(h.k, enumerate_limit, counts.components)
+    listings = _listed_classes(enumerate_limit, counts.components)
     rhs = edge_residue(h.k, operator)
 
     components = []

@@ -6,24 +6,39 @@ of unity exp(2*pi*i*alpha_v/k) whose exponents satisfy one linear congruence
 per edge: the exponents of an edge sum to 0 (resp. k/2) mod k. This module
 solves those systems exactly: feasibility, a particular solution, a kernel
 description that enumerates every solution exactly once, and the exact
-solution count. ``solution_blocks`` lists the solutions as integer arrays,
-one row of exponents per solution.
+solution count. ``lex_solutions`` lists the solutions in lexicographic
+order as integer arrays, one row of exponents per solution.
 
-Everything is integer arithmetic; Smith normal form is computed over Z so
-that composite moduli (k = 4, 6, ...) are handled uniformly. Z_k is not a
-field for composite k, so naive modular pivoting would be unsound.
+A system A * alpha == b (mod k) is solved through one elimination of
+[A^T | I_m] modulo k into Howell form (Storjohann & Mulders, "Fast
+algorithms for linear algebra modulo N", ESA 1998), in numpy int64. Z_k is
+not a field for composite k, so the elimination pivots on the entry of
+least gcd with k, merges rows by extended gcd, and keeps the Howell
+property by carrying (k/d) times each pivot row of pivot d on to the later
+columns. The rows with a pivot among the |E| edge columns give the image
+part (H1, T1), with T1 * A^T == H1; the others give the kernel rows K,
+zero on the edge columns and echelon in vertex order, each with a pivot d
+dividing k and order k/d. Forward substitution of a right-hand side
+through H1 gives z, and z * T1 is a particular solution.
 
-The Smith form depends only on a component's 0/1 incidence rows, not on
-the operator, the right-hand side or the modulus. ``factor_rows`` computes
-it once, and ``solve_mod_k`` reuses that one factorization for the
-Laplacian and signless systems and for the modulus-2 subsystem.
+The form depends only on the coefficient rows and the modulus, not on the
+right-hand side. ``howell_form`` computes it once per component, and
+``solve_mod_k`` reuses it for the Laplacian and signless systems; the
+modulus-2 subsystem that counts H classes gets a form modulo 2. Each
+form is checked by a certificate (``check_howell_form``) and each
+particular solution against every row; a failure raises
+VerificationError. Entries are reduced mod k after every step, so
+products stay near k^2 and int64 arithmetic is exact.
+
+``smith_normal_form`` is the former integer Smith normal form solver, kept
+for the tests as an independent route to the same counts; no command
+calls it.
 """
 
-import itertools
 import math
 from dataclasses import dataclass
 from operator import mul
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -33,9 +48,6 @@ from .hypergraph import Hypergraph, induced_subhypergraph
 LAPLACIAN = "laplacian"
 SIGNLESS = "signless"
 ZERO_EIG_OPERATORS = (LAPLACIAN, SIGNLESS)
-# Entries (solutions x vertices) per array block: bounds the memory of a
-# block while keeping the number of numpy calls per block small.
-BLOCK_CELLS = 1 << 12
 
 
 @dataclass(frozen=True)
@@ -68,21 +80,34 @@ class SolutionDescription:
     ``kernel`` is a tuple of (generator, order) pairs; the solution set is
     exactly {particular + sum_j t_j * gen_j : 0 <= t_j < order_j}, every
     combination giving a distinct solution, so ``solution_count`` is the
-    product of the orders.
+    product of the orders. The generators are echelon in vertex order:
+    generator j's first nonzero entry is k / order_j, and they have the
+    Howell property, so (order_j * gen_j) is a combination of the
+    generators after j. ``particular`` is the lexicographically least
+    solution.
     """
 
     system: ZkLinearSystem
     feasible: bool
     particular: tuple[int, ...] | None
     kernel: tuple[tuple[tuple[int, ...], int], ...]
-    invariant_factors: tuple[int, ...]
     solution_count: int
 
 
 def build_zero_eig_system(
     h: Hypergraph, component: Sequence[int], operator: str
 ) -> ZkLinearSystem | None:
-    """Edge-sum congruence system for the zero eigenvalue on one component.
+    """Edge-sum congruence system for the zero eigenvalue on one component
+    (see ``edge_system``)."""
+    if operator not in ZERO_EIG_OPERATORS:
+        raise ValueError(f"unknown operator {operator!r}")
+    return edge_system(h.k, *incidence_rows(h, component), operator)
+
+
+def edge_system(
+    k: int, vertices: tuple[int, ...], rows: tuple[tuple[int, ...], ...], operator: str
+) -> ZkLinearSystem | None:
+    """``operator``'s edge-sum system on a component's incidence rows.
 
     Returns None (the no-solution marker) for the signless operator with
     odd k on a component that has at least one edge: the required residue
@@ -90,14 +115,9 @@ def build_zero_eig_system(
     Singleton components yield a degenerate row-free system, which is
     always feasible (the vertex's tensor block is zero).
     """
-    if operator not in ZERO_EIG_OPERATORS:
-        raise ValueError(f"unknown operator {operator!r}")
-    verts, rows = incidence_rows(h, component)
-    k = h.k
     if operator == SIGNLESS and k % 2 == 1 and rows:
         return None
-    residue = edge_residue(k, operator)
-    return ZkLinearSystem(k, verts, rows, tuple(residue for _ in rows))
+    return ZkLinearSystem(k, vertices, rows, (edge_residue(k, operator),) * len(rows))
 
 
 def edge_residue(k: int, operator: str) -> int:
@@ -123,25 +143,25 @@ def incidence_rows(
     return verts, tuple(rows)
 
 
-@dataclass(frozen=True)
-class SmithFactorization:
-    """U * rows * V == diag(diagonal) of one integer matrix.
+@dataclass(frozen=True, eq=False)
+class HowellForm:
+    """[A^T | I_m] modulo ``modulus`` in Howell form, A being ``rows``.
 
-    Independent of right-hand side and modulus, so one factorization of a
-    component's incidence rows serves both operators' systems and the
-    modulus-2 subsystem. ``diagonal`` holds S[i][i] for i < min(rows, cols).
+    ``matrix`` is A as an (|E|, m) array. The rows of the form whose pivot
+    lies among the |E| edge columns are split there into ``image`` (H1)
+    and ``transform`` (T1), so T1 * A^T == H1; the others are zero on
+    those columns and ``kernel`` (K) holds their vertex part, so
+    K * A^T == 0. Both parts are echelon, each pivot d divides the
+    modulus, and the combinations of the rows with coefficients
+    0 <= t < modulus / d are the whole row space {(y A^T, y)}, each once.
     """
 
+    modulus: int
     rows: tuple[tuple[int, ...], ...]
-    U: list[list[int]]
-    V: list[list[int]]
-    diagonal: tuple[int, ...]
-
-
-def factor_rows(rows: tuple[tuple[int, ...], ...]) -> SmithFactorization:
-    """Smith-factor a nonempty coefficient matrix for repeated solves."""
-    U, S, V = smith_normal_form(rows)
-    return SmithFactorization(rows, U, V, tuple(S[i][i] for i in range(min(len(S), len(V)))))
+    matrix: np.ndarray
+    image: np.ndarray
+    transform: np.ndarray
+    kernel: np.ndarray
 
 
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -155,6 +175,250 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
         old_s, s = s, old_s - q * s
         old_t, t = t, old_t - q * t
     return old_r, old_s, old_t
+
+
+def _unit_to_gcd(a: int, n: int) -> int:
+    """A unit u of Z_n with u * a == gcd(a, n) (mod n)."""
+    g = math.gcd(a, n)
+    step = n // g
+    u = pow(a // g, -1, step) if step > 1 else 1
+    # u is fixed mod n/g; some lift u + j*(n/g) is also coprime to n
+    while math.gcd(u, n) != 1:
+        u += step
+    return u % n
+
+
+def howell_form(
+    rows: tuple[tuple[int, ...], ...], width: int, modulus: int
+) -> HowellForm:
+    """Howell form of [A^T | I_width] modulo ``modulus``, A being ``rows``.
+
+    Column by column, the rows still pending (all zero left of the column)
+    are merged into one pivot row whose entry d generates the ideal of
+    their entries: the row of least gcd with the modulus is scaled by a
+    unit, then rows it does not divide are merged in by extended gcd, and
+    the other rows are cleared by subtraction. The pivot row's slot then
+    takes (modulus / d) times the pivot row, which is zero in the column,
+    so every row-space element that is zero left of a column stays a
+    combination of the rows pivoting there or later: the Howell property.
+    The result is checked by ``check_howell_form`` before it is returned.
+    """
+    n = modulus
+    matrix = np.array(rows, dtype=np.int64).reshape(len(rows), width)
+    edges = len(rows)
+    work = np.concatenate([matrix.T % n, np.eye(width, dtype=np.int64)], axis=1)
+    found = []
+    for col in range(edges + width):
+        hit = np.flatnonzero(work[:, col])
+        if not len(hit):
+            continue
+        i = hit[np.argmin(np.gcd(work[hit, col], n))]
+        pivot = work[i] * _unit_to_gcd(int(work[i, col]), n) % n
+        work[i] = 0
+        hit = hit[hit != i]
+        for j in hit[work[hit, col] % pivot[col] != 0]:
+            a, b = int(pivot[col]), int(work[j, col])
+            g, s, t = _xgcd(a, b)
+            pivot, work[j] = (s * pivot + t * work[j]) % n, (b // g * pivot - a // g * work[j]) % n
+        d = int(pivot[col])
+        work[hit, col:] = (work[hit, col:] - (work[hit, col] // d)[:, None] * pivot[col:]) % n
+        if d > 1:
+            work[i] = pivot * (n // d) % n
+        found.append(pivot)
+    del work
+    done = np.array(found, dtype=np.int64).reshape(len(found), edges + width)
+    r = int(done[:, :edges].any(axis=1).sum())
+    form = HowellForm(n, rows, matrix, done[:r, :edges], done[:r, edges:], done[r:, edges:])
+    check_howell_form(form)
+    return form
+
+
+def _times_transpose(left: np.ndarray, matrix: np.ndarray) -> np.ndarray:
+    """left @ matrix.T, summed over the nonzero entries of ``matrix`` only."""
+    r, c = np.nonzero(matrix)
+    terms = np.zeros((len(left), len(r) + 1), dtype=np.int64)
+    np.cumsum(left[:, c] * matrix[r, c], axis=1, out=terms[:, 1:])
+    bounds = np.searchsorted(r, np.arange(len(matrix) + 1))
+    return terms[:, bounds[1:]] - terms[:, bounds[:-1]]
+
+
+def _pivots(block: np.ndarray) -> np.ndarray:
+    """Column of the first nonzero entry of each row."""
+    return (block != 0).argmax(axis=1)
+
+
+def check_howell_form(form: HowellForm) -> None:
+    """Certificate that ``form`` lists the row space of [A^T | I_m] exactly.
+
+    Checked over the nonzero entries of A, in O(m * nnz(A)):
+
+    * T1 * A^T == H1 and K * A^T == 0, so every row lies in the row space
+      {(y A^T, y)}, which has modulus^m elements;
+    * the rows are echelon, H1's pivots among the edge columns and K's
+      among the vertex columns, and every pivot d divides the modulus, so
+      the combinations with coefficients 0 <= t < modulus / d are distinct;
+    * the product of modulus / d over all rows is modulus^m, so those
+      combinations are the whole row space, and those of K alone are
+      exactly the kernel.
+
+    Raises VerificationError on the first clause that fails.
+    """
+    n, matrix = form.modulus, form.matrix
+    edges, width = matrix.shape
+    if ((_times_transpose(form.transform, matrix) - form.image) % n).any():
+        raise VerificationError("Howell form: T1 * A^T differs from H1")
+    if (_times_transpose(form.kernel, matrix) % n).any():
+        raise VerificationError("Howell form: a kernel row is not a solution")
+    image_pivots, kernel_pivots = _pivots(form.image), _pivots(form.kernel)
+    pivots = np.concatenate([image_pivots, edges + kernel_pivots])
+    d = np.concatenate([
+        form.image[np.arange(len(form.image)), image_pivots],
+        form.kernel[np.arange(len(form.kernel)), kernel_pivots],
+    ])
+    # an all-zero row (H1's part included) shows up as a pivot entry of 0
+    if ((d <= 0) | (d >= n)).any() or (np.diff(pivots) <= 0).any() or (n % d).any():
+        raise VerificationError("Howell form: rows not echelon with pivots dividing the modulus")
+    if math.prod(n // int(x) for x in d) != n**width:
+        raise VerificationError("Howell form: the rows do not span the whole row space")
+
+
+def _least_in_coset(x: np.ndarray, kernel: np.ndarray, modulus: int) -> np.ndarray:
+    """Each row of ``x`` moved to the least element of its coset x + span(kernel).
+
+    Going down the echelon kernel rows: once the entries before a row's
+    pivot are fixed, the Howell property leaves exactly the combinations
+    of that row and the rows below it free, and those move the pivot entry
+    only in steps of the pivot d. Subtracting a multiple of the row brings
+    the entry below d, its least value.
+    """
+    for row, col in zip(kernel, _pivots(kernel)):
+        x = (x - (x[:, col] // row[col])[:, None] * row) % modulus
+    return x
+
+
+def solve_mod_k(sys: ZkLinearSystem, form: HowellForm | None = None) -> SolutionDescription:
+    """Solve rows * alpha == rhs (mod k) exactly through the Howell form.
+
+    The right-hand side is substituted forward through the image rows H1:
+    at each pivot d the remaining residue must be a multiple of d, and the
+    quotients z give the particular solution z * T1. A residue left at a
+    pivot that d does not divide, or after the last row, means no solution,
+    since the form's rows list the row space exactly. The kernel rows, with
+    orders k/d, enumerate all solutions from there. ``form`` (of
+    ``sys.rows`` modulo ``sys.modulus``) skips the elimination; without it
+    the rows are eliminated here.
+    """
+    k = sys.modulus
+    m = len(sys.vertices)
+    if not sys.rows:
+        kernel = tuple(
+            (tuple(int(i == j) for i in range(m)), k) for j in range(m)
+        )
+        return SolutionDescription(sys, True, tuple(0 for _ in range(m)), kernel, k**m)
+
+    if form is None:
+        form = howell_form(sys.rows, m, k)
+    elif form.modulus != k or form.rows != sys.rows:
+        raise ValueError("form is of a different coefficient matrix or modulus")
+    residue = np.array(sys.rhs, dtype=np.int64) % k
+    quotients = np.zeros(len(form.image), dtype=np.int64)
+    for i, (row, col) in enumerate(zip(form.image, _pivots(form.image))):
+        q, rest = divmod(int(residue[col]), int(row[col]))
+        if rest:
+            return SolutionDescription(sys, False, None, (), 0)
+        quotients[i] = q
+        residue = (residue - q * row) % k
+    if residue.any():
+        return SolutionDescription(sys, False, None, (), 0)
+    particular = quotients @ form.transform % k
+    if ((_times_transpose(particular[None, :], form.matrix)[0] - sys.rhs) % k).any():
+        raise VerificationError("particular solution breaks a row of the system")
+    particular = _least_in_coset(particular[None, :], form.kernel, k)[0]
+    orders = [k // int(d) for d in form.kernel[np.arange(len(form.kernel)), _pivots(form.kernel)]]
+    kernel = tuple(zip(map(tuple, form.kernel.tolist()), orders))
+    return SolutionDescription(sys, True, tuple(particular.tolist()), kernel, math.prod(orders))
+
+
+def lex_solutions(desc: SolutionDescription, limit: int | None = None) -> np.ndarray:
+    """The first ``limit`` solutions (all without a limit) in lexicographic
+    order, as an int64 array with one row per solution.
+
+    The listing expands one kernel generator at a time, from the particular
+    solution: each prefix's entry at the generator's pivot is brought below
+    the pivot d, then extended by t * generator for t = 0 .. order - 1,
+    which runs that entry through its values in increasing order. Every
+    prefix stands for the same number of solutions (the product of the
+    orders still to come), so only the first ceil(limit / that number)
+    prefixes are kept. Raises on infeasible descriptions.
+    """
+    if not desc.feasible:
+        raise ValueError("cannot enumerate an infeasible system")
+    k = desc.system.modulus
+    m = len(desc.system.vertices)
+    limit = desc.solution_count if limit is None else min(limit, desc.solution_count)
+    kernel = np.array([gen for gen, _ in desc.kernel], dtype=np.int64).reshape(-1, m)
+    out = np.array(desc.particular, dtype=np.int64).reshape(1, m)
+    remaining = desc.solution_count
+    for row, (_, order) in zip(kernel, desc.kernel):
+        remaining //= order
+        out = _least_in_coset(out, row[None, :], k)
+        out = ((out[:, None, :] + np.arange(order)[:, None] * row) % k).reshape(-1, m)
+        out = out[: -(-limit // remaining)]
+    return out[:limit]
+
+
+def eliminate_mod_prime(
+    rows: np.ndarray, rhs: np.ndarray, p: int
+) -> tuple[np.ndarray, np.ndarray] | None:
+    """Affine form of the solutions of rows * x == rhs (mod p), p prime.
+
+    Gauss-Jordan elimination over GF(p), pivoting on the columns in
+    ascending order. Returns None if the system is inconsistent, else
+    ``(x0, basis)`` with ``basis`` of shape (d, columns): the solutions are
+    exactly x0 + t @ basis (mod p) for t in GF(p)^d, each given by one t.
+    Row j of the basis sets the j-th non-pivot column to 1 and the other
+    non-pivot columns to 0. Both parts are checked against the rows before
+    returning; a mismatch raises VerificationError.
+    """
+    rows = np.asarray(rows, dtype=np.int64) % p
+    rhs = np.asarray(rhs, dtype=np.int64) % p
+    ncols = rows.shape[1]
+    work = np.concatenate([rows, rhs[:, None]], axis=1)
+    pivots: list[int] = []
+    for c in range(ncols):
+        r = len(pivots)
+        if r == len(work):
+            break
+        below = np.flatnonzero(work[r:, c])
+        if not len(below):
+            continue
+        i = r + int(below[0])
+        work[[r, i]] = work[[i, r]]
+        work[r] = work[r] * pow(int(work[r, c]), -1, p) % p
+        hit = np.flatnonzero(work[:, c])
+        hit = hit[hit != r]
+        work[hit] = (work[hit] - np.outer(work[hit, c], work[r])) % p
+        pivots.append(c)
+    rank = len(pivots)
+    if work[rank:, ncols].any():
+        return None
+    free = np.setdiff1d(np.arange(ncols), pivots)
+    x0 = np.zeros(ncols, dtype=np.int64)
+    x0[pivots] = work[:rank, ncols]
+    basis = np.zeros((len(free), ncols), dtype=np.int64)
+    basis[np.arange(len(free)), free] = 1
+    basis[:, pivots] = -work[:rank, free].T % p
+    # rows @ [basis.T | x0] - [0 | rhs], summed over the nonzeros of rows only
+    terms = np.concatenate([basis.T, x0[:, None]], axis=1)
+    r, c = np.nonzero(rows)
+    defect = np.zeros((len(rows), terms.shape[1]), dtype=np.int64)
+    products = terms[c]
+    products *= rows[r, c][:, None]
+    np.add.at(defect, r, products)
+    defect[:, -1] -= rhs
+    if (defect % p).any():
+        raise VerificationError("elimination mod p produced a non-solution")
+    return x0, basis
 
 
 def smith_normal_form(
@@ -285,153 +549,3 @@ def smith_normal_form(
     if prod != S:
         raise VerificationError("Smith normal form reconstruction failed")
     return U, S, V
-
-
-def solve_mod_k(
-    sys: ZkLinearSystem, factorization: SmithFactorization | None = None
-) -> SolutionDescription:
-    """Solve rows * alpha == rhs (mod k) exactly via integer Smith form.
-
-    With U*A*V = S diagonal, substituting alpha = V*beta turns the system
-    into independent scalar congruences d_i * beta_i == (U*rhs)_i (mod k):
-    feasible iff gcd(d_i, k) divides each transformed residue, with zero
-    rows requiring the residue to vanish mod k. The beta coordinates are
-    independent, so kernel generators mapped back through V enumerate all
-    solutions without repetition. ``factorization`` (of ``sys.rows``) skips
-    the Smith form; without it the rows are factored here.
-    """
-    k = sys.modulus
-    m = len(sys.vertices)
-    if not sys.rows:
-        kernel = tuple(
-            (tuple(int(i == j) for i in range(m)), k) for j in range(m)
-        )
-        return SolutionDescription(sys, True, tuple(0 for _ in range(m)), kernel, (), k**m)
-
-    if factorization is None:
-        factorization = factor_rows(sys.rows)
-    elif factorization.rows != sys.rows:
-        raise ValueError("factorization is of a different coefficient matrix")
-    U, V, diag = factorization.U, factorization.V, factorization.diagonal
-    nrows = len(sys.rows)
-    transformed = [
-        sum(U[i][r] * sys.rhs[r] for r in range(nrows)) % k for i in range(nrows)
-    ]
-    rank = sum(1 for d in diag if d)
-
-    for i in range(nrows):
-        d = diag[i] if i < len(diag) else 0
-        e = transformed[i]
-        if d == 0:
-            if e % k:
-                return SolutionDescription(sys, False, None, (), tuple(diag[:rank]), 0)
-        elif e % math.gcd(d, k):
-            return SolutionDescription(sys, False, None, (), tuple(diag[:rank]), 0)
-
-    beta = [0] * m
-    orders = []  # (beta coordinate, step, order) for coordinates with freedom
-    for i in range(rank):
-        d = diag[i]
-        g = math.gcd(d, k)
-        kg = k // g
-        # d/g is invertible mod k/g, giving the base solution of d*beta == e.
-        beta[i] = (transformed[i] // g) * pow((d // g) % kg, -1, kg) % kg if kg > 1 else 0
-        if g > 1:
-            orders.append((i, kg, g))
-    for i in range(rank, m):
-        orders.append((i, 1, k))
-
-    particular = tuple(
-        sum(V[j][i] * beta[i] for i in range(m)) % k for j in range(m)
-    )
-    kernel = []
-    count = 1
-    for coord, step, order in orders:
-        gen = tuple((V[j][coord] * step) % k for j in range(m))
-        kernel.append((gen, order))
-        count *= order
-    return SolutionDescription(
-        sys, True, particular, tuple(kernel), tuple(diag[:rank]), count
-    )
-
-
-def eliminate_mod_prime(
-    rows: np.ndarray, rhs: np.ndarray, p: int
-) -> tuple[np.ndarray, np.ndarray] | None:
-    """Affine form of the solutions of rows * x == rhs (mod p), p prime.
-
-    Gauss-Jordan elimination over GF(p), pivoting on the columns in
-    ascending order. Returns None if the system is inconsistent, else
-    ``(x0, basis)`` with ``basis`` of shape (d, columns): the solutions are
-    exactly x0 + t @ basis (mod p) for t in GF(p)^d, each given by one t.
-    Row j of the basis sets the j-th non-pivot column to 1 and the other
-    non-pivot columns to 0. Both parts are checked against the rows before
-    returning; a mismatch raises VerificationError.
-    """
-    rows = np.asarray(rows, dtype=np.int64) % p
-    rhs = np.asarray(rhs, dtype=np.int64) % p
-    ncols = rows.shape[1]
-    work = np.concatenate([rows, rhs[:, None]], axis=1)
-    pivots: list[int] = []
-    for c in range(ncols):
-        r = len(pivots)
-        if r == len(work):
-            break
-        below = np.flatnonzero(work[r:, c])
-        if not len(below):
-            continue
-        i = r + int(below[0])
-        work[[r, i]] = work[[i, r]]
-        work[r] = work[r] * pow(int(work[r, c]), -1, p) % p
-        hit = np.flatnonzero(work[:, c])
-        hit = hit[hit != r]
-        work[hit] = (work[hit] - np.outer(work[hit, c], work[r])) % p
-        pivots.append(c)
-    rank = len(pivots)
-    if work[rank:, ncols].any():
-        return None
-    free = np.setdiff1d(np.arange(ncols), pivots)
-    x0 = np.zeros(ncols, dtype=np.int64)
-    x0[pivots] = work[:rank, ncols]
-    basis = np.zeros((len(free), ncols), dtype=np.int64)
-    basis[np.arange(len(free)), free] = 1
-    basis[:, pivots] = -work[:rank, free].T % p
-    # rows @ [basis.T | x0] - [0 | rhs], summed over the nonzeros of rows only
-    terms = np.concatenate([basis.T, x0[:, None]], axis=1)
-    r, c = np.nonzero(rows)
-    defect = np.zeros((len(rows), terms.shape[1]), dtype=np.int64)
-    products = terms[c]
-    products *= rows[r, c][:, None]
-    np.add.at(defect, r, products)
-    defect[:, -1] -= rhs
-    if (defect % p).any():
-        raise VerificationError("elimination mod p produced a non-solution")
-    return x0, basis
-
-
-def solution_blocks(desc: SolutionDescription) -> Iterator[np.ndarray]:
-    """Every solution once, in ``itertools.product`` kernel-coordinate
-    order (the particular solution first), as int64 arrays with one row
-    per solution and one column per vertex.
-
-    The trailing kernel coordinates whose orders multiply to at most
-    ``BLOCK_CELLS // m`` rows are combined once into a table; each block is
-    one setting of the leading coordinates plus that table, mod k. Raises
-    on infeasible descriptions.
-    """
-    if not desc.feasible:
-        raise ValueError("cannot enumerate an infeasible system")
-    k = desc.system.modulus
-    m = len(desc.system.vertices)
-    rows = max(1, BLOCK_CELLS // m)
-    orders = [order for _, order in desc.kernel]
-    gens = np.array([gen for gen, _ in desc.kernel], dtype=np.int64).reshape(-1, m)
-    split, size = len(orders), 1
-    while split and size * orders[split - 1] <= rows:
-        split -= 1
-        size *= orders[split]
-    coeffs = np.array(list(itertools.product(*map(range, orders[split:]))), dtype=np.int64)
-    table = desc.particular + coeffs.reshape(size, -1) @ gens[split:]
-    for lead in itertools.product(*map(range, orders[:split])):
-        yield (table + np.array(lead, dtype=np.int64) @ gens[:split]) % k
-

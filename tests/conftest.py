@@ -33,16 +33,17 @@ def k3_complete4() -> Hypergraph:
 
 
 @pytest.fixture
-def snf_calls(monkeypatch):
-    """Records the matrix of every Smith normal form computed."""
+def eliminations(monkeypatch):
+    """Records the modulus of every Howell-form elimination."""
     calls = []
-    real = zk_solver.smith_normal_form
+    real = zk_solver.howell_form
 
-    def counting(matrix):
-        calls.append(matrix)
-        return real(matrix)
+    def counting(rows, width, modulus):
+        calls.append(modulus)
+        return real(rows, width, modulus)
 
-    monkeypatch.setattr(zk_solver, "smith_normal_form", counting)
+    for module in (zk_solver, eigenstructure):
+        monkeypatch.setattr(module, "howell_form", counting)
     return calls
 
 
@@ -52,9 +53,9 @@ def solve_calls(monkeypatch):
     calls = []
     real = zk_solver.solve_mod_k
 
-    def counting(sys, factorization=None):
+    def counting(sys, form=None):
         calls.append(sys)
-        return real(sys, factorization)
+        return real(sys, form)
 
     for module in (zk_solver, eigenstructure):
         monkeypatch.setattr(module, "solve_mod_k", counting)

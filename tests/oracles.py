@@ -2,13 +2,15 @@
 
 Everything above the scalar section recomputes results by direct
 exhaustive enumeration or by the textbook dense-tensor definition, sharing
-no algorithmic path with the library: no Smith form, no kernel
-parametrization, no edge-sum shortcut. Two of them are the library's
+no algorithmic path with the library: no elimination, no kernel
+parametrization, no edge-sum shortcut. Three of them are the library's
 former algorithms, kept as references for what replaced them:
 ``bipartition_witnesses`` scans the subsets once per flavor, where
-``enumerate_bipartitions`` finds all three flavors in one pass, and
+``enumerate_bipartitions`` finds all three flavors in one pass;
 ``hm_bipartition_dfs`` is the recursive search that
-``find_hm_bipartition`` replaced.
+``find_hm_bipartition`` replaced; and ``snf_solution_count`` counts
+solutions through the integer Smith normal form, which the Howell-form
+elimination replaced.
 
 The scalar section keeps the library's former per-class pipeline: one
 solution, one class and one edge at a time with complex scalars. The
@@ -18,8 +20,8 @@ it to these loops' exact bits, listing order and error messages.
 The library lists classes only as integer arrays. These plain-tuple
 functions stand in for its retired per-object API:
 
-* ``scalar_solutions`` for ``enumerate_solutions`` (the order that
-  ``zk_solver.solution_blocks`` keeps);
+* ``canonical_solutions`` for ``enumerate_solutions``, in the
+  lexicographic order that ``zk_solver.lex_solutions`` keeps;
 * ``shift_min`` for ``shift_canonicalize``, and ``shift_min`` of the
   negated exponents for ``conjugate_assignment``;
 * ``real_scalable`` for ``is_real_scalable`` and ``classify_H_or_N``;
@@ -39,6 +41,7 @@ import operator
 import numpy as np
 
 from zerolap.errors import VerificationError
+from zerolap.zk_solver import smith_normal_form
 from zerolap.partitions import (
     BIPARTITION_FLAVORS,
     EVEN,
@@ -61,6 +64,40 @@ def edge_sum_solutions(k, vertices, edges, rhs):
         if all(sum(vals[i] for i in ep) % k == rhs for ep in edge_pos):
             out.append(vals)
     return out
+
+
+def system_solutions(sys):
+    """Every solution of a ``ZkLinearSystem`` by full scan, in lexicographic order."""
+    k, m = sys.modulus, len(sys.vertices)
+    grid = np.indices((k,) * m).reshape(m, -1).T
+    ok = np.ones(len(grid), dtype=bool)
+    for row, r in zip(sys.rows, sys.rhs):
+        ok &= grid @ np.array(row, dtype=np.int64) % k == r % k
+    return [tuple(x) for x in grid[ok].tolist()]
+
+
+def snf_solution_count(sys):
+    """Solution count of a ``ZkLinearSystem`` through the integer Smith form.
+
+    With U * A * V = S diagonal, alpha = V * beta splits the system into
+    d_i * beta_i == (U * rhs)_i (mod k), one congruence per row: it has
+    gcd(d_i, k) solutions if that gcd divides the residue and none
+    otherwise, where a missing or zero d_i gives gcd k. Coordinates past
+    the rows are free.
+    """
+    k, m = sys.modulus, len(sys.vertices)
+    if not sys.rows:
+        return k**m
+    U, S, _ = smith_normal_form(sys.rows)
+    count = k**m
+    for i, u in enumerate(U):
+        residue = sum(a * b for a, b in zip(u, sys.rhs)) % k
+        g = math.gcd(S[i][i] if i < m else 0, k)
+        if residue % g:
+            return 0
+        if i < m:
+            count = count // k * g
+    return count
 
 
 def shift_min(vals, k):
@@ -378,40 +415,51 @@ def scalar_spectral_radius(h, max_iterations=10**4, tolerance=1e-12):
     return value, scalar_eig_residual(h, "adjacency", value, x), x.astype(complex)
 
 
-def scalar_solutions(desc):
-    """Solutions one at a time, in ``itertools.product`` kernel-coordinate order."""
-    k = desc.system.modulus
-    m = len(desc.system.vertices)
-    gens = [g for g, _ in desc.kernel]
-    for coeffs in itertools.product(*(range(order) for _, order in desc.kernel)):
-        vals = list(desc.particular)
-        for t, gen in zip(coeffs, gens):
-            if t:
-                for j in range(m):
-                    vals[j] += t * gen[j]
-        yield tuple(v % k for v in vals)
+def canonical_solutions(sys):
+    """Solutions of ``sys`` with exponent 0 at the first vertex, in
+    lexicographic order, one tuple at a time.
+
+    A depth-first search sets the vertices in order, trying each value in
+    turn, and checks each row once its last nonzero column is set.
+    """
+    k, m = sys.modulus, len(sys.vertices)
+    closing = [[] for _ in range(m)]
+    for row, r in zip(sys.rows, sys.rhs):
+        last = max((j for j, c in enumerate(row) if c % k), default=0)
+        closing[last].append((row, r % k))
+    values = [0] * m
+
+    def extend(j):
+        if j == m:
+            yield tuple(values)
+            return
+        for value in range(1 if j == 0 else k):
+            values[j] = value
+            if all(sum(map(operator.mul, row, values)) % k == r for row, r in closing[j]):
+                yield from extend(j + 1)
+        values[j] = 0
+
+    yield from extend(0)
 
 
 def scalar_classes(k, solved, limit=None):
     """Per component, the (alpha, kind) of each listed class.
 
-    Classes are kept in order of first appearance among the solutions,
-    each shifted to exponent 0 at the first vertex, until the component's
-    class count or the remainder of ``limit`` (over all components) is
-    reached; components past the limit list nothing.
+    Each component lists its solutions with exponent 0 at the first vertex
+    (one per class) in lexicographic order, until the component's class
+    count or the remainder of ``limit`` (over all components) is reached;
+    components past the limit list nothing. The solutions come from
+    ``canonical_solutions`` on the component's system, not from its solved
+    form.
     """
     out = []
     listed = 0
     for cs in solved:
         target = cs.class_count if limit is None else min(cs.class_count, limit - listed)
-        seen = {}
+        alphas = []
         if cs.feasible and target > 0:
-            for sol in scalar_solutions(cs.description):
-                canon = tuple((v - sol[0]) % k for v in sol)
-                seen.setdefault(canon, None)
-                if len(seen) == target:
-                    break
-        classes = [(alpha, "H" if real_scalable(alpha, k) else "N") for alpha in seen]
+            alphas = list(itertools.islice(canonical_solutions(cs.description.system), target))
+        classes = [(alpha, "H" if real_scalable(alpha, k) else "N") for alpha in alphas]
         out.append(classes)
         listed += len(classes)
     return out

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from zerolap import Hypergraph, apply_adjacency, nqz_spectral_radius, tensor_ops
-from zerolap import eigenstructure, zk_solver
+from zerolap import eigenstructure
 from zerolap.cli import main
 from zerolap.corpus import (
     disjoint_union,
@@ -30,7 +30,7 @@ from zerolap.eigenstructure import (
 )
 from zerolap.errors import VerificationError
 from zerolap.hypergraph import connected_components, induced_subhypergraph
-from zerolap.zk_solver import SolutionDescription, ZkLinearSystem
+from zerolap.zk_solver import ZkLinearSystem, solve_mod_k
 
 import oracles
 from conftest import FIXTURE_DIR, single_edge
@@ -152,31 +152,28 @@ class TestSameBitsAsScalarLoops:
             assert pair.vector.tobytes() == vector.tobytes()
 
 
-def _repeating_description() -> ComponentStructure:
-    """x1 + x2 + x3 == 0 (mod 3) with the all-ones direction as the last
-    kernel coordinate, so each class's three solutions come in a row."""
-    sys = ZkLinearSystem(3, (1, 2, 3), ((1, 1, 1),), (0,))
-    desc = SolutionDescription(sys, True, (0, 0, 0), (((1, 2, 0), 3), ((1, 1, 1), 3)), (1,), 9)
-    return ComponentStructure((1, 2, 3), False, True, 9, 3, 1, 1, desc)
+class TestListingOrder:
+    @settings(max_examples=40, deadline=None)
+    @given(multi_component_instances(), st.integers(0, 300))
+    def test_capped_listing_is_the_lexicographic_prefix(self, instance, cap):
+        """Each component lists its classes in strictly increasing
+        lexicographic order, and a listing capped at b holds the first b
+        classes of the uncapped one, components in order."""
+        h, limit = instance
+        for op in OPERATORS:
 
+            def listed(b):
+                report = zero_eigenvector_report(h, op, enumerate_limit=b)
+                return [[tuple(c["alpha"]) for c in e["classes"]] for e in report["components"]]
 
-class TestDeduplication:
-    @pytest.mark.parametrize("cells", [zk_solver.BLOCK_CELLS, 1])
-    def test_repeats_in_kernel_order_are_dropped(self, cells, monkeypatch):
-        """The three classes appear at solutions 1, 4 and 7; with one
-        solution per block the repeats straddle block boundaries."""
-        monkeypatch.setattr(zk_solver, "BLOCK_CELLS", cells)
-        solved = (_repeating_description(),)
-
-        def listed(limit=None):
-            report = zero_eigenvector_report(
-                single_edge(3), "laplacian", enumerate_limit=limit, solved=solved
-            )
-            return [(tuple(c["alpha"]), c["kind"]) for c in report["components"][0]["classes"]]
-
-        assert listed() == [((0, 0, 0), "H"), ((0, 1, 2), "N"), ((0, 2, 1), "N")]
-        assert oracles.scalar_classes(3, solved)[0] == listed()
-        assert listed(2) == [((0, 0, 0), "H"), ((0, 1, 2), "N")]
+            full = listed(limit)
+            for rows in full:
+                assert all(a < b for a, b in zip(rows, rows[1:]))
+            flat = [row for rows in full for row in rows]
+            b = min(cap, len(flat))
+            capped = listed(b)
+            assert [row for rows in capped for row in rows] == flat[:b]
+            assert all(c == f[: len(c)] for c, f in zip(capped, full))
 
 
 class TestChecksFireOnBatches:
@@ -197,6 +194,17 @@ class TestChecksFireOnBatches:
         with pytest.raises(VerificationError) as scalar_err:
             oracles.scalar_realize(h, "laplacian", component, tuple(alphas[1].tolist()))
         assert str(err.value) == str(scalar_err.value)
+
+    def test_listing_requires_shift_symmetry(self):
+        """A solved form whose lexicographically first solutions leave
+        exponent 0 at the first vertex is an internal inconsistency: edge
+        systems always have the all-ones shift in their kernel."""
+        sys = ZkLinearSystem(3, (1, 2), ((1, 0),), (1,))
+        desc = solve_mod_k(sys)
+        assert desc.particular == (1, 0)
+        solved = (ComponentStructure((1, 2), False, True, 3, 1, 1, 0, desc),)
+        with pytest.raises(VerificationError, match="shift symmetry broken on component"):
+            zero_eigenvector_report(Hypergraph(3, 2, ()), "laplacian", solved=solved)
 
     def test_tolerance_below_known_residual(self, capsys):
         tolerance = 1e-15
@@ -238,17 +246,19 @@ class TestBoundedWork:
         assert peak < 8 * 2**20
 
     def test_enumeration_stops_at_the_limit(self, monkeypatch):
-        drawn = []
-        real = eigenstructure.solution_blocks
+        """The listing asks the solver for the capped number of solutions
+        only, never for the component's 531 441 classes."""
+        asked = []
+        real = eigenstructure.lex_solutions
 
-        def counting(desc):
-            for block in real(desc):
-                drawn.append(len(block))
-                yield block
+        def counting(desc, limit=None):
+            out = real(desc, limit)
+            asked.append((limit, len(out)))
+            return out
 
-        monkeypatch.setattr(eigenstructure, "solution_blocks", counting)
+        monkeypatch.setattr(eigenstructure, "lex_solutions", counting)
         zero_eigenvector_report(_hypertree_25(), "laplacian", enumerate_limit=1000)
-        assert sum(drawn[:-1]) < 1000
+        assert asked == [(1000, 1000)]
 
     def test_report_makes_no_per_class_calls(self, monkeypatch):
         calls = 0
@@ -263,4 +273,4 @@ class TestBoundedWork:
         limit = 5000
         report = zero_eigenvector_report(_hypertree_25(), "laplacian", enumerate_limit=limit)
         assert len(report["components"][0]["classes"]) == limit
-        assert calls == math.ceil(limit / (zk_solver.BLOCK_CELLS // 25))
+        assert calls == math.ceil(limit / (eigenstructure.BLOCK_CELLS // 25))

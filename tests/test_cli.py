@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from zerolap import eigenstructure, hypergraph, partitions, tensor_ops
+from zerolap import eigenstructure, hypergraph, partitions, tensor_ops, zk_solver
 from zerolap import cli as cli_module
 from zerolap.cli import _COMMANDS, EXIT_BROKEN_PIPE, main, render_report
 from zerolap.corpus import random_hm_bipartite
@@ -222,9 +222,29 @@ class TestSpectralTransformsCommand:
 
 
 @pytest.mark.parametrize("command", ["zero-eigenvectors", "crosscheck"])
-def test_both_operators_share_one_factorization(command, capsys, snf_calls):
+def test_both_operators_share_one_factorization(command, capsys, eliminations):
     assert main([command, "--input", K4, "--operator", "both"]) == 0
-    assert len(snf_calls) == 1  # one non-singleton component
+    assert eliminations == [4, 2]  # one non-singleton component, k = 4
+
+
+@pytest.mark.parametrize("command", ["zero-eigenvectors", "crosscheck"])
+def test_incidence_rows_built_once_per_component(command, tmp_path, capsys, monkeypatch):
+    """Both operators and the modulus-2 subsystem share one build of each
+    component's incidence rows, singletons included."""
+    path = tmp_path / "two_components.json"
+    edges = [[1, 2, 3, 4], [3, 4, 5, 6], [7, 8, 9, 10]]
+    path.write_text(json.dumps({"k": 4, "n": 11, "edges": edges}))
+    calls = []
+    real = zk_solver.incidence_rows
+
+    def counting(h, component):
+        calls.append(tuple(component))
+        return real(h, component)
+
+    for module in (zk_solver, eigenstructure):
+        monkeypatch.setattr(module, "incidence_rows", counting)
+    assert main([command, "--input", str(path), "--operator", "both"]) == 0
+    assert calls == [(1, 2, 3, 4, 5, 6), (7, 8, 9, 10), (11,)]
 
 
 @pytest.mark.parametrize("path", [CHAIN, K4, EDGE3, EDGE4])

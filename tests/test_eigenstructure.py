@@ -40,23 +40,32 @@ ONE_FACTORIZATION_CASES = [
     pytest.param(load_hypergraph(FIXTURE_DIR / "k4_overlap_n6.json"), id="k4_overlap"),
     pytest.param(load_hypergraph(FIXTURE_DIR / "k3_chain_n7.json"), id="k3_chain"),
     pytest.param(Hypergraph(4, 9, ((1, 2, 3, 4), (5, 6, 7, 8))), id="k4_two_edges_and_singleton"),
+    pytest.param(Hypergraph(2, 6, ((1, 2), (2, 3), (3, 1), (4, 5))), id="k2_triangle_edge_and_singleton"),
 ]
+
+
+def _eliminations_per_run(h):
+    """Moduli of the eliminations one pass should make: one modulo k per
+    non-singleton component, serving both operators, then one modulo 2
+    for the H counts when k is even (the same one when k = 2)."""
+    per_component = [h.k, 2] if h.k % 2 == 0 and h.k > 2 else [h.k]
+    return per_component * sum(not s for s in connected_components(h).singleton)
 
 
 class TestOneFactorizationPerComponent:
     @pytest.mark.parametrize("h", ONE_FACTORIZATION_CASES)
-    def test_shared_across_operators(self, h, snf_calls):
+    def test_shared_across_operators(self, h, eliminations):
         solved = solve_components(h)
         for operator in ("laplacian", "signless"):
             zero_eigenvector_report(h, operator, solved=solved[operator])
             structure_counts(h, operator, solved=solved[operator])
-        assert len(snf_calls) == sum(not s for s in connected_components(h).singleton)
+        assert eliminations == _eliminations_per_run(h)
 
     @pytest.mark.parametrize("call", [zero_eigenvector_report, structure_counts])
     @pytest.mark.parametrize("h", ONE_FACTORIZATION_CASES)
-    def test_one_per_component_per_call(self, h, call, snf_calls):
+    def test_one_per_component_per_call(self, h, call, eliminations):
         call(h, "laplacian")
-        assert len(snf_calls) == sum(not s for s in connected_components(h).singleton)
+        assert eliminations == _eliminations_per_run(h)
 
     @pytest.mark.parametrize("h", ONE_FACTORIZATION_CASES)
     def test_one_solve_per_component_and_operator(self, h, solve_calls):
@@ -71,10 +80,8 @@ class TestOneFactorizationPerComponent:
         solved = solve_components(h)
         for operator in ("laplacian", "signless"):
             zero_eigenvector_report(h, operator, solved=solved[operator])
-        moduli = [sys.modulus for sys in solve_calls]
-        assert moduli.count(h.k) == len(systems)
-        assert moduli.count(2) == feasible_even
-        assert len(moduli) == len(systems) + feasible_even
+        moduli = sorted(sys.modulus for sys in solve_calls)
+        assert moduli == sorted([h.k] * len(systems) + [2] * feasible_even)
 
     @pytest.mark.parametrize("h", ONE_FACTORIZATION_CASES)
     def test_one_bipartition_scan_per_component(self, h, bipartition_scans):

@@ -1,29 +1,37 @@
+import dataclasses
 import itertools
 import random
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from zerolap import (
     Hypergraph,
     ZkLinearSystem,
     build_zero_eig_system,
+    connected_components,
     smith_normal_form,
     solve_mod_k,
 )
 from zerolap.corpus import random_hypergraph
-from zerolap import zk_solver
-from zerolap.zk_solver import eliminate_mod_prime, solution_blocks
+from zerolap.errors import VerificationError
+from zerolap.zk_solver import (
+    check_howell_form,
+    eliminate_mod_prime,
+    howell_form,
+    incidence_rows,
+    lex_solutions,
+)
 
 import oracles
 from conftest import single_edge
 
 
 def _all_solutions(desc):
-    """Every row of ``solution_blocks``, stacked in order."""
-    return np.concatenate(list(solution_blocks(desc)))
+    """Every solution, in lexicographic order."""
+    return lex_solutions(desc)
 
 
 def _satisfies(sys, values):
@@ -168,7 +176,7 @@ class TestSolveModK:
         desc = solve_mod_k(sys)
         assert desc.feasible
         assert desc.solution_count == 81
-        assert desc.invariant_factors == (1, 1, 1)
+        assert [order for _, order in desc.kernel] == [3, 3, 3, 3]
 
     def test_single_edge_k4_signless_count(self):
         sys = build_zero_eig_system(single_edge(4), (1, 2, 3, 4), "signless")
@@ -184,9 +192,11 @@ class TestSolveModK:
 
     def test_foreign_factorization_rejected(self, chain, k4_overlap):
         sys = build_zero_eig_system(k4_overlap, range(1, 7), "laplacian")
-        _, chain_rows = zk_solver.incidence_rows(chain, range(1, 8))
+        verts, chain_rows = incidence_rows(chain, range(1, 8))
         with pytest.raises(ValueError, match="different coefficient matrix"):
-            solve_mod_k(sys, zk_solver.factor_rows(chain_rows))
+            solve_mod_k(sys, howell_form(chain_rows, len(verts), 4))
+        with pytest.raises(ValueError, match="or modulus"):
+            solve_mod_k(sys, howell_form(sys.rows, len(sys.vertices), 2))
 
     def test_particular_solution_satisfies(self, chain):
         sys = build_zero_eig_system(chain, range(1, 8), "laplacian")
@@ -221,10 +231,12 @@ class TestEnumeration:
         assert all(_satisfies(sys, v) for v in sols)
 
     def test_limit_one_gives_particular(self, chain):
+        """The particular solution is the lexicographically least one."""
         sys = build_zero_eig_system(chain, range(1, 8), "laplacian")
         desc = solve_mod_k(sys)
-        first = next(solution_blocks(desc))
-        assert tuple(first[0].tolist()) == desc.particular
+        first = lex_solutions(desc, 1)
+        assert first.shape == (1, 7)
+        assert tuple(first[0].tolist()) == desc.particular == (0,) * 7
 
     def test_single_edge_k3_nine_solutions(self):
         sys = build_zero_eig_system(single_edge(3), (1, 2, 3), "laplacian")
@@ -235,7 +247,7 @@ class TestEnumeration:
     def test_infeasible_enumeration_raises(self):
         desc = solve_mod_k(ZkLinearSystem(4, (1,), ((2,),), (1,)))
         with pytest.raises(ValueError):
-            next(solution_blocks(desc))
+            lex_solutions(desc)
 
     def test_enumeration_exhausts_exactly(self):
         sys = build_zero_eig_system(single_edge(4), (1, 2, 3, 4), "signless")
@@ -243,21 +255,121 @@ class TestEnumeration:
         assert len(sols) == 64
         assert len({tuple(v) for v in sols}) == 64
 
-    @pytest.mark.parametrize("cells", [1, 7, 1 << 12])
+    @pytest.mark.parametrize("limit", [1, 7, 1 << 12])
     @pytest.mark.parametrize("seed", range(6))
-    def test_rows_follow_kernel_coordinate_order(self, seed, cells, monkeypatch):
-        """Whatever the block size, the stacked rows are the scalar
-        solutions in ``itertools.product`` order of the kernel coordinates."""
-        monkeypatch.setattr(zk_solver, "BLOCK_CELLS", cells)
+    def test_rows_follow_kernel_coordinate_order(self, seed, limit):
+        """Expanding the echelon kernel's coordinates in ``itertools.product``
+        order, each prefix first brought to its least value at the pivot,
+        lists the solutions in lexicographic order: the first ``limit`` rows
+        are the first ``limit`` brute-force solutions, sorted."""
         rng = random.Random(5000 + seed)
         k = rng.choice([3, 4, 6])
         n = rng.randint(k, 7)
         h = random_hypergraph(rng, k, n, rng.randint(1, 3))
-        sys = build_zero_eig_system(h, range(1, n + 1), "laplacian")
-        desc = solve_mod_k(sys)
-        rows = [tuple(v) for v in _all_solutions(desc).tolist()]
-        assert rows == list(oracles.scalar_solutions(desc))
-        assert len(rows) == desc.solution_count
+        for operator in ("laplacian", "signless"):
+            sys = build_zero_eig_system(h, range(1, n + 1), operator)
+            if sys is None:
+                continue
+            desc = solve_mod_k(sys)
+            brute = oracles.system_solutions(sys)
+            if not brute:
+                assert not desc.feasible
+                continue
+            rows = [tuple(v) for v in lex_solutions(desc, limit).tolist()]
+            assert rows == brute[:limit]
+
+
+# ---------------------------------------------------------------- differential
+
+@st.composite
+def zk_systems(draw):
+    """Small systems over Z_N with arbitrary rows and residues, so many are
+    infeasible; row-free systems included."""
+    n = draw(st.sampled_from([2, 3, 4, 6, 8, 9, 12]))
+    m = draw(st.integers(1, 4 if n <= 6 else 3))
+    row = st.lists(st.integers(0, 2 * n), min_size=m, max_size=m).map(tuple)
+    rows = tuple(draw(st.lists(row, max_size=5)))
+    rhs = tuple(draw(st.lists(st.integers(0, n - 1), min_size=len(rows), max_size=len(rows))))
+    return ZkLinearSystem(n, tuple(range(1, m + 1)), rows, rhs)
+
+
+@st.composite
+def edge_systems(draw):
+    """One component's system of a random k-uniform hypergraph, either
+    operator: k = 6 signless systems and singleton components included."""
+    k = draw(st.sampled_from([2, 3, 4, 6]))
+    n = draw(st.integers(k, {2: 8, 3: 7, 4: 6, 6: 7}[k]))
+    h = random_hypergraph(random.Random(draw(st.integers(0, 2**32))), k, n, draw(st.integers(1, 4)))
+    component = draw(st.sampled_from(connected_components(h).components))
+    sys = build_zero_eig_system(h, component, draw(st.sampled_from(["laplacian", "signless"])))
+    assume(sys is not None)
+    return sys
+
+
+def _check_against_brute_force(sys):
+    brute = oracles.system_solutions(sys)
+    desc = solve_mod_k(sys)
+    assert desc.feasible == bool(brute)
+    assert desc.solution_count == len(brute) == oracles.snf_solution_count(sys)
+    if brute:
+        assert desc.particular == brute[0]
+        assert [tuple(x) for x in lex_solutions(desc).tolist()] == brute
+
+
+@settings(deadline=None)
+@given(zk_systems())
+def test_solve_matches_brute_force_and_smith_form(sys):
+    _check_against_brute_force(sys)
+
+
+@settings(deadline=None, max_examples=60)
+@given(edge_systems())
+def test_edge_systems_match_brute_force_and_smith_form(sys):
+    _check_against_brute_force(sys)
+
+
+class TestCertificate:
+    """Each clause of ``check_howell_form``, and the particular solution's
+    check, rejects a form broken in that clause alone."""
+
+    @pytest.fixture
+    def form(self, k4_overlap):
+        verts, rows = incidence_rows(k4_overlap, range(1, 7))
+        form = howell_form(rows, len(verts), 4)
+        assert len(form.image) and len(form.kernel) >= 2
+        return form
+
+    def _rejected(self, form, match, **change):
+        with pytest.raises(VerificationError, match=match):
+            check_howell_form(dataclasses.replace(form, **change))
+
+    def test_transform_must_map_onto_image(self, form):
+        transform = form.transform.copy()
+        transform[0, -1] = (transform[0, -1] + 1) % 4
+        self._rejected(form, "T1", transform=transform)
+
+    def test_kernel_rows_must_solve(self, form):
+        kernel = form.kernel.copy()
+        kernel[-1, -1] = (kernel[-1, -1] + 1) % 4
+        self._rejected(form, "kernel row", kernel=kernel)
+
+    def test_rows_must_be_echelon(self, form):
+        self._rejected(form, "echelon", kernel=form.kernel[::-1].copy())
+
+    def test_pivots_must_divide_modulus(self, form):
+        kernel = form.kernel.copy()
+        kernel[0] = kernel[0] * 3 % 4  # 3 is a unit, so the row still solves
+        self._rejected(form, "dividing", kernel=kernel)
+
+    def test_rows_must_span_the_row_space(self, form):
+        self._rejected(form, "span", kernel=form.kernel[:-1].copy())
+
+    def test_particular_solution_must_solve(self, form, k4_overlap):
+        sys = build_zero_eig_system(k4_overlap, range(1, 7), "signless")
+        assert solve_mod_k(sys, form).feasible
+        broken = dataclasses.replace(form, transform=np.zeros_like(form.transform))
+        with pytest.raises(VerificationError, match="particular solution"):
+            solve_mod_k(sys, broken)
 
 
 # ---------------------------------------------------------------- canonical form and kind
