@@ -23,11 +23,10 @@ from .tensor_ops import (
     apply_adjacency,
     apply_laplacian,
     apply_signless,
-    diag_similarity,
     eig_residual,
     hm_spectral_reflection,
-    materialize_dense,
     nqz_spectral_radius,
+    similarity_identity_holds,
 )
 from .eigenstructure import structure_counts
 from .partitions import (

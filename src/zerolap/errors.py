@@ -6,8 +6,8 @@ class HypergraphFormatError(ValueError):
 
 
 class BudgetExceededError(RuntimeError):
-    """Raised when an enumeration, search, iteration or dense materialization
-    would exceed its budget."""
+    """Raised when an enumeration, search or iteration would exceed its
+    budget."""
 
 
 class VerificationError(RuntimeError):

@@ -14,17 +14,17 @@ fuse its multiply-adds, which changes the last bit of some products, so
 products are formed in split form, re = ar*br - ai*bi and im = ar*bi +
 ai*br, each product rounded on its own as in the scalar multiply. Each
 vertex accumulates its edge terms in edge order (``np.add.at``), never by
-a pairwise reduction. Dense materialization (exact rationals) exists for
-small instances so the implicit path can be cross-checked entry by entry
-and so diagonal similarity transforms can be evaluated exactly.
+a pairwise reduction.
+
+For even k, the +-1 diagonal similarity that carries the Laplacian to the
+signless Laplacian is checked edge by edge: it holds exactly when every
+edge's sign product is -1, one integer pass over the edge index with no
+tensor built.
 """
 
 import cmath
-import math
 import warnings
 from dataclasses import dataclass
-from fractions import Fraction
-from itertools import permutations
 from typing import Sequence
 
 import numpy as np
@@ -36,8 +36,6 @@ ADJACENCY = "adjacency"
 LAPLACIAN = "laplacian"
 SIGNLESS = "signless"
 OPERATORS = (ADJACENCY, LAPLACIAN, SIGNLESS)
-
-DEFAULT_DENSE_BUDGET = 10**7
 
 
 def _as_vector(h: Hypergraph, x) -> np.ndarray:
@@ -145,82 +143,21 @@ class Eigenpair:
         }
 
 
-@dataclass(frozen=True, eq=False)
-class DenseTensor:
-    """Explicit order-k tensor with exact rational entries.
+def similarity_identity_holds(h: Hypergraph, signs: Sequence[int]) -> bool:
+    """Whether D^(1-k) L D = S exactly, for the +-1 diagonal D = diag(signs).
 
-    ``entries`` maps 1-based multi-indices to nonzero Fractions; absent
-    indices are zero. Adjacency entries are 1/(k-1)! on every permutation
-    of every edge, and degree entries d_i sit at the repeated indices.
+    For even k, p^k = 1 leaves the diagonal entries alone and p^(k-1) = p
+    multiplies each edge's entries by the product of the signs on that
+    edge, so the identity holds exactly when every edge's sign product is
+    -1. For odd k that factor depends on which vertex of the edge comes
+    first, so the identity is not edge-local and ValueError is raised.
     """
-
-    order: int
-    dim: int
-    entries: dict[tuple[int, ...], Fraction]
-
-    def apply(self, x) -> np.ndarray:
-        """Dense contraction against a complex vector (first index free)."""
-        arr = np.asarray(x, dtype=complex)
-        if arr.shape != (self.dim,):
-            raise ValueError(f"vector has shape {arr.shape}, expected ({self.dim},)")
-        out = np.zeros(self.dim, dtype=complex)
-        for idx, val in self.entries.items():
-            term = float(val)
-            for j in idx[1:]:
-                term = term * arr[j - 1]
-            out[idx[0] - 1] += term
-        return out
-
-    def same_entries(self, other: "DenseTensor") -> bool:
-        """Exact entrywise equality (rational arithmetic, no tolerance)."""
-        if (self.order, self.dim) != (other.order, other.dim):
-            return False
-        a = {k: v for k, v in self.entries.items() if v}
-        b = {k: v for k, v in other.entries.items() if v}
-        return a == b
-
-
-def materialize_dense(
-    h: Hypergraph, operator: str, budget: int = DEFAULT_DENSE_BUDGET
-) -> DenseTensor:
-    """Explicit entry table of the chosen operator for small instances."""
-    if operator not in OPERATORS:
-        raise ValueError(f"unknown operator {operator!r}")
-    if h.n**h.k > budget:
-        raise BudgetExceededError(
-            f"dense tensor needs {h.n}^{h.k} = {h.n**h.k} entries, budget is {budget}"
-        )
-    entries: dict[tuple[int, ...], Fraction] = {}
-    adj = Fraction(1, math.factorial(h.k - 1))
-    sign = -1 if operator == LAPLACIAN else 1
-    for e in h.edges:
-        for perm in permutations(e):
-            entries[perm] = entries.get(perm, Fraction(0)) + sign * adj
-    if operator != ADJACENCY:
-        for v, d in enumerate(degrees(h), start=1):
-            if d:
-                entries[(v,) * h.k] = Fraction(d)
-    return DenseTensor(h.k, h.n, entries)
-
-
-def diag_similarity(t: DenseTensor, signs: Sequence[int]) -> DenseTensor:
-    """Similarity transform by a +-1 diagonal matrix, exactly.
-
-    Entry (i1, ..., ik) becomes p_{i1}^{-k+1} * t_{i1...ik} * p_{i2} ... p_{ik};
-    for +-1 diagonals p^{-k+1} equals p^{k-1}. An involution, since p^2 = 1.
-    """
-    p = tuple(int(s) for s in signs)
-    if len(p) != t.dim:
-        raise ValueError(f"sign vector has length {len(p)}, expected {t.dim}")
-    if any(s not in (-1, 1) for s in p):
-        raise ValueError("sign entries must be +1 or -1")
-    out: dict[tuple[int, ...], Fraction] = {}
-    for idx, val in t.entries.items():
-        factor = p[idx[0] - 1] ** (t.order - 1)
-        for j in idx[1:]:
-            factor *= p[j - 1]
-        out[idx] = val * factor
-    return DenseTensor(t.order, t.dim, out)
+    if h.k % 2:
+        raise ValueError(f"the similarity identity is edge-local only for even k, not k = {h.k}")
+    p = np.asarray(signs)
+    if p.shape != (h.n,) or not np.isin(p, (-1, 1)).all():
+        raise ValueError(f"signs must be {h.n} entries of +1 or -1")
+    return bool((np.prod(p[edge_index(h)], axis=1) == -1).all())
 
 
 def hm_spectral_reflection(

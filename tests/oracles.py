@@ -3,14 +3,17 @@
 Everything above the scalar section recomputes results by direct
 exhaustive enumeration or by the textbook dense-tensor definition, sharing
 no algorithmic path with the library: no elimination, no kernel
-parametrization, no edge-sum shortcut. Three of them are the library's
+parametrization, no edge-sum shortcut. Four of them are the library's
 former algorithms, kept as references for what replaced them:
 ``bipartition_witnesses`` scans the subsets once per flavor, where
 ``enumerate_bipartitions`` finds all three flavors in one pass;
 ``hm_bipartition_dfs`` is the recursive search that
-``find_hm_bipartition`` replaced; and ``snf_solution_count`` counts
+``find_hm_bipartition`` replaced; ``snf_solution_count`` counts
 solutions through the integer Smith normal form, which the Howell-form
-elimination replaced.
+elimination replaced; and ``materialize_dense`` with ``diag_similarity``
+builds both tensors in exact rationals and transforms one entry by entry,
+where ``tensor_ops.similarity_identity_holds`` reads the edges' sign
+products.
 
 The scalar section keeps the library's former per-class pipeline: one
 solution, one class and one edge at a time with complex scalars. The
@@ -37,6 +40,8 @@ functions stand in for its retired per-object API:
 import itertools
 import math
 import operator
+from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -173,6 +178,73 @@ def naive_tensor_apply(h, operator, x):
             term = term * x[j - 1]
         out[idx[0] - 1] += term
     return out
+
+
+@dataclass(frozen=True, eq=False)
+class DenseTensor:
+    """Explicit order-k tensor with exact rational entries.
+
+    ``entries`` maps 1-based multi-indices to nonzero Fractions; absent
+    indices are zero. Adjacency entries are 1/(k-1)! on every permutation
+    of every edge, and degree entries d_i sit at the repeated indices.
+    """
+
+    order: int
+    dim: int
+    entries: dict
+
+    def apply(self, x):
+        """Dense contraction against a complex vector (first index free)."""
+        arr = np.asarray(x, dtype=complex)
+        out = np.zeros(self.dim, dtype=complex)
+        for idx, val in self.entries.items():
+            term = float(val)
+            for j in idx[1:]:
+                term = term * arr[j - 1]
+            out[idx[0] - 1] += term
+        return out
+
+    def same_entries(self, other):
+        """Exact entrywise equality (rational arithmetic, no tolerance)."""
+        if (self.order, self.dim) != (other.order, other.dim):
+            return False
+        a = {k: v for k, v in self.entries.items() if v}
+        b = {k: v for k, v in other.entries.items() if v}
+        return a == b
+
+
+def materialize_dense(h, operator):
+    """Explicit entry table of the chosen operator, |E| k! + n entries."""
+    entries = {}
+    adj = Fraction(1, math.factorial(h.k - 1))
+    sign = -1 if operator == "laplacian" else 1
+    for e in h.edges:
+        for perm in itertools.permutations(e):
+            entries[perm] = entries.get(perm, Fraction(0)) + sign * adj
+    if operator != "adjacency":
+        for v in range(1, h.n + 1):
+            d = sum(v in e for e in h.edges)
+            if d:
+                entries[(v,) * h.k] = Fraction(d)
+    return DenseTensor(h.k, h.n, entries)
+
+
+def diag_similarity(t, signs):
+    """Similarity transform by a +-1 diagonal matrix, exactly.
+
+    Entry (i1, ..., ik) becomes p_{i1}^{-k+1} * t_{i1...ik} * p_{i2} ... p_{ik};
+    for +-1 diagonals p^{-k+1} equals p^{k-1}. An involution, since p^2 = 1.
+    """
+    p = tuple(int(s) for s in signs)
+    if len(p) != t.dim or any(s not in (-1, 1) for s in p):
+        raise ValueError(f"signs must be {t.dim} entries of +1 or -1")
+    out = {}
+    for idx, val in t.entries.items():
+        factor = p[idx[0] - 1] ** (t.order - 1)
+        for j in idx[1:]:
+            factor *= p[j - 1]
+        out[idx] = val * factor
+    return DenseTensor(t.order, t.dim, out)
 
 
 def bareiss_det(matrix):

@@ -13,12 +13,11 @@ from zerolap import (
     build_zero_eig_system,
     connected_components,
     structure_counts,
-    diag_similarity,
     discrepancy_scan,
     enumerate_bipartitions,
     hm_spectral_reflection,
-    materialize_dense,
     nqz_spectral_radius,
+    similarity_identity_holds,
     validate_multipartition,
 )
 from zerolap.eigenstructure import zero_eigenvector_report
@@ -164,17 +163,19 @@ def test_criterion_07_root_of_unity_reflections():
 
 
 def test_criterion_08_diagonal_similarity_identity_exact():
-    """20 seeded even-k head-mass instances: dense identity in exact rationals."""
+    """20 seeded even-k head-mass instances: the edge-sign check holds, and
+    the dense identity in exact rationals confirms it."""
     rng = random.Random(2718)
     for _ in range(20):
         heads = rng.randint(1, 2)
         masses = rng.randint(5, 8 - heads)
         h, (v1, _) = random_hm_bipartite(rng, 4, heads, masses)
         assert h.n <= 8
-        lap = materialize_dense(h, "laplacian")
-        sig = materialize_dense(h, "signless")
+        lap = oracles.materialize_dense(h, "laplacian")
+        sig = oracles.materialize_dense(h, "signless")
         signs = [1 if v in set(v1) else -1 for v in range(1, h.n + 1)]
-        assert diag_similarity(lap, signs).same_entries(sig)
+        assert similarity_identity_holds(h, signs)
+        assert oracles.diag_similarity(lap, signs).same_entries(sig)
     _report(8, "20/20 exact rational similarity identities")
 
 

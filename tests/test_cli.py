@@ -186,6 +186,25 @@ class TestSpectralTransformsCommand:
         assert code == 0
         assert report["spectral_transforms"][0]["similarity_identity_exact"] is True
 
+    @pytest.mark.parametrize("k, heads, masses, extra", [(4, 25, 45, 20), (6, 8, 20, 10)])
+    def test_similarity_identity_has_no_size_cliff(self, tmp_path, capsys, k, heads, masses, extra):
+        """n = 70 at k = 4 and n = 28 at k = 6: both past what a dense
+        tensor of n^k entries could hold, both checked edge by edge."""
+        h, _ = random_hm_bipartite(random.Random(5), k, heads, masses, extra)
+        path = tmp_path / "hm.json"
+        path.write_text(json.dumps({"k": h.k, "n": h.n, "edges": [list(e) for e in h.edges]}))
+        code, report = run_json(capsys, "spectral-transforms", "--input", str(path))
+        assert code == 0
+        entries = report["spectral_transforms"]
+        assert entries and all(e["similarity_identity_exact"] is True for e in entries)
+
+    def test_failed_similarity_identity_exits_3(self, capsys, monkeypatch):
+        monkeypatch.setattr(tensor_ops, "similarity_identity_holds", lambda h, signs: False)
+        assert main(["spectral-transforms", "--input", EDGE4]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "diagonal similarity identity failed on component" in captured.err
+
     def test_non_hm_input_exits_6(self, capsys):
         code, report = run_json(capsys, "spectral-transforms", "--input", COMPLETE4)
         assert code == 6
@@ -484,7 +503,7 @@ class TestConfigHandling:
         [
             ("tolerance", "x"),
             ("budget", True),
-            ("dense_budget", 1.5),
+            ("budget", 1.5),
             ("operator", 3),
             ("out", 0),
             ("kind", [1]),
@@ -496,6 +515,18 @@ class TestConfigHandling:
         cfg.write_text(json.dumps({"input": CHAIN, field: value}))
         assert main(["components", "--config", str(cfg)]) == 2
         assert f"config field {field!r} must be" in capsys.readouterr().err
+
+    def test_dense_budget_config_field_unknown(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"input": EDGE4, "dense_budget": 10}))
+        assert main(["spectral-transforms", "--config", str(cfg)]) == 2
+        assert "unknown config field 'dense_budget'" in capsys.readouterr().err
+
+    def test_dense_budget_flag_rejected(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["spectral-transforms", "--input", EDGE4, "--dense-budget", "10"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --dense-budget 10" in capsys.readouterr().err
 
     def test_integer_tolerance_in_config_accepted(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

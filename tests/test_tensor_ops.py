@@ -12,17 +12,17 @@ from zerolap import (
     apply_adjacency,
     apply_laplacian,
     apply_signless,
-    diag_similarity,
     eig_residual,
     hm_spectral_reflection,
-    materialize_dense,
     nqz_spectral_radius,
+    similarity_identity_holds,
 )
 from zerolap.tensor_ops import Eigenpair, apply_operator
 from zerolap.corpus import random_hm_bipartite, random_hypergraph
 
 import oracles
 from conftest import single_edge
+from oracles import diag_similarity, materialize_dense
 
 OMEGA3 = np.exp(2j * np.pi / 3)
 
@@ -101,10 +101,6 @@ class TestDense:
         assert len(t.entries) == 3 * math.factorial(4)
         assert set(t.entries.values()) == {Fraction(1, 6)}
 
-    def test_budget_guard(self, k4_overlap):
-        with pytest.raises(BudgetExceededError):
-            materialize_dense(k4_overlap, "adjacency", budget=100)
-
     @pytest.mark.parametrize("seed", range(6))
     def test_dense_agrees_with_implicit(self, seed):
         rng = random.Random(seed)
@@ -148,6 +144,34 @@ class TestDiagSimilarity:
         t = materialize_dense(single_edge(3), "adjacency")
         with pytest.raises(ValueError):
             diag_similarity(t, [1, 2, 1])
+
+
+class TestSimilarityIdentity:
+    def test_edge_rule_matches_dense_transform(self):
+        """On random even-k hypergraphs and random sign vectors, the edge
+        rule gives exactly the exact-rational verdict D^(1-k) L D == S."""
+        rng = random.Random(2015)
+        outcomes = set()
+        for _ in range(200):
+            k = rng.choice([2, 4, 6])
+            n = rng.randint(k, 8)
+            h = random_hypergraph(rng, k, n, rng.randint(1, 3))
+            signs = [rng.choice((-1, 1)) for _ in range(n)]
+            lap = materialize_dense(h, "laplacian")
+            sig = materialize_dense(h, "signless")
+            expected = diag_similarity(lap, signs).same_entries(sig)
+            assert similarity_identity_holds(h, signs) is expected
+            outcomes.add((k, expected))
+        assert outcomes == {(k, holds) for k in (2, 4, 6) for holds in (True, False)}
+
+    def test_odd_k_rejected(self):
+        with pytest.raises(ValueError, match="only for even k"):
+            similarity_identity_holds(single_edge(3), [1, -1, -1])
+
+    @pytest.mark.parametrize("signs", [[1, -1, -1], [1, -1, 0, -1]])
+    def test_bad_sign_vector_rejected(self, signs):
+        with pytest.raises(ValueError, match="4 entries of"):
+            similarity_identity_holds(single_edge(4), signs)
 
 
 class TestReflection:
