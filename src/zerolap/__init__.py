@@ -13,12 +13,7 @@ from .hypergraph import (
     parse_hypergraph_json,
     parse_hypergraph_text,
 )
-from .zk_solver import (
-    ZkLinearSystem,
-    build_zero_eig_system,
-    smith_normal_form,
-    solve_mod_k,
-)
+from .zk_solver import smith_normal_form, solve_mod_k
 from .tensor_ops import (
     apply_adjacency,
     apply_laplacian,

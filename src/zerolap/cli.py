@@ -486,6 +486,9 @@ def main(argv: list[str] | None = None) -> int:
     try:
         cfg = _merge_config(args)
         h = load_hypergraph(cfg.input)
+        family, kind = _KIND_FLAGS.get(cfg.kind, (None, None))
+        if args.command == "partitions" and family == "multipartition":
+            partitions.kind_spec(kind, h.k)  # a kind of another uniformity
     except (HypergraphFormatError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE

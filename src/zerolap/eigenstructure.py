@@ -11,8 +11,8 @@ self-conjugate pattern is forced into two values pi apart, which is H.
 Counting is closed-form (solution counts of the Howell-form solve plus a
 modulus-2 subsystem for the H classes when k is even); enumeration is
 reserved for explicitly requested class listings. ``solve_components`` is
-the one pass per run: per component it builds the incidence rows once,
-eliminates them once modulo k (and once modulo 2 for even k), solves both
+the one pass per run: per component it builds the edge index once,
+eliminates it once modulo k (and once modulo 2 for even k), solves both
 operators' systems and their H counts from those forms, and fills both
 operators' cross-checks from one bipartition scan (the even-bipartitions
 for the Laplacian, the odd ones for the signless operator). Counts, class
@@ -47,11 +47,8 @@ from .zk_solver import (
     ZERO_EIG_OPERATORS,
     HowellForm,
     SolutionDescription,
-    ZkLinearSystem,
     edge_residue,
-    edge_system,
     howell_form,
-    incidence_rows,
     lex_solutions,
     solve_mod_k,
 )
@@ -112,10 +109,12 @@ def solve_components(
 ) -> dict[str, tuple[ComponentStructure, ...]]:
     """Each component's records for both operators, in component order.
 
-    Per component, the incidence rows are built once and eliminated once
-    modulo k (and once modulo 2 for even k); both operators' systems and
-    their H counts are solved from those forms, and one bipartition scan
-    under ``budget`` fills both records' cross-checks. ``decomp`` is
+    Per component, the induced edge index is built once and eliminated
+    once modulo k (and once modulo 2 for even k); both operators' systems
+    and their H counts are solved from those forms, and one bipartition scan
+    under ``budget`` fills both records' cross-checks. A singleton builds
+    no form: its one exponent is free, so it has k solutions and the
+    identity kernel under either operator. ``decomp`` is
     ``h``'s decomposition when the caller already has it. Pass
     ``result[operator]`` as ``solved`` to the functions below to share
     this one pass across them.
@@ -125,20 +124,23 @@ def solve_components(
     k = h.k
     out: dict[str, list[ComponentStructure]] = {op: [] for op in ZERO_EIG_OPERATORS}
     for comp, single in zip(decomp.components, decomp.singleton):
-        verts, rows = incidence_rows(h, comp)
         form = form2 = None
-        if rows:
-            form = howell_form(rows, len(verts), k)
+        if not single:
+            edges = edge_index(induced_subhypergraph(h, comp).hypergraph)
+            form = howell_form(edges, len(comp), k)
             if k % 2 == 0:
-                form2 = form if k == 2 else howell_form(rows, len(verts), 2)
+                form2 = form if k == 2 else howell_form(edges, len(comp), 2)
         expected = _component_expected(h, comp, single, budget)
         for op in ZERO_EIG_OPERATORS:
-            sys = edge_system(k, verts, rows, op)
-            desc = None if sys is None else solve_mod_k(sys, form)
+            rhs = edge_residue(k, op)
+            if single:
+                desc = SolutionDescription(k, 1, True, (0,), (((1,), k),), k)
+            else:  # for odd k the signless residue k/2 is no integer: no system
+                desc = None if op == SIGNLESS and k % 2 else solve_mod_k(form, rhs)
             feasible = desc is not None and desc.feasible
             count = desc.solution_count if feasible else 0
             classes = count // k
-            h_count = _h_class_count(sys, form2) if feasible else 0
+            h_count = _h_class_count(k, form2, rhs) if feasible else 0
             n_classes = classes - h_count
             if n_classes % 2:
                 raise VerificationError(
@@ -151,20 +153,18 @@ def solve_components(
     return {op: tuple(records) for op, records in out.items()}
 
 
-def _h_class_count(sys: ZkLinearSystem, form2: HowellForm | None) -> int:
+def _h_class_count(k: int, form2: HowellForm | None, rhs: int) -> int:
     """Closed-form count of H classes of one feasible component system.
 
-    Odd k admits only constant patterns, so there is exactly one class:
-    the all-ones vector, or the scalar on a singleton. For even k the H
-    classes biject with the solutions of the modulus-2 subsystem (exponents
-    restricted to {0, k/2}, so each edge residue r becomes r / (k/2)), two
-    solutions per class; ``form2`` is the rows' form modulo 2.
+    Without ``form2``, the edges' form modulo 2, there is exactly one
+    class: odd k admits only constant patterns (the all-ones vector), and
+    a singleton has only the scalar. For even k the H classes biject with
+    the solutions of the modulus-2 subsystem (exponents restricted to
+    {0, k/2}, so the edge residue r becomes r / (k/2)), two per class.
     """
-    k = sys.modulus
-    if k % 2 == 1:
+    if form2 is None:
         return 1
-    sub = ZkLinearSystem(2, sys.vertices, sys.rows, tuple(r // (k // 2) for r in sys.rhs))
-    desc = solve_mod_k(sub, form2)
+    desc = solve_mod_k(form2, rhs // (k // 2))
     return desc.solution_count // 2 if desc.feasible else 0
 
 
@@ -328,9 +328,9 @@ def _kinds(alphas: np.ndarray, k: int) -> list[str]:
     return ["H" if r else "N" for r in real.tolist()]
 
 
-def _phases(k: int) -> np.ndarray:
-    """exp(2*pi*i*a/k) for a = 0..k-1, each from the scalar expression."""
-    return np.array([np.exp(2j * np.pi * a / k) for a in range(k)])
+def _phases(k: int, top: int) -> np.ndarray:
+    """exp(2*pi*i*a/k) for a = 0..top, each from the scalar expression."""
+    return np.array([np.exp(2j * np.pi * a / k) for a in range(top + 1)])
 
 
 def realize_classes(
@@ -355,7 +355,7 @@ def realize_classes(
     sub, _ = induced_subhypergraph(h, component)
     edges = edge_index(sub)
     residue = edge_residue(k, operator)
-    phases = _phases(k)
+    phases = _phases(k, int(alphas.max(initial=0)))
     out = np.empty(len(alphas))
     step = max(1, BLOCK_CELLS // len(component))
     for start in range(0, len(alphas), step):

@@ -14,6 +14,9 @@ from typing import IO, Iterable, NamedTuple
 
 from .errors import HypergraphFormatError
 
+# isqrt(2^63 - 1): products of two residues mod k then stay exact in int64
+K_MAX = 3037000499
+
 
 def _is_int(x) -> bool:
     """True for integers proper; bool subclasses int but is not a vertex id or size."""
@@ -25,6 +28,7 @@ class Hypergraph:
     """An undirected simple k-uniform hypergraph on vertex set {1, ..., n}.
 
     Invariants enforced at construction:
+      * 2 <= k <= K_MAX,
       * every edge has exactly k distinct vertices,
       * no duplicate edges (set equality),
       * all vertex ids lie in 1..n.
@@ -37,6 +41,10 @@ class Hypergraph:
     def __post_init__(self):
         if not _is_int(self.k) or self.k < 2:
             raise HypergraphFormatError(f"uniformity k must be an integer >= 2, got {self.k!r}")
+        if self.k > K_MAX:
+            raise HypergraphFormatError(
+                f"uniformity k must be at most {K_MAX}, so that k^2 fits in int64, got {self.k}"
+            )
         if not _is_int(self.n) or self.n < 0:
             raise HypergraphFormatError(f"vertex count n must be a nonnegative integer, got {self.n!r}")
         normalized = []

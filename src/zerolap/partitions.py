@@ -456,9 +456,7 @@ def find_hm_bipartition(
     state = search(None)
     if state is _DEAD_END:
         p = _least_prime_above(h.k)
-        rows = np.zeros((len(edges), len(comp)), dtype=np.int64)
-        rows[np.arange(len(edges))[:, None], edges] = 1
-        affine = eliminate_mod_prime(rows, np.ones(len(rows), dtype=np.int64), p)
+        affine = eliminate_mod_prime(edges, len(comp), 1, p)
         if affine is None:
             return None
         check = _AffineCheck(*affine, p)
@@ -470,7 +468,8 @@ def find_hm_bipartition(
     return BipartitionWitness(comp, v1, v2, HM)
 
 
-def _kind_spec(kind: str, k: int) -> KindSpec:
+def kind_spec(kind: str, k: int) -> KindSpec:
+    """The spec of ``kind``; ValueError unless the kind applies to ``k``."""
     spec = KIND_SPECS[kind]
     if k != spec.k:
         raise ValueError(f"{kind} applies to {spec.k}-uniform hypergraphs, got k={k}")
@@ -486,7 +485,7 @@ def validate_multipartition(h: Hypergraph, w: MultipartitionWitness, predicate: 
     Raises if the parts do not partition the component or the kind does
     not apply to ``h``'s uniformity.
     """
-    spec = _kind_spec(w.kind, h.k)
+    spec = kind_spec(w.kind, h.k)
     if len(w.parts) != spec.parts:
         raise ValueError(f"{w.kind} witness needs {spec.parts} parts, got {len(w.parts)}")
     sets = [set(p) for p in w.parts]
@@ -552,7 +551,7 @@ def enumerate_multipartitions(
     Assignment j (0 <= j < p^m) gives vertex i the i-th base-p digit of j,
     most significant first, so codes ascend in lexicographic order.
     """
-    spec = _kind_spec(kind, h.k)
+    spec = kind_spec(kind, h.k)
     m = len(set(component))
     p = spec.parts
     total = p**m

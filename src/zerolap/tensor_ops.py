@@ -67,6 +67,8 @@ def _apply_adjacency(h: Hypergraph, edges: np.ndarray, x: np.ndarray) -> np.ndar
     """``apply_adjacency`` on a checked vector or batch, with the edge index
     built by the caller."""
     rows = np.atleast_2d(x)
+    if not len(edges):
+        return np.zeros(x.shape, dtype=complex)
     vals = [(rows.real[:, edges[:, i]], rows.imag[:, edges[:, i]]) for i in range(h.k)]
     one = (np.ones((len(rows), len(edges))), np.zeros((len(rows), len(edges))))
     prefix = [one]

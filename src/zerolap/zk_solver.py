@@ -9,6 +9,11 @@ description that enumerates every solution exactly once, and the exact
 solution count. ``lex_solutions`` lists the solutions in lexicographic
 order as integer arrays, one row of exponents per solution.
 
+Every such system is given by the component's edge index, the (|E|, k)
+array of its edges' 0-based vertex indices that realization and the
+partition scans read too, and one residue. Its coefficient matrix A is the
+0/1 incidence of those edges, never built: A * alpha is each edge's sum of
+alpha over its vertices, ``x[:, edges].sum(axis=2)`` for a block of rows x.
 A system A * alpha == b (mod k) is solved through one elimination of
 [A^T | I_m] modulo k into Howell form (Storjohann & Mulders, "Fast
 algorithms for linear algebra modulo N", ESA 1998), in numpy int64. Z_k is
@@ -21,14 +26,15 @@ zero on the edge columns and echelon in vertex order, each with a pivot d
 dividing k and order k/d. Forward substitution of a right-hand side
 through H1 gives z, and z * T1 is a particular solution.
 
-The form depends only on the coefficient rows and the modulus, not on the
-right-hand side. ``howell_form`` computes it once per component, and
-``solve_mod_k`` reuses it for the Laplacian and signless systems; the
+The form depends only on the edges and the modulus, not on the residue.
+``howell_form`` computes it once per component with an edge, and
+``solve_mod_k`` reuses it for the Laplacian and signless residues; the
 modulus-2 subsystem that counts H classes gets a form modulo 2. Each
 form is checked by a certificate (``check_howell_form``) and each
-particular solution against every row; a failure raises
+particular solution against every edge; a failure raises
 VerificationError. Entries are reduced mod k after every step, so
-products stay near k^2 and int64 arithmetic is exact.
+products stay near k^2, which ``Hypergraph`` keeps within int64, and
+int64 arithmetic is exact.
 
 ``smith_normal_form`` is the former integer Smith normal form solver, kept
 for the tests as an independent route to the same counts; no command
@@ -43,7 +49,6 @@ from typing import Sequence
 import numpy as np
 
 from .errors import VerificationError
-from .hypergraph import Hypergraph, induced_subhypergraph
 
 LAPLACIAN = "laplacian"
 SIGNLESS = "signless"
@@ -51,34 +56,12 @@ ZERO_EIG_OPERATORS = (LAPLACIAN, SIGNLESS)
 
 
 @dataclass(frozen=True)
-class ZkLinearSystem:
-    """A system of congruences rows * alpha == rhs (mod modulus).
-
-    Column j corresponds to ``vertices[j]``. For edge systems every row is
-    the 0/1 incidence vector of one edge, so it has exactly k ones.
-    """
-
-    modulus: int
-    vertices: tuple[int, ...]
-    rows: tuple[tuple[int, ...], ...]
-    rhs: tuple[int, ...]
-
-    def __post_init__(self):
-        if self.modulus < 2:
-            raise ValueError(f"modulus must be >= 2, got {self.modulus}")
-        if len(self.rows) != len(self.rhs):
-            raise ValueError("rows and rhs length mismatch")
-        m = len(self.vertices)
-        if any(len(r) != m for r in self.rows):
-            raise ValueError("row width does not match vertex count")
-
-
-@dataclass(frozen=True)
 class SolutionDescription:
-    """Algebraic description of all solutions of a ZkLinearSystem.
+    """Algebraic description of all solutions of one edge system.
 
-    ``kernel`` is a tuple of (generator, order) pairs; the solution set is
-    exactly {particular + sum_j t_j * gen_j : 0 <= t_j < order_j}, every
+    The system has ``width`` unknowns over Z_``modulus``. ``kernel`` is a
+    tuple of (generator, order) pairs; the solution set is exactly
+    {particular + sum_j t_j * gen_j : 0 <= t_j < order_j}, every
     combination giving a distinct solution, so ``solution_count`` is the
     product of the orders. The generators are echelon in vertex order:
     generator j's first nonzero entry is k / order_j, and they have the
@@ -87,37 +70,12 @@ class SolutionDescription:
     solution.
     """
 
-    system: ZkLinearSystem
+    modulus: int
+    width: int
     feasible: bool
     particular: tuple[int, ...] | None
     kernel: tuple[tuple[tuple[int, ...], int], ...]
     solution_count: int
-
-
-def build_zero_eig_system(
-    h: Hypergraph, component: Sequence[int], operator: str
-) -> ZkLinearSystem | None:
-    """Edge-sum congruence system for the zero eigenvalue on one component
-    (see ``edge_system``)."""
-    if operator not in ZERO_EIG_OPERATORS:
-        raise ValueError(f"unknown operator {operator!r}")
-    return edge_system(h.k, *incidence_rows(h, component), operator)
-
-
-def edge_system(
-    k: int, vertices: tuple[int, ...], rows: tuple[tuple[int, ...], ...], operator: str
-) -> ZkLinearSystem | None:
-    """``operator``'s edge-sum system on a component's incidence rows.
-
-    Returns None (the no-solution marker) for the signless operator with
-    odd k on a component that has at least one edge: the required residue
-    k/2 is not an integer, so zero is never a signless eigenvalue there.
-    Singleton components yield a degenerate row-free system, which is
-    always feasible (the vertex's tensor block is zero).
-    """
-    if operator == SIGNLESS and k % 2 == 1 and rows:
-        return None
-    return ZkLinearSystem(k, vertices, rows, (edge_residue(k, operator),) * len(rows))
 
 
 def edge_residue(k: int, operator: str) -> int:
@@ -125,40 +83,23 @@ def edge_residue(k: int, operator: str) -> int:
     return 0 if operator == LAPLACIAN else k // 2
 
 
-def incidence_rows(
-    h: Hypergraph, component: Sequence[int]
-) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
-    """Sorted vertices of ``component`` and one 0/1 row per edge inside it.
-
-    These rows are the coefficient matrix of every edge system on the
-    component, whatever the operator, right-hand side or modulus.
-    """
-    sub, verts = induced_subhypergraph(h, component)
-    rows = []
-    for e in sub.edges:
-        row = [0] * len(verts)
-        for v in e:
-            row[v - 1] = 1
-        rows.append(tuple(row))
-    return verts, tuple(rows)
-
-
 @dataclass(frozen=True, eq=False)
 class HowellForm:
-    """[A^T | I_m] modulo ``modulus`` in Howell form, A being ``rows``.
+    """[A^T | I_m] modulo ``modulus`` in Howell form, A being the 0/1
+    incidence matrix of ``edges``.
 
-    ``matrix`` is A as an (|E|, m) array. The rows of the form whose pivot
-    lies among the |E| edge columns are split there into ``image`` (H1)
-    and ``transform`` (T1), so T1 * A^T == H1; the others are zero on
-    those columns and ``kernel`` (K) holds their vertex part, so
-    K * A^T == 0. Both parts are echelon, each pivot d divides the
+    ``edges`` is the (|E|, r) array of 0-based vertex indices, one row per
+    edge, so A has a one at (e, v) for each v in row e. The rows of the
+    form whose pivot lies among the |E| edge columns are split there into
+    ``image`` (H1) and ``transform`` (T1), so T1 * A^T == H1; the others
+    are zero on those columns and ``kernel`` (K) holds their vertex part,
+    so K * A^T == 0. Both parts are echelon, each pivot d divides the
     modulus, and the combinations of the rows with coefficients
     0 <= t < modulus / d are the whole row space {(y A^T, y)}, each once.
     """
 
     modulus: int
-    rows: tuple[tuple[int, ...], ...]
-    matrix: np.ndarray
+    edges: np.ndarray
     image: np.ndarray
     transform: np.ndarray
     kernel: np.ndarray
@@ -188,10 +129,9 @@ def _unit_to_gcd(a: int, n: int) -> int:
     return u % n
 
 
-def howell_form(
-    rows: tuple[tuple[int, ...], ...], width: int, modulus: int
-) -> HowellForm:
-    """Howell form of [A^T | I_width] modulo ``modulus``, A being ``rows``.
+def howell_form(edges: np.ndarray, width: int, modulus: int) -> HowellForm:
+    """Howell form of [A^T | I_width] modulo ``modulus``, A being the 0/1
+    incidence matrix of ``edges`` (at least one row).
 
     Column by column, the rows still pending (all zero left of the column)
     are merged into one pivot row whose entry d generates the ideal of
@@ -204,11 +144,12 @@ def howell_form(
     The result is checked by ``check_howell_form`` before it is returned.
     """
     n = modulus
-    matrix = np.array(rows, dtype=np.int64).reshape(len(rows), width)
-    edges = len(rows)
-    work = np.concatenate([matrix.T % n, np.eye(width, dtype=np.int64)], axis=1)
+    count = len(edges)
+    work = np.zeros((width, count + width), dtype=np.int64)
+    work[np.arange(width), count + np.arange(width)] = 1
+    work[edges, np.arange(count)[:, None]] = 1
     found = []
-    for col in range(edges + width):
+    for col in range(count + width):
         hit = np.flatnonzero(work[:, col])
         if not len(hit):
             continue
@@ -226,20 +167,16 @@ def howell_form(
             work[i] = pivot * (n // d) % n
         found.append(pivot)
     del work
-    done = np.array(found, dtype=np.int64).reshape(len(found), edges + width)
-    r = int(done[:, :edges].any(axis=1).sum())
-    form = HowellForm(n, rows, matrix, done[:r, :edges], done[:r, edges:], done[r:, edges:])
+    done = np.array(found, dtype=np.int64).reshape(len(found), count + width)
+    r = int(done[:, :count].any(axis=1).sum())
+    form = HowellForm(n, edges, done[:r, :count], done[:r, count:], done[r:, count:])
     check_howell_form(form)
     return form
 
 
-def _times_transpose(left: np.ndarray, matrix: np.ndarray) -> np.ndarray:
-    """left @ matrix.T, summed over the nonzero entries of ``matrix`` only."""
-    r, c = np.nonzero(matrix)
-    terms = np.zeros((len(left), len(r) + 1), dtype=np.int64)
-    np.cumsum(left[:, c] * matrix[r, c], axis=1, out=terms[:, 1:])
-    bounds = np.searchsorted(r, np.arange(len(matrix) + 1))
-    return terms[:, bounds[1:]] - terms[:, bounds[:-1]]
+def _edge_sums(left: np.ndarray, edges: np.ndarray) -> np.ndarray:
+    """left @ A^T for the incidence matrix A of ``edges``: each row's sum over each edge."""
+    return left[:, edges].sum(axis=2)
 
 
 def _pivots(block: np.ndarray) -> np.ndarray:
@@ -250,7 +187,7 @@ def _pivots(block: np.ndarray) -> np.ndarray:
 def check_howell_form(form: HowellForm) -> None:
     """Certificate that ``form`` lists the row space of [A^T | I_m] exactly.
 
-    Checked over the nonzero entries of A, in O(m * nnz(A)):
+    Checked through the edges, in O(m * |E| * r) for edges of r vertices:
 
     * T1 * A^T == H1 and K * A^T == 0, so every row lies in the row space
       {(y A^T, y)}, which has modulus^m elements;
@@ -263,14 +200,14 @@ def check_howell_form(form: HowellForm) -> None:
 
     Raises VerificationError on the first clause that fails.
     """
-    n, matrix = form.modulus, form.matrix
-    edges, width = matrix.shape
-    if ((_times_transpose(form.transform, matrix) - form.image) % n).any():
+    n, edges = form.modulus, form.edges
+    width = form.transform.shape[1]
+    if ((_edge_sums(form.transform, edges) - form.image) % n).any():
         raise VerificationError("Howell form: T1 * A^T differs from H1")
-    if (_times_transpose(form.kernel, matrix) % n).any():
+    if (_edge_sums(form.kernel, edges) % n).any():
         raise VerificationError("Howell form: a kernel row is not a solution")
     image_pivots, kernel_pivots = _pivots(form.image), _pivots(form.kernel)
-    pivots = np.concatenate([image_pivots, edges + kernel_pivots])
+    pivots = np.concatenate([image_pivots, len(edges) + kernel_pivots])
     d = np.concatenate([
         form.image[np.arange(len(form.image)), image_pivots],
         form.kernel[np.arange(len(form.kernel)), kernel_pivots],
@@ -296,47 +233,36 @@ def _least_in_coset(x: np.ndarray, kernel: np.ndarray, modulus: int) -> np.ndarr
     return x
 
 
-def solve_mod_k(sys: ZkLinearSystem, form: HowellForm | None = None) -> SolutionDescription:
-    """Solve rows * alpha == rhs (mod k) exactly through the Howell form.
+def solve_mod_k(form: HowellForm, rhs: int) -> SolutionDescription:
+    """Solve "every edge's exponents sum to ``rhs``" (mod k) exactly
+    through the Howell form of the edges.
 
     The right-hand side is substituted forward through the image rows H1:
     at each pivot d the remaining residue must be a multiple of d, and the
     quotients z give the particular solution z * T1. A residue left at a
     pivot that d does not divide, or after the last row, means no solution,
     since the form's rows list the row space exactly. The kernel rows, with
-    orders k/d, enumerate all solutions from there. ``form`` (of
-    ``sys.rows`` modulo ``sys.modulus``) skips the elimination; without it
-    the rows are eliminated here.
+    orders k/d, enumerate all solutions from there.
     """
-    k = sys.modulus
-    m = len(sys.vertices)
-    if not sys.rows:
-        kernel = tuple(
-            (tuple(int(i == j) for i in range(m)), k) for j in range(m)
-        )
-        return SolutionDescription(sys, True, tuple(0 for _ in range(m)), kernel, k**m)
-
-    if form is None:
-        form = howell_form(sys.rows, m, k)
-    elif form.modulus != k or form.rows != sys.rows:
-        raise ValueError("form is of a different coefficient matrix or modulus")
-    residue = np.array(sys.rhs, dtype=np.int64) % k
+    k = form.modulus
+    width = form.transform.shape[1]
+    residue = np.full(len(form.edges), rhs % k, dtype=np.int64)
     quotients = np.zeros(len(form.image), dtype=np.int64)
     for i, (row, col) in enumerate(zip(form.image, _pivots(form.image))):
         q, rest = divmod(int(residue[col]), int(row[col]))
         if rest:
-            return SolutionDescription(sys, False, None, (), 0)
+            return SolutionDescription(k, width, False, None, (), 0)
         quotients[i] = q
         residue = (residue - q * row) % k
     if residue.any():
-        return SolutionDescription(sys, False, None, (), 0)
+        return SolutionDescription(k, width, False, None, (), 0)
     particular = quotients @ form.transform % k
-    if ((_times_transpose(particular[None, :], form.matrix)[0] - sys.rhs) % k).any():
+    if ((_edge_sums(particular[None, :], form.edges) - rhs) % k).any():
         raise VerificationError("particular solution breaks a row of the system")
     particular = _least_in_coset(particular[None, :], form.kernel, k)[0]
     orders = [k // int(d) for d in form.kernel[np.arange(len(form.kernel)), _pivots(form.kernel)]]
     kernel = tuple(zip(map(tuple, form.kernel.tolist()), orders))
-    return SolutionDescription(sys, True, tuple(particular.tolist()), kernel, math.prod(orders))
+    return SolutionDescription(k, width, True, tuple(particular.tolist()), kernel, math.prod(orders))
 
 
 def lex_solutions(desc: SolutionDescription, limit: int | None = None) -> np.ndarray:
@@ -349,43 +275,45 @@ def lex_solutions(desc: SolutionDescription, limit: int | None = None) -> np.nda
     which runs that entry through its values in increasing order. Every
     prefix stands for the same number of solutions (the product of the
     orders still to come), so only the first ceil(limit / that number)
-    prefixes are kept. Raises on infeasible descriptions.
+    prefixes are kept, and no prefix is extended past that many values.
+    Raises on infeasible descriptions.
     """
     if not desc.feasible:
         raise ValueError("cannot enumerate an infeasible system")
-    k = desc.system.modulus
-    m = len(desc.system.vertices)
+    k, m = desc.modulus, desc.width
     limit = desc.solution_count if limit is None else min(limit, desc.solution_count)
     kernel = np.array([gen for gen, _ in desc.kernel], dtype=np.int64).reshape(-1, m)
     out = np.array(desc.particular, dtype=np.int64).reshape(1, m)
     remaining = desc.solution_count
     for row, (_, order) in zip(kernel, desc.kernel):
         remaining //= order
+        keep = -(-limit // remaining)
         out = _least_in_coset(out, row[None, :], k)
-        out = ((out[:, None, :] + np.arange(order)[:, None] * row) % k).reshape(-1, m)
-        out = out[: -(-limit // remaining)]
+        out = ((out[:, None, :] + np.arange(min(order, keep))[:, None] * row) % k).reshape(-1, m)
+        out = out[:keep]
     return out[:limit]
 
 
 def eliminate_mod_prime(
-    rows: np.ndarray, rhs: np.ndarray, p: int
+    edges: np.ndarray, width: int, rhs: int, p: int
 ) -> tuple[np.ndarray, np.ndarray] | None:
-    """Affine form of the solutions of rows * x == rhs (mod p), p prime.
+    """Affine form of the solutions of "every edge's entries sum to ``rhs``"
+    (mod p), p prime, over ``width`` unknowns.
 
-    Gauss-Jordan elimination over GF(p), pivoting on the columns in
+    Gauss-Jordan elimination over GF(p) of the incidence rows of
+    ``edges`` (an (|E|, r) index array), pivoting on the columns in
     ascending order. Returns None if the system is inconsistent, else
-    ``(x0, basis)`` with ``basis`` of shape (d, columns): the solutions are
+    ``(x0, basis)`` with ``basis`` of shape (d, width): the solutions are
     exactly x0 + t @ basis (mod p) for t in GF(p)^d, each given by one t.
     Row j of the basis sets the j-th non-pivot column to 1 and the other
-    non-pivot columns to 0. Both parts are checked against the rows before
+    non-pivot columns to 0. Both parts are checked against the edges before
     returning; a mismatch raises VerificationError.
     """
-    rows = np.asarray(rows, dtype=np.int64) % p
-    rhs = np.asarray(rhs, dtype=np.int64) % p
-    ncols = rows.shape[1]
-    work = np.concatenate([rows, rhs[:, None]], axis=1)
+    work = np.zeros((len(edges), width + 1), dtype=np.int64)
+    work[np.arange(len(edges))[:, None], edges] = 1
+    work[:, width] = rhs % p
     pivots: list[int] = []
-    for c in range(ncols):
+    for c in range(width):
         r = len(pivots)
         if r == len(work):
             break
@@ -400,22 +328,16 @@ def eliminate_mod_prime(
         work[hit] = (work[hit] - np.outer(work[hit, c], work[r])) % p
         pivots.append(c)
     rank = len(pivots)
-    if work[rank:, ncols].any():
+    if work[rank:, width].any():
         return None
-    free = np.setdiff1d(np.arange(ncols), pivots)
-    x0 = np.zeros(ncols, dtype=np.int64)
-    x0[pivots] = work[:rank, ncols]
-    basis = np.zeros((len(free), ncols), dtype=np.int64)
+    free = np.setdiff1d(np.arange(width), pivots)
+    x0 = np.zeros(width, dtype=np.int64)
+    x0[pivots] = work[:rank, width]
+    basis = np.zeros((len(free), width), dtype=np.int64)
     basis[np.arange(len(free)), free] = 1
     basis[:, pivots] = -work[:rank, free].T % p
-    # rows @ [basis.T | x0] - [0 | rhs], summed over the nonzeros of rows only
-    terms = np.concatenate([basis.T, x0[:, None]], axis=1)
-    r, c = np.nonzero(rows)
-    defect = np.zeros((len(rows), terms.shape[1]), dtype=np.int64)
-    products = terms[c]
-    products *= rows[r, c][:, None]
-    np.add.at(defect, r, products)
-    defect[:, -1] -= rhs
+    defect = _edge_sums(np.concatenate([basis, x0[None, :]]), edges)
+    defect[-1] -= rhs
     if (defect % p).any():
         raise VerificationError("elimination mod p produced a non-solution")
     return x0, basis

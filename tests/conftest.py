@@ -38,9 +38,9 @@ def eliminations(monkeypatch):
     calls = []
     real = zk_solver.howell_form
 
-    def counting(rows, width, modulus):
+    def counting(edges, width, modulus):
         calls.append(modulus)
-        return real(rows, width, modulus)
+        return real(edges, width, modulus)
 
     for module in (zk_solver, eigenstructure):
         monkeypatch.setattr(module, "howell_form", counting)
@@ -49,13 +49,13 @@ def eliminations(monkeypatch):
 
 @pytest.fixture
 def solve_calls(monkeypatch):
-    """Records the system of every ``solve_mod_k`` call, modulus k or 2."""
+    """Records (modulus, residue) of every ``solve_mod_k`` call, modulus k or 2."""
     calls = []
     real = zk_solver.solve_mod_k
 
-    def counting(sys, form=None):
-        calls.append(sys)
-        return real(sys, form)
+    def counting(form, rhs):
+        calls.append((form.modulus, rhs))
+        return real(form, rhs)
 
     for module in (zk_solver, eigenstructure):
         monkeypatch.setattr(module, "solve_mod_k", counting)

@@ -71,18 +71,26 @@ def edge_sum_solutions(k, vertices, edges, rhs):
     return out
 
 
-def system_solutions(sys):
-    """Every solution of a ``ZkLinearSystem`` by full scan, in lexicographic order."""
-    k, m = sys.modulus, len(sys.vertices)
+def incidence_matrix(width, edges):
+    """Dense 0/1 rows, one per edge, of ``width`` columns: row e has a one
+    at each 0-based vertex index of edge e."""
+    return [[int(j in set(map(int, e))) for j in range(width)] for e in edges]
+
+
+def system_solutions(modulus, width, edges, rhs):
+    """Every solution of "each edge's exponents sum to ``rhs`` (mod
+    ``modulus``)" on ``width`` unknowns, by full scan, in lexicographic
+    order. ``edges`` holds 0-based vertex indices."""
+    k, m = modulus, width
     grid = np.indices((k,) * m).reshape(m, -1).T
     ok = np.ones(len(grid), dtype=bool)
-    for row, r in zip(sys.rows, sys.rhs):
-        ok &= grid @ np.array(row, dtype=np.int64) % k == r % k
+    for row in incidence_matrix(width, edges):
+        ok &= grid @ np.array(row, dtype=np.int64) % k == rhs % k
     return [tuple(x) for x in grid[ok].tolist()]
 
 
-def snf_solution_count(sys):
-    """Solution count of a ``ZkLinearSystem`` through the integer Smith form.
+def snf_solution_count(modulus, width, edges, rhs):
+    """Solution count of the same edge system through the integer Smith form.
 
     With U * A * V = S diagonal, alpha = V * beta splits the system into
     d_i * beta_i == (U * rhs)_i (mod k), one congruence per row: it has
@@ -90,13 +98,13 @@ def snf_solution_count(sys):
     otherwise, where a missing or zero d_i gives gcd k. Coordinates past
     the rows are free.
     """
-    k, m = sys.modulus, len(sys.vertices)
-    if not sys.rows:
+    k, m = modulus, width
+    if not len(edges):
         return k**m
-    U, S, _ = smith_normal_form(sys.rows)
+    U, S, _ = smith_normal_form(incidence_matrix(width, edges))
     count = k**m
     for i, u in enumerate(U):
-        residue = sum(a * b for a, b in zip(u, sys.rhs)) % k
+        residue = sum(u) * rhs % k
         g = math.gcd(S[i][i] if i < m else 0, k)
         if residue % g:
             return 0
@@ -487,18 +495,18 @@ def scalar_spectral_radius(h, max_iterations=10**4, tolerance=1e-12):
     return value, scalar_eig_residual(h, "adjacency", value, x), x.astype(complex)
 
 
-def canonical_solutions(sys):
-    """Solutions of ``sys`` with exponent 0 at the first vertex, in
+def canonical_solutions(modulus, width, edges, rhs):
+    """Solutions of the edge system with exponent 0 at the first vertex, in
     lexicographic order, one tuple at a time.
 
     A depth-first search sets the vertices in order, trying each value in
-    turn, and checks each row once its last nonzero column is set.
+    turn, and checks each edge once its last vertex is set.
     """
-    k, m = sys.modulus, len(sys.vertices)
+    k, m = modulus, width
     closing = [[] for _ in range(m)]
-    for row, r in zip(sys.rows, sys.rhs):
-        last = max((j for j, c in enumerate(row) if c % k), default=0)
-        closing[last].append((row, r % k))
+    for e in edges:
+        e = tuple(map(int, e))
+        closing[max(e)].append(e)
     values = [0] * m
 
     def extend(j):
@@ -507,30 +515,40 @@ def canonical_solutions(sys):
             return
         for value in range(1 if j == 0 else k):
             values[j] = value
-            if all(sum(map(operator.mul, row, values)) % k == r for row, r in closing[j]):
+            if all(sum(values[v] for v in e) % k == rhs % k for e in closing[j]):
                 yield from extend(j + 1)
         values[j] = 0
 
     yield from extend(0)
 
 
-def scalar_classes(k, solved, limit=None):
+def component_edges(h, component):
+    """The edges of ``h`` inside ``component``, as 0-based positions in it."""
+    pos = {v: i for i, v in enumerate(component)}
+    return [tuple(pos[v] for v in e) for e in h.edges if all(v in pos for v in e)]
+
+
+def scalar_classes(h, operator, solved, limit=None):
     """Per component, the (alpha, kind) of each listed class.
 
     Each component lists its solutions with exponent 0 at the first vertex
     (one per class) in lexicographic order, until the component's class
     count or the remainder of ``limit`` (over all components) is reached;
     components past the limit list nothing. The solutions come from
-    ``canonical_solutions`` on the component's system, not from its solved
+    ``canonical_solutions`` on the component's edges, not from its solved
     form.
     """
+    k = h.k
+    rhs = 0 if operator == "laplacian" else k // 2
     out = []
     listed = 0
     for cs in solved:
         target = cs.class_count if limit is None else min(cs.class_count, limit - listed)
         alphas = []
         if cs.feasible and target > 0:
-            alphas = list(itertools.islice(canonical_solutions(cs.description.system), target))
+            edges = component_edges(h, cs.component)
+            solutions = canonical_solutions(k, len(cs.component), edges, rhs)
+            alphas = list(itertools.islice(solutions, target))
         classes = [(alpha, "H" if real_scalable(alpha, k) else "N") for alpha in alphas]
         out.append(classes)
         listed += len(classes)

@@ -10,7 +10,6 @@ import random
 
 from zerolap import (
     Hypergraph,
-    build_zero_eig_system,
     connected_components,
     structure_counts,
     discrepancy_scan,
@@ -20,7 +19,7 @@ from zerolap import (
     similarity_identity_holds,
     validate_multipartition,
 )
-from zerolap.eigenstructure import zero_eigenvector_report
+from zerolap.eigenstructure import solve_components, zero_eigenvector_report
 from zerolap.partitions import MultipartitionWitness
 from zerolap.corpus import mixed_corpus, random_connected_hypergraph, random_hm_bipartite
 
@@ -91,8 +90,8 @@ def test_criterion_04_odd_k_signless_never_feasible():
         k = 3 if i % 2 == 0 else 5
         n = rng.randint(k, 9)
         h = random_connected_hypergraph(rng, k, n, extra_edges=rng.randint(0, 2))
-        sys = build_zero_eig_system(h, range(1, n + 1), "signless")
-        assert sys is None
+        (record,) = solve_components(h)["signless"]
+        assert record.description is None and not record.feasible
         checked += 1
     assert checked == 100
     _report(4, "100/100 connected odd-k instances infeasible for signless")

@@ -30,7 +30,7 @@ from zerolap.eigenstructure import (
 )
 from zerolap.errors import VerificationError
 from zerolap.hypergraph import connected_components, induced_subhypergraph
-from zerolap.zk_solver import ZkLinearSystem, solve_mod_k
+from zerolap.zk_solver import howell_form, solve_mod_k
 
 import oracles
 from conftest import FIXTURE_DIR, single_edge
@@ -66,7 +66,7 @@ class TestSameBitsAsScalarLoops:
         for op in OPERATORS:
             solved = solve_components(h)[op]
             report = zero_eigenvector_report(h, op, enumerate_limit=limit)
-            expected = oracles.scalar_classes(h.k, solved, limit)
+            expected = oracles.scalar_classes(h, op, solved, limit)
             for entry, cs, classes in zip(report["components"], solved, expected):
                 got = [(tuple(c["alpha"]), c["kind"], repr(c["residual"])) for c in entry["classes"]]
                 want = [
@@ -199,8 +199,8 @@ class TestChecksFireOnBatches:
         """A solved form whose lexicographically first solutions leave
         exponent 0 at the first vertex is an internal inconsistency: edge
         systems always have the all-ones shift in their kernel."""
-        sys = ZkLinearSystem(3, (1, 2), ((1, 0),), (1,))
-        desc = solve_mod_k(sys)
+        # one edge holding vertex 1 alone, residue 1: exponent 1 there
+        desc = solve_mod_k(howell_form(np.array([[0]]), 2, 3), 1)
         assert desc.particular == (1, 0)
         solved = (ComponentStructure((1, 2), False, True, 3, 1, 1, 0, desc),)
         with pytest.raises(VerificationError, match="shift symmetry broken on component"):
@@ -211,7 +211,7 @@ class TestChecksFireOnBatches:
         solved = solve_components(CHAIN)["laplacian"]
         first_bad = next(
             resid
-            for alpha, _ in oracles.scalar_classes(3, solved)[0]
+            for alpha, _ in oracles.scalar_classes(CHAIN, "laplacian", solved)[0]
             for resid in [oracles.scalar_realize(CHAIN, "laplacian", solved[0].component, alpha)[1]]
             if resid > tolerance
         )

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from zerolap import eigenstructure, hypergraph, partitions, tensor_ops, zk_solver
+from zerolap import eigenstructure, hypergraph, partitions, tensor_ops
 from zerolap import cli as cli_module
 from zerolap.cli import _COMMANDS, EXIT_BROKEN_PIPE, main, render_report
 from zerolap.corpus import random_hm_bipartite
@@ -33,6 +33,38 @@ def run(capsys, *argv):
 def run_json(capsys, *argv):
     code, out = run(capsys, *argv)
     return code, json.loads(out)
+
+
+class TestEdgelessLargeUniformity:
+    """An edgeless input costs nothing per residue of Z_k: at the largest
+    accepted k, a run over all k phases would take hours."""
+
+    def _input(self, tmp_path, k):
+        path = tmp_path / "edgeless.json"
+        path.write_text(json.dumps({"k": k, "n": 3, "edges": []}))
+        return str(path)
+
+    def test_largest_k_lists_every_class(self, tmp_path, capsys):
+        k = hypergraph.K_MAX
+        code, report = run_json(capsys, "zero-eigenvectors", "--input", self._input(tmp_path, k))
+        assert code == 0
+        for op in report["operators"]:
+            assert [c["count"] for c in op["components"]] == [k] * 3
+            classes = [cls for c in op["components"] for cls in c["classes"]]
+            assert [(cls["alpha"], cls["kind"], cls["residual"]) for cls in classes] == [
+                ([0], "H", 0.0)
+            ] * 3
+
+    @pytest.mark.parametrize("command", sorted(_COMMANDS))
+    def test_largest_k_runs_every_command(self, tmp_path, capsys, command):
+        assert main([command, "--input", self._input(tmp_path, hypergraph.K_MAX)]) == 0
+
+    @pytest.mark.parametrize("k", [hypergraph.K_MAX + 1, 10**12, 2**63])
+    def test_k_past_the_bound_exits_2(self, tmp_path, capsys, k):
+        assert main(["zero-eigenvectors", "--input", self._input(tmp_path, k)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: uniformity k must be at most")
 
 
 class TestComponentsCommand:
@@ -247,23 +279,15 @@ def test_both_operators_share_one_factorization(command, capsys, eliminations):
 
 
 @pytest.mark.parametrize("command", ["zero-eigenvectors", "crosscheck"])
-def test_incidence_rows_built_once_per_component(command, tmp_path, capsys, monkeypatch):
-    """Both operators and the modulus-2 subsystem share one build of each
-    component's incidence rows, singletons included."""
+def test_each_component_eliminated_once(command, tmp_path, capsys, eliminations):
+    """Both operators share each non-singleton component's one elimination
+    modulo k, and the H counts its one elimination modulo 2 (k = 4 > 2);
+    the singleton builds no form."""
     path = tmp_path / "two_components.json"
     edges = [[1, 2, 3, 4], [3, 4, 5, 6], [7, 8, 9, 10]]
     path.write_text(json.dumps({"k": 4, "n": 11, "edges": edges}))
-    calls = []
-    real = zk_solver.incidence_rows
-
-    def counting(h, component):
-        calls.append(tuple(component))
-        return real(h, component)
-
-    for module in (zk_solver, eigenstructure):
-        monkeypatch.setattr(module, "incidence_rows", counting)
     assert main([command, "--input", str(path), "--operator", "both"]) == 0
-    assert calls == [(1, 2, 3, 4, 5, 6), (7, 8, 9, 10), (11,)]
+    assert eliminations == [4, 2, 4, 2]
 
 
 @pytest.mark.parametrize("path", [CHAIN, K4, EDGE3, EDGE4])
@@ -479,6 +503,20 @@ class TestConfigHandling:
         cfg.write_text(json.dumps({"input": CHAIN, "operator": "foo"}))
         assert main(["zero-eigenvectors", "--config", str(cfg)]) == 2
         assert "unknown operator 'foo'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("kind", ["tri", "penta"])
+    def test_kind_of_another_uniformity_exits_2(self, capsys, kind):
+        assert main(["partitions", "--input", K4, "--kind", kind]) == 2
+        _, name = cli_module._KIND_FLAGS[kind]
+        k = partitions.KIND_SPECS[name].k
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {name} applies to {k}-uniform hypergraphs, got k=4\n"
+
+    def test_kind_of_the_input_uniformity_runs(self, capsys):
+        code, report = run_json(capsys, "partitions", "--input", K4, "--kind", "lquad")
+        assert code == 0
+        assert [entry["kind"] for entry in report["partitions"]] == [partitions.L_QUAD]
 
     def test_unknown_kind_in_config_exits_2(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

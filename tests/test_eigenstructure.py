@@ -16,7 +16,6 @@ from zerolap.eigenstructure import (
     solve_components,
     zero_eigenvector_report,
 )
-from zerolap.zk_solver import build_zero_eig_system, solve_mod_k
 
 import oracles
 from conftest import FIXTURE_DIR, single_edge
@@ -69,19 +68,22 @@ class TestOneFactorizationPerComponent:
 
     @pytest.mark.parametrize("h", ONE_FACTORIZATION_CASES)
     def test_one_solve_per_component_and_operator(self, h, solve_calls):
-        systems = [
-            build_zero_eig_system(h, comp, operator)
-            for operator in ("laplacian", "signless")
-            for comp in connected_components(h).components
-        ]
-        systems = [sys for sys in systems if sys is not None]
-        feasible_even = sum(h.k % 2 == 0 and solve_mod_k(sys).feasible for sys in systems)
-        solve_calls.clear()
+        """Each non-singleton component solves each operator's residue once
+        modulo k (odd k: the Laplacian only), and each feasible one once
+        more modulo 2 when k is even; singletons solve nothing."""
+        decomp = connected_components(h)
+        comps = [c for c, single in zip(decomp.components, decomp.singleton) if not single]
+        expected = []
+        for comp in comps:
+            edges = [e for e in h.edges if e[0] in comp]
+            for rhs in [0] if h.k % 2 else [0, h.k // 2]:
+                expected.append((h.k, rhs))
+                if h.k % 2 == 0 and oracles.edge_sum_solutions(h.k, comp, edges, rhs):
+                    expected.append((2, rhs // (h.k // 2)))
         solved = solve_components(h)
         for operator in ("laplacian", "signless"):
             zero_eigenvector_report(h, operator, solved=solved[operator])
-        moduli = sorted(sys.modulus for sys in solve_calls)
-        assert moduli == sorted([h.k] * len(systems) + [2] * feasible_even)
+        assert sorted(solve_calls) == sorted(expected)
 
     @pytest.mark.parametrize("h", ONE_FACTORIZATION_CASES)
     def test_one_bipartition_scan_per_component(self, h, bipartition_scans):

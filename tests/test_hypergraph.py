@@ -15,6 +15,7 @@ from zerolap import (
     parse_hypergraph_text,
 )
 from zerolap.corpus import random_hypergraph
+from zerolap.hypergraph import K_MAX
 
 from conftest import FIXTURE_DIR
 
@@ -39,6 +40,17 @@ class TestConstruction:
     def test_k_below_two_rejected(self):
         with pytest.raises(HypergraphFormatError):
             Hypergraph(1, 3, ())
+
+    def test_k_bound_is_the_int64_square_root(self):
+        assert K_MAX**2 <= 2**63 - 1 < (K_MAX + 1) ** 2
+        assert Hypergraph(K_MAX, 2, ()).k == K_MAX
+
+    @pytest.mark.parametrize("k", [K_MAX + 1, 10**12, 2**63])
+    def test_k_past_the_bound_rejected(self, k):
+        message = f"uniformity k must be at most {K_MAX}, so that k^2 fits in int64, got {k}"
+        with pytest.raises(HypergraphFormatError) as err:
+            Hypergraph(k, 2, ())
+        assert str(err.value) == message
 
     def test_edges_stored_sorted(self):
         h = Hypergraph(3, 5, ((5, 1, 3),))

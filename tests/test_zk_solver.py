@@ -4,29 +4,39 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from zerolap import (
     Hypergraph,
-    ZkLinearSystem,
-    build_zero_eig_system,
     connected_components,
     smith_normal_form,
     solve_mod_k,
+    structure_counts,
+    zk_solver,
 )
 from zerolap.corpus import random_hypergraph
+from zerolap.eigenstructure import solve_components
 from zerolap.errors import VerificationError
+from zerolap.tensor_ops import edge_index
 from zerolap.zk_solver import (
     check_howell_form,
+    edge_residue,
     eliminate_mod_prime,
     howell_form,
-    incidence_rows,
     lex_solutions,
 )
 
 import oracles
 from conftest import single_edge
+
+CHAIN_EDGES = edge_index(Hypergraph(3, 7, ((1, 2, 3), (3, 4, 5), (5, 6, 7))))
+# the three 2-edges of a triangle: twice the exponent sum is 3 (mod 4), impossible
+TRIANGLE_EDGES = np.array([[0, 1], [1, 2], [0, 2]])
+
+
+def _solve(edges, width, modulus, rhs):
+    return solve_mod_k(howell_form(np.asarray(edges), width, modulus), rhs)
 
 
 def _all_solutions(desc):
@@ -34,43 +44,42 @@ def _all_solutions(desc):
     return lex_solutions(desc)
 
 
-def _satisfies(sys, values):
-    """Exact integer check of every row of ``sys`` on one exponent tuple."""
-    return all(
-        sum(c * v for c, v in zip(row, values)) % sys.modulus == r
-        for row, r in zip(sys.rows, sys.rhs)
-    )
+def _satisfies(modulus, edges, rhs, values):
+    """Exact integer check of every edge of the system on one exponent tuple."""
+    return all(sum(values[v] for v in e) % modulus == rhs for e in np.asarray(edges).tolist())
 
 
 # ---------------------------------------------------------------- systems
 
-class TestBuildSystem:
+class TestEdgeSystem:
     def test_chain_laplacian_system(self, chain):
-        sys = build_zero_eig_system(chain, range(1, 8), "laplacian")
-        assert sys.modulus == 3
-        assert len(sys.vertices) == 7
-        assert len(sys.rows) == 3
-        assert sys.rhs == (0, 0, 0)
-        assert all(sum(row) == 3 for row in sys.rows)
+        edges = edge_index(chain)
+        assert edges.shape == (3, 3)
+        assert edges.tolist() == [[0, 1, 2], [2, 3, 4], [4, 5, 6]]
+        assert edge_residue(chain.k, "laplacian") == 0
 
     def test_single_edge_k4_signless_rhs(self):
-        sys = build_zero_eig_system(single_edge(4), (1, 2, 3, 4), "signless")
-        assert sys.rhs == (2,)
+        assert edge_residue(4, "signless") == 2
 
     def test_single_edge_k3_signless_marker(self):
-        assert build_zero_eig_system(single_edge(3), (1, 2, 3), "signless") is None
+        (record,) = solve_components(single_edge(3))["signless"]
+        assert record.description is None
+        assert not record.feasible and record.solution_count == 0
 
-    def test_singleton_component_always_feasible(self):
+    def test_singleton_component_always_feasible(self, eliminations):
         h = Hypergraph(3, 4, ((1, 2, 3),))
+        solved = solve_components(h)
+        assert eliminations == [3]  # the edge's component only
         for operator in ("laplacian", "signless"):
-            sys = build_zero_eig_system(h, (4,), operator)
-            assert sys.rows == ()
-            desc = solve_mod_k(sys)
+            record = solved[operator][1]
+            assert record.component == (4,) and record.singleton
+            desc = record.description
             assert desc.feasible and desc.solution_count == 3
+            assert desc.kernel == (((1,), 3),) and desc.particular == (0,)
 
     def test_unknown_operator_rejected(self, chain):
         with pytest.raises(ValueError):
-            build_zero_eig_system(chain, range(1, 8), "adjacency")
+            structure_counts(chain, "adjacency")
 
 
 # ---------------------------------------------------------------- Smith form
@@ -125,9 +134,8 @@ class TestSmithNormalForm:
         assert S[0][0] == 1
         assert S[0][1:] == [0, 0]
 
-    def test_chain_incidence_invariant_factors(self, chain):
-        sys = build_zero_eig_system(chain, range(1, 8), "laplacian")
-        _, S, _ = smith_normal_form(sys.rows)
+    def test_chain_incidence_invariant_factors(self):
+        _, S, _ = smith_normal_form(oracles.incidence_matrix(7, CHAIN_EDGES))
         assert [S[i][i] for i in range(3)] == [1, 1, 1]
 
     def test_zero_matrix(self):
@@ -171,37 +179,39 @@ class TestSmithNormalForm:
 # ---------------------------------------------------------------- solving
 
 class TestSolveModK:
-    def test_chain_solution_count(self, chain):
-        sys = build_zero_eig_system(chain, range(1, 8), "laplacian")
-        desc = solve_mod_k(sys)
+    def test_chain_solution_count(self):
+        desc = _solve(CHAIN_EDGES, 7, 3, 0)
         assert desc.feasible
+        assert (desc.modulus, desc.width) == (3, 7)
         assert desc.solution_count == 81
         assert [order for _, order in desc.kernel] == [3, 3, 3, 3]
 
     def test_single_edge_k4_signless_count(self):
-        sys = build_zero_eig_system(single_edge(4), (1, 2, 3, 4), "signless")
-        desc = solve_mod_k(sys)
+        desc = _solve(edge_index(single_edge(4)), 4, 4, 2)
         assert desc.solution_count == 64
 
     def test_infeasible_even_system(self):
-        # 2*alpha == 1 (mod 4) has no solution
-        sys = ZkLinearSystem(4, (1,), ((2,),), (1,))
-        desc = solve_mod_k(sys)
+        desc = _solve(TRIANGLE_EDGES, 3, 4, 1)
         assert not desc.feasible
         assert desc.solution_count == 0
+        assert (desc.modulus, desc.width) == (4, 3)
 
-    def test_foreign_factorization_rejected(self, chain, k4_overlap):
-        sys = build_zero_eig_system(k4_overlap, range(1, 7), "laplacian")
-        verts, chain_rows = incidence_rows(chain, range(1, 8))
-        with pytest.raises(ValueError, match="different coefficient matrix"):
-            solve_mod_k(sys, howell_form(chain_rows, len(verts), 4))
-        with pytest.raises(ValueError, match="or modulus"):
-            solve_mod_k(sys, howell_form(sys.rows, len(sys.vertices), 2))
+    def test_particular_solution_satisfies(self):
+        desc = _solve(CHAIN_EDGES, 7, 3, 0)
+        assert _satisfies(3, CHAIN_EDGES, 0, desc.particular)
 
-    def test_particular_solution_satisfies(self, chain):
-        sys = build_zero_eig_system(chain, range(1, 8), "laplacian")
-        desc = solve_mod_k(sys)
-        assert _satisfies(sys, desc.particular)
+    def test_one_form_serves_every_residue(self):
+        form = howell_form(TRIANGLE_EDGES, 3, 4)
+        counts = [solve_mod_k(form, rhs).solution_count for rhs in range(4)]
+        assert counts == [len(oracles.system_solutions(4, 3, TRIANGLE_EDGES, r)) for r in range(4)]
+        assert counts == [2, 0, 2, 0]
+
+    def test_vertex_order_within_an_edge_is_immaterial(self, k4_overlap):
+        edges = edge_index(k4_overlap)
+        form = howell_form(edges, 6, 4)
+        shuffled = howell_form(edges[:, ::-1].copy(), 6, 4)
+        for part in ("image", "transform", "kernel"):
+            assert np.array_equal(getattr(form, part), getattr(shuffled, part))
 
     @pytest.mark.parametrize("seed", range(12))
     def test_counts_match_brute_force(self, seed):
@@ -211,49 +221,48 @@ class TestSolveModK:
         if k**n > 200_000:
             n = k
         h = random_hypergraph(rng, k, n, rng.randint(1, 4))
-        for operator, rhs in (("laplacian", 0), ("signless", k // 2)):
-            sys = build_zero_eig_system(h, range(1, n + 1), operator)
-            if sys is None:
-                assert k % 2 == 1 and operator == "signless"
-                continue
-            desc = solve_mod_k(sys)
-            brute = oracles.edge_sum_solutions(k, range(1, n + 1), h.edges, rhs if sys.rows else 0)
-            expected = len(oracles.edge_sum_solutions(k, range(1, n + 1), h.edges, rhs)) if sys.rows else k**n
+        form = howell_form(edge_index(h), n, k)
+        for rhs in (0, k // 2):
+            desc = solve_mod_k(form, rhs)
+            expected = len(oracles.edge_sum_solutions(k, range(1, n + 1), h.edges, rhs))
             assert desc.solution_count == expected
 
 
 class TestEnumeration:
-    def test_chain_enumerates_81_distinct(self, chain):
-        sys = build_zero_eig_system(chain, range(1, 8), "laplacian")
-        sols = _all_solutions(solve_mod_k(sys)).tolist()
+    def test_chain_enumerates_81_distinct(self):
+        sols = _all_solutions(_solve(CHAIN_EDGES, 7, 3, 0)).tolist()
         assert len(sols) == 81
         assert len({tuple(v) for v in sols}) == 81
-        assert all(_satisfies(sys, v) for v in sols)
+        assert all(_satisfies(3, CHAIN_EDGES, 0, v) for v in sols)
 
-    def test_limit_one_gives_particular(self, chain):
+    def test_limit_one_gives_particular(self):
         """The particular solution is the lexicographically least one."""
-        sys = build_zero_eig_system(chain, range(1, 8), "laplacian")
-        desc = solve_mod_k(sys)
+        desc = _solve(CHAIN_EDGES, 7, 3, 0)
         first = lex_solutions(desc, 1)
         assert first.shape == (1, 7)
         assert tuple(first[0].tolist()) == desc.particular == (0,) * 7
 
     def test_single_edge_k3_nine_solutions(self):
-        sys = build_zero_eig_system(single_edge(3), (1, 2, 3), "laplacian")
-        sols = _all_solutions(solve_mod_k(sys))
+        sols = _all_solutions(_solve(edge_index(single_edge(3)), 3, 3, 0))
         assert sols.shape == (9, 3)
         assert (sols.sum(axis=1) % 3 == 0).all()
 
     def test_infeasible_enumeration_raises(self):
-        desc = solve_mod_k(ZkLinearSystem(4, (1,), ((2,),), (1,)))
+        desc = _solve(TRIANGLE_EDGES, 3, 4, 1)
         with pytest.raises(ValueError):
             lex_solutions(desc)
 
     def test_enumeration_exhausts_exactly(self):
-        sys = build_zero_eig_system(single_edge(4), (1, 2, 3, 4), "signless")
-        sols = _all_solutions(solve_mod_k(sys)).tolist()
+        sols = _all_solutions(_solve(edge_index(single_edge(4)), 4, 4, 2)).tolist()
         assert len(sols) == 64
         assert len({tuple(v) for v in sols}) == 64
+
+    def test_listing_cost_follows_the_limit_not_the_order(self):
+        """One free exponent of order 10^12: the first three solutions come
+        without expanding the 10^12 values of that exponent."""
+        k = 10**12
+        desc = zk_solver.SolutionDescription(k, 2, True, (0, 5), (((1, 0), k),), k)
+        assert lex_solutions(desc, 3).tolist() == [[0, 5], [1, 5], [2, 5]]
 
     @pytest.mark.parametrize("limit", [1, 7, 1 << 12])
     @pytest.mark.parametrize("seed", range(6))
@@ -266,12 +275,10 @@ class TestEnumeration:
         k = rng.choice([3, 4, 6])
         n = rng.randint(k, 7)
         h = random_hypergraph(rng, k, n, rng.randint(1, 3))
-        for operator in ("laplacian", "signless"):
-            sys = build_zero_eig_system(h, range(1, n + 1), operator)
-            if sys is None:
-                continue
-            desc = solve_mod_k(sys)
-            brute = oracles.system_solutions(sys)
+        edges = edge_index(h)
+        for rhs in (0, k // 2):
+            desc = _solve(edges, n, k, rhs)
+            brute = oracles.system_solutions(k, n, edges, rhs)
             if not brute:
                 assert not desc.feasible
                 continue
@@ -281,36 +288,47 @@ class TestEnumeration:
 
 # ---------------------------------------------------------------- differential
 
+def _edge_lists(width, max_edges, min_edges=1):
+    """Lists of edges over ``width`` unknowns, each edge a row of 1..width
+    distinct 0-based indices, all edges of one list the same size."""
+    return st.integers(1, width).flatmap(
+        lambda size: st.lists(
+            st.lists(st.integers(0, width - 1), min_size=size, max_size=size, unique=True),
+            min_size=min_edges,
+            max_size=max_edges,
+        )
+    )
+
+
 @st.composite
 def zk_systems(draw):
-    """Small systems over Z_N with arbitrary rows and residues, so many are
-    infeasible; row-free systems included."""
-    n = draw(st.sampled_from([2, 3, 4, 6, 8, 9, 12]))
+    """Small edge systems over Z_N: random edge indexes with any residue,
+    so many are infeasible, and rows need not have N vertices."""
+    n = draw(st.sampled_from([2, 3, 4, 5, 6, 7, 8, 9, 12]))
     m = draw(st.integers(1, 4 if n <= 6 else 3))
-    row = st.lists(st.integers(0, 2 * n), min_size=m, max_size=m).map(tuple)
-    rows = tuple(draw(st.lists(row, max_size=5)))
-    rhs = tuple(draw(st.lists(st.integers(0, n - 1), min_size=len(rows), max_size=len(rows))))
-    return ZkLinearSystem(n, tuple(range(1, m + 1)), rows, rhs)
+    edges = np.array(draw(_edge_lists(m, 5)), dtype=np.intp)
+    return n, m, edges, draw(st.integers(0, n - 1))
 
 
 @st.composite
 def edge_systems(draw):
-    """One component's system of a random k-uniform hypergraph, either
-    operator: k = 6 signless systems and singleton components included."""
+    """One component's record from ``solve_components`` on a random
+    k-uniform hypergraph, either operator, with the component's edges:
+    k = 6 signless systems and singleton components included."""
     k = draw(st.sampled_from([2, 3, 4, 6]))
     n = draw(st.integers(k, {2: 8, 3: 7, 4: 6, 6: 7}[k]))
     h = random_hypergraph(random.Random(draw(st.integers(0, 2**32))), k, n, draw(st.integers(1, 4)))
-    component = draw(st.sampled_from(connected_components(h).components))
-    sys = build_zero_eig_system(h, component, draw(st.sampled_from(["laplacian", "signless"])))
-    assume(sys is not None)
-    return sys
+    operator = draw(st.sampled_from(["laplacian", "signless"]))
+    i = draw(st.integers(0, len(connected_components(h)) - 1))
+    record = solve_components(h)[operator][i]
+    edges = oracles.component_edges(h, record.component)
+    return record, (k, len(record.component), edges, edge_residue(k, operator))
 
 
-def _check_against_brute_force(sys):
-    brute = oracles.system_solutions(sys)
-    desc = solve_mod_k(sys)
+def _check_against_brute_force(desc, system):
+    brute = oracles.system_solutions(*system)
     assert desc.feasible == bool(brute)
-    assert desc.solution_count == len(brute) == oracles.snf_solution_count(sys)
+    assert desc.solution_count == len(brute) == oracles.snf_solution_count(*system)
     if brute:
         assert desc.particular == brute[0]
         assert [tuple(x) for x in lex_solutions(desc).tolist()] == brute
@@ -318,14 +336,20 @@ def _check_against_brute_force(sys):
 
 @settings(deadline=None)
 @given(zk_systems())
-def test_solve_matches_brute_force_and_smith_form(sys):
-    _check_against_brute_force(sys)
+def test_solve_matches_brute_force_and_smith_form(system):
+    n, m, edges, rhs = system
+    _check_against_brute_force(_solve(edges, m, n, rhs), system)
 
 
 @settings(deadline=None, max_examples=60)
 @given(edge_systems())
-def test_edge_systems_match_brute_force_and_smith_form(sys):
-    _check_against_brute_force(sys)
+def test_edge_systems_match_brute_force_and_smith_form(case):
+    record, system = case
+    k, width, edges, rhs = system
+    if record.description is None:  # odd k, signless, a component with an edge
+        assert k % 2 and edges and not record.feasible
+        return
+    _check_against_brute_force(record.description, system)
 
 
 class TestCertificate:
@@ -334,8 +358,7 @@ class TestCertificate:
 
     @pytest.fixture
     def form(self, k4_overlap):
-        verts, rows = incidence_rows(k4_overlap, range(1, 7))
-        form = howell_form(rows, len(verts), 4)
+        form = howell_form(edge_index(k4_overlap), 6, 4)
         assert len(form.image) and len(form.kernel) >= 2
         return form
 
@@ -364,12 +387,11 @@ class TestCertificate:
     def test_rows_must_span_the_row_space(self, form):
         self._rejected(form, "span", kernel=form.kernel[:-1].copy())
 
-    def test_particular_solution_must_solve(self, form, k4_overlap):
-        sys = build_zero_eig_system(k4_overlap, range(1, 7), "signless")
-        assert solve_mod_k(sys, form).feasible
+    def test_particular_solution_must_solve(self, form):
+        assert solve_mod_k(form, 2).feasible
         broken = dataclasses.replace(form, transform=np.zeros_like(form.transform))
         with pytest.raises(VerificationError, match="particular solution"):
-            solve_mod_k(sys, broken)
+            solve_mod_k(broken, 2)
 
 
 # ---------------------------------------------------------------- canonical form and kind
@@ -457,15 +479,13 @@ def test_all_ones_shift_stays_in_solution_set(seed):
     k = rng.choice([3, 4, 5])
     n = rng.randint(k, 7)
     h = random_hypergraph(rng, k, n, rng.randint(1, 3))
-    for operator in ("laplacian", "signless"):
-        sys = build_zero_eig_system(h, range(1, n + 1), operator)
-        if sys is None:
-            continue
-        desc = solve_mod_k(sys)
+    edges = edge_index(h)
+    for rhs in (0, k // 2):
+        desc = _solve(edges, n, k, rhs)
         if not desc.feasible:
             continue
         for values in _all_solutions(desc)[:10].tolist():
-            assert _satisfies(sys, [(v + 1) % k for v in values])
+            assert _satisfies(k, edges, rhs, [(v + 1) % k for v in values])
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -475,31 +495,25 @@ def test_shift_orbits_partition_solutions(seed):
     k = rng.choice([3, 4, 5])
     n = rng.randint(k, 7)
     h = random_hypergraph(rng, k, n, 2)
-    sys = build_zero_eig_system(h, range(1, n + 1), "laplacian")
-    desc = solve_mod_k(sys)
+    desc = _solve(edge_index(h), n, k, 0)
     canonical = {oracles.shift_min(v, k) for v in _all_solutions(desc).tolist()}
     assert len(canonical) * k == desc.solution_count
 
 
 @st.composite
 def prime_systems(draw):
+    """Edge systems over GF(p): random edge indexes, any residue."""
     p = draw(st.sampled_from([2, 3, 5, 7]))
     m = draw(st.integers(1, 4))
-    row = st.lists(st.integers(0, 2 * p), min_size=m, max_size=m)
-    rows = draw(st.lists(row, min_size=1, max_size=5))
-    rhs = draw(st.lists(st.integers(0, p - 1), min_size=len(rows), max_size=len(rows)))
-    return p, rows, rhs
+    edges = np.array(draw(_edge_lists(m, 5)), dtype=np.intp)
+    return p, m, edges, draw(st.integers(0, p - 1))
 
 
 @given(prime_systems())
 def test_elimination_mod_prime_matches_brute_force(system):
-    p, rows, rhs = system
-    solutions = {
-        x
-        for x in itertools.product(range(p), repeat=len(rows[0]))
-        if all(sum(a * b for a, b in zip(row, x)) % p == r for row, r in zip(rows, rhs))
-    }
-    affine = eliminate_mod_prime(np.array(rows), np.array(rhs), p)
+    p, m, edges, rhs = system
+    solutions = set(oracles.system_solutions(p, m, edges, rhs))
+    affine = eliminate_mod_prime(edges, m, rhs, p)
     if not solutions:
         assert affine is None
         return
@@ -510,3 +524,21 @@ def test_elimination_mod_prime_matches_brute_force(system):
     ]
     assert len(set(listed)) == len(listed)
     assert set(listed) == solutions
+
+
+def test_elimination_mod_prime_checks_its_result(monkeypatch):
+    """A pivot row scaled by a wrong inverse yields a non-solution, which
+    the closing edge-sum check rejects."""
+    edges = np.array([[0, 1], [0, 2], [1, 2]])  # the second pivot entry is 2
+    assert eliminate_mod_prime(edges, 3, 0, 3) is not None
+    monkeypatch.setattr(zk_solver, "pow", lambda base, exp, mod: 1, raising=False)
+    with pytest.raises(VerificationError, match="non-solution"):
+        eliminate_mod_prime(edges, 3, 0, 3)
+
+
+def test_smith_form_checks_its_reconstruction(monkeypatch):
+    """A wrong product in the closing U * A * V check is caught."""
+    smith_normal_form([[1, 1, 0], [0, 1, 1]])
+    monkeypatch.setattr(zk_solver, "mul", lambda a, b: a * b + 1)
+    with pytest.raises(VerificationError, match="reconstruction failed"):
+        smith_normal_form([[1, 1, 0], [0, 1, 1]])
