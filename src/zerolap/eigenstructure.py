@@ -12,11 +12,15 @@ Counting is closed-form (solution counts of the Howell-form solve plus a
 modulus-2 subsystem for the H classes when k is even); enumeration is
 reserved for explicitly requested class listings. ``solve_components`` is
 the one pass per run: per component it builds the edge index once,
-eliminates it once modulo k (and once modulo 2 for even k), solves both
-operators' systems and their H counts from those forms, and fills both
-operators' cross-checks from one bipartition scan (the even-bipartitions
-for the Laplacian, the odd ones for the signless operator). Counts, class
-listings and the cross-checks all read the records it returns.
+eliminates it once modulo k (and once modulo 2 for even k), and solves
+both operators' systems and their H counts from those forms. The
+cross-checks count the same structures combinatorially, with no linear
+algebra: one ``partitions.ResidueCounter`` per component counts, by
+variable elimination along one min-degree order, the vertex subsets
+meeting every edge evenly (Laplacian) or oddly (signless) for the H
+counts, and ``crosscheck`` reads the N pair counts from the same counter.
+Counts, class listings and the cross-checks all read the records
+``solve_components`` returns.
 
 A listing is an integer array with one row of exponents per class, the
 only representation of a class. Within each component the classes are
@@ -81,7 +85,9 @@ class ComponentStructure:
     h_count: int
     n_pair_count: int
     description: SolutionDescription | None = field(repr=False)
-    crosscheck_expected: int | None = None  # None when the scan hit its budget
+    crosscheck_expected: int | None = None  # None when a count hit its budget
+    # the component's combinatorial counts, shared by both operators' records
+    counter: _partitions.ResidueCounter | None = field(default=None, repr=False, compare=False)
 
     @property
     def crosscheck_matched(self) -> bool | None:
@@ -111,10 +117,12 @@ def solve_components(
 
     Per component, the induced edge index is built once and eliminated
     once modulo k (and once modulo 2 for even k); both operators' systems
-    and their H counts are solved from those forms, and one bipartition scan
-    under ``budget`` fills both records' cross-checks. A singleton builds
-    no form: its one exponent is free, so it has k solutions and the
-    identity kernel under either operator. ``decomp`` is
+    and their H counts are solved from those forms. One
+    ``partitions.ResidueCounter`` on the same edges, under ``budget``,
+    fills both records' cross-checks, and both records carry it for
+    ``crosscheck``. A singleton builds no form and no counter: its one
+    exponent is free, so it has k solutions and the identity kernel under
+    either operator. ``decomp`` is
     ``h``'s decomposition when the caller already has it. Pass
     ``result[operator]`` as ``solved`` to the functions below to share
     this one pass across them.
@@ -124,13 +132,14 @@ def solve_components(
     k = h.k
     out: dict[str, list[ComponentStructure]] = {op: [] for op in ZERO_EIG_OPERATORS}
     for comp, single in zip(decomp.components, decomp.singleton):
-        form = form2 = None
+        form = form2 = counter = None
         if not single:
             edges = edge_index(induced_subhypergraph(h, comp).hypergraph)
             form = howell_form(edges, len(comp), k)
             if k % 2 == 0:
                 form2 = form if k == 2 else howell_form(edges, len(comp), 2)
-        expected = _component_expected(h, comp, single, budget)
+            counter = _partitions.ResidueCounter(edges.tolist(), len(comp), k, budget)
+        expected = _component_expected(k, counter)
         for op in ZERO_EIG_OPERATORS:
             rhs = edge_residue(k, op)
             if single:
@@ -147,7 +156,8 @@ def solve_components(
                     f"odd N class count {n_classes} on component {comp}: conjugate pairing broken"
                 )
             record = ComponentStructure(
-                comp, single, feasible, count, classes, h_count, n_classes // 2, desc, expected[op]
+                comp, single, feasible, count, classes, h_count, n_classes // 2, desc,
+                expected[op], counter,
             )
             out[op].append(record)
     return {op: tuple(records) for op, records in out.items()}
@@ -169,28 +179,34 @@ def _h_class_count(k: int, form2: HowellForm | None, rhs: int) -> int:
 
 
 def _component_expected(
-    h: Hypergraph, comp: tuple[int, ...], singleton: bool, budget: int
+    k: int, counter: _partitions.ResidueCounter | None
 ) -> dict[str, int | None]:
     """Per-component right-hand sides of both operators' count identities.
 
-    Even k: the signless H count equals the number of odd-bipartitions and
-    the Laplacian H count equals the even-bipartition count plus the
-    all-ones class; a trivial singleton component is bipartite by
-    convention and counts once (it carries no two-sided witness, which is
-    where the singleton correction in the aggregate formula comes from).
-    Odd k: one class per component for the Laplacian, the scalar class on
-    singletons for the signless operator. None when the bipartition scan
-    would exceed its budget.
+    Even k: the Laplacian H count is E/2, where E counts the vertex subsets
+    S with every |S cap e| even, and the signless H count is O/2, where O
+    counts those with every |S cap e| odd; complementing S keeps every
+    parity (each edge has k vertices), so the subsets pair up. These are
+    the maps into {0, k/2} with every edge sum 0, respectively k/2, modulo
+    k. E/2 is the even-bipartition count plus the all-ones class (S empty
+    or everything), O/2 the odd-bipartition count; a trivial singleton
+    component (``counter`` None) is bipartite by convention and counts
+    once (it carries no two-sided witness, which is where the singleton
+    correction in the aggregate formula comes from). Odd k: one class per
+    component for the Laplacian, the scalar class on singletons for the
+    signless operator. None when a count would exceed the counter's budget.
     """
-    if singleton:
+    if counter is None:
         return {LAPLACIAN: 1, SIGNLESS: 1}
-    if h.k % 2 == 1:
+    if k % 2 == 1:
         return {LAPLACIAN: 1, SIGNLESS: 0}
-    try:
-        scan = _partitions.enumerate_bipartitions(h, comp, budget)
-    except BudgetExceededError:
-        return {LAPLACIAN: None, SIGNLESS: None}
-    return {LAPLACIAN: len(scan[_partitions.EVEN]) + 1, SIGNLESS: len(scan[_partitions.ODD])}
+    out = {}
+    for op in ZERO_EIG_OPERATORS:
+        subsets = counter.count(edge_residue(k, op), (0, k // 2))
+        if subsets is not None and subsets % 2:
+            raise VerificationError(f"odd {op} subset count {subsets}: complement pairing broken")
+        out[op] = None if subsets is None else subsets // 2
+    return out
 
 
 def _crosscheck_formula(h: Hypergraph, operator: str) -> str:
@@ -236,9 +252,10 @@ class OperatorCrosscheck:
     ``counts`` holds the H classes against the bipartition counts. The N
     pairs are held against the residue-valid multipartitions of
     ``n_kind``, the kind matching (k, operator), or None when no kind
-    does. ``n_literal`` counts the multipartitions matching the kind's
-    literal clause lists, from the same scan. Both counts are None without
-    a kind or when the scan hit its budget.
+    does; ``n_expected`` counts them, None without a kind or when a count
+    hit its budget. ``n_literal`` counts the multipartitions matching the
+    kind's literal clause lists, from the exhaustive scan; None without a
+    kind or when some component's scan exceeds the budget.
     """
 
     counts: StructureCounts
@@ -263,23 +280,36 @@ def crosscheck(
 ) -> OperatorCrosscheck:
     """Algebraic counts of one operator against the partition inventories.
 
-    Each non-singleton component is scanned once for the matching kind,
-    and that one scan yields both the residue and the literal witnesses.
+    Each non-singleton component's residue-valid multipartitions are
+    counted by its records' ``ResidueCounter`` (``residue_orbit_count``).
+    Where the exhaustive scan fits ``budget``, the component is also
+    scanned once for the kind: the scan yields the literal count, and its
+    residue orbit count must equal the counter's, or VerificationError.
     """
     counts = structure_counts(h, operator, budget, solved=solved)
     kind = _partitions.N_PAIR_KINDS.get((h.k, operator))
     if kind is None:
         return OperatorCrosscheck(counts, None, None, None)
-    try:
-        scans = [
-            _partitions.enumerate_multipartitions(h, cs.component, kind, budget)
-            for cs in counts.components
-            if not cs.singleton
-        ]
-    except BudgetExceededError:
-        return OperatorCrosscheck(counts, kind, None, None)
-    residue, literal = (sum(len(s[pred]) for s in scans) for pred in ("residue", "literal"))
-    return OperatorCrosscheck(counts, kind, residue, literal)
+    expected: int | None = 0
+    literal: int | None = 0
+    for cs in counts.components:
+        if cs.singleton:
+            continue
+        n = _partitions.residue_orbit_count(cs.counter, kind)
+        expected = None if expected is None or n is None else expected + n
+        try:
+            orbits = _partitions.multipartition_orbits(h, cs.component, kind, budget)
+        except BudgetExceededError:
+            literal = None
+            continue
+        if n is not None and n != len(orbits["residue"]):
+            raise VerificationError(
+                f"{kind} on {cs.component}: {n} residue orbits counted, "
+                f"{len(orbits['residue'])} scanned"
+            )
+        if literal is not None:
+            literal += len(orbits["literal"])
+    return OperatorCrosscheck(counts, kind, expected, literal)
 
 
 def _listed_classes(
@@ -307,10 +337,11 @@ def _component_classes(cs: ComponentStructure, target: int) -> np.ndarray:
     Adding 1 to every exponent keeps every edge sum (each edge has k
     vertices), so each value at the first vertex is taken by the same
     number of solutions: the first class_count solutions in lexicographic
-    order are exactly those with exponent 0 there, one per class.
+    order are exactly those with exponent 0 there, one per class. A
+    singleton's one class is the exponent 0, listed without a solve.
     """
-    if target == 0:
-        return np.zeros((0, len(cs.component)), dtype=np.int64)
+    if target == 0 or cs.singleton:
+        return np.zeros((target, len(cs.component)), dtype=np.int64)
     classes = lex_solutions(cs.description, target)
     if classes[:, 0].any():
         raise VerificationError(f"shift symmetry broken on component {cs.component}")
@@ -416,11 +447,14 @@ def zero_eigenvector_report(
         }
         if cs.description is None:
             entry["reason"] = ODD_SIGNLESS_REASON
-        residuals = realize_classes(h, operator, cs.component, alphas, tolerance).tolist()
-        entry["classes"] = [
-            {"alpha": alpha, "kind": kind, "residual": resid}
-            for alpha, kind, resid in zip(alphas.tolist(), _kinds(alphas, h.k), residuals)
-        ]
+        if cs.singleton:  # the scalar: real, with no edge to check and residual 0
+            entry["classes"] = [{"alpha": [0], "kind": "H", "residual": 0.0} for _ in alphas]
+        else:
+            residuals = realize_classes(h, operator, cs.component, alphas, tolerance).tolist()
+            entry["classes"] = [
+                {"alpha": alpha, "kind": kind, "residual": resid}
+                for alpha, kind, resid in zip(alphas.tolist(), _kinds(alphas, h.k), residuals)
+            ]
         entry["truncated"] = len(alphas) < cs.class_count
         components.append(entry)
     return {

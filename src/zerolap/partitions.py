@@ -17,13 +17,27 @@ vertices; k even). The hm flavor is ordered; odd/even are quotiented by
 swapping the two sides. ``enumerate_bipartitions`` finds all three flavors
 in one pass over the subsets.
 
-``enumerate_multipartitions`` scans all p^m part assignments of an
+``multipartition_orbits`` scans all p^m part assignments of an
 m-vertex component in one pass of numpy blocks of ``CHUNK`` assignments.
 Each edge's intersection profile is coded as one small integer and looked
-up in a table per predicate, so the one pass yields the witnesses of both
-predicates, and a block's arrays stay small whatever p^m is.
+up in a table per predicate, so the one pass yields the orbits of both
+predicates, and a block's arrays stay small whatever p^m is;
+``enumerate_multipartitions`` builds the witnesses of those orbits.
+
+The scans list witnesses, and they cost 2^m and p^m. The cross-checks
+need only counts, and ``ResidueCounter`` finds those without listing: it
+counts the maps from a component's vertices into a value set D of Z_k
+whose every edge sums to a residue, by variable elimination along one
+min-degree elimination order of the component's primal graph. Its cost
+is about m * |D|^(w+1) for a decomposition of width w, and each table it
+builds is capped by the budget. The bipartition counts are its counts over
+D = {0, k/2}; ``residue_orbit_count`` reads the residue orbit count of
+a multipartition kind from its counts over Z_k and over the excluded
+value sets.
 """
 
+import functools
+import heapq
 import itertools
 import math
 from dataclasses import dataclass
@@ -31,7 +45,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import BudgetExceededError
+from .errors import BudgetExceededError, VerificationError
 from .hypergraph import Hypergraph, induced_subhypergraph
 from .tensor_ops import edge_index
 from .zk_solver import eliminate_mod_prime
@@ -527,13 +541,13 @@ def _profile_tables(spec: KindSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     return weights, literal, residue
 
 
-def enumerate_multipartitions(
+def multipartition_orbits(
     h: Hypergraph,
     component: Sequence[int],
     kind: str,
     budget: int = DEFAULT_ENUM_BUDGET,
-) -> dict[str, list[MultipartitionWitness]]:
-    """Exhaustive multipartition inventory of one component, per predicate.
+) -> dict[str, dict[int, int]]:
+    """The kept orbits of one component's multipartition scan, per predicate.
 
     One pass scans all part assignments and tests both predicates on each;
     an assignment is kept under a predicate when it passes it and the
@@ -544,12 +558,11 @@ def enumerate_multipartitions(
     pattern is real-scalable are excluded: those are bipartition phenomena
     and are inventoried by ``enumerate_bipartitions``.
 
-    Returns ``{"literal": [...], "residue": [...]}``: per predicate, one
-    witness per orbit, built from the lexicographically least kept
-    assignment, in ascending order of the orbit's least member.
-
     Assignment j (0 <= j < p^m) gives vertex i the i-th base-p digit of j,
     most significant first, so codes ascend in lexicographic order.
+    Returns ``{"literal": {...}, "residue": {...}}``: per predicate, each
+    orbit's key (its least code over the group) mapped to the code of its
+    lexicographically least kept assignment.
     """
     spec = kind_spec(kind, h.k)
     m = len(set(component))
@@ -559,8 +572,7 @@ def enumerate_multipartitions(
         raise BudgetExceededError(
             f"multipartition scan needs {p}^{m} assignments, budget is {budget}"
         )
-    sub, comp = induced_subhypergraph(h, component)
-    edge_idx = edge_index(sub)
+    edge_idx = edge_index(induced_subhypergraph(h, component).hypergraph)
     place = p ** np.arange(m - 1, -1, -1, dtype=np.int64)  # digit weights, vertex order
     weights, literal_table, residue_table = _profile_tables(spec)
 
@@ -598,16 +610,212 @@ def enumerate_multipartitions(
             uniq, first = np.unique(keys[mask], return_index=True)
             for key, code in zip(uniq.tolist(), codes[rows[mask]][first].tolist()):
                 chosen[pred].setdefault(key, code)  # earlier chunks hold smaller codes
+    return chosen
+
+
+def enumerate_multipartitions(
+    h: Hypergraph,
+    component: Sequence[int],
+    kind: str,
+    budget: int = DEFAULT_ENUM_BUDGET,
+) -> dict[str, list[MultipartitionWitness]]:
+    """Exhaustive multipartition inventory of one component, per predicate.
+
+    Returns ``{"literal": [...], "residue": [...]}``: per predicate, one
+    witness per orbit of ``multipartition_orbits``, built from the
+    lexicographically least kept assignment, in ascending order of the
+    orbit's least member.
+    """
+    orbits = multipartition_orbits(h, component, kind, budget)
+    comp = tuple(sorted(set(component)))
+    m, p = len(comp), KIND_SPECS[kind].parts
 
     def witness(code: int) -> MultipartitionWitness:
-        digits = [code // int(w) % p for w in place]
+        digits = [code // p ** (m - 1 - i) % p for i in range(m)]
         parts = tuple(tuple(v for v, d in zip(comp, digits) if d == j) for j in range(p))
         return MultipartitionWitness(comp, parts, kind)
 
-    return {
-        pred: [witness(chosen[pred][key]) for key in sorted(chosen[pred])]
-        for pred in PREDICATES
-    }
+    return {pred: [witness(chosen[key]) for key in sorted(chosen)] for pred, chosen in orbits.items()}
+
+
+def elimination_order(
+    edges: Sequence[Sequence[int]], width: int, budget: int
+) -> tuple[tuple[int, ...], ...] | None:
+    """The bags of a min-degree elimination order of the primal graph.
+
+    The primal graph joins two of the ``width`` vertices (0-based indices,
+    as in ``edges``) when some edge holds both. Vertices leave it one at a
+    time, each time one of least current degree, ties to the least index,
+    and a leaving vertex joins its remaining neighbours into a clique (the
+    min-degree heuristic of Bodlaender & Koster, "Treewidth computations
+    I", 2010).
+    The bag of a vertex is that vertex followed by those neighbours in
+    ascending order; the bags form a tree decomposition whose width is the
+    largest bag's size minus one, and each edge lies in the bag of its
+    first vertex to leave. Returns None, before any array exists, as soon
+    as some bag would exceed ``budget`` entries over the smallest domain
+    any count uses, two values: 2^|bag| > budget.
+    """
+    adjacent: list[set[int]] = [set() for _ in range(width)]
+    for e in edges:
+        for v in e:
+            adjacent[v].update(e)
+    for v, near in enumerate(adjacent):
+        near.discard(v)
+    heap = [(len(near), v) for v, near in enumerate(adjacent)]
+    heapq.heapify(heap)
+    left = [False] * width
+    bags = []
+    while heap:
+        degree, v = heapq.heappop(heap)
+        near = adjacent[v]
+        if left[v] or degree != len(near):
+            continue  # stale entry: v left, or its degree changed since
+        if 2 ** (degree + 1) > budget:
+            return None
+        left[v] = True
+        bags.append((v, *sorted(near)))
+        for u in near:
+            adjacent[u] |= near
+            adjacent[u] -= {u, v}
+            heapq.heappush(heap, (len(adjacent[u]), u))
+    return tuple(bags)
+
+
+def count_assignments(
+    edges: Sequence[Sequence[int]],
+    bags: Sequence[Sequence[int]],
+    k: int,
+    residue: int,
+    domain: Sequence[int],
+    budget: int,
+) -> int | None:
+    """Maps from the vertices into ``domain`` with every edge sum == residue (mod k).
+
+    Variable elimination along ``bags``, the output of
+    ``elimination_order`` on the same ``edges`` (distinct 0-based vertex
+    indices each): every edge starts as a table over its vertices of
+    whether their values sum to the residue, filed under its first vertex
+    to leave; leaving vertex v multiplies the tables filed under it and
+    sums v out, which files a table over the rest of v's bag under its
+    next vertex to leave. With d values in ``domain``, no table has more
+    than d^|bag| entries, and an edge's table has d^|e|; None, before any
+    array exists, when one of those exceeds ``budget``. An entry counts
+    the maps of the vertices already gone, at most d^width, so tables are
+    int64 while d^width < 2^63 and hold Python ints otherwise.
+    """
+    d = len(domain)
+    if max((d ** len(s) for s in itertools.chain(bags, edges)), default=1) > budget:
+        return None
+    dtype = np.int64 if d ** len(bags) < 2**63 else object
+    values = np.array(domain, dtype=np.int64) % k
+    position = {bag[0]: i for i, bag in enumerate(bags)}
+    buckets: list[list] = [[] for _ in bags]
+    tables: dict[int, np.ndarray] = {}  # edge size -> its table, symmetric in its axes
+    for e in edges:
+        if len(e) not in tables:
+            sums = np.zeros((), dtype=np.int64)
+            for _ in e:
+                sums = np.add.outer(sums, values)
+            tables[len(e)] = (sums % k == residue % k).astype(np.int64).astype(dtype)
+        scope = tuple(sorted(e, key=position.__getitem__))
+        buckets[position[scope[0]]].append((scope, tables[len(e)]))
+    total = 1
+    for filed in buckets:
+        if not filed:  # a vertex in no edge takes any of the d values
+            total *= d
+            continue
+        # every scope lists its vertices in leaving order, so the tables'
+        # axes only need size-1 axes for the vertices they lack
+        union = sorted(set().union(*(scope for scope, _ in filed)), key=position.__getitem__)
+        axis = {v: j for j, v in enumerate(union)}
+        product = 1
+        for scope, table in filed:
+            shape = [1] * len(union)
+            for v in scope:
+                shape[axis[v]] = d
+            product = product * table.reshape(shape)
+        summed = product.sum(axis=0)
+        if len(union) > 1:
+            buckets[position[union[1]]].append((tuple(union[1:]), summed))
+        else:
+            total *= int(summed)
+    return total
+
+
+class ResidueCounter:
+    """Counts of one component's maps into value domains of Z_k with every
+    edge summing to a residue, all along one elimination order.
+
+    ``edges`` holds the component's edges as 0-based indices of its
+    ``width`` vertices. The order is computed by ``elimination_order``
+    under ``budget`` on the first count, and it serves every count; each
+    (residue, domain) is counted once. No linear algebra is involved, so
+    the counts are independent of the exact solver.
+    """
+
+    def __init__(self, edges: Sequence[Sequence[int]], width: int, k: int, budget: int):
+        self.edges = [tuple(e) for e in edges]
+        self.width = width
+        self.k = k
+        self.budget = budget
+        self._counts: dict[tuple, int | None] = {}
+
+    @functools.cached_property
+    def bags(self) -> tuple[tuple[int, ...], ...] | None:
+        return elimination_order(self.edges, self.width, self.budget)
+
+    def count(self, residue: int, domain: Sequence[int]) -> int | None:
+        """Maps into ``domain``, values of Z_k, with every edge sum == residue
+        (mod k), or None when some table of the count would exceed the budget."""
+        if self.bags is None:
+            return None
+        key = (residue, tuple(sorted(set(domain))))
+        if key not in self._counts:
+            self._counts[key] = count_assignments(self.edges, self.bags, self.k, *key, self.budget)
+        return self._counts[key]
+
+
+def _real_scalable(values: tuple[int, ...], k: int) -> bool:
+    """A sorted value set of one or two values half a turn apart."""
+    return len(values) == 1 or (len(values) == 2 and 2 * (values[1] - values[0]) == k)
+
+
+def residue_orbit_count(counter: ResidueCounter, kind: str) -> int | None:
+    """The residue orbit count of ``multipartition_orbits``, by counting.
+
+    The kept maps are the residue-valid maps into Z_k with at least
+    ``min_nonempty`` distinct values and no real-scalable value set. Their
+    number is the full count minus the maps whose exact value set T is
+    excluded (fewer than ``min_nonempty`` values, one value, or {a, a + k/2});
+    each of those comes from the counts over the subsets of T by Moebius
+    inversion. The group alpha -> +-alpha + t, of order 2k, keeps the kept
+    maps kept (every edge has k vertices, and the residue is 0 or k/2), and
+    it acts on them freely (a map fixed by one of its elements takes at
+    most two values half a turn apart), so by Burnside's lemma the orbit
+    count is their number over 2k; a remainder raises VerificationError.
+    None when a count would exceed the budget.
+    """
+    spec = kind_spec(kind, counter.k)
+    k, rhs = spec.k, spec.rhs
+    full = counter.count(rhs, range(k))
+    if full is None:
+        return None
+    kept = full
+    for size in range(1, max(spec.min_nonempty - 1, 2) + 1):
+        for values in itertools.combinations(range(k), size):
+            if size < spec.min_nonempty or _real_scalable(values, k):
+                kept -= sum(
+                    (-1) ** (size - r) * counter.count(rhs, sub)
+                    for r in range(1, size + 1)
+                    for sub in itertools.combinations(values, r)
+                )
+    orbits, rest = divmod(kept, 2 * k)
+    if rest:
+        raise VerificationError(
+            f"{kind}: {kept} kept maps do not split into orbits of {2 * k}"
+        )
+    return orbits
 
 
 def discrepancy_scan(kind: str) -> DiscrepancyReport:

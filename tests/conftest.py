@@ -64,15 +64,16 @@ def solve_calls(monkeypatch):
 
 @pytest.fixture
 def multipartition_scans(monkeypatch):
-    """Records (component, kind) of every multipartition scan."""
+    """Records (component, kind) of every multipartition scan, whether it
+    lists witnesses or only counts orbits."""
     calls = []
-    real = partitions.enumerate_multipartitions
+    real = partitions.multipartition_orbits
 
     def counting(h, component, kind, *args, **kwargs):
         calls.append((tuple(sorted(set(component))), kind))
         return real(h, component, kind, *args, **kwargs)
 
-    monkeypatch.setattr(partitions, "enumerate_multipartitions", counting)
+    monkeypatch.setattr(partitions, "multipartition_orbits", counting)
     return calls
 
 
@@ -87,4 +88,32 @@ def bipartition_scans(monkeypatch):
         return real(h, component, *args, **kwargs)
 
     monkeypatch.setattr(partitions, "enumerate_bipartitions", counting)
+    return calls
+
+
+@pytest.fixture
+def elimination_orders(monkeypatch):
+    """Records the vertex count of every elimination order computed."""
+    calls = []
+    real = partitions.elimination_order
+
+    def counting(edges, width, budget):
+        calls.append(width)
+        return real(edges, width, budget)
+
+    monkeypatch.setattr(partitions, "elimination_order", counting)
+    return calls
+
+
+@pytest.fixture
+def residue_counts(monkeypatch):
+    """Records (vertex count, residue, domain) of every count by elimination."""
+    calls = []
+    real = partitions.count_assignments
+
+    def counting(edges, bags, k, residue, domain, budget):
+        calls.append((len(bags), residue, tuple(domain)))
+        return real(edges, bags, k, residue, domain, budget)
+
+    monkeypatch.setattr(partitions, "count_assignments", counting)
     return calls

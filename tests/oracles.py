@@ -71,6 +71,16 @@ def edge_sum_solutions(k, vertices, edges, rhs):
     return out
 
 
+def domain_edge_sum_count(k, width, edges, residue, domain):
+    """Maps from ``width`` vertices into ``domain`` with every edge's value
+    sum == ``residue`` (mod k), by full scan; ``edges`` holds 0-based
+    vertex indices."""
+    return sum(
+        all(sum(vals[v] for v in e) % k == residue % k for e in edges)
+        for vals in itertools.product(domain, repeat=width)
+    )
+
+
 def incidence_matrix(width, edges):
     """Dense 0/1 rows, one per edge, of ``width`` columns: row e has a one
     at each 0-based vertex index of edge e."""

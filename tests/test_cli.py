@@ -311,26 +311,41 @@ def _even_k_inputs(tmp_path):
     return [K4, EDGE4, str(FIXTURE_DIR / "single_edge_k6.json"), str(two)]
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["zero-eigenvectors", "--operator", "both"],
-        ["crosscheck", "--operator", "both"],
-        ["partitions"],
-    ],
-    ids=["zero-eigenvectors", "crosscheck", "partitions"],
-)
+def _non_singletons(path):
+    decomp = hypergraph.connected_components(hypergraph.load_hypergraph(path))
+    return [c for c, single in zip(decomp.components, decomp.singleton) if not single]
+
+
+@pytest.mark.parametrize("argv", [["partitions"]], ids=["partitions"])
 def test_one_bipartition_scan_per_component(argv, tmp_path, capsys, bipartition_scans):
-    """One scan per non-singleton component serves both operators'
-    cross-checks, or every bipartition kind that ``partitions`` lists."""
+    """One scan per non-singleton component serves every bipartition kind
+    that ``partitions`` lists."""
     for path in _even_k_inputs(tmp_path):
-        h = hypergraph.load_hypergraph(path)
-        decomp = hypergraph.connected_components(h)
-        comps = [c for c, single in zip(decomp.components, decomp.singleton) if not single]
         bipartition_scans.clear()
         assert main([*argv, "--input", path]) == 0
         capsys.readouterr()
-        assert bipartition_scans == comps, path
+        assert bipartition_scans == _non_singletons(path), path
+
+
+@pytest.mark.parametrize("command", ["zero-eigenvectors", "crosscheck"])
+def test_h_counts_by_elimination_not_scans(
+    command, tmp_path, capsys, bipartition_scans, elimination_orders, residue_counts
+):
+    """Both operators' H cross-checks read one elimination order per
+    non-singleton component and one count per parity over {0, k/2}; no
+    bipartition is scanned. ``crosscheck``'s N counts reuse the same order."""
+    for path in _even_k_inputs(tmp_path):
+        h = hypergraph.load_hypergraph(path)
+        comps = _non_singletons(path)
+        half = h.k // 2
+        for calls in (bipartition_scans, elimination_orders, residue_counts):
+            calls.clear()
+        assert main([command, "--operator", "both", "--input", path]) == 0
+        capsys.readouterr()
+        assert bipartition_scans == [], path
+        assert elimination_orders == [len(c) for c in comps], path
+        parities = [call for call in residue_counts if call[2] == (0, half)]
+        assert parities == [(len(c), r, (0, half)) for c in comps for r in (0, half)], path
 
 
 @pytest.mark.parametrize("path", [CHAIN, K4])

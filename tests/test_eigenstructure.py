@@ -86,13 +86,23 @@ class TestOneFactorizationPerComponent:
         assert sorted(solve_calls) == sorted(expected)
 
     @pytest.mark.parametrize("h", ONE_FACTORIZATION_CASES)
-    def test_one_bipartition_scan_per_component(self, h, bipartition_scans):
-        """Both operators' cross-checks read one scan of each non-singleton
-        component when k is even; odd k needs none."""
+    def test_h_counts_by_elimination_not_scans(
+        self, h, bipartition_scans, elimination_orders, residue_counts
+    ):
+        """For even k both operators' cross-checks read one elimination
+        order of each non-singleton component and one count per parity
+        (maps into {0, k/2}); odd k counts nothing here, and no bipartition
+        is scanned."""
         decomp = connected_components(h)
         solved = solve_components(h, decomp)
         comps = [c for c, single in zip(decomp.components, decomp.singleton) if not single]
-        assert bipartition_scans == (comps if h.k % 2 == 0 else [])
+        half = h.k // 2
+        assert bipartition_scans == []
+        if h.k % 2:
+            assert elimination_orders == residue_counts == []
+        else:
+            assert elimination_orders == [len(c) for c in comps]
+            assert residue_counts == [(len(c), r, (0, half)) for c in comps for r in (0, half)]
         for operator in ("laplacian", "signless"):
             assert solved[operator] == structure_counts(h, operator).components
 
