@@ -74,7 +74,7 @@ class AnalysisConfig:
     predicate: str = "residue"
     kind: str | None = None
     tolerance: float = 1e-9
-    budget: int = 200_000
+    budget: int = partitions.DEFAULT_ENUM_BUDGET
     out: str | None = None
     pretty: bool = False
 

@@ -58,7 +58,6 @@ from .zk_solver import (
 )
 from . import partitions as _partitions
 
-DEFAULT_CROSSCHECK_BUDGET = 200_000
 # Entries (classes x vertices) per realization block: bounds the memory of
 # a block while keeping the number of numpy calls per block small.
 BLOCK_CELLS = 1 << 12
@@ -111,7 +110,7 @@ class StructureCounts:
 def solve_components(
     h: Hypergraph,
     decomp: ComponentDecomposition | None = None,
-    budget: int = DEFAULT_CROSSCHECK_BUDGET,
+    budget: int = _partitions.DEFAULT_ENUM_BUDGET,
 ) -> dict[str, tuple[ComponentStructure, ...]]:
     """Each component's records for both operators, in component order.
 
@@ -222,7 +221,7 @@ def _crosscheck_formula(h: Hypergraph, operator: str) -> str:
 def structure_counts(
     h: Hypergraph,
     operator: str,
-    budget: int = DEFAULT_CROSSCHECK_BUDGET,
+    budget: int = _partitions.DEFAULT_ENUM_BUDGET,
     solved: tuple[ComponentStructure, ...] | None = None,
 ) -> StructureCounts:
     """``operator``'s per-component records summed, with the cross-check.
@@ -413,7 +412,7 @@ def zero_eigenvector_report(
     operator: str,
     enumerate_limit: int | None = None,
     tolerance: float = 1e-9,
-    budget: int = DEFAULT_CROSSCHECK_BUDGET,
+    budget: int = _partitions.DEFAULT_ENUM_BUDGET,
     solved: tuple[ComponentStructure, ...] | None = None,
 ) -> dict:
     """Machine-readable per-component summary used by the command line.

@@ -48,7 +48,12 @@ import numpy as np
 from .errors import BudgetExceededError, VerificationError
 from .hypergraph import Hypergraph, induced_subhypergraph
 from .tensor_ops import edge_index
-from .zk_solver import eliminate_mod_prime
+from .zk_solver import (
+    ZERO_EIG_OPERATORS,
+    edge_residue,
+    howell_form,
+    solve_mod_k,
+)
 
 HM = "hm"
 ODD = "odd"
@@ -59,10 +64,10 @@ TRIPARTITE = "tripartite"
 L_QUAD = "lquad"
 SL_QUAD = "slquad"
 PENTA = "penta"
-MULTIPARTITION_KINDS = (TRIPARTITE, L_QUAD, SL_QUAD, PENTA)
 
 PREDICATES = ("literal", "residue")
 
+# The one default of ``--budget``, for every budgeted step.
 DEFAULT_ENUM_BUDGET = 200_000
 
 # Assignments per block of the multipartition scan: a block's arrays stay
@@ -167,13 +172,16 @@ KIND_SPECS: dict[str, KindSpec] = {
 }
 
 
+MULTIPARTITION_KINDS = tuple(KIND_SPECS)
+
 # Multipartition kind whose residue-valid witnesses match the N classes of
-# each (k, operator); the other pairs have no kind.
+# each (k, operator): the kind whose residue is that operator's edge
+# residue. The other pairs have no kind.
 N_PAIR_KINDS: dict[tuple[int, str], str] = {
-    (3, "laplacian"): TRIPARTITE,
-    (4, "laplacian"): L_QUAD,
-    (4, "signless"): SL_QUAD,
-    (5, "laplacian"): PENTA,
+    (spec.k, operator): kind
+    for kind, spec in KIND_SPECS.items()
+    for operator in ZERO_EIG_OPERATORS
+    if edge_residue(spec.k, operator) == spec.rhs
 }
 
 
@@ -325,10 +333,13 @@ class _AffineCheck:
     """The solutions of the edge system A x == 1 (mod p), narrowed as
     vertices are assigned, for the forward check of the hm search.
 
-    Row v of ``form`` holds vertex v's value as an affine function of the
-    free variables still unset: x_v = form[v, :-1] @ t + form[v, -1]
-    (mod p). Assigning a vertex substitutes out one free variable; the
-    trail of substitutions lets the search undo them.
+    Built from the system's particular solution x0 and the kernel rows of
+    its Howell form modulo the prime p, which all have pivot 1 and order p:
+    the solutions are x0 plus every combination t of them. Row v of
+    ``form`` holds vertex v's value as an affine function of the free
+    variables still unset: x_v = form[v, :-1] @ t + form[v, -1] (mod p).
+    Assigning a vertex substitutes out one free variable; the trail of
+    substitutions lets the search undo them.
     """
 
     def __init__(self, x0: np.ndarray, basis: np.ndarray, p: int):
@@ -388,11 +399,15 @@ def find_hm_bipartition(
     That pruning starts at the search's first dead end. Since |S cap e|
     lies in [0, k], a vertex set S has exactly one head in every edge
     precisely when its 0/1 indicator solves A x == 1 (mod p) for the least
-    prime p above k. The component's system is eliminated once to
-    x = x0 + N t, and the search restarts from the root, with every
-    assignment substituting out one free variable: a branch dies as soon as
-    some vertex's value becomes a constant outside {0, 1}. An inconsistent
-    system means no witness.
+    prime p above k. The component's edges are brought once into Howell
+    form modulo p, the same elimination that solves every edge system, and
+    the system's solutions x = x0 + t N read from it; the search restarts
+    from the root, with every assignment substituting out one free
+    variable: a branch dies as soon as some vertex's value becomes a
+    constant outside {0, 1}. An inconsistent system means no witness.
+    Whether a vertex is constant on the remaining solutions, and which
+    constant, does not depend on the basis N, so neither the witness nor
+    the trial count does.
 
     Every candidate tried, an edge's existing head included, counts one
     trial over both passes; more than ``budget`` trials raise
@@ -469,11 +484,11 @@ def find_hm_bipartition(
 
     state = search(None)
     if state is _DEAD_END:
-        p = _least_prime_above(h.k)
-        affine = eliminate_mod_prime(edges, len(comp), 1, p)
-        if affine is None:
+        form = howell_form(edges, len(comp), _least_prime_above(h.k))
+        desc = solve_mod_k(form, 1)
+        if not desc.feasible:
             return None
-        check = _AffineCheck(*affine, p)
+        check = _AffineCheck(np.array(desc.particular), form.kernel, form.modulus)
         state = search(check) if check.consistent() else None
     if state is None:
         return None

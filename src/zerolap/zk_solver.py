@@ -29,12 +29,13 @@ through H1 gives z, and z * T1 is a particular solution.
 The form depends only on the edges and the modulus, not on the residue.
 ``howell_form`` computes it once per component with an edge, and
 ``solve_mod_k`` reuses it for the Laplacian and signless residues; the
-modulus-2 subsystem that counts H classes gets a form modulo 2. Each
-form is checked by a certificate (``check_howell_form``) and each
-particular solution against every edge; a failure raises
-VerificationError. Entries are reduced mod k after every step, so
-products stay near k^2, which ``Hypergraph`` keeps within int64, and
-int64 arithmetic is exact.
+modulus-2 subsystem that counts H classes gets a form modulo 2, and the
+hm-bipartition search (``partitions.find_hm_bipartition``) one modulo
+the least prime above k. This is the one modular elimination: each form
+is checked by a certificate (``check_howell_form``) and each particular
+solution against every edge; a failure raises VerificationError. Entries
+are reduced mod k after every step, so products stay near k^2, which
+``Hypergraph`` keeps within int64, and int64 arithmetic is exact.
 
 ``smith_normal_form`` is the former integer Smith normal form solver, kept
 for the tests as an independent route to the same counts; no command
@@ -53,6 +54,10 @@ from .errors import VerificationError
 LAPLACIAN = "laplacian"
 SIGNLESS = "signless"
 ZERO_EIG_OPERATORS = (LAPLACIAN, SIGNLESS)
+
+# Rows of a form whose edge sums the certificate holds at once: its
+# arrays stay a few megabytes however many rows the form has.
+CHECK_ROWS = 256
 
 
 @dataclass(frozen=True)
@@ -187,7 +192,8 @@ def _pivots(block: np.ndarray) -> np.ndarray:
 def check_howell_form(form: HowellForm) -> None:
     """Certificate that ``form`` lists the row space of [A^T | I_m] exactly.
 
-    Checked through the edges, in O(m * |E| * r) for edges of r vertices:
+    Checked through the edges, in O(m * |E| * r) for edges of r vertices,
+    ``CHECK_ROWS`` rows at a time:
 
     * T1 * A^T == H1 and K * A^T == 0, so every row lies in the row space
       {(y A^T, y)}, which has modulus^m elements;
@@ -202,10 +208,13 @@ def check_howell_form(form: HowellForm) -> None:
     """
     n, edges = form.modulus, form.edges
     width = form.transform.shape[1]
-    if ((_edge_sums(form.transform, edges) - form.image) % n).any():
-        raise VerificationError("Howell form: T1 * A^T differs from H1")
-    if (_edge_sums(form.kernel, edges) % n).any():
-        raise VerificationError("Howell form: a kernel row is not a solution")
+    for i in range(0, len(form.transform), CHECK_ROWS):
+        block = slice(i, i + CHECK_ROWS)
+        if ((_edge_sums(form.transform[block], edges) - form.image[block]) % n).any():
+            raise VerificationError("Howell form: T1 * A^T differs from H1")
+    for i in range(0, len(form.kernel), CHECK_ROWS):
+        if (_edge_sums(form.kernel[i : i + CHECK_ROWS], edges) % n).any():
+            raise VerificationError("Howell form: a kernel row is not a solution")
     image_pivots, kernel_pivots = _pivots(form.image), _pivots(form.kernel)
     pivots = np.concatenate([image_pivots, len(edges) + kernel_pivots])
     d = np.concatenate([
@@ -292,55 +301,6 @@ def lex_solutions(desc: SolutionDescription, limit: int | None = None) -> np.nda
         out = ((out[:, None, :] + np.arange(min(order, keep))[:, None] * row) % k).reshape(-1, m)
         out = out[:keep]
     return out[:limit]
-
-
-def eliminate_mod_prime(
-    edges: np.ndarray, width: int, rhs: int, p: int
-) -> tuple[np.ndarray, np.ndarray] | None:
-    """Affine form of the solutions of "every edge's entries sum to ``rhs``"
-    (mod p), p prime, over ``width`` unknowns.
-
-    Gauss-Jordan elimination over GF(p) of the incidence rows of
-    ``edges`` (an (|E|, r) index array), pivoting on the columns in
-    ascending order. Returns None if the system is inconsistent, else
-    ``(x0, basis)`` with ``basis`` of shape (d, width): the solutions are
-    exactly x0 + t @ basis (mod p) for t in GF(p)^d, each given by one t.
-    Row j of the basis sets the j-th non-pivot column to 1 and the other
-    non-pivot columns to 0. Both parts are checked against the edges before
-    returning; a mismatch raises VerificationError.
-    """
-    work = np.zeros((len(edges), width + 1), dtype=np.int64)
-    work[np.arange(len(edges))[:, None], edges] = 1
-    work[:, width] = rhs % p
-    pivots: list[int] = []
-    for c in range(width):
-        r = len(pivots)
-        if r == len(work):
-            break
-        below = np.flatnonzero(work[r:, c])
-        if not len(below):
-            continue
-        i = r + int(below[0])
-        work[[r, i]] = work[[i, r]]
-        work[r] = work[r] * pow(int(work[r, c]), -1, p) % p
-        hit = np.flatnonzero(work[:, c])
-        hit = hit[hit != r]
-        work[hit] = (work[hit] - np.outer(work[hit, c], work[r])) % p
-        pivots.append(c)
-    rank = len(pivots)
-    if work[rank:, width].any():
-        return None
-    free = np.setdiff1d(np.arange(width), pivots)
-    x0 = np.zeros(width, dtype=np.int64)
-    x0[pivots] = work[:rank, width]
-    basis = np.zeros((len(free), width), dtype=np.int64)
-    basis[np.arange(len(free)), free] = 1
-    basis[:, pivots] = -work[:rank, free].T % p
-    defect = _edge_sums(np.concatenate([basis, x0[None, :]]), edges)
-    defect[-1] -= rhs
-    if (defect % p).any():
-        raise VerificationError("elimination mod p produced a non-solution")
-    return x0, basis
 
 
 def smith_normal_form(

@@ -42,7 +42,7 @@ def eliminations(monkeypatch):
         calls.append(modulus)
         return real(edges, width, modulus)
 
-    for module in (zk_solver, eigenstructure):
+    for module in (zk_solver, eigenstructure, partitions):
         monkeypatch.setattr(module, "howell_form", counting)
     return calls
 

@@ -1,10 +1,10 @@
 """Byte-level regression gate: every subcommand on every fixture (the
-``partitions`` subcommand once per predicate), and the cross-check script
-over its seeded corpus.
+``partitions`` subcommand once per predicate), the cross-check script over
+its seeded corpus, and the definition-gap scan script.
 
 Each file under ``tests/golden/`` holds the exit code on its first line
-("exit N") followed by the exact stdout of one ``zerolap`` run or one
-``scripts/run_crosschecks.py`` run. Reports embed the ``--input`` string,
+("exit N") followed by the exact stdout of one ``zerolap`` run or one run
+of a script under ``scripts/``. Reports embed the ``--input`` string,
 so runs use paths relative to the repo root.
 
 Regenerate after an intended output change with
@@ -30,8 +30,12 @@ FIXTURES = sorted(p.name for p in (ROOT / "fixtures").iterdir() if p.is_file())
 COMMANDS = {command: [command] for command in _COMMANDS}
 COMMANDS["partitions-literal"] = ["partitions", "--predicate", "literal"]
 CASES = [(fixture, command) for fixture in FIXTURES for command in sorted(COMMANDS)]
-# golden name -> arguments of scripts/run_crosschecks.py
-SCRIPT_CASES = {"default": [], "budget2000": ["--budget", "2000"]}
+# golden name "<script>.<case>" -> arguments of scripts/<script>.py
+SCRIPT_CASES = {
+    "run_crosschecks.default": [],
+    "run_crosschecks.budget2000": ["--budget", "2000"],
+    "scan_definition_gaps.default": [],
+}
 
 
 def _golden_path(fixture: str, command: str) -> Path:
@@ -39,7 +43,7 @@ def _golden_path(fixture: str, command: str) -> Path:
 
 
 def _script_golden_path(name: str) -> Path:
-    return GOLDEN_DIR / f"run_crosschecks.{name}.out"
+    return GOLDEN_DIR / f"{name}.out"
 
 
 def _render(fixture: str, command: str) -> str:
@@ -51,9 +55,10 @@ def _render(fixture: str, command: str) -> str:
 
 
 def _render_script(name: str) -> str:
-    """Exit line plus stdout of one cross-check script run."""
+    """Exit line plus stdout of one script run."""
+    script = name.split(".")[0] + ".py"
     run = subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / "run_crosschecks.py"), *SCRIPT_CASES[name]],
+        [sys.executable, str(ROOT / "scripts" / script), *SCRIPT_CASES[name]],
         capture_output=True,
         text=True,
     )
@@ -68,7 +73,7 @@ def test_output_matches_golden(fixture, command, monkeypatch):
 
 
 @pytest.mark.parametrize("name", sorted(SCRIPT_CASES))
-def test_crosscheck_script_matches_golden(name):
+def test_script_matches_golden(name):
     assert _render_script(name) == _script_golden_path(name).read_text()
 
 

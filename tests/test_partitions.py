@@ -248,6 +248,21 @@ class TestHmSearchAgainstRecursiveOracle:
         assert w == ref
 
 
+class TestHmSearchElimination:
+    """The search eliminates only at its first dead end, once, modulo the
+    least prime above k."""
+
+    def test_hard_instance_eliminates_once_modulo_five(self, eliminations):
+        h = _hard_hm_instance(0)
+        assert find_hm_bipartition(h, range(1, h.n + 1)) is not None
+        assert eliminations == [5]  # k = 3
+
+    def test_loose_path_never_eliminates(self, eliminations):
+        h = _loose_path(3000)
+        assert find_hm_bipartition(h, range(1, h.n + 1)) is not None
+        assert eliminations == []
+
+
 class TestValidateMultipartition:
     def test_listed_chain_tripartitions(self, chain):
         listed = [

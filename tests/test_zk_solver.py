@@ -1,5 +1,4 @@
 import dataclasses
-import itertools
 import random
 
 import numpy as np
@@ -20,9 +19,9 @@ from zerolap.eigenstructure import solve_components
 from zerolap.errors import VerificationError
 from zerolap.tensor_ops import edge_index
 from zerolap.zk_solver import (
+    CHECK_ROWS,
     check_howell_form,
     edge_residue,
-    eliminate_mod_prime,
     howell_form,
     lex_solutions,
 )
@@ -376,6 +375,17 @@ class TestCertificate:
         kernel[-1, -1] = (kernel[-1, -1] + 1) % 4
         self._rejected(form, "kernel row", kernel=kernel)
 
+    @pytest.mark.parametrize("part,match", [("transform", "T1"), ("kernel", "kernel row")])
+    def test_rows_past_the_first_block_are_checked(self, part, match):
+        """The first row of the second block of ``CHECK_ROWS`` rows, broken
+        alone, is caught: a loose path of 3-edges has more rows than one
+        block in both parts."""
+        edges = np.array([[2 * i, 2 * i + 1, 2 * i + 2] for i in range(CHECK_ROWS + 10)])
+        form = howell_form(edges, 2 * len(edges) + 1, 3)
+        rows = getattr(form, part).copy()
+        rows[CHECK_ROWS, 0] = (rows[CHECK_ROWS, 0] + 1) % 3
+        self._rejected(form, match, **{part: rows})
+
     def test_rows_must_be_echelon(self, form):
         self._rejected(form, "echelon", kernel=form.kernel[::-1].copy())
 
@@ -498,42 +508,6 @@ def test_shift_orbits_partition_solutions(seed):
     desc = _solve(edge_index(h), n, k, 0)
     canonical = {oracles.shift_min(v, k) for v in _all_solutions(desc).tolist()}
     assert len(canonical) * k == desc.solution_count
-
-
-@st.composite
-def prime_systems(draw):
-    """Edge systems over GF(p): random edge indexes, any residue."""
-    p = draw(st.sampled_from([2, 3, 5, 7]))
-    m = draw(st.integers(1, 4))
-    edges = np.array(draw(_edge_lists(m, 5)), dtype=np.intp)
-    return p, m, edges, draw(st.integers(0, p - 1))
-
-
-@given(prime_systems())
-def test_elimination_mod_prime_matches_brute_force(system):
-    p, m, edges, rhs = system
-    solutions = set(oracles.system_solutions(p, m, edges, rhs))
-    affine = eliminate_mod_prime(edges, m, rhs, p)
-    if not solutions:
-        assert affine is None
-        return
-    x0, basis = affine
-    listed = [
-        tuple(((x0 + np.array(t, dtype=np.int64) @ basis) % p).tolist())
-        for t in itertools.product(range(p), repeat=len(basis))
-    ]
-    assert len(set(listed)) == len(listed)
-    assert set(listed) == solutions
-
-
-def test_elimination_mod_prime_checks_its_result(monkeypatch):
-    """A pivot row scaled by a wrong inverse yields a non-solution, which
-    the closing edge-sum check rejects."""
-    edges = np.array([[0, 1], [0, 2], [1, 2]])  # the second pivot entry is 2
-    assert eliminate_mod_prime(edges, 3, 0, 3) is not None
-    monkeypatch.setattr(zk_solver, "pow", lambda base, exp, mod: 1, raising=False)
-    with pytest.raises(VerificationError, match="non-solution"):
-        eliminate_mod_prime(edges, 3, 0, 3)
 
 
 def test_smith_form_checks_its_reconstruction(monkeypatch):
