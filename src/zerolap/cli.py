@@ -181,13 +181,11 @@ def cmd_zero_eigenvectors(
 def _applicable_kinds(h: Hypergraph, cfg: AnalysisConfig) -> list[str]:
     if cfg.kind is not None:
         return [cfg.kind]
-    kinds = ["hm"]
-    if h.k % 2 == 0:
-        kinds += ["odd", "even"]
-    return kinds + [
+    return [
         flag
         for flag, (family, kind) in _KIND_FLAGS.items()
-        if family == "multipartition" and partitions.KIND_SPECS[kind].k == h.k
+        if kind in partitions.bipartition_flavors(h.k)
+        or family == "multipartition" and partitions.KIND_SPECS[kind].k == h.k
     ]
 
 
@@ -196,7 +194,7 @@ def cmd_partitions(
 ) -> tuple[dict, int]:
     inventories = []
     budget_hit = False
-    bipartitions: dict = {}  # component -> its one scan, shared by every bipartition kind
+    bipartitions: dict = {}  # component -> its one listing, shared by every bipartition kind
     for flag in _applicable_kinds(h, cfg):
         family, kind = _KIND_FLAGS[flag]
         entry: dict = {"kind": kind, "family": family, "witnesses": [], "count": 0}
@@ -489,6 +487,9 @@ def main(argv: list[str] | None = None) -> int:
         family, kind = _KIND_FLAGS.get(cfg.kind, (None, None))
         if args.command == "partitions" and family == "multipartition":
             partitions.kind_spec(kind, h.k)  # a kind of another uniformity
+        elif args.command == "partitions" and family == "bipartition":
+            if kind not in partitions.bipartition_flavors(h.k):
+                raise ValueError(f"{kind} bipartitions apply to even k, got k={h.k}")
     except (HypergraphFormatError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE

@@ -14,8 +14,8 @@ Two predicates decide whether a vertex partition is admissible:
 Bipartition flavors: ``hm`` (every edge has exactly one head vertex in V1),
 ``odd`` and ``even`` (every edge meets V1 in an odd / even number of
 vertices; k even). The hm flavor is ordered; odd/even are quotiented by
-swapping the two sides. ``enumerate_bipartitions`` finds all three flavors
-in one pass over the subsets.
+swapping the two sides. ``enumerate_bipartitions`` lists all three from
+the component's edge systems modulo 2.
 
 ``multipartition_orbits`` scans all p^m part assignments of an
 m-vertex component in one pass of numpy blocks of ``CHUNK`` assignments.
@@ -24,22 +24,23 @@ up in a table per predicate, so the one pass yields the orbits of both
 predicates, and a block's arrays stay small whatever p^m is;
 ``enumerate_multipartitions`` builds the witnesses of those orbits.
 
-The scans list witnesses, and they cost 2^m and p^m. The cross-checks
-need only counts, and ``ResidueCounter`` finds those without listing: it
-counts the maps from a component's vertices into a value set D of Z_k
-whose every edge sums to a residue, by variable elimination along one
-min-degree elimination order of the component's primal graph. Its cost
-is about m * |D|^(w+1) for a decomposition of width w, and each table it
-builds is capped by the budget. The bipartition counts are its counts over
-D = {0, k/2}; ``residue_orbit_count`` reads the residue orbit count of
-a multipartition kind from its counts over Z_k and over the excluded
-value sets.
+The bipartition listing costs a row per solution modulo 2, and the
+multipartition scan p^m. The cross-checks need only counts, and
+``ResidueCounter`` finds those without listing: it counts the maps from a
+component's vertices into a value set D of Z_k whose every edge sums to a
+residue, by variable elimination along one min-degree elimination order
+of the component's primal graph. Its cost is about m * |D|^(w+1) for a
+decomposition of width w, and each table it builds is capped by the
+budget. The bipartition counts are its counts over D = {0, k/2};
+``residue_orbit_count`` reads the residue orbit count of a multipartition
+kind from its counts over Z_k and over the excluded value sets.
 """
 
 import functools
 import heapq
 import itertools
 import math
+from itertools import compress
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -49,9 +50,12 @@ from .errors import BudgetExceededError, VerificationError
 from .hypergraph import Hypergraph, induced_subhypergraph
 from .tensor_ops import edge_index
 from .zk_solver import (
+    CHECK_ROWS,
     ZERO_EIG_OPERATORS,
     edge_residue,
     howell_form,
+    lex_solutions,
+    particular_solution,
     solve_mod_k,
 )
 
@@ -273,52 +277,60 @@ def validate_bipartition(h: Hypergraph, w: BipartitionWitness) -> bool:
     raise ValueError(f"unknown flavor {w.flavor!r}")
 
 
+def bipartition_flavors(k: int) -> tuple[str, ...]:
+    """The flavors listed for k: odd/even only for even k, where the swap holds."""
+    return BIPARTITION_FLAVORS if k % 2 == 0 else (HM,)
+
+
 def enumerate_bipartitions(
     h: Hypergraph, component: Sequence[int], budget: int = DEFAULT_ENUM_BUDGET
 ) -> dict[str, list[BipartitionWitness]]:
     """All valid bipartitions of one component, exhaustively, per flavor.
 
-    One pass visits each nonempty proper subset v1 once, in
-    ``itertools.combinations`` order by size, and leaves it at the first
-    edge where no flavor can still hold: every edge of an hm or odd
-    witness meets v1 an odd number of times, every edge of an even one an
-    even number, so one edge off the first edge's parity rules them all out.
-
-    For odd/even flavors the swap (v1, v2) -> (v2, v1) also satisfies the
-    flavor condition, so those are quotiented: the returned side v1 is the
-    one containing the smallest vertex. The hm flavor is ordered (v1 holds
-    the heads) and is not quotiented. Trivial components yield nothing: a
-    singleton is bipartite by convention but carries no two-sided witness.
+    A side v1 meets every edge oddly (evenly) precisely when its 0/1
+    indicator solves A x == 1 (0) (mod 2): the witnesses are those systems'
+    solutions, listed from one Howell form modulo 2 of the edges, the hm
+    sides those meeting every edge exactly once. Each flavor is in order of
+    |v1|, then of v1. Odd/even are listed for even k only, where swapping
+    the sides keeps a witness: v1 is the side with the smallest vertex. The
+    hm flavor is ordered (v1 holds the heads). Trivial components yield
+    nothing: a singleton is bipartite by convention but carries no
+    two-sided witness. A system of more than ``budget`` solutions (at most
+    2^m for m vertices) raises BudgetExceededError before any is listed.
 
     Returns ``{"hm": [...], "odd": [...], "even": [...]}``.
     """
-    m = len(set(component))
-    if 2**m > budget:
-        raise BudgetExceededError(f"bipartition scan needs 2^{m} subsets, budget is {budget}")
     out: dict[str, list[BipartitionWitness]] = {flavor: [] for flavor in BIPARTITION_FLAVORS}
     sub, comp = induced_subhypergraph(h, component)
     if not sub.edges:
         return out
-    bits = [1 << i for i in range(m)]  # vertex j of the component is bit j-1
-    edge_masks = [sum(bits[v - 1] for v in e) for e in sub.edges]
-    for r in range(1, m):
-        for chosen in itertools.combinations(bits, r):
-            s1 = sum(chosen)
-            parity = (s1 & edge_masks[0]).bit_count() % 2
-            hm = parity == 1
-            for e in edge_masks:
-                meet = (s1 & e).bit_count()
-                if meet % 2 != parity:
-                    break
-                hm = hm and meet == 1
-            else:
-                v1 = tuple(v for v, b in zip(comp, bits) if s1 & b)
-                v2 = tuple(v for v, b in zip(comp, bits) if not s1 & b)
-                if hm:
-                    out[HM].append(BipartitionWitness(comp, v1, v2, HM))
-                if s1 & 1:  # swap representative: keep the side with the least vertex
-                    flavor = ODD if parity else EVEN
-                    out[flavor].append(BipartitionWitness(comp, v1, v2, flavor))
+    edges = edge_index(sub)
+    form = howell_form(edges, len(comp), 2)
+    # right-hand side 1: v1 meets every edge oddly; 0: evenly
+    systems = [solve_mod_k(form, rhs) for rhs in (1, 0) if rhs or EVEN in bipartition_flavors(h.k)]
+    most = max(desc.solution_count for desc in systems)
+    if most > budget:
+        raise BudgetExceededError(
+            f"bipartition listing needs {most} solutions modulo 2, budget is {budget}"
+        )
+    odd, *even = [
+        lex_solutions(desc).astype(bool) if desc.feasible else np.zeros((0, len(comp)), bool)
+        for desc in systems
+    ]
+    once = np.zeros(len(odd), dtype=bool)
+    for i in range(0, len(odd), CHECK_ROWS):
+        once[i : i + CHECK_ROWS] = (odd[i : i + CHECK_ROWS, edges].sum(axis=2) == 1).all(axis=1)
+    sides = {HM: odd[once]}
+    if even:
+        (rows,) = even  # the all-ones side leaves v2 empty
+        sides[ODD], sides[EVEN] = odd[odd[:, 0]], rows[rows[:, 0] & ~rows.all(axis=1)]
+    for flavor, rows in sides.items():
+        # by |v1|, then v1 lexicographically: first the row with a 1 where two rows first differ
+        rows = rows[np.lexsort([*~rows.T[::-1], rows.sum(axis=1)])]
+        out[flavor] = [
+            BipartitionWitness(comp, tuple(compress(comp, v1)), tuple(compress(comp, v2)), flavor)
+            for v1, v2 in zip(rows.tolist(), (~rows).tolist())
+        ]
     return out
 
 
@@ -333,18 +345,23 @@ class _AffineCheck:
     """The solutions of the edge system A x == 1 (mod p), narrowed as
     vertices are assigned, for the forward check of the hm search.
 
-    Built from the system's particular solution x0 and the kernel rows of
-    its Howell form modulo the prime p, which all have pivot 1 and order p:
-    the solutions are x0 plus every combination t of them. Row v of
-    ``form`` holds vertex v's value as an affine function of the free
-    variables still unset: x_v = form[v, :-1] @ t + form[v, -1] (mod p).
-    Assigning a vertex substitutes out one free variable; the trail of
-    substitutions lets the search undo them.
+    Built from a particular solution x0 of the system and the kernel rows
+    of its Howell form modulo the prime p, which all have pivot 1 and
+    order p, here reduced above their pivots: the solutions are x0 plus
+    every combination t of them. Row v of ``form``, stored column-major,
+    holds vertex v's value as an affine function of the free variables
+    still unset: x_v = form[v, :-1] @ t + form[v, -1] (mod p). Assigning a
+    vertex substitutes out one free variable; the trail of substitutions
+    lets the search undo them.
     """
 
-    def __init__(self, x0: np.ndarray, basis: np.ndarray, p: int):
+    def __init__(self, x0: np.ndarray, kernel: np.ndarray, p: int):
         self.p = p
-        self.form = np.concatenate([basis.T, x0[:, None]], axis=1)
+        basis = kernel.copy()  # back-substitution: every pivot is 1
+        for i, col in reversed(list(enumerate((basis != 0).argmax(axis=1)))):
+            hit = np.flatnonzero(basis[:i, col])
+            basis[hit] = (basis[hit] - np.outer(basis[hit, col], basis[i])) % p
+        self.form = np.asfortranarray(np.concatenate([basis.T, x0[:, None]], axis=1))
         self.trail: list = []
 
     def consistent(self, rows=slice(None)) -> bool:
@@ -356,7 +373,7 @@ class _AffineCheck:
         """Fix x_v = value; False if that leaves no 0/1 solution."""
         p, form = self.p, self.form
         row = form[v]
-        free = np.flatnonzero(row[:-1])
+        free = row[:-1].nonzero()[0]  # a strided read, without the copy of np.flatnonzero
         if not len(free):
             return row[-1] == value
         j = int(free[0])
@@ -485,10 +502,10 @@ def find_hm_bipartition(
     state = search(None)
     if state is _DEAD_END:
         form = howell_form(edges, len(comp), _least_prime_above(h.k))
-        desc = solve_mod_k(form, 1)
-        if not desc.feasible:
+        x0 = particular_solution(form, 1)
+        if x0 is None:
             return None
-        check = _AffineCheck(np.array(desc.particular), form.kernel, form.modulus)
+        check = _AffineCheck(x0, form.kernel, form.modulus)
         state = search(check) if check.consistent() else None
     if state is None:
         return None

@@ -29,9 +29,9 @@ through H1 gives z, and z * T1 is a particular solution.
 The form depends only on the edges and the modulus, not on the residue.
 ``howell_form`` computes it once per component with an edge, and
 ``solve_mod_k`` reuses it for the Laplacian and signless residues; the
-modulus-2 subsystem that counts H classes gets a form modulo 2, and the
-hm-bipartition search (``partitions.find_hm_bipartition``) one modulo
-the least prime above k. This is the one modular elimination: each form
+modulus-2 subsystem gets a form modulo 2, which also lists the
+bipartitions, and the hm-bipartition search one modulo the least prime
+above k. This is the one modular elimination: each form
 is checked by a certificate (``check_howell_form``) and each particular
 solution against every edge; a failure raises VerificationError. Entries
 are reduced mod k after every step, so products stay near k^2, which
@@ -242,32 +242,42 @@ def _least_in_coset(x: np.ndarray, kernel: np.ndarray, modulus: int) -> np.ndarr
     return x
 
 
-def solve_mod_k(form: HowellForm, rhs: int) -> SolutionDescription:
-    """Solve "every edge's exponents sum to ``rhs``" (mod k) exactly
-    through the Howell form of the edges.
+def particular_solution(form: HowellForm, rhs: int) -> np.ndarray | None:
+    """One solution of "every edge's exponents sum to ``rhs``" (mod k)
+    through the Howell form of the edges, or None when there is none.
 
     The right-hand side is substituted forward through the image rows H1:
     at each pivot d the remaining residue must be a multiple of d, and the
     quotients z give the particular solution z * T1. A residue left at a
     pivot that d does not divide, or after the last row, means no solution,
-    since the form's rows list the row space exactly. The kernel rows, with
-    orders k/d, enumerate all solutions from there.
+    since the form's rows list the row space exactly.
     """
     k = form.modulus
-    width = form.transform.shape[1]
     residue = np.full(len(form.edges), rhs % k, dtype=np.int64)
     quotients = np.zeros(len(form.image), dtype=np.int64)
     for i, (row, col) in enumerate(zip(form.image, _pivots(form.image))):
         q, rest = divmod(int(residue[col]), int(row[col]))
         if rest:
-            return SolutionDescription(k, width, False, None, (), 0)
+            return None
         quotients[i] = q
         residue = (residue - q * row) % k
     if residue.any():
-        return SolutionDescription(k, width, False, None, (), 0)
+        return None
     particular = quotients @ form.transform % k
     if ((_edge_sums(particular[None, :], form.edges) - rhs) % k).any():
         raise VerificationError("particular solution breaks a row of the system")
+    return particular
+
+
+def solve_mod_k(form: HowellForm, rhs: int) -> SolutionDescription:
+    """Solve "every edge's exponents sum to ``rhs``" (mod k) exactly: the
+    least member of ``particular_solution``'s coset, and the kernel rows,
+    with orders k/d, which enumerate all solutions from there."""
+    k = form.modulus
+    width = form.transform.shape[1]
+    particular = particular_solution(form, rhs)
+    if particular is None:
+        return SolutionDescription(k, width, False, None, (), 0)
     particular = _least_in_coset(particular[None, :], form.kernel, k)[0]
     orders = [k // int(d) for d in form.kernel[np.arange(len(form.kernel)), _pivots(form.kernel)]]
     kernel = tuple(zip(map(tuple, form.kernel.tolist()), orders))

@@ -6,7 +6,7 @@ no algorithmic path with the library: no elimination, no kernel
 parametrization, no edge-sum shortcut. Four of them are the library's
 former algorithms, kept as references for what replaced them:
 ``bipartition_witnesses`` scans the subsets once per flavor, where
-``enumerate_bipartitions`` finds all three flavors in one pass;
+``enumerate_bipartitions`` reads them off the solutions modulo 2;
 ``hm_bipartition_dfs`` is the recursive search that
 ``find_hm_bipartition`` replaced; ``snf_solution_count`` counts
 solutions through the integer Smith normal form, which the Howell-form
@@ -345,12 +345,12 @@ def multipartition_witnesses(spec, vertices, edges):
 def bipartition_witnesses(h, component, flavor):
     """All valid bipartitions of one component, exhaustively.
 
-    The library's former scan of one flavor, kept as the reference for the
-    one-pass scan of all three: a set intersection per edge and subset,
-    subsets in ``itertools.combinations`` order by size. For odd/even
-    flavors the returned side v1 is the one containing the smallest vertex;
-    the hm flavor is ordered and is not quotiented. Trivial components
-    yield nothing.
+    The library's former scan of one flavor, kept as the reference for its
+    listing modulo 2: a set intersection per edge and subset, subsets in
+    ``itertools.combinations`` order by size. For odd/even flavors the
+    returned side v1 is the one containing the smallest vertex, a quotient
+    by swapping the sides that holds only for even k; the hm flavor is
+    ordered and is not quotiented. Trivial components yield nothing.
     """
     if flavor not in BIPARTITION_FLAVORS:
         raise ValueError(f"unknown flavor {flavor!r}")

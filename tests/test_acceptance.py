@@ -35,11 +35,11 @@ def _report(num: int, text: str) -> None:
 
 
 def test_criterion_01_even_bipartitions_of_k4_fixture():
-    """Exactly three even-bipartitions, matching the known list. Exact."""
-    found = {
-        frozenset((frozenset(w.v1), frozenset(w.v2)))
-        for w in enumerate_bipartitions(K4_OVERLAP, tuple(range(1, 7)))["even"]
-    }
+    """Exactly three even-bipartitions, matching the known list and the
+    exhaustive subset scan. Exact."""
+    listed = enumerate_bipartitions(K4_OVERLAP, tuple(range(1, 7)))["even"]
+    assert listed == oracles.bipartition_witnesses(K4_OVERLAP, tuple(range(1, 7)), "even")
+    found = {frozenset((frozenset(w.v1), frozenset(w.v2))) for w in listed}
     expected = {
         frozenset((frozenset({1, 2, 5}), frozenset({3, 4, 6}))),
         frozenset((frozenset({2, 3, 5}), frozenset({1, 4, 6}))),

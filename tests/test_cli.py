@@ -528,6 +528,15 @@ class TestConfigHandling:
         assert captured.out == ""
         assert captured.err == f"error: {name} applies to {k}-uniform hypergraphs, got k=4\n"
 
+    @pytest.mark.parametrize("kind", ["odd", "even"])
+    def test_swap_quotient_bipartition_on_odd_k_exits_2(self, capsys, kind):
+        """Odd and even bipartitions are listed up to swapping the sides,
+        which keeps a witness only for even k."""
+        assert main(["partitions", "--input", EDGE3, "--kind", kind]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {kind} bipartitions apply to even k, got k=3\n"
+
     def test_kind_of_the_input_uniformity_runs(self, capsys):
         code, report = run_json(capsys, "partitions", "--input", K4, "--kind", "lquad")
         assert code == 0

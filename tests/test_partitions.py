@@ -29,6 +29,7 @@ from zerolap.corpus import (
 )
 from zerolap.eigenstructure import zero_eigenvector_report
 from zerolap.hypergraph import connected_components
+from zerolap.tensor_ops import edge_index
 
 from conftest import single_edge
 from oracles import (
@@ -97,15 +98,11 @@ class TestEnumerateBipartitions:
             for w in enumerate_bipartitions(k4_overlap, K4_COMPONENT)[flavor]:
                 assert validate_bipartition(k4_overlap, w)
 
-    def test_budget_guard(self, k4_overlap):
-        with pytest.raises(BudgetExceededError):
-            enumerate_bipartitions(k4_overlap, K4_COMPONENT, budget=8)
-
 
 @st.composite
 def bipartition_instances(draw):
-    """A small k-uniform hypergraph, k in 2..5, and a vertex subset to scan."""
-    k = draw(st.integers(2, 5))
+    """A small k-uniform hypergraph, k in 2..6, and a vertex subset to list."""
+    k = draw(st.integers(2, 6))
     n = draw(st.integers(k, k + 6))
     edge = st.lists(st.integers(1, n), min_size=k, max_size=k, unique=True)
     edges = draw(st.lists(edge.map(lambda e: tuple(sorted(e))), max_size=6, unique=True))
@@ -113,8 +110,17 @@ def bipartition_instances(draw):
     return Hypergraph(k, n, tuple(edges)), tuple(component)
 
 
+def _assert_hm_listing_holds_search_witness(h, component):
+    listed = enumerate_bipartitions(h, component)[partitions.HM]
+    w = find_hm_bipartition(h, component)
+    if w is None or not w.v1:  # none, or the vacuous witness of an edgeless component
+        assert listed == []
+    else:
+        assert w in listed
+
+
 class TestBipartitionScanAgainstOracle:
-    """The one-pass scan against the former per-flavor scan, order included."""
+    """The listing modulo 2 against the exhaustive scan, order included."""
 
     @settings(max_examples=80, deadline=None)
     @given(bipartition_instances())
@@ -123,19 +129,62 @@ class TestBipartitionScanAgainstOracle:
         found = enumerate_bipartitions(h, component)
         assert list(found) == list(partitions.BIPARTITION_FLAVORS)
         for flavor, witnesses in found.items():
-            assert witnesses == bipartition_witnesses(h, component, flavor), flavor
+            if flavor in partitions.bipartition_flavors(h.k):
+                assert witnesses == bipartition_witnesses(h, component, flavor), flavor
+            else:
+                assert witnesses == [], flavor
+        _assert_hm_listing_holds_search_witness(h, component)
 
     def test_budget_equal_to_scan_size_scans(self, k4_overlap):
         at_edge = enumerate_bipartitions(k4_overlap, K4_COMPONENT, budget=2**6)
         assert at_edge == enumerate_bipartitions(k4_overlap, K4_COMPONENT)
 
-    def test_budget_one_short_refuses_before_any_work(self, k4_overlap, monkeypatch):
-        def no_work(*args):
-            raise AssertionError("scanned past the budget")
+    def test_budget_is_the_solution_count(self, k4_overlap, monkeypatch):
+        """The budget bounds the solutions of each system modulo 2: at their
+        count the listing runs; one short, it refuses before listing any."""
+        subsets = [set(s) for r in range(7) for s in itertools.combinations(K4_COMPONENT, r)]
+        counts = [
+            sum(all(len(s.intersection(e)) % 2 == rhs for e in k4_overlap.edges) for s in subsets)
+            for rhs in (0, 1)
+        ]
+        assert counts == [8, 8]
+        listed = enumerate_bipartitions(k4_overlap, K4_COMPONENT, budget=8)
+        assert listed == enumerate_bipartitions(k4_overlap, K4_COMPONENT)
 
-        monkeypatch.setattr(partitions, "induced_subhypergraph", no_work)
-        with pytest.raises(BudgetExceededError, match=r"2\^6 subsets, budget is 63"):
-            enumerate_bipartitions(k4_overlap, K4_COMPONENT, budget=2**6 - 1)
+        def no_listing(*args):
+            raise AssertionError("listed past the budget")
+
+        monkeypatch.setattr(partitions, "lex_solutions", no_listing)
+        with pytest.raises(BudgetExceededError, match="needs 8 solutions modulo 2, budget is 7"):
+            enumerate_bipartitions(k4_overlap, K4_COMPONENT, budget=7)
+
+
+class TestBipartitionsPastTheScan:
+    """A 4-uniform instance of 40 vertices, 2^40 subsets: far past any scan."""
+
+    @pytest.fixture(scope="class")
+    def instance(self):
+        h = random_connected_hypergraph(random.Random(0), 4, 40, 18)
+        return h, enumerate_bipartitions(h, range(1, 41))
+
+    def test_counts_equal_the_residue_counts(self, instance):
+        h, found = instance
+        counter = partitions.ResidueCounter(edge_index(h).tolist(), h.n, h.k, 200_000)
+        even, odd = counter.count(0, (0, 2)), counter.count(2, (0, 2))
+        assert (len(found["even"]), len(found["odd"])) == (even // 2 - 1, odd // 2) == (255, 256)
+
+    def test_every_witness_validates(self, instance):
+        h, found = instance
+        for witnesses in found.values():
+            for w in witnesses:
+                assert validate_bipartition(h, w)
+
+
+@pytest.mark.parametrize("shape", [(3, 4, 8, 4), (4, 4, 9, 3), (5, 3, 8, 2)])
+def test_hm_listing_holds_search_witness_on_planted_instances(shape):
+    for seed in range(6):
+        h, _ = random_hm_bipartite(random.Random(seed), *shape)
+        _assert_hm_listing_holds_search_witness(h, range(1, h.n + 1))
 
 
 class TestFindHm:
