@@ -83,7 +83,8 @@ class ComponentStructure:
     class_count: int
     h_count: int
     n_pair_count: int
-    description: SolutionDescription | None = field(repr=False)
+    # arrays, so records compare by their counts
+    description: SolutionDescription | None = field(repr=False, compare=False)
     crosscheck_expected: int | None = None  # None when a count hit its budget
     # the component's combinatorial counts, shared by both operators' records
     counter: _partitions.ResidueCounter | None = field(default=None, repr=False, compare=False)
@@ -130,6 +131,7 @@ def solve_components(
         decomp = connected_components(h)
     k = h.k
     out: dict[str, list[ComponentStructure]] = {op: [] for op in ZERO_EIG_OPERATORS}
+    scalar = SolutionDescription(k, np.zeros(1, np.int64), np.ones((1, 1), np.int64))
     for comp, single in zip(decomp.components, decomp.singleton):
         form = form2 = counter = None
         if not single:
@@ -142,7 +144,7 @@ def solve_components(
         for op in ZERO_EIG_OPERATORS:
             rhs = edge_residue(k, op)
             if single:
-                desc = SolutionDescription(k, 1, True, (0,), (((1,), k),), k)
+                desc = scalar
             else:  # for odd k the signless residue k/2 is no integer: no system
                 desc = None if op == SIGNLESS and k % 2 else solve_mod_k(form, rhs)
             feasible = desc is not None and desc.feasible
@@ -227,7 +229,8 @@ def structure_counts(
     """``operator``'s per-component records summed, with the cross-check.
 
     ``solved`` holds the records from ``solve_components``; without them
-    the components are solved here, scanning under ``budget``.
+    the components are solved here, and ``budget`` bounds the tables of
+    their ``ResidueCounter``.
     """
     if operator not in ZERO_EIG_OPERATORS:
         raise ValueError(f"unknown operator {operator!r}")

@@ -82,6 +82,11 @@ class Hypergraph:
                 out.setdefault(v, []).append(i)
         return out
 
+    @cached_property
+    def degrees(self) -> tuple[int, ...]:
+        """Per-vertex incidence counts; position i-1 holds the degree of vertex i."""
+        return tuple(len(self.incidence.get(v, ())) for v in range(1, self.n + 1))
+
     def to_json_dict(self) -> dict:
         return {"k": self.k, "n": self.n, "edges": [list(e) for e in self.edges]}
 
@@ -113,8 +118,8 @@ class InducedSubhypergraph(NamedTuple):
 
 
 def degrees(h: Hypergraph) -> tuple[int, ...]:
-    """Per-vertex incidence counts; position i-1 holds the degree of vertex i."""
-    return tuple(len(h.incidence.get(v, ())) for v in range(1, h.n + 1))
+    """Per-vertex incidence counts, computed once per hypergraph."""
+    return h.degrees
 
 
 def connected_components(h: Hypergraph) -> ComponentDecomposition:

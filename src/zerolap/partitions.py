@@ -55,7 +55,6 @@ from .zk_solver import (
     edge_residue,
     howell_form,
     lex_solutions,
-    particular_solution,
     solve_mod_k,
 )
 
@@ -502,10 +501,10 @@ def find_hm_bipartition(
     state = search(None)
     if state is _DEAD_END:
         form = howell_form(edges, len(comp), _least_prime_above(h.k))
-        x0 = particular_solution(form, 1)
-        if x0 is None:
+        desc = solve_mod_k(form, 1)
+        if not desc.feasible:
             return None
-        check = _AffineCheck(x0, form.kernel, form.modulus)
+        check = _AffineCheck(desc.particular, desc.kernel, desc.modulus)
         state = search(check) if check.consistent() else None
     if state is None:
         return None

@@ -24,7 +24,9 @@ columns. The rows with a pivot among the |E| edge columns give the image
 part (H1, T1), with T1 * A^T == H1; the others give the kernel rows K,
 zero on the edge columns and echelon in vertex order, each with a pivot d
 dividing k and order k/d. Forward substitution of a right-hand side
-through H1 gives z, and z * T1 is a particular solution.
+through H1 gives z, and z * T1 is a particular solution. A solution set
+is that particular solution beside the form's own kernel array K
+(``SolutionDescription``), with no other copy of either.
 
 The form depends only on the edges and the modulus, not on the residue.
 ``howell_form`` computes it once per component with an edge, and
@@ -37,13 +39,16 @@ solution against every edge; a failure raises VerificationError. Entries
 are reduced mod k after every step, so products stay near k^2, which
 ``Hypergraph`` keeps within int64, and int64 arithmetic is exact.
 
-``smith_normal_form`` is the former integer Smith normal form solver, kept
-for the tests as an independent route to the same counts; no command
-calls it.
+``smith_normal_form`` is the former integer Smith normal form solver; no
+command calls it. The tests keep it as an independent route to the same
+counts, and ``bench/run.py``'s traced mode and CI's traced smoke step look
+it up by name. It moves to the tests once the benchmark reads run stats
+recorded by the library (ROADMAP item 2).
 """
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from operator import mul
 from typing import Sequence
 
@@ -60,27 +65,40 @@ ZERO_EIG_OPERATORS = (LAPLACIAN, SIGNLESS)
 CHECK_ROWS = 256
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SolutionDescription:
-    """Algebraic description of all solutions of one edge system.
+    """All solutions of one edge system over Z_``modulus``, read from the
+    arrays of the edges' Howell form.
 
-    The system has ``width`` unknowns over Z_``modulus``. ``kernel`` is a
-    tuple of (generator, order) pairs; the solution set is exactly
-    {particular + sum_j t_j * gen_j : 0 <= t_j < order_j}, every
+    ``kernel`` is the form's kernel part itself: echelon in vertex order,
+    row j's first nonzero entry a divisor d_j of the modulus, of order
+    modulus / d_j, with the Howell property, so (order_j * row_j) is a
+    combination of the rows after j. ``particular`` is one solution, an
+    int64 array, or None when there is none. The solution set is exactly
+    {particular + sum_j t_j * row_j : 0 <= t_j < order_j}, every
     combination giving a distinct solution, so ``solution_count`` is the
-    product of the orders. The generators are echelon in vertex order:
-    generator j's first nonzero entry is k / order_j, and they have the
-    Howell property, so (order_j * gen_j) is a combination of the
-    generators after j. ``particular`` is the lexicographically least
-    solution.
+    product of the orders.
     """
 
     modulus: int
-    width: int
-    feasible: bool
-    particular: tuple[int, ...] | None
-    kernel: tuple[tuple[tuple[int, ...], int], ...]
-    solution_count: int
+    particular: np.ndarray | None
+    kernel: np.ndarray
+
+    @property
+    def width(self) -> int:
+        return self.kernel.shape[1]
+
+    @property
+    def feasible(self) -> bool:
+        return self.particular is not None
+
+    @property
+    def orders(self) -> np.ndarray:
+        return self.modulus // _pivots(self.kernel)[1]
+
+    @cached_property
+    def solution_count(self) -> int:
+        return math.prod(self.orders.tolist()) if self.feasible else 0
 
 
 def edge_residue(k: int, operator: str) -> int:
@@ -184,9 +202,10 @@ def _edge_sums(left: np.ndarray, edges: np.ndarray) -> np.ndarray:
     return left[:, edges].sum(axis=2)
 
 
-def _pivots(block: np.ndarray) -> np.ndarray:
-    """Column of the first nonzero entry of each row."""
-    return (block != 0).argmax(axis=1)
+def _pivots(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Column and value of the first nonzero entry of each row."""
+    cols = (block != 0).argmax(axis=1)
+    return cols, block[np.arange(len(block)), cols]
 
 
 def check_howell_form(form: HowellForm) -> None:
@@ -215,12 +234,9 @@ def check_howell_form(form: HowellForm) -> None:
     for i in range(0, len(form.kernel), CHECK_ROWS):
         if (_edge_sums(form.kernel[i : i + CHECK_ROWS], edges) % n).any():
             raise VerificationError("Howell form: a kernel row is not a solution")
-    image_pivots, kernel_pivots = _pivots(form.image), _pivots(form.kernel)
+    (image_pivots, image_d), (kernel_pivots, kernel_d) = _pivots(form.image), _pivots(form.kernel)
     pivots = np.concatenate([image_pivots, len(edges) + kernel_pivots])
-    d = np.concatenate([
-        form.image[np.arange(len(form.image)), image_pivots],
-        form.kernel[np.arange(len(form.kernel)), kernel_pivots],
-    ])
+    d = np.concatenate([image_d, kernel_d])
     # an all-zero row (H1's part included) shows up as a pivot entry of 0
     if ((d <= 0) | (d >= n)).any() or (np.diff(pivots) <= 0).any() or (n % d).any():
         raise VerificationError("Howell form: rows not echelon with pivots dividing the modulus")
@@ -228,23 +244,10 @@ def check_howell_form(form: HowellForm) -> None:
         raise VerificationError("Howell form: the rows do not span the whole row space")
 
 
-def _least_in_coset(x: np.ndarray, kernel: np.ndarray, modulus: int) -> np.ndarray:
-    """Each row of ``x`` moved to the least element of its coset x + span(kernel).
-
-    Going down the echelon kernel rows: once the entries before a row's
-    pivot are fixed, the Howell property leaves exactly the combinations
-    of that row and the rows below it free, and those move the pivot entry
-    only in steps of the pivot d. Subtracting a multiple of the row brings
-    the entry below d, its least value.
-    """
-    for row, col in zip(kernel, _pivots(kernel)):
-        x = (x - (x[:, col] // row[col])[:, None] * row) % modulus
-    return x
-
-
-def particular_solution(form: HowellForm, rhs: int) -> np.ndarray | None:
-    """One solution of "every edge's exponents sum to ``rhs``" (mod k)
-    through the Howell form of the edges, or None when there is none.
+def solve_mod_k(form: HowellForm, rhs: int) -> SolutionDescription:
+    """Solve "every edge's exponents sum to ``rhs``" (mod k) exactly
+    through the Howell form of the edges: one particular solution, or none,
+    beside the form's kernel rows.
 
     The right-hand side is substituted forward through the image rows H1:
     at each pivot d the remaining residue must be a multiple of d, and the
@@ -255,60 +258,49 @@ def particular_solution(form: HowellForm, rhs: int) -> np.ndarray | None:
     k = form.modulus
     residue = np.full(len(form.edges), rhs % k, dtype=np.int64)
     quotients = np.zeros(len(form.image), dtype=np.int64)
-    for i, (row, col) in enumerate(zip(form.image, _pivots(form.image))):
+    for i, (row, col) in enumerate(zip(form.image, _pivots(form.image)[0])):
         q, rest = divmod(int(residue[col]), int(row[col]))
         if rest:
-            return None
+            return SolutionDescription(k, None, form.kernel)
         quotients[i] = q
         residue = (residue - q * row) % k
     if residue.any():
-        return None
+        return SolutionDescription(k, None, form.kernel)
     particular = quotients @ form.transform % k
     if ((_edge_sums(particular[None, :], form.edges) - rhs) % k).any():
         raise VerificationError("particular solution breaks a row of the system")
-    return particular
-
-
-def solve_mod_k(form: HowellForm, rhs: int) -> SolutionDescription:
-    """Solve "every edge's exponents sum to ``rhs``" (mod k) exactly: the
-    least member of ``particular_solution``'s coset, and the kernel rows,
-    with orders k/d, which enumerate all solutions from there."""
-    k = form.modulus
-    width = form.transform.shape[1]
-    particular = particular_solution(form, rhs)
-    if particular is None:
-        return SolutionDescription(k, width, False, None, (), 0)
-    particular = _least_in_coset(particular[None, :], form.kernel, k)[0]
-    orders = [k // int(d) for d in form.kernel[np.arange(len(form.kernel)), _pivots(form.kernel)]]
-    kernel = tuple(zip(map(tuple, form.kernel.tolist()), orders))
-    return SolutionDescription(k, width, True, tuple(particular.tolist()), kernel, math.prod(orders))
+    return SolutionDescription(k, particular, form.kernel)
 
 
 def lex_solutions(desc: SolutionDescription, limit: int | None = None) -> np.ndarray:
     """The first ``limit`` solutions (all without a limit) in lexicographic
     order, as an int64 array with one row per solution.
 
-    The listing expands one kernel generator at a time, from the particular
-    solution: each prefix's entry at the generator's pivot is brought below
-    the pivot d, then extended by t * generator for t = 0 .. order - 1,
-    which runs that entry through its values in increasing order. Every
-    prefix stands for the same number of solutions (the product of the
-    orders still to come), so only the first ceil(limit / that number)
-    prefixes are kept, and no prefix is extended past that many values.
-    Raises on infeasible descriptions.
+    The listing expands one kernel row at a time, from the particular
+    solution. Each prefix is first moved to the least member of its coset
+    at the row's pivot: the entries left of the pivot are fixed by the rows
+    already expanded, and by the Howell property only the combinations of
+    this row and the rows after it keep them, which move the pivot entry
+    in steps of the pivot d. Subtracting a multiple of the row brings the
+    entry below d; then t * row for t = 0 .. order - 1 runs it through its
+    values in increasing order. Every prefix stands for the same number of
+    solutions (the product of the orders still to come), so only the first
+    ceil(limit / that number) prefixes are kept, and no prefix is extended
+    past that many values. Raises on infeasible descriptions.
     """
     if not desc.feasible:
         raise ValueError("cannot enumerate an infeasible system")
-    k, m = desc.modulus, desc.width
-    limit = desc.solution_count if limit is None else min(limit, desc.solution_count)
-    kernel = np.array([gen for gen, _ in desc.kernel], dtype=np.int64).reshape(-1, m)
-    out = np.array(desc.particular, dtype=np.int64).reshape(1, m)
-    remaining = desc.solution_count
-    for row, (_, order) in zip(kernel, desc.kernel):
+    k, kernel = desc.modulus, desc.kernel
+    cols, d = _pivots(kernel)
+    orders = (k // d).tolist()
+    remaining = math.prod(orders)
+    limit = remaining if limit is None else min(limit, remaining)
+    out = desc.particular[None, :].copy()
+    for row, col, pivot, order in zip(kernel, cols.tolist(), d.tolist(), orders):
         remaining //= order
         keep = -(-limit // remaining)
-        out = _least_in_coset(out, row[None, :], k)
-        out = ((out[:, None, :] + np.arange(min(order, keep))[:, None] * row) % k).reshape(-1, m)
+        out = (out - (out[:, col] // pivot)[:, None] * row) % k
+        out = ((out[:, None, :] + np.arange(min(order, keep))[:, None] * row) % k).reshape(-1, desc.width)
         out = out[:keep]
     return out[:limit]
 

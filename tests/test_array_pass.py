@@ -201,7 +201,7 @@ class TestChecksFireOnBatches:
         systems always have the all-ones shift in their kernel."""
         # one edge holding vertex 1 alone, residue 1: exponent 1 there
         desc = solve_mod_k(howell_form(np.array([[0]]), 2, 3), 1)
-        assert desc.particular == (1, 0)
+        assert desc.particular.tolist() == [1, 0]
         solved = (ComponentStructure((1, 2), False, True, 3, 1, 1, 0, desc),)
         with pytest.raises(VerificationError, match="shift symmetry broken on component"):
             zero_eigenvector_report(Hypergraph(3, 2, ()), "laplacian", solved=solved)

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import random
 
 import numpy as np
@@ -14,7 +15,7 @@ from zerolap import (
     structure_counts,
     zk_solver,
 )
-from zerolap.corpus import random_hypergraph
+from zerolap.corpus import random_connected_hypergraph, random_hypergraph
 from zerolap.eigenstructure import solve_components
 from zerolap.errors import VerificationError
 from zerolap.tensor_ops import edge_index
@@ -74,7 +75,7 @@ class TestEdgeSystem:
             assert record.component == (4,) and record.singleton
             desc = record.description
             assert desc.feasible and desc.solution_count == 3
-            assert desc.kernel == (((1,), 3),) and desc.particular == (0,)
+            assert desc.kernel.tolist() == [[1]] and desc.particular.tolist() == [0]
 
     def test_unknown_operator_rejected(self, chain):
         with pytest.raises(ValueError):
@@ -183,7 +184,7 @@ class TestSolveModK:
         assert desc.feasible
         assert (desc.modulus, desc.width) == (3, 7)
         assert desc.solution_count == 81
-        assert [order for _, order in desc.kernel] == [3, 3, 3, 3]
+        assert desc.orders.tolist() == [3, 3, 3, 3]
 
     def test_single_edge_k4_signless_count(self):
         desc = _solve(edge_index(single_edge(4)), 4, 4, 2)
@@ -234,12 +235,12 @@ class TestEnumeration:
         assert len({tuple(v) for v in sols}) == 81
         assert all(_satisfies(3, CHAIN_EDGES, 0, v) for v in sols)
 
-    def test_limit_one_gives_particular(self):
-        """The particular solution is the lexicographically least one."""
+    def test_limit_one_gives_least_solution(self):
+        """The first row listed is the lexicographically least solution."""
         desc = _solve(CHAIN_EDGES, 7, 3, 0)
         first = lex_solutions(desc, 1)
         assert first.shape == (1, 7)
-        assert tuple(first[0].tolist()) == desc.particular == (0,) * 7
+        assert tuple(first[0].tolist()) == (0,) * 7
 
     def test_single_edge_k3_nine_solutions(self):
         sols = _all_solutions(_solve(edge_index(single_edge(3)), 3, 3, 0))
@@ -260,7 +261,7 @@ class TestEnumeration:
         """One free exponent of order 10^12: the first three solutions come
         without expanding the 10^12 values of that exponent."""
         k = 10**12
-        desc = zk_solver.SolutionDescription(k, 2, True, (0, 5), (((1, 0), k),), k)
+        desc = zk_solver.SolutionDescription(k, np.array([0, 5]), np.array([[1, 0]]))
         assert lex_solutions(desc, 3).tolist() == [[0, 5], [1, 5], [2, 5]]
 
     @pytest.mark.parametrize("limit", [1, 7, 1 << 12])
@@ -283,6 +284,33 @@ class TestEnumeration:
                 continue
             rows = [tuple(v) for v in lex_solutions(desc, limit).tolist()]
             assert rows == brute[:limit]
+
+
+class TestLargeKernelListing:
+    """Listing from a kernel of hundreds of rows: a 4-uniform hypertree of
+    301 vertices and 100 edges, whose Laplacian system has 4^201 solutions."""
+
+    @pytest.fixture(scope="class")
+    def listed(self):
+        edges = edge_index(random_connected_hypergraph(random.Random(0), 4, 301))
+        desc = _solve(edges, 301, 4, 0)
+        expected = list(itertools.islice(oracles.canonical_solutions(4, 301, edges, 0), 50))
+        return desc, expected
+
+    def test_first_rows_are_the_least_solutions(self, listed):
+        desc, expected = listed
+        assert len(desc.kernel) == 201
+        assert [tuple(v) for v in lex_solutions(desc, 50).tolist()] == expected
+
+    @pytest.mark.parametrize("row", [0, 100, -1])
+    def test_listing_starts_from_any_particular_solution(self, listed, row):
+        """The same rows when the particular solution is the least one
+        plus a kernel row, the last row's pivot being the last vertex."""
+        desc, expected = listed
+        least = lex_solutions(desc, 1)[0]
+        moved = zk_solver.SolutionDescription(4, (least + desc.kernel[row]) % 4, desc.kernel)
+        assert tuple(moved.particular.tolist()) != expected[0]
+        assert [tuple(v) for v in lex_solutions(moved, 50).tolist()] == expected
 
 
 # ---------------------------------------------------------------- differential
@@ -329,7 +357,7 @@ def _check_against_brute_force(desc, system):
     assert desc.feasible == bool(brute)
     assert desc.solution_count == len(brute) == oracles.snf_solution_count(*system)
     if brute:
-        assert desc.particular == brute[0]
+        assert tuple(desc.particular.tolist()) in brute
         assert [tuple(x) for x in lex_solutions(desc).tolist()] == brute
 
 
