@@ -18,6 +18,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from zerolap.corpus import mixed_corpus  # noqa: E402
 from zerolap.eigenstructure import crosscheck, solve_components  # noqa: E402
+from zerolap.zk_solver import ZERO_EIG_OPERATORS  # noqa: E402
 
 STATUS = {True: "ok", False: "MISMATCH", None: "skipped"}
 
@@ -32,7 +33,7 @@ def main() -> int:
     instances = mixed_corpus(args.seed, args.budget)
     for idx, h in enumerate(instances):
         solved = solve_components(h, budget=args.budget)
-        for operator in ("laplacian", "signless"):
+        for operator in ZERO_EIG_OPERATORS:
             result = crosscheck(h, operator, args.budget, solved[operator])
             rep = result.counts
             failures += (rep.crosscheck_matched is False) + (result.n_matched is False)

@@ -25,8 +25,6 @@ from .tensor_ops import (
 )
 from .eigenstructure import structure_counts
 from .partitions import (
-    BipartitionWitness,
-    MultipartitionWitness,
     discrepancy_scan,
     enumerate_bipartitions,
     enumerate_multipartitions,

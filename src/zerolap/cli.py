@@ -29,6 +29,8 @@ from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii as _encode_str
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__
 from .errors import BudgetExceededError, HypergraphFormatError, VerificationError
 from .hypergraph import (
@@ -40,6 +42,7 @@ from .hypergraph import (
     load_hypergraph,
 )
 from . import eigenstructure, partitions, tensor_ops
+from .zk_solver import ZERO_EIG_OPERATORS
 
 EXIT_OK = 0
 EXIT_BROKEN_PIPE = 1
@@ -58,7 +61,7 @@ _KIND_FLAGS = {
     "slquad": ("multipartition", partitions.SL_QUAD),
     "penta": ("multipartition", partitions.PENTA),
 }
-_OPERATOR_CHOICES = ("laplacian", "signless", "both")
+_OPERATOR_CHOICES = (*ZERO_EIG_OPERATORS, "both")
 
 _INF = float("inf")
 _float_repr = float.__repr__
@@ -125,9 +128,7 @@ def _merge_config(args: argparse.Namespace) -> AnalysisConfig:
 
 
 def _operators(cfg: AnalysisConfig) -> list[str]:
-    if cfg.operator == "both":
-        return ["laplacian", "signless"]
-    return [cfg.operator]
+    return list(ZERO_EIG_OPERATORS) if cfg.operator == "both" else [cfg.operator]
 
 
 def _instance_summary(h: Hypergraph, decomp: ComponentDecomposition) -> dict:
@@ -189,6 +190,21 @@ def _applicable_kinds(h: Hypergraph, cfg: AnalysisConfig) -> list[str]:
     ]
 
 
+def _witness_records(comp: tuple[int, ...], rows, parts: int, kind: str, predicate: str) -> list:
+    """The report records of one component's witness rows: part j of a row
+    lists the vertices whose entry is j, so an empty part stays []."""
+    vertices = np.array(comp)
+    return [
+        {
+            "kind": kind,
+            "parts": [vertices[row == j].tolist() for j in range(parts)],
+            "predicate": predicate,
+            "valid": True,
+        }
+        for row in rows
+    ]
+
+
 def cmd_partitions(
     h: Hypergraph, decomp: ComponentDecomposition, cfg: AnalysisConfig
 ) -> tuple[dict, int]:
@@ -207,14 +223,14 @@ def cmd_partitions(
                 if family == "bipartition":
                     if comp not in bipartitions:
                         bipartitions[comp] = partitions.enumerate_bipartitions(h, comp, cfg.budget)
-                    found = bipartitions[comp][kind]
-                    entry["witnesses"] += [w.to_json_dict() for w in found]
+                    rows, parts, predicate = bipartitions[comp][kind], 2, "literal"
                 else:
-                    found = partitions.enumerate_multipartitions(h, comp, kind, cfg.budget)[
+                    rows = partitions.enumerate_multipartitions(h, comp, kind, cfg.budget)[
                         cfg.predicate
                     ]
-                    entry["witnesses"] += [w.to_json_dict(cfg.predicate) for w in found]
-                entry["count"] += len(found)
+                    parts, predicate = partitions.KIND_SPECS[kind].parts, cfg.predicate
+                entry["witnesses"] += _witness_records(comp, rows, parts, kind, predicate)
+                entry["count"] += len(rows)
             except BudgetExceededError as exc:
                 entry["budget_exceeded"] = str(exc)
                 budget_hit = True
@@ -294,14 +310,16 @@ def cmd_spectral_transforms(
     for comp, single in zip(decomp.components, decomp.singleton):
         if single:
             continue
-        sub, original = induced_subhypergraph(h, comp)
-        witness = partitions.find_hm_bipartition(sub, range(1, sub.n + 1), cfg.budget)
-        if witness is None:
+        row = partitions.find_hm_bipartition(h, comp, cfg.budget)
+        if row is None:
             return {
                 "error": "no hm-bipartition exists",
                 "component": list(comp),
             }, EXIT_STRUCTURE
-        v1, v2 = witness.v1, witness.v2
+        sub = induced_subhypergraph(h, comp).hypergraph
+        parts = row.tolist()
+        v1 = [i for i, part in enumerate(parts, start=1) if part == 0]  # the heads, local ids
+        v2 = [i for i, part in enumerate(parts, start=1) if part == 1]
         pair = tensor_ops.nqz_spectral_radius(h=sub)
         rotations = []
         for r in range(h.k):
@@ -315,14 +333,13 @@ def cmd_spectral_transforms(
             )
         entry = {
             "component": list(comp),
-            "heads": [original[j - 1] for j in v1],
+            "heads": [v for v, part in zip(comp, parts) if part == 0],
             "spectral_radius": pair.value.real,
             "base_residual": pair.residual,
             "rotations": rotations,
         }
         if h.k % 2 == 0:
-            heads = set(v1)
-            signs = [1 if v in heads else -1 for v in range(1, sub.n + 1)]
+            signs = [1 if part == 0 else -1 for part in parts]
             if not tensor_ops.similarity_identity_holds(sub, signs):
                 raise VerificationError(f"diagonal similarity identity failed on component {comp}")
             entry["similarity_identity_exact"] = True

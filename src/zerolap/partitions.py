@@ -11,18 +11,26 @@ Two predicates decide whether a vertex partition is admissible:
   the predicate the exact solver realizes, and it is the ground truth for
   all cross-checks.
 
+A partition witness is a row of part indices: entry i is the part of the
+component's i-th vertex, vertices in ascending order. Listings are int8
+arrays with one row per witness, as ``zk_solver.lex_solutions`` lists
+classes, and the validators take one row or a block of rows. So a class's
+exponent row alpha is itself the partition it characterizes, part j
+holding the vertices of phase exp(2 pi i j / k), and for an H class
+alpha / (k/2) is its bipartition.
+
 Bipartition flavors: ``hm`` (every edge has exactly one head vertex in V1),
 ``odd`` and ``even`` (every edge meets V1 in an odd / even number of
-vertices; k even). The hm flavor is ordered; odd/even are quotiented by
-swapping the two sides. ``enumerate_bipartitions`` lists all three from
-the component's edge systems modulo 2.
+vertices; k even). V1 is part 0 and V2 part 1. The hm flavor is ordered;
+odd/even are quotiented by swapping the two sides. ``enumerate_bipartitions``
+lists all three from the component's edge systems modulo 2.
 
 ``multipartition_orbits`` scans all p^m part assignments of an
 m-vertex component in one pass of numpy blocks of ``CHUNK`` assignments.
 Each edge's intersection profile is coded as one small integer and looked
 up in a table per predicate, so the one pass yields the orbits of both
 predicates, and a block's arrays stay small whatever p^m is;
-``enumerate_multipartitions`` builds the witnesses of those orbits.
+``enumerate_multipartitions`` lists one row per orbit.
 
 The bipartition listing costs a row per solution modulo 2, and the
 multipartition scan p^m. The cross-checks need only counts, and
@@ -40,7 +48,6 @@ import functools
 import heapq
 import itertools
 import math
-from itertools import compress
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -189,37 +196,6 @@ N_PAIR_KINDS: dict[tuple[int, str], str] = {
 
 
 @dataclass(frozen=True)
-class BipartitionWitness:
-    component: tuple[int, ...]
-    v1: tuple[int, ...]
-    v2: tuple[int, ...]
-    flavor: str
-
-    def to_json_dict(self) -> dict:
-        return {
-            "kind": self.flavor,
-            "parts": [list(self.v1), list(self.v2)],
-            "predicate": "literal",
-            "valid": True,
-        }
-
-
-@dataclass(frozen=True)
-class MultipartitionWitness:
-    component: tuple[int, ...]
-    parts: tuple[tuple[int, ...], ...]
-    kind: str
-
-    def to_json_dict(self, predicate: str) -> dict:
-        return {
-            "kind": self.kind,
-            "parts": [list(p) for p in self.parts],
-            "predicate": predicate,
-            "valid": True,
-        }
-
-
-@dataclass(frozen=True)
 class DiscrepancyEntry:
     values: tuple[int, ...]  # sorted value multiset of one edge pattern
     literal_valid: bool
@@ -253,27 +229,40 @@ class DiscrepancyReport:
         }
 
 
-def validate_bipartition(h: Hypergraph, w: BipartitionWitness) -> bool:
-    """Check the flavor condition on every induced edge.
+def _part_rows(h: Hypergraph, component: Sequence[int], rows, parts: int):
+    """``rows`` as a (rows, m) block of part indices of the component's m
+    vertices, and the induced edges as indices into a row. Raises unless
+    every row has m integer entries in 0..parts-1."""
+    m = len(set(component))
+    block = np.asarray(rows)
+    if block.ndim not in (1, 2) or block.shape[-1] != m:
+        raise ValueError(f"rows have shape {block.shape}, expected ({m},) or (rows, {m})")
+    if block.size and (
+        not np.issubdtype(block.dtype, np.integer) or block.min() < 0 or block.max() >= parts
+    ):
+        raise ValueError(f"part indices must be integers in 0..{parts - 1}")
+    return np.atleast_2d(block), edge_index(induced_subhypergraph(h, component).hypergraph)
 
-    Trivial components (no induced edges) are vacuously valid. Raises if
-    (v1, v2) is not a partition of the witness component.
+
+def validate_bipartition(h: Hypergraph, component: Sequence[int], rows, flavor: str):
+    """Check the flavor condition on every induced edge, V1 being part 0.
+
+    ``rows`` is one row of part indices (0 or 1) or a (rows, m) block;
+    returns a bool, or one per row. Trivial components (no induced edges)
+    are vacuously valid. Raises if a row does not partition the component.
     """
-    s1, s2 = set(w.v1), set(w.v2)
-    if s1 & s2 or (s1 | s2) != set(w.component):
-        raise ValueError("witness sides do not partition the component")
-    sub, comp = induced_subhypergraph(h, w.component)
-    if not sub.edges:
-        return True
-    in_v1 = [v in s1 for v in comp]
-    meets = [sum(in_v1[v - 1] for v in e) for e in sub.edges]
-    if w.flavor == HM:
-        return bool(s1) and all(meet == 1 for meet in meets)
-    if w.flavor == ODD:
-        return bool(s1) and bool(s2) and all(meet % 2 == 1 for meet in meets)
-    if w.flavor == EVEN:
-        return bool(s1) and bool(s2) and all(meet % 2 == 0 for meet in meets)
-    raise ValueError(f"unknown flavor {w.flavor!r}")
+    if flavor not in BIPARTITION_FLAVORS:
+        raise ValueError(f"unknown flavor {flavor!r}")
+    block, edges = _part_rows(h, component, rows, 2)
+    in_v1 = block == 0
+    meets = in_v1[:, edges].sum(axis=2)
+    if flavor == HM:
+        ok = in_v1.any(axis=1) & (meets == 1).all(axis=1)
+    else:
+        parity = meets % 2 == (flavor == ODD)
+        ok = in_v1.any(axis=1) & ~in_v1.all(axis=1) & parity.all(axis=1)
+    ok |= not len(edges)
+    return ok if np.ndim(rows) == 2 else bool(ok[0])
 
 
 def bipartition_flavors(k: int) -> tuple[str, ...]:
@@ -283,13 +272,14 @@ def bipartition_flavors(k: int) -> tuple[str, ...]:
 
 def enumerate_bipartitions(
     h: Hypergraph, component: Sequence[int], budget: int = DEFAULT_ENUM_BUDGET
-) -> dict[str, list[BipartitionWitness]]:
+) -> dict[str, np.ndarray]:
     """All valid bipartitions of one component, exhaustively, per flavor.
 
     A side v1 meets every edge oddly (evenly) precisely when its 0/1
     indicator solves A x == 1 (0) (mod 2): the witnesses are those systems'
     solutions, listed from one Howell form modulo 2 of the edges, the hm
-    sides those meeting every edge exactly once. Each flavor is in order of
+    sides those meeting every edge exactly once. Each witness is a row of
+    part indices, 0 on v1 and 1 on v2, and each flavor is in order of
     |v1|, then of v1. Odd/even are listed for even k only, where swapping
     the sides keeps a witness: v1 is the side with the smallest vertex. The
     hm flavor is ordered (v1 holds the heads). Trivial components yield
@@ -297,10 +287,11 @@ def enumerate_bipartitions(
     two-sided witness. A system of more than ``budget`` solutions (at most
     2^m for m vertices) raises BudgetExceededError before any is listed.
 
-    Returns ``{"hm": [...], "odd": [...], "even": [...]}``.
+    Returns ``{"hm": rows, "odd": rows, "even": rows}``, int8 arrays of
+    shape (witnesses, m).
     """
-    out: dict[str, list[BipartitionWitness]] = {flavor: [] for flavor in BIPARTITION_FLAVORS}
     sub, comp = induced_subhypergraph(h, component)
+    out = {flavor: np.zeros((0, len(comp)), np.int8) for flavor in BIPARTITION_FLAVORS}
     if not sub.edges:
         return out
     edges = edge_index(sub)
@@ -325,11 +316,7 @@ def enumerate_bipartitions(
         sides[ODD], sides[EVEN] = odd[odd[:, 0]], rows[rows[:, 0] & ~rows.all(axis=1)]
     for flavor, rows in sides.items():
         # by |v1|, then v1 lexicographically: first the row with a 1 where two rows first differ
-        rows = rows[np.lexsort([*~rows.T[::-1], rows.sum(axis=1)])]
-        out[flavor] = [
-            BipartitionWitness(comp, tuple(compress(comp, v1)), tuple(compress(comp, v2)), flavor)
-            for v1, v2 in zip(rows.tolist(), (~rows).tolist())
-        ]
+        out[flavor] = (~rows[np.lexsort([*~rows.T[::-1], rows.sum(axis=1)])]).astype(np.int8)
     return out
 
 
@@ -401,7 +388,7 @@ _DEAD_END = object()
 
 def find_hm_bipartition(
     h: Hypergraph, component: Sequence[int], budget: int = DEFAULT_ENUM_BUDGET
-) -> BipartitionWitness | None:
+) -> np.ndarray | None:
     """Search for a head assignment giving every edge exactly one head.
 
     A depth-first search over the edges in input order, on an explicit
@@ -427,12 +414,13 @@ def find_hm_bipartition(
 
     Every candidate tried, an edge's existing head included, counts one
     trial over both passes; more than ``budget`` trials raise
-    BudgetExceededError. Trivial components return the vacuous witness
-    with an empty head side.
+    BudgetExceededError. The witness is an int8 row of part indices, 0 on
+    the heads and 1 on the mass side, or None when there is none. Trivial
+    components return the vacuous witness, all ones: an empty head side.
     """
     sub, comp = induced_subhypergraph(h, component)
     if not sub.edges:
-        return BipartitionWitness(comp, (), comp, HM)
+        return np.ones(len(comp), np.int8)
 
     edges = edge_index(sub)
     edge_list = edges.tolist()
@@ -506,11 +494,7 @@ def find_hm_bipartition(
             return None
         check = _AffineCheck(desc.particular, desc.kernel, desc.modulus)
         state = search(check) if check.consistent() else None
-    if state is None:
-        return None
-    v1 = tuple(v for v, s in zip(comp, state) if s == 1)
-    v2 = tuple(v for v, s in zip(comp, state) if s != 1)
-    return BipartitionWitness(comp, v1, v2, HM)
+    return None if state is None else (np.array(state) != 1).astype(np.int8)
 
 
 def kind_spec(kind: str, k: int) -> KindSpec:
@@ -521,31 +505,27 @@ def kind_spec(kind: str, k: int) -> KindSpec:
     return spec
 
 
-def validate_multipartition(h: Hypergraph, w: MultipartitionWitness, predicate: str = "literal") -> bool:
-    """Check every induced edge of the witness component against a predicate.
+def validate_multipartition(
+    h: Hypergraph, component: Sequence[int], rows, kind: str, predicate: str
+):
+    """Check every induced edge of the component against a predicate.
 
-    ``literal`` matches edges against the kind's clause profiles;
-    ``residue`` checks the exponent-sum congruence with part V_j carrying
-    exponent j-1. The literal nonemptiness constraint applies to both.
-    Raises if the parts do not partition the component or the kind does
-    not apply to ``h``'s uniformity.
+    ``rows`` is one row of part indices or a (rows, m) block; returns a
+    bool, or one per row. ``literal`` matches edges against the kind's
+    clause profiles; ``residue`` checks the exponent-sum congruence with
+    part j carrying exponent j. The literal nonemptiness constraint applies
+    to both. Raises if a row does not partition the component into the
+    kind's parts or the kind does not apply to ``h``'s uniformity.
     """
-    spec = kind_spec(w.kind, h.k)
-    if len(w.parts) != spec.parts:
-        raise ValueError(f"{w.kind} witness needs {spec.parts} parts, got {len(w.parts)}")
-    sets = [set(p) for p in w.parts]
-    part_of = {v: j for j, s in enumerate(sets) for v in s}
-    if len(part_of) != sum(map(len, sets)) or part_of.keys() != set(w.component):
-        raise ValueError("witness parts do not partition the component")
-    if sum(1 for s in sets if s) < spec.min_nonempty:
-        return False
+    spec = kind_spec(kind, h.k)
     weights, literal, residue = _profile_tables(spec)
     table = {"literal": literal, "residue": residue}.get(predicate)
     if table is None:
         raise ValueError(f"unknown predicate {predicate!r}")
-    sub, comp = induced_subhypergraph(h, part_of)
-    vertex_weight = weights[[part_of[v] for v in comp]]
-    return bool(table[vertex_weight[edge_index(sub)].sum(axis=1)].all())
+    block, edges = _part_rows(h, component, rows, spec.parts)
+    nonempty = sum((block == j).any(axis=1) for j in range(spec.parts))
+    ok = (nonempty >= spec.min_nonempty) & table[weights[block][:, edges].sum(axis=2)].all(axis=1)
+    return ok if np.ndim(rows) == 2 else bool(ok[0])
 
 
 def _edge_predicates(spec: KindSpec, multiset: tuple[int, ...]) -> tuple[bool, bool]:
@@ -570,6 +550,11 @@ def _profile_tables(spec: KindSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]
         code = int(weights[list(multiset)].sum())
         literal[code], residue[code] = _edge_predicates(spec, multiset)
     return weights, literal, residue
+
+
+def _digits(codes: np.ndarray, m: int, p: int) -> np.ndarray:
+    """The m base-p digits of each code, most significant first, as int8 rows."""
+    return (codes[:, None] // p ** np.arange(m - 1, -1, -1, dtype=np.int64) % p).astype(np.int8)
 
 
 def multipartition_orbits(
@@ -610,7 +595,7 @@ def multipartition_orbits(
     chosen: dict[str, dict[int, int]] = {pred: {} for pred in PREDICATES}
     for start in range(0, total, CHUNK):
         codes = np.arange(start, min(start + CHUNK, total), dtype=np.int64)
-        vals = (codes[:, None] // place % p).astype(np.int8)
+        vals = _digits(codes, m, p)
         vertex_weight = weights[vals]
         # profile codes stay below (k+1)^p <= 6^5, so int16 holds them
         profile = np.zeros((len(codes), len(edge_idx)), dtype=np.int16)
@@ -649,24 +634,20 @@ def enumerate_multipartitions(
     component: Sequence[int],
     kind: str,
     budget: int = DEFAULT_ENUM_BUDGET,
-) -> dict[str, list[MultipartitionWitness]]:
+) -> dict[str, np.ndarray]:
     """Exhaustive multipartition inventory of one component, per predicate.
 
-    Returns ``{"literal": [...], "residue": [...]}``: per predicate, one
-    witness per orbit of ``multipartition_orbits``, built from the
+    Returns ``{"literal": rows, "residue": rows}``: per predicate, one int8
+    row of part indices per orbit of ``multipartition_orbits``, the
     lexicographically least kept assignment, in ascending order of the
     orbit's least member.
     """
     orbits = multipartition_orbits(h, component, kind, budget)
-    comp = tuple(sorted(set(component)))
-    m, p = len(comp), KIND_SPECS[kind].parts
-
-    def witness(code: int) -> MultipartitionWitness:
-        digits = [code // p ** (m - 1 - i) % p for i in range(m)]
-        parts = tuple(tuple(v for v, d in zip(comp, digits) if d == j) for j in range(p))
-        return MultipartitionWitness(comp, parts, kind)
-
-    return {pred: [witness(chosen[key]) for key in sorted(chosen)] for pred, chosen in orbits.items()}
+    m, p = len(set(component)), KIND_SPECS[kind].parts
+    return {
+        pred: _digits(np.array([chosen[key] for key in sorted(chosen)], np.int64), m, p)
+        for pred, chosen in orbits.items()
+    }
 
 
 def elimination_order(

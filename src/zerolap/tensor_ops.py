@@ -31,11 +31,9 @@ import numpy as np
 
 from .errors import BudgetExceededError, VerificationError
 from .hypergraph import Hypergraph, connected_components, degrees
+from .zk_solver import LAPLACIAN, SIGNLESS
 
 ADJACENCY = "adjacency"
-LAPLACIAN = "laplacian"
-SIGNLESS = "signless"
-OPERATORS = (ADJACENCY, LAPLACIAN, SIGNLESS)
 
 
 def _as_vector(h: Hypergraph, x) -> np.ndarray:

@@ -30,9 +30,13 @@ functions stand in for its retired per-object API:
 * ``real_scalable`` for ``is_real_scalable`` and ``classify_H_or_N``;
 * ``scalar_classes`` for ``minimal_zero_eigenvectors``;
 * ``scalar_realize`` for ``realize_complex``, and its edge-by-edge residue
-  check for ``assignment_satisfies``;
-* ``partition_from_assignment`` and ``assignment_from_partition``, moved
-  here from ``partitions``, on ``(k, vertices, values)`` tuples.
+  check for ``assignment_satisfies``.
+
+The partition oracles return witnesses as the library lists them, as rows
+of part indices (entry i is the part of the component's i-th vertex in
+ascending order), but as plain tuples built by their own loops.
+A class's exponent row is already such a row, so no conversion between
+classes and partitions is needed.
 
 ``count_N_pairs`` became ``structure_counts(h, operator).n_pair_count``.
 """
@@ -47,16 +51,7 @@ import numpy as np
 
 from zerolap.errors import VerificationError
 from zerolap.zk_solver import smith_normal_form
-from zerolap.partitions import (
-    BIPARTITION_FLAVORS,
-    EVEN,
-    HM,
-    KIND_SPECS,
-    N_PAIR_KINDS,
-    ODD,
-    BipartitionWitness,
-    MultipartitionWitness,
-)
+from zerolap.partitions import BIPARTITION_FLAVORS, HM, ODD
 
 
 def edge_sum_solutions(k, vertices, edges, rhs):
@@ -292,7 +287,7 @@ def bareiss_det(matrix):
 
 
 def multipartition_witnesses(spec, vertices, edges):
-    """Parts of the least kept assignment per shift/negation orbit, per predicate.
+    """The least kept assignment per shift/negation orbit, per predicate.
 
     A plain ``itertools.product`` walk over every assignment of the
     ``spec.parts`` part indices to ``vertices``. Each induced edge is looked
@@ -300,7 +295,9 @@ def multipartition_witnesses(spec, vertices, edges):
     value sum for ``residue``, the sorted value multiset against the clause
     profiles spelled out as multisets for ``literal``. ``spec`` supplies
     only the kind's data (k, parts, residue, nonemptiness demand, clause
-    profiles).
+    profiles). Each witness is the tuple of the part indices of ``vertices``
+    in ascending order, one list per predicate in ascending order of the
+    orbit's least member.
     """
     verts = sorted(vertices)
     vset = set(verts)
@@ -333,13 +330,7 @@ def multipartition_witnesses(spec, vertices, edges):
         for pred, ok in (("literal", literal), ("residue", residue)):
             if ok and orbit not in least[pred]:
                 least[pred][orbit] = vals  # product order: the first seen is least
-    return {
-        pred: [
-            tuple(tuple(v for v, a in zip(verts, vals) if a == j) for j in range(p))
-            for _, vals in sorted(chosen.items())
-        ]
-        for pred, chosen in least.items()
-    }
+    return {pred: [vals for _, vals in sorted(chosen.items())] for pred, chosen in least.items()}
 
 
 def bipartition_witnesses(h, component, flavor):
@@ -350,7 +341,8 @@ def bipartition_witnesses(h, component, flavor):
     ``itertools.combinations`` order by size. For odd/even flavors the
     returned side v1 is the one containing the smallest vertex, a quotient
     by swapping the sides that holds only for even k; the hm flavor is
-    ordered and is not quotiented. Trivial components yield nothing.
+    ordered and is not quotiented. Each witness is a tuple of part indices,
+    0 on v1 and 1 on v2. Trivial components yield nothing.
     """
     if flavor not in BIPARTITION_FLAVORS:
         raise ValueError(f"unknown flavor {flavor!r}")
@@ -372,8 +364,7 @@ def bipartition_witnesses(h, component, flavor):
                 continue
             if flavor != HM and comp[0] not in s1:
                 continue  # swap representative: keep the side with the least vertex
-            v2 = tuple(v for v in comp if v not in s1)
-            out.append(BipartitionWitness(comp, tuple(sorted(s1)), v2, flavor))
+            out.append(tuple(0 if v in s1 else 1 for v in comp))
     return out
 
 
@@ -386,14 +377,15 @@ def hm_bipartition_dfs(h, component):
     Backtracks over edges with forward checking: committing a head forces
     every other vertex sharing an edge with it into the mass side. Head
     candidates are tried in ascending vertex order, so the witness found is
-    deterministic. Vertices in no edge default to the mass side; trivial
-    components return the vacuous witness with an empty head side.
+    deterministic. The witness is a tuple of part indices, 0 on the heads
+    and 1 on the mass side. Vertices in no edge default to the mass side;
+    trivial components return the vacuous witness with an empty head side.
     """
     comp = tuple(sorted(set(component)))
     vertex_set = set(comp)
     edges = [e for e in h.edges if vertex_set.issuperset(e)]
     if not edges:
-        return BipartitionWitness(comp, (), comp, HM)
+        return (1,) * len(comp)
 
     edges_at: dict[int, list[tuple[int, ...]]] = {v: [] for v in comp}
     for e in edges:
@@ -443,9 +435,7 @@ def hm_bipartition_dfs(h, component):
 
     if not solve(0):
         return None
-    v1 = tuple(v for v in comp if state.get(v) is True)
-    v2 = tuple(v for v in comp if v not in set(v1))
-    return BipartitionWitness(comp, v1, v2, HM)
+    return tuple(0 if state.get(v) is True else 1 for v in comp)
 
 
 # ---------------------------------------------------------------------------
@@ -580,50 +570,3 @@ def scalar_realize(h, operator, component, alpha, tolerance=1e-9):
     if resid > tolerance:
         raise VerificationError(f"realized class residual {resid:.3e} exceeds tolerance {tolerance:.1e}")
     return x, resid
-
-
-def partition_from_assignment(k, vertices, values, operator):
-    """Vertex partition whose parts are the phase-value classes of ``values``.
-
-    Constant exponents describe the all-ones eigenvector and carry no
-    partition, so they map to None. Real-scalable two-value exponents
-    (even k) map to a bipartition witness: the even flavor for the
-    Laplacian, the odd flavor for the signless operator. Everything else
-    maps to the multipartition kind matching (k, operator), part j holding
-    the vertices of exponent j after the shift to exponent 0 at the first
-    vertex.
-    """
-    vertices = tuple(vertices)
-    values = shift_min(values, k)
-    if len(set(values)) == 1:
-        return None
-    if real_scalable(values, k):
-        v1 = tuple(v for v, x in zip(vertices, values) if x == k // 2)
-        v2 = tuple(v for v, x in zip(vertices, values) if x == 0)
-        return BipartitionWitness(vertices, v1, v2, EVEN if operator == "laplacian" else ODD)
-    kind = N_PAIR_KINDS.get((k, operator))
-    if kind is None:
-        raise ValueError(f"no multipartition kind for k={k}, operator={operator}")
-    parts = tuple(tuple(v for v, x in zip(vertices, values) if x == j) for j in range(k))
-    return MultipartitionWitness(vertices, parts, kind)
-
-
-def assignment_from_partition(w, k=None):
-    """Inverse of ``partition_from_assignment`` up to shift: ``(k, vertices, values)``.
-
-    Vertices ascend and the values are shifted to exponent 0 at the first
-    vertex. Multipartition witnesses know their modulus through the kind;
-    for a bipartition witness ``k`` must be supplied, and the v1 side
-    carries exponent k/2.
-    """
-    if isinstance(w, MultipartitionWitness):
-        k = KIND_SPECS[w.kind].k
-        value_of = {v: j for j, part in enumerate(w.parts) for v in part}
-    elif k is None:
-        raise ValueError("bipartition witnesses need an explicit modulus k")
-    elif k % 2:
-        raise ValueError("two-sided phase patterns need even k")
-    else:
-        value_of = {v: k // 2 for v in w.v1} | {v: 0 for v in w.v2}
-    verts = tuple(sorted(value_of))
-    return k, verts, shift_min(tuple(value_of[v] for v in verts), k)

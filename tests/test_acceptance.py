@@ -20,7 +20,6 @@ from zerolap import (
     validate_multipartition,
 )
 from zerolap.eigenstructure import solve_components, zero_eigenvector_report
-from zerolap.partitions import MultipartitionWitness
 from zerolap.corpus import mixed_corpus, random_connected_hypergraph, random_hm_bipartite
 
 import oracles
@@ -37,9 +36,13 @@ def _report(num: int, text: str) -> None:
 def test_criterion_01_even_bipartitions_of_k4_fixture():
     """Exactly three even-bipartitions, matching the known list and the
     exhaustive subset scan. Exact."""
-    listed = enumerate_bipartitions(K4_OVERLAP, tuple(range(1, 7)))["even"]
-    assert listed == oracles.bipartition_witnesses(K4_OVERLAP, tuple(range(1, 7)), "even")
-    found = {frozenset((frozenset(w.v1), frozenset(w.v2))) for w in listed}
+    comp = tuple(range(1, 7))
+    listed = enumerate_bipartitions(K4_OVERLAP, comp)["even"].tolist()
+    assert list(map(tuple, listed)) == oracles.bipartition_witnesses(K4_OVERLAP, comp, "even")
+    found = {
+        frozenset(frozenset(v for v, part in zip(comp, row) if part == side) for side in (0, 1))
+        for row in listed
+    }
     expected = {
         frozenset((frozenset({1, 2, 5}), frozenset({3, 4, 6}))),
         frozenset((frozenset({2, 3, 5}), frozenset({1, 4, 6}))),
@@ -67,13 +70,11 @@ def test_criterion_03_chain_fixture_counts():
 
     comp = tuple(range(1, 8))
     listed = [
-        ((1,), (2,), (3, 4, 5, 6, 7)),
-        ((1, 2, 3), (4,), (5, 6, 7)),
-        ((1, 2, 3, 4, 5), (6,), (7,)),
+        (0, 1, 2, 2, 2, 2, 2),  # {1}, {2}, {3, 4, 5, 6, 7}
+        (0, 0, 0, 1, 2, 2, 2),  # {1, 2, 3}, {4}, {5, 6, 7}
+        (0, 0, 0, 0, 0, 1, 2),  # {1, 2, 3, 4, 5}, {6}, {7}
     ]
-    for parts in listed:
-        w = MultipartitionWitness(comp, parts, "tripartite")
-        assert validate_multipartition(CHAIN, w, "literal")
+    assert validate_multipartition(CHAIN, comp, listed, "tripartite", "literal").all()
 
     pinned_pairs = 13  # frozen from the 3^7 brute-force oracle
     brute = oracles.class_inventory(3, comp, CHAIN.edges, 0)

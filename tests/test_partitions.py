@@ -3,15 +3,14 @@ import random
 import sys
 import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from zerolap import (
     BudgetExceededError,
-    BipartitionWitness,
     Hypergraph,
-    MultipartitionWitness,
     discrepancy_scan,
     enumerate_bipartitions,
     enumerate_multipartitions,
@@ -27,59 +26,80 @@ from zerolap.corpus import (
     random_hm_bipartite,
     random_hypergraph,
 )
-from zerolap.eigenstructure import zero_eigenvector_report
-from zerolap.hypergraph import connected_components
+from zerolap.eigenstructure import solve_components
+from zerolap.hypergraph import connected_components, load_hypergraph
 from zerolap.tensor_ops import edge_index
+from zerolap.zk_solver import LAPLACIAN, ZERO_EIG_OPERATORS, lex_solutions
 
-from conftest import single_edge
-from oracles import (
-    assignment_from_partition,
-    bipartition_witnesses,
-    hm_bipartition_dfs,
-    multipartition_witnesses,
-    partition_from_assignment,
-)
+from conftest import FIXTURE_DIR, single_edge
+from oracles import bipartition_witnesses, hm_bipartition_dfs, multipartition_witnesses
 
 CHAIN_COMPONENT = tuple(range(1, 8))
 K4_COMPONENT = tuple(range(1, 7))
 
 
+def _tuples(rows):
+    """Witness rows as plain tuples, the oracles' form."""
+    return [tuple(row) for row in rows.tolist()]
+
+
+def _parts(component, row, parts):
+    """The vertices of each part of one witness row."""
+    return tuple(tuple(v for v, j in zip(component, row) if j == part) for part in range(parts))
+
+
+def _assert_same_listing(got, expected):
+    """Two listings, dicts of row arrays, hold the same rows in the same order."""
+    assert list(got) == list(expected)
+    for key in got:
+        assert got[key].dtype == expected[key].dtype == np.int8
+        assert np.array_equal(got[key], expected[key]), key
+
+
 class TestValidateBipartition:
     def test_k4_even_witness_valid(self, k4_overlap):
-        w = BipartitionWitness(K4_COMPONENT, (1, 2, 5), (3, 4, 6), "even")
-        assert validate_bipartition(k4_overlap, w)
+        # v1 = {1, 2, 5} is part 0, v2 = {3, 4, 6} part 1
+        assert validate_bipartition(k4_overlap, K4_COMPONENT, (0, 0, 1, 1, 0, 1), "even")
 
     def test_single_edge_hm_head(self):
-        w = BipartitionWitness((1, 2, 3), (1,), (2, 3), "hm")
-        assert validate_bipartition(single_edge(3), w)
+        assert validate_bipartition(single_edge(3), (1, 2, 3), (0, 1, 1), "hm")
 
     def test_k4_single_vertex_not_even(self, k4_overlap):
-        w = BipartitionWitness(K4_COMPONENT, (1,), (2, 3, 4, 5, 6), "even")
-        assert not validate_bipartition(k4_overlap, w)
+        assert not validate_bipartition(k4_overlap, K4_COMPONENT, (0, 1, 1, 1, 1, 1), "even")
 
-    def test_non_partition_rejected(self, k4_overlap):
-        w = BipartitionWitness(K4_COMPONENT, (1, 2), (2, 3, 4, 5, 6), "even")
+    def test_block_gives_one_verdict_per_row(self, k4_overlap):
+        rows = np.array([(0, 0, 1, 1, 0, 1), (0, 1, 1, 1, 1, 1), (0, 1, 0, 1, 1, 1)], np.int8)
+        got = validate_bipartition(k4_overlap, K4_COMPONENT, rows, "even")
+        assert got.tolist() == [True, False, True]
+        assert validate_bipartition(k4_overlap, K4_COMPONENT, rows[:0], "even").shape == (0,)
+
+    @pytest.mark.parametrize(
+        "row", [(0, 0, 2, 1, 0, 1), (0, 0, -1, 1, 0, 1), (0, 0, 1, 1, 0), (0.0,) * 6]
+    )
+    def test_non_partition_rejected(self, k4_overlap, row):
+        """A part outside {0, 1}, a wrong length or a non-integer entry."""
         with pytest.raises(ValueError):
-            validate_bipartition(k4_overlap, w)
+            validate_bipartition(k4_overlap, K4_COMPONENT, row, "even")
+
+    def test_unknown_flavor_rejected(self, k4_overlap):
+        with pytest.raises(ValueError, match="unknown flavor"):
+            validate_bipartition(k4_overlap, K4_COMPONENT, (0, 0, 1, 1, 0, 1), "both")
 
     def test_trivial_component_vacuously_valid(self):
         h = Hypergraph(3, 4, ((1, 2, 3),))
-        w = BipartitionWitness((4,), (4,), (), "odd")
-        assert validate_bipartition(h, w)
+        assert validate_bipartition(h, (4,), (0,), "odd")
 
 
 class TestEnumerateBipartitions:
     def test_k4_even_exactly_three(self, k4_overlap):
-        found = {
-            frozenset((frozenset(w.v1), frozenset(w.v2)))
-            for w in enumerate_bipartitions(k4_overlap, K4_COMPONENT)["even"]
-        }
-        expected = {
-            frozenset((frozenset({1, 2, 5}), frozenset({3, 4, 6}))),
-            frozenset((frozenset({2, 3, 5}), frozenset({1, 4, 6}))),
-            frozenset((frozenset({1, 3}), frozenset({2, 4, 5, 6}))),
-        }
-        assert found == expected
+        found = enumerate_bipartitions(k4_overlap, K4_COMPONENT)["even"]
+        # v1 = {1, 3}, then {1, 2, 5} before {1, 4, 6}: by |v1|, then v1
+        assert found.tolist() == [
+            [0, 1, 0, 1, 1, 1],
+            [0, 0, 1, 1, 0, 1],
+            [0, 1, 1, 0, 1, 0],
+        ]
+        assert found.dtype == np.int8
 
     def test_single_edge_k4_odd_four(self):
         found = enumerate_bipartitions(single_edge(4), (1, 2, 3, 4))["odd"]
@@ -91,12 +111,17 @@ class TestEnumerateBipartitions:
 
     def test_hm_is_ordered_not_quotiented(self):
         found = enumerate_bipartitions(single_edge(3), (1, 2, 3))["hm"]
-        assert [w.v1 for w in found] == [(1,), (2,), (3,)]
+        assert found.tolist() == [[0, 1, 1], [1, 0, 1], [1, 1, 0]]
 
     def test_all_witnesses_validate(self, k4_overlap):
-        for flavor in ("hm", "odd", "even"):
-            for w in enumerate_bipartitions(k4_overlap, K4_COMPONENT)[flavor]:
-                assert validate_bipartition(k4_overlap, w)
+        for flavor, rows in enumerate_bipartitions(k4_overlap, K4_COMPONENT).items():
+            assert len(rows) and validate_bipartition(k4_overlap, K4_COMPONENT, rows, flavor).all()
+
+    def test_trivial_component_lists_empty_blocks(self):
+        found = enumerate_bipartitions(Hypergraph(3, 4, ((1, 2, 3),)), (4,))
+        assert {flavor: rows.shape for flavor, rows in found.items()} == {
+            flavor: (0, 1) for flavor in partitions.BIPARTITION_FLAVORS
+        }
 
 
 @st.composite
@@ -113,10 +138,10 @@ def bipartition_instances(draw):
 def _assert_hm_listing_holds_search_witness(h, component):
     listed = enumerate_bipartitions(h, component)[partitions.HM]
     w = find_hm_bipartition(h, component)
-    if w is None or not w.v1:  # none, or the vacuous witness of an edgeless component
-        assert listed == []
+    if w is None or w.all():  # none, or the vacuous witness of an edgeless component
+        assert len(listed) == 0
     else:
-        assert w in listed
+        assert w.tolist() in listed.tolist()
 
 
 class TestBipartitionScanAgainstOracle:
@@ -129,15 +154,16 @@ class TestBipartitionScanAgainstOracle:
         found = enumerate_bipartitions(h, component)
         assert list(found) == list(partitions.BIPARTITION_FLAVORS)
         for flavor, witnesses in found.items():
+            assert witnesses.dtype == np.int8 and witnesses.shape[1:] == (len(component),)
             if flavor in partitions.bipartition_flavors(h.k):
-                assert witnesses == bipartition_witnesses(h, component, flavor), flavor
+                assert _tuples(witnesses) == bipartition_witnesses(h, component, flavor), flavor
             else:
-                assert witnesses == [], flavor
+                assert len(witnesses) == 0, flavor
         _assert_hm_listing_holds_search_witness(h, component)
 
     def test_budget_equal_to_scan_size_scans(self, k4_overlap):
         at_edge = enumerate_bipartitions(k4_overlap, K4_COMPONENT, budget=2**6)
-        assert at_edge == enumerate_bipartitions(k4_overlap, K4_COMPONENT)
+        _assert_same_listing(at_edge, enumerate_bipartitions(k4_overlap, K4_COMPONENT))
 
     def test_budget_is_the_solution_count(self, k4_overlap, monkeypatch):
         """The budget bounds the solutions of each system modulo 2: at their
@@ -149,7 +175,7 @@ class TestBipartitionScanAgainstOracle:
         ]
         assert counts == [8, 8]
         listed = enumerate_bipartitions(k4_overlap, K4_COMPONENT, budget=8)
-        assert listed == enumerate_bipartitions(k4_overlap, K4_COMPONENT)
+        _assert_same_listing(listed, enumerate_bipartitions(k4_overlap, K4_COMPONENT))
 
         def no_listing(*args):
             raise AssertionError("listed past the budget")
@@ -175,9 +201,8 @@ class TestBipartitionsPastTheScan:
 
     def test_every_witness_validates(self, instance):
         h, found = instance
-        for witnesses in found.values():
-            for w in witnesses:
-                assert validate_bipartition(h, w)
+        for flavor, witnesses in found.items():
+            assert validate_bipartition(h, range(1, 41), witnesses, flavor).all()
 
 
 @pytest.mark.parametrize("shape", [(3, 4, 8, 4), (4, 4, 9, 3), (5, 3, 8, 2)])
@@ -190,12 +215,12 @@ def test_hm_listing_holds_search_witness_on_planted_instances(shape):
 class TestFindHm:
     def test_single_edge_lowest_head(self):
         w = find_hm_bipartition(single_edge(3), (1, 2, 3))
-        assert w.v1 == (1,)
+        assert w.tolist() == [0, 1, 1] and w.dtype == np.int8
 
     def test_shared_head(self):
         h = Hypergraph(3, 5, ((1, 2, 3), (1, 4, 5)))
         w = find_hm_bipartition(h, (1, 2, 3, 4, 5))
-        assert w.v1 == (1,)
+        assert w.tolist() == [0, 1, 1, 1, 1]
 
     def test_complete_k3_on_four_has_none(self, k3_complete4):
         assert find_hm_bipartition(k3_complete4, (1, 2, 3, 4)) is None
@@ -203,12 +228,12 @@ class TestFindHm:
     def test_chain_witness_validates(self, chain):
         w = find_hm_bipartition(chain, CHAIN_COMPONENT)
         assert w is not None
-        assert validate_bipartition(chain, w)
+        assert validate_bipartition(chain, CHAIN_COMPONENT, w, "hm")
 
     def test_trivial_component_gets_vacuous_witness(self):
         h = Hypergraph(3, 4, ((1, 2, 3),))
         w = find_hm_bipartition(h, (4,))
-        assert w.v1 == ()
+        assert w.tolist() == [1] and w.dtype == np.int8  # an empty head side
 
     @pytest.mark.parametrize("seed", range(8))
     def test_search_agrees_with_exhaustive_scan(self, seed):
@@ -226,7 +251,8 @@ class TestFindHm:
         w = find_hm_bipartition(h, comp)
         if exists:
             assert w is not None
-            assert all(len(set(w.v1) & set(e)) == 1 for e in edges)
+            heads = {v for v, part in zip(comp, w.tolist()) if part == 0}
+            assert all(len(heads & set(e)) == 1 for e in edges)
         else:
             assert w is None
 
@@ -267,7 +293,7 @@ class TestHmSearchAgainstRecursiveOracle:
             ref = hm_bipartition_dfs(h, comp)
             assert (w is None) == (ref is None)
             if w is not None:
-                assert (w.v1, w.v2) == (ref.v1, ref.v2)
+                assert tuple(w.tolist()) == ref
 
     @pytest.mark.parametrize("seed", [0, 1])
     def test_hard_instance_witness_pinned_within_two_trials_per_edge(self, seed):
@@ -275,7 +301,7 @@ class TestHmSearchAgainstRecursiveOracle:
         comp = tuple(range(1, h.n + 1))
         # at most 2|E| - 1 head trials over both passes, or this raises
         w = find_hm_bipartition(h, comp, budget=2 * h.edge_count - 1)
-        assert w == hm_bipartition_dfs(h, comp)
+        assert tuple(w.tolist()) == hm_bipartition_dfs(h, comp)
 
     def test_budget_counts_head_trials(self):
         """Every edge takes at least one trial, so |E| - 1 cannot suffice."""
@@ -294,7 +320,7 @@ class TestHmSearchAgainstRecursiveOracle:
             ref = hm_bipartition_dfs(h, comp)
         finally:
             sys.setrecursionlimit(limit)
-        assert w == ref
+        assert tuple(w.tolist()) == ref
 
 
 class TestHmSearchElimination:
@@ -314,74 +340,82 @@ class TestHmSearchElimination:
 
 class TestValidateMultipartition:
     def test_listed_chain_tripartitions(self, chain):
-        listed = [
-            ((1,), (2,), (3, 4, 5, 6, 7)),
-            ((1, 2, 3), (4,), (5, 6, 7)),
-            ((1, 2, 3, 4, 5), (6,), (7,)),
-        ]
-        for parts in listed:
-            w = MultipartitionWitness(CHAIN_COMPONENT, parts, "tripartite")
-            assert validate_multipartition(chain, w, "literal")
-            assert validate_multipartition(chain, w, "residue")
+        rows = np.array(
+            [
+                (0, 1, 2, 2, 2, 2, 2),  # {1}, {2}, {3, 4, 5, 6, 7}
+                (0, 0, 0, 1, 2, 2, 2),  # {1, 2, 3}, {4}, {5, 6, 7}
+                (0, 0, 0, 0, 0, 1, 2),  # {1, 2, 3, 4, 5}, {6}, {7}
+            ]
+        )
+        for predicate in partitions.PREDICATES:
+            got = validate_multipartition(chain, CHAIN_COMPONENT, rows, "tripartite", predicate)
+            assert got.tolist() == [True] * 3
+            for row in rows:
+                assert validate_multipartition(chain, CHAIN_COMPONENT, row, "tripartite", predicate)
 
     def test_interleaved_tripartition_valid(self, chain):
-        w = MultipartitionWitness(
-            CHAIN_COMPONENT, ((1, 4, 7), (2, 5), (3, 6)), "tripartite"
-        )
-        assert validate_multipartition(chain, w, "literal")
+        # {1, 4, 7}, {2, 5}, {3, 6}
+        row = (0, 1, 2, 0, 1, 2, 0)
+        assert validate_multipartition(chain, CHAIN_COMPONENT, row, "tripartite", "literal")
 
     def test_single_k4_edge_split_into_four_fails_lquad(self):
-        w = MultipartitionWitness((1, 2, 3, 4), ((1,), (2,), (3,), (4,)), "lquad")
         h = single_edge(4)
-        assert not validate_multipartition(h, w, "literal")
-        assert not validate_multipartition(h, w, "residue")  # 0+1+2+3 = 6, not 0 mod 4
+        assert not validate_multipartition(h, (1, 2, 3, 4), (0, 1, 2, 3), "lquad", "literal")
+        # 0+1+2+3 = 6, not 0 mod 4
+        assert not validate_multipartition(h, (1, 2, 3, 4), (0, 1, 2, 3), "lquad", "residue")
 
     def test_single_k4_edge_split_into_four_passes_slquad(self):
-        w = MultipartitionWitness((1, 2, 3, 4), ((1,), (2,), (3,), (4,)), "slquad")
         h = single_edge(4)
-        assert validate_multipartition(h, w, "literal")
-        assert validate_multipartition(h, w, "residue")  # sum 6 == 2 mod 4
+        assert validate_multipartition(h, (1, 2, 3, 4), (0, 1, 2, 3), "slquad", "literal")
+        # sum 6 == 2 mod 4
+        assert validate_multipartition(h, (1, 2, 3, 4), (0, 1, 2, 3), "slquad", "residue")
 
     def test_empty_part_count_constraint(self, chain):
-        w = MultipartitionWitness(
-            CHAIN_COMPONENT, ((1, 2, 3, 4, 5, 6, 7), (), ()), "tripartite"
-        )
-        assert not validate_multipartition(chain, w, "residue")
+        row = (0,) * 7
+        assert not validate_multipartition(chain, CHAIN_COMPONENT, row, "tripartite", "residue")
 
-    def test_non_partition_rejected(self, chain):
-        w = MultipartitionWitness(CHAIN_COMPONENT, ((1, 2), (2, 3), (4, 5, 6, 7)), "tripartite")
+    @pytest.mark.parametrize("row", [(0, 1, 3, 2, 2, 2, 2), (0, 1, 2, 2, 2, 2), ((0, 1, 2),)])
+    def test_non_partition_rejected(self, chain, row):
+        """A part outside the kind's parts, a wrong length or a wrong shape."""
         with pytest.raises(ValueError):
-            validate_multipartition(chain, w)
+            validate_multipartition(chain, CHAIN_COMPONENT, row, "tripartite", "literal")
+
+    def test_unknown_predicate_rejected(self, chain):
+        with pytest.raises(ValueError, match="unknown predicate"):
+            validate_multipartition(chain, CHAIN_COMPONENT, (0, 1) + (2,) * 5, "tripartite", "both")
 
     def test_kind_of_other_uniformity_rejected(self):
-        w = MultipartitionWitness((1, 2, 3, 4), ((1,), (2,), (3, 4)), "tripartite")
         with pytest.raises(ValueError, match="3-uniform"):
-            validate_multipartition(single_edge(4), w, "residue")
+            validate_multipartition(
+                single_edge(4), (1, 2, 3, 4), (0, 1, 2, 2), "tripartite", "residue"
+            )
 
 
 class TestEnumerateMultipartitions:
     def test_single_edge_unique_tripartition(self):
         found = enumerate_multipartitions(single_edge(3), (1, 2, 3), "tripartite")["residue"]
-        assert len(found) == 1
-        assert found[0].parts == ((1,), (2,), (3,))
+        assert found.tolist() == [[0, 1, 2]] and found.dtype == np.int8
 
     def test_chain_thirteen_tripartitions(self, chain):
         assert len(enumerate_multipartitions(chain, CHAIN_COMPONENT, "tripartite")["residue"]) == 13
 
     def test_chain_literal_equals_residue(self, chain):
         found = enumerate_multipartitions(chain, CHAIN_COMPONENT, "tripartite")
-        assert found["literal"] == found["residue"]
+        assert np.array_equal(found["literal"], found["residue"])
 
     def test_known_witnesses_present(self, chain):
         found = enumerate_multipartitions(chain, CHAIN_COMPONENT, "tripartite")["residue"]
-        normalized = {frozenset(frozenset(p) for p in w.parts if p) for w in found}
+        normalized = {
+            frozenset(frozenset(p) for p in _parts(CHAIN_COMPONENT, row, 3) if p)
+            for row in found.tolist()
+        }
         assert frozenset({frozenset({1}), frozenset({2}), frozenset({3, 4, 5, 6, 7})}) in normalized
         assert frozenset({frozenset({1, 4, 7}), frozenset({2, 5}), frozenset({3, 6})}) in normalized
 
     def test_every_witness_validates(self, k4_overlap):
         for kind in ("lquad", "slquad"):
-            for w in enumerate_multipartitions(k4_overlap, K4_COMPONENT, kind)["residue"]:
-                assert validate_multipartition(k4_overlap, w, "residue")
+            rows = enumerate_multipartitions(k4_overlap, K4_COMPONENT, kind)["residue"]
+            assert validate_multipartition(k4_overlap, K4_COMPONENT, rows, kind, "residue").all()
 
     def test_wrong_uniformity_rejected(self, chain):
         with pytest.raises(ValueError):
@@ -412,13 +446,13 @@ class TestEnumerateMultipartitions:
         rng = random.Random(333 + seed)
         n = rng.randint(3, 7)
         h = random_connected_hypergraph(rng, 3, n)
-        for w in enumerate_multipartitions(h, tuple(range(1, n + 1)), "tripartite")["residue"]:
-            assert sum(1 for p in w.parts if p) == 3
+        rows = enumerate_multipartitions(h, tuple(range(1, n + 1)), "tripartite")["residue"]
+        assert all(len(set(row)) == 3 for row in rows.tolist())
 
 
-def _scan_parts(h, component, kind):
+def _scan_rows(h, component, kind):
     found = enumerate_multipartitions(h, component, kind)
-    return {pred: [w.parts for w in found[pred]] for pred in partitions.PREDICATES}
+    return {pred: _tuples(found[pred]) for pred in partitions.PREDICATES}
 
 
 @st.composite
@@ -447,7 +481,7 @@ class TestScanAgainstOracle:
                 for kind, spec in partitions.KIND_SPECS.items():
                     if spec.k == h.k:
                         expected = multipartition_witnesses(spec, comp, h.edges)
-                        assert _scan_parts(h, comp, kind) == expected, (h, comp, kind)
+                        assert _scan_rows(h, comp, kind) == expected, (h, comp, kind)
                         kinds_seen.add(kind)
         assert kinds_seen == set(partitions.MULTIPARTITION_KINDS)
 
@@ -456,11 +490,12 @@ class TestScanAgainstOracle:
     def test_small_instances(self, instance):
         h, component, kind = instance
         expected = multipartition_witnesses(partitions.KIND_SPECS[kind], component, h.edges)
-        assert _scan_parts(h, component, kind) == expected
+        assert _scan_rows(h, component, kind) == expected
 
     def test_budget_equal_to_scan_size_scans(self, chain):
         at_edge = enumerate_multipartitions(chain, CHAIN_COMPONENT, "tripartite", budget=3**7)
-        assert at_edge == enumerate_multipartitions(chain, CHAIN_COMPONENT, "tripartite")
+        full = enumerate_multipartitions(chain, CHAIN_COMPONENT, "tripartite")
+        _assert_same_listing(at_edge, full)
 
     def test_budget_one_short_refuses_before_allocating(self, chain, monkeypatch):
         monkeypatch.setattr(partitions, "np", None)  # any array work would raise
@@ -479,65 +514,66 @@ class TestScanAgainstOracle:
         assert peak < 4 * 2**20
 
 
-class TestAssignmentConversion:
-    def test_distinct_values_to_parts(self):
-        w = partition_from_assignment(3, (1, 2, 3), (0, 1, 2), "laplacian")
-        assert isinstance(w, MultipartitionWitness)
-        assert w.parts == ((1,), (2,), (3,))
+def _least_image(row, k):
+    """The least image of an exponent row under alpha -> +-alpha + t (mod k)."""
+    return min(tuple((sign * a + t) % k for a in row) for sign in (1, -1) for t in range(k))
 
-    def test_half_turn_values_to_bipartition(self):
-        w_lap = partition_from_assignment(4, (1, 2, 3, 4), (0, 2, 0, 2), "laplacian")
-        assert isinstance(w_lap, BipartitionWitness)
-        assert (w_lap.flavor, w_lap.v1) == ("even", (2, 4))
-        w_sig = partition_from_assignment(4, (1, 2, 3, 4), (0, 2, 0, 2), "signless")
-        assert w_sig.flavor == "odd"
 
-    def test_constant_maps_to_none(self):
-        assert partition_from_assignment(5, (1, 2, 3), (0, 0, 0), "laplacian") is None
+CORRESPONDENCE_INSTANCES = [
+    *(
+        pytest.param(load_hypergraph(path), id=path.stem)
+        for path in sorted(FIXTURE_DIR.glob("*.json"))
+    ),
+    *(
+        pytest.param(h, id=f"mixed_corpus{seed}-{i}")
+        for seed in (1, 2)
+        for i, h in enumerate(mixed_corpus(seed))
+    ),
+]
 
-    def test_round_trip_multipartition(self, chain):
-        for w in enumerate_multipartitions(chain, CHAIN_COMPONENT, "tripartite")["residue"]:
-            k, verts, values = assignment_from_partition(w)
-            assert partition_from_assignment(k, verts, values, "laplacian") == w
 
-    def test_round_trip_bipartition(self, k4_overlap):
-        for w in enumerate_bipartitions(k4_overlap, K4_COMPONENT)["even"]:
-            k, verts, values = assignment_from_partition(w, k=4)
-            back = partition_from_assignment(k, verts, values, "laplacian")
-            assert {frozenset(back.v1), frozenset(back.v2)} == {
-                frozenset(w.v1),
-                frozenset(w.v2),
-            }
+class TestClassRowsArePartitionRows:
+    """The paper's correspondence, witness by witness: a class's exponent
+    row is the part-index row of the partition it characterizes.
 
-    @pytest.mark.parametrize(
-        "h, operator",
-        [
-            (Hypergraph(3, 7, ((1, 2, 3), (3, 4, 5), (5, 6, 7))), "laplacian"),
-            (Hypergraph(4, 6, ((1, 2, 3, 4), (1, 3, 5, 6), (1, 2, 3, 6))), "laplacian"),
-            (Hypergraph(4, 6, ((1, 2, 3, 4), (1, 3, 5, 6), (1, 2, 3, 6))), "signless"),
-        ],
-        ids=["chain-laplacian", "k4-laplacian", "k4-signless"],
-    )
-    def test_listed_classes_map_to_valid_witnesses(self, h, operator):
-        """Every class row of the report maps to a valid witness: the
-        constant Laplacian class to none, H classes to bipartitions, and
-        the 2 x N_pair_count N classes to residue-valid multipartitions,
-        which the scan finds once per conjugate pair."""
-        (entry,) = zero_eigenvector_report(h, operator)["components"]
-        witnesses = [
-            partition_from_assignment(h.k, entry["vertices"], c["alpha"], operator)
-            for c in entry["classes"]
-        ]
-        assert sum(w is None for w in witnesses) == (operator == "laplacian")
-        multi = [w for w in witnesses if isinstance(w, MultipartitionWitness)]
-        for w in witnesses:
-            if isinstance(w, BipartitionWitness):
-                assert validate_bipartition(h, w)
-        for w in multi:
-            assert validate_multipartition(h, w, "residue")
-        assert len(multi) == 2 * entry["N_pair_count"]
-        scan = enumerate_multipartitions(h, entry["vertices"], multi[0].kind)["residue"]
-        assert len(scan) == entry["N_pair_count"]
+    Every class of every component is listed, under both operators. The N
+    rows are residue-valid rows of the (k, operator) multipartition kind,
+    and their least images under the orbit group are exactly the scan's
+    residue witnesses. The H rows over k/2 are exactly the even
+    bipartitions plus the constant row (Laplacian), or the odd
+    bipartitions (signless).
+    """
+
+    @pytest.mark.parametrize("h", CORRESPONDENCE_INSTANCES)
+    def test_every_listed_class(self, h):
+        k = h.k
+        solved = solve_components(h)
+        for operator in ZERO_EIG_OPERATORS:
+            for cs in solved[operator]:
+                if cs.singleton or not cs.feasible:
+                    continue
+                comp = cs.component
+                alphas = lex_solutions(cs.description, cs.class_count)
+                real = np.isin(alphas, (0, k // 2) if k % 2 == 0 else 0).all(axis=1)
+                n_rows, h_rows = alphas[~real], alphas[real]
+                assert len(n_rows) == 2 * cs.n_pair_count
+
+                kind = partitions.N_PAIR_KINDS.get((k, operator))
+                if kind is not None:
+                    assert validate_multipartition(h, comp, n_rows, kind, "residue").all()
+                    scanned = enumerate_multipartitions(h, comp, kind)["residue"]
+                    images = {_least_image(row, k) for row in n_rows.tolist()}
+                    assert images == set(_tuples(scanned))
+
+                if k % 2:
+                    assert h_rows.tolist() == [[0] * len(comp)]  # the constant class only
+                    continue
+                listed = enumerate_bipartitions(h, comp)
+                if operator == LAPLACIAN:
+                    expected = _tuples(listed[partitions.EVEN]) + [(0,) * len(comp)]
+                else:
+                    expected = _tuples(listed[partitions.ODD])
+                assert sorted(_tuples(h_rows // (k // 2))) == sorted(expected)
 
 
 class TestDiscrepancyScan:
