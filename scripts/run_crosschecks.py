@@ -34,7 +34,7 @@ def main() -> int:
     for idx, h in enumerate(instances):
         solved = solve_components(h, budget=args.budget)
         for operator in ZERO_EIG_OPERATORS:
-            result = crosscheck(h, operator, args.budget, solved[operator])
+            result = crosscheck(h, solved[operator], args.budget)
             rep = result.counts
             failures += (rep.crosscheck_matched is False) + (result.n_matched is False)
             line = (

@@ -16,14 +16,13 @@ from .hypergraph import (
 from .zk_solver import smith_normal_form, solve_mod_k
 from .tensor_ops import (
     apply_adjacency,
-    apply_laplacian,
-    apply_signless,
+    apply_operator,
     eig_residual,
     hm_spectral_reflection,
     nqz_spectral_radius,
     similarity_identity_holds,
 )
-from .eigenstructure import structure_counts
+from .eigenstructure import solve_components
 from .partitions import (
     discrepancy_scan,
     enumerate_bipartitions,

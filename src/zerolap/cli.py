@@ -162,16 +162,11 @@ def cmd_components(
 def cmd_zero_eigenvectors(
     h: Hypergraph, decomp: ComponentDecomposition, cfg: AnalysisConfig
 ) -> tuple[dict, int]:
-    solved = eigenstructure.solve_components(h, decomp, cfg.budget)
+    counts = eigenstructure.solve_components(h, decomp, cfg.budget)
     report = {
         "operators": [
             eigenstructure.zero_eigenvector_report(
-                h,
-                op,
-                enumerate_limit=cfg.budget,
-                tolerance=cfg.tolerance,
-                budget=cfg.budget,
-                solved=solved[op],
+                h, counts[op], enumerate_limit=cfg.budget, tolerance=cfg.tolerance
             )
             for op in _operators(cfg)
         ]
@@ -246,7 +241,7 @@ def cmd_crosscheck(
     mismatch = False
     solved = eigenstructure.solve_components(h, decomp, cfg.budget)
     for op in _operators(cfg):
-        result = eigenstructure.crosscheck(h, op, cfg.budget, solved[op])
+        result = eigenstructure.crosscheck(h, solved[op], cfg.budget)
         counts = result.counts
         entry = {
             "operator": op,
@@ -317,13 +312,10 @@ def cmd_spectral_transforms(
                 "component": list(comp),
             }, EXIT_STRUCTURE
         sub = induced_subhypergraph(h, comp).hypergraph
-        parts = row.tolist()
-        v1 = [i for i, part in enumerate(parts, start=1) if part == 0]  # the heads, local ids
-        v2 = [i for i, part in enumerate(parts, start=1) if part == 1]
         pair = tensor_ops.nqz_spectral_radius(h=sub)
         rotations = []
         for r in range(h.k):
-            rotated = tensor_ops.hm_spectral_reflection(sub, (v1, v2), pair, r)
+            rotated = tensor_ops.hm_spectral_reflection(sub, row, pair, r)
             rotations.append(
                 {
                     "r": r,
@@ -333,14 +325,13 @@ def cmd_spectral_transforms(
             )
         entry = {
             "component": list(comp),
-            "heads": [v for v, part in zip(comp, parts) if part == 0],
+            "heads": np.array(comp)[row == 0].tolist(),
             "spectral_radius": pair.value.real,
             "base_residual": pair.residual,
             "rotations": rotations,
         }
         if h.k % 2 == 0:
-            signs = [1 if part == 0 else -1 for part in parts]
-            if not tensor_ops.similarity_identity_holds(sub, signs):
+            if not tensor_ops.similarity_identity_holds(sub, row):
                 raise VerificationError(f"diagonal similarity identity failed on component {comp}")
             entry["similarity_identity_exact"] = True
         results.append(entry)

@@ -19,8 +19,9 @@ algebra: one ``partitions.ResidueCounter`` per component counts, by
 variable elimination along one min-degree order, the vertex subsets
 meeting every edge evenly (Laplacian) or oddly (signless) for the H
 counts, and ``crosscheck`` reads the N pair counts from the same counter.
-Counts, class listings and the cross-checks all read the records
-``solve_components`` returns.
+``solve_components`` returns one ``StructureCounts`` per operator, and
+the counts, class listings and cross-checks all read it; nothing else
+solves.
 
 A listing is an integer array with one row of exponents per class, the
 only representation of a class. Within each component the classes are
@@ -96,24 +97,51 @@ class ComponentStructure:
 
 @dataclass(frozen=True)
 class StructureCounts:
-    """Aggregated class counts for one operator, with the combinatorial
-    cross-check of the matching count identity."""
+    """One operator's per-component records, in component order, summed
+    into the class counts and the combinatorial cross-check of the
+    matching count identity."""
 
     operator: str
+    k: int
     components: tuple[ComponentStructure, ...]
-    h_count: int
-    n_pair_count: int
-    crosscheck_expected: int | None
-    crosscheck_formula: str
-    crosscheck_matched: bool | None
+
+    @property
+    def h_count(self) -> int:
+        return sum(c.h_count for c in self.components)
+
+    @property
+    def n_pair_count(self) -> int:
+        return sum(c.n_pair_count for c in self.components)
+
+    @property
+    def crosscheck_expected(self) -> int | None:
+        """None when some component's count hit its budget."""
+        expected = [c.crosscheck_expected for c in self.components]
+        return None if None in expected else sum(expected)
+
+    @property
+    def crosscheck_matched(self) -> bool | None:
+        if self.crosscheck_expected is None:
+            return None
+        return all(c.crosscheck_matched for c in self.components)
+
+    @property
+    def crosscheck_formula(self) -> str:
+        if self.k % 2 == 1:
+            if self.operator == LAPLACIAN:
+                return "number of connected components"
+            return "number of singletons"
+        if self.operator == LAPLACIAN:
+            return "even-bipartition count + components - singletons"
+        return "odd-bipartition count"
 
 
 def solve_components(
     h: Hypergraph,
     decomp: ComponentDecomposition | None = None,
     budget: int = _partitions.DEFAULT_ENUM_BUDGET,
-) -> dict[str, tuple[ComponentStructure, ...]]:
-    """Each component's records for both operators, in component order.
+) -> dict[str, StructureCounts]:
+    """Both operators' records, each component's in component order.
 
     Per component, the induced edge index is built once and eliminated
     once modulo k (and once modulo 2 for even k); both operators' systems
@@ -122,10 +150,8 @@ def solve_components(
     fills both records' cross-checks, and both records carry it for
     ``crosscheck``. A singleton builds no form and no counter: its one
     exponent is free, so it has k solutions and the identity kernel under
-    either operator. ``decomp`` is
-    ``h``'s decomposition when the caller already has it. Pass
-    ``result[operator]`` as ``solved`` to the functions below to share
-    this one pass across them.
+    either operator. ``decomp`` is ``h``'s decomposition when the caller
+    already has it. The functions below read ``result[operator]``.
     """
     if decomp is None:
         decomp = connected_components(h)
@@ -161,7 +187,7 @@ def solve_components(
                 expected[op], counter,
             )
             out[op].append(record)
-    return {op: tuple(records) for op, records in out.items()}
+    return {op: StructureCounts(op, k, tuple(records)) for op, records in out.items()}
 
 
 def _h_class_count(k: int, form2: HowellForm | None, rhs: int) -> int:
@@ -210,43 +236,6 @@ def _component_expected(
     return out
 
 
-def _crosscheck_formula(h: Hypergraph, operator: str) -> str:
-    if h.k % 2 == 1:
-        if operator == LAPLACIAN:
-            return "number of connected components"
-        return "number of singletons"
-    if operator == LAPLACIAN:
-        return "even-bipartition count + components - singletons"
-    return "odd-bipartition count"
-
-
-def structure_counts(
-    h: Hypergraph,
-    operator: str,
-    budget: int = _partitions.DEFAULT_ENUM_BUDGET,
-    solved: tuple[ComponentStructure, ...] | None = None,
-) -> StructureCounts:
-    """``operator``'s per-component records summed, with the cross-check.
-
-    ``solved`` holds the records from ``solve_components``; without them
-    the components are solved here, and ``budget`` bounds the tables of
-    their ``ResidueCounter``.
-    """
-    if operator not in ZERO_EIG_OPERATORS:
-        raise ValueError(f"unknown operator {operator!r}")
-    if solved is None:
-        solved = solve_components(h, budget=budget)[operator]
-    h_total = sum(c.h_count for c in solved)
-    n_total = sum(c.n_pair_count for c in solved)
-    if any(c.crosscheck_expected is None for c in solved):
-        expected, matched = None, None
-    else:
-        expected = sum(c.crosscheck_expected for c in solved)
-        matched = all(c.crosscheck_matched for c in solved)
-    formula = _crosscheck_formula(h, operator)
-    return StructureCounts(operator, solved, h_total, n_total, expected, formula, matched)
-
-
 @dataclass(frozen=True)
 class OperatorCrosscheck:
     """Both count identities of one operator.
@@ -274,13 +263,8 @@ class OperatorCrosscheck:
         return self.counts.crosscheck_matched is False or self.n_matched is False
 
 
-def crosscheck(
-    h: Hypergraph,
-    operator: str,
-    budget: int,
-    solved: tuple[ComponentStructure, ...] | None = None,
-) -> OperatorCrosscheck:
-    """Algebraic counts of one operator against the partition inventories.
+def crosscheck(h: Hypergraph, counts: StructureCounts, budget: int) -> OperatorCrosscheck:
+    """``counts``, one operator's records, against the partition inventories.
 
     Each non-singleton component's residue-valid multipartitions are
     counted by its records' ``ResidueCounter`` (``residue_orbit_count``).
@@ -288,8 +272,7 @@ def crosscheck(
     scanned once for the kind: the scan yields the literal count, and its
     residue orbit count must equal the counter's, or VerificationError.
     """
-    counts = structure_counts(h, operator, budget, solved=solved)
-    kind = _partitions.N_PAIR_KINDS.get((h.k, operator))
+    kind = _partitions.N_PAIR_KINDS.get((h.k, counts.operator))
     if kind is None:
         return OperatorCrosscheck(counts, None, None, None)
     expected: int | None = 0
@@ -315,7 +298,7 @@ def crosscheck(
 
 
 def _listed_classes(
-    limit: int | None, solved: tuple[ComponentStructure, ...]
+    limit: int | None, components: tuple[ComponentStructure, ...]
 ) -> list[np.ndarray]:
     """Each component's listed classes, in order, at most ``limit`` in total.
 
@@ -325,7 +308,7 @@ def _listed_classes(
     """
     out = []
     remaining = limit
-    for cs in solved:
+    for cs in components:
         target = cs.class_count if remaining is None else min(cs.class_count, remaining)
         out.append(_component_classes(cs, target))
         if remaining is not None:
@@ -412,21 +395,19 @@ def realize_classes(
 
 def zero_eigenvector_report(
     h: Hypergraph,
-    operator: str,
+    counts: StructureCounts,
     enumerate_limit: int | None = None,
     tolerance: float = 1e-9,
-    budget: int = _partitions.DEFAULT_ENUM_BUDGET,
-    solved: tuple[ComponentStructure, ...] | None = None,
 ) -> dict:
-    """Machine-readable per-component summary used by the command line.
+    """Machine-readable per-component summary of ``counts``, one
+    operator's records, used by the command line.
 
     Classes are enumerated (and realized, reporting residuals) up to
     ``enumerate_limit`` in total across components, in component order;
     counts always come from the closed form, so each component's
     ``truncated`` flag tells whether its listing fell short of its count.
-    ``solved`` is as for ``structure_counts``.
     """
-    counts = structure_counts(h, operator, budget, solved=solved)
+    operator = counts.operator
     listings = _listed_classes(enumerate_limit, counts.components)
     rhs = edge_residue(h.k, operator)
 

@@ -5,8 +5,10 @@ each vertex i, to a sum over incident edges of the product of the other
 k-1 entries; this edge-sum form costs O(k|E|) and is the only application
 path used for verification. ``apply_adjacency`` is its one implementation:
 it takes one vector or a (rows, n) batch, and a batch costs a fixed number
-of numpy calls however many rows it has. The power iteration builds the
-(|E|, k) edge index once and calls the kernel behind it at every step.
+of numpy calls however many rows it has. ``apply_operator`` calls the
+kernel behind it once and adds the degree term for the two Laplacians;
+the power iteration builds the (|E|, k) edge index once and calls that
+kernel at every step.
 
 The batch gives the same bits as applying the edge sums one vector and one
 edge at a time with complex scalars. numpy's array complex multiply may
@@ -19,13 +21,13 @@ a pairwise reduction.
 For even k, the +-1 diagonal similarity that carries the Laplacian to the
 signless Laplacian is checked edge by edge: it holds exactly when every
 edge's sign product is -1, one integer pass over the edge index with no
-tensor built.
+tensor built. The similarity and the root-of-unity reflection both take
+the bipartition as the hm search's part-index row.
 """
 
 import cmath
 import warnings
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -84,27 +86,18 @@ def _apply_adjacency(h: Hypergraph, edges: np.ndarray, x: np.ndarray) -> np.ndar
     return out.T.reshape(x.shape)
 
 
-def apply_laplacian(h: Hypergraph, x) -> np.ndarray:
-    """(D - A) x^{k-1}: entry i is d_i x_i^{k-1} minus the adjacency term."""
-    x = _as_vector(h, x)
-    d = np.array(degrees(h), dtype=float)
-    return d * x ** (h.k - 1) - apply_adjacency(h, x)
-
-
-def apply_signless(h: Hypergraph, x) -> np.ndarray:
-    """(D + A) x^{k-1}: entry i is d_i x_i^{k-1} plus the adjacency term."""
-    x = _as_vector(h, x)
-    d = np.array(degrees(h), dtype=float)
-    return d * x ** (h.k - 1) + apply_adjacency(h, x)
-
-
 def apply_operator(h: Hypergraph, operator: str, x) -> np.ndarray:
+    """A x^{k-1}, (D - A) x^{k-1} or (D + A) x^{k-1}: entry i of the last
+    two is d_i x_i^{k-1} minus, respectively plus, the adjacency term."""
+    x = _as_vector(h, x)
+    adj = _apply_adjacency(h, edge_index(h), x)
     if operator == ADJACENCY:
-        return apply_adjacency(h, x)
+        return adj
+    d = np.array(degrees(h), dtype=float)
     if operator == LAPLACIAN:
-        return apply_laplacian(h, x)
+        return d * x ** (h.k - 1) - adj
     if operator == SIGNLESS:
-        return apply_signless(h, x)
+        return d * x ** (h.k - 1) + adj
     raise ValueError(f"unknown operator {operator!r}")
 
 
@@ -134,50 +127,52 @@ class Eigenpair:
     vector: np.ndarray
     residual: float
 
-    def to_json_dict(self) -> dict:
-        return {
-            "operator": self.operator,
-            "lambda": [self.value.real, self.value.imag],
-            "vector": [[z.real, z.imag] for z in self.vector],
-            "residual": self.residual,
-        }
+
+def _heads_per_edge(h: Hypergraph, row) -> tuple[np.ndarray, np.ndarray]:
+    """The head mask of a bipartition row (entry v is vertex v+1's part:
+    0 on the heads, 1 on the mass side) and each edge's number of heads."""
+    p = np.asarray(row)
+    if p.shape != (h.n,) or not np.isin(p, (0, 1)).all():
+        raise ValueError(f"row must hold {h.n} entries, each 0 or 1")
+    heads = p == 0
+    return heads, np.count_nonzero(heads[edge_index(h)], axis=1)
 
 
-def similarity_identity_holds(h: Hypergraph, signs: Sequence[int]) -> bool:
-    """Whether D^(1-k) L D = S exactly, for the +-1 diagonal D = diag(signs).
+def similarity_identity_holds(h: Hypergraph, row) -> bool:
+    """Whether D^(1-k) L D = S exactly, for the +-1 diagonal D that is +1
+    on the heads of the bipartition ``row`` and -1 elsewhere.
 
     For even k, p^k = 1 leaves the diagonal entries alone and p^(k-1) = p
     multiplies each edge's entries by the product of the signs on that
     edge, so the identity holds exactly when every edge's sign product is
-    -1. For odd k that factor depends on which vertex of the edge comes
-    first, so the identity is not edge-local and ValueError is raised.
+    -1: when every edge holds an odd number of heads. For odd k that factor
+    depends on which vertex of the edge comes first, so the identity is not
+    edge-local and ValueError is raised.
     """
     if h.k % 2:
         raise ValueError(f"the similarity identity is edge-local only for even k, not k = {h.k}")
-    p = np.asarray(signs)
-    if p.shape != (h.n,) or not np.isin(p, (-1, 1)).all():
-        raise ValueError(f"signs must be {h.n} entries of +1 or -1")
-    return bool((np.prod(p[edge_index(h)], axis=1) == -1).all())
+    _, per_edge = _heads_per_edge(h, row)
+    return bool((per_edge % 2 == 1).all())
 
 
 def hm_spectral_reflection(
     h: Hypergraph,
-    bipartition: tuple[Sequence[int], Sequence[int]],
+    row,
     pair: Eigenpair,
     r: int,
     verify_tolerance: float = 1e-8,
 ) -> Eigenpair:
     """Rotate an adjacency eigenpair of a head-mass bipartite hypergraph.
 
-    Multiplying the head entries by the r-th power of the primitive k-th
-    root of unity turns (lam, x) into an eigenpair for lam times that root,
-    because every edge contains exactly one head. The result is re-verified;
-    its residual may not exceed the input residual by more than 1e-10.
+    ``row`` is the hm-bipartition as ``partitions.find_hm_bipartition``
+    returns it: 0 on the heads, 1 on the mass side. Multiplying the head
+    entries by the r-th power of the primitive k-th root of unity turns
+    (lam, x) into an eigenpair for lam times that root, because every edge
+    contains exactly one head. The result is re-verified; its residual may
+    not exceed the input residual by more than 1e-10.
     """
-    v1, v2 = (set(bipartition[0]), set(bipartition[1]))
-    if v1 & v2 or (v1 | v2) != set(range(1, h.n + 1)):
-        raise ValueError("bipartition does not partition the vertex set")
-    if any(len(v1.intersection(e)) != 1 for e in h.edges):
+    is_head, per_edge = _heads_per_edge(h, row)
+    if (per_edge != 1).any():
         raise ValueError("not an hm-bipartition: some edge lacks a unique head")
     if pair.operator != ADJACENCY:
         raise ValueError("reflection requires an adjacency eigenpair")
@@ -187,8 +182,8 @@ def hm_spectral_reflection(
 
     root = cmath.exp(2j * cmath.pi * (r % h.k) / h.k)
     y = np.array(pair.vector, dtype=complex)
-    for v in v1:
-        y[v - 1] *= root
+    for v in np.flatnonzero(is_head):
+        y[v] *= root
     value = root * pair.value
     resid_out = eig_residual(h, ADJACENCY, value, y)
     if resid_out > resid_in + 1e-10:

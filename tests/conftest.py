@@ -1,6 +1,7 @@
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from zerolap import Hypergraph, eigenstructure, partitions, zk_solver
@@ -12,6 +13,14 @@ FIXTURE_DIR = Path(__file__).resolve().parent.parent / "fixtures"
 
 def single_edge(k: int) -> Hypergraph:
     return Hypergraph(k, k, (tuple(range(1, k + 1)),))
+
+
+def head_row(n: int, heads) -> np.ndarray:
+    """The bipartition row of vertices 1..n with head set ``heads``, as
+    ``partitions.find_hm_bipartition`` writes it: 0 on the heads, 1 elsewhere."""
+    row = np.ones(n, np.int8)
+    row[np.asarray(heads, dtype=np.intp) - 1] = 0
+    return row
 
 
 @pytest.fixture

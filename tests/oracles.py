@@ -38,7 +38,7 @@ ascending order), but as plain tuples built by their own loops.
 A class's exponent row is already such a row, so no conversion between
 classes and partitions is needed.
 
-``count_N_pairs`` became ``structure_counts(h, operator).n_pair_count``.
+``count_N_pairs`` became ``solve_components(h)[operator].n_pair_count``.
 """
 
 import itertools
@@ -528,8 +528,9 @@ def component_edges(h, component):
     return [tuple(pos[v] for v in e) for e in h.edges if all(v in pos for v in e)]
 
 
-def scalar_classes(h, operator, solved, limit=None):
-    """Per component, the (alpha, kind) of each listed class.
+def scalar_classes(h, counts, limit=None):
+    """Per component of ``counts``, one operator's records from
+    ``solve_components``, the (alpha, kind) of each listed class.
 
     Each component lists its solutions with exponent 0 at the first vertex
     (one per class) in lexicographic order, until the component's class
@@ -539,10 +540,10 @@ def scalar_classes(h, operator, solved, limit=None):
     form.
     """
     k = h.k
-    rhs = 0 if operator == "laplacian" else k // 2
+    rhs = 0 if counts.operator == "laplacian" else k // 2
     out = []
     listed = 0
-    for cs in solved:
+    for cs in counts.components:
         target = cs.class_count if limit is None else min(cs.class_count, limit - listed)
         alphas = []
         if cs.feasible and target > 0:

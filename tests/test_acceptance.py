@@ -11,19 +11,19 @@ import random
 from zerolap import (
     Hypergraph,
     connected_components,
-    structure_counts,
     discrepancy_scan,
     enumerate_bipartitions,
     hm_spectral_reflection,
     nqz_spectral_radius,
     similarity_identity_holds,
+    solve_components,
     validate_multipartition,
 )
-from zerolap.eigenstructure import solve_components, zero_eigenvector_report
+from zerolap.eigenstructure import zero_eigenvector_report
 from zerolap.corpus import mixed_corpus, random_connected_hypergraph, random_hm_bipartite
 
 import oracles
-from conftest import single_edge
+from conftest import head_row, single_edge
 
 CHAIN = Hypergraph(3, 7, ((1, 2, 3), (3, 4, 5), (5, 6, 7)))
 K4_OVERLAP = Hypergraph(4, 6, ((1, 2, 3, 4), (1, 3, 5, 6), (1, 2, 3, 6)))
@@ -54,7 +54,7 @@ def test_criterion_01_even_bipartitions_of_k4_fixture():
 
 def test_criterion_02_k4_fixture_h_count():
     """H count 4 = 3 even-bipartitions + 1 component - 0 singletons. Exact."""
-    rep = structure_counts(K4_OVERLAP, "laplacian")
+    rep = solve_components(K4_OVERLAP)["laplacian"]
     assert rep.h_count == 4
     assert rep.crosscheck_expected == 3 + 1 - 0
     assert rep.crosscheck_matched is True
@@ -65,7 +65,7 @@ def test_criterion_02_k4_fixture_h_count():
 
 def test_criterion_03_chain_fixture_counts():
     """One H class; the three listed tripartitions validate; 13 N pairs. Exact."""
-    rep = structure_counts(CHAIN, "laplacian")
+    rep = solve_components(CHAIN)["laplacian"]
     assert rep.h_count == 1
 
     comp = tuple(range(1, 8))
@@ -91,7 +91,7 @@ def test_criterion_04_odd_k_signless_never_feasible():
         k = 3 if i % 2 == 0 else 5
         n = rng.randint(k, 9)
         h = random_connected_hypergraph(rng, k, n, extra_edges=rng.randint(0, 2))
-        (record,) = solve_components(h)["signless"]
+        (record,) = solve_components(h)["signless"].components
         assert record.description is None and not record.feasible
         checked += 1
     assert checked == 100
@@ -104,9 +104,10 @@ def test_criterion_05_oracle_equivalence_on_corpus():
     for h in mixed_corpus(seed=77):
         comps = oracles.component_split(h.n, h.edges)
         assert all(h.k ** len(c) <= 200_000 for c in comps)
+        solved = solve_components(h)
         for operator in ("laplacian", "signless"):
             rhs = 0 if operator == "laplacian" else h.k // 2
-            rep = structure_counts(h, operator)
+            rep = solved[operator]
             brute_h = brute_pairs = 0
             for cs, comp in zip(rep.components, comps):
                 assert cs.component == comp
@@ -133,16 +134,13 @@ def test_criterion_06_count_identities_on_corpus():
     singles = [single_edge(k) for k in (3, 4, 5, 6)]
     for h in list(mixed_corpus(seed=77)) + singles:
         decomp = connected_components(h)
+        solved = solve_components(h, decomp)
         if h.k % 2 == 0:
-            rep = structure_counts(h, "signless")
-            assert rep.crosscheck_matched is True, "odd-bipartition identity"
-            rep = structure_counts(h, "laplacian")
-            assert rep.crosscheck_matched is True, "even-bipartition identity"
+            assert solved["signless"].crosscheck_matched is True, "odd-bipartition identity"
+            assert solved["laplacian"].crosscheck_matched is True, "even-bipartition identity"
         else:
-            rep = structure_counts(h, "laplacian")
-            assert rep.h_count == len(decomp)
-            rep = structure_counts(h, "signless")
-            assert rep.h_count == decomp.singleton_count
+            assert solved["laplacian"].h_count == len(decomp)
+            assert solved["signless"].h_count == decomp.singleton_count
     _report(6, "bipartition/component/singleton count identities hold")
 
 
@@ -151,13 +149,13 @@ def test_criterion_07_root_of_unity_reflections():
     rng = random.Random(31415)
     for i in range(20):
         k = (3, 4, 5)[i % 3]
-        h, (v1, v2) = random_hm_bipartite(
+        h, (heads, _) = random_hm_bipartite(
             rng, k, head_count=rng.randint(1, 2), mass_count=k + rng.randint(1, 3)
         )
         pair = nqz_spectral_radius(h)
         assert pair.residual <= 1e-8
         for r in range(k):
-            rotated = hm_spectral_reflection(h, (v1, v2), pair, r)
+            rotated = hm_spectral_reflection(h, head_row(h.n, heads), pair, r)
             assert rotated.residual <= 1e-8
     _report(7, "20 instances x all k rotations verified at 1e-8")
 
@@ -173,8 +171,9 @@ def test_criterion_08_diagonal_similarity_identity_exact():
         assert h.n <= 8
         lap = oracles.materialize_dense(h, "laplacian")
         sig = oracles.materialize_dense(h, "signless")
-        signs = [1 if v in set(v1) else -1 for v in range(1, h.n + 1)]
-        assert similarity_identity_holds(h, signs)
+        row = head_row(h.n, v1)
+        signs = [1 if part == 0 else -1 for part in row.tolist()]
+        assert similarity_identity_holds(h, row)
         assert oracles.diag_similarity(lap, signs).same_entries(sig)
     _report(8, "20/20 exact rational similarity identities")
 
@@ -189,10 +188,11 @@ def test_criterion_09_every_emitted_eigenvector_verifies():
     ]
     total = 0
     for h in instances:
+        solved = solve_components(h)
         for operator in ("laplacian", "signless"):
             residue = 0 if operator == "laplacian" else h.k // 2
             # realization raises on a violated residue or residual
-            report = zero_eigenvector_report(h, operator, tolerance=1e-9)
+            report = zero_eigenvector_report(h, solved[operator], tolerance=1e-9)
             for entry in report["components"]:
                 comp = entry["vertices"]
                 edges = [e for e in h.edges if set(e) <= set(comp)]

@@ -24,6 +24,7 @@ from zerolap.corpus import (
 )
 from zerolap.eigenstructure import (
     ComponentStructure,
+    StructureCounts,
     realize_classes,
     solve_components,
     zero_eigenvector_report,
@@ -39,6 +40,10 @@ OPERATORS = ("laplacian", "signless")
 CHAIN = Hypergraph(3, 7, ((1, 2, 3), (3, 4, 5), (5, 6, 7)))
 
 
+def _report(h, operator, **kwargs):
+    return zero_eigenvector_report(h, solve_components(h)[operator], **kwargs)
+
+
 @st.composite
 def multi_component_instances(draw):
     """Disjoint unions of 1-3 random connected components plus isolated
@@ -52,7 +57,7 @@ def multi_component_instances(draw):
     h = with_isolated_vertices(disjoint_union(parts), draw(st.integers(0, 2)))
     limit = draw(st.one_of(st.none(), st.integers(0, 250)))
     if limit is None and max(
-        sum(cs.class_count for cs in solve_components(h)[op]) for op in OPERATORS
+        sum(cs.class_count for cs in solve_components(h)[op].components) for op in OPERATORS
     ) > 250:
         limit = 250
     return h, limit
@@ -64,10 +69,10 @@ class TestSameBitsAsScalarLoops:
     def test_report_classes_and_residual_reprs(self, instance):
         h, limit = instance
         for op in OPERATORS:
-            solved = solve_components(h)[op]
-            report = zero_eigenvector_report(h, op, enumerate_limit=limit)
-            expected = oracles.scalar_classes(h, op, solved, limit)
-            for entry, cs, classes in zip(report["components"], solved, expected):
+            counts = solve_components(h)[op]
+            report = zero_eigenvector_report(h, counts, enumerate_limit=limit)
+            expected = oracles.scalar_classes(h, counts, limit)
+            for entry, cs, classes in zip(report["components"], counts.components, expected):
                 got = [(tuple(c["alpha"]), c["kind"], repr(c["residual"])) for c in entry["classes"]]
                 want = [
                     (alpha, kind, repr(oracles.scalar_realize(h, op, cs.component, alpha)[1]))
@@ -84,7 +89,7 @@ class TestSameBitsAsScalarLoops:
         h, limit = instance
         k = h.k
         for op in OPERATORS:
-            report = zero_eigenvector_report(h, op, enumerate_limit=limit)
+            report = _report(h, op, enumerate_limit=limit)
             for entry in report["components"]:
                 if entry["truncated"]:
                     continue
@@ -102,7 +107,7 @@ class TestSameBitsAsScalarLoops:
 
     def test_total_limit_spans_components(self):
         h = disjoint_union([single_edge(3), single_edge(3), single_edge(3)])
-        report = zero_eigenvector_report(h, "laplacian", enumerate_limit=4)
+        report = _report(h, "laplacian", enumerate_limit=4)
         assert [len(c["classes"]) for c in report["components"]] == [3, 1, 0]
         assert [c["truncated"] for c in report["components"]] == [False, True, True]
 
@@ -112,7 +117,7 @@ class TestSameBitsAsScalarLoops:
         k = 3 + seed
         h = with_isolated_vertices(random_connected_hypergraph(rng, k, k + 3, 1), 1)
         for op in OPERATORS:
-            for entry in zero_eigenvector_report(h, op, enumerate_limit=60)["components"]:
+            for entry in _report(h, op, enumerate_limit=60)["components"]:
                 comp = tuple(entry["vertices"])
                 for cls in entry["classes"]:
                     alphas = np.array([cls["alpha"]], dtype=np.int64)
@@ -161,9 +166,10 @@ class TestListingOrder:
         classes of the uncapped one, components in order."""
         h, limit = instance
         for op in OPERATORS:
+            counts = solve_components(h)[op]
 
             def listed(b):
-                report = zero_eigenvector_report(h, op, enumerate_limit=b)
+                report = zero_eigenvector_report(h, counts, enumerate_limit=b)
                 return [[tuple(c["alpha"]) for c in e["classes"]] for e in report["components"]]
 
             full = listed(limit)
@@ -183,7 +189,7 @@ class TestChecksFireOnBatches:
     @pytest.mark.parametrize("component", [(1, 2, 3, 4, 5, 6, 7), (8, 9, 10)])
     def test_corrupted_entry_names_component_and_edge(self, component):
         h = self._chain_plus_edge()
-        report = zero_eigenvector_report(h, "laplacian")
+        report = _report(h, "laplacian")
         (entry,) = [e for e in report["components"] if tuple(e["vertices"]) == component]
         alphas = np.array([c["alpha"] for c in entry["classes"]])
         alphas[1, 2] = (alphas[1, 2] + 1) % 3
@@ -202,21 +208,24 @@ class TestChecksFireOnBatches:
         # one edge holding vertex 1 alone, residue 1: exponent 1 there
         desc = solve_mod_k(howell_form(np.array([[0]]), 2, 3), 1)
         assert desc.particular.tolist() == [1, 0]
-        solved = (ComponentStructure((1, 2), False, True, 3, 1, 1, 0, desc),)
+        counts = StructureCounts(
+            "laplacian", 3, (ComponentStructure((1, 2), False, True, 3, 1, 1, 0, desc),)
+        )
         with pytest.raises(VerificationError, match="shift symmetry broken on component"):
-            zero_eigenvector_report(Hypergraph(3, 2, ()), "laplacian", solved=solved)
+            zero_eigenvector_report(Hypergraph(3, 2, ()), counts)
 
     def test_tolerance_below_known_residual(self, capsys):
         tolerance = 1e-15
-        solved = solve_components(CHAIN)["laplacian"]
+        counts = solve_components(CHAIN)["laplacian"]
+        component = counts.components[0].component
         first_bad = next(
             resid
-            for alpha, _ in oracles.scalar_classes(CHAIN, "laplacian", solved)[0]
-            for resid in [oracles.scalar_realize(CHAIN, "laplacian", solved[0].component, alpha)[1]]
+            for alpha, _ in oracles.scalar_classes(CHAIN, counts)[0]
+            for resid in [oracles.scalar_realize(CHAIN, "laplacian", component, alpha)[1]]
             if resid > tolerance
         )
         with pytest.raises(VerificationError) as err:
-            zero_eigenvector_report(CHAIN, "laplacian", tolerance=tolerance)
+            zero_eigenvector_report(CHAIN, counts, tolerance=tolerance)
         assert str(err.value) == (
             f"realized class residual {first_bad:.3e} exceeds tolerance {tolerance:.1e}"
         )
@@ -228,7 +237,7 @@ class TestChecksFireOnBatches:
 def _hypertree_25():
     """k = 3, n = 25, 12 edges: 3^13 solutions in 531 441 classes."""
     h = random_connected_hypergraph(random.Random(0), 3, 25)
-    assert solve_components(h)["laplacian"][0].class_count == 531_441
+    assert solve_components(h)["laplacian"].components[0].class_count == 531_441
     return h
 
 
@@ -237,7 +246,7 @@ class TestBoundedWork:
         h = _hypertree_25()
         tracemalloc.start()
         try:
-            report = zero_eigenvector_report(h, "laplacian", enumerate_limit=1000)
+            report = _report(h, "laplacian", enumerate_limit=1000)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -257,20 +266,20 @@ class TestBoundedWork:
             return out
 
         monkeypatch.setattr(eigenstructure, "lex_solutions", counting)
-        zero_eigenvector_report(_hypertree_25(), "laplacian", enumerate_limit=1000)
+        _report(_hypertree_25(), "laplacian", enumerate_limit=1000)
         assert asked == [(1000, 1000)]
 
     def test_report_makes_no_per_class_calls(self, monkeypatch):
         calls = 0
-        real_apply = tensor_ops.apply_adjacency
+        real_apply = tensor_ops._apply_adjacency
 
-        def apply_spy(h, x):
+        def apply_spy(h, edges, x):
             nonlocal calls
             calls += 1
-            return real_apply(h, x)
+            return real_apply(h, edges, x)
 
-        monkeypatch.setattr(tensor_ops, "apply_adjacency", apply_spy)
+        monkeypatch.setattr(tensor_ops, "_apply_adjacency", apply_spy)
         limit = 5000
-        report = zero_eigenvector_report(_hypertree_25(), "laplacian", enumerate_limit=limit)
+        report = _report(_hypertree_25(), "laplacian", enumerate_limit=limit)
         assert len(report["components"][0]["classes"]) == limit
         assert calls == math.ceil(limit / (eigenstructure.BLOCK_CELLS // 25))

@@ -231,7 +231,7 @@ class TestSpectralTransformsCommand:
         assert entries and all(e["similarity_identity_exact"] is True for e in entries)
 
     def test_failed_similarity_identity_exits_3(self, capsys, monkeypatch):
-        monkeypatch.setattr(tensor_ops, "similarity_identity_holds", lambda h, signs: False)
+        monkeypatch.setattr(tensor_ops, "similarity_identity_holds", lambda h, row: False)
         assert main(["spectral-transforms", "--input", EDGE4]) == 3
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -410,18 +410,25 @@ def test_edge_passes_independent_of_component_count(command, monkeypatch, capsys
 class TestFailureExitCodes:
     def test_crosscheck_mismatch_exits_5(self, capsys, monkeypatch):
         """Wiring check: a count disagreement must surface as exit 5."""
+        import dataclasses
+
         import zerolap.cli as cli_mod
-        from zerolap.eigenstructure import structure_counts as real_counts
 
-        def broken_counts(h, operator, budget=200_000, solved=None):
-            counts = real_counts(h, operator, budget, solved=solved)
-            import dataclasses
+        real_solve = cli_mod.eigenstructure.solve_components
 
-            return dataclasses.replace(
-                counts, crosscheck_expected=counts.h_count + 1, crosscheck_matched=False
-            )
+        def broken_solve(*args, **kwargs):
+            return {
+                op: dataclasses.replace(
+                    counts,
+                    components=tuple(
+                        dataclasses.replace(c, crosscheck_expected=c.h_count + 1)
+                        for c in counts.components
+                    ),
+                )
+                for op, counts in real_solve(*args, **kwargs).items()
+            }
 
-        monkeypatch.setattr(cli_mod.eigenstructure, "structure_counts", broken_counts)
+        monkeypatch.setattr(cli_mod.eigenstructure, "solve_components", broken_solve)
         code, report = run_json(capsys, "crosscheck", "--input", EDGE3)
         assert code == 5
         assert any(e["H_matched"] is False for e in report["crosschecks"])

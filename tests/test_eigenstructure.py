@@ -9,7 +9,7 @@ from zerolap.corpus import (
     random_hypergraph,
     with_isolated_vertices,
 )
-from zerolap import connected_components, load_hypergraph, structure_counts
+from zerolap import connected_components, load_hypergraph
 from zerolap.eigenstructure import (
     crosscheck,
     realize_classes,
@@ -21,9 +21,13 @@ import oracles
 from conftest import FIXTURE_DIR, single_edge
 
 
+def _report(h, operator, **kwargs):
+    return zero_eigenvector_report(h, solve_components(h)[operator], **kwargs)
+
+
 def _classes(h, operator, limit=None):
     """(component, alpha, kind) of every listed class of the report, in order."""
-    report = zero_eigenvector_report(h, operator, enumerate_limit=limit)
+    report = _report(h, operator, enumerate_limit=limit)
     return [
         (tuple(entry["vertices"]), tuple(c["alpha"]), c["kind"])
         for entry in report["components"]
@@ -32,7 +36,7 @@ def _classes(h, operator, limit=None):
 
 
 def _n_pairs(h, operator):
-    return structure_counts(h, operator).n_pair_count
+    return solve_components(h)[operator].n_pair_count
 
 
 ONE_FACTORIZATION_CASES = [
@@ -56,14 +60,8 @@ class TestOneFactorizationPerComponent:
     def test_shared_across_operators(self, h, eliminations):
         solved = solve_components(h)
         for operator in ("laplacian", "signless"):
-            zero_eigenvector_report(h, operator, solved=solved[operator])
-            structure_counts(h, operator, solved=solved[operator])
-        assert eliminations == _eliminations_per_run(h)
-
-    @pytest.mark.parametrize("call", [zero_eigenvector_report, structure_counts])
-    @pytest.mark.parametrize("h", ONE_FACTORIZATION_CASES)
-    def test_one_per_component_per_call(self, h, call, eliminations):
-        call(h, "laplacian")
+            zero_eigenvector_report(h, solved[operator])
+            crosscheck(h, solved[operator], 200_000)
         assert eliminations == _eliminations_per_run(h)
 
     @pytest.mark.parametrize("h", ONE_FACTORIZATION_CASES)
@@ -82,7 +80,7 @@ class TestOneFactorizationPerComponent:
                     expected.append((2, rhs // (h.k // 2)))
         solved = solve_components(h)
         for operator in ("laplacian", "signless"):
-            zero_eigenvector_report(h, operator, solved=solved[operator])
+            zero_eigenvector_report(h, solved[operator])
         assert sorted(solve_calls) == sorted(expected)
 
     @pytest.mark.parametrize("h", ONE_FACTORIZATION_CASES)
@@ -103,13 +101,7 @@ class TestOneFactorizationPerComponent:
         else:
             assert elimination_orders == [len(c) for c in comps]
             assert residue_counts == [(len(c), r, (0, half)) for c in comps for r in (0, half)]
-        for operator in ("laplacian", "signless"):
-            assert solved[operator] == structure_counts(h, operator).components
-
-    @pytest.mark.parametrize("call", [zero_eigenvector_report, crosscheck])
-    def test_unknown_operator_is_a_value_error(self, call, chain):
-        with pytest.raises(ValueError, match="unknown operator 'adjacency'"):
-            call(chain, "adjacency", budget=200_000)
+        assert solved == solve_components(h)
 
 
 class TestMinimalClasses:
@@ -152,30 +144,44 @@ class TestMinimalClasses:
 
 class TestHCounts:
     def test_k4_laplacian_count_and_crosscheck(self, k4_overlap):
-        rep = structure_counts(k4_overlap, "laplacian")
+        rep = solve_components(k4_overlap)["laplacian"]
         assert rep.h_count == 4
         assert rep.crosscheck_expected == 4  # 3 even-bipartitions + 1 component - 0 singletons
         assert rep.crosscheck_matched is True
 
     def test_chain_laplacian_single_class(self, chain):
-        rep = structure_counts(chain, "laplacian")
+        rep = solve_components(chain)["laplacian"]
         assert rep.h_count == 1
         assert rep.crosscheck_matched is True
 
     def test_edgeless_signless_counts_singletons(self):
-        rep = structure_counts(Hypergraph(3, 3, ()), "signless")
+        rep = solve_components(Hypergraph(3, 3, ()))["signless"]
         assert rep.h_count == 3
         assert rep.crosscheck_expected == 3
         assert rep.crosscheck_matched is True
 
     def test_k4_signless_odd_bipartitions(self, k4_overlap):
-        rep = structure_counts(k4_overlap, "signless")
+        rep = solve_components(k4_overlap)["signless"]
         assert rep.h_count == 4
         assert rep.crosscheck_matched is True
 
-    def test_unknown_operator_rejected(self, chain):
-        with pytest.raises(ValueError):
-            structure_counts(chain, "adjacency")
+    def test_undecided_component_leaves_the_sum_undecided(self):
+        """Under budget 16 the second component's counter table is refused:
+        it has no expectation, so neither has either operator's sum, while
+        the other components keep theirs. Budget 64 decides all three."""
+        h = Hypergraph(4, 13, (
+            (1, 2, 3, 4), (5, 6, 7, 8), (6, 7, 8, 9), (5, 7, 9, 10),
+            (5, 6, 9, 10), (8, 9, 10, 11), (5, 8, 11, 12),
+        ))  # fmt: skip
+        for budget, per_component, expected, matched in [
+            (16, [4, None, 1], None, None),
+            (64, [4, 2, 1], 7, True),
+        ]:
+            for rep in solve_components(h, budget=budget).values():
+                assert [c.crosscheck_expected for c in rep.components] == per_component
+                assert rep.h_count == 7
+                assert rep.crosscheck_expected == expected
+                assert rep.crosscheck_matched is matched
 
 
 class TestNPairs:
@@ -199,7 +205,7 @@ class TestRealization:
         assert realize_classes(chain, "laplacian", tuple(range(1, 8)), ones).tolist() == [0.0]
 
     def test_every_chain_class_verifies(self, chain):
-        report = zero_eigenvector_report(chain, "laplacian")
+        report = _report(chain, "laplacian")
         assert all(c["residual"] <= 1e-12 for c in report["components"][0]["classes"])
 
     def test_singleton_class_has_zero_residual(self):
@@ -234,7 +240,7 @@ def test_counts_match_brute_force_on_corpus(operator):
         if h.k ** max(len(c) for c in oracles.component_split(h.n, h.edges)) > 60_000:
             continue  # keep the unit suite fast; acceptance covers the full corpus
         expected_h, expected_pairs, per_comp = _brute_component_counts(h, operator)
-        rep = structure_counts(h, operator)
+        rep = solve_components(h)[operator]
         assert rep.h_count == expected_h
         assert rep.n_pair_count == expected_pairs
         for cs, (comp, count, h_cls, pairs) in zip(rep.components, per_comp):
@@ -250,8 +256,7 @@ def test_crosschecks_hold_on_200_random_instances():
         k = rng.choice([2, 3, 4, 5])
         n = rng.randint(k, 9)
         h = random_hypergraph(rng, k, n, rng.randint(0, 5))
-        for operator in ("laplacian", "signless"):
-            rep = structure_counts(h, operator)
+        for operator, rep in solve_components(h).items():
             assert rep.crosscheck_matched is True, (
                 f"k={k} n={n} edges={h.edges} op={operator}: algebra says "
                 f"{rep.h_count}, partitions say {rep.crosscheck_expected} "
@@ -266,17 +271,19 @@ class TestClassicGraphSanity:
 
     def test_path_graph(self):
         path = Hypergraph(2, 3, ((1, 2), (2, 3)))
-        assert structure_counts(path, "laplacian").h_count == 1
-        assert structure_counts(path, "signless").h_count == 1  # bipartite
+        solved = solve_components(path)
+        assert solved["laplacian"].h_count == 1
+        assert solved["signless"].h_count == 1  # bipartite
 
     def test_odd_cycle(self):
         triangle = Hypergraph(2, 3, ((1, 2), (2, 3), (1, 3)))
-        assert structure_counts(triangle, "laplacian").h_count == 1
-        assert structure_counts(triangle, "signless").h_count == 0  # odd cycle
+        solved = solve_components(triangle)
+        assert solved["laplacian"].h_count == 1
+        assert solved["signless"].h_count == 0  # odd cycle
 
     def test_even_cycle(self):
         square = Hypergraph(2, 4, ((1, 2), (2, 3), (3, 4), (1, 4)))
-        assert structure_counts(square, "signless").h_count == 1
+        assert solve_components(square)["signless"].h_count == 1
 
     def test_no_n_classes_for_graphs(self):
         triangle = Hypergraph(2, 3, ((1, 2), (2, 3), (1, 3)))
@@ -298,7 +305,7 @@ def test_pairing_is_perfect_matching_on_small_instances(chain):
 
 
 def test_report_shape(chain):
-    report = zero_eigenvector_report(chain, "laplacian", enumerate_limit=30)
+    report = _report(chain, "laplacian", enumerate_limit=30)
     assert report["H_count"] == 1
     assert report["N_pair_count"] == 13
     comp = report["components"][0]
@@ -312,7 +319,7 @@ def test_report_shape(chain):
 
 def test_report_singleton_and_infeasible_entries(chain):
     h = with_isolated_vertices(chain, 1)
-    comp_entry, singleton_entry = zero_eigenvector_report(h, "laplacian")["components"]
+    comp_entry, singleton_entry = _report(h, "laplacian")["components"]
     assert comp_entry["rhs"] == 0
     assert comp_entry["count"] == 81
     assert len(comp_entry["classes"]) == 27
@@ -320,19 +327,19 @@ def test_report_singleton_and_infeasible_entries(chain):
     assert singleton_entry["count"] == 3
     assert singleton_entry["classes"] == [{"alpha": [0], "kind": "H", "residual": 0.0}]
 
-    (entry,) = zero_eigenvector_report(single_edge(3), "signless")["components"]
+    (entry,) = _report(single_edge(3), "signless")["components"]
     assert entry["rhs"] is None
     assert entry["count"] == 0
     assert entry["classes"] == []
 
 
 def test_report_limit(chain):
-    (entry,) = zero_eigenvector_report(chain, "laplacian", enumerate_limit=5)["components"]
+    (entry,) = _report(chain, "laplacian", enumerate_limit=5)["components"]
     assert entry["count"] == 81
     assert len(entry["classes"]) == 5
 
     # The limit caps the total across components, in component order.
     two = Hypergraph(3, 6, ((1, 2, 3), (4, 5, 6)))
-    report = zero_eigenvector_report(two, "laplacian", enumerate_limit=4)
+    report = _report(two, "laplacian", enumerate_limit=4)
     assert [len(c["classes"]) for c in report["components"]] == [3, 1]
     assert [c["truncated"] for c in report["components"]] == [False, True]

@@ -15,7 +15,6 @@ from zerolap import (
     enumerate_bipartitions,
     enumerate_multipartitions,
     find_hm_bipartition,
-    structure_counts,
     validate_bipartition,
     validate_multipartition,
 )
@@ -439,7 +438,7 @@ class TestEnumerateMultipartitions:
         }[k]
         for kind, operator in cases:
             found = enumerate_multipartitions(h, comp, kind)["residue"]
-            assert len(found) == structure_counts(h, operator).n_pair_count
+            assert len(found) == solve_components(h)[operator].n_pair_count
 
     @pytest.mark.parametrize("seed", range(5))
     def test_tripartite_never_two_valued(self, seed):
@@ -549,7 +548,7 @@ class TestClassRowsArePartitionRows:
         k = h.k
         solved = solve_components(h)
         for operator in ZERO_EIG_OPERATORS:
-            for cs in solved[operator]:
+            for cs in solved[operator].components:
                 if cs.singleton or not cs.feasible:
                     continue
                 comp = cs.component

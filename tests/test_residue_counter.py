@@ -81,7 +81,7 @@ class TestAgainstScans:
         n = rng.randint(k, k + 8)
         h = random_hypergraph(rng, k, n, rng.randint(1, 2 + extra))
         solved = solve_components(h)
-        for lap, sig in zip(solved["laplacian"], solved["signless"]):
+        for lap, sig in zip(solved["laplacian"].components, solved["signless"].components):
             if lap.singleton:
                 assert lap.crosscheck_expected == sig.crosscheck_expected == 1
             elif k % 2 == 0:
@@ -101,12 +101,12 @@ class TestAgainstScans:
             kind = N_PAIR_KINDS.get((k, op))
             if kind is None:
                 continue
-            for cs in solved[op]:
+            for cs in solved[op].components:
                 if cs.singleton:
                     continue
                 scanned = enumerate_multipartitions(h, cs.component, kind)["residue"]
                 assert residue_orbit_count(cs.counter, kind) == len(scanned)
-            assert crosscheck(h, op, 200_000, solved[op]).n_matched
+            assert crosscheck(h, solved[op], 200_000).n_matched
 
 
 def _tree_counter(k, n, seed, budget=200_000):
@@ -124,7 +124,7 @@ class TestBeyondTheScans:
 
     def test_count_past_int64_equals_solution_count(self):
         h, counter = _tree_counter(4, 100, 0)
-        expected = solve_components(h)["laplacian"][0].solution_count
+        expected = solve_components(h)["laplacian"].components[0].solution_count
         assert expected == 4**67 > 2**63
         assert counter.count(0, range(4)) == expected
 
@@ -134,7 +134,7 @@ class TestBeyondTheScans:
         h = random_connected_hypergraph(random.Random(0), 4, 30)
         solved = solve_components(h)
         for op in ("laplacian", "signless"):
-            result = crosscheck(h, op, 200_000, solved[op])
+            result = crosscheck(h, solved[op], 200_000)
             assert result.counts.crosscheck_matched is True
             assert result.n_matched is True
             assert result.n_literal is None
@@ -167,8 +167,9 @@ class TestVerification:
         monkeypatch.setattr(
             partitions, "residue_orbit_count", lambda counter, kind: real(counter, kind) + 1
         )
+        counts = solve_components(h)["laplacian"]
         with pytest.raises(VerificationError, match="14 residue orbits counted, 13 scanned"):
-            crosscheck(h, "laplacian", 200_000)
+            crosscheck(h, counts, 200_000)
 
     def test_orbit_remainder_raises(self, monkeypatch):
         sub = induced_subhypergraph(Hypergraph(3, 3, ((1, 2, 3),)), (1, 2, 3)).hypergraph
@@ -183,8 +184,8 @@ class TestVerification:
     def test_operators_share_one_counter_per_component(self):
         h = Hypergraph(4, 9, ((1, 2, 3, 4), (5, 6, 7, 8)))
         solved = solve_components(h)
-        for lap, sig in zip(solved["laplacian"], solved["signless"]):
+        for lap, sig in zip(solved["laplacian"].components, solved["signless"].components):
             assert lap.counter is sig.counter
-        assert [cs.counter is None for cs in solved["laplacian"]] == [
+        assert [cs.counter is None for cs in solved["laplacian"].components] == [
             single for single in connected_components(h).singleton
         ]

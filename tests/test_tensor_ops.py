@@ -10,18 +10,17 @@ from zerolap import (
     Hypergraph,
     VerificationError,
     apply_adjacency,
-    apply_laplacian,
-    apply_signless,
+    apply_operator,
     eig_residual,
     hm_spectral_reflection,
     nqz_spectral_radius,
     similarity_identity_holds,
 )
-from zerolap.tensor_ops import Eigenpair, apply_operator
+from zerolap.tensor_ops import Eigenpair
 from zerolap.corpus import random_hm_bipartite, random_hypergraph
 
 import oracles
-from conftest import single_edge
+from conftest import head_row, single_edge
 from oracles import diag_similarity, materialize_dense
 
 OMEGA3 = np.exp(2j * np.pi / 3)
@@ -40,14 +39,14 @@ class TestApply:
         assert np.allclose(apply_adjacency(chain, np.zeros(7)), 0)
 
     def test_laplacian_kills_all_ones(self, chain):
-        assert np.allclose(apply_laplacian(chain, np.ones(7)), 0)
+        assert np.allclose(apply_operator(chain, "laplacian", np.ones(7)), 0)
 
     def test_laplacian_kills_phase_solution(self, chain):
         x = np.array([OMEGA3, OMEGA3**2, 1, OMEGA3, OMEGA3**2, 1, OMEGA3])
-        assert np.max(np.abs(apply_laplacian(chain, x))) < 1e-14
+        assert np.max(np.abs(apply_operator(chain, "laplacian", x))) < 1e-14
 
     def test_signless_on_single_edge_ones(self):
-        assert np.allclose(apply_signless(single_edge(3), np.ones(3)), [2, 2, 2])
+        assert np.allclose(apply_operator(single_edge(3), "signless", np.ones(3)), [2, 2, 2])
 
     def test_dimension_mismatch_rejected(self, chain):
         with pytest.raises(ValueError):
@@ -57,7 +56,7 @@ class TestApply:
         rng = np.random.default_rng(5)
         x = rng.normal(size=7) + 1j * rng.normal(size=7)
         d = np.array([1, 1, 2, 1, 2, 1, 1])
-        total = apply_laplacian(chain, x) + apply_signless(chain, x)
+        total = apply_operator(chain, "laplacian", x) + apply_operator(chain, "signless", x)
         assert np.allclose(total, 2 * d * x ** 2)
 
 
@@ -156,21 +155,23 @@ class TestSimilarityIdentity:
             k = rng.choice([2, 4, 6])
             n = rng.randint(k, 8)
             h = random_hypergraph(rng, k, n, rng.randint(1, 3))
-            signs = [rng.choice((-1, 1)) for _ in range(n)]
+            row = [rng.choice((0, 1)) for _ in range(n)]
+            signs = [1 if part == 0 else -1 for part in row]
             lap = materialize_dense(h, "laplacian")
             sig = materialize_dense(h, "signless")
             expected = diag_similarity(lap, signs).same_entries(sig)
-            assert similarity_identity_holds(h, signs) is expected
+            assert similarity_identity_holds(h, row) is expected
             outcomes.add((k, expected))
         assert outcomes == {(k, holds) for k in (2, 4, 6) for holds in (True, False)}
 
     def test_odd_k_rejected(self):
         with pytest.raises(ValueError, match="only for even k"):
-            similarity_identity_holds(single_edge(3), [1, -1, -1])
+            similarity_identity_holds(single_edge(3), [0, 1, 1])
 
-    @pytest.mark.parametrize("signs", [[1, -1, -1], [1, -1, 0, -1]])
+    # the row that sets D's signs: one entry short, and a part 2
+    @pytest.mark.parametrize("signs", [[0, 1, 1], [0, 1, 2, 1]])
     def test_bad_sign_vector_rejected(self, signs):
-        with pytest.raises(ValueError, match="4 entries of"):
+        with pytest.raises(ValueError, match="4 entries, each 0 or 1"):
             similarity_identity_holds(single_edge(4), signs)
 
 
@@ -180,13 +181,13 @@ class TestReflection:
 
     def test_r_zero_is_identity(self):
         h = single_edge(3)
-        out = hm_spectral_reflection(h, ((1,), (2, 3)), self._ones_pair(h), 0)
+        out = hm_spectral_reflection(h, [0, 1, 1], self._ones_pair(h), 0)
         assert out.value == 1 + 0j
         assert np.allclose(out.vector, np.ones(3))
 
     def test_single_edge_rotation(self):
         h = single_edge(3)
-        out = hm_spectral_reflection(h, ((1,), (2, 3)), self._ones_pair(h), 1)
+        out = hm_spectral_reflection(h, [0, 1, 1], self._ones_pair(h), 1)
         assert abs(out.value - OMEGA3) < 1e-14
         assert np.allclose(out.vector, [OMEGA3, 1, 1])
         assert out.residual <= 1e-12
@@ -195,35 +196,31 @@ class TestReflection:
         h = single_edge(4)
         pair = self._ones_pair(h)
         for _ in range(4):
-            pair = hm_spectral_reflection(h, ((1,), (2, 3, 4)), pair, 1)
+            pair = hm_spectral_reflection(h, [0, 1, 1, 1], pair, 1)
         assert abs(pair.value - 1) < 1e-12
 
     def test_every_rotation_verifies(self, chain):
         pair = nqz_spectral_radius(chain)
         for r in range(3):
-            out = hm_spectral_reflection(chain, ((1, 5), (2, 3, 4, 6, 7)), pair, r)
+            out = hm_spectral_reflection(chain, head_row(7, (1, 5)), pair, r)
             assert out.residual <= pair.residual + 1e-10
 
     def test_invalid_bipartition_rejected(self, chain):
         pair = nqz_spectral_radius(chain)
-        with pytest.raises(ValueError):
-            hm_spectral_reflection(chain, ((1, 2), (3, 4, 5, 6, 7)), pair, 1)
+        for row, message in [
+            (head_row(7, (1, 2)), "lacks a unique head"),  # two heads in the first edge
+            (head_row(7, (1,)), "lacks a unique head"),  # none in the second
+            (head_row(6, (1, 5)), "7 entries"),
+            ([0, 1, 1, 1, 0, 2, 1], "7 entries"),
+        ]:
+            with pytest.raises(ValueError, match=message):
+                hm_spectral_reflection(chain, row, pair, 1)
 
     def test_unverified_pair_rejected(self):
         h = single_edge(3)
         bogus = Eigenpair("adjacency", 5 + 0j, np.ones(3, dtype=complex), 0.0)
         with pytest.raises(ValueError):
-            hm_spectral_reflection(h, ((1,), (2, 3)), bogus, 1)
-
-
-def test_eigenpair_export_schema():
-    pair = nqz_spectral_radius(single_edge(3))
-    doc = pair.to_json_dict()
-    assert set(doc) == {"operator", "lambda", "vector", "residual"}
-    assert doc["operator"] == "adjacency"
-    assert doc["lambda"] == [1.0, 0.0]
-    assert doc["vector"] == [[1.0, 0.0]] * 3
-    assert isinstance(doc["residual"], float)
+            hm_spectral_reflection(h, [0, 1, 1], bogus, 1)
 
 
 class TestSpectralRadius:
@@ -245,7 +242,7 @@ class TestSpectralRadius:
 
     def test_edge_index_built_once_per_call(self, chain, monkeypatch):
         """Every power step reuses one edge index; only the closing residual
-        check, through the public ``apply_adjacency``, builds another."""
+        check, through ``apply_operator``, builds another."""
         from zerolap import tensor_ops
 
         builds, steps = [], []
@@ -279,5 +276,5 @@ class TestSpectralRadius:
         pair = nqz_spectral_radius(h)
         assert pair.residual <= 1e-8
         for r in range(k):
-            out = hm_spectral_reflection(h, (v1, v2), pair, r)
+            out = hm_spectral_reflection(h, head_row(h.n, v1), pair, r)
             assert out.residual <= pair.residual + 1e-10
