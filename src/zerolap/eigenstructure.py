@@ -45,11 +45,9 @@ from .hypergraph import (
     connected_components,
     induced_subhypergraph,
 )
+from .names import DEFAULT_ENUM_BUDGET, LAPLACIAN, SIGNLESS, ZERO_EIG_OPERATORS
 from .tensor_ops import edge_index, eig_residual
 from .zk_solver import (
-    LAPLACIAN,
-    SIGNLESS,
-    ZERO_EIG_OPERATORS,
     HowellForm,
     SolutionDescription,
     edge_residue,
@@ -139,7 +137,7 @@ class StructureCounts:
 def solve_components(
     h: Hypergraph,
     decomp: ComponentDecomposition | None = None,
-    budget: int = _partitions.DEFAULT_ENUM_BUDGET,
+    budget: int = DEFAULT_ENUM_BUDGET,
 ) -> dict[str, StructureCounts]:
     """Both operators' records, each component's in component order.
 

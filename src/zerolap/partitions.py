@@ -55,30 +55,10 @@ import numpy as np
 
 from .errors import BudgetExceededError, VerificationError
 from .hypergraph import Hypergraph, induced_subhypergraph
+from .names import BIPARTITION_FLAVORS, DEFAULT_ENUM_BUDGET, EVEN, HM, ODD, PREDICATES
+from .names import L_QUAD, PENTA, SL_QUAD, TRIPARTITE, ZERO_EIG_OPERATORS
 from .tensor_ops import edge_index
-from .zk_solver import (
-    CHECK_ROWS,
-    ZERO_EIG_OPERATORS,
-    edge_residue,
-    howell_form,
-    lex_solutions,
-    solve_mod_k,
-)
-
-HM = "hm"
-ODD = "odd"
-EVEN = "even"
-BIPARTITION_FLAVORS = (HM, ODD, EVEN)
-
-TRIPARTITE = "tripartite"
-L_QUAD = "lquad"
-SL_QUAD = "slquad"
-PENTA = "penta"
-
-PREDICATES = ("literal", "residue")
-
-# The one default of ``--budget``, for every budgeted step.
-DEFAULT_ENUM_BUDGET = 200_000
+from .zk_solver import CHECK_ROWS, edge_residue, howell_form, lex_solutions, solve_mod_k
 
 # Assignments per block of the multipartition scan: a block's arrays stay
 # well under a megabyte.

@@ -33,7 +33,7 @@ import numpy as np
 
 from .errors import BudgetExceededError, VerificationError
 from .hypergraph import Hypergraph, connected_components, degrees
-from .zk_solver import LAPLACIAN, SIGNLESS
+from .names import LAPLACIAN, SIGNLESS
 
 ADJACENCY = "adjacency"
 

@@ -55,10 +55,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import VerificationError
-
-LAPLACIAN = "laplacian"
-SIGNLESS = "signless"
-ZERO_EIG_OPERATORS = (LAPLACIAN, SIGNLESS)
+from .names import LAPLACIAN, ZERO_EIG_OPERATORS
 
 # Rows of a form whose edge sums the certificate holds at once: its
 # arrays stay a few megabytes however many rows the form has.
@@ -102,7 +99,10 @@ class SolutionDescription:
 
 
 def edge_residue(k: int, operator: str) -> int:
-    """Exponent sum mod k that every edge needs: 0 (Laplacian) or k/2 (signless)."""
+    """Exponent sum mod k that every edge needs: 0 (Laplacian) or k/2
+    (signless); ValueError for any other operator name."""
+    if operator not in ZERO_EIG_OPERATORS:
+        raise ValueError(f"unknown operator {operator!r}, expected one of {ZERO_EIG_OPERATORS}")
     return 0 if operator == LAPLACIAN else k // 2
 
 

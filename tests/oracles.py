@@ -500,26 +500,71 @@ def canonical_solutions(modulus, width, edges, rhs):
     lexicographic order, one tuple at a time.
 
     A depth-first search sets the vertices in order, trying each value in
-    turn, and checks each edge once its last vertex is set.
+    turn. An edge is checked as soon as one of its vertices is left unset:
+    that vertex's value is then forced and set at once, which may force
+    others in turn. A forced vertex keeps its value when its turn comes, and
+    an edge whose set values miss the residue ends the branch at the step
+    that caused it.
     """
-    k, m = modulus, width
-    closing = [[] for _ in range(m)]
-    for e in edges:
-        e = tuple(map(int, e))
-        closing[max(e)].append(e)
-    values = [0] * m
+    k, m, rhs = modulus, width, rhs % modulus
+    edges = [tuple(map(int, e)) for e in edges]
+    incident = [[] for _ in range(m)]
+    for i, e in enumerate(edges):
+        for v in e:
+            incident[v].append(i)
+    values = [None] * m
+    unset = [len(e) for e in edges]
+    sums = [0] * len(edges)
+    trail = []
+
+    def assign(v, value):
+        """Set v to value and every vertex this forces; False once an edge
+        misses the residue."""
+        pending = [(v, value)]
+        while pending:
+            v, value = pending.pop()
+            if values[v] is not None:
+                if values[v] != value:
+                    return False
+                continue
+            values[v] = value
+            trail.append(v)
+            ok = True
+            for i in incident[v]:
+                unset[i] -= 1
+                sums[i] += value
+                if unset[i] == 0:
+                    ok &= sums[i] % k == rhs
+                elif unset[i] == 1:
+                    (u,) = (u for u in edges[i] if values[u] is None)
+                    pending.append((u, (rhs - sums[i]) % k))
+            if not ok:
+                return False
+        return True
+
+    def undo(mark):
+        while len(trail) > mark:
+            v = trail.pop()
+            for i in incident[v]:
+                unset[i] += 1
+                sums[i] -= values[v]
+            values[v] = None
 
     def extend(j):
+        while j < m and values[j] is not None:
+            j += 1
         if j == m:
             yield tuple(values)
             return
         for value in range(1 if j == 0 else k):
-            values[j] = value
-            if all(sum(values[v] for v in e) % k == rhs % k for e in closing[j]):
+            mark = len(trail)
+            if assign(j, value):
                 yield from extend(j + 1)
-        values[j] = 0
+            undo(mark)
 
-    yield from extend(0)
+    # one-vertex edges force their vertex before any choice, vertex 0 included
+    if all(assign(e[0], rhs) for e in edges if len(e) == 1) and values[0] in (None, 0):
+        yield from extend(0)
 
 
 def component_edges(h, component):

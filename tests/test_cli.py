@@ -113,6 +113,84 @@ class TestComponentsCommand:
         assert first == second
 
 
+# Runs ``python -m zerolap.cli ARGS...`` and writes the names in sys.modules
+# at exit, one a line, to the file named first.
+_MODULES_AT_EXIT = """
+import runpy, sys
+out, sys.argv = sys.argv[1], ["zerolap.cli", *sys.argv[2:]]
+try:
+    runpy.run_module("zerolap.cli", run_name="__main__", alter_sys=True)
+finally:
+    with open(out, "w") as f:
+        f.write("\\n".join(sys.modules))
+"""
+
+
+class TestStartupImports:
+    """``components``, usage errors and input errors run on the standard
+    library and the hypergraph model alone: numpy and the algebra load only
+    in the commands that solve."""
+
+    ALGEBRA = {
+        "numpy",
+        "zerolap.zk_solver",
+        "zerolap.tensor_ops",
+        "zerolap.eigenstructure",
+        "zerolap.partitions",
+    }
+
+    def _modules_at_exit(self, tmp_path, *argv) -> tuple[int, set[str]]:
+        out = tmp_path / "modules.txt"
+        env = dict(os.environ, PYTHONPATH=str(FIXTURE_DIR.parent / "src"))
+        proc = subprocess.run(
+            [sys.executable, "-c", _MODULES_AT_EXIT, str(out), *argv],
+            env=env,
+            capture_output=True,
+        )
+        return proc.returncode, set(out.read_text().split("\n"))
+
+    @pytest.mark.parametrize(
+        "argv, code",
+        [
+            (["components", "--input", CHAIN], 0),
+            (["components", "--input", "BAD"], 2),
+            (["zero-eigenvectors", "--input", "BAD"], 2),
+            (["crosscheck", "--input", CHAIN, "--tolerance", "-1"], 2),
+            (["partitions", "--operator", "adjacency", "--input", CHAIN], 2),
+            (["--help"], 0),
+        ],
+    )
+    def test_no_algebra_loaded(self, tmp_path, argv, code):
+        bad = tmp_path / "bad.json"
+        bad.write_text('{"k": 3, "n": 3, "edges": [[1, 2, 2]]}')
+        argv = [str(bad) if arg == "BAD" else arg for arg in argv]
+        exit_code, modules = self._modules_at_exit(tmp_path, *argv)
+        assert exit_code == code
+        assert {"zerolap.hypergraph", "zerolap.names"} <= modules
+        assert not modules & self.ALGEBRA
+
+    def test_solving_command_loads_the_algebra(self, tmp_path):
+        """The probe sees the modules a command does load."""
+        exit_code, modules = self._modules_at_exit(tmp_path, "crosscheck", "--input", CHAIN)
+        assert exit_code == 0
+        assert self.ALGEBRA <= modules
+
+    def test_lazy_names_resolve(self):
+        """In a fresh interpreter, where no test has resolved them yet."""
+        script = (
+            "import importlib, zerolap\n"
+            "assert zerolap._LAZY and not set(zerolap._LAZY) & set(vars(zerolap))\n"
+            "for name, module in zerolap._LAZY.items():\n"
+            "    owner = importlib.import_module(f'zerolap.{module}')\n"
+            "    assert getattr(zerolap, name) is getattr(owner, name), name\n"
+            "    assert name in dir(zerolap), name\n"
+            "assert not hasattr(zerolap, 'no_such_name')\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(FIXTURE_DIR.parent / "src"))
+        proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True)
+        assert proc.returncode == 0, proc.stderr.decode()
+
+
 class TestZeroEigenvectorsCommand:
     def test_k4_laplacian_h_count(self, capsys):
         code, report = run_json(
@@ -412,9 +490,7 @@ class TestFailureExitCodes:
         """Wiring check: a count disagreement must surface as exit 5."""
         import dataclasses
 
-        import zerolap.cli as cli_mod
-
-        real_solve = cli_mod.eigenstructure.solve_components
+        real_solve = eigenstructure.solve_components
 
         def broken_solve(*args, **kwargs):
             return {
@@ -428,7 +504,7 @@ class TestFailureExitCodes:
                 for op, counts in real_solve(*args, **kwargs).items()
             }
 
-        monkeypatch.setattr(cli_mod.eigenstructure, "solve_components", broken_solve)
+        monkeypatch.setattr(eigenstructure, "solve_components", broken_solve)
         code, report = run_json(capsys, "crosscheck", "--input", EDGE3)
         assert code == 5
         assert any(e["H_matched"] is False for e in report["crosschecks"])
@@ -454,15 +530,12 @@ class TestFailureExitCodes:
         assert stderr == b""
 
     def test_verification_failure_exits_3(self, monkeypatch, capsys):
-        import zerolap.cli as cli_mod
         from zerolap.errors import VerificationError
 
         def broken_report(*args, **kwargs):
             raise VerificationError("synthetic residual blow-up")
 
-        monkeypatch.setattr(
-            cli_mod.eigenstructure, "zero_eigenvector_report", broken_report
-        )
+        monkeypatch.setattr(eigenstructure, "zero_eigenvector_report", broken_report)
         assert main(["zero-eigenvectors", "--input", EDGE3]) == 3
 
 
@@ -641,7 +714,8 @@ class TestConfigHandling:
 
 # JSON trees holding what the report renderer must spell as json.dumps does:
 # escapes, big ints, float edge cases, bools among ints, tuples, and record
-# lists (dicts sharing a key set) with and without values that break them.
+# lists (dicts sharing a key set, some fields lists of int lists) with and
+# without values that break them.
 _strings = st.text(st.sampled_from('ab"\\/%\x00\x1f\x7f\n\té€ 😀')) | st.text(max_size=4)
 _floats = st.floats(allow_subnormal=True) | st.sampled_from(
     [-0.0, 0.0, 5e-324, -2.2250738585072014e-308, float("nan"), math.inf, -math.inf]
@@ -654,7 +728,7 @@ _int_lists = st.lists(_ints, max_size=5) | st.lists(_ints | st.booleans(), max_s
 @st.composite
 def _record_lists(draw, children):
     keys = draw(st.lists(_strings, min_size=1, max_size=4, unique=True))
-    value = _scalars | _int_lists | _int_lists.map(tuple)
+    value = _scalars | _int_lists | _int_lists.map(tuple) | st.lists(_int_lists, max_size=3)
     if draw(st.booleans()):
         value = value | children
     records = draw(st.lists(st.fixed_dictionaries({k: value for k in keys}), min_size=1, max_size=5))
@@ -710,6 +784,21 @@ class TestRenderReport:
     def test_non_str_key_raises(self, tree):
         with pytest.raises(TypeError):
             render_report(tree)
+
+    def test_part_lists_render_in_one_batch(self):
+        """A field of int-list lists, as a partitions report's ``parts``, is
+        rendered by the batch path, byte for byte, empty parts included."""
+        records = [
+            {"kind": "hm", "parts": [[1, 3], [2, 4, 5]], "valid": True},
+            {"kind": "hm", "parts": [[], [1, 2, 3, 4, 5]], "valid": True},
+            {"kind": "hm", "parts": [[2], [], [10**30]], "valid": True},
+            {"kind": "hm", "parts": [], "valid": True},
+            {"kind": "hm", "parts": [[], []], "valid": True},
+        ]
+        expected = json.dumps(records, indent=2, sort_keys=True)
+        assert cli_module._records_text(records, "\n  ") == expected
+        tree = {"partitions": [{"count": 5, "witnesses": records}]}
+        assert render_report(tree) == json.dumps(tree, indent=2, sort_keys=True)
 
     def test_scalar_subclasses_render_as_json_does(self):
         tree = {"f": np.float64(0.1), "i": [IntSub(3)], "s": [{"k": StrSub("v")}]}

@@ -213,6 +213,13 @@ class TestRealization:
         scalar = np.zeros((1, 1), dtype=np.int64)
         assert realize_classes(h, "signless", (4,), scalar).tolist() == [0.0]
 
+    @pytest.mark.parametrize("operator", ["adjacency", "both"])
+    def test_unknown_operator_is_a_value_error(self, chain, operator):
+        """Bad input, not an internal inconsistency (VerificationError)."""
+        ones = np.zeros((1, 7), dtype=np.int64)
+        with pytest.raises(ValueError, match="unknown operator"):
+            realize_classes(chain, operator, tuple(range(1, 8)), ones)
+
 
 def _brute_component_counts(h, operator):
     """Oracle totals over the whole instance, component by component."""

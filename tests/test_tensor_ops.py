@@ -38,6 +38,13 @@ class TestApply:
     def test_zero_maps_to_zero(self, chain):
         assert np.allclose(apply_adjacency(chain, np.zeros(7)), 0)
 
+    @pytest.mark.parametrize("operator", ["both", "Laplacian"])
+    def test_unknown_operator_rejected(self, chain, operator):
+        with pytest.raises(ValueError, match="unknown operator"):
+            apply_operator(chain, operator, np.ones(7))
+        with pytest.raises(ValueError, match="unknown operator"):
+            eig_residual(chain, operator, 0, np.ones(7))
+
     def test_laplacian_kills_all_ones(self, chain):
         assert np.allclose(apply_operator(chain, "laplacian", np.ones(7)), 0)
 

@@ -60,6 +60,11 @@ class TestEdgeSystem:
     def test_single_edge_k4_signless_rhs(self):
         assert edge_residue(4, "signless") == 2
 
+    @pytest.mark.parametrize("operator", ["adjacency", "both", "Laplacian"])
+    def test_unknown_operator_rejected(self, operator):
+        with pytest.raises(ValueError, match="unknown operator"):
+            edge_residue(4, operator)
+
     def test_single_edge_k3_signless_marker(self):
         (record,) = solve_components(single_edge(3))["signless"].components
         assert record.description is None
@@ -281,20 +286,33 @@ class TestEnumeration:
             assert rows == brute[:limit]
 
 
+def _tree_listing(rhs):
+    """The solve of the hypertree's system with residue ``rhs`` and the
+    oracle's first 50 solutions."""
+    edges = edge_index(random_connected_hypergraph(random.Random(0), 4, 301))
+    desc = _solve(edges, 301, 4, rhs)
+    expected = list(itertools.islice(oracles.canonical_solutions(4, 301, edges, rhs), 50))
+    return desc, expected
+
+
 class TestLargeKernelListing:
     """Listing from a kernel of hundreds of rows: a 4-uniform hypertree of
-    301 vertices and 100 edges, whose Laplacian system has 4^201 solutions."""
+    301 vertices and 100 edges, whose Laplacian and signless systems each
+    have 4^201 solutions."""
 
     @pytest.fixture(scope="class")
     def listed(self):
-        edges = edge_index(random_connected_hypergraph(random.Random(0), 4, 301))
-        desc = _solve(edges, 301, 4, 0)
-        expected = list(itertools.islice(oracles.canonical_solutions(4, 301, edges, 0), 50))
-        return desc, expected
+        return _tree_listing(0)
 
     def test_first_rows_are_the_least_solutions(self, listed):
         desc, expected = listed
         assert len(desc.kernel) == 201
+        assert [tuple(v) for v in lex_solutions(desc, 50).tolist()] == expected
+
+    def test_first_signless_rows_are_the_least_solutions(self):
+        desc, expected = _tree_listing(2)
+        assert len(desc.kernel) == 201
+        assert len(expected) == 50
         assert [tuple(v) for v in lex_solutions(desc, 50).tolist()] == expected
 
     @pytest.mark.parametrize("row", [0, 100, -1])
