@@ -231,9 +231,9 @@ def cmd_partitions(
                         bipartitions[comp] = partitions.enumerate_bipartitions(h, comp, cfg.budget)
                     rows, parts, predicate = bipartitions[comp][kind], 2, "literal"
                 else:
-                    rows = partitions.enumerate_multipartitions(h, comp, kind, cfg.budget)[
-                        cfg.predicate
-                    ]
+                    rows = partitions.enumerate_multipartitions(
+                        h, comp, kind, cfg.predicate, cfg.budget
+                    )
                     parts, predicate = partitions.KIND_SPECS[kind].parts, cfg.predicate
                 entry["witnesses"] += _witness_records(comp, rows, parts, kind, predicate)
                 entry["count"] += len(rows)

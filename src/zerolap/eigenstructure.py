@@ -241,10 +241,11 @@ class OperatorCrosscheck:
     ``counts`` holds the H classes against the bipartition counts. The N
     pairs are held against the residue-valid multipartitions of
     ``n_kind``, the kind matching (k, operator), or None when no kind
-    does; ``n_expected`` counts them, None without a kind or when a count
-    hit its budget. ``n_literal`` counts the multipartitions matching the
-    kind's literal clause lists, from the exhaustive scan; None without a
-    kind or when some component's scan exceeds the budget.
+    does; ``n_expected`` counts them with each component's
+    ``ResidueCounter``, None without a kind or when a count hit its
+    budget. ``n_literal`` counts the multipartitions matching the kind's
+    literal clause lists, from the exhaustive scan; None without a kind or
+    when some component's scan exceeds the budget.
     """
 
     counts: StructureCounts
@@ -265,10 +266,11 @@ def crosscheck(h: Hypergraph, counts: StructureCounts, budget: int) -> OperatorC
     """``counts``, one operator's records, against the partition inventories.
 
     Each non-singleton component's residue-valid multipartitions are
-    counted by its records' ``ResidueCounter`` (``residue_orbit_count``).
-    Where the exhaustive scan fits ``budget``, the component is also
-    scanned once for the kind: the scan yields the literal count, and its
-    residue orbit count must equal the counter's, or VerificationError.
+    counted by its records' ``ResidueCounter`` (``residue_orbit_count``),
+    with no linear algebra, so ``n_matched`` holds that count against the
+    solve's N pairs. Each component is also scanned once for the kind's
+    literal clause lists, until a scan exceeds ``budget``; the literal
+    count is reported beside the residue count, as the lists may diverge.
     """
     kind = _partitions.N_PAIR_KINDS.get((h.k, counts.operator))
     if kind is None:
@@ -280,18 +282,14 @@ def crosscheck(h: Hypergraph, counts: StructureCounts, budget: int) -> OperatorC
             continue
         n = _partitions.residue_orbit_count(cs.counter, kind)
         expected = None if expected is None or n is None else expected + n
+        if literal is None:
+            continue
         try:
-            orbits = _partitions.multipartition_orbits(h, cs.component, kind, budget)
+            literal += len(
+                _partitions.enumerate_multipartitions(h, cs.component, kind, "literal", budget)
+            )
         except BudgetExceededError:
             literal = None
-            continue
-        if n is not None and n != len(orbits["residue"]):
-            raise VerificationError(
-                f"{kind} on {cs.component}: {n} residue orbits counted, "
-                f"{len(orbits['residue'])} scanned"
-            )
-        if literal is not None:
-            literal += len(orbits["literal"])
     return OperatorCrosscheck(counts, kind, expected, literal)
 
 

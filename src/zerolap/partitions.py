@@ -25,23 +25,25 @@ vertices; k even). V1 is part 0 and V2 part 1. The hm flavor is ordered;
 odd/even are quotiented by swapping the two sides. ``enumerate_bipartitions``
 lists all three from the component's edge systems modulo 2.
 
-``multipartition_orbits`` scans all p^m part assignments of an
-m-vertex component in one pass of numpy blocks of ``CHUNK`` assignments.
-Each edge's intersection profile is coded as one small integer and looked
-up in a table per predicate, so the one pass yields the orbits of both
-predicates, and a block's arrays stay small whatever p^m is;
-``enumerate_multipartitions`` lists one row per orbit.
+``enumerate_multipartitions`` lists one row per orbit of a kind's part
+assignments under one predicate. Residue rows are read from the solve,
+one per conjugate pair of kept classes. Literal rows come from a scan of
+all p^m assignments of an m-vertex component in numpy blocks of ``CHUNK``,
+each edge's profile coded as one small integer and looked up in the
+clause table, so a block's arrays stay small whatever p^m is.
 
-The bipartition listing costs a row per solution modulo 2, and the
-multipartition scan p^m. The cross-checks need only counts, and
-``ResidueCounter`` finds those without listing: it counts the maps from a
-component's vertices into a value set D of Z_k whose every edge sums to a
-residue, by variable elimination along one min-degree elimination order
-of the component's primal graph. Its cost is about m * |D|^(w+1) for a
-decomposition of width w, and each table it builds is capped by the
-budget. The bipartition counts are its counts over D = {0, k/2};
-``residue_orbit_count`` reads the residue orbit count of a multipartition
-kind from its counts over Z_k and over the excluded value sets.
+The bipartition listing costs a row per solution modulo 2, the residue
+multipartition listing a row per class, and the literal scan p^m; the
+budget bounds each before anything is listed. The cross-checks need only
+counts, and ``ResidueCounter`` finds those without listing: it counts the
+maps from a component's vertices into a value set D of Z_k whose every
+edge sums to a residue, by variable elimination along one min-degree
+elimination order of the component's primal graph. Its cost is about
+m * |D|^(w+1) for a decomposition of width w, and each table it builds is
+capped by the budget. The bipartition counts are its counts over
+D = {0, k/2}; ``residue_orbit_count`` reads the residue orbit count of a
+multipartition kind from its counts over Z_k and over the excluded value
+sets.
 """
 
 import functools
@@ -59,6 +61,7 @@ from .names import BIPARTITION_FLAVORS, DEFAULT_ENUM_BUDGET, EVEN, HM, ODD, PRED
 from .names import L_QUAD, PENTA, SL_QUAD, TRIPARTITE, ZERO_EIG_OPERATORS
 from .tensor_ops import edge_index
 from .zk_solver import CHECK_ROWS, edge_residue, howell_form, lex_solutions, solve_mod_k
+from .zk_solver import SolutionDescription
 
 # Assignments per block of the multipartition scan: a block's arrays stay
 # well under a megabyte.
@@ -498,10 +501,7 @@ def validate_multipartition(
     kind's parts or the kind does not apply to ``h``'s uniformity.
     """
     spec = kind_spec(kind, h.k)
-    weights, literal, residue = _profile_tables(spec)
-    table = {"literal": literal, "residue": residue}.get(predicate)
-    if table is None:
-        raise ValueError(f"unknown predicate {predicate!r}")
+    weights, table = _profile_table(spec, predicate)
     block, edges = _part_rows(h, component, rows, spec.parts)
     nonempty = sum((block == j).any(axis=1) for j in range(spec.parts))
     ok = (nonempty >= spec.min_nonempty) & table[weights[block][:, edges].sum(axis=2)].all(axis=1)
@@ -514,22 +514,35 @@ def _edge_predicates(spec: KindSpec, multiset: tuple[int, ...]) -> tuple[bool, b
     return prof in spec.profiles, sum(multiset) % spec.k == spec.rhs
 
 
-def _profile_tables(spec: KindSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Weights coding an edge's intersection profile, and both predicates by code.
+def _profile_table(spec: KindSpec, predicate: str) -> tuple[np.ndarray, np.ndarray]:
+    """Weights coding an edge's intersection profile, and ``predicate`` by code.
 
     An edge whose vertices carry values v_1..v_k has profile code
     sum_i (k+1)^(v_i): the base-(k+1) digits of the code are the part
-    counts, each at most k. The tables say, per code, whether that profile
-    is a literal clause and whether it meets the residue.
+    counts, each at most k. The table says, per code, whether that profile
+    passes the predicate: is a literal clause, or meets the residue.
     """
+    if predicate not in PREDICATES:
+        raise ValueError(f"unknown predicate {predicate!r}")
     k, p = spec.k, spec.parts
     weights = (k + 1) ** np.arange(p, dtype=np.int16)
-    literal = np.zeros((k + 1) ** p, dtype=bool)
-    residue = np.zeros((k + 1) ** p, dtype=bool)
+    table = np.zeros((k + 1) ** p, dtype=bool)
     for multiset in itertools.combinations_with_replacement(range(p), k):
-        code = int(weights[list(multiset)].sum())
-        literal[code], residue[code] = _edge_predicates(spec, multiset)
-    return weights, literal, residue
+        passes = dict(zip(PREDICATES, _edge_predicates(spec, multiset)))[predicate]
+        table[int(weights[list(multiset)].sum())] = passes
+    return weights, table
+
+
+def _kept(rows: np.ndarray, spec: KindSpec) -> np.ndarray:
+    """Per row: at least ``min_nonempty`` values and not real-scalable (one
+    value, or two half a turn apart: bipartitions, listed on their own)."""
+    p = spec.parts
+    present = np.stack([(rows == j).any(axis=1) for j in range(p)], axis=1)
+    nonempty = present.sum(axis=1)
+    scalable = nonempty == 1
+    if p % 2 == 0:  # two values half a turn apart (p == k for every kind)
+        scalable |= (nonempty == 2) & (present[:, : p // 2] & present[:, p // 2 :]).any(axis=1)
+    return (nonempty >= spec.min_nonempty) & ~scalable
 
 
 def _digits(codes: np.ndarray, m: int, p: int) -> np.ndarray:
@@ -537,32 +550,60 @@ def _digits(codes: np.ndarray, m: int, p: int) -> np.ndarray:
     return (codes[:, None] // p ** np.arange(m - 1, -1, -1, dtype=np.int64) % p).astype(np.int8)
 
 
-def multipartition_orbits(
+def enumerate_multipartitions(
     h: Hypergraph,
     component: Sequence[int],
     kind: str,
+    predicate: str,
     budget: int = DEFAULT_ENUM_BUDGET,
-) -> dict[str, dict[int, int]]:
-    """The kept orbits of one component's multipartition scan, per predicate.
+) -> np.ndarray:
+    """One component's multipartitions under ``predicate``, one per orbit.
 
-    One pass scans all part assignments and tests both predicates on each;
-    an assignment is kept under a predicate when it passes it and the
-    kind's nonemptiness constraint. Kept assignments are quotiented by the
-    symmetry group generated by cyclic part-index shifts and index negation
-    (for three parts this group is the full symmetric group, matching the
-    renumbering identification of tripartitions). Assignments whose value
-    pattern is real-scalable are excluded: those are bipartition phenomena
-    and are inventoried by ``enumerate_bipartitions``.
+    Assignments passing the predicate and ``_kept`` are quotiented by the
+    group alpha -> +-alpha + t (for three parts, every renumbering). Returns
+    an int8 array with one row of part indices per orbit, its least kept
+    assignment, in ascending order of the orbit's least member.
 
-    Assignment j (0 <= j < p^m) gives vertex i the i-th base-p digit of j,
-    most significant first, so codes ascend in lexicographic order.
-    Returns ``{"literal": {...}, "residue": {...}}``: per predicate, each
-    orbit's key (its least code over the group) mapped to the code of its
-    lexicographically least kept assignment.
+    ``residue`` reads the rows from the solve. The kept solutions of the
+    kind's system modulo k form a set the group keeps (edges have k
+    vertices, the residue is 0 or k/2) and acts on freely, so each orbit
+    holds two solutions with exponent 0 at the first vertex, alpha and
+    -alpha: the first solution_count / k in lexicographic order. An
+    edgeless vertex set has the zero solution and the identity kernel.
+    More of those than ``budget`` raise BudgetExceededError before any is
+    listed; a listed row breaking the residue raises VerificationError.
+
+    ``literal`` scans all p^m assignments in blocks of ``CHUNK``, code j
+    giving vertex i the i-th base-p digit of j, most significant first, and
+    keys each orbit by its least code over the group, as the clause lists
+    are not closed under it. p^m > ``budget`` raises BudgetExceededError
+    before any array exists.
     """
     spec = kind_spec(kind, h.k)
-    m = len(set(component))
-    p = spec.parts
+    if predicate not in PREDICATES:
+        raise ValueError(f"unknown predicate {predicate!r}")
+    m, p, k = len(set(component)), spec.parts, spec.k
+    if predicate == "residue":
+        sub, comp = induced_subhypergraph(h, component)
+        edges = edge_index(sub)
+        if len(edges):
+            desc = solve_mod_k(howell_form(edges, m, k), spec.rhs)
+        else:
+            desc = SolutionDescription(k, np.zeros(m, np.int64), np.eye(m, dtype=np.int64))
+        solutions = desc.solution_count // k
+        if solutions > budget:
+            raise BudgetExceededError(
+                f"residue multipartition listing needs {solutions} solutions, budget is {budget}"
+            )
+        rows = lex_solutions(desc, solutions) if desc.feasible else np.zeros((0, m), np.int64)
+        rows = rows[_kept(rows, spec)]
+        negated = -rows % k
+        at = np.arange(len(rows)), (rows != negated).argmax(axis=1)
+        rows = rows[rows[at] < negated[at]].astype(np.int8)
+        if not validate_multipartition(h, comp, rows, kind, "residue").all():
+            raise VerificationError(f"{kind} on {comp}: a listed solution breaks the residue")
+        return rows
+
     total = p**m
     if total > budget:
         raise BudgetExceededError(
@@ -570,9 +611,8 @@ def multipartition_orbits(
         )
     edge_idx = edge_index(induced_subhypergraph(h, component).hypergraph)
     place = p ** np.arange(m - 1, -1, -1, dtype=np.int64)  # digit weights, vertex order
-    weights, literal_table, residue_table = _profile_tables(spec)
-
-    chosen: dict[str, dict[int, int]] = {pred: {} for pred in PREDICATES}
+    weights, table = _profile_table(spec, "literal")
+    chosen: dict[int, int] = {}  # orbit key -> code of its least kept assignment
     for start in range(0, total, CHUNK):
         codes = np.arange(start, min(start + CHUNK, total), dtype=np.int64)
         vals = _digits(codes, m, p)
@@ -581,53 +621,18 @@ def multipartition_orbits(
         profile = np.zeros((len(codes), len(edge_idx)), dtype=np.int16)
         for slot in edge_idx.T:
             profile += vertex_weight[:, slot]
-        ok = {
-            "literal": literal_table[profile].all(axis=1),
-            "residue": residue_table[profile].all(axis=1),
-        }
-        rows = np.flatnonzero(ok["literal"] | ok["residue"])
-        if not len(rows):
-            continue
-        sub = vals[rows]
-        present = np.stack([(sub == j).any(axis=1) for j in range(p)], axis=1)
-        nonempty = present.sum(axis=1)
-        scalable = nonempty == 1
-        if p % 2 == 0:  # two values half a turn apart (p == k for every kind)
-            half = p // 2
-            scalable |= (nonempty == 2) & (present[:, :half] & present[:, half:]).any(axis=1)
-        keep = (nonempty >= spec.min_nonempty) & ~scalable
+        hit = np.flatnonzero(table[profile].all(axis=1))
+        hit = hit[_kept(vals[hit], spec)]
+        sub = vals[hit]
         # orbit key: least code over the shift and negation images
         keys = np.min(
             [((sign * sub + t) % p) @ place for sign in (1, -1) for t in range(p)], axis=0
         )
-        for pred in PREDICATES:
-            mask = keep & ok[pred][rows]
-            # codes ascend within the chunk, so each key's first index is its least code
-            uniq, first = np.unique(keys[mask], return_index=True)
-            for key, code in zip(uniq.tolist(), codes[rows[mask]][first].tolist()):
-                chosen[pred].setdefault(key, code)  # earlier chunks hold smaller codes
-    return chosen
-
-
-def enumerate_multipartitions(
-    h: Hypergraph,
-    component: Sequence[int],
-    kind: str,
-    budget: int = DEFAULT_ENUM_BUDGET,
-) -> dict[str, np.ndarray]:
-    """Exhaustive multipartition inventory of one component, per predicate.
-
-    Returns ``{"literal": rows, "residue": rows}``: per predicate, one int8
-    row of part indices per orbit of ``multipartition_orbits``, the
-    lexicographically least kept assignment, in ascending order of the
-    orbit's least member.
-    """
-    orbits = multipartition_orbits(h, component, kind, budget)
-    m, p = len(set(component)), KIND_SPECS[kind].parts
-    return {
-        pred: _digits(np.array([chosen[key] for key in sorted(chosen)], np.int64), m, p)
-        for pred, chosen in orbits.items()
-    }
+        # codes ascend within the chunk, so each key's first index is its least code
+        uniq, first = np.unique(keys, return_index=True)
+        for key, code in zip(uniq.tolist(), codes[hit][first].tolist()):
+            chosen.setdefault(key, code)  # earlier chunks hold smaller codes
+    return _digits(np.array([chosen[key] for key in sorted(chosen)], np.int64), m, p)
 
 
 def elimination_order(
@@ -768,13 +773,8 @@ class ResidueCounter:
         return self._counts[key]
 
 
-def _real_scalable(values: tuple[int, ...], k: int) -> bool:
-    """A sorted value set of one or two values half a turn apart."""
-    return len(values) == 1 or (len(values) == 2 and 2 * (values[1] - values[0]) == k)
-
-
 def residue_orbit_count(counter: ResidueCounter, kind: str) -> int | None:
-    """The residue orbit count of ``multipartition_orbits``, by counting.
+    """The number of residue rows ``enumerate_multipartitions`` lists, by counting.
 
     The kept maps are the residue-valid maps into Z_k with at least
     ``min_nonempty`` distinct values and no real-scalable value set. Their
@@ -796,7 +796,7 @@ def residue_orbit_count(counter: ResidueCounter, kind: str) -> int | None:
     kept = full
     for size in range(1, max(spec.min_nonempty - 1, 2) + 1):
         for values in itertools.combinations(range(k), size):
-            if size < spec.min_nonempty or _real_scalable(values, k):
+            if not _kept(np.array([values]), spec)[0]:
                 kept -= sum(
                     (-1) ** (size - r) * counter.count(rhs, sub)
                     for r in range(1, size + 1)

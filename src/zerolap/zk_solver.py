@@ -43,7 +43,7 @@ are reduced mod k after every step, so products stay near k^2, which
 command calls it. The tests keep it as an independent route to the same
 counts, and ``bench/run.py``'s traced mode and CI's traced smoke step look
 it up by name. It moves to the tests once the benchmark reads run stats
-recorded by the library (ROADMAP item 2).
+recorded by the library (ROADMAP item 1).
 """
 
 import math

@@ -73,16 +73,15 @@ def solve_calls(monkeypatch):
 
 @pytest.fixture
 def multipartition_scans(monkeypatch):
-    """Records (component, kind) of every multipartition scan, whether it
-    lists witnesses or only counts orbits."""
+    """Records (component, kind, predicate) of every multipartition listing."""
     calls = []
-    real = partitions.multipartition_orbits
+    real = partitions.enumerate_multipartitions
 
-    def counting(h, component, kind, *args, **kwargs):
-        calls.append((tuple(sorted(set(component))), kind))
-        return real(h, component, kind, *args, **kwargs)
+    def counting(h, component, kind, predicate, *args, **kwargs):
+        calls.append((tuple(sorted(set(component))), kind, predicate))
+        return real(h, component, kind, predicate, *args, **kwargs)
 
-    monkeypatch.setattr(partitions, "multipartition_orbits", counting)
+    monkeypatch.setattr(partitions, "enumerate_multipartitions", counting)
     return calls
 
 

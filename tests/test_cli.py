@@ -379,7 +379,7 @@ def test_crosscheck_scans_each_component_and_kind_once(path, capsys, multipartit
     ]
     comps = [c for c, single in zip(decomp.components, decomp.singleton) if not single]
     assert main(["crosscheck", "--input", path]) == 0
-    assert multipartition_scans == [(comp, kind) for kind in kinds for comp in comps]
+    assert multipartition_scans == [(comp, kind, "literal") for kind in kinds for comp in comps]
 
 
 def _even_k_inputs(tmp_path):

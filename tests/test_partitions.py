@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from zerolap import (
     BudgetExceededError,
     Hypergraph,
+    VerificationError,
     discrepancy_scan,
     enumerate_bipartitions,
     enumerate_multipartitions,
@@ -25,7 +26,7 @@ from zerolap.corpus import (
     random_hm_bipartite,
     random_hypergraph,
 )
-from zerolap.eigenstructure import solve_components
+from zerolap.eigenstructure import crosscheck, solve_components
 from zerolap.hypergraph import connected_components, load_hypergraph
 from zerolap.tensor_ops import edge_index
 from zerolap.zk_solver import LAPLACIAN, ZERO_EIG_OPERATORS, lex_solutions
@@ -392,18 +393,21 @@ class TestValidateMultipartition:
 
 class TestEnumerateMultipartitions:
     def test_single_edge_unique_tripartition(self):
-        found = enumerate_multipartitions(single_edge(3), (1, 2, 3), "tripartite")["residue"]
+        found = enumerate_multipartitions(single_edge(3), (1, 2, 3), "tripartite", "residue")
         assert found.tolist() == [[0, 1, 2]] and found.dtype == np.int8
 
     def test_chain_thirteen_tripartitions(self, chain):
-        assert len(enumerate_multipartitions(chain, CHAIN_COMPONENT, "tripartite")["residue"]) == 13
+        assert len(enumerate_multipartitions(chain, CHAIN_COMPONENT, "tripartite", "residue")) == 13
 
     def test_chain_literal_equals_residue(self, chain):
-        found = enumerate_multipartitions(chain, CHAIN_COMPONENT, "tripartite")
-        assert np.array_equal(found["literal"], found["residue"])
+        found = [
+            enumerate_multipartitions(chain, CHAIN_COMPONENT, "tripartite", predicate)
+            for predicate in partitions.PREDICATES
+        ]
+        assert np.array_equal(*found)
 
     def test_known_witnesses_present(self, chain):
-        found = enumerate_multipartitions(chain, CHAIN_COMPONENT, "tripartite")["residue"]
+        found = enumerate_multipartitions(chain, CHAIN_COMPONENT, "tripartite", "residue")
         normalized = {
             frozenset(frozenset(p) for p in _parts(CHAIN_COMPONENT, row, 3) if p)
             for row in found.tolist()
@@ -413,16 +417,60 @@ class TestEnumerateMultipartitions:
 
     def test_every_witness_validates(self, k4_overlap):
         for kind in ("lquad", "slquad"):
-            rows = enumerate_multipartitions(k4_overlap, K4_COMPONENT, kind)["residue"]
+            rows = enumerate_multipartitions(k4_overlap, K4_COMPONENT, kind, "residue")
             assert validate_multipartition(k4_overlap, K4_COMPONENT, rows, kind, "residue").all()
 
     def test_wrong_uniformity_rejected(self, chain):
         with pytest.raises(ValueError):
-            enumerate_multipartitions(chain, CHAIN_COMPONENT, "lquad")
+            enumerate_multipartitions(chain, CHAIN_COMPONENT, "lquad", "residue")
+
+    def test_unknown_predicate_rejected(self, chain):
+        with pytest.raises(ValueError, match="unknown predicate"):
+            enumerate_multipartitions(chain, CHAIN_COMPONENT, "tripartite", "both")
 
     def test_budget_guard(self, chain):
         with pytest.raises(BudgetExceededError):
-            enumerate_multipartitions(chain, CHAIN_COMPONENT, "tripartite", budget=100)
+            enumerate_multipartitions(chain, CHAIN_COMPONENT, "tripartite", "literal", budget=100)
+
+    def test_residue_budget_is_the_solution_count(self, chain, monkeypatch):
+        """The budget bounds the solutions with exponent 0 at the first
+        vertex, 3^7 / 3^3 / 3 = 27 on the chain: at that count the listing
+        runs; one short, it refuses before listing any."""
+        listed = enumerate_multipartitions(chain, CHAIN_COMPONENT, "tripartite", "residue", 27)
+        assert len(listed) == 13
+
+        def no_listing(*args):
+            raise AssertionError("listed past the budget")
+
+        monkeypatch.setattr(partitions, "lex_solutions", no_listing)
+        with pytest.raises(BudgetExceededError, match="needs 27 solutions, budget is 26"):
+            enumerate_multipartitions(chain, CHAIN_COMPONENT, "tripartite", "residue", 26)
+
+    def test_residue_rows_breaking_the_system_raise(self, chain, monkeypatch):
+        """The forward check: a listed row off the solution set raises."""
+        real = partitions.lex_solutions
+
+        def shifted_last(desc, limit):
+            rows = real(desc, limit)
+            rows[:, -1] = (rows[:, -1] + 1) % 3
+            return rows
+
+        monkeypatch.setattr(partitions, "lex_solutions", shifted_last)
+        with pytest.raises(VerificationError, match="breaks the residue"):
+            enumerate_multipartitions(chain, CHAIN_COMPONENT, "tripartite", "residue")
+
+    def test_residue_listing_past_the_scan(self):
+        """A 3-uniform hypertree of 40 vertices plus 16 edges: 3^40 part
+        assignments, far past any scan, listed from the solve."""
+        h = random_connected_hypergraph(random.Random(0), 3, 40, 16)
+        component = tuple(range(1, 41))
+        with pytest.raises(BudgetExceededError, match=r"3\^40 assignments"):
+            enumerate_multipartitions(h, component, "tripartite", "literal")
+        rows = enumerate_multipartitions(h, component, "tripartite", "residue")
+        assert len(rows) == 13
+        assert validate_multipartition(h, component, rows, "tripartite", "residue").all()
+        result = crosscheck(h, solve_components(h)[LAPLACIAN], 200_000)
+        assert result.n_expected == len(rows) and result.n_matched
 
     @pytest.mark.parametrize("seed", range(6))
     def test_residue_count_equals_n_pairs(self, seed):
@@ -437,7 +485,7 @@ class TestEnumerateMultipartitions:
             5: [("penta", "laplacian")],
         }[k]
         for kind, operator in cases:
-            found = enumerate_multipartitions(h, comp, kind)["residue"]
+            found = enumerate_multipartitions(h, comp, kind, "residue")
             assert len(found) == solve_components(h)[operator].n_pair_count
 
     @pytest.mark.parametrize("seed", range(5))
@@ -445,13 +493,15 @@ class TestEnumerateMultipartitions:
         rng = random.Random(333 + seed)
         n = rng.randint(3, 7)
         h = random_connected_hypergraph(rng, 3, n)
-        rows = enumerate_multipartitions(h, tuple(range(1, n + 1)), "tripartite")["residue"]
+        rows = enumerate_multipartitions(h, tuple(range(1, n + 1)), "tripartite", "residue")
         assert all(len(set(row)) == 3 for row in rows.tolist())
 
 
 def _scan_rows(h, component, kind):
-    found = enumerate_multipartitions(h, component, kind)
-    return {pred: _tuples(found[pred]) for pred in partitions.PREDICATES}
+    return {
+        pred: _tuples(enumerate_multipartitions(h, component, kind, pred))
+        for pred in partitions.PREDICATES
+    }
 
 
 @st.composite
@@ -467,7 +517,8 @@ def scan_instances(draw):
 
 
 class TestScanAgainstOracle:
-    """Full witness lists, both predicates, against a plain itertools scan."""
+    """Full witness lists, both predicates, against a plain itertools scan,
+    on components and on arbitrary vertex subsets, edgeless ones included."""
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_mixed_corpus(self, seed):
@@ -492,21 +543,21 @@ class TestScanAgainstOracle:
         assert _scan_rows(h, component, kind) == expected
 
     def test_budget_equal_to_scan_size_scans(self, chain):
-        at_edge = enumerate_multipartitions(chain, CHAIN_COMPONENT, "tripartite", budget=3**7)
-        full = enumerate_multipartitions(chain, CHAIN_COMPONENT, "tripartite")
-        _assert_same_listing(at_edge, full)
+        at_edge = enumerate_multipartitions(chain, CHAIN_COMPONENT, "tripartite", "literal", 3**7)
+        full = enumerate_multipartitions(chain, CHAIN_COMPONENT, "tripartite", "literal")
+        _assert_same_listing({"literal": at_edge}, {"literal": full})
 
     def test_budget_one_short_refuses_before_allocating(self, chain, monkeypatch):
         monkeypatch.setattr(partitions, "np", None)  # any array work would raise
         with pytest.raises(BudgetExceededError, match=r"3\^7 assignments, budget is 2186"):
-            enumerate_multipartitions(chain, CHAIN_COMPONENT, "tripartite", budget=3**7 - 1)
+            enumerate_multipartitions(chain, CHAIN_COMPONENT, "tripartite", "literal", 3**7 - 1)
 
     def test_memory_stays_chunked(self):
         """3^11 assignments: one int64 row per assignment alone would be 15.6 MB."""
         h = random_connected_hypergraph(random.Random(11), 3, 11, extra_edges=2)
         tracemalloc.start()
         try:
-            enumerate_multipartitions(h, tuple(range(1, 12)), "tripartite")
+            enumerate_multipartitions(h, tuple(range(1, 12)), "tripartite", "literal")
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -560,7 +611,7 @@ class TestClassRowsArePartitionRows:
                 kind = partitions.N_PAIR_KINDS.get((k, operator))
                 if kind is not None:
                     assert validate_multipartition(h, comp, n_rows, kind, "residue").all()
-                    scanned = enumerate_multipartitions(h, comp, kind)["residue"]
+                    scanned = enumerate_multipartitions(h, comp, kind, "residue")
                     images = {_least_image(row, k) for row in n_rows.tolist()}
                     assert images == set(_tuples(scanned))
 

@@ -1,5 +1,5 @@
 """The counter by variable elimination (``partitions.ResidueCounter``)
-against brute force, the exhaustive scans and the exact solver."""
+against brute force, the oracles' exhaustive scans and the exact solver."""
 
 import random
 
@@ -10,18 +10,14 @@ from hypothesis import strategies as st
 from zerolap import Hypergraph, partitions
 from zerolap.corpus import random_connected_hypergraph, random_hypergraph
 from zerolap.eigenstructure import crosscheck, solve_components
+from zerolap.cli import main
 from zerolap.errors import VerificationError
-from zerolap.hypergraph import connected_components, induced_subhypergraph
-from zerolap.partitions import (
-    N_PAIR_KINDS,
-    ResidueCounter,
-    elimination_order,
-    enumerate_multipartitions,
-    residue_orbit_count,
-)
+from zerolap.hypergraph import connected_components, induced_subhypergraph, load_hypergraph
+from zerolap.partitions import N_PAIR_KINDS, ResidueCounter, elimination_order, residue_orbit_count
 from zerolap.tensor_ops import edge_index
 
-from oracles import bipartition_witnesses, domain_edge_sum_count
+from conftest import FIXTURE_DIR
+from oracles import bipartition_witnesses, domain_edge_sum_count, multipartition_witnesses
 
 BIG = 10**9
 
@@ -101,10 +97,11 @@ class TestAgainstScans:
             kind = N_PAIR_KINDS.get((k, op))
             if kind is None:
                 continue
+            spec = partitions.KIND_SPECS[kind]
             for cs in solved[op].components:
                 if cs.singleton:
                     continue
-                scanned = enumerate_multipartitions(h, cs.component, kind)["residue"]
+                scanned = multipartition_witnesses(spec, cs.component, h.edges)["residue"]
                 assert residue_orbit_count(cs.counter, kind) == len(scanned)
             assert crosscheck(h, solved[op], 200_000).n_matched
 
@@ -161,15 +158,20 @@ class TestRefusal:
 
 
 class TestVerification:
-    def test_scan_disagreeing_with_count_raises(self, monkeypatch):
-        h = Hypergraph(3, 7, ((1, 2, 3), (3, 4, 5), (5, 6, 7)))
+    def test_scan_disagreeing_with_count_raises(self, monkeypatch, capsys):
+        """A counter off by one is a cross-check mismatch: ``n_matched`` is
+        False and the command exits 5."""
         real = partitions.residue_orbit_count
         monkeypatch.setattr(
             partitions, "residue_orbit_count", lambda counter, kind: real(counter, kind) + 1
         )
-        counts = solve_components(h)["laplacian"]
-        with pytest.raises(VerificationError, match="14 residue orbits counted, 13 scanned"):
-            crosscheck(h, counts, 200_000)
+        path = str(FIXTURE_DIR / "k3_chain_n7.json")
+        h = load_hypergraph(path)
+        result = crosscheck(h, solve_components(h)["laplacian"], 200_000)
+        assert (result.n_expected, result.counts.n_pair_count) == (14, 13)
+        assert result.n_matched is False and result.mismatch
+        assert main(["crosscheck", "--input", path]) == 5
+        capsys.readouterr()
 
     def test_orbit_remainder_raises(self, monkeypatch):
         sub = induced_subhypergraph(Hypergraph(3, 3, ((1, 2, 3),)), (1, 2, 3)).hypergraph
