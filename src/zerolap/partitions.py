@@ -61,7 +61,6 @@ from .names import BIPARTITION_FLAVORS, DEFAULT_ENUM_BUDGET, EVEN, HM, ODD, PRED
 from .names import L_QUAD, PENTA, SL_QUAD, TRIPARTITE, ZERO_EIG_OPERATORS
 from .tensor_ops import edge_index
 from .zk_solver import CHECK_ROWS, edge_residue, howell_form, lex_solutions, solve_mod_k
-from .zk_solver import SolutionDescription
 
 # Assignments per block of the multipartition scan: a block's arrays stay
 # well under a megabyte.
@@ -503,8 +502,10 @@ def validate_multipartition(
     spec = kind_spec(kind, h.k)
     weights, table = _profile_table(spec, predicate)
     block, edges = _part_rows(h, component, rows, spec.parts)
-    nonempty = sum((block == j).any(axis=1) for j in range(spec.parts))
-    ok = (nonempty >= spec.min_nonempty) & table[weights[block][:, edges].sum(axis=2)].all(axis=1)
+    ok = sum((block == j).any(axis=1) for j in range(spec.parts)) >= spec.min_nonempty
+    for i in range(0, len(block), CHECK_ROWS):  # the edge profiles of a few rows at a time
+        profiles = weights[block[i : i + CHECK_ROWS]][:, edges].sum(axis=2)
+        ok[i : i + CHECK_ROWS] &= table[profiles].all(axis=1)
     return ok if np.ndim(rows) == 2 else bool(ok[0])
 
 
@@ -528,7 +529,7 @@ def _profile_table(spec: KindSpec, predicate: str) -> tuple[np.ndarray, np.ndarr
     weights = (k + 1) ** np.arange(p, dtype=np.int16)
     table = np.zeros((k + 1) ** p, dtype=bool)
     for multiset in itertools.combinations_with_replacement(range(p), k):
-        passes = dict(zip(PREDICATES, _edge_predicates(spec, multiset)))[predicate]
+        passes = _edge_predicates(spec, multiset)[PREDICATES.index(predicate)]
         table[int(weights[list(multiset)].sum())] = passes
     return weights, table
 
@@ -568,9 +569,8 @@ def enumerate_multipartitions(
     kind's system modulo k form a set the group keeps (edges have k
     vertices, the residue is 0 or k/2) and acts on freely, so each orbit
     holds two solutions with exponent 0 at the first vertex, alpha and
-    -alpha: the first solution_count / k in lexicographic order. An
-    edgeless vertex set has the zero solution and the identity kernel.
-    More of those than ``budget`` raise BudgetExceededError before any is
+    -alpha: the first solution_count / k in lexicographic order. More of
+    those than ``budget`` raise BudgetExceededError before any is
     listed; a listed row breaking the residue raises VerificationError.
 
     ``literal`` scans all p^m assignments in blocks of ``CHUNK``, code j
@@ -580,29 +580,25 @@ def enumerate_multipartitions(
     before any array exists.
     """
     spec = kind_spec(kind, h.k)
-    if predicate not in PREDICATES:
-        raise ValueError(f"unknown predicate {predicate!r}")
     m, p, k = len(set(component)), spec.parts, spec.k
     if predicate == "residue":
         sub, comp = induced_subhypergraph(h, component)
-        edges = edge_index(sub)
-        if len(edges):
-            desc = solve_mod_k(howell_form(edges, m, k), spec.rhs)
-        else:
-            desc = SolutionDescription(k, np.zeros(m, np.int64), np.eye(m, dtype=np.int64))
+        desc = solve_mod_k(howell_form(edge_index(sub), m, k), spec.rhs)
         solutions = desc.solution_count // k
         if solutions > budget:
             raise BudgetExceededError(
                 f"residue multipartition listing needs {solutions} solutions, budget is {budget}"
             )
-        rows = lex_solutions(desc, solutions) if desc.feasible else np.zeros((0, m), np.int64)
+        rows = (lex_solutions(desc, solutions) if desc.feasible else np.zeros((0, m))).astype(np.int8)
         rows = rows[_kept(rows, spec)]
         negated = -rows % k
         at = np.arange(len(rows)), (rows != negated).argmax(axis=1)
-        rows = rows[rows[at] < negated[at]].astype(np.int8)
+        rows = rows[rows[at] < negated[at]]
         if not validate_multipartition(h, comp, rows, kind, "residue").all():
             raise VerificationError(f"{kind} on {comp}: a listed solution breaks the residue")
         return rows
+    if predicate != "literal":
+        raise ValueError(f"unknown predicate {predicate!r}")
 
     total = p**m
     if total > budget:

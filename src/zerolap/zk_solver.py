@@ -154,7 +154,7 @@ def _unit_to_gcd(a: int, n: int) -> int:
 
 def howell_form(edges: np.ndarray, width: int, modulus: int) -> HowellForm:
     """Howell form of [A^T | I_width] modulo ``modulus``, A being the 0/1
-    incidence matrix of ``edges`` (at least one row).
+    incidence matrix of ``edges``; with no edges the kernel is the identity.
 
     Column by column, the rows still pending (all zero left of the column)
     are merged into one pivot row whose entry d generates the ideal of
@@ -204,7 +204,8 @@ def _edge_sums(left: np.ndarray, edges: np.ndarray) -> np.ndarray:
 
 def _pivots(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Column and value of the first nonzero entry of each row."""
-    cols = (block != 0).argmax(axis=1)
+    # no columns (the image of an edgeless system) means no rows either
+    cols = (block != 0).argmax(axis=1) if block.shape[1] else np.zeros(0, np.intp)
     return cols, block[np.arange(len(block)), cols]
 
 

@@ -485,8 +485,8 @@ class TestEnumerateMultipartitions:
             5: [("penta", "laplacian")],
         }[k]
         for kind, operator in cases:
-            found = enumerate_multipartitions(h, comp, kind, "residue")
-            assert len(found) == solve_components(h)[operator].n_pair_count
+            scanned = multipartition_witnesses(partitions.KIND_SPECS[kind], comp, h.edges)
+            assert len(scanned["residue"]) == solve_components(h)[operator].n_pair_count
 
     @pytest.mark.parametrize("seed", range(5))
     def test_tripartite_never_two_valued(self, seed):
@@ -563,6 +563,22 @@ class TestScanAgainstOracle:
             tracemalloc.stop()
         assert peak < 4 * 2**20
 
+    def test_residue_check_stays_chunked(self):
+        """All 220 triples on 12 vertices plus a fan of 9 edges: 9841 rows
+        over 229 edges, whose edge sums checked at once would be 18 MB of
+        int64 alone; the listing itself is 4.5 MB of int64 solutions."""
+        dense = list(itertools.combinations(range(1, 13), 3))
+        fan = [(1, 13 + 2 * i, 14 + 2 * i) for i in range(9)]
+        h = Hypergraph(3, 30, tuple(sorted(dense + fan)))
+        tracemalloc.start()
+        try:
+            rows = enumerate_multipartitions(h, tuple(range(1, 31)), "tripartite", "residue")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(rows) == 9841
+        assert peak < 16 * 2**20
+
 
 def _least_image(row, k):
     """The least image of an exponent row under alpha -> +-alpha + t (mod k)."""
@@ -588,8 +604,8 @@ class TestClassRowsArePartitionRows:
 
     Every class of every component is listed, under both operators. The N
     rows are residue-valid rows of the (k, operator) multipartition kind,
-    and their least images under the orbit group are exactly the scan's
-    residue witnesses. The H rows over k/2 are exactly the even
+    and their least images under the orbit group are exactly the residue
+    witnesses of the plain itertools scan in ``oracles``. The H rows over k/2 are exactly the even
     bipartitions plus the constant row (Laplacian), or the odd
     bipartitions (signless).
     """
@@ -611,9 +627,10 @@ class TestClassRowsArePartitionRows:
                 kind = partitions.N_PAIR_KINDS.get((k, operator))
                 if kind is not None:
                     assert validate_multipartition(h, comp, n_rows, kind, "residue").all()
-                    scanned = enumerate_multipartitions(h, comp, kind, "residue")
+                    spec = partitions.KIND_SPECS[kind]
+                    scanned = multipartition_witnesses(spec, comp, h.edges)["residue"]
                     images = {_least_image(row, k) for row in n_rows.tolist()}
-                    assert images == set(_tuples(scanned))
+                    assert images == set(scanned)
 
                 if k % 2:
                     assert h_rows.tolist() == [[0] * len(comp)]  # the constant class only

@@ -206,6 +206,13 @@ class TestSolveModK:
         assert counts == [len(oracles.system_solutions(4, 3, TRIANGLE_EDGES, r)) for r in range(4)]
         assert counts == [2, 0, 2, 0]
 
+    def test_no_edges_leaves_the_identity_kernel(self):
+        form = howell_form(np.zeros((0, 3), np.intp), 3, 3)
+        assert np.array_equal(form.kernel, np.eye(3, dtype=np.int64))
+        assert form.image.shape == (0, 0) and form.transform.shape == (0, 3)
+        desc = solve_mod_k(form, 0)
+        assert desc.particular.tolist() == [0, 0, 0] and desc.solution_count == 27
+
     def test_vertex_order_within_an_edge_is_immaterial(self, k4_overlap):
         edges = edge_index(k4_overlap)
         form = howell_form(edges, 6, 4)
