@@ -247,49 +247,32 @@ def cmd_partitions(
 def cmd_crosscheck(
     h: Hypergraph, decomp: ComponentDecomposition, cfg: AnalysisConfig
 ) -> tuple[dict, int]:
-    """Algebraic counts versus combinatorial partition counts, both operators."""
+    """Both count identities of each operator, as its ``StructureCounts``
+    decides them, with the literal multipartition count beside each
+    decided N identity."""
     from . import eigenstructure, partitions
 
     checks = []
     mismatch = False
     solved = eigenstructure.solve_components(h, decomp, cfg.budget)
     for op in _operators(cfg):
-        result = eigenstructure.crosscheck(h, solved[op], cfg.budget)
-        counts = result.counts
+        counts = solved[op]
         entry = {
             "operator": op,
             "H_count": counts.h_count,
-            "H_expected": counts.crosscheck_expected,
-            "H_formula": counts.crosscheck_formula,
-            "H_matched": counts.crosscheck_matched,
+            "H_expected": counts.h_expected,
+            "H_formula": counts.h_formula,
+            "H_matched": counts.h_matched,
             "N_pair_count": counts.n_pair_count,
-            "components": [
-                {
-                    "vertices": list(c.component),
-                    "operator": op,
-                    "H_count": c.h_count,
-                    "N_pair_count": c.n_pair_count,
-                    "crosscheck": {
-                        "expected": c.crosscheck_expected,
-                        "matched": c.crosscheck_matched,
-                    },
-                }
-                for c in counts.components
-            ],
+            "components": counts.component_entries(),
         }
-        kind = result.n_kind
-        if kind is not None and result.n_expected is None:
-            entry["N_expected"] = None
-            entry["N_formula"] = f"residue-valid {kind} count (budget exceeded, unchecked)"
-            entry["N_matched"] = None
-        elif kind is not None:
-            entry["N_expected"] = result.n_expected
-            entry["N_formula"] = f"residue-valid {kind} multipartition count"
-            entry["N_matched"] = result.n_matched
-            # the case-by-case clause lists can legitimately diverge from
-            # the residue condition; report the counts side by side
-            entry["N_literal_count"] = result.n_literal
-        mismatch = mismatch or result.mismatch
+        if counts.n_kind is not None:
+            entry["N_expected"] = counts.n_expected
+            entry["N_formula"] = counts.n_formula
+            entry["N_matched"] = counts.n_matched
+        if counts.n_expected is not None:
+            entry["N_literal_count"] = eigenstructure.n_literal_count(h, counts, cfg.budget)
+        mismatch = mismatch or counts.mismatch
         checks.append(entry)
     scans = [
         partitions.discrepancy_scan(kind).to_json_dict()

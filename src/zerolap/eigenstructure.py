@@ -18,10 +18,10 @@ cross-checks count the same structures combinatorially, with no linear
 algebra: one ``partitions.ResidueCounter`` per component counts, by
 variable elimination along one min-degree order, the vertex subsets
 meeting every edge evenly (Laplacian) or oddly (signless) for the H
-counts, and ``crosscheck`` reads the N pair counts from the same counter.
-``solve_components`` returns one ``StructureCounts`` per operator, and
-the counts, class listings and cross-checks all read it; nothing else
-solves.
+counts, and the residue-valid multipartitions for the N pair counts.
+``solve_components`` returns one ``StructureCounts`` per operator, which
+decides both count identities; the counts, class listings and
+cross-checks all read it, and nothing else solves.
 
 A listing is an integer array with one row of exponents per class, the
 only representation of a class. Within each component the classes are
@@ -35,6 +35,7 @@ whole blocks of rows, never class by class.
 """
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -84,20 +85,23 @@ class ComponentStructure:
     n_pair_count: int
     # arrays, so records compare by their counts
     description: SolutionDescription | None = field(repr=False, compare=False)
-    crosscheck_expected: int | None = None  # None when a count hit its budget
+    h_expected: int | None = None  # None when a count hit its budget
     # the component's combinatorial counts, shared by both operators' records
     counter: _partitions.ResidueCounter | None = field(default=None, repr=False, compare=False)
 
     @property
-    def crosscheck_matched(self) -> bool | None:
-        return None if self.crosscheck_expected is None else self.crosscheck_expected == self.h_count
+    def h_matched(self) -> bool | None:
+        return None if self.h_expected is None else self.h_expected == self.h_count
 
 
 @dataclass(frozen=True)
 class StructureCounts:
     """One operator's per-component records, in component order, summed
-    into the class counts and the combinatorial cross-check of the
-    matching count identity."""
+    into the class counts and deciding both count identities: the H
+    classes against the bipartition counts, and the N pairs against the
+    residue-valid multipartitions of ``n_kind``, the kind matching (k,
+    operator), if any. ``n_expected`` is counted on first read, so a run
+    that reports no N identity counts nothing."""
 
     operator: str
     k: int
@@ -112,19 +116,19 @@ class StructureCounts:
         return sum(c.n_pair_count for c in self.components)
 
     @property
-    def crosscheck_expected(self) -> int | None:
+    def h_expected(self) -> int | None:
         """None when some component's count hit its budget."""
-        expected = [c.crosscheck_expected for c in self.components]
+        expected = [c.h_expected for c in self.components]
         return None if None in expected else sum(expected)
 
     @property
-    def crosscheck_matched(self) -> bool | None:
-        if self.crosscheck_expected is None:
+    def h_matched(self) -> bool | None:
+        if self.h_expected is None:
             return None
-        return all(c.crosscheck_matched for c in self.components)
+        return all(c.h_matched for c in self.components)
 
     @property
-    def crosscheck_formula(self) -> str:
+    def h_formula(self) -> str:
         if self.k % 2 == 1:
             if self.operator == LAPLACIAN:
                 return "number of connected components"
@@ -132,6 +136,55 @@ class StructureCounts:
         if self.operator == LAPLACIAN:
             return "even-bipartition count + components - singletons"
         return "odd-bipartition count"
+
+    @property
+    def n_kind(self) -> str | None:
+        return _partitions.N_PAIR_KINDS.get((self.k, self.operator))
+
+    @cached_property
+    def n_expected(self) -> int | None:
+        """The non-singleton components' residue orbit counts summed; None
+        without a kind or at the first count that hits its budget."""
+        if self.n_kind is None:
+            return None
+        total = 0
+        for cs in self.components:
+            if cs.singleton:
+                continue
+            n = _partitions.residue_orbit_count(cs.counter, self.n_kind)
+            if n is None:
+                return None
+            total += n
+        return total
+
+    @property
+    def n_matched(self) -> bool | None:
+        return None if self.n_expected is None else self.n_expected == self.n_pair_count
+
+    @property
+    def n_formula(self) -> str | None:
+        if self.n_kind is None:
+            return None
+        if self.n_expected is None:
+            return f"residue-valid {self.n_kind} count (budget exceeded, unchecked)"
+        return f"residue-valid {self.n_kind} multipartition count"
+
+    @property
+    def mismatch(self) -> bool:
+        return self.h_matched is False or self.n_matched is False
+
+    def component_entries(self) -> list[dict]:
+        """Each component's counts and H identity, as the reports write them."""
+        return [
+            {
+                "vertices": list(c.component),
+                "operator": self.operator,
+                "H_count": c.h_count,
+                "N_pair_count": c.n_pair_count,
+                "crosscheck": {"expected": c.h_expected, "matched": c.h_matched},
+            }
+            for c in self.components
+        ]
 
 
 def solve_components(
@@ -145,8 +198,8 @@ def solve_components(
     once modulo k (and once modulo 2 for even k); both operators' systems
     and their H counts are solved from those forms. One
     ``partitions.ResidueCounter`` on the same edges, under ``budget``,
-    fills both records' cross-checks, and both records carry it for
-    ``crosscheck``. A singleton builds no form and no counter: its one
+    fills both records' H cross-checks, and both records carry it for
+    their N counts. A singleton builds no form and no counter: its one
     exponent is free, so it has k solutions and the identity kernel under
     either operator. ``decomp`` is ``h``'s decomposition when the caller
     already has it. The functions below read ``result[operator]``.
@@ -234,63 +287,27 @@ def _component_expected(
     return out
 
 
-@dataclass(frozen=True)
-class OperatorCrosscheck:
-    """Both count identities of one operator.
-
-    ``counts`` holds the H classes against the bipartition counts. The N
-    pairs are held against the residue-valid multipartitions of
-    ``n_kind``, the kind matching (k, operator), or None when no kind
-    does; ``n_expected`` counts them with each component's
-    ``ResidueCounter``, None without a kind or when a count hit its
-    budget. ``n_literal`` counts the multipartitions matching the kind's
-    literal clause lists, from the exhaustive scan; None without a kind or
-    when some component's scan exceeds the budget.
+def n_literal_count(h: Hypergraph, counts: StructureCounts, budget: int) -> int | None:
+    """The multipartitions matching ``counts.n_kind``'s literal clause
+    lists, from one exhaustive scan per non-singleton component; None
+    without a kind or at the first scan that exceeds ``budget``. The
+    case-by-case lists may diverge from the residue condition, so this
+    count is reported beside ``n_expected``, never held against it.
     """
-
-    counts: StructureCounts
-    n_kind: str | None
-    n_expected: int | None
-    n_literal: int | None
-
-    @property
-    def n_matched(self) -> bool | None:
-        return None if self.n_expected is None else self.n_expected == self.counts.n_pair_count
-
-    @property
-    def mismatch(self) -> bool:
-        return self.counts.crosscheck_matched is False or self.n_matched is False
-
-
-def crosscheck(h: Hypergraph, counts: StructureCounts, budget: int) -> OperatorCrosscheck:
-    """``counts``, one operator's records, against the partition inventories.
-
-    Each non-singleton component's residue-valid multipartitions are
-    counted by its records' ``ResidueCounter`` (``residue_orbit_count``),
-    with no linear algebra, so ``n_matched`` holds that count against the
-    solve's N pairs. Each component is also scanned once for the kind's
-    literal clause lists, until a scan exceeds ``budget``; the literal
-    count is reported beside the residue count, as the lists may diverge.
-    """
-    kind = _partitions.N_PAIR_KINDS.get((h.k, counts.operator))
-    if kind is None:
-        return OperatorCrosscheck(counts, None, None, None)
-    expected: int | None = 0
-    literal: int | None = 0
+    if counts.n_kind is None:
+        return None
+    total = 0
     for cs in counts.components:
         if cs.singleton:
             continue
-        n = _partitions.residue_orbit_count(cs.counter, kind)
-        expected = None if expected is None or n is None else expected + n
-        if literal is None:
-            continue
         try:
-            literal += len(
-                _partitions.enumerate_multipartitions(h, cs.component, kind, "literal", budget)
+            rows = _partitions.enumerate_multipartitions(
+                h, cs.component, counts.n_kind, "literal", budget
             )
         except BudgetExceededError:
-            literal = None
-    return OperatorCrosscheck(counts, kind, expected, literal)
+            return None
+        total += len(rows)
+    return total
 
 
 def _listed_classes(
@@ -407,23 +424,15 @@ def zero_eigenvector_report(
     listings = _listed_classes(enumerate_limit, counts.components)
     rhs = edge_residue(h.k, operator)
 
-    components = []
-    for cs, alphas in zip(counts.components, listings):
-        entry = {
-            "vertices": list(cs.component),
-            "operator": operator,
-            "singleton": cs.singleton,
-            "feasible": cs.feasible,
-            "rhs": rhs if cs.feasible else None,
-            "count": cs.solution_count,
-            "class_count": cs.class_count,
-            "H_count": cs.h_count,
-            "N_pair_count": cs.n_pair_count,
-            "crosscheck": {
-                "expected": cs.crosscheck_expected,
-                "matched": cs.crosscheck_matched,
-            },
-        }
+    components = counts.component_entries()
+    for entry, cs, alphas in zip(components, counts.components, listings):
+        entry.update(
+            singleton=cs.singleton,
+            feasible=cs.feasible,
+            rhs=rhs if cs.feasible else None,
+            count=cs.solution_count,
+            class_count=cs.class_count,
+        )
         if cs.description is None:
             entry["reason"] = ODD_SIGNLESS_REASON
         if cs.singleton:  # the scalar: real, with no edge to check and residual 0
@@ -435,16 +444,15 @@ def zero_eigenvector_report(
                 for alpha, kind, resid in zip(alphas.tolist(), _kinds(alphas, h.k), residuals)
             ]
         entry["truncated"] = len(alphas) < cs.class_count
-        components.append(entry)
     return {
         "operator": operator,
         "k": h.k,
         "H_count": counts.h_count,
         "N_pair_count": counts.n_pair_count,
         "crosscheck": {
-            "expected": counts.crosscheck_expected,
-            "formula": counts.crosscheck_formula,
-            "matched": counts.crosscheck_matched,
+            "expected": counts.h_expected,
+            "formula": counts.h_formula,
+            "matched": counts.h_matched,
         },
         "components": components,
     }

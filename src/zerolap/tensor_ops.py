@@ -37,6 +37,14 @@ from .names import LAPLACIAN, SIGNLESS
 
 ADJACENCY = "adjacency"
 
+# The power iteration's step cap, and the eigenvalue bracket width at which
+# it stops.
+MAX_POWER_ITERATIONS = 10**4
+POWER_TOLERANCE = 1e-12
+# The largest residual of a verified adjacency eigenpair: the power
+# iteration warns above it, and the reflection refuses an input above it.
+PAIR_RESIDUAL_BOUND = 1e-8
+
 
 def _as_vector(h: Hypergraph, x) -> np.ndarray:
     arr = np.asarray(x, dtype=complex)
@@ -155,13 +163,7 @@ def similarity_identity_holds(h: Hypergraph, row) -> bool:
     return bool((per_edge % 2 == 1).all())
 
 
-def hm_spectral_reflection(
-    h: Hypergraph,
-    row,
-    pair: Eigenpair,
-    r: int,
-    verify_tolerance: float = 1e-8,
-) -> Eigenpair:
+def hm_spectral_reflection(h: Hypergraph, row, pair: Eigenpair, r: int) -> Eigenpair:
     """Rotate an adjacency eigenpair of a head-mass bipartite hypergraph.
 
     ``row`` is the hm-bipartition as ``partitions.find_hm_bipartition``
@@ -177,7 +179,7 @@ def hm_spectral_reflection(
     if pair.operator != ADJACENCY:
         raise ValueError("reflection requires an adjacency eigenpair")
     resid_in = eig_residual(h, ADJACENCY, pair.value, pair.vector)
-    if resid_in > verify_tolerance:
+    if resid_in > PAIR_RESIDUAL_BOUND:
         raise ValueError(f"input pair unverified: residual {resid_in:.3e}")
 
     root = cmath.exp(2j * cmath.pi * (r % h.k) / h.k)
@@ -193,21 +195,16 @@ def hm_spectral_reflection(
     return Eigenpair(ADJACENCY, value, y, resid_out)
 
 
-def nqz_spectral_radius(
-    h: Hypergraph,
-    max_iterations: int = 10**4,
-    tolerance: float = 1e-12,
-    residual_tolerance: float = 1e-8,
-) -> Eigenpair:
+def nqz_spectral_radius(h: Hypergraph) -> Eigenpair:
     """Power iteration for the adjacency spectral radius of a connected
     hypergraph with at least one edge.
 
     Iterates the shifted map x -> ((A + I) x^{k-1})^{[1/(k-1)]} under
     max-norm scaling; the min/max of the per-entry ratios pinch the shifted
-    eigenvalue, and iteration stops when they agree to ``tolerance``.
-    Raises BudgetExceededError when ``max_iterations`` steps do not get
-    there. A converged pair whose residual exceeds ``residual_tolerance``
-    is reported as a warning.
+    eigenvalue, and iteration stops when they agree to ``POWER_TOLERANCE``.
+    Raises BudgetExceededError when ``MAX_POWER_ITERATIONS`` steps do not
+    get there. A converged pair whose residual exceeds
+    ``PAIR_RESIDUAL_BOUND`` is reported as a warning.
     """
     if h.edge_count == 0:
         raise ValueError("spectral radius iteration needs at least one edge")
@@ -216,24 +213,24 @@ def nqz_spectral_radius(
     k = h.k
     x = np.ones(h.n, dtype=float)
     edges = edge_index(h)
-    for _ in range(max_iterations):
+    for _ in range(MAX_POWER_ITERATIONS):
         y = _apply_adjacency(h, edges, x.astype(complex)).real + x ** (k - 1)
         ratios = y / x ** (k - 1)
         lo, hi = float(np.min(ratios)), float(np.max(ratios))
-        if hi - lo <= tolerance:
+        if hi - lo <= POWER_TOLERANCE:
             break
         x = y ** (1.0 / (k - 1))
         x = x / np.max(x)
     else:
         raise BudgetExceededError(
-            f"power iteration did not converge within {max_iterations} iterations "
+            f"power iteration did not converge within {MAX_POWER_ITERATIONS} iterations "
             f"(eigenvalue bracket width {hi - lo:.3e})"
         )
     value = complex((lo + hi) / 2 - 1.0)
     resid = eig_residual(h, ADJACENCY, value, x)
-    if resid > residual_tolerance:
+    if resid > PAIR_RESIDUAL_BOUND:
         warnings.warn(
-            f"converged eigenpair residual {resid:.3e} above {residual_tolerance:.1e}",
+            f"converged eigenpair residual {resid:.3e} above {PAIR_RESIDUAL_BOUND:.1e}",
             RuntimeWarning,
         )
     return Eigenpair(ADJACENCY, value, x.astype(complex), resid)

@@ -56,8 +56,8 @@ def test_criterion_02_k4_fixture_h_count():
     """H count 4 = 3 even-bipartitions + 1 component - 0 singletons. Exact."""
     rep = solve_components(K4_OVERLAP)["laplacian"]
     assert rep.h_count == 4
-    assert rep.crosscheck_expected == 3 + 1 - 0
-    assert rep.crosscheck_matched is True
+    assert rep.h_expected == 3 + 1 - 0
+    assert rep.h_matched is True
     brute = oracles.class_inventory(4, range(1, 7), K4_OVERLAP.edges, 0)
     assert brute[2] == 4  # independent sign-vector enumeration agrees
     _report(2, "H count 4 equals the bipartition formula")
@@ -136,8 +136,8 @@ def test_criterion_06_count_identities_on_corpus():
         decomp = connected_components(h)
         solved = solve_components(h, decomp)
         if h.k % 2 == 0:
-            assert solved["signless"].crosscheck_matched is True, "odd-bipartition identity"
-            assert solved["laplacian"].crosscheck_matched is True, "even-bipartition identity"
+            assert solved["signless"].h_matched is True, "odd-bipartition identity"
+            assert solved["laplacian"].h_matched is True, "even-bipartition identity"
         else:
             assert solved["laplacian"].h_count == len(decomp)
             assert solved["signless"].h_count == decomp.singleton_count

@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import os
@@ -382,6 +383,38 @@ def test_crosscheck_scans_each_component_and_kind_once(path, capsys, multipartit
     assert multipartition_scans == [(comp, kind, "literal") for kind in kinds for comp in comps]
 
 
+def test_crosscheck_scans_nothing_for_an_unchecked_n_identity(
+    tmp_path, capsys, multipartition_scans
+):
+    """One 3-edge beside all ten triples of a 5-set, under budget 100: the
+    counter refuses the 5-set's tripartite count (a bag of 3^5 entries),
+    so the Laplacian N identity stays unchecked, the report carries no
+    literal count, and no literal scan runs."""
+    path = tmp_path / "edge_and_complete5.json"
+    edges = [[1, 2, 3]] + [list(e) for e in itertools.combinations(range(4, 9), 3)]
+    path.write_text(json.dumps({"k": 3, "n": 8, "edges": edges}))
+    code, report = run_json(capsys, "crosscheck", "--budget", "100", "--input", str(path))
+    assert code == 0
+    lap = next(e for e in report["crosschecks"] if e["operator"] == "laplacian")
+    assert lap["N_expected"] is None and lap["N_matched"] is None
+    assert lap["N_formula"].endswith("(budget exceeded, unchecked)")
+    assert "N_literal_count" not in lap
+    assert multipartition_scans == []
+
+
+def test_zero_eigenvectors_counts_no_n_identity(capsys, monkeypatch):
+    """``zero-eigenvectors`` reports no N identity, so it neither counts
+    residue orbits nor lists multipartitions."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("zero-eigenvectors read an N identity")
+
+    monkeypatch.setattr(partitions, "residue_orbit_count", refuse)
+    monkeypatch.setattr(partitions, "enumerate_multipartitions", refuse)
+    assert main(["zero-eigenvectors", "--input", CHAIN]) == 0
+    capsys.readouterr()
+
+
 def _even_k_inputs(tmp_path):
     """The even-k fixtures, plus two 4-edges and an isolated vertex."""
     two = tmp_path / "two_edges_k4.json"
@@ -497,7 +530,7 @@ class TestFailureExitCodes:
                 op: dataclasses.replace(
                     counts,
                     components=tuple(
-                        dataclasses.replace(c, crosscheck_expected=c.h_count + 1)
+                        dataclasses.replace(c, h_expected=c.h_count + 1)
                         for c in counts.components
                     ),
                 )

@@ -11,7 +11,7 @@ from zerolap.corpus import (
 )
 from zerolap import connected_components, load_hypergraph
 from zerolap.eigenstructure import (
-    crosscheck,
+    n_literal_count,
     realize_classes,
     solve_components,
     zero_eigenvector_report,
@@ -60,8 +60,10 @@ class TestOneFactorizationPerComponent:
     def test_shared_across_operators(self, h, eliminations):
         solved = solve_components(h)
         for operator in ("laplacian", "signless"):
-            zero_eigenvector_report(h, solved[operator])
-            crosscheck(h, solved[operator], 200_000)
+            counts = solved[operator]
+            zero_eigenvector_report(h, counts)
+            assert counts.n_expected in (None, counts.n_pair_count)
+            n_literal_count(h, counts, 200_000)
         assert eliminations == _eliminations_per_run(h)
 
     @pytest.mark.parametrize("h", ONE_FACTORIZATION_CASES)
@@ -146,24 +148,24 @@ class TestHCounts:
     def test_k4_laplacian_count_and_crosscheck(self, k4_overlap):
         rep = solve_components(k4_overlap)["laplacian"]
         assert rep.h_count == 4
-        assert rep.crosscheck_expected == 4  # 3 even-bipartitions + 1 component - 0 singletons
-        assert rep.crosscheck_matched is True
+        assert rep.h_expected == 4  # 3 even-bipartitions + 1 component - 0 singletons
+        assert rep.h_matched is True
 
     def test_chain_laplacian_single_class(self, chain):
         rep = solve_components(chain)["laplacian"]
         assert rep.h_count == 1
-        assert rep.crosscheck_matched is True
+        assert rep.h_matched is True
 
     def test_edgeless_signless_counts_singletons(self):
         rep = solve_components(Hypergraph(3, 3, ()))["signless"]
         assert rep.h_count == 3
-        assert rep.crosscheck_expected == 3
-        assert rep.crosscheck_matched is True
+        assert rep.h_expected == 3
+        assert rep.h_matched is True
 
     def test_k4_signless_odd_bipartitions(self, k4_overlap):
         rep = solve_components(k4_overlap)["signless"]
         assert rep.h_count == 4
-        assert rep.crosscheck_matched is True
+        assert rep.h_matched is True
 
     def test_undecided_component_leaves_the_sum_undecided(self):
         """Under budget 16 the second component's counter table is refused:
@@ -178,10 +180,10 @@ class TestHCounts:
             (64, [4, 2, 1], 7, True),
         ]:
             for rep in solve_components(h, budget=budget).values():
-                assert [c.crosscheck_expected for c in rep.components] == per_component
+                assert [c.h_expected for c in rep.components] == per_component
                 assert rep.h_count == 7
-                assert rep.crosscheck_expected == expected
-                assert rep.crosscheck_matched is matched
+                assert rep.h_expected == expected
+                assert rep.h_matched is matched
 
 
 class TestNPairs:
@@ -264,10 +266,10 @@ def test_crosschecks_hold_on_200_random_instances():
         n = rng.randint(k, 9)
         h = random_hypergraph(rng, k, n, rng.randint(0, 5))
         for operator, rep in solve_components(h).items():
-            assert rep.crosscheck_matched is True, (
+            assert rep.h_matched is True, (
                 f"k={k} n={n} edges={h.edges} op={operator}: algebra says "
-                f"{rep.h_count}, partitions say {rep.crosscheck_expected} "
-                f"({rep.crosscheck_formula})"
+                f"{rep.h_count}, partitions say {rep.h_expected} "
+                f"({rep.h_formula})"
             )
 
 

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from zerolap import Hypergraph, partitions
 from zerolap.corpus import random_connected_hypergraph, random_hypergraph
-from zerolap.eigenstructure import crosscheck, solve_components
+from zerolap.eigenstructure import n_literal_count, solve_components
 from zerolap.cli import main
 from zerolap.errors import VerificationError
 from zerolap.hypergraph import connected_components, induced_subhypergraph, load_hypergraph
@@ -79,12 +79,12 @@ class TestAgainstScans:
         solved = solve_components(h)
         for lap, sig in zip(solved["laplacian"].components, solved["signless"].components):
             if lap.singleton:
-                assert lap.crosscheck_expected == sig.crosscheck_expected == 1
+                assert lap.h_expected == sig.h_expected == 1
             elif k % 2 == 0:
                 even = bipartition_witnesses(h, lap.component, partitions.EVEN)
                 odd = bipartition_witnesses(h, lap.component, partitions.ODD)
-                assert lap.crosscheck_expected == len(even) + 1
-                assert sig.crosscheck_expected == len(odd)
+                assert lap.h_expected == len(even) + 1
+                assert sig.h_expected == len(odd)
 
     @settings(max_examples=40, deadline=None)
     @given(st.sampled_from([3, 4, 5]), st.integers(0, 2**32))
@@ -103,7 +103,7 @@ class TestAgainstScans:
                     continue
                 scanned = multipartition_witnesses(spec, cs.component, h.edges)["residue"]
                 assert residue_orbit_count(cs.counter, kind) == len(scanned)
-            assert crosscheck(h, solved[op], 200_000).n_matched
+            assert solved[op].n_matched
 
 
 def _tree_counter(k, n, seed, budget=200_000):
@@ -131,10 +131,10 @@ class TestBeyondTheScans:
         h = random_connected_hypergraph(random.Random(0), 4, 30)
         solved = solve_components(h)
         for op in ("laplacian", "signless"):
-            result = crosscheck(h, solved[op], 200_000)
-            assert result.counts.crosscheck_matched is True
-            assert result.n_matched is True
-            assert result.n_literal is None
+            counts = solved[op]
+            assert counts.h_matched is True
+            assert counts.n_matched is True
+            assert n_literal_count(h, counts, 200_000) is None
 
 
 class TestRefusal:
@@ -167,9 +167,9 @@ class TestVerification:
         )
         path = str(FIXTURE_DIR / "k3_chain_n7.json")
         h = load_hypergraph(path)
-        result = crosscheck(h, solve_components(h)["laplacian"], 200_000)
-        assert (result.n_expected, result.counts.n_pair_count) == (14, 13)
-        assert result.n_matched is False and result.mismatch
+        counts = solve_components(h)["laplacian"]
+        assert (counts.n_expected, counts.n_pair_count) == (14, 13)
+        assert counts.n_matched is False and counts.mismatch
         assert main(["crosscheck", "--input", path]) == 5
         capsys.readouterr()
 

@@ -262,9 +262,12 @@ class TestSpectralRadius:
         assert len(steps) > 10
         assert len(builds) == 2
 
-    def test_exhausted_iteration_cap_raises(self, chain):
+    def test_exhausted_iteration_cap_raises(self, chain, monkeypatch):
+        from zerolap import tensor_ops
+
+        monkeypatch.setattr(tensor_ops, "MAX_POWER_ITERATIONS", 3)
         with pytest.raises(BudgetExceededError, match="within 3 iterations"):
-            nqz_spectral_radius(chain, max_iterations=3)
+            nqz_spectral_radius(chain)
 
     def test_disconnected_rejected(self):
         h = Hypergraph(3, 6, ((1, 2, 3),))
