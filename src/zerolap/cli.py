@@ -17,8 +17,17 @@ of its own.
 on the standard library and the ``errors``, ``hypergraph`` and ``names``
 modules; numpy and the algebra load inside the commands that solve, and
 to check a ``partitions`` ``--kind``. A ``components`` call takes about
-0.09 s wall on a 2-core x86-64 host with Python 3.11, against about 0.2 s
+0.08 s wall on a 2-core x86-64 host with Python 3.11, against about 0.2 s
 with numpy.
+
+``run()`` is the process entry (``python -m zerolap.cli`` and the
+``zerolap`` script): it runs ``main()`` with the cyclic garbage collector
+disabled and freezes the heap once the report is written. A call is one
+short process whose objects live until exit, so the collections during
+the numpy import and the full-heap collection at interpreter exit free
+nothing; dropping them takes a solving call from about 0.21 to 0.19 s.
+``main()`` leaves the collector as it found it, for callers in a longer
+process.
 
 Exit codes: 0 success, 1 stdout closed before the report was written
 (for example piped into ``head``; the run ends without a traceback), 2
@@ -29,6 +38,7 @@ cross-check mismatch, 6 structural precondition not met.
 
 import argparse
 import dataclasses
+import gc
 import json
 import os
 import sys
@@ -544,5 +554,16 @@ def main(argv: list[str] | None = None) -> int:
     return code
 
 
+def run() -> None:
+    """Process entry point: ``main()`` without the cyclic garbage collector.
+
+    ``main`` has written and flushed the report when it returns; freezing
+    the heap then spares the exit its full-heap collection."""
+    gc.disable()
+    code = main()
+    gc.freeze()
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -1,3 +1,4 @@
+import gc
 import itertools
 import json
 import math
@@ -190,6 +191,61 @@ class TestStartupImports:
         env = dict(os.environ, PYTHONPATH=str(FIXTURE_DIR.parent / "src"))
         proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True)
         assert proc.returncode == 0, proc.stderr.decode()
+
+
+# Runs ``python -m zerolap.cli ARGS...`` and writes ``gc.isenabled()`` and
+# ``gc.get_freeze_count()`` to the file named first, from an atexit hook,
+# which runs after ``sys.exit``.
+_GC_AT_EXIT = """
+import atexit, gc, runpy, sys
+out, sys.argv = sys.argv[1], ["zerolap.cli", *sys.argv[2:]]
+def record():
+    with open(out, "w") as f:
+        f.write(f"{gc.isenabled()} {gc.get_freeze_count()}")
+atexit.register(record)
+runpy.run_module("zerolap.cli", run_name="__main__", alter_sys=True)
+"""
+
+
+class TestProcessEntryPoint:
+    """``cli.run`` runs the process without the cyclic collector and
+    freezes the heap before exit; ``cli.main`` leaves the collector alone."""
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_main_leaves_the_collector_as_found(self, capsys, enabled):
+        was_enabled = gc.isenabled()
+        (gc.enable if enabled else gc.disable)()
+        try:
+            frozen = gc.get_freeze_count()
+            assert run(capsys, "crosscheck", "--input", CHAIN)[0] == 0
+            assert gc.isenabled() is enabled
+            assert gc.get_freeze_count() == frozen
+        finally:
+            (gc.enable if was_enabled else gc.disable)()
+
+    @pytest.mark.parametrize(
+        "argv, code",
+        [
+            (["crosscheck", "--input", CHAIN], 0),
+            (["crosscheck", "--input", "BAD"], 2),
+            (["partitions", "--kind", "even", "--budget", "1", "--input", K4], 4),
+        ],
+    )
+    def test_module_run_disables_and_freezes(self, tmp_path, capsys, argv, code):
+        bad = tmp_path / "bad.json"
+        bad.write_text('{"k": 3, "n": 3, "edges": [[1, 2, 2]]}')
+        argv = [str(bad) if arg == "BAD" else arg for arg in argv]
+        out = tmp_path / "gc.txt"
+        env = dict(os.environ, PYTHONPATH=str(FIXTURE_DIR.parent / "src"))
+        proc = subprocess.run(
+            [sys.executable, "-c", _GC_AT_EXIT, str(out), *argv], env=env, capture_output=True
+        )
+        assert proc.returncode == code, proc.stderr.decode()
+        enabled, frozen = out.read_text().split()
+        assert enabled == "False"
+        assert int(frozen) > 0
+        # the process writes what main writes in-process
+        assert (proc.returncode, proc.stdout.decode()) == run(capsys, *argv)
 
 
 class TestZeroEigenvectorsCommand:
