@@ -19,7 +19,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from zerolap.corpus import mixed_corpus  # noqa: E402
 from zerolap.eigenstructure import solve_components  # noqa: E402
-from zerolap.zk_solver import ZERO_EIG_OPERATORS  # noqa: E402
+from zerolap.names import ZERO_EIG_OPERATORS  # noqa: E402
 
 STATUS = {True: "ok", False: "MISMATCH", None: "skipped"}
 

@@ -20,12 +20,12 @@ from zerolap.partitions import MULTIPARTITION_KINDS  # noqa: E402
 def main() -> int:
     for kind in MULTIPARTITION_KINDS:
         report = discrepancy_scan(kind)
-        print(f"== {kind}  (modulus {report.modulus}, required residue {report.rhs})")
-        if report.clean:
+        print(f"== {kind}  (modulus {report['modulus']}, required residue {report['rhs']})")
+        if not report["disagreements"]:
             print("   clause list and residue condition agree on every pattern")
-        for d in report.disagreements:
-            side = "residue only" if d.residue_valid else "literal only"
-            print(f"   {{{', '.join(map(str, d.values))}}}  [{side}]")
+        for d in report["disagreements"]:
+            side = "residue only" if d["residue_valid"] else "literal only"
+            print(f"   {{{', '.join(map(str, d['values']))}}}  [{side}]")
         print()
     return 0
 

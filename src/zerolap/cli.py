@@ -38,6 +38,7 @@ cross-check mismatch, 6 structural precondition not met.
 
 import argparse
 import dataclasses
+import functools
 import gc
 import json
 import os
@@ -66,13 +67,13 @@ EXIT_MISMATCH = 5
 EXIT_STRUCTURE = 6
 
 _KIND_FLAGS = {
-    "hm": ("bipartition", names.HM),
-    "odd": ("bipartition", names.ODD),
-    "even": ("bipartition", names.EVEN),
-    "tri": ("multipartition", names.TRIPARTITE),
-    "lquad": ("multipartition", names.L_QUAD),
-    "slquad": ("multipartition", names.SL_QUAD),
-    "penta": ("multipartition", names.PENTA),
+    "hm": names.HM,
+    "odd": names.ODD,
+    "even": names.EVEN,
+    "tri": names.TRIPARTITE,
+    "lquad": names.L_QUAD,
+    "slquad": names.SL_QUAD,
+    "penta": names.PENTA,
 }
 _OPERATOR_CHOICES = (*names.ZERO_EIG_OPERATORS, "both")
 
@@ -189,19 +190,6 @@ def cmd_zero_eigenvectors(
     return report, EXIT_OK
 
 
-def _applicable_kinds(h: Hypergraph, cfg: AnalysisConfig) -> list[str]:
-    from . import partitions
-
-    if cfg.kind is not None:
-        return [cfg.kind]
-    return [
-        flag
-        for flag, (family, kind) in _KIND_FLAGS.items()
-        if kind in partitions.bipartition_flavors(h.k)
-        or family == "multipartition" and partitions.KIND_SPECS[kind].k == h.k
-    ]
-
-
 def _witness_records(comp: tuple[int, ...], rows, parts: int, kind: str, predicate: str) -> list:
     """The report records of one component's witness rows: part j of a row
     lists the vertices whose entry is j, so an empty part stays []."""
@@ -224,11 +212,18 @@ def cmd_partitions(
 ) -> tuple[dict, int]:
     from . import partitions
 
+    @functools.cache
+    def bipartitions(comp: tuple[int, ...]):
+        """One component's listing, or its budget error, shared by every bipartition kind."""
+        try:
+            return partitions.enumerate_bipartitions(h, comp, cfg.budget)
+        except BudgetExceededError as exc:
+            return exc
+
     inventories = []
     budget_hit = False
-    bipartitions: dict = {}  # component -> its one listing, shared by every bipartition kind
-    for flag in _applicable_kinds(h, cfg):
-        family, kind = _KIND_FLAGS[flag]
+    for kind in partitions.applicable_kinds(h.k) if cfg.kind is None else [_KIND_FLAGS[cfg.kind]]:
+        family = "multipartition" if kind in partitions.KIND_SPECS else "bipartition"
         entry: dict = {"kind": kind, "family": family, "witnesses": [], "count": 0}
         if family == "multipartition":
             entry["predicate"] = cfg.predicate
@@ -237,14 +232,15 @@ def cmd_partitions(
                 continue
             try:
                 if family == "bipartition":
-                    if comp not in bipartitions:
-                        bipartitions[comp] = partitions.enumerate_bipartitions(h, comp, cfg.budget)
-                    rows, parts, predicate = bipartitions[comp][kind], 2, "literal"
-                else:
+                    listing = bipartitions(comp)
+                    if isinstance(listing, BudgetExceededError):
+                        raise listing
+                    rows, parts, predicate = listing[kind], 2, "literal"
+                else:  # a multipartition kind of k has k parts
                     rows = partitions.enumerate_multipartitions(
                         h, comp, kind, cfg.predicate, cfg.budget
                     )
-                    parts, predicate = partitions.KIND_SPECS[kind].parts, cfg.predicate
+                    parts, predicate = h.k, cfg.predicate
                 entry["witnesses"] += _witness_records(comp, rows, parts, kind, predicate)
                 entry["count"] += len(rows)
             except BudgetExceededError as exc:
@@ -285,9 +281,9 @@ def cmd_crosscheck(
         mismatch = mismatch or counts.mismatch
         checks.append(entry)
     scans = [
-        partitions.discrepancy_scan(kind).to_json_dict()
-        for kind, spec in partitions.KIND_SPECS.items()
-        if spec.k == h.k
+        partitions.discrepancy_scan(kind)
+        for kind in partitions.applicable_kinds(h.k)
+        if kind in partitions.KIND_SPECS
     ]
     report = {"crosschecks": checks, "discrepancies": scans}
     return report, EXIT_MISMATCH if mismatch else EXIT_OK
@@ -507,14 +503,10 @@ def main(argv: list[str] | None = None) -> int:
     try:
         cfg = _merge_config(args)
         h = load_hypergraph(cfg.input)
-        family, kind = _KIND_FLAGS.get(cfg.kind, (None, None))
-        if args.command == "partitions" and family is not None:
+        if args.command == "partitions" and cfg.kind is not None:
             from . import partitions
 
-            if family == "multipartition":
-                partitions.kind_spec(kind, h.k)  # a kind of another uniformity
-            elif kind not in partitions.bipartition_flavors(h.k):
-                raise ValueError(f"{kind} bipartitions apply to even k, got k={h.k}")
+            partitions.require_applicable(_KIND_FLAGS[cfg.kind], h.k)
     except (HypergraphFormatError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
@@ -539,7 +531,9 @@ def main(argv: list[str] | None = None) -> int:
     rendered = _render_pretty(report) if cfg.pretty else render_report(report)
     if cfg.out:
         try:
-            Path(cfg.out).write_text(rendered + "\n")
+            with Path(cfg.out).open("w") as out:
+                out.write(rendered)  # then the newline: no second copy of the report
+                out.write("\n")
         except OSError as exc:
             print(f"error: cannot write report: {exc}", file=sys.stderr)
             return EXIT_PARSE

@@ -28,12 +28,12 @@ lists all three from the component's edge systems modulo 2.
 ``enumerate_multipartitions`` lists one row per orbit of a kind's part
 assignments under one predicate. Residue rows are read from the solve,
 one per conjugate pair of kept classes. Literal rows come from a scan of
-all p^m assignments of an m-vertex component in numpy blocks of ``CHUNK``,
+all k^m assignments of an m-vertex component in numpy blocks of ``CHUNK``,
 each edge's profile coded as one small integer and looked up in the
-clause table, so a block's arrays stay small whatever p^m is.
+clause table, so a block's arrays stay small whatever k^m is.
 
 The bipartition listing costs a row per solution modulo 2, the residue
-multipartition listing a row per class, and the literal scan p^m; the
+multipartition listing a row per class, and the literal scan k^m; the
 budget bounds each before anything is listed. The cross-checks need only
 counts, and ``ResidueCounter`` finds those without listing: it counts the
 maps from a component's vertices into a value set D of Z_k whose every
@@ -58,7 +58,7 @@ import numpy as np
 from .errors import BudgetExceededError, VerificationError
 from .hypergraph import Hypergraph, induced_subhypergraph
 from .names import BIPARTITION_FLAVORS, DEFAULT_ENUM_BUDGET, EVEN, HM, ODD, PREDICATES
-from .names import L_QUAD, PENTA, SL_QUAD, TRIPARTITE, ZERO_EIG_OPERATORS
+from .names import L_QUAD, LAPLACIAN, PENTA, SIGNLESS, SL_QUAD, TRIPARTITE
 from .tensor_ops import edge_index
 from .zk_solver import CHECK_ROWS, edge_residue, howell_form, lex_solutions, solve_mod_k
 
@@ -69,49 +69,45 @@ CHUNK = 4096
 
 @dataclass(frozen=True)
 class KindSpec:
-    """Static description of one multipartition kind.
+    """Static description of one multipartition kind, named by its key in
+    ``KIND_SPECS``.
 
-    ``profiles`` holds the literal clause list as intersection-count
-    profiles (|e cap V_1|, ..., |e cap V_p|); ``rhs`` is the residue the
-    matching eigenvector system requires; ``min_nonempty`` is the literal
-    nonemptiness demand on the parts.
+    The kind splits the vertices of a ``k``-uniform hypergraph into k
+    parts, and its residue-valid witnesses pair with the N classes of
+    ``operator``. ``profiles`` holds the literal clause list as
+    intersection-count profiles (|e cap V_1|, ..., |e cap V_k|);
+    ``min_nonempty`` is the literal nonemptiness demand on the parts.
     """
 
-    kind: str
     k: int
-    parts: int
-    rhs: int
+    operator: str
     min_nonempty: int
     profiles: frozenset
 
+    @property
+    def rhs(self) -> int:
+        """The residue of every edge's exponent sum in ``operator``'s system."""
+        return edge_residue(self.k, self.operator)
 
-def _containment_profiles(p: int, k: int) -> list[tuple[int, ...]]:
+
+def _containment_profiles(k: int) -> list[tuple[int, ...]]:
     # "e inside V_i for some i" clauses
-    out = []
-    for i in range(p):
-        prof = [0] * p
-        prof[i] = k
-        out.append(tuple(prof))
-    return out
+    return [tuple(k if j == i else 0 for j in range(k)) for i in range(k)]
 
 
 KIND_SPECS: dict[str, KindSpec] = {
     TRIPARTITE: KindSpec(
-        TRIPARTITE,
         k=3,
-        parts=3,
-        rhs=0,
+        operator=LAPLACIAN,
         min_nonempty=3,
-        profiles=frozenset(_containment_profiles(3, 3) + [(1, 1, 1)]),
+        profiles=frozenset(_containment_profiles(3) + [(1, 1, 1)]),
     ),
     L_QUAD: KindSpec(
-        L_QUAD,
         k=4,
-        parts=4,
-        rhs=0,
+        operator=LAPLACIAN,
         min_nonempty=2,
         profiles=frozenset(
-            _containment_profiles(4, 4)
+            _containment_profiles(4)
             + [
                 (2, 0, 2, 0),
                 (0, 2, 0, 2),
@@ -121,13 +117,11 @@ KIND_SPECS: dict[str, KindSpec] = {
         ),
     ),
     SL_QUAD: KindSpec(
-        SL_QUAD,
         k=4,
-        parts=4,
-        rhs=2,
+        operator=SIGNLESS,
         min_nonempty=2,
         profiles=frozenset(
-            _containment_profiles(4, 4)
+            _containment_profiles(4)
             + [
                 (3, 0, 1, 0),
                 (1, 0, 3, 0),
@@ -141,13 +135,11 @@ KIND_SPECS: dict[str, KindSpec] = {
         ),
     ),
     PENTA: KindSpec(
-        PENTA,
         k=5,
-        parts=5,
-        rhs=0,
+        operator=LAPLACIAN,
         min_nonempty=3,
         profiles=frozenset(
-            _containment_profiles(5, 5)
+            _containment_profiles(5)
             + [
                 (1, 2, 0, 0, 2),
                 (1, 0, 2, 2, 0),
@@ -167,48 +159,27 @@ KIND_SPECS: dict[str, KindSpec] = {
 MULTIPARTITION_KINDS = tuple(KIND_SPECS)
 
 # Multipartition kind whose residue-valid witnesses match the N classes of
-# each (k, operator): the kind whose residue is that operator's edge
-# residue. The other pairs have no kind.
+# each (k, operator). The other pairs have no kind.
 N_PAIR_KINDS: dict[tuple[int, str], str] = {
-    (spec.k, operator): kind
-    for kind, spec in KIND_SPECS.items()
-    for operator in ZERO_EIG_OPERATORS
-    if edge_residue(spec.k, operator) == spec.rhs
+    (spec.k, spec.operator): kind for kind, spec in KIND_SPECS.items()
 }
 
 
-@dataclass(frozen=True)
-class DiscrepancyEntry:
-    values: tuple[int, ...]  # sorted value multiset of one edge pattern
-    literal_valid: bool
-    residue_valid: bool
+def applicable_kinds(k: int) -> tuple[str, ...]:
+    """The partition kinds that apply to k, in report order: the hm
+    bipartitions; the odd and even ones for even k only, where swapping
+    the sides keeps a witness; then the multipartition kinds of k."""
+    flavors = BIPARTITION_FLAVORS if k % 2 == 0 else (HM,)
+    return (*flavors, *(kind for kind, spec in KIND_SPECS.items() if spec.k == k))
 
 
-@dataclass(frozen=True)
-class DiscrepancyReport:
-    kind: str
-    modulus: int
-    rhs: int
-    disagreements: tuple[DiscrepancyEntry, ...]
-
-    @property
-    def clean(self) -> bool:
-        return not self.disagreements
-
-    def to_json_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "modulus": self.modulus,
-            "rhs": self.rhs,
-            "disagreements": [
-                {
-                    "values": list(d.values),
-                    "literal_valid": d.literal_valid,
-                    "residue_valid": d.residue_valid,
-                }
-                for d in self.disagreements
-            ],
-        }
+def require_applicable(kind: str, k: int) -> None:
+    """ValueError unless ``kind``, a partition kind, applies to k."""
+    if kind in applicable_kinds(k):
+        return
+    if kind in KIND_SPECS:
+        raise ValueError(f"{kind} applies to {KIND_SPECS[kind].k}-uniform hypergraphs, got k={k}")
+    raise ValueError(f"{kind} bipartitions apply to even k, got k={k}")
 
 
 def _part_rows(h: Hypergraph, component: Sequence[int], rows, parts: int):
@@ -237,19 +208,15 @@ def validate_bipartition(h: Hypergraph, component: Sequence[int], rows, flavor: 
         raise ValueError(f"unknown flavor {flavor!r}")
     block, edges = _part_rows(h, component, rows, 2)
     in_v1 = block == 0
-    meets = in_v1[:, edges].sum(axis=2)
-    if flavor == HM:
-        ok = in_v1.any(axis=1) & (meets == 1).all(axis=1)
-    else:
-        parity = meets % 2 == (flavor == ODD)
-        ok = in_v1.any(axis=1) & ~in_v1.all(axis=1) & parity.all(axis=1)
+    ok = in_v1.any(axis=1)
+    if flavor != HM:
+        ok &= ~in_v1.all(axis=1)
+    for i in range(0, len(block), CHECK_ROWS):  # the edge meets of a few rows at a time
+        meets = in_v1[i : i + CHECK_ROWS][:, edges].sum(axis=2)
+        hits = meets == 1 if flavor == HM else meets % 2 == (flavor == ODD)
+        ok[i : i + CHECK_ROWS] &= hits.all(axis=1)
     ok |= not len(edges)
     return ok if np.ndim(rows) == 2 else bool(ok[0])
-
-
-def bipartition_flavors(k: int) -> tuple[str, ...]:
-    """The flavors listed for k: odd/even only for even k, where the swap holds."""
-    return BIPARTITION_FLAVORS if k % 2 == 0 else (HM,)
 
 
 def enumerate_bipartitions(
@@ -279,7 +246,7 @@ def enumerate_bipartitions(
     edges = edge_index(sub)
     form = howell_form(edges, len(comp), 2)
     # right-hand side 1: v1 meets every edge oddly; 0: evenly
-    systems = [solve_mod_k(form, rhs) for rhs in (1, 0) if rhs or EVEN in bipartition_flavors(h.k)]
+    systems = [solve_mod_k(form, rhs) for rhs in (1, 0) if rhs or EVEN in applicable_kinds(h.k)]
     most = max(desc.solution_count for desc in systems)
     if most > budget:
         raise BudgetExceededError(
@@ -482,8 +449,7 @@ def find_hm_bipartition(
 def kind_spec(kind: str, k: int) -> KindSpec:
     """The spec of ``kind``; ValueError unless the kind applies to ``k``."""
     spec = KIND_SPECS[kind]
-    if k != spec.k:
-        raise ValueError(f"{kind} applies to {spec.k}-uniform hypergraphs, got k={k}")
+    require_applicable(kind, k)
     return spec
 
 
@@ -501,8 +467,8 @@ def validate_multipartition(
     """
     spec = kind_spec(kind, h.k)
     weights, table = _profile_table(spec, predicate)
-    block, edges = _part_rows(h, component, rows, spec.parts)
-    ok = sum((block == j).any(axis=1) for j in range(spec.parts)) >= spec.min_nonempty
+    block, edges = _part_rows(h, component, rows, spec.k)
+    ok = sum((block == j).any(axis=1) for j in range(spec.k)) >= spec.min_nonempty
     for i in range(0, len(block), CHECK_ROWS):  # the edge profiles of a few rows at a time
         profiles = weights[block[i : i + CHECK_ROWS]][:, edges].sum(axis=2)
         ok[i : i + CHECK_ROWS] &= table[profiles].all(axis=1)
@@ -511,7 +477,7 @@ def validate_multipartition(
 
 def _edge_predicates(spec: KindSpec, multiset: tuple[int, ...]) -> tuple[bool, bool]:
     """(literal, residue) validity of an edge whose vertices carry ``multiset``."""
-    prof = tuple(multiset.count(j) for j in range(spec.parts))
+    prof = tuple(multiset.count(j) for j in range(spec.k))
     return prof in spec.profiles, sum(multiset) % spec.k == spec.rhs
 
 
@@ -525,10 +491,10 @@ def _profile_table(spec: KindSpec, predicate: str) -> tuple[np.ndarray, np.ndarr
     """
     if predicate not in PREDICATES:
         raise ValueError(f"unknown predicate {predicate!r}")
-    k, p = spec.k, spec.parts
-    weights = (k + 1) ** np.arange(p, dtype=np.int16)
-    table = np.zeros((k + 1) ** p, dtype=bool)
-    for multiset in itertools.combinations_with_replacement(range(p), k):
+    k = spec.k
+    weights = (k + 1) ** np.arange(k, dtype=np.int16)
+    table = np.zeros((k + 1) ** k, dtype=bool)
+    for multiset in itertools.combinations_with_replacement(range(k), k):
         passes = _edge_predicates(spec, multiset)[PREDICATES.index(predicate)]
         table[int(weights[list(multiset)].sum())] = passes
     return weights, table
@@ -537,12 +503,12 @@ def _profile_table(spec: KindSpec, predicate: str) -> tuple[np.ndarray, np.ndarr
 def _kept(rows: np.ndarray, spec: KindSpec) -> np.ndarray:
     """Per row: at least ``min_nonempty`` values and not real-scalable (one
     value, or two half a turn apart: bipartitions, listed on their own)."""
-    p = spec.parts
-    present = np.stack([(rows == j).any(axis=1) for j in range(p)], axis=1)
+    k = spec.k
+    present = np.stack([(rows == j).any(axis=1) for j in range(k)], axis=1)
     nonempty = present.sum(axis=1)
     scalable = nonempty == 1
-    if p % 2 == 0:  # two values half a turn apart (p == k for every kind)
-        scalable |= (nonempty == 2) & (present[:, : p // 2] & present[:, p // 2 :]).any(axis=1)
+    if k % 2 == 0:  # two values half a turn apart
+        scalable |= (nonempty == 2) & (present[:, : k // 2] & present[:, k // 2 :]).any(axis=1)
     return (nonempty >= spec.min_nonempty) & ~scalable
 
 
@@ -573,14 +539,14 @@ def enumerate_multipartitions(
     those than ``budget`` raise BudgetExceededError before any is
     listed; a listed row breaking the residue raises VerificationError.
 
-    ``literal`` scans all p^m assignments in blocks of ``CHUNK``, code j
-    giving vertex i the i-th base-p digit of j, most significant first, and
+    ``literal`` scans all k^m assignments in blocks of ``CHUNK``, code j
+    giving vertex i the i-th base-k digit of j, most significant first, and
     keys each orbit by its least code over the group, as the clause lists
-    are not closed under it. p^m > ``budget`` raises BudgetExceededError
+    are not closed under it. k^m > ``budget`` raises BudgetExceededError
     before any array exists.
     """
     spec = kind_spec(kind, h.k)
-    m, p, k = len(set(component)), spec.parts, spec.k
+    m, k = len(set(component)), spec.k
     if predicate == "residue":
         sub, comp = induced_subhypergraph(h, component)
         desc = solve_mod_k(howell_form(edge_index(sub), m, k), spec.rhs)
@@ -600,20 +566,20 @@ def enumerate_multipartitions(
     if predicate != "literal":
         raise ValueError(f"unknown predicate {predicate!r}")
 
-    total = p**m
+    total = k**m
     if total > budget:
         raise BudgetExceededError(
-            f"multipartition scan needs {p}^{m} assignments, budget is {budget}"
+            f"multipartition scan needs {k}^{m} assignments, budget is {budget}"
         )
     edge_idx = edge_index(induced_subhypergraph(h, component).hypergraph)
-    place = p ** np.arange(m - 1, -1, -1, dtype=np.int64)  # digit weights, vertex order
+    place = k ** np.arange(m - 1, -1, -1, dtype=np.int64)  # digit weights, vertex order
     weights, table = _profile_table(spec, "literal")
     chosen: dict[int, int] = {}  # orbit key -> code of its least kept assignment
     for start in range(0, total, CHUNK):
         codes = np.arange(start, min(start + CHUNK, total), dtype=np.int64)
-        vals = _digits(codes, m, p)
+        vals = _digits(codes, m, k)
         vertex_weight = weights[vals]
-        # profile codes stay below (k+1)^p <= 6^5, so int16 holds them
+        # profile codes stay below (k+1)^k <= 6^5, so int16 holds them
         profile = np.zeros((len(codes), len(edge_idx)), dtype=np.int16)
         for slot in edge_idx.T:
             profile += vertex_weight[:, slot]
@@ -622,13 +588,13 @@ def enumerate_multipartitions(
         sub = vals[hit]
         # orbit key: least code over the shift and negation images
         keys = np.min(
-            [((sign * sub + t) % p) @ place for sign in (1, -1) for t in range(p)], axis=0
+            [((sign * sub + t) % k) @ place for sign in (1, -1) for t in range(k)], axis=0
         )
         # codes ascend within the chunk, so each key's first index is its least code
         uniq, first = np.unique(keys, return_index=True)
         for key, code in zip(uniq.tolist(), codes[hit][first].tolist()):
             chosen.setdefault(key, code)  # earlier chunks hold smaller codes
-    return _digits(np.array([chosen[key] for key in sorted(chosen)], np.int64), m, p)
+    return _digits(np.array([chosen[key] for key in sorted(chosen)], np.int64), m, k)
 
 
 def elimination_order(
@@ -806,18 +772,22 @@ def residue_orbit_count(counter: ResidueCounter, kind: str) -> int | None:
     return orbits
 
 
-def discrepancy_scan(kind: str) -> DiscrepancyReport:
+def discrepancy_scan(kind: str) -> dict:
     """Compare the literal clause list against the residue condition.
 
     Enumerates every size-k value multiset over Z_k, classifies it under
     both predicates, and reports each multiset where they disagree. The
     scan is exhaustive, so it is its own oracle; it depends only on the
-    kind, not on any particular hypergraph.
+    kind, not on any particular hypergraph. Returns the report record:
+    the kind, its modulus k and residue, and one entry per disagreeing
+    multiset, its sorted values and their validity under each predicate.
     """
     spec = KIND_SPECS[kind]
     disagreements = []
     for multiset in itertools.combinations_with_replacement(range(spec.k), spec.k):
         literal_ok, residue_ok = _edge_predicates(spec, multiset)
         if literal_ok != residue_ok:
-            disagreements.append(DiscrepancyEntry(multiset, literal_ok, residue_ok))
-    return DiscrepancyReport(kind, spec.k, spec.rhs, tuple(disagreements))
+            disagreements.append(
+                {"values": list(multiset), "literal_valid": literal_ok, "residue_valid": residue_ok}
+            )
+    return {"kind": kind, "modulus": spec.k, "rhs": spec.rhs, "disagreements": disagreements}

@@ -290,11 +290,11 @@ def multipartition_witnesses(spec, vertices, edges):
     """The least kept assignment per shift/negation orbit, per predicate.
 
     A plain ``itertools.product`` walk over every assignment of the
-    ``spec.parts`` part indices to ``vertices``. Each induced edge is looked
+    ``spec.k`` part indices to ``vertices``. Each induced edge is looked
     up by its tuple of values in a table made from the definitions: the
     value sum for ``residue``, the sorted value multiset against the clause
     profiles spelled out as multisets for ``literal``. ``spec`` supplies
-    only the kind's data (k, parts, residue, nonemptiness demand, clause
+    only the kind's data (k, residue, nonemptiness demand, clause
     profiles). Each witness is the tuple of the part indices of ``vertices``
     in ascending order, one list per predicate in ascending order of the
     orbit's least member.
@@ -305,7 +305,7 @@ def multipartition_witnesses(spec, vertices, edges):
     getters = [
         operator.itemgetter(*(pos[v] for v in e)) for e in edges if vset.issuperset(e)
     ]
-    k, p = spec.k, spec.parts
+    k = p = spec.k
     clauses = {
         tuple(j for j, count in enumerate(prof) for _ in range(count)) for prof in spec.profiles
     }

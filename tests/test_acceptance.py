@@ -207,18 +207,22 @@ def test_criterion_09_every_emitted_eigenvector_verifies():
 
 def test_criterion_10_discrepancy_scans():
     """Scanner flags the known literal/residue disagreements. Exact."""
-    lquad = {d.values: d for d in discrepancy_scan("lquad").disagreements}
+
+    def flagged(kind):
+        return {tuple(d["values"]): d for d in discrepancy_scan(kind)["disagreements"]}
+
+    lquad = flagged("lquad")
     assert (0, 1, 1, 2) in lquad
-    assert lquad[(0, 1, 1, 2)].residue_valid and not lquad[(0, 1, 1, 2)].literal_valid
+    assert lquad[(0, 1, 1, 2)]["residue_valid"] and not lquad[(0, 1, 1, 2)]["literal_valid"]
 
-    slquad = {d.values: d for d in discrepancy_scan("slquad").disagreements}
+    slquad = flagged("slquad")
     assert (0, 0, 3, 3) in slquad
-    assert slquad[(0, 0, 3, 3)].residue_valid and not slquad[(0, 0, 3, 3)].literal_valid
+    assert slquad[(0, 0, 3, 3)]["residue_valid"] and not slquad[(0, 0, 3, 3)]["literal_valid"]
 
-    penta = {d.values: d for d in discrepancy_scan("penta").disagreements}
+    penta = flagged("penta")
     # the clause with |e^V3|=3, |e^V1|=1, |e^V4|=1: sum 9, not 0 mod 5
     assert (0, 2, 2, 2, 3) in penta
-    assert penta[(0, 2, 2, 2, 3)].literal_valid and not penta[(0, 2, 2, 2, 3)].residue_valid
+    assert penta[(0, 2, 2, 2, 3)]["literal_valid"] and not penta[(0, 2, 2, 2, 3)]["residue_valid"]
 
-    assert discrepancy_scan("tripartite").clean
+    assert flagged("tripartite") == {}
     _report(10, "lquad {0,1,1,2}, slquad {0,0,3,3}, penta clause flagged")

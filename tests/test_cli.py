@@ -425,6 +425,14 @@ def test_each_component_eliminated_once(command, tmp_path, capsys, eliminations)
     assert eliminations == [4, 2, 4, 2]
 
 
+def test_over_budget_bipartitions_eliminated_once(capsys, eliminations):
+    """A component whose bipartition listing is over budget is eliminated
+    modulo 2 once, not once per flavor; lquad and slquad each eliminate
+    modulo 4."""
+    assert main(["partitions", "--input", K4, "--budget", "1"]) == 4
+    assert eliminations == [2, 4, 4]
+
+
 @pytest.mark.parametrize("path", [CHAIN, K4, EDGE3, EDGE4])
 def test_crosscheck_scans_each_component_and_kind_once(path, capsys, multipartition_scans):
     h = hypergraph.load_hypergraph(path)
@@ -690,9 +698,8 @@ class TestConfigHandling:
 
     @pytest.mark.parametrize("kind", ["tri", "penta"])
     def test_kind_of_another_uniformity_exits_2(self, capsys, kind):
+        name, k = {"tri": ("tripartite", 3), "penta": ("penta", 5)}[kind]
         assert main(["partitions", "--input", K4, "--kind", kind]) == 2
-        _, name = cli_module._KIND_FLAGS[kind]
-        k = partitions.KIND_SPECS[name].k
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: {name} applies to {k}-uniform hypergraphs, got k=4\n"
@@ -705,6 +712,28 @@ class TestConfigHandling:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: {kind} bipartitions apply to even k, got k=3\n"
+
+    @pytest.mark.parametrize(
+        "k,kinds",
+        [
+            (2, ["hm", "odd", "even"]),
+            (3, ["hm", "tripartite"]),
+            (4, ["hm", "odd", "even", "lquad", "slquad"]),
+            (5, ["hm", "penta"]),
+            (6, ["hm", "odd", "even"]),
+            (7, ["hm"]),
+        ],
+    )
+    def test_default_kinds_per_uniformity(self, tmp_path, capsys, k, kinds):
+        """Without --kind, every kind that applies to k, bipartitions first."""
+        path = tmp_path / "edge.json"
+        path.write_text(json.dumps({"k": k, "n": k, "edges": [list(range(1, k + 1))]}))
+        code, report = run_json(capsys, "partitions", "--input", str(path))
+        assert code == 0
+        bipartitions = {"hm", "odd", "even"}
+        assert [(entry["family"], entry["kind"]) for entry in report["partitions"]] == [
+            ("bipartition" if kind in bipartitions else "multipartition", kind) for kind in kinds
+        ]
 
     def test_kind_of_the_input_uniformity_runs(self, capsys):
         code, report = run_json(capsys, "partitions", "--input", K4, "--kind", "lquad")

@@ -29,6 +29,7 @@ FIXTURES = sorted(p.name for p in (ROOT / "fixtures").iterdir() if p.is_file())
 # golden name -> zerolap arguments before ``--input``
 COMMANDS = {command: [command] for command in _COMMANDS}
 COMMANDS["partitions-literal"] = ["partitions", "--predicate", "literal"]
+COMMANDS["partitions-budget1"] = ["partitions", "--budget", "1"]
 CASES = [(fixture, command) for fixture in FIXTURES for command in sorted(COMMANDS)]
 # golden name "<script>.<case>" -> arguments of scripts/<script>.py
 SCRIPT_CASES = {

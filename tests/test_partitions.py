@@ -29,7 +29,7 @@ from zerolap.corpus import (
 from zerolap.eigenstructure import solve_components
 from zerolap.hypergraph import connected_components, load_hypergraph
 from zerolap.tensor_ops import edge_index
-from zerolap.zk_solver import LAPLACIAN, ZERO_EIG_OPERATORS, lex_solutions
+from zerolap.zk_solver import CHECK_ROWS, LAPLACIAN, ZERO_EIG_OPERATORS, lex_solutions
 
 from conftest import FIXTURE_DIR, single_edge
 from oracles import bipartition_witnesses, hm_bipartition_dfs, multipartition_witnesses
@@ -72,6 +72,17 @@ class TestValidateBipartition:
         got = validate_bipartition(k4_overlap, K4_COMPONENT, rows, "even")
         assert got.tolist() == [True, False, True]
         assert validate_bipartition(k4_overlap, K4_COMPONENT, rows[:0], "even").shape == (0,)
+
+    @pytest.mark.parametrize("flavor", partitions.BIPARTITION_FLAVORS)
+    def test_block_past_check_rows_matches_each_row(self, k4_overlap, flavor):
+        """Every verdict of a block checked a few rows at a time is the
+        verdict of its row alone, across the block boundaries."""
+        rows = np.random.default_rng(1).integers(0, 2, (2 * CHECK_ROWS + 7, 6), dtype=np.int8)
+        got = validate_bipartition(k4_overlap, K4_COMPONENT, rows, flavor)
+        assert 0 < got.sum() < len(rows)
+        assert got.tolist() == [
+            validate_bipartition(k4_overlap, K4_COMPONENT, row, flavor) for row in rows
+        ]
 
     @pytest.mark.parametrize(
         "row", [(0, 0, 2, 1, 0, 1), (0, 0, -1, 1, 0, 1), (0, 0, 1, 1, 0), (0.0,) * 6]
@@ -155,7 +166,7 @@ class TestBipartitionScanAgainstOracle:
         assert list(found) == list(partitions.BIPARTITION_FLAVORS)
         for flavor, witnesses in found.items():
             assert witnesses.dtype == np.int8 and witnesses.shape[1:] == (len(component),)
-            if flavor in partitions.bipartition_flavors(h.k):
+            if flavor in partitions.applicable_kinds(h.k):
                 assert _tuples(witnesses) == bipartition_witnesses(h, component, flavor), flavor
             else:
                 assert len(witnesses) == 0, flavor
@@ -579,6 +590,23 @@ class TestScanAgainstOracle:
         assert len(rows) == 9841
         assert peak < 16 * 2**20
 
+    @pytest.mark.parametrize("flavor", partitions.BIPARTITION_FLAVORS)
+    def test_bipartition_check_stays_chunked(self, flavor):
+        """9841 random rows over the same 229 edges: their edge meets
+        checked at once would take 24 MB for hm and 37 MB for odd/even."""
+        dense = list(itertools.combinations(range(1, 13), 3))
+        fan = [(1, 13 + 2 * i, 14 + 2 * i) for i in range(9)]
+        h = Hypergraph(3, 30, tuple(sorted(dense + fan)))
+        rows = np.random.default_rng(0).integers(0, 2, (9841, 30), dtype=np.int8)
+        tracemalloc.start()
+        try:
+            ok = validate_bipartition(h, tuple(range(1, 31)), rows, flavor)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert ok.shape == (9841,)
+        assert peak < 4 * 2**20
+
 
 def _least_image(row, k):
     """The least image of an exponent row under alpha -> +-alpha + t (mod k)."""
@@ -643,28 +671,69 @@ class TestClassRowsArePartitionRows:
                 assert sorted(_tuples(h_rows // (k // 2))) == sorted(expected)
 
 
+class TestKindTable:
+    """``KIND_SPECS`` is the one description of a multipartition kind."""
+
+    def test_residue_and_pairing_come_from_the_operator(self):
+        assert {kind: (spec.k, spec.rhs) for kind, spec in partitions.KIND_SPECS.items()} == {
+            "tripartite": (3, 0),
+            "lquad": (4, 0),
+            "slquad": (4, 2),
+            "penta": (5, 0),
+        }
+        assert partitions.N_PAIR_KINDS == {
+            (3, "laplacian"): "tripartite",
+            (4, "laplacian"): "lquad",
+            (4, "signless"): "slquad",
+            (5, "laplacian"): "penta",
+        }
+
+    @pytest.mark.parametrize(
+        "kind,k,message",
+        [
+            ("penta", 4, "penta applies to 5-uniform hypergraphs, got k=4"),
+            ("odd", 5, "odd bipartitions apply to even k, got k=5"),
+        ],
+    )
+    def test_require_applicable(self, kind, k, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            partitions.require_applicable(kind, k)
+        partitions.require_applicable(kind, 5 if kind == "penta" else 4)
+
+
+def _flagged(kind):
+    """The disagreements of ``discrepancy_scan(kind)`` by their value tuple."""
+    return {tuple(d["values"]): d for d in discrepancy_scan(kind)["disagreements"]}
+
+
 class TestDiscrepancyScan:
     def test_tripartite_clean(self):
-        assert discrepancy_scan("tripartite").clean
+        assert discrepancy_scan("tripartite")["disagreements"] == []
 
     def test_lquad_flags_missing_multiset(self):
-        report = discrepancy_scan("lquad")
-        flagged = {d.values: d for d in report.disagreements}
+        flagged = _flagged("lquad")
         assert (0, 1, 1, 2) in flagged
         entry = flagged[(0, 1, 1, 2)]
-        assert entry.residue_valid and not entry.literal_valid
+        assert entry["residue_valid"] and not entry["literal_valid"]
 
     def test_slquad_flags_missing_multiset(self):
-        report = discrepancy_scan("slquad")
-        flagged = {d.values: d for d in report.disagreements}
+        flagged = _flagged("slquad")
         assert (0, 0, 3, 3) in flagged
-        assert flagged[(0, 0, 3, 3)].residue_valid
+        assert flagged[(0, 0, 3, 3)]["residue_valid"]
         # the monochromatic clauses are literal-valid yet miss the residue
         assert (0, 0, 0, 0) in flagged
-        assert not flagged[(0, 0, 0, 0)].residue_valid
+        assert not flagged[(0, 0, 0, 0)]["residue_valid"]
 
     def test_penta_flags_inconsistent_clause(self):
-        report = discrepancy_scan("penta")
-        flagged = {d.values: d for d in report.disagreements}
-        entry = flagged[(0, 2, 2, 2, 3)]
-        assert entry.literal_valid and not entry.residue_valid
+        entry = _flagged("penta")[(0, 2, 2, 2, 3)]
+        assert entry["literal_valid"] and not entry["residue_valid"]
+
+    def test_report_record(self):
+        """The record ``crosscheck`` writes: kind, modulus, residue, entries."""
+        assert discrepancy_scan("slquad")["kind"] == "slquad"
+        assert discrepancy_scan("slquad")["modulus"] == 4
+        assert discrepancy_scan("slquad")["rhs"] == 2
+        assert discrepancy_scan("lquad")["disagreements"] == [
+            {"values": [0, 1, 1, 2], "literal_valid": False, "residue_valid": True},
+            {"values": [0, 2, 3, 3], "literal_valid": False, "residue_valid": True},
+        ]
