@@ -8,10 +8,12 @@ order of their exponents, shifted to 0 at the component's first vertex,
 and ``--budget`` keeps the lexicographically first classes, components in
 order; the order depends only on the solution set, not on the solver.
 ``render_report`` writes a report byte for byte as
-``json.dumps(report, indent=2, sort_keys=True)`` does, built from the same
-stdlib primitives but without that call's pure-Python encoder. Every
-number in a report comes from a library call; the CLI does no arithmetic
-of its own.
+``json.dumps(report, indent=2, sort_keys=True, default=list)`` does, built
+from the same stdlib primitives but without that call's pure-Python
+encoder. A listing (``eigenstructure.ClassListing``, ``WitnessListing``)
+stays in the report as its arrays and iterates as its records, which the
+renderer writes from the arrays, one text per distinct value. Every
+number in a report comes from a library call; the CLI does no arithmetic.
 
 ``components``, ``--help``, usage errors and bad input or config files run
 on the standard library and the ``errors``, ``hypergraph`` and ``names``
@@ -190,21 +192,25 @@ def cmd_zero_eigenvectors(
     return report, EXIT_OK
 
 
-def _witness_records(comp: tuple[int, ...], rows, parts: int, kind: str, predicate: str) -> list:
-    """The report records of one component's witness rows: part j of a row
-    lists the vertices whose entry is j, so an empty part stays []."""
-    import numpy as np
+@dataclasses.dataclass(eq=False)
+class WitnessListing:
+    """One kind's witnesses, a block of part-index rows per component: row
+    r of a block puts its i-th vertex in part ``rows[r, i]``. Iterating
+    gives the report records; ``render_report`` writes them from the rows."""
 
-    vertices = np.array(comp)
-    return [
-        {
-            "kind": kind,
-            "parts": [vertices[row == j].tolist() for j in range(parts)],
-            "predicate": predicate,
-            "valid": True,
-        }
-        for row in rows
-    ]
+    kind: str
+    predicate: str
+    parts: int
+    blocks: list = dataclasses.field(default_factory=list)  # (vertices, rows) per component
+
+    def __len__(self) -> int:
+        return sum(len(rows) for _, rows in self.blocks)
+
+    def __iter__(self):
+        for comp, rows in self.blocks:
+            for row in rows.tolist():
+                parts = [[v for v, j in zip(comp, row) if j == part] for part in range(self.parts)]
+                yield dict(kind=self.kind, parts=parts, predicate=self.predicate, valid=True)
 
 
 def cmd_partitions(
@@ -224,9 +230,11 @@ def cmd_partitions(
     budget_hit = False
     for kind in partitions.applicable_kinds(h.k) if cfg.kind is None else [_KIND_FLAGS[cfg.kind]]:
         family = "multipartition" if kind in partitions.KIND_SPECS else "bipartition"
-        entry: dict = {"kind": kind, "family": family, "witnesses": [], "count": 0}
-        if family == "multipartition":
+        witnesses = WitnessListing(kind, "literal", 2)
+        entry: dict = {"kind": kind, "family": family, "witnesses": witnesses, "count": 0}
+        if family == "multipartition":  # a multipartition kind of k has k parts
             entry["predicate"] = cfg.predicate
+            entry["witnesses"] = witnesses = WitnessListing(kind, cfg.predicate, h.k)
         for comp, single in zip(decomp.components, decomp.singleton):
             if single:
                 continue
@@ -235,13 +243,12 @@ def cmd_partitions(
                     listing = bipartitions(comp)
                     if isinstance(listing, BudgetExceededError):
                         raise listing
-                    rows, parts, predicate = listing[kind], 2, "literal"
-                else:  # a multipartition kind of k has k parts
+                    rows = listing[kind]
+                else:
                     rows = partitions.enumerate_multipartitions(
                         h, comp, kind, cfg.predicate, cfg.budget
                     )
-                    parts, predicate = h.k, cfg.predicate
-                entry["witnesses"] += _witness_records(comp, rows, parts, kind, predicate)
+                witnesses.blocks.append((comp, rows))
                 entry["count"] += len(rows)
             except BudgetExceededError as exc:
                 entry["budget_exceeded"] = str(exc)
@@ -355,6 +362,8 @@ def _render_pretty(report: dict, indent: int = 0) -> str:
     lines = []
     pad = "  " * indent
     for key, value in report.items():
+        if not isinstance(value, (dict, list, tuple, str)) and hasattr(value, "__iter__"):
+            value = list(value)  # a listing held as arrays, as its records
         if isinstance(value, dict):
             lines.append(f"{pad}{key}:")
             lines.append(_render_pretty(value, indent + 1))
@@ -432,6 +441,54 @@ def _records_text(records: list, pad: str) -> str | None:
     return "[" + ",".join(map("".join, zip(*fields))) + pad[:-2] + "]"
 
 
+def _distinct_texts(values) -> list:
+    """Each entry's JSON text, as nested lists, made once per distinct value
+    (floats by bit pattern, so 0.0 and -0.0 keep their own texts)."""
+    import numpy as np
+
+    keys = values.view(np.int64) if values.dtype == np.float64 else values
+    distinct, index = np.unique(keys, return_inverse=True)
+    texts = [_SCALAR_TEXT[type(v)](v) for v in distinct.view(values.dtype).tolist()]
+    return np.array(texts, dtype=object)[index.reshape(values.shape)].tolist()
+
+
+def _classes_text(listing, pad: str, parts: list) -> None:
+    """Append a non-empty ``eigenstructure.ClassListing``'s text to ``parts``:
+    each row's exponent and residual texts between its keys' fixed texts."""
+    key_pad, item_pad = pad + "  ", pad + "    "
+    opening = "{" + key_pad + '"alpha": [' + item_pad
+    kinds = [f'{key_pad}],{key_pad}"kind": "{kind}",{key_pad}"residual": ' for kind in "NH"]
+    kinds = map(kinds.__getitem__, listing.real.tolist())
+    alphas = map(("," + item_pad).join, _distinct_texts(listing.alphas))
+    between = repeat(pad + "}," + pad + opening)
+    parts.append("[" + pad + opening)
+    parts += chain.from_iterable(zip(alphas, kinds, _distinct_texts(listing.residuals), between))
+    parts[-1] = pad + "}" + pad[:-2] + "]"
+
+
+def _witnesses_text(listing: WitnessListing, pad: str, parts: list) -> None:
+    """Append a non-empty ``WitnessListing``'s text to ``parts``: a row's
+    parts are its vertices in the order of one stable argsort of the row,
+    cut at the part bounds."""
+    import numpy as np
+
+    key_pad, part_pad, vpad = pad + "  ", pad + "    ", pad + "      "
+    vsep, part_sep, close = "," + vpad, "," + part_pad, part_pad + "]"
+    opening = "{" + key_pad + f'"kind": {_encode_str(listing.kind)},{key_pad}"parts": [{part_pad}'
+    predicate = _encode_str(listing.predicate)
+    closing = f'{key_pad}],{key_pad}"predicate": {predicate},{key_pad}"valid": true{pad}}}'
+    parts.append("[" + pad + opening)
+    for comp, rows in listing.blocks:
+        texts = np.array([_int_repr(v) for v in comp], dtype=object)
+        by_part = texts[np.argsort(rows, axis=1, kind="stable")].tolist()
+        bounds = np.stack([(rows < j).sum(axis=1) for j in range(listing.parts + 1)], axis=1)
+        for row, cut in zip(by_part, bounds.tolist()):
+            cuts = zip(cut, cut[1:])
+            lists = ["[" + vpad + vsep.join(row[a:b]) + close if a < b else "[]" for a, b in cuts]
+            parts += (part_sep.join(lists), closing + "," + pad + opening)
+    parts[-1] = closing + pad[:-2] + "]"
+
+
 def _render(value, level: int, parts: list) -> None:
     """Append the text ``json.dumps(value, indent=2, sort_keys=True)`` gives
     ``value`` nested ``level`` deep, checking types in the order ``json``
@@ -469,12 +526,23 @@ def _render(value, level: int, parts: list) -> None:
             _render(value[key], level + 1, parts)
         parts.append(pad[:-2] + "}")
     else:
-        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+        if isinstance(value, WitnessListing):
+            write = _witnesses_text
+        else:
+            from .eigenstructure import ClassListing  # only a solving command makes one
+
+            if not isinstance(value, ClassListing):
+                raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+            write = _classes_text
+        if len(value):
+            write(value, "\n" + "  " * (level + 1), parts)
+        else:
+            parts.append("[]")
 
 
 def render_report(report: dict) -> str:
-    """The report as ``json.dumps(report, indent=2, sort_keys=True)`` spells
-    it, byte for byte, without that call's pure-Python encoder."""
+    """The report as ``json.dumps(report, indent=2, sort_keys=True,
+    default=list)`` spells it, byte for byte, without its pure-Python encoder."""
     parts: list[str] = []
     _render(report, 0, parts)
     return "".join(parts)

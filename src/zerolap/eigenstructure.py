@@ -23,15 +23,16 @@ counts, and the residue-valid multipartitions for the N pair counts.
 decides both count identities; the counts, class listings and
 cross-checks all read it, and nothing else solves.
 
-A listing is an integer array with one row of exponents per class, the
-only representation of a class. Within each component the classes are
-listed in lexicographic order of their shift-canonical exponents
-(exponent 0 at the component's first vertex): they are the first
-solutions in ``zk_solver.lex_solutions`` order. A listing therefore
-depends only on the solution set, not on how it was solved, and a capped
-listing holds the lexicographically first classes. Kinds, the exact
-residue check and the residuals (``realize_classes``) are computed on
-whole blocks of rows, never class by class.
+A listing is an integer array with one row of exponents per class; it
+reaches the report as it is, in a ``ClassListing`` beside the classes'
+kinds and residuals. Within each component the classes are listed in
+lexicographic order of their shift-canonical exponents (exponent 0 at the
+component's first vertex): they are the first solutions in
+``zk_solver.lex_solutions`` order. A listing therefore depends only on the
+solution set, not on how it was solved, and a capped listing holds the
+lexicographically first classes. Kinds, the exact residue check and the
+residuals (``realize_classes``) are computed on whole blocks of rows, never
+class by class.
 """
 
 from dataclasses import dataclass, field
@@ -310,25 +311,6 @@ def n_literal_count(h: Hypergraph, counts: StructureCounts, budget: int) -> int 
     return total
 
 
-def _listed_classes(
-    limit: int | None, components: tuple[ComponentStructure, ...]
-) -> list[np.ndarray]:
-    """Each component's listed classes, in order, at most ``limit`` in total.
-
-    A listing holds one shift-canonical exponent row per class (exponent 0
-    at the component's first vertex), in lexicographic order, so a capped
-    listing holds the lexicographically first classes.
-    """
-    out = []
-    remaining = limit
-    for cs in components:
-        target = cs.class_count if remaining is None else min(cs.class_count, remaining)
-        out.append(_component_classes(cs, target))
-        if remaining is not None:
-            remaining -= len(out[-1])
-    return out
-
-
 def _component_classes(cs: ComponentStructure, target: int) -> np.ndarray:
     """The lexicographically first ``target`` classes of one component.
 
@@ -346,15 +328,22 @@ def _component_classes(cs: ComponentStructure, target: int) -> np.ndarray:
     return classes
 
 
-def _kinds(alphas: np.ndarray, k: int) -> list[str]:
-    """"H" for rows whose phases take at most two values pi apart, else "N".
+@dataclass(frozen=True, eq=False)
+class ClassListing:
+    """One component's listed classes as arrays: the exponent rows, which
+    rows are H, and their residuals. Iterating gives the report records;
+    the command line writes them from the arrays."""
 
-    Rows are shift-canonical, so they contain 0 and the other allowed
-    value can only be k/2 (even k).
-    """
-    half = k // 2 if k % 2 == 0 else 0
-    real = np.all((alphas == 0) | (alphas == half), axis=1)
-    return ["H" if r else "N" for r in real.tolist()]
+    alphas: np.ndarray
+    real: np.ndarray
+    residuals: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.alphas)
+
+    def __iter__(self):
+        for a, real, r in zip(self.alphas.tolist(), self.real.tolist(), self.residuals.tolist()):
+            yield {"alpha": a, "kind": "H" if real else "N", "residual": r}
 
 
 def _phases(k: int, top: int) -> np.ndarray:
@@ -416,16 +405,19 @@ def zero_eigenvector_report(
     operator's records, used by the command line.
 
     Classes are enumerated (and realized, reporting residuals) up to
-    ``enumerate_limit`` in total across components, in component order;
-    counts always come from the closed form, so each component's
+    ``enumerate_limit`` in total across components, in component order, so
+    a capped listing holds each component's lexicographically first
+    classes; counts always come from the closed form, so each component's
     ``truncated`` flag tells whether its listing fell short of its count.
+    Each non-singleton component's classes are a ``ClassListing``.
     """
     operator = counts.operator
-    listings = _listed_classes(enumerate_limit, counts.components)
     rhs = edge_residue(h.k, operator)
-
+    remaining = float("inf") if enumerate_limit is None else enumerate_limit
     components = counts.component_entries()
-    for entry, cs, alphas in zip(components, counts.components, listings):
+    for entry, cs in zip(components, counts.components):
+        alphas = _component_classes(cs, min(cs.class_count, remaining))
+        remaining -= len(alphas)
         entry.update(
             singleton=cs.singleton,
             feasible=cs.feasible,
@@ -438,11 +430,10 @@ def zero_eigenvector_report(
         if cs.singleton:  # the scalar: real, with no edge to check and residual 0
             entry["classes"] = [{"alpha": [0], "kind": "H", "residual": 0.0} for _ in alphas]
         else:
-            residuals = realize_classes(h, operator, cs.component, alphas, tolerance).tolist()
-            entry["classes"] = [
-                {"alpha": alpha, "kind": kind, "residual": resid}
-                for alpha, kind, resid in zip(alphas.tolist(), _kinds(alphas, h.k), residuals)
-            ]
+            residuals = realize_classes(h, operator, cs.component, alphas, tolerance)
+            # H rows take at most two phases pi apart: 0 (rows are shift-canonical) and k/2
+            real = np.all((alphas == 0) | (alphas == (h.k // 2 if h.k % 2 == 0 else 0)), axis=1)
+            entry["classes"] = ClassListing(alphas, real, residuals)
         entry["truncated"] = len(alphas) < cs.class_count
     return {
         "operator": operator,

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from zerolap import eigenstructure, hypergraph, partitions, tensor_ops
+from zerolap import eigenstructure, hypergraph, names, partitions, tensor_ops
 from zerolap import cli as cli_module
 from zerolap.cli import _COMMANDS, EXIT_BROKEN_PIPE, main, render_report
 from zerolap.corpus import random_hm_bipartite
@@ -867,6 +867,49 @@ _trees = st.recursive(
 )
 
 
+# Listings held as arrays, each with its records built in plain Python:
+# exponents of k = 2..12 (two digits from k = 11), residuals that repeat
+# and hold both zeros, the least subnormal and 1e16, witness rows with
+# empty parts, zero-row and one-vertex blocks, several blocks per listing.
+_residuals = st.sampled_from([0.0, -0.0, 5e-324, 1e16, 8.005932084973443e-16]) | st.floats(0, 1e-9)
+
+
+@st.composite
+def _class_listings(draw):
+    k = draw(st.integers(2, 12))
+    m = draw(st.integers(1, 6))
+    rows = draw(st.lists(st.lists(st.integers(0, k - 1), min_size=m, max_size=m), max_size=6))
+    real = draw(st.lists(st.booleans(), min_size=len(rows), max_size=len(rows)))
+    residuals = draw(st.lists(_residuals, min_size=len(rows), max_size=len(rows)))
+    listing = eigenstructure.ClassListing(
+        np.array(rows, dtype=np.int64).reshape(len(rows), m),
+        np.array(real, dtype=bool),
+        np.array(residuals, dtype=np.float64),
+    )
+    records = [
+        {"alpha": alpha, "kind": "H" if r else "N", "residual": x}
+        for alpha, r, x in zip(rows, real, residuals)
+    ]
+    return listing, records
+
+
+@st.composite
+def _witness_listings(draw):
+    parts = draw(st.integers(2, 5))
+    kind, predicate = draw(_strings), draw(st.sampled_from(names.PREDICATES))
+    listing = cli_module.WitnessListing(kind, predicate, parts)
+    records = []
+    for _ in range(draw(st.integers(0, 3))):
+        m = draw(st.integers(1, 6))
+        comp = sorted(draw(st.sets(st.integers(1, 2**40), min_size=m, max_size=m)))
+        rows = draw(st.lists(st.lists(st.integers(0, parts - 1), min_size=m, max_size=m), max_size=4))
+        listing.blocks.append((tuple(comp), np.array(rows, dtype=np.int8).reshape(len(rows), m)))
+        for row in rows:
+            split = [[v for v, j in zip(comp, row) if j == part] for part in range(parts)]
+            records.append({"kind": kind, "parts": split, "predicate": predicate, "valid": True})
+    return listing, records
+
+
 class IntSub(int):
     pass
 
@@ -904,8 +947,9 @@ class TestRenderReport:
             render_report(tree)
 
     def test_part_lists_render_in_one_batch(self):
-        """A field of int-list lists, as a partitions report's ``parts``, is
-        rendered by the batch path, byte for byte, empty parts included."""
+        """A field of int-list lists, as ``edges`` in a components report's
+        records, is rendered by the batch path, byte for byte, empty lists
+        included."""
         records = [
             {"kind": "hm", "parts": [[1, 3], [2, 4, 5]], "valid": True},
             {"kind": "hm", "parts": [[], [1, 2, 3, 4, 5]], "valid": True},
@@ -917,6 +961,37 @@ class TestRenderReport:
         assert cli_module._records_text(records, "\n  ") == expected
         tree = {"partitions": [{"count": 5, "witnesses": records}]}
         assert render_report(tree) == json.dumps(tree, indent=2, sort_keys=True)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(_class_listings() | _witness_listings(), max_size=3), st.integers(0, 2))
+    def test_listings_render_as_their_records(self, cases, depth):
+        """Listings, alone or several in a report nested ``depth`` deep,
+        render as json.dumps renders their records."""
+        tree = {"listings": [{"count": len(rows), "rows": listing} for listing, rows in cases]}
+        plain = {"listings": [{"count": len(rows), "rows": rows} for _, rows in cases]}
+        for _ in range(depth):
+            tree, plain = {"nested": [tree]}, {"nested": [plain]}
+        assert [list(listing) for listing, _ in cases] == [rows for _, rows in cases]
+        assert render_report(tree) == json.dumps(plain, indent=2, sort_keys=True)
+        assert render_report(tree) == json.dumps(tree, indent=2, sort_keys=True, default=list)
+        assert cli_module._render_pretty(tree) == cli_module._render_pretty(plain)
+        for listing, rows in cases:
+            assert render_report(listing) == json.dumps(rows, indent=2, sort_keys=True)
+
+    def test_signed_zero_residuals_keep_their_texts(self):
+        """0.0 and -0.0 compare equal but render apart, and so do their rows."""
+        listing = eigenstructure.ClassListing(
+            np.zeros((4, 1), dtype=np.int64),
+            np.ones(4, dtype=bool),
+            np.array([0.0, -0.0, 0.0, -0.0]),
+        )
+        text = render_report(listing)
+        assert [line.strip() for line in text.splitlines() if "residual" in line] == [
+            '"residual": 0.0',
+            '"residual": -0.0',
+            '"residual": 0.0',
+            '"residual": -0.0',
+        ]
 
     def test_scalar_subclasses_render_as_json_does(self):
         tree = {"f": np.float64(0.1), "i": [IntSub(3)], "s": [{"k": StrSub("v")}]}
@@ -940,5 +1015,6 @@ class TestRenderReport:
         assert capsys.readouterr().out == ""
         listed = [c for op in reports[0]["operators"] for comp in op["components"] for c in comp["classes"]]
         assert len(listed) >= 2000
-        assert out == json.dumps(reports[0], indent=2, sort_keys=True) + "\n"
-        assert target.read_text() == json.dumps(reports[1], indent=2, sort_keys=True) + "\n"
+        # ``default=list`` writes each listing as its records, the plain form
+        assert out == json.dumps(reports[0], indent=2, sort_keys=True, default=list) + "\n"
+        assert target.read_text() == json.dumps(reports[1], indent=2, sort_keys=True, default=list) + "\n"

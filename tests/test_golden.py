@@ -30,6 +30,9 @@ FIXTURES = sorted(p.name for p in (ROOT / "fixtures").iterdir() if p.is_file())
 COMMANDS = {command: [command] for command in _COMMANDS}
 COMMANDS["partitions-literal"] = ["partitions", "--predicate", "literal"]
 COMMANDS["partitions-budget1"] = ["partitions", "--budget", "1"]
+COMMANDS["partitions-pretty"] = ["partitions", "--pretty"]
+COMMANDS["zero-eigenvectors-pretty"] = ["zero-eigenvectors", "--pretty"]
+COMMANDS["zero-eigenvectors-budget3"] = ["zero-eigenvectors", "--budget", "3"]
 CASES = [(fixture, command) for fixture in FIXTURES for command in sorted(COMMANDS)]
 # golden name "<script>.<case>" -> arguments of scripts/<script>.py
 SCRIPT_CASES = {
