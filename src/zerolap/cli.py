@@ -8,11 +8,11 @@ order of their exponents, shifted to 0 at the component's first vertex,
 and ``--budget`` keeps the lexicographically first classes, components in
 order; the order depends only on the solution set, not on the solver.
 ``render_report`` writes a report byte for byte as
-``json.dumps(report, indent=2, sort_keys=True, default=list)`` does, built
-from the same stdlib primitives but without that call's pure-Python
-encoder. A listing (``eigenstructure.ClassListing``, ``WitnessListing``)
-stays in the report as its arrays and iterates as its records, which the
-renderer writes from the arrays, one text per distinct value. Every
+``json.dumps(report, indent=2, sort_keys=True, default=list)`` does. A
+listing (``eigenstructure.ClassListing``, ``WitnessListing``) stays in the
+report as its arrays and iterates as its records. The stdlib encoder
+writes the rest of the report, and each listing's records are written
+from its arrays, one text per distinct value, and spliced in. Every
 number in a report comes from a library call; the CLI does no arithmetic.
 
 ``components``, ``--help``, usage errors and bad input or config files run
@@ -45,7 +45,7 @@ import gc
 import json
 import os
 import sys
-from itertools import chain, islice, repeat
+from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii as _encode_str
 from pathlib import Path
 
@@ -80,8 +80,11 @@ _KIND_FLAGS = {
 _OPERATOR_CHOICES = (*names.ZERO_EIG_OPERATORS, "both")
 
 _INF = float("inf")
-_float_repr = float.__repr__
-_int_repr = int.__repr__
+# Bound here, not looked up at call time: callers may swap ``json`` for a proxy.
+_ENCODER = json.JSONEncoder()
+_number_text = _ENCODER.encode
+_PLACEHOLDER = "\x00listing"  # no report string holds NUL: see AnalysisConfig
+_PLACEHOLDER_TEXT = _ENCODER.encode(_PLACEHOLDER)
 
 
 @dataclasses.dataclass
@@ -108,6 +111,9 @@ class AnalysisConfig:
             ):
                 name = getattr(field.type, "__name__", field.type)
                 raise ValueError(f"config field {field.name!r} must be {name}, got {value!r}")
+        for name in ("input", "out"):
+            if "\x00" in (getattr(self, name) or ""):
+                raise ValueError(f"config field {name!r} holds a NUL byte")
         if not 0 < self.tolerance < _INF:  # also rejects NaN
             raise ValueError("tolerance must be positive and finite")
         if self.budget <= 0:
@@ -377,70 +383,6 @@ def _render_pretty(report: dict, indent: int = 0) -> str:
     return "\n".join(ln for ln in lines if ln)
 
 
-def _float_text(x: float) -> str:
-    if x != x:
-        return "NaN"
-    if x == _INF:
-        return "Infinity"
-    if x == -_INF:
-        return "-Infinity"
-    return _float_repr(x)
-
-
-# JSON text of a scalar by exact type; subclasses take the isinstance path.
-_SCALAR_TEXT = {
-    str: _encode_str,
-    int: _int_repr,
-    float: _float_text,
-    bool: lambda b: "true" if b else "false",
-    type(None): lambda _: "null",
-}
-
-
-def _int_lists_text(lists, pad: str) -> list[str] | None:
-    """The texts of lists or tuples whose items are all exactly ``int``, or
-    all such lists themselves, nested to any depth; None if some item is
-    neither. Each item's line starts with ``pad``."""
-    items = list(chain.from_iterable(lists))
-    types = set(map(type, items))
-    if types <= {int}:
-        texts = iter(map(_int_repr, items))
-    elif not types <= {list, tuple} or (inner := _int_lists_text(items, pad + "  ")) is None:
-        return None
-    else:
-        texts = iter(inner)
-    sep, close = "," + pad, pad[:-2] + "]"
-    return ["[" + pad + sep.join(islice(texts, len(v))) + close if v else "[]" for v in lists]
-
-
-def _records_text(records: list, pad: str) -> str | None:
-    """A list of dicts sharing one key set, field by field, or None unless
-    each field holds scalars in every record or (nested) int lists in every
-    record. Each record's line starts with ``pad``."""
-    keys = records[0].keys() if type(records[0]) is dict else None
-    if not keys:
-        return None
-    for record in records:
-        if type(record) is not dict or record.keys() != keys:
-            return None
-    key_pad = pad + "  "
-    fields = []
-    for i, key in enumerate(sorted(keys)):
-        values = [record[key] for record in records]
-        types = set(map(type, values))
-        if types <= {list, tuple}:
-            texts = _int_lists_text(values, key_pad + "  ")
-        elif types <= _SCALAR_TEXT.keys():
-            texts = [_SCALAR_TEXT[type(v)](v) for v in values]
-        else:
-            texts = None
-        if texts is None:
-            return None
-        fields += [repeat(("," if i else pad + "{") + key_pad + _encode_str(key) + ": "), texts]
-    fields.append(repeat(pad + "}"))
-    return "[" + ",".join(map("".join, zip(*fields))) + pad[:-2] + "]"
-
-
 def _distinct_texts(values) -> list:
     """Each entry's JSON text, as nested lists, made once per distinct value
     (floats by bit pattern, so 0.0 and -0.0 keep their own texts)."""
@@ -448,7 +390,7 @@ def _distinct_texts(values) -> list:
 
     keys = values.view(np.int64) if values.dtype == np.float64 else values
     distinct, index = np.unique(keys, return_inverse=True)
-    texts = [_SCALAR_TEXT[type(v)](v) for v in distinct.view(values.dtype).tolist()]
+    texts = list(map(_number_text, distinct.view(values.dtype).tolist()))
     return np.array(texts, dtype=object)[index.reshape(values.shape)].tolist()
 
 
@@ -479,7 +421,7 @@ def _witnesses_text(listing: WitnessListing, pad: str, parts: list) -> None:
     closing = f'{key_pad}],{key_pad}"predicate": {predicate},{key_pad}"valid": true{pad}}}'
     parts.append("[" + pad + opening)
     for comp, rows in listing.blocks:
-        texts = np.array([_int_repr(v) for v in comp], dtype=object)
+        texts = np.array(list(map(_number_text, comp)), dtype=object)
         by_part = texts[np.argsort(rows, axis=1, kind="stable")].tolist()
         bounds = np.stack([(rows < j).sum(axis=1) for j in range(listing.parts + 1)], axis=1)
         for row, cut in zip(by_part, bounds.tolist()):
@@ -489,62 +431,36 @@ def _witnesses_text(listing: WitnessListing, pad: str, parts: list) -> None:
     parts[-1] = closing + pad[:-2] + "]"
 
 
-def _render(value, level: int, parts: list) -> None:
-    """Append the text ``json.dumps(value, indent=2, sort_keys=True)`` gives
-    ``value`` nested ``level`` deep, checking types in the order ``json``
-    does."""
-    text_of = _SCALAR_TEXT.get(type(value))
-    if text_of is not None:
-        parts.append(text_of(value))
-    elif isinstance(value, str):
-        parts.append(_encode_str(value))
-    elif isinstance(value, int):
-        parts.append(_int_repr(value))
-    elif isinstance(value, float):
-        parts.append(_float_text(value))
-    elif isinstance(value, (list, tuple)):
-        if not value:
-            parts.append("[]")
-            return
-        pad = "\n" + "  " * (level + 1)
-        ints = _int_lists_text([value], pad)
-        text = ints[0] if ints else _records_text(value, pad)
-        if text is not None:
-            parts.append(text)
-            return
-        for i, item in enumerate(value):
-            parts.append(("," if i else "[") + pad)
-            _render(item, level + 1, parts)
-        parts.append(pad[:-2] + "]")
-    elif isinstance(value, dict):
-        if not value:
-            parts.append("{}")
-            return
-        pad = "\n" + "  " * (level + 1)
-        for i, key in enumerate(sorted(value)):
-            parts.append(("," if i else "{") + pad + _encode_str(key) + ": ")
-            _render(value[key], level + 1, parts)
-        parts.append(pad[:-2] + "}")
-    else:
-        if isinstance(value, WitnessListing):
-            write = _witnesses_text
-        else:
-            from .eigenstructure import ClassListing  # only a solving command makes one
-
-            if not isinstance(value, ClassListing):
-                raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
-            write = _classes_text
-        if len(value):
-            write(value, "\n" + "  " * (level + 1), parts)
-        else:
-            parts.append("[]")
-
-
 def render_report(report: dict) -> str:
     """The report as ``json.dumps(report, indent=2, sort_keys=True,
-    default=list)`` spells it, byte for byte, without its pure-Python encoder."""
-    parts: list[str] = []
-    _render(report, 0, parts)
+    default=list)`` spells it, byte for byte. The stdlib encoder writes it
+    with a placeholder for each non-empty listing, and each listing's text
+    from its arrays is spliced in at its placeholder."""
+    listings = []
+
+    def hold(value):
+        from .eigenstructure import ClassListing  # only a solving command makes one
+
+        if not isinstance(value, (ClassListing, WitnessListing)):
+            return _ENCODER.default(value)  # raises json's TypeError
+        if not len(value):
+            return []
+        listings.append(value)
+        return _PLACEHOLDER
+
+    text = json.dumps(report, indent=2, sort_keys=True, default=hold)
+    if not listings:
+        return text
+    pieces = text.split(_PLACEHOLDER_TEXT)
+    if len(pieces) != len(listings) + 1:
+        raise VerificationError("a report string holds the listing placeholder")
+    parts = [pieces[0]]
+    for listing, piece in zip(listings, pieces[1:]):
+        line = parts[-1].rpartition("\n")[2]  # the key's line, or the item's indent
+        pad = "\n" + " " * (len(line) - len(line.lstrip(" ")) + 2)
+        write = _witnesses_text if isinstance(listing, WitnessListing) else _classes_text
+        write(listing, pad, parts)
+        parts.append(piece)
     return "".join(parts)
 
 
@@ -582,21 +498,20 @@ def main(argv: list[str] | None = None) -> int:
     decomp = connected_components(h)
     try:
         body, code = _COMMANDS[args.command](h, decomp, cfg)
+        report = {
+            "command": args.command,
+            "version": __version__,
+            "instance": _instance_summary(h, decomp),
+            "config": dataclasses.asdict(cfg),
+        }
+        report.update(body)
+        rendered = _render_pretty(report) if cfg.pretty else render_report(report)
     except BudgetExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET
     except VerificationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VERIFICATION
-
-    report = {
-        "command": args.command,
-        "version": __version__,
-        "instance": _instance_summary(h, decomp),
-        "config": dataclasses.asdict(cfg),
-    }
-    report.update(body)
-    rendered = _render_pretty(report) if cfg.pretty else render_report(report)
     if cfg.out:
         try:
             with Path(cfg.out).open("w") as out:

@@ -16,6 +16,7 @@ from zerolap import eigenstructure, hypergraph, names, partitions, tensor_ops
 from zerolap import cli as cli_module
 from zerolap.cli import _COMMANDS, EXIT_BROKEN_PIPE, main, render_report
 from zerolap.corpus import random_hm_bipartite
+from zerolap.errors import VerificationError
 
 from conftest import FIXTURE_DIR
 
@@ -627,13 +628,20 @@ class TestFailureExitCodes:
         assert stderr == b""
 
     def test_verification_failure_exits_3(self, monkeypatch, capsys):
-        from zerolap.errors import VerificationError
-
         def broken_report(*args, **kwargs):
             raise VerificationError("synthetic residual blow-up")
 
         monkeypatch.setattr(eigenstructure, "zero_eigenvector_report", broken_report)
         assert main(["zero-eigenvectors", "--input", EDGE3]) == 3
+
+    def test_render_verification_failure_exits_3(self, monkeypatch, capsys):
+        def broken_render(report):
+            raise VerificationError("synthetic placeholder clash")
+
+        monkeypatch.setattr(cli_module, "render_report", broken_render)
+        assert main(["zero-eigenvectors", "--input", EDGE3]) == 3
+        err = capsys.readouterr().err
+        assert err == "error: synthetic placeholder clash\n"
 
 
 class TestConfigHandling:
@@ -829,6 +837,20 @@ class TestConfigHandling:
         assert "Traceback" not in err
         assert not target.exists()
 
+    @pytest.mark.parametrize("field", ["input", "out"])
+    def test_nul_byte_in_a_path_exits_2(self, tmp_path, capsys, monkeypatch, field):
+        """A path holding NUL is refused before any work, naming its field."""
+        monkeypatch.chdir(tmp_path)
+        cfg = tmp_path / "cfg.json"
+        values = {"input": CHAIN, "out": "report.json"}
+        values[field] = values[field] + "\x00b"
+        cfg.write_text(json.dumps(values))
+        monkeypatch.setattr(cli_module, "connected_components", None)  # no work may start
+        assert main(["components", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: config field {field!r} holds a NUL byte\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+
 
 # JSON trees holding what the report renderer must spell as json.dumps does:
 # escapes, big ints, float edge cases, bools among ints, tuples, and record
@@ -910,6 +932,15 @@ def _witness_listings(draw):
     return listing, records
 
 
+# Where a listing may sit: a record's field, a list item, a list item in a
+# dict value.
+_PLACES = [
+    lambda rows: {"count": len(rows), "rows": rows},
+    lambda rows: rows,
+    lambda rows: {"b": [rows]},
+]
+
+
 class IntSub(int):
     pass
 
@@ -942,14 +973,12 @@ class TestRenderReport:
             render_report(tree)
 
     @pytest.mark.parametrize("tree", [{1: "a"}, {"a": {2: 0}}, [{1: 0}, {1: 1}]])
-    def test_non_str_key_raises(self, tree):
-        with pytest.raises(TypeError):
-            render_report(tree)
+    def test_non_str_keys_render_as_json_does(self, tree):
+        assert render_report(tree) == json.dumps(tree, indent=2, sort_keys=True)
 
-    def test_part_lists_render_in_one_batch(self):
+    def test_part_lists_render_as_json_does(self):
         """A field of int-list lists, as ``edges`` in a components report's
-        records, is rendered by the batch path, byte for byte, empty lists
-        included."""
+        records, renders byte for byte, empty lists included."""
         records = [
             {"kind": "hm", "parts": [[1, 3], [2, 4, 5]], "valid": True},
             {"kind": "hm", "parts": [[], [1, 2, 3, 4, 5]], "valid": True},
@@ -957,26 +986,63 @@ class TestRenderReport:
             {"kind": "hm", "parts": [], "valid": True},
             {"kind": "hm", "parts": [[], []], "valid": True},
         ]
-        expected = json.dumps(records, indent=2, sort_keys=True)
-        assert cli_module._records_text(records, "\n  ") == expected
         tree = {"partitions": [{"count": 5, "witnesses": records}]}
         assert render_report(tree) == json.dumps(tree, indent=2, sort_keys=True)
 
     @settings(max_examples=300, deadline=None)
-    @given(st.lists(_class_listings() | _witness_listings(), max_size=3), st.integers(0, 2))
+    @given(
+        st.lists(st.tuples(_class_listings() | _witness_listings(), st.sampled_from(_PLACES)), max_size=4),
+        st.integers(0, 3),
+    )
     def test_listings_render_as_their_records(self, cases, depth):
-        """Listings, alone or several in a report nested ``depth`` deep,
+        """Listings, alone or several in a report nested ``depth`` deep, as
+        dict values or list items, beside a singleton's plain record list,
         render as json.dumps renders their records."""
-        tree = {"listings": [{"count": len(rows), "rows": listing} for listing, rows in cases]}
-        plain = {"listings": [{"count": len(rows), "rows": rows} for _, rows in cases]}
+        singleton = {"count": 1, "rows": [{"alpha": [0], "kind": "H", "residual": 0.0}]}
+        tree = {"listings": [singleton] + [place(listing) for (listing, _), place in cases]}
+        plain = {"listings": [singleton] + [place(rows) for (_, rows), place in cases]}
         for _ in range(depth):
             tree, plain = {"nested": [tree]}, {"nested": [plain]}
-        assert [list(listing) for listing, _ in cases] == [rows for _, rows in cases]
+        assert [list(listing) for (listing, _), _ in cases] == [rows for (_, rows), _ in cases]
         assert render_report(tree) == json.dumps(plain, indent=2, sort_keys=True)
         assert render_report(tree) == json.dumps(tree, indent=2, sort_keys=True, default=list)
-        assert cli_module._render_pretty(tree) == cli_module._render_pretty(plain)
-        for listing, rows in cases:
+        # --pretty sees a listing only as a record's field, as in a report
+        listings = {"l": [{"rows": listing} for (listing, _), _ in cases]}
+        records = {"l": [{"rows": rows} for (_, rows), _ in cases]}
+        assert cli_module._render_pretty(listings) == cli_module._render_pretty(records)
+        for (listing, rows), _ in cases:
             assert render_report(listing) == json.dumps(rows, indent=2, sort_keys=True)
+            items, plain_items = [listing, {"b": [listing]}], [rows, {"b": [rows]}]
+            assert render_report(items) == json.dumps(plain_items, indent=2, sort_keys=True)
+
+    def test_empty_listing_beside_a_listing(self):
+        listing = eigenstructure.ClassListing(
+            np.array([[0, 1], [0, 2]]), np.array([True, False]), np.array([0.0, 1e-17])
+        )
+        empty = eigenstructure.ClassListing(
+            np.zeros((0, 2), dtype=np.int64), np.zeros(0, dtype=bool), np.zeros(0)
+        )
+        witnesses = cli_module.WitnessListing("hm", "literal", 2, [((1, 2), np.zeros((0, 2), np.int8))])
+        tree = {"a": [empty, listing, witnesses], "b": {"classes": listing, "empty": empty}}
+        assert render_report(tree) == json.dumps(tree, indent=2, sort_keys=True, default=list)
+
+    @pytest.mark.parametrize(
+        "tree",
+        [
+            {"a": "\x00listing"},
+            {"\x00listing": [1]},
+            {"a": ['x"\x00listing', "\x00listing!"]},
+        ],
+    )
+    def test_placeholder_text_in_a_report_string(self, tree):
+        """Without a listing, a string holding the placeholder's text renders
+        as json.dumps does; beside one, the splice refuses the report."""
+        assert render_report(tree) == json.dumps(tree, indent=2, sort_keys=True)
+        listing = eigenstructure.ClassListing(
+            np.zeros((1, 1), dtype=np.int64), np.ones(1, dtype=bool), np.zeros(1)
+        )
+        with pytest.raises(VerificationError, match="placeholder"):
+            render_report({"listing": listing, "tree": tree})
 
     def test_signed_zero_residuals_keep_their_texts(self):
         """0.0 and -0.0 compare equal but render apart, and so do their rows."""
