@@ -188,11 +188,11 @@ def parse_hypergraph_text(text: str) -> Hypergraph:
     return Hypergraph(k, n, edges)
 
 
-_INT_TOKEN = re.compile("-?[0-9]+")
+_INT_TOKEN = re.compile("-?(0|[1-9][0-9]*)")
 
 
 def _parse_int(token: str) -> int:
-    """``int`` on JSON's integer grammar only: no ``1_0``, ``+1`` or non-ASCII digits."""
+    """``int`` on JSON's integer grammar only: no ``1_0``, ``+1``, ``007`` or non-ASCII digits."""
     if not _INT_TOKEN.fullmatch(token):
         raise HypergraphFormatError(f"non-integer token {token!r}")
     return int(token)

@@ -33,24 +33,16 @@ The form depends only on the edges and the modulus, not on the residue.
 ``solve_mod_k`` reuses it for the Laplacian and signless residues; the
 modulus-2 subsystem gets a form modulo 2, which also lists the
 bipartitions, and the hm-bipartition search one modulo the least prime
-above k. This is the one modular elimination: each form
-is checked by a certificate (``check_howell_form``) and each particular
+above k. This is the program's one exact solver: each form is checked
+by a certificate (``check_howell_form``) and each particular
 solution against every edge; a failure raises VerificationError. Entries
 are reduced mod k after every step, so products stay near k^2, which
 ``Hypergraph`` keeps within int64, and int64 arithmetic is exact.
-
-``smith_normal_form`` is the former integer Smith normal form solver; no
-command calls it. The tests keep it as an independent route to the same
-counts, and ``bench/run.py``'s traced mode and CI's traced smoke step look
-it up by name. It moves to the tests once the benchmark reads run stats
-recorded by the library (ROADMAP item 1).
 """
 
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from operator import mul
-from typing import Sequence
 
 import numpy as np
 
@@ -306,131 +298,9 @@ def lex_solutions(desc: SolutionDescription, limit: int | None = None) -> np.nda
     return out[:limit]
 
 
-def smith_normal_form(
-    matrix: Sequence[Sequence[int]],
-) -> tuple[list[list[int]], list[list[int]], list[list[int]]]:
-    """Smith normal form over the integers with transform tracking.
-
-    Returns (U, S, V) with U * matrix * V == S, U and V unimodular, and S
-    diagonal with d_1 | d_2 | ... >= 0. Arbitrary-precision integers
-    throughout; the factorization is re-multiplied before returning and a
-    mismatch raises VerificationError.
-    """
-    nrows = len(matrix)
-    ncols = len(matrix[0]) if nrows else 0
-    if any(len(row) != ncols for row in matrix):
-        raise ValueError("ragged matrix")
-    S = [[int(x) for x in row] for row in matrix]
-    U = [[int(i == j) for j in range(nrows)] for i in range(nrows)]
-    V = [[int(i == j) for j in range(ncols)] for i in range(ncols)]
-
-    def swap_rows(a, b):
-        S[a], S[b] = S[b], S[a]
-        U[a], U[b] = U[b], U[a]
-
-    def swap_cols(a, b):
-        for row in S:
-            row[a], row[b] = row[b], row[a]
-        for row in V:
-            row[a], row[b] = row[b], row[a]
-
-    def add_row(dst, src, q):
-        # row_dst += q * row_src
-        S[dst] = [x + q * y for x, y in zip(S[dst], S[src])]
-        U[dst] = [x + q * y for x, y in zip(U[dst], U[src])]
-
-    def add_col(dst, src, q):
-        for row in S:
-            row[dst] += q * row[src]
-        for row in V:
-            row[dst] += q * row[src]
-
-    def negate_row(a):
-        S[a] = [-x for x in S[a]]
-        U[a] = [-x for x in U[a]]
-
-    def rows_2x2(i, j, p, q, r, s):
-        # (row_i, row_j) <- (p*row_i + q*row_j, r*row_i + s*row_j); p*s - q*r == +-1
-        Si, Sj = S[i], S[j]
-        S[i] = [p * x + q * y for x, y in zip(Si, Sj)]
-        S[j] = [r * x + s * y for x, y in zip(Si, Sj)]
-        Ui, Uj = U[i], U[j]
-        U[i] = [p * x + q * y for x, y in zip(Ui, Uj)]
-        U[j] = [r * x + s * y for x, y in zip(Ui, Uj)]
-
-    def min_pivot(t):
-        # First entry of least nonzero absolute value in row-major order; a
-        # unit cannot be beaten under the strict comparison, so stop there.
-        best = None
-        for i in range(t, nrows):
-            row = S[i]
-            for j in range(t, ncols):
-                v = abs(row[j])
-                if v and (best is None or v < best[0]):
-                    best = (v, i, j)
-                    if v == 1:
-                        return best
-        return best
-
-    t = 0
-    while t < min(nrows, ncols):
-        if min_pivot(t) is None:
-            break
-        while True:
-            _, i0, j0 = min_pivot(t)
-            if i0 != t:
-                swap_rows(t, i0)
-            if j0 != t:
-                swap_cols(t, j0)
-            if S[t][t] < 0:
-                negate_row(t)
-            p = S[t][t]
-            dirty = False
-            for i in range(t + 1, nrows):
-                if S[i][t]:
-                    q = S[i][t] // p
-                    if q:
-                        add_row(i, t, -q)
-                    if S[i][t]:
-                        dirty = True
-            for j in range(t + 1, ncols):
-                if S[t][j]:
-                    q = S[t][j] // p
-                    if q:
-                        add_col(j, t, -q)
-                    if S[t][j]:
-                        dirty = True
-            if not dirty:
-                break
-        t += 1
-    rank = t
-
-    # Enforce the divisibility chain d_i | d_{i+1} with 2x2 gcd transforms.
-    changed = True
-    while changed:
-        changed = False
-        for i in range(rank - 1):
-            a, b = S[i][i], S[i + 1][i + 1]
-            if b % a == 0:
-                continue
-            g, x, y = _xgcd(a, b)
-            # Pull b into column i, then map diag(a, b) to diag(g, a*b/g).
-            add_col(i, i + 1, 1)
-            rows_2x2(i, i + 1, x, y, -(b // g), a // g)
-            add_col(i + 1, i, -(y * b) // g)
-            changed = True
-
-    # Exactness: re-multiply U * matrix * V and compare with S. U * matrix
-    # only visits the matrix's nonzero entries (k per incidence row).
-    prod = [[0] * ncols for _ in range(nrows)]
-    nonzero = [[(j, int(x)) for j, x in enumerate(row) if x] for row in matrix]
-    for acc, u_row in zip(prod, U):
-        for u, entries in zip(u_row, nonzero):
-            if u:
-                for j, x in entries:
-                    acc[j] += u * x
-    columns = list(zip(*V))
-    prod = [[sum(map(mul, row, col)) for col in columns] for row in prod]
-    if prod != S:
-        raise VerificationError("Smith normal form reconstruction failed")
-    return U, S, V
+# No command solves by Smith normal form any more; the exact solver is the
+# Howell form above, and the tests count through sympy's Smith form. This
+# name stays bound only because the benchmark's traced mode still looks it
+# up (bench/run.py hands it to tracing.SnfSampler, which then samples
+# nothing); it goes when the benchmark reads the library's own run stats.
+smith_normal_form = None

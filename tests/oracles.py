@@ -1,19 +1,20 @@
 """Independent brute-force oracles, and the scalar reference loops.
 
 Everything above the scalar section recomputes results by direct
-exhaustive enumeration or by the textbook dense-tensor definition, sharing
-no algorithmic path with the library: no elimination, no kernel
-parametrization, no edge-sum shortcut. Four of them are the library's
-former algorithms, kept as references for what replaced them:
-``bipartition_witnesses`` scans the subsets once per flavor, where
-``enumerate_bipartitions`` reads them off the solutions modulo 2;
-``hm_bipartition_dfs`` is the recursive search that
-``find_hm_bipartition`` replaced; ``snf_solution_count`` counts
-solutions through the integer Smith normal form, which the Howell-form
-elimination replaced; and ``materialize_dense`` with ``diag_similarity``
-builds both tensors in exact rationals and transforms one entry by entry,
-where ``tensor_ops.similarity_identity_holds`` reads the edges' sign
-products.
+exhaustive enumeration, by the textbook dense-tensor definition or by
+sympy's integer Smith normal form, sharing no algorithmic path with the
+library: no Howell elimination, no kernel parametrization, no edge-sum
+shortcut. Three of them are the library's former algorithms, kept as
+references for what replaced them: ``bipartition_witnesses`` scans the
+subsets once per flavor, where ``enumerate_bipartitions`` reads them off
+the solutions modulo 2; ``hm_bipartition_dfs`` is the recursive search
+that ``find_hm_bipartition`` replaced; and ``materialize_dense`` with
+``diag_similarity`` builds both tensors in exact rationals and transforms
+one entry by entry, where ``tensor_ops.similarity_identity_holds`` reads
+the edges' sign products. ``snf_solution_count`` counts solutions through
+sympy's Smith form, the route the Howell-form elimination replaced. It
+imports sympy when called, so loading this module (as the benchmark does)
+needs neither sympy nor pytest.
 
 The scalar section keeps the library's former per-class pipeline: one
 solution, one class and one edge at a time with complex scalars. The
@@ -50,7 +51,6 @@ from fractions import Fraction
 import numpy as np
 
 from zerolap.errors import VerificationError
-from zerolap.zk_solver import smith_normal_form
 from zerolap.partitions import BIPARTITION_FLAVORS, HM, ODD
 
 
@@ -95,7 +95,7 @@ def system_solutions(modulus, width, edges, rhs):
 
 
 def snf_solution_count(modulus, width, edges, rhs):
-    """Solution count of the same edge system through the integer Smith form.
+    """Solution count of the same edge system through sympy's integer Smith form.
 
     With U * A * V = S diagonal, alpha = V * beta splits the system into
     d_i * beta_i == (U * rhs)_i (mod k), one congruence per row: it has
@@ -103,14 +103,18 @@ def snf_solution_count(modulus, width, edges, rhs):
     otherwise, where a missing or zero d_i gives gcd k. Coordinates past
     the rows are free.
     """
+    # imported here, so that loading this module needs no sympy
+    from sympy import ZZ, Matrix
+    from sympy.matrices.normalforms import smith_normal_decomp
+
     k, m = modulus, width
     if not len(edges):
         return k**m
-    U, S, _ = smith_normal_form(incidence_matrix(width, edges))
+    S, U, _ = smith_normal_decomp(Matrix(incidence_matrix(width, edges)), domain=ZZ)
     count = k**m
-    for i, u in enumerate(U):
-        residue = sum(u) * rhs % k
-        g = math.gcd(S[i][i] if i < m else 0, k)
+    for i in range(U.rows):
+        residue = int(sum(U.row(i))) * rhs % k
+        g = math.gcd(int(S[i, i]) if i < m else 0, k)
         if residue % g:
             return 0
         if i < m:
@@ -258,32 +262,6 @@ def diag_similarity(t, signs):
             factor *= p[j - 1]
         out[idx] = val * factor
     return DenseTensor(t.order, t.dim, out)
-
-
-def bareiss_det(matrix):
-    """Exact integer determinant (fraction-free Gaussian elimination)."""
-    m = [row[:] for row in matrix]
-    n = len(m)
-    if n == 0:
-        return 1
-    sign = 1
-    prev = 1
-    for i in range(n - 1):
-        if m[i][i] == 0:
-            for r in range(i + 1, n):
-                if m[r][i]:
-                    m[i], m[r] = m[r], m[i]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for r in range(i + 1, n):
-            for c in range(i + 1, n):
-                m[r][c] = (m[r][c] * m[i][i] - m[r][i] * m[i][c]) // prev
-        prev = m[i][i]
-    return sign * m[-1][-1]
-
-
 
 
 def multipartition_witnesses(spec, vertices, edges):

@@ -91,6 +91,8 @@ class TestLoading:
             "3 7\n1 2 x",
             "3 4\n1_0 2 3",
             "3 12\n1 2 3\n\u0661\u0660 11 12",
+            "3 007\n1 2 3",
+            "3 7\n01 2 3",
         ],
     )
     def test_malformed_text_rejected(self, text):

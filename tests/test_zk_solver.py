@@ -1,6 +1,10 @@
 import dataclasses
 import itertools
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,7 +14,6 @@ from hypothesis import strategies as st
 from zerolap import (
     Hypergraph,
     connected_components,
-    smith_normal_form,
     solve_mod_k,
     zk_solver,
 )
@@ -80,100 +83,6 @@ class TestEdgeSystem:
             desc = record.description
             assert desc.feasible and desc.solution_count == 3
             assert desc.kernel.tolist() == [[1]] and desc.particular.tolist() == [0]
-
-
-# ---------------------------------------------------------------- Smith form
-
-def _random_int_matrix(rng, rows, cols, lo=-4, hi=4):
-    return [[rng.randint(lo, hi) for _ in range(cols)] for _ in range(rows)]
-
-
-def _snf_case_matrix(case):
-    """(rows, cols, matrix) for one parameter case of the sympy comparison.
-
-    "mixed": small entries in -4..4. "incidence": 0/1 matrices up to 12x12,
-    where the unit-pivot shortcut fires. "no-unit": every nonzero entry has
-    absolute value at least 2. "empty": a zero-width or row-free shape; a
-    row-free matrix is the empty list whatever its nominal width.
-    """
-    kind, arg = case
-    if kind == "empty":
-        rows, cols = arg
-        return rows, cols, [[] for _ in range(rows)]
-    rng = random.Random(arg)
-    if kind == "mixed":
-        rows, cols = rng.randint(1, 5), rng.randint(1, 5)
-        return rows, cols, _random_int_matrix(rng, rows, cols)
-    if kind == "incidence":
-        rows, cols = rng.randint(1, 12), rng.randint(1, 12)
-        density = rng.choice([0.2, 0.4, 0.6])
-        return rows, cols, [[int(rng.random() < density) for _ in range(cols)] for _ in range(rows)]
-    rows, cols = rng.randint(1, 6), rng.randint(1, 6)  # "no-unit"
-    entries = [x for x in range(-9, 10) if abs(x) != 1]
-    return rows, cols, [[rng.choice(entries) for _ in range(cols)] for _ in range(rows)]
-
-
-SNF_CASES = (
-    [pytest.param(("mixed", seed), id=str(seed)) for seed in range(30)]
-    + [pytest.param(("incidence", seed), id=f"incidence-{seed}") for seed in range(15)]
-    + [pytest.param(("no-unit", seed), id=f"no-unit-{seed}") for seed in range(15)]
-    + [
-        pytest.param(("empty", shape), id=f"empty-{shape[0]}x{shape[1]}")
-        for shape in [(0, 0), (0, 4), (1, 0), (3, 0)]
-    ]
-)
-
-
-class TestSmithNormalForm:
-    def test_identity(self):
-        U, S, V = smith_normal_form([[1, 0], [0, 1]])
-        assert S == [[1, 0], [0, 1]]
-
-    def test_single_row_gcd(self):
-        U, S, V = smith_normal_form([[1, 1, 1]])
-        assert S[0][0] == 1
-        assert S[0][1:] == [0, 0]
-
-    def test_chain_incidence_invariant_factors(self):
-        _, S, _ = smith_normal_form(oracles.incidence_matrix(7, CHAIN_EDGES))
-        assert [S[i][i] for i in range(3)] == [1, 1, 1]
-
-    def test_zero_matrix(self):
-        _, S, _ = smith_normal_form([[0, 0], [0, 0]])
-        assert S == [[0, 0], [0, 0]]
-
-    @pytest.mark.parametrize("case", SNF_CASES)
-    def test_random_matrices_against_sympy(self, case):
-        sympy = pytest.importorskip("sympy")
-        from sympy.matrices.normalforms import smith_normal_form as sympy_snf
-
-        shape_rows, shape_cols, M = _snf_case_matrix(case)
-        rows, cols = len(M), len(M[0]) if M else 0  # a row-free list has no width
-        U, S, V = smith_normal_form(M)
-
-        # reconstruction over plain integers
-        UM = [[sum(U[i][r] * M[r][j] for r in range(rows)) for j in range(cols)] for i in range(rows)]
-        UMV = [[sum(UM[i][c] * V[c][j] for c in range(cols)) for j in range(cols)] for i in range(rows)]
-        assert UMV == S
-
-        # unimodular transforms
-        assert abs(oracles.bareiss_det(U)) == 1
-        assert abs(oracles.bareiss_det(V)) == 1
-
-        # diagonal with a divisibility chain
-        for i in range(rows):
-            for j in range(cols):
-                if i != j:
-                    assert S[i][j] == 0
-        diag = [S[i][i] for i in range(min(rows, cols))]
-        nonzero = [d for d in diag if d]
-        assert diag[: len(nonzero)] == nonzero, "zero factors must trail"
-        for a, b in zip(nonzero, nonzero[1:]):
-            assert b % a == 0
-
-        expected = sympy_snf(sympy.Matrix(shape_rows, shape_cols, [x for row in M for x in row]))
-        expected_diag = [abs(expected[i, i]) for i in range(min(shape_rows, shape_cols))]
-        assert sorted(nonzero) == sorted(d for d in expected_diag if d)
 
 
 # ---------------------------------------------------------------- solving
@@ -399,6 +308,17 @@ def test_edge_systems_match_brute_force_and_smith_form(case):
     _check_against_brute_force(record.description, system)
 
 
+def test_loading_oracles_needs_no_test_extras():
+    """The benchmark loads ``oracles`` at every start; in a fresh
+    interpreter that load imports neither sympy nor pytest."""
+    tests = Path(__file__).parent
+    script = "import sys, oracles\nprint(sorted({'sympy', 'pytest'} & set(sys.modules)))"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(tests.parent / "src"), str(tests)]))
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
+
 class TestCertificate:
     """Each clause of ``check_howell_form``, and the particular solution's
     check, rejects a form broken in that clause alone."""
@@ -556,11 +476,3 @@ def test_shift_orbits_partition_solutions(seed):
     desc = _solve(edge_index(h), n, k, 0)
     canonical = {oracles.shift_min(v, k) for v in _all_solutions(desc).tolist()}
     assert len(canonical) * k == desc.solution_count
-
-
-def test_smith_form_checks_its_reconstruction(monkeypatch):
-    """A wrong product in the closing U * A * V check is caught."""
-    smith_normal_form([[1, 1, 0], [0, 1, 1]])
-    monkeypatch.setattr(zk_solver, "mul", lambda a, b: a * b + 1)
-    with pytest.raises(VerificationError, match="reconstruction failed"):
-        smith_normal_form([[1, 1, 0], [0, 1, 1]])
