@@ -17,10 +17,10 @@ number in a report comes from a library call; the CLI does no arithmetic.
 
 ``components``, ``--help``, usage errors and bad input or config files run
 on the standard library and the ``errors``, ``hypergraph`` and ``names``
-modules; numpy and the algebra load inside the commands that solve, and
-to check a ``partitions`` ``--kind``. A ``components`` call takes about
-0.08 s wall on a 2-core x86-64 host with Python 3.11, against about 0.2 s
-with numpy.
+modules, without ``dataclasses``, ``typing`` or ``pathlib``; numpy and the
+algebra load inside the commands that solve, and to check a ``partitions``
+``--kind``. A ``components`` call takes about 0.07 s wall on a 2-core
+x86-64 host with Python 3.11, against about 0.2 s with numpy.
 
 ``run()`` is the process entry (``python -m zerolap.cli`` and the
 ``zerolap`` script): it runs ``main()`` with the cyclic garbage collector
@@ -39,7 +39,6 @@ cross-check mismatch, 6 structural precondition not met.
 """
 
 import argparse
-import dataclasses
 import functools
 import gc
 import json
@@ -47,7 +46,6 @@ import os
 import sys
 from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii as _encode_str
-from pathlib import Path
 
 from . import __version__, names
 from .errors import BudgetExceededError, HypergraphFormatError, VerificationError
@@ -87,30 +85,38 @@ _PLACEHOLDER = "\x00listing"  # no report string holds NUL: see AnalysisConfig
 _PLACEHOLDER_TEXT = _ENCODER.encode(_PLACEHOLDER)
 
 
-@dataclasses.dataclass
+# AnalysisConfig's fields as (name, type, default), in report order
+_CONFIG_FIELDS = (
+    ("input", str, None),
+    ("operator", str, "both"),
+    ("predicate", str, "residue"),
+    ("kind", str | None, None),
+    ("tolerance", float, 1e-9),
+    ("budget", int, names.DEFAULT_ENUM_BUDGET),
+    ("out", str | None, None),
+    ("pretty", bool, False),
+)
+
+
 class AnalysisConfig:
-    """Run configuration; flags override config-file values override defaults."""
+    """Run configuration; flags override config-file values override defaults.
+    Each of ``_CONFIG_FIELDS`` is an attribute, checked at construction."""
 
-    input: str
-    operator: str = "both"
-    predicate: str = "residue"
-    kind: str | None = None
-    tolerance: float = 1e-9
-    budget: int = names.DEFAULT_ENUM_BUDGET
-    out: str | None = None
-    pretty: bool = False
-
-    def __post_init__(self):
-        for field in dataclasses.fields(self):
-            value = getattr(self, field.name)
+    def __init__(self, **values):
+        unknown = sorted(values.keys() - {name for name, _, _ in _CONFIG_FIELDS})
+        if unknown:
+            raise HypergraphFormatError(f"unknown config field {unknown[0]!r}")
+        if "input" not in values:
+            raise HypergraphFormatError("no input file given (flag --input or config file)")
+        for name, kind, default in _CONFIG_FIELDS:
+            value = values.get(name, default)
             # a config file's numbers may be JSON integers; bool is an int
             # subclass but never a number or a count here
-            expected = (int, float) if field.type is float else field.type
-            if not isinstance(value, expected) or (
-                isinstance(value, bool) and field.type is not bool
-            ):
-                name = getattr(field.type, "__name__", field.type)
-                raise ValueError(f"config field {field.name!r} must be {name}, got {value!r}")
+            expected = (int, float) if kind is float else kind
+            if not isinstance(value, expected) or (isinstance(value, bool) and kind is not bool):
+                kind_name = getattr(kind, "__name__", kind)
+                raise ValueError(f"config field {name!r} must be {kind_name}, got {value!r}")
+            setattr(self, name, value)
         for name in ("input", "out"):
             if "\x00" in (getattr(self, name) or ""):
                 raise ValueError(f"config field {name!r} holds a NUL byte")
@@ -130,22 +136,19 @@ def _merge_config(args: argparse.Namespace) -> AnalysisConfig:
     values: dict = {}
     if args.config:
         try:
-            values = json.loads(Path(args.config).read_text())
+            with open(args.config, "rb") as stream:  # JSON text is UTF-8 in any locale
+                values = json.loads(stream.read().decode("utf-8"))
         except (OSError, json.JSONDecodeError) as exc:
             raise HypergraphFormatError(f"cannot read config file: {exc}") from exc
         if not isinstance(values, dict):
             raise HypergraphFormatError(
                 f"config file must hold a JSON object, not {type(values).__name__}"
             )
-        unknown = sorted(values.keys() - {f.name for f in dataclasses.fields(AnalysisConfig)})
-        if unknown:
-            raise HypergraphFormatError(f"unknown config field {unknown[0]!r}")
-    for field in dataclasses.fields(AnalysisConfig):
-        flag = getattr(args, field.name)
-        if flag is not None:
-            values[field.name] = flag
-    if "input" not in values:
-        raise HypergraphFormatError("no input file given (flag --input or config file)")
+        for name in ("input", "out"):  # a file name is the bytes its UTF-8 text spells
+            if isinstance(values.get(name), str):
+                values[name] = os.fsdecode(values[name].encode("utf-8", "surrogateescape"))
+    flags = ((name, getattr(args, name)) for name, _, _ in _CONFIG_FIELDS)
+    values.update((name, flag) for name, flag in flags if flag is not None)
     return AnalysisConfig(**values)
 
 
@@ -166,16 +169,11 @@ def _instance_summary(h: Hypergraph, decomp: ComponentDecomposition) -> dict:
 def cmd_components(
     h: Hypergraph, decomp: ComponentDecomposition, cfg: AnalysisConfig
 ) -> tuple[dict, int]:
+    components = zip(decomp.components, decomp.edge_lists, decomp.singleton)
     return {
         "components": [
-            {
-                "vertices": list(comp),
-                "edges": [list(e) for e in edges],
-                "singleton": single,
-            }
-            for comp, edges, single in zip(
-                decomp.components, decomp.edge_lists, decomp.singleton
-            )
+            {"vertices": list(comp), "edges": [list(e) for e in edges], "singleton": single}
+            for comp, edges, single in components
         ],
         "degrees": list(degrees(h)),
     }, EXIT_OK
@@ -187,27 +185,23 @@ def cmd_zero_eigenvectors(
     from . import eigenstructure
 
     counts = eigenstructure.solve_components(h, decomp, cfg.budget)
-    report = {
-        "operators": [
-            eigenstructure.zero_eigenvector_report(
-                h, counts[op], enumerate_limit=cfg.budget, tolerance=cfg.tolerance
-            )
-            for op in _operators(cfg)
-        ]
-    }
-    return report, EXIT_OK
+    reports = [
+        eigenstructure.zero_eigenvector_report(
+            h, counts[op], enumerate_limit=cfg.budget, tolerance=cfg.tolerance
+        )
+        for op in _operators(cfg)
+    ]
+    return {"operators": reports}, EXIT_OK
 
 
-@dataclasses.dataclass(eq=False)
 class WitnessListing:
     """One kind's witnesses, a block of part-index rows per component: row
     r of a block puts its i-th vertex in part ``rows[r, i]``. Iterating
     gives the report records; ``render_report`` writes them from the rows."""
 
-    kind: str
-    predicate: str
-    parts: int
-    blocks: list = dataclasses.field(default_factory=list)  # (vertices, rows) per component
+    def __init__(self, kind: str, predicate: str, parts: int, blocks=()):
+        self.kind, self.predicate, self.parts = kind, predicate, parts
+        self.blocks = list(blocks)  # (vertices, rows) per component
 
     def __len__(self) -> int:
         return sum(len(rows) for _, rows in self.blocks)
@@ -502,21 +496,17 @@ def main(argv: list[str] | None = None) -> int:
             "command": args.command,
             "version": __version__,
             "instance": _instance_summary(h, decomp),
-            "config": dataclasses.asdict(cfg),
+            "config": dict(vars(cfg)),  # the fields, in table order
         }
         report.update(body)
         rendered = _render_pretty(report) if cfg.pretty else render_report(report)
-    except BudgetExceededError as exc:
+    except (BudgetExceededError, VerificationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BUDGET
-    except VerificationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VERIFICATION
+        return EXIT_BUDGET if isinstance(exc, BudgetExceededError) else EXIT_VERIFICATION
     if cfg.out:
         try:
-            with Path(cfg.out).open("w") as out:
-                out.write(rendered)  # then the newline: no second copy of the report
-                out.write("\n")
+            with open(cfg.out, "w") as out:
+                print(rendered, file=out)  # then the newline: no second copy of the report
         except OSError as exc:
             print(f"error: cannot write report: {exc}", file=sys.stderr)
             return EXIT_PARSE

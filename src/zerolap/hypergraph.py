@@ -5,12 +5,12 @@ sorted tuples of distinct vertex ids. All types are immutable after
 construction and all operations are pure.
 """
 
+import io
 import json
+import os
 import re
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cached_property
-from pathlib import Path
-from typing import IO, Iterable, NamedTuple
 
 from .errors import HypergraphFormatError
 
@@ -23,8 +23,35 @@ def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
-@dataclass(frozen=True)
-class Hypergraph:
+class _Record:
+    """An immutable record of the attributes named in ``_fields``, whose
+    equality, hash and repr follow those fields as a frozen dataclass's do."""
+
+    def __init__(self, *values):
+        for name, value in zip(self._fields, values, strict=True):
+            object.__setattr__(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other):
+        same = other.__class__ is self.__class__
+        return self._values() == other._values() if same else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = map("{}={!r}".format, self._fields, self._values())
+        return f"{type(self).__qualname__}({', '.join(fields)})"
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{type(self).__name__} is immutable: cannot set or delete {name!r}")
+
+    __delattr__ = __setattr__
+
+
+class Hypergraph(_Record):
     """An undirected simple k-uniform hypergraph on vertex set {1, ..., n}.
 
     Invariants enforced at construction:
@@ -34,40 +61,38 @@ class Hypergraph:
       * all vertex ids lie in 1..n.
     """
 
-    k: int
-    n: int
-    edges: tuple[tuple[int, ...], ...]
+    _fields = ("k", "n", "edges")
 
-    def __post_init__(self):
-        if not _is_int(self.k) or self.k < 2:
-            raise HypergraphFormatError(f"uniformity k must be an integer >= 2, got {self.k!r}")
-        if self.k > K_MAX:
+    def __init__(self, k: int, n: int, edges: tuple[tuple[int, ...], ...]):
+        if not _is_int(k) or k < 2:
+            raise HypergraphFormatError(f"uniformity k must be an integer >= 2, got {k!r}")
+        if k > K_MAX:
             raise HypergraphFormatError(
-                f"uniformity k must be at most {K_MAX}, so that k^2 fits in int64, got {self.k}"
+                f"uniformity k must be at most {K_MAX}, so that k^2 fits in int64, got {k}"
             )
-        if not _is_int(self.n) or self.n < 0:
-            raise HypergraphFormatError(f"vertex count n must be a nonnegative integer, got {self.n!r}")
+        if not _is_int(n) or n < 0:
+            raise HypergraphFormatError(f"vertex count n must be a nonnegative integer, got {n!r}")
         normalized = []
         seen = set()
-        for edge in self.edges:
+        for edge in edges:
             for v in edge:
                 if not _is_int(v):
                     raise HypergraphFormatError(
                         f"vertex id {v!r} in edge {list(edge)} is not an integer"
                     )
             vs = tuple(sorted(edge))
-            if len(vs) != self.k or len(set(vs)) != len(vs):
+            if len(vs) != k or len(set(vs)) != len(vs):
                 raise HypergraphFormatError(
-                    f"edge {tuple(edge)} must contain exactly {self.k} distinct vertices"
+                    f"edge {tuple(edge)} must contain exactly {k} distinct vertices"
                 )
             for v in vs:
-                if not 1 <= v <= self.n:
-                    raise HypergraphFormatError(f"vertex id {v!r} outside 1..{self.n}")
+                if not 1 <= v <= n:
+                    raise HypergraphFormatError(f"vertex id {v!r} outside 1..{n}")
             if vs in seen:
                 raise HypergraphFormatError(f"duplicate edge {vs}")
             seen.add(vs)
             normalized.append(vs)
-        object.__setattr__(self, "edges", tuple(normalized))
+        super().__init__(k, n, tuple(normalized))
 
     @property
     def edge_count(self) -> int:
@@ -91,8 +116,7 @@ class Hypergraph:
         return {"k": self.k, "n": self.n, "edges": [list(e) for e in self.edges]}
 
 
-@dataclass(frozen=True)
-class ComponentDecomposition:
+class ComponentDecomposition(_Record):
     """Partition of the vertex set into connected components.
 
     ``components[i]`` is a sorted vertex tuple, ``edge_lists[i]`` the edges
@@ -100,9 +124,7 @@ class ComponentDecomposition:
     no incident edge. Isolated vertices count as components.
     """
 
-    components: tuple[tuple[int, ...], ...]
-    edge_lists: tuple[tuple[tuple[int, ...], ...], ...]
-    singleton: tuple[bool, ...]
+    _fields = ("components", "edge_lists", "singleton")
 
     def __len__(self) -> int:
         return len(self.components)
@@ -112,9 +134,8 @@ class ComponentDecomposition:
         return sum(self.singleton)
 
 
-class InducedSubhypergraph(NamedTuple):
-    hypergraph: Hypergraph
-    original_ids: tuple[int, ...]  # new vertex j (1-based) was original_ids[j-1]
+# ``original_ids[j - 1]`` is the original id of new vertex j
+InducedSubhypergraph = namedtuple("InducedSubhypergraph", "hypergraph original_ids")
 
 
 def degrees(h: Hypergraph) -> tuple[int, ...]:
@@ -198,14 +219,15 @@ def _parse_int(token: str) -> int:
     return int(token)
 
 
-def load_hypergraph(source: str | Path | bytes | IO) -> Hypergraph:
+def load_hypergraph(source: str | os.PathLike | bytes | io.IOBase) -> Hypergraph:
     """Load a hypergraph from a path, raw bytes, or an open stream.
 
     The content may be either the JSON or the plain-text format; both
     describe the same instances and are detected by the leading character.
     """
-    if isinstance(source, (str, Path)):
-        data = Path(source).read_bytes()
+    if isinstance(source, (str, os.PathLike)):
+        with open(source, "rb") as stream:
+            data = stream.read()
     elif isinstance(source, bytes):
         data = source
     else:
@@ -221,7 +243,7 @@ def load_hypergraph(source: str | Path | bytes | IO) -> Hypergraph:
     return parse_hypergraph_text(text)
 
 
-def induced_subhypergraph(h: Hypergraph, subset: Iterable[int]) -> InducedSubhypergraph:
+def induced_subhypergraph(h: Hypergraph, subset) -> InducedSubhypergraph:
     """Sub-hypergraph induced by a vertex subset, relabeled to 1..|S|.
 
     Keeps exactly the edges entirely contained in the subset, in input

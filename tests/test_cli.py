@@ -132,7 +132,10 @@ finally:
 class TestStartupImports:
     """``components``, usage errors and input errors run on the standard
     library and the hypergraph model alone: numpy and the algebra load only
-    in the commands that solve."""
+    in the commands that solve. That path also leaves out the standard
+    library's slow imports: ``dataclasses`` (which loads ``inspect``),
+    ``typing`` and ``pathlib``. It runs under ``python -S``, since a
+    ``site`` hook may import ``typing`` or ``pathlib`` first."""
 
     ALGEBRA = {
         "numpy",
@@ -141,12 +144,13 @@ class TestStartupImports:
         "zerolap.eigenstructure",
         "zerolap.partitions",
     }
+    SLOW_STDLIB = {"dataclasses", "inspect", "typing", "pathlib"}
 
-    def _modules_at_exit(self, tmp_path, *argv) -> tuple[int, set[str]]:
+    def _modules_at_exit(self, tmp_path, *argv, flags=()) -> tuple[int, set[str]]:
         out = tmp_path / "modules.txt"
         env = dict(os.environ, PYTHONPATH=str(FIXTURE_DIR.parent / "src"))
         proc = subprocess.run(
-            [sys.executable, "-c", _MODULES_AT_EXIT, str(out), *argv],
+            [sys.executable, *flags, "-c", _MODULES_AT_EXIT, str(out), *argv],
             env=env,
             capture_output=True,
         )
@@ -167,10 +171,11 @@ class TestStartupImports:
         bad = tmp_path / "bad.json"
         bad.write_text('{"k": 3, "n": 3, "edges": [[1, 2, 2]]}')
         argv = [str(bad) if arg == "BAD" else arg for arg in argv]
-        exit_code, modules = self._modules_at_exit(tmp_path, *argv)
+        exit_code, modules = self._modules_at_exit(tmp_path, *argv, flags=["-S"])
         assert exit_code == code
         assert {"zerolap.hypergraph", "zerolap.names"} <= modules
         assert not modules & self.ALGEBRA
+        assert not modules & self.SLOW_STDLIB
 
     def test_solving_command_loads_the_algebra(self, tmp_path):
         """The probe sees the modules a command does load."""
@@ -795,6 +800,28 @@ class TestConfigHandling:
             main(["spectral-transforms", "--input", EDGE4, "--dense-budget", "10"])
         assert exc.value.code == 2
         assert "unrecognized arguments: --dense-budget 10" in capsys.readouterr().err
+
+    def test_utf8_config_under_an_ascii_locale(self, tmp_path):
+        """A config file is JSON, so UTF-8 text in any locale, and a file
+        name in it stands for the bytes of its UTF-8 text: under the C
+        locale its input and out paths reach the same files as flags do."""
+        folder = tmp_path / "\u00e9"
+        folder.mkdir()
+        source = folder / "in.json"
+        source.write_bytes((FIXTURE_DIR / "k3_chain_n7.json").read_bytes())
+        cfg = tmp_path / "cfg.json"
+        values = {"input": str(source), "out": str(folder / "out.json")}
+        cfg.write_bytes(json.dumps(values, ensure_ascii=False).encode("utf-8"))
+        env = dict(os.environ, PYTHONPATH=str(FIXTURE_DIR.parent / "src"), LC_ALL="C")
+        env.update(PYTHONCOERCECLOCALE="0", PYTHONUTF8="0")
+        command = [sys.executable, "-m", "zerolap.cli", "components"]
+        by_config = subprocess.run([*command, "--config", str(cfg)], env=env, capture_output=True)
+        by_flag = subprocess.run([*command, "--input", str(source)], env=env, capture_output=True)
+        assert by_config.returncode == 0, by_config.stderr.decode()
+        assert by_flag.returncode == 0, by_flag.stderr.decode()
+        written, printed = json.loads((folder / "out.json").read_text()), json.loads(by_flag.stdout)
+        assert written["components"] == printed["components"]
+        assert written["config"]["input"] == printed["config"]["input"]
 
     def test_integer_tolerance_in_config_accepted(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

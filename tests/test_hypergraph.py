@@ -151,6 +151,44 @@ class TestComponents:
         assert sum(len(el) for el in decomp.edge_lists) == chain.edge_count
 
 
+class TestRecords:
+    """``Hypergraph`` and ``ComponentDecomposition`` are immutable values."""
+
+    def test_equal_hypergraphs_hash_equal(self):
+        a = load_hypergraph(FIXTURE_DIR / "k3_chain_n7.json")
+        b = load_hypergraph(FIXTURE_DIR / "k3_chain_n7.txt")
+        assert a == b and hash(a) == hash(b)
+        assert len({a, b}) == 1
+
+    def test_unequal_hypergraphs(self, chain):
+        assert chain != Hypergraph(3, 7, chain.edges[:2])
+        assert chain != Hypergraph(3, 8, chain.edges)
+        assert chain != (chain.k, chain.n, chain.edges)
+
+    def test_repr_names_the_fields(self, chain):
+        assert repr(chain) == "Hypergraph(k=3, n=7, edges=((1, 2, 3), (3, 4, 5), (5, 6, 7)))"
+
+    @pytest.mark.parametrize("field", ["k", "n", "edges"])
+    def test_hypergraph_fields_are_read_only(self, chain, field):
+        value = getattr(chain, field)
+        with pytest.raises(AttributeError):
+            setattr(chain, field, value)
+        with pytest.raises(AttributeError):
+            delattr(chain, field)
+        assert getattr(chain, field) == value
+
+    def test_cached_views_survive_immutability(self, chain):
+        assert chain.incidence[3] == [0, 1]
+        assert chain.degrees is chain.degrees
+
+    def test_decomposition_is_read_only(self, chain):
+        decomp = connected_components(chain)
+        with pytest.raises(AttributeError):
+            decomp.components = ()
+        assert decomp == connected_components(chain)
+        assert decomp.components == ((1, 2, 3, 4, 5, 6, 7),)
+
+
 class TestInduced:
     def test_chain_first_edge(self, chain):
         sub, ids = induced_subhypergraph(chain, {1, 2, 3})

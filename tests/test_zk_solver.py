@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from zerolap import (
@@ -258,12 +258,22 @@ def _edge_lists(width, max_edges, min_edges=1):
 
 @st.composite
 def zk_systems(draw):
-    """Small edge systems over Z_N: random edge indexes with any residue,
-    so many are infeasible, and rows need not have N vertices."""
+    """Small edge systems over Z_N with any residue; rows need not have N
+    vertices. Half of them are random edge indexes, and half hold every
+    s-subset (s >= 2) of s + 1 or more vertices. Those edges force their
+    vertices to one value a with s * a equal to the residue, so such a
+    system is infeasible whenever gcd(s, N) does not divide the residue."""
     n = draw(st.sampled_from([2, 3, 4, 5, 6, 7, 8, 9, 12]))
-    m = draw(st.integers(1, 4 if n <= 6 else 3))
-    edges = np.array(draw(_edge_lists(m, 5)), dtype=np.intp)
-    return n, m, edges, draw(st.integers(0, n - 1))
+    top = 4 if n <= 6 else 3
+    if draw(st.booleans()):
+        size = draw(st.integers(2, top - 1))
+        m = draw(st.integers(size + 1, top))
+        ids = draw(st.permutations(range(m)))[: draw(st.integers(size + 1, m))]
+        edges = list(itertools.combinations(ids, size))
+    else:
+        m = draw(st.integers(1, top))
+        edges = draw(_edge_lists(m, 5))
+    return n, m, np.array(edges, dtype=np.intp), draw(st.integers(0, n - 1))
 
 
 @st.composite
@@ -292,6 +302,10 @@ def _check_against_brute_force(desc, system):
 
 @settings(deadline=None)
 @given(zk_systems())
+# K_4^(3) modulo 3: the four edge sums add up to 3 * (sum of all) = 0, not 4 * 1
+@example((3, 4, np.array(list(itertools.combinations(range(4), 3))), 1))
+# the triangle's three 2-edges modulo 4: twice the exponent sum would be 3
+@example((4, 3, TRIANGLE_EDGES, 1))
 def test_solve_matches_brute_force_and_smith_form(system):
     n, m, edges, rhs = system
     _check_against_brute_force(_solve(edges, m, n, rhs), system)
