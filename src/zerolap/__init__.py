@@ -23,7 +23,7 @@ from .hypergraph import (
 _LAZY = {
     name: module
     for module, names in {
-        "zk_solver": "solve_mod_k",
+        "zk_solver": "ComponentSystem solve_mod_k",
         "tensor_ops": "apply_adjacency apply_operator eig_residual hm_spectral_reflection"
         " nqz_spectral_radius similarity_identity_holds",
         "eigenstructure": "solve_components",

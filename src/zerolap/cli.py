@@ -39,7 +39,6 @@ cross-check mismatch, 6 structural precondition not met.
 """
 
 import argparse
-import functools
 import gc
 import json
 import os
@@ -54,7 +53,6 @@ from .hypergraph import (
     Hypergraph,
     connected_components,
     degrees,
-    induced_subhypergraph,
     load_hypergraph,
 )
 
@@ -216,44 +214,46 @@ class WitnessListing:
 def cmd_partitions(
     h: Hypergraph, decomp: ComponentDecomposition, cfg: AnalysisConfig
 ) -> tuple[dict, int]:
+    """Each kind's witnesses, one non-singleton component at a time: its
+    ``zk_solver.ComponentSystem``, let go before the next is built, serves
+    every kind, and its one bipartition listing, or that listing's budget
+    error, every bipartition kind."""
     from . import partitions
+    from .zk_solver import ComponentSystem
 
-    @functools.cache
-    def bipartitions(comp: tuple[int, ...]):
-        """One component's listing, or its budget error, shared by every bipartition kind."""
+    def listing(scan, *args):
         try:
-            return partitions.enumerate_bipartitions(h, comp, cfg.budget)
+            return scan(system, *args, cfg.budget)
         except BudgetExceededError as exc:
-            return exc
+            return str(exc)
 
     inventories = []
-    budget_hit = False
     for kind in partitions.applicable_kinds(h.k) if cfg.kind is None else [_KIND_FLAGS[cfg.kind]]:
         family = "multipartition" if kind in partitions.KIND_SPECS else "bipartition"
         witnesses = WitnessListing(kind, "literal", 2)
         entry: dict = {"kind": kind, "family": family, "witnesses": witnesses, "count": 0}
         if family == "multipartition":  # a multipartition kind of k has k parts
             entry["predicate"] = cfg.predicate
-            entry["witnesses"] = witnesses = WitnessListing(kind, cfg.predicate, h.k)
-        for comp, single in zip(decomp.components, decomp.singleton):
-            if single:
-                continue
-            try:
-                if family == "bipartition":
-                    listing = bipartitions(comp)
-                    if isinstance(listing, BudgetExceededError):
-                        raise listing
-                    rows = listing[kind]
-                else:
-                    rows = partitions.enumerate_multipartitions(
-                        h, comp, kind, cfg.predicate, cfg.budget
-                    )
-                witnesses.blocks.append((comp, rows))
-                entry["count"] += len(rows)
-            except BudgetExceededError as exc:
-                entry["budget_exceeded"] = str(exc)
-                budget_hit = True
+            entry["witnesses"] = WitnessListing(kind, cfg.predicate, h.k)
         inventories.append(entry)
+    for comp, single in zip(decomp.components, decomp.singleton):
+        if single:
+            continue
+        system, bipartitions = ComponentSystem(h, comp), None
+        for entry in inventories:
+            kind = entry["kind"]
+            if entry["family"] == "multipartition":
+                rows = listing(partitions.enumerate_multipartitions, kind, cfg.predicate)
+            else:
+                if bipartitions is None:
+                    bipartitions = listing(partitions.enumerate_bipartitions)
+                rows = bipartitions if isinstance(bipartitions, str) else bipartitions[kind]
+            if isinstance(rows, str):
+                entry["budget_exceeded"] = rows
+            else:
+                entry["witnesses"].blocks.append((comp, rows))
+                entry["count"] += len(rows)
+    budget_hit = any("budget_exceeded" in entry for entry in inventories)
     return {"partitions": inventories}, EXIT_BUDGET if budget_hit else EXIT_OK
 
 
@@ -284,7 +284,7 @@ def cmd_crosscheck(
             entry["N_formula"] = counts.n_formula
             entry["N_matched"] = counts.n_matched
         if counts.n_expected is not None:
-            entry["N_literal_count"] = eigenstructure.n_literal_count(h, counts, cfg.budget)
+            entry["N_literal_count"] = eigenstructure.n_literal_count(counts, cfg.budget)
         mismatch = mismatch or counts.mismatch
         checks.append(entry)
     scans = [
@@ -311,22 +311,23 @@ def cmd_spectral_transforms(
     every edge; a failure raises VerificationError (exit 3).
     """
     from . import partitions, tensor_ops
+    from .zk_solver import ComponentSystem
 
     results = []
     for comp, single in zip(decomp.components, decomp.singleton):
         if single:
             continue
-        row = partitions.find_hm_bipartition(h, comp, cfg.budget)
+        system = ComponentSystem(h, comp)
+        row = partitions.find_hm_bipartition(system, cfg.budget)
         if row is None:
             return {
                 "error": "no hm-bipartition exists",
                 "component": list(comp),
             }, EXIT_STRUCTURE
-        sub = induced_subhypergraph(h, comp).hypergraph
-        pair = tensor_ops.nqz_spectral_radius(h=sub)
+        pair = tensor_ops.nqz_spectral_radius(h=system.sub)
         rotations = []
         for r in range(h.k):
-            rotated = tensor_ops.hm_spectral_reflection(sub, row, pair, r)
+            rotated = tensor_ops.hm_spectral_reflection(system.sub, row, pair, r)
             rotations.append(
                 {
                     "r": r,
@@ -342,7 +343,7 @@ def cmd_spectral_transforms(
             "rotations": rotations,
         }
         if h.k % 2 == 0:
-            if not tensor_ops.similarity_identity_holds(sub, row):
+            if not tensor_ops.similarity_identity_holds(system.sub, row):
                 raise VerificationError(f"diagonal similarity identity failed on component {comp}")
             entry["similarity_identity_exact"] = True
         results.append(entry)

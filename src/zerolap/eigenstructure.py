@@ -11,9 +11,10 @@ self-conjugate pattern is forced into two values pi apart, which is H.
 Counting is closed-form (solution counts of the Howell-form solve plus a
 modulus-2 subsystem for the H classes when k is even); enumeration is
 reserved for explicitly requested class listings. ``solve_components`` is
-the one pass per run: per component it builds the edge index once,
-eliminates it once modulo k (and once modulo 2 for even k), and solves
-both operators' systems and their H counts from those forms. The
+the one pass per run: per non-singleton component it builds one
+``zk_solver.ComponentSystem``, solves both operators' systems and their H
+counts from its forms modulo k and 2, then drops the forms; the records
+keep the system for realization and the literal scans. The
 cross-checks count the same structures combinatorially, with no linear
 algebra: one ``partitions.ResidueCounter`` per component counts, by
 variable elimination along one min-degree order, the vertex subsets
@@ -41,22 +42,11 @@ from functools import cached_property
 import numpy as np
 
 from .errors import BudgetExceededError, VerificationError
-from .hypergraph import (
-    ComponentDecomposition,
-    Hypergraph,
-    connected_components,
-    induced_subhypergraph,
-)
+from .hypergraph import ComponentDecomposition, Hypergraph, connected_components
 from .names import DEFAULT_ENUM_BUDGET, LAPLACIAN, SIGNLESS, ZERO_EIG_OPERATORS
-from .tensor_ops import edge_index, eig_residual
-from .zk_solver import (
-    HowellForm,
-    SolutionDescription,
-    edge_residue,
-    howell_form,
-    lex_solutions,
-    solve_mod_k,
-)
+from .tensor_ops import eig_residual
+from .zk_solver import ComponentSystem, SolutionDescription, edge_residue
+from .zk_solver import lex_solutions, solve_mod_k
 from . import partitions as _partitions
 
 # Entries (classes x vertices) per realization block: bounds the memory of
@@ -75,7 +65,8 @@ ODD_SIGNLESS_REASON = (
 class ComponentStructure:
     """One component's closed-form counts for one operator, the one solve
     they come from, and the count identity's check of the H count;
-    ``description`` is None where the operator has no system."""
+    ``description`` is None where the operator has no system, and
+    ``system`` where the component is a singleton."""
 
     component: tuple[int, ...]
     singleton: bool
@@ -89,6 +80,7 @@ class ComponentStructure:
     h_expected: int | None = None  # None when a count hit its budget
     # the component's combinatorial counts, shared by both operators' records
     counter: _partitions.ResidueCounter | None = field(default=None, repr=False, compare=False)
+    system: ComponentSystem | None = field(default=None, repr=False, compare=False)
 
     @property
     def h_matched(self) -> bool | None:
@@ -195,15 +187,16 @@ def solve_components(
 ) -> dict[str, StructureCounts]:
     """Both operators' records, each component's in component order.
 
-    Per component, the induced edge index is built once and eliminated
-    once modulo k (and once modulo 2 for even k); both operators' systems
-    and their H counts are solved from those forms. One
+    Per component, one ``ComponentSystem`` is eliminated once modulo k
+    (and once modulo 2 for even k); both operators' systems and their H
+    counts are solved from those forms, which are then dropped. One
     ``partitions.ResidueCounter`` on the same edges, under ``budget``,
-    fills both records' H cross-checks, and both records carry it for
-    their N counts. A singleton builds no form and no counter: its one
-    exponent is free, so it has k solutions and the identity kernel under
-    either operator. ``decomp`` is ``h``'s decomposition when the caller
-    already has it. The functions below read ``result[operator]``.
+    fills both records' H cross-checks, and both records carry it and the
+    system for their N counts and listings. A singleton builds neither:
+    its one exponent is free, so it has k solutions and the identity
+    kernel under either operator. ``decomp`` is ``h``'s decomposition
+    when the caller already has it. The functions below read
+    ``result[operator]``.
     """
     if decomp is None:
         decomp = connected_components(h)
@@ -211,24 +204,21 @@ def solve_components(
     out: dict[str, list[ComponentStructure]] = {op: [] for op in ZERO_EIG_OPERATORS}
     scalar = SolutionDescription(k, np.zeros(1, np.int64), np.ones((1, 1), np.int64))
     for comp, single in zip(decomp.components, decomp.singleton):
-        form = form2 = counter = None
+        system = counter = None
         if not single:
-            edges = edge_index(induced_subhypergraph(h, comp).hypergraph)
-            form = howell_form(edges, len(comp), k)
-            if k % 2 == 0:
-                form2 = form if k == 2 else howell_form(edges, len(comp), 2)
-            counter = _partitions.ResidueCounter(edges.tolist(), len(comp), k, budget)
+            system = ComponentSystem(h, comp)
+            counter = _partitions.ResidueCounter(system.edges.tolist(), len(comp), k, budget)
         expected = _component_expected(k, counter)
         for op in ZERO_EIG_OPERATORS:
             rhs = edge_residue(k, op)
             if single:
                 desc = scalar
             else:  # for odd k the signless residue k/2 is no integer: no system
-                desc = None if op == SIGNLESS and k % 2 else solve_mod_k(form, rhs)
+                desc = None if op == SIGNLESS and k % 2 else solve_mod_k(system.form(k), rhs)
             feasible = desc is not None and desc.feasible
             count = desc.solution_count if feasible else 0
             classes = count // k
-            h_count = _h_class_count(k, form2, rhs) if feasible else 0
+            h_count = _h_class_count(k, system, rhs) if feasible else 0
             n_classes = classes - h_count
             if n_classes % 2:
                 raise VerificationError(
@@ -236,24 +226,26 @@ def solve_components(
                 )
             record = ComponentStructure(
                 comp, single, feasible, count, classes, h_count, n_classes // 2, desc,
-                expected[op], counter,
+                expected[op], counter, system,
             )
             out[op].append(record)
+        if system is not None:
+            system.forms.clear()
     return {op: StructureCounts(op, k, tuple(records)) for op, records in out.items()}
 
 
-def _h_class_count(k: int, form2: HowellForm | None, rhs: int) -> int:
+def _h_class_count(k: int, system: ComponentSystem | None, rhs: int) -> int:
     """Closed-form count of H classes of one feasible component system.
 
-    Without ``form2``, the edges' form modulo 2, there is exactly one
-    class: odd k admits only constant patterns (the all-ones vector), and
+    For odd k there is exactly one class, as for a singleton (``system``
+    None): odd k admits only constant patterns (the all-ones vector), and
     a singleton has only the scalar. For even k the H classes biject with
     the solutions of the modulus-2 subsystem (exponents restricted to
     {0, k/2}, so the edge residue r becomes r / (k/2)), two per class.
     """
-    if form2 is None:
+    if system is None or k % 2:
         return 1
-    desc = solve_mod_k(form2, rhs // (k // 2))
+    desc = solve_mod_k(system.form(2), rhs // (k // 2))
     return desc.solution_count // 2 if desc.feasible else 0
 
 
@@ -288,7 +280,7 @@ def _component_expected(
     return out
 
 
-def n_literal_count(h: Hypergraph, counts: StructureCounts, budget: int) -> int | None:
+def n_literal_count(counts: StructureCounts, budget: int) -> int | None:
     """The multipartitions matching ``counts.n_kind``'s literal clause
     lists, from one exhaustive scan per non-singleton component; None
     without a kind or at the first scan that exceeds ``budget``. The
@@ -303,7 +295,7 @@ def n_literal_count(h: Hypergraph, counts: StructureCounts, budget: int) -> int 
             continue
         try:
             rows = _partitions.enumerate_multipartitions(
-                h, cs.component, counts.n_kind, "literal", budget
+                cs.system, counts.n_kind, "literal", budget
             )
         except BudgetExceededError:
             return None
@@ -352,26 +344,20 @@ def _phases(k: int, top: int) -> np.ndarray:
 
 
 def realize_classes(
-    h: Hypergraph,
-    operator: str,
-    component: tuple[int, ...],
-    alphas: np.ndarray,
-    tolerance: float = 1e-9,
+    system: ComponentSystem, operator: str, alphas: np.ndarray, tolerance: float = 1e-9
 ) -> np.ndarray:
     """Verified residuals of one component's classes for eigenvalue 0.
 
-    Row r of ``alphas`` holds the exponents of one class on ``component``;
-    its vector carries exp(2*pi*i*alpha_v/k) there and zeros elsewhere.
-    Both checks run on every row: the exact integer residue of every
-    induced edge, and the numeric residual under ``tolerance``. The first
-    row failing either is an internal bug and raises VerificationError.
-    Rows go through ``eig_residual`` in blocks, on the component's induced
-    sub-hypergraph; the zeros outside the component add nothing to the
-    residual.
+    Row r of ``alphas`` holds the exponents of one class on the component
+    of ``system``; its vector carries exp(2*pi*i*alpha_v/k) there and
+    zeros elsewhere. Both checks run on every row: the exact integer
+    residue of every induced edge, and the numeric residual under
+    ``tolerance``. The first row failing either is an internal bug and
+    raises VerificationError. Rows go through ``eig_residual`` in blocks,
+    on the component's induced sub-hypergraph; the zeros outside the
+    component add nothing to the residual.
     """
-    k = h.k
-    sub, _ = induced_subhypergraph(h, component)
-    edges = edge_index(sub)
+    k, component, edges = system.k, system.vertices, system.edges
     residue = edge_residue(k, operator)
     phases = _phases(k, int(alphas.max(initial=0)))
     out = np.empty(len(alphas))
@@ -379,7 +365,7 @@ def realize_classes(
     for start in range(0, len(alphas), step):
         block = alphas[start : start + step]
         exact = block[:, edges].sum(axis=2) % k == residue
-        resid = eig_residual(sub, operator, 0.0, phases[block])
+        resid = eig_residual(system.sub, operator, 0.0, phases[block])
         failed = ~exact.all(axis=1) | (resid > tolerance)
         if failed.any():
             row = np.argmax(failed)
@@ -430,7 +416,7 @@ def zero_eigenvector_report(
         if cs.singleton:  # the scalar: real, with no edge to check and residual 0
             entry["classes"] = [{"alpha": [0], "kind": "H", "residual": 0.0} for _ in alphas]
         else:
-            residuals = realize_classes(h, operator, cs.component, alphas, tolerance)
+            residuals = realize_classes(cs.system, operator, alphas, tolerance)
             # H rows take at most two phases pi apart: 0 (rows are shift-canonical) and k/2
             real = np.all((alphas == 0) | (alphas == (h.k // 2 if h.k % 2 == 0 else 0)), axis=1)
             entry["classes"] = ClassListing(alphas, real, residuals)

@@ -112,9 +112,6 @@ class Hypergraph(_Record):
         """Per-vertex incidence counts; position i-1 holds the degree of vertex i."""
         return tuple(len(self.incidence.get(v, ())) for v in range(1, self.n + 1))
 
-    def to_json_dict(self) -> dict:
-        return {"k": self.k, "n": self.n, "edges": [list(e) for e in self.edges]}
-
 
 class ComponentDecomposition(_Record):
     """Partition of the vertex set into connected components.

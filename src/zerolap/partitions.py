@@ -11,6 +11,9 @@ Two predicates decide whether a vertex partition is admissible:
   the predicate the exact solver realizes, and it is the ground truth for
   all cross-checks.
 
+Every function here that reads one component takes its
+``zk_solver.ComponentSystem``: the edge index of its induced
+sub-hypergraph, and its Howell forms, each eliminated once per modulus.
 A partition witness is a row of part indices: entry i is the part of the
 component's i-th vertex, vertices in ascending order. Listings are int8
 arrays with one row per witness, as ``zk_solver.lex_solutions`` lists
@@ -56,11 +59,9 @@ from typing import Sequence
 import numpy as np
 
 from .errors import BudgetExceededError, VerificationError
-from .hypergraph import Hypergraph, induced_subhypergraph
 from .names import BIPARTITION_FLAVORS, DEFAULT_ENUM_BUDGET, EVEN, HM, ODD, PREDICATES
 from .names import L_QUAD, LAPLACIAN, PENTA, SIGNLESS, SL_QUAD, TRIPARTITE
-from .tensor_ops import edge_index
-from .zk_solver import CHECK_ROWS, edge_residue, howell_form, lex_solutions, solve_mod_k
+from .zk_solver import CHECK_ROWS, ComponentSystem, edge_residue, lex_solutions, solve_mod_k
 
 # Assignments per block of the multipartition scan: a block's arrays stay
 # well under a megabyte.
@@ -182,11 +183,10 @@ def require_applicable(kind: str, k: int) -> None:
     raise ValueError(f"{kind} bipartitions apply to even k, got k={k}")
 
 
-def _part_rows(h: Hypergraph, component: Sequence[int], rows, parts: int):
+def _part_rows(system: ComponentSystem, rows, parts: int) -> np.ndarray:
     """``rows`` as a (rows, m) block of part indices of the component's m
-    vertices, and the induced edges as indices into a row. Raises unless
-    every row has m integer entries in 0..parts-1."""
-    m = len(set(component))
+    vertices. Raises unless every row has m integer entries in 0..parts-1."""
+    m = len(system.vertices)
     block = np.asarray(rows)
     if block.ndim not in (1, 2) or block.shape[-1] != m:
         raise ValueError(f"rows have shape {block.shape}, expected ({m},) or (rows, {m})")
@@ -194,10 +194,10 @@ def _part_rows(h: Hypergraph, component: Sequence[int], rows, parts: int):
         not np.issubdtype(block.dtype, np.integer) or block.min() < 0 or block.max() >= parts
     ):
         raise ValueError(f"part indices must be integers in 0..{parts - 1}")
-    return np.atleast_2d(block), edge_index(induced_subhypergraph(h, component).hypergraph)
+    return np.atleast_2d(block)
 
 
-def validate_bipartition(h: Hypergraph, component: Sequence[int], rows, flavor: str):
+def validate_bipartition(system: ComponentSystem, rows, flavor: str):
     """Check the flavor condition on every induced edge, V1 being part 0.
 
     ``rows`` is one row of part indices (0 or 1) or a (rows, m) block;
@@ -206,7 +206,7 @@ def validate_bipartition(h: Hypergraph, component: Sequence[int], rows, flavor: 
     """
     if flavor not in BIPARTITION_FLAVORS:
         raise ValueError(f"unknown flavor {flavor!r}")
-    block, edges = _part_rows(h, component, rows, 2)
+    block, edges = _part_rows(system, rows, 2), system.edges
     in_v1 = block == 0
     ok = in_v1.any(axis=1)
     if flavor != HM:
@@ -220,13 +220,13 @@ def validate_bipartition(h: Hypergraph, component: Sequence[int], rows, flavor: 
 
 
 def enumerate_bipartitions(
-    h: Hypergraph, component: Sequence[int], budget: int = DEFAULT_ENUM_BUDGET
+    system: ComponentSystem, budget: int = DEFAULT_ENUM_BUDGET
 ) -> dict[str, np.ndarray]:
     """All valid bipartitions of one component, exhaustively, per flavor.
 
     A side v1 meets every edge oddly (evenly) precisely when its 0/1
     indicator solves A x == 1 (0) (mod 2): the witnesses are those systems'
-    solutions, listed from one Howell form modulo 2 of the edges, the hm
+    solutions, listed from the system's Howell form modulo 2, the hm
     sides those meeting every edge exactly once. Each witness is a row of
     part indices, 0 on v1 and 1 on v2, and each flavor is in order of
     |v1|, then of v1. Odd/even are listed for even k only, where swapping
@@ -239,21 +239,20 @@ def enumerate_bipartitions(
     Returns ``{"hm": rows, "odd": rows, "even": rows}``, int8 arrays of
     shape (witnesses, m).
     """
-    sub, comp = induced_subhypergraph(h, component)
-    out = {flavor: np.zeros((0, len(comp)), np.int8) for flavor in BIPARTITION_FLAVORS}
-    if not sub.edges:
+    m, edges = len(system.vertices), system.edges
+    out = {flavor: np.zeros((0, m), np.int8) for flavor in BIPARTITION_FLAVORS}
+    if not len(edges):
         return out
-    edges = edge_index(sub)
-    form = howell_form(edges, len(comp), 2)
     # right-hand side 1: v1 meets every edge oddly; 0: evenly
-    systems = [solve_mod_k(form, rhs) for rhs in (1, 0) if rhs or EVEN in applicable_kinds(h.k)]
+    form, even = system.form(2), EVEN in applicable_kinds(system.k)
+    systems = [solve_mod_k(form, rhs) for rhs in (1, 0) if rhs or even]
     most = max(desc.solution_count for desc in systems)
     if most > budget:
         raise BudgetExceededError(
             f"bipartition listing needs {most} solutions modulo 2, budget is {budget}"
         )
     odd, *even = [
-        lex_solutions(desc).astype(bool) if desc.feasible else np.zeros((0, len(comp)), bool)
+        lex_solutions(desc).astype(bool) if desc.feasible else np.zeros((0, m), bool)
         for desc in systems
     ]
     once = np.zeros(len(odd), dtype=bool)
@@ -336,7 +335,7 @@ _DEAD_END = object()
 
 
 def find_hm_bipartition(
-    h: Hypergraph, component: Sequence[int], budget: int = DEFAULT_ENUM_BUDGET
+    system: ComponentSystem, budget: int = DEFAULT_ENUM_BUDGET
 ) -> np.ndarray | None:
     """Search for a head assignment giving every edge exactly one head.
 
@@ -351,15 +350,14 @@ def find_hm_bipartition(
     That pruning starts at the search's first dead end. Since |S cap e|
     lies in [0, k], a vertex set S has exactly one head in every edge
     precisely when its 0/1 indicator solves A x == 1 (mod p) for the least
-    prime p above k. The component's edges are brought once into Howell
-    form modulo p, the same elimination that solves every edge system, and
-    the system's solutions x = x0 + t N read from it; the search restarts
-    from the root, with every assignment substituting out one free
-    variable: a branch dies as soon as some vertex's value becomes a
-    constant outside {0, 1}. An inconsistent system means no witness.
-    Whether a vertex is constant on the remaining solutions, and which
-    constant, does not depend on the basis N, so neither the witness nor
-    the trial count does.
+    prime p above k. The system's Howell form modulo p, the same
+    elimination that solves every edge system, gives its solutions
+    x = x0 + t N; the search restarts from the root, with every
+    assignment substituting out one free variable: a branch dies as soon
+    as some vertex's value becomes a constant outside {0, 1}. An
+    inconsistent system means no witness. Whether a vertex is constant on
+    the remaining solutions, and which constant, does not depend on the
+    basis N, so neither the witness nor the trial count does.
 
     Every candidate tried, an edge's existing head included, counts one
     trial over both passes; more than ``budget`` trials raise
@@ -367,13 +365,12 @@ def find_hm_bipartition(
     the heads and 1 on the mass side, or None when there is none. Trivial
     components return the vacuous witness, all ones: an empty head side.
     """
-    sub, comp = induced_subhypergraph(h, component)
-    if not sub.edges:
-        return np.ones(len(comp), np.int8)
+    m = len(system.vertices)
+    if not len(system.edges):
+        return np.ones(m, np.int8)
 
-    edges = edge_index(sub)
-    edge_list = edges.tolist()
-    co_edge: list[set] = [set() for _ in comp]
+    edge_list = system.edges.tolist()
+    co_edge: list[set] = [set() for _ in range(m)]
     for e in edge_list:
         for v in e:
             co_edge[v].update(e)
@@ -384,7 +381,7 @@ def find_hm_bipartition(
         """Head states at the first witness, None if there is none, or
         _DEAD_END at the first dead end when there is no check."""
         nonlocal trials
-        state = [-1] * len(comp)  # -1 unset, 0 mass, 1 head
+        state = [-1] * m  # -1 unset, 0 mass, 1 head
         assigned: list[int] = []
         frames: list[list] = []  # [candidates, next candidate, assigned mark, check mark]
 
@@ -437,8 +434,7 @@ def find_hm_bipartition(
 
     state = search(None)
     if state is _DEAD_END:
-        form = howell_form(edges, len(comp), _least_prime_above(h.k))
-        desc = solve_mod_k(form, 1)
+        desc = solve_mod_k(system.form(_least_prime_above(system.k)), 1)
         if not desc.feasible:
             return None
         check = _AffineCheck(desc.particular, desc.kernel, desc.modulus)
@@ -453,9 +449,7 @@ def kind_spec(kind: str, k: int) -> KindSpec:
     return spec
 
 
-def validate_multipartition(
-    h: Hypergraph, component: Sequence[int], rows, kind: str, predicate: str
-):
+def validate_multipartition(system: ComponentSystem, rows, kind: str, predicate: str):
     """Check every induced edge of the component against a predicate.
 
     ``rows`` is one row of part indices or a (rows, m) block; returns a
@@ -463,11 +457,11 @@ def validate_multipartition(
     clause profiles; ``residue`` checks the exponent-sum congruence with
     part j carrying exponent j. The literal nonemptiness constraint applies
     to both. Raises if a row does not partition the component into the
-    kind's parts or the kind does not apply to ``h``'s uniformity.
+    kind's parts or the kind does not apply to the system's uniformity.
     """
-    spec = kind_spec(kind, h.k)
+    spec = kind_spec(kind, system.k)
     weights, table = _profile_table(spec, predicate)
-    block, edges = _part_rows(h, component, rows, spec.k)
+    block, edges = _part_rows(system, rows, spec.k), system.edges
     ok = sum((block == j).any(axis=1) for j in range(spec.k)) >= spec.min_nonempty
     for i in range(0, len(block), CHECK_ROWS):  # the edge profiles of a few rows at a time
         profiles = weights[block[i : i + CHECK_ROWS]][:, edges].sum(axis=2)
@@ -518,11 +512,7 @@ def _digits(codes: np.ndarray, m: int, p: int) -> np.ndarray:
 
 
 def enumerate_multipartitions(
-    h: Hypergraph,
-    component: Sequence[int],
-    kind: str,
-    predicate: str,
-    budget: int = DEFAULT_ENUM_BUDGET,
+    system: ComponentSystem, kind: str, predicate: str, budget: int = DEFAULT_ENUM_BUDGET
 ) -> np.ndarray:
     """One component's multipartitions under ``predicate``, one per orbit.
 
@@ -545,11 +535,10 @@ def enumerate_multipartitions(
     are not closed under it. k^m > ``budget`` raises BudgetExceededError
     before any array exists.
     """
-    spec = kind_spec(kind, h.k)
-    m, k = len(set(component)), spec.k
+    spec = kind_spec(kind, system.k)
+    m, k = len(system.vertices), spec.k
     if predicate == "residue":
-        sub, comp = induced_subhypergraph(h, component)
-        desc = solve_mod_k(howell_form(edge_index(sub), m, k), spec.rhs)
+        desc = solve_mod_k(system.form(k), spec.rhs)
         solutions = desc.solution_count // k
         if solutions > budget:
             raise BudgetExceededError(
@@ -560,8 +549,10 @@ def enumerate_multipartitions(
         negated = -rows % k
         at = np.arange(len(rows)), (rows != negated).argmax(axis=1)
         rows = rows[rows[at] < negated[at]]
-        if not validate_multipartition(h, comp, rows, kind, "residue").all():
-            raise VerificationError(f"{kind} on {comp}: a listed solution breaks the residue")
+        if not validate_multipartition(system, rows, kind, "residue").all():
+            raise VerificationError(
+                f"{kind} on {system.vertices}: a listed solution breaks the residue"
+            )
         return rows
     if predicate != "literal":
         raise ValueError(f"unknown predicate {predicate!r}")
@@ -571,7 +562,6 @@ def enumerate_multipartitions(
         raise BudgetExceededError(
             f"multipartition scan needs {k}^{m} assignments, budget is {budget}"
         )
-    edge_idx = edge_index(induced_subhypergraph(h, component).hypergraph)
     place = k ** np.arange(m - 1, -1, -1, dtype=np.int64)  # digit weights, vertex order
     weights, table = _profile_table(spec, "literal")
     chosen: dict[int, int] = {}  # orbit key -> code of its least kept assignment
@@ -580,8 +570,8 @@ def enumerate_multipartitions(
         vals = _digits(codes, m, k)
         vertex_weight = weights[vals]
         # profile codes stay below (k+1)^k <= 6^5, so int16 holds them
-        profile = np.zeros((len(codes), len(edge_idx)), dtype=np.int16)
-        for slot in edge_idx.T:
+        profile = np.zeros((len(codes), len(system.edges)), dtype=np.int16)
+        for slot in system.edges.T:
             profile += vertex_weight[:, slot]
         hit = np.flatnonzero(table[profile].all(axis=1))
         hit = hit[_kept(vals[hit], spec)]

@@ -29,15 +29,15 @@ is that particular solution beside the form's own kernel array K
 (``SolutionDescription``), with no other copy of either.
 
 The form depends only on the edges and the modulus, not on the residue.
-``howell_form`` computes it once per component with an edge, and
-``solve_mod_k`` reuses it for the Laplacian and signless residues; the
-modulus-2 subsystem gets a form modulo 2, which also lists the
-bipartitions, and the hm-bipartition search one modulo the least prime
-above k. This is the program's one exact solver: each form is checked
-by a certificate (``check_howell_form``) and each particular
-solution against every edge; a failure raises VerificationError. Entries
-are reduced mod k after every step, so products stay near k^2, which
-``Hypergraph`` keeps within int64, and int64 arithmetic is exact.
+Every layer reads a component through its ``ComponentSystem``, built
+once: its edge index, and ``form(modulus)``, eliminated once per modulus.
+The form modulo k serves both residues, the one modulo 2 the H classes
+and bipartitions, and the hm search one modulo the least prime above k.
+This is the program's one exact solver: each form is checked by a
+certificate (``check_howell_form``) and each particular solution against
+every edge; a failure raises VerificationError. Entries are reduced mod
+k after every step, so products stay near k^2, which ``Hypergraph``
+keeps within int64, and int64 arithmetic is exact.
 """
 
 import math
@@ -47,7 +47,9 @@ from functools import cached_property
 import numpy as np
 
 from .errors import VerificationError
+from .hypergraph import Hypergraph, induced_subhypergraph
 from .names import LAPLACIAN, ZERO_EIG_OPERATORS
+from .tensor_ops import edge_index
 
 # Rows of a form whose edge sums the certificate holds at once: its
 # arrays stay a few megabytes however many rows the form has.
@@ -184,9 +186,30 @@ def howell_form(edges: np.ndarray, width: int, modulus: int) -> HowellForm:
     del work
     done = np.array(found, dtype=np.int64).reshape(len(found), count + width)
     r = int(done[:, :count].any(axis=1).sum())
-    form = HowellForm(n, edges, done[:r, :count], done[:r, count:], done[r:, count:])
+    # the kernel, which solution descriptions keep, is a copy: not a view
+    # that would keep all of ``done`` alive once the form is dropped
+    form = HowellForm(n, edges, done[:r, :count], done[:r, count:], done[r:, count:].copy())
     check_howell_form(form)
     return form
+
+
+class ComponentSystem:
+    """One component's edge systems: ``vertices`` ascending, ``sub`` the
+    sub-hypergraph they induce (relabeled 1..m) and ``edges`` its edge
+    index. ``form(modulus)`` eliminates the edges on first use and keeps
+    the form in ``forms``, which callers clear once the component's
+    systems are solved: a ``SolutionDescription`` keeps the arrays it reads."""
+
+    def __init__(self, h: Hypergraph, component):
+        self.k = h.k
+        self.sub, self.vertices = induced_subhypergraph(h, component)
+        self.edges = edge_index(self.sub)
+        self.forms: dict[int, HowellForm] = {}
+
+    def form(self, modulus: int) -> HowellForm:
+        if modulus not in self.forms:
+            self.forms[modulus] = howell_form(self.edges, len(self.vertices), modulus)
+        return self.forms[modulus]
 
 
 def _edge_sums(left: np.ndarray, edges: np.ndarray) -> np.ndarray:

@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from zerolap import Hypergraph, eigenstructure, partitions, zk_solver
+from zerolap import Hypergraph, eigenstructure, hypergraph, partitions, zk_solver
 
 sys.path.insert(0, str(Path(__file__).parent))
 
@@ -43,16 +43,43 @@ def k3_complete4() -> Hypergraph:
 
 @pytest.fixture
 def eliminations(monkeypatch):
-    """Records the modulus of every Howell-form elimination."""
+    """Records (component vertices, modulus) of every Howell-form
+    elimination, each made by some ``ComponentSystem.form``."""
     calls = []
-    real = zk_solver.howell_form
+    asking = []  # the vertices of the system whose form is being asked for
+    real_form, real = zk_solver.ComponentSystem.form, zk_solver.howell_form
+
+    def form(system, modulus):
+        asking.append(system.vertices)
+        try:
+            return real_form(system, modulus)
+        finally:
+            asking.pop()
 
     def counting(edges, width, modulus):
-        calls.append(modulus)
+        calls.append((asking[-1], modulus))
         return real(edges, width, modulus)
 
-    for module in (zk_solver, eigenstructure, partitions):
-        monkeypatch.setattr(module, "howell_form", counting)
+    monkeypatch.setattr(zk_solver.ComponentSystem, "form", form)
+    monkeypatch.setattr(zk_solver, "howell_form", counting)
+    return calls
+
+
+@pytest.fixture
+def induced_builds(monkeypatch):
+    """Records the vertices of every induced sub-hypergraph built through
+    any zerolap module's name for ``induced_subhypergraph``."""
+    calls = []
+    real = hypergraph.induced_subhypergraph
+
+    def counting(h, subset):
+        built = real(h, subset)
+        calls.append(built.original_ids)
+        return built
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "zerolap" and vars(module).get("induced_subhypergraph") is real:
+            monkeypatch.setattr(module, "induced_subhypergraph", counting)
     return calls
 
 
@@ -77,9 +104,9 @@ def multipartition_scans(monkeypatch):
     calls = []
     real = partitions.enumerate_multipartitions
 
-    def counting(h, component, kind, predicate, *args, **kwargs):
-        calls.append((tuple(sorted(set(component))), kind, predicate))
-        return real(h, component, kind, predicate, *args, **kwargs)
+    def counting(system, kind, predicate, *args, **kwargs):
+        calls.append((system.vertices, kind, predicate))
+        return real(system, kind, predicate, *args, **kwargs)
 
     monkeypatch.setattr(partitions, "enumerate_multipartitions", counting)
     return calls
@@ -91,9 +118,9 @@ def bipartition_scans(monkeypatch):
     calls = []
     real = partitions.enumerate_bipartitions
 
-    def counting(h, component, *args, **kwargs):
-        calls.append(tuple(sorted(set(component))))
-        return real(h, component, *args, **kwargs)
+    def counting(system, *args, **kwargs):
+        calls.append(system.vertices)
+        return real(system, *args, **kwargs)
 
     monkeypatch.setattr(partitions, "enumerate_bipartitions", counting)
     return calls

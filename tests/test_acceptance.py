@@ -9,6 +9,7 @@ inline and never loosened.
 import random
 
 from zerolap import (
+    ComponentSystem,
     Hypergraph,
     connected_components,
     discrepancy_scan,
@@ -37,7 +38,7 @@ def test_criterion_01_even_bipartitions_of_k4_fixture():
     """Exactly three even-bipartitions, matching the known list and the
     exhaustive subset scan. Exact."""
     comp = tuple(range(1, 7))
-    listed = enumerate_bipartitions(K4_OVERLAP, comp)["even"].tolist()
+    listed = enumerate_bipartitions(ComponentSystem(K4_OVERLAP, comp))["even"].tolist()
     assert list(map(tuple, listed)) == oracles.bipartition_witnesses(K4_OVERLAP, comp, "even")
     found = {
         frozenset(frozenset(v for v, part in zip(comp, row) if part == side) for side in (0, 1))
@@ -74,7 +75,8 @@ def test_criterion_03_chain_fixture_counts():
         (0, 0, 0, 1, 2, 2, 2),  # {1, 2, 3}, {4}, {5, 6, 7}
         (0, 0, 0, 0, 0, 1, 2),  # {1, 2, 3, 4, 5}, {6}, {7}
     ]
-    assert validate_multipartition(CHAIN, comp, listed, "tripartite", "literal").all()
+    system = ComponentSystem(CHAIN, comp)
+    assert validate_multipartition(system, listed, "tripartite", "literal").all()
 
     pinned_pairs = 13  # frozen from the 3^7 brute-force oracle
     brute = oracles.class_inventory(3, comp, CHAIN.edges, 0)

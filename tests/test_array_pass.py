@@ -31,7 +31,7 @@ from zerolap.eigenstructure import (
 )
 from zerolap.errors import VerificationError
 from zerolap.hypergraph import connected_components, induced_subhypergraph
-from zerolap.zk_solver import howell_form, solve_mod_k
+from zerolap.zk_solver import ComponentSystem, howell_form, solve_mod_k
 
 import oracles
 from conftest import FIXTURE_DIR, single_edge
@@ -121,7 +121,7 @@ class TestSameBitsAsScalarLoops:
                 comp = tuple(entry["vertices"])
                 for cls in entry["classes"]:
                     alphas = np.array([cls["alpha"]], dtype=np.int64)
-                    (resid,) = realize_classes(h, op, comp, alphas).tolist()
+                    (resid,) = realize_classes(ComponentSystem(h, comp), op, alphas).tolist()
                     _, scalar = oracles.scalar_realize(h, op, comp, tuple(cls["alpha"]))
                     assert repr(resid) == repr(scalar) == repr(cls["residual"])
 
@@ -195,7 +195,7 @@ class TestChecksFireOnBatches:
         alphas = np.array([c["alpha"] for c in entry["classes"]])
         alphas[1, 2] = (alphas[1, 2] + 1) % 3
         with pytest.raises(VerificationError) as err:
-            realize_classes(h, "laplacian", component, alphas)
+            realize_classes(ComponentSystem(h, component), "laplacian", alphas)
         edge = next(e for e in h.edges if component[2] in e)
         assert str(err.value) == f"class on {component} violates the exact residue at edge {edge}"
         with pytest.raises(VerificationError) as scalar_err:

@@ -6,13 +6,14 @@ import os
 import random
 import subprocess
 import sys
+import weakref
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from zerolap import eigenstructure, hypergraph, names, partitions, tensor_ops
+from zerolap import eigenstructure, hypergraph, names, partitions, tensor_ops, zk_solver
 from zerolap import cli as cli_module
 from zerolap.cli import _COMMANDS, EXIT_BROKEN_PIPE, main, render_report
 from zerolap.corpus import random_hm_bipartite
@@ -25,6 +26,7 @@ K4 = str(FIXTURE_DIR / "k4_overlap_n6.json")
 EDGE3 = str(FIXTURE_DIR / "single_edge_k3.json")
 EDGE4 = str(FIXTURE_DIR / "single_edge_k4.json")
 COMPLETE4 = str(FIXTURE_DIR / "k3_complete_n4.json")
+K4_VERTICES = tuple(range(1, 7))
 
 
 def run(capsys, *argv):
@@ -416,7 +418,15 @@ class TestSpectralTransformsCommand:
 @pytest.mark.parametrize("command", ["zero-eigenvectors", "crosscheck"])
 def test_both_operators_share_one_factorization(command, capsys, eliminations):
     assert main([command, "--input", K4, "--operator", "both"]) == 0
-    assert eliminations == [4, 2]  # one non-singleton component, k = 4
+    assert eliminations == [(K4_VERTICES, 4), (K4_VERTICES, 2)]  # one component, k = 4
+
+
+def _two_components(tmp_path):
+    """Two 4-uniform components, of two edges and of one, beside a singleton."""
+    path = tmp_path / "two_components.json"
+    edges = [[1, 2, 3, 4], [3, 4, 5, 6], [7, 8, 9, 10]]
+    path.write_text(json.dumps({"k": 4, "n": 11, "edges": edges}))
+    return str(path)
 
 
 @pytest.mark.parametrize("command", ["zero-eigenvectors", "crosscheck"])
@@ -424,19 +434,57 @@ def test_each_component_eliminated_once(command, tmp_path, capsys, eliminations)
     """Both operators share each non-singleton component's one elimination
     modulo k, and the H counts its one elimination modulo 2 (k = 4 > 2);
     the singleton builds no form."""
-    path = tmp_path / "two_components.json"
-    edges = [[1, 2, 3, 4], [3, 4, 5, 6], [7, 8, 9, 10]]
-    path.write_text(json.dumps({"k": 4, "n": 11, "edges": edges}))
-    assert main([command, "--input", str(path), "--operator", "both"]) == 0
-    assert eliminations == [4, 2, 4, 2]
+    assert main([command, "--input", _two_components(tmp_path), "--operator", "both"]) == 0
+    first, second = tuple(range(1, 7)), tuple(range(7, 11))
+    assert eliminations == [(first, 4), (first, 2), (second, 4), (second, 2)]
 
 
 def test_over_budget_bipartitions_eliminated_once(capsys, eliminations):
     """A component whose bipartition listing is over budget is eliminated
-    modulo 2 once, not once per flavor; lquad and slquad each eliminate
-    modulo 4."""
+    modulo 2 once, not once per flavor; lquad and slquad share one
+    elimination modulo 4."""
     assert main(["partitions", "--input", K4, "--budget", "1"]) == 4
-    assert eliminations == [2, 4, 4]
+    assert eliminations == [(K4_VERTICES, 2), (K4_VERTICES, 4)]
+
+
+@pytest.mark.parametrize("command", sorted(_COMMANDS))
+def test_one_system_per_component(command, tmp_path, capsys, eliminations, induced_builds):
+    """On every fixture, and on two components beside a singleton, each
+    non-singleton component's sub-hypergraph is induced once, and each
+    (component, modulus) eliminated at most once; ``components`` builds
+    neither."""
+    for path in [*sorted(map(str, FIXTURE_DIR.iterdir())), _two_components(tmp_path)]:
+        eliminations.clear()
+        induced_builds.clear()
+        main([command, "--input", path])
+        capsys.readouterr()
+        assert induced_builds == ([] if command == "components" else _non_singletons(path)), path
+        assert len(set(eliminations)) == len(eliminations), path
+
+
+@pytest.mark.parametrize("command", ["zero-eigenvectors", "crosscheck", "partitions"])
+def test_no_form_outlives_its_component(command, tmp_path, capsys, eliminations, monkeypatch):
+    """When a component's first form is built, no earlier component's form
+    is alive: a command solves or lists one component at a time and lets
+    its forms go before the next."""
+    path = tmp_path / "three_components.json"
+    edges = [[1, 2, 3, 4], [3, 4, 5, 6], [7, 8, 9, 10], [11, 12, 13, 14], [12, 13, 14, 15]]
+    path.write_text(json.dumps({"k": 4, "n": 15, "edges": edges}))
+    forms = []  # (component, weak reference to one of its forms)
+    eliminating = zk_solver.howell_form  # the fixture's, which records the component
+
+    def tracking(edges, width, modulus):
+        form = eliminating(edges, width, modulus)
+        component = eliminations[-1][0]
+        if all(seen != component for seen, _ in forms):
+            assert [seen for seen, ref in forms if ref() is not None] == [], component
+        forms.append((component, weakref.ref(form)))
+        return form
+
+    monkeypatch.setattr(zk_solver, "howell_form", tracking)
+    assert main([command, "--input", str(path)]) == 0
+    capsys.readouterr()
+    assert len({component for component, _ in forms}) == 3
 
 
 @pytest.mark.parametrize("path", [CHAIN, K4, EDGE3, EDGE4])

@@ -16,6 +16,7 @@ from zerolap.eigenstructure import (
     solve_components,
     zero_eigenvector_report,
 )
+from zerolap.zk_solver import ComponentSystem
 
 import oracles
 from conftest import FIXTURE_DIR, single_edge
@@ -48,11 +49,13 @@ ONE_FACTORIZATION_CASES = [
 
 
 def _eliminations_per_run(h):
-    """Moduli of the eliminations one pass should make: one modulo k per
-    non-singleton component, serving both operators, then one modulo 2
-    for the H counts when k is even (the same one when k = 2)."""
+    """(component, modulus) of the eliminations one pass should make: one
+    modulo k per non-singleton component, serving both operators, then
+    one modulo 2 for the H counts when k is even (the same one when k = 2)."""
     per_component = [h.k, 2] if h.k % 2 == 0 and h.k > 2 else [h.k]
-    return per_component * sum(not s for s in connected_components(h).singleton)
+    decomp = connected_components(h)
+    comps = [c for c, single in zip(decomp.components, decomp.singleton) if not single]
+    return [(c, modulus) for c in comps for modulus in per_component]
 
 
 class TestOneFactorizationPerComponent:
@@ -63,7 +66,7 @@ class TestOneFactorizationPerComponent:
             counts = solved[operator]
             zero_eigenvector_report(h, counts)
             assert counts.n_expected in (None, counts.n_pair_count)
-            n_literal_count(h, counts, 200_000)
+            n_literal_count(counts, 200_000)
         assert eliminations == _eliminations_per_run(h)
 
     @pytest.mark.parametrize("h", ONE_FACTORIZATION_CASES)
@@ -204,7 +207,8 @@ class TestNPairs:
 class TestRealization:
     def test_constant_class_has_zero_residual(self, chain):
         ones = np.zeros((1, 7), dtype=np.int64)
-        assert realize_classes(chain, "laplacian", tuple(range(1, 8)), ones).tolist() == [0.0]
+        system = ComponentSystem(chain, range(1, 8))
+        assert realize_classes(system, "laplacian", ones).tolist() == [0.0]
 
     def test_every_chain_class_verifies(self, chain):
         report = _report(chain, "laplacian")
@@ -213,14 +217,14 @@ class TestRealization:
     def test_singleton_class_has_zero_residual(self):
         h = with_isolated_vertices(single_edge(3), 1)
         scalar = np.zeros((1, 1), dtype=np.int64)
-        assert realize_classes(h, "signless", (4,), scalar).tolist() == [0.0]
+        assert realize_classes(ComponentSystem(h, (4,)), "signless", scalar).tolist() == [0.0]
 
     @pytest.mark.parametrize("operator", ["adjacency", "both"])
     def test_unknown_operator_is_a_value_error(self, chain, operator):
         """Bad input, not an internal inconsistency (VerificationError)."""
         ones = np.zeros((1, 7), dtype=np.int64)
         with pytest.raises(ValueError, match="unknown operator"):
-            realize_classes(chain, operator, tuple(range(1, 8)), ones)
+            realize_classes(ComponentSystem(chain, tuple(range(1, 8))), operator, ones)
 
 
 def _brute_component_counts(h, operator):

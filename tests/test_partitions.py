@@ -29,13 +29,29 @@ from zerolap.corpus import (
 from zerolap.eigenstructure import solve_components
 from zerolap.hypergraph import connected_components, load_hypergraph
 from zerolap.tensor_ops import edge_index
-from zerolap.zk_solver import CHECK_ROWS, LAPLACIAN, ZERO_EIG_OPERATORS, lex_solutions
+from zerolap.zk_solver import (
+    CHECK_ROWS,
+    LAPLACIAN,
+    ZERO_EIG_OPERATORS,
+    ComponentSystem,
+    lex_solutions,
+)
 
 from conftest import FIXTURE_DIR, single_edge
 from oracles import bipartition_witnesses, hm_bipartition_dfs, multipartition_witnesses
 
 CHAIN_COMPONENT = tuple(range(1, 8))
 K4_COMPONENT = tuple(range(1, 7))
+
+
+@pytest.fixture
+def k4_system(k4_overlap):
+    return ComponentSystem(k4_overlap, K4_COMPONENT)
+
+
+@pytest.fixture
+def chain_system(chain):
+    return ComponentSystem(chain, CHAIN_COMPONENT)
 
 
 def _tuples(rows):
@@ -57,53 +73,53 @@ def _assert_same_listing(got, expected):
 
 
 class TestValidateBipartition:
-    def test_k4_even_witness_valid(self, k4_overlap):
+    def test_k4_even_witness_valid(self, k4_system):
         # v1 = {1, 2, 5} is part 0, v2 = {3, 4, 6} part 1
-        assert validate_bipartition(k4_overlap, K4_COMPONENT, (0, 0, 1, 1, 0, 1), "even")
+        assert validate_bipartition(k4_system, (0, 0, 1, 1, 0, 1), "even")
 
     def test_single_edge_hm_head(self):
-        assert validate_bipartition(single_edge(3), (1, 2, 3), (0, 1, 1), "hm")
+        assert validate_bipartition(ComponentSystem(single_edge(3), (1, 2, 3)), (0, 1, 1), "hm")
 
-    def test_k4_single_vertex_not_even(self, k4_overlap):
-        assert not validate_bipartition(k4_overlap, K4_COMPONENT, (0, 1, 1, 1, 1, 1), "even")
+    def test_k4_single_vertex_not_even(self, k4_system):
+        assert not validate_bipartition(k4_system, (0, 1, 1, 1, 1, 1), "even")
 
-    def test_block_gives_one_verdict_per_row(self, k4_overlap):
+    def test_block_gives_one_verdict_per_row(self, k4_system):
         rows = np.array([(0, 0, 1, 1, 0, 1), (0, 1, 1, 1, 1, 1), (0, 1, 0, 1, 1, 1)], np.int8)
-        got = validate_bipartition(k4_overlap, K4_COMPONENT, rows, "even")
+        got = validate_bipartition(k4_system, rows, "even")
         assert got.tolist() == [True, False, True]
-        assert validate_bipartition(k4_overlap, K4_COMPONENT, rows[:0], "even").shape == (0,)
+        assert validate_bipartition(k4_system, rows[:0], "even").shape == (0,)
 
     @pytest.mark.parametrize("flavor", partitions.BIPARTITION_FLAVORS)
-    def test_block_past_check_rows_matches_each_row(self, k4_overlap, flavor):
+    def test_block_past_check_rows_matches_each_row(self, k4_system, flavor):
         """Every verdict of a block checked a few rows at a time is the
         verdict of its row alone, across the block boundaries."""
         rows = np.random.default_rng(1).integers(0, 2, (2 * CHECK_ROWS + 7, 6), dtype=np.int8)
-        got = validate_bipartition(k4_overlap, K4_COMPONENT, rows, flavor)
+        got = validate_bipartition(k4_system, rows, flavor)
         assert 0 < got.sum() < len(rows)
         assert got.tolist() == [
-            validate_bipartition(k4_overlap, K4_COMPONENT, row, flavor) for row in rows
+            validate_bipartition(k4_system, row, flavor) for row in rows
         ]
 
     @pytest.mark.parametrize(
         "row", [(0, 0, 2, 1, 0, 1), (0, 0, -1, 1, 0, 1), (0, 0, 1, 1, 0), (0.0,) * 6]
     )
-    def test_non_partition_rejected(self, k4_overlap, row):
+    def test_non_partition_rejected(self, k4_system, row):
         """A part outside {0, 1}, a wrong length or a non-integer entry."""
         with pytest.raises(ValueError):
-            validate_bipartition(k4_overlap, K4_COMPONENT, row, "even")
+            validate_bipartition(k4_system, row, "even")
 
-    def test_unknown_flavor_rejected(self, k4_overlap):
+    def test_unknown_flavor_rejected(self, k4_system):
         with pytest.raises(ValueError, match="unknown flavor"):
-            validate_bipartition(k4_overlap, K4_COMPONENT, (0, 0, 1, 1, 0, 1), "both")
+            validate_bipartition(k4_system, (0, 0, 1, 1, 0, 1), "both")
 
     def test_trivial_component_vacuously_valid(self):
         h = Hypergraph(3, 4, ((1, 2, 3),))
-        assert validate_bipartition(h, (4,), (0,), "odd")
+        assert validate_bipartition(ComponentSystem(h, (4,)), (0,), "odd")
 
 
 class TestEnumerateBipartitions:
-    def test_k4_even_exactly_three(self, k4_overlap):
-        found = enumerate_bipartitions(k4_overlap, K4_COMPONENT)["even"]
+    def test_k4_even_exactly_three(self, k4_system):
+        found = enumerate_bipartitions(k4_system)["even"]
         # v1 = {1, 3}, then {1, 2, 5} before {1, 4, 6}: by |v1|, then v1
         assert found.tolist() == [
             [0, 1, 0, 1, 1, 1],
@@ -113,23 +129,23 @@ class TestEnumerateBipartitions:
         assert found.dtype == np.int8
 
     def test_single_edge_k4_odd_four(self):
-        found = enumerate_bipartitions(single_edge(4), (1, 2, 3, 4))["odd"]
+        found = enumerate_bipartitions(ComponentSystem(single_edge(4), (1, 2, 3, 4)))["odd"]
         assert len(found) == 4
 
     def test_single_edge_k4_even_three(self):
-        found = enumerate_bipartitions(single_edge(4), (1, 2, 3, 4))["even"]
+        found = enumerate_bipartitions(ComponentSystem(single_edge(4), (1, 2, 3, 4)))["even"]
         assert len(found) == 3
 
     def test_hm_is_ordered_not_quotiented(self):
-        found = enumerate_bipartitions(single_edge(3), (1, 2, 3))["hm"]
+        found = enumerate_bipartitions(ComponentSystem(single_edge(3), (1, 2, 3)))["hm"]
         assert found.tolist() == [[0, 1, 1], [1, 0, 1], [1, 1, 0]]
 
-    def test_all_witnesses_validate(self, k4_overlap):
-        for flavor, rows in enumerate_bipartitions(k4_overlap, K4_COMPONENT).items():
-            assert len(rows) and validate_bipartition(k4_overlap, K4_COMPONENT, rows, flavor).all()
+    def test_all_witnesses_validate(self, k4_system):
+        for flavor, rows in enumerate_bipartitions(k4_system).items():
+            assert len(rows) and validate_bipartition(k4_system, rows, flavor).all()
 
     def test_trivial_component_lists_empty_blocks(self):
-        found = enumerate_bipartitions(Hypergraph(3, 4, ((1, 2, 3),)), (4,))
+        found = enumerate_bipartitions(ComponentSystem(Hypergraph(3, 4, ((1, 2, 3),)), (4,)))
         assert {flavor: rows.shape for flavor, rows in found.items()} == {
             flavor: (0, 1) for flavor in partitions.BIPARTITION_FLAVORS
         }
@@ -147,8 +163,8 @@ def bipartition_instances(draw):
 
 
 def _assert_hm_listing_holds_search_witness(h, component):
-    listed = enumerate_bipartitions(h, component)[partitions.HM]
-    w = find_hm_bipartition(h, component)
+    listed = enumerate_bipartitions(ComponentSystem(h, component))[partitions.HM]
+    w = find_hm_bipartition(ComponentSystem(h, component))
     if w is None or w.all():  # none, or the vacuous witness of an edgeless component
         assert len(listed) == 0
     else:
@@ -162,7 +178,7 @@ class TestBipartitionScanAgainstOracle:
     @given(bipartition_instances())
     def test_every_flavor(self, instance):
         h, component = instance
-        found = enumerate_bipartitions(h, component)
+        found = enumerate_bipartitions(ComponentSystem(h, component))
         assert list(found) == list(partitions.BIPARTITION_FLAVORS)
         for flavor, witnesses in found.items():
             assert witnesses.dtype == np.int8 and witnesses.shape[1:] == (len(component),)
@@ -172,11 +188,11 @@ class TestBipartitionScanAgainstOracle:
                 assert len(witnesses) == 0, flavor
         _assert_hm_listing_holds_search_witness(h, component)
 
-    def test_budget_equal_to_scan_size_scans(self, k4_overlap):
-        at_edge = enumerate_bipartitions(k4_overlap, K4_COMPONENT, budget=2**6)
-        _assert_same_listing(at_edge, enumerate_bipartitions(k4_overlap, K4_COMPONENT))
+    def test_budget_equal_to_scan_size_scans(self, k4_system):
+        at_edge = enumerate_bipartitions(k4_system, budget=2**6)
+        _assert_same_listing(at_edge, enumerate_bipartitions(k4_system))
 
-    def test_budget_is_the_solution_count(self, k4_overlap, monkeypatch):
+    def test_budget_is_the_solution_count(self, k4_overlap, k4_system, monkeypatch):
         """The budget bounds the solutions of each system modulo 2: at their
         count the listing runs; one short, it refuses before listing any."""
         subsets = [set(s) for r in range(7) for s in itertools.combinations(K4_COMPONENT, r)]
@@ -185,15 +201,15 @@ class TestBipartitionScanAgainstOracle:
             for rhs in (0, 1)
         ]
         assert counts == [8, 8]
-        listed = enumerate_bipartitions(k4_overlap, K4_COMPONENT, budget=8)
-        _assert_same_listing(listed, enumerate_bipartitions(k4_overlap, K4_COMPONENT))
+        listed = enumerate_bipartitions(k4_system, budget=8)
+        _assert_same_listing(listed, enumerate_bipartitions(k4_system))
 
         def no_listing(*args):
             raise AssertionError("listed past the budget")
 
         monkeypatch.setattr(partitions, "lex_solutions", no_listing)
         with pytest.raises(BudgetExceededError, match="needs 8 solutions modulo 2, budget is 7"):
-            enumerate_bipartitions(k4_overlap, K4_COMPONENT, budget=7)
+            enumerate_bipartitions(k4_system, budget=7)
 
 
 class TestBipartitionsPastTheScan:
@@ -202,7 +218,7 @@ class TestBipartitionsPastTheScan:
     @pytest.fixture(scope="class")
     def instance(self):
         h = random_connected_hypergraph(random.Random(0), 4, 40, 18)
-        return h, enumerate_bipartitions(h, range(1, 41))
+        return h, enumerate_bipartitions(ComponentSystem(h, range(1, 41)))
 
     def test_counts_equal_the_residue_counts(self, instance):
         h, found = instance
@@ -213,7 +229,7 @@ class TestBipartitionsPastTheScan:
     def test_every_witness_validates(self, instance):
         h, found = instance
         for flavor, witnesses in found.items():
-            assert validate_bipartition(h, range(1, 41), witnesses, flavor).all()
+            assert validate_bipartition(ComponentSystem(h, range(1, 41)), witnesses, flavor).all()
 
 
 @pytest.mark.parametrize("shape", [(3, 4, 8, 4), (4, 4, 9, 3), (5, 3, 8, 2)])
@@ -225,25 +241,25 @@ def test_hm_listing_holds_search_witness_on_planted_instances(shape):
 
 class TestFindHm:
     def test_single_edge_lowest_head(self):
-        w = find_hm_bipartition(single_edge(3), (1, 2, 3))
+        w = find_hm_bipartition(ComponentSystem(single_edge(3), (1, 2, 3)))
         assert w.tolist() == [0, 1, 1] and w.dtype == np.int8
 
     def test_shared_head(self):
         h = Hypergraph(3, 5, ((1, 2, 3), (1, 4, 5)))
-        w = find_hm_bipartition(h, (1, 2, 3, 4, 5))
+        w = find_hm_bipartition(ComponentSystem(h, (1, 2, 3, 4, 5)))
         assert w.tolist() == [0, 1, 1, 1, 1]
 
     def test_complete_k3_on_four_has_none(self, k3_complete4):
-        assert find_hm_bipartition(k3_complete4, (1, 2, 3, 4)) is None
+        assert find_hm_bipartition(ComponentSystem(k3_complete4, (1, 2, 3, 4))) is None
 
-    def test_chain_witness_validates(self, chain):
-        w = find_hm_bipartition(chain, CHAIN_COMPONENT)
+    def test_chain_witness_validates(self, chain_system):
+        w = find_hm_bipartition(chain_system)
         assert w is not None
-        assert validate_bipartition(chain, CHAIN_COMPONENT, w, "hm")
+        assert validate_bipartition(chain_system, w, "hm")
 
     def test_trivial_component_gets_vacuous_witness(self):
         h = Hypergraph(3, 4, ((1, 2, 3),))
-        w = find_hm_bipartition(h, (4,))
+        w = find_hm_bipartition(ComponentSystem(h, (4,)))
         assert w.tolist() == [1] and w.dtype == np.int8  # an empty head side
 
     @pytest.mark.parametrize("seed", range(8))
@@ -259,7 +275,7 @@ class TestFindHm:
             for r in range(1, n + 1)
             for chosen in itertools.combinations(range(1, n + 1), r)
         )
-        w = find_hm_bipartition(h, comp)
+        w = find_hm_bipartition(ComponentSystem(h, comp))
         if exists:
             assert w is not None
             heads = {v for v, part in zip(comp, w.tolist()) if part == 0}
@@ -300,7 +316,7 @@ class TestHmSearchAgainstRecursiveOracle:
     @given(hm_search_instances())
     def test_same_witness_or_both_none(self, h):
         for comp in connected_components(h).components:
-            w = find_hm_bipartition(h, comp)
+            w = find_hm_bipartition(ComponentSystem(h, comp))
             ref = hm_bipartition_dfs(h, comp)
             assert (w is None) == (ref is None)
             if w is not None:
@@ -311,20 +327,20 @@ class TestHmSearchAgainstRecursiveOracle:
         h = _hard_hm_instance(seed)
         comp = tuple(range(1, h.n + 1))
         # at most 2|E| - 1 head trials over both passes, or this raises
-        w = find_hm_bipartition(h, comp, budget=2 * h.edge_count - 1)
+        w = find_hm_bipartition(ComponentSystem(h, comp), budget=2 * h.edge_count - 1)
         assert tuple(w.tolist()) == hm_bipartition_dfs(h, comp)
 
     def test_budget_counts_head_trials(self):
         """Every edge takes at least one trial, so |E| - 1 cannot suffice."""
         h = _hard_hm_instance(0)
         with pytest.raises(BudgetExceededError, match="more than 149 head trials"):
-            find_hm_bipartition(h, range(1, h.n + 1), budget=h.edge_count - 1)
+            find_hm_bipartition(ComponentSystem(h, range(1, h.n + 1)), budget=h.edge_count - 1)
 
     def test_long_loose_path_needs_no_recursion(self):
         h = _loose_path(3000)
         comp = tuple(range(1, h.n + 1))
         assert h.edge_count > sys.getrecursionlimit()
-        w = find_hm_bipartition(h, comp)
+        w = find_hm_bipartition(ComponentSystem(h, comp))
         limit = sys.getrecursionlimit()
         sys.setrecursionlimit(10_000)  # the oracle recurses once per edge
         try:
@@ -340,17 +356,17 @@ class TestHmSearchElimination:
 
     def test_hard_instance_eliminates_once_modulo_five(self, eliminations):
         h = _hard_hm_instance(0)
-        assert find_hm_bipartition(h, range(1, h.n + 1)) is not None
-        assert eliminations == [5]  # k = 3
+        assert find_hm_bipartition(ComponentSystem(h, range(1, h.n + 1))) is not None
+        assert eliminations == [(tuple(range(1, h.n + 1)), 5)]  # k = 3
 
     def test_loose_path_never_eliminates(self, eliminations):
         h = _loose_path(3000)
-        assert find_hm_bipartition(h, range(1, h.n + 1)) is not None
+        assert find_hm_bipartition(ComponentSystem(h, range(1, h.n + 1))) is not None
         assert eliminations == []
 
 
 class TestValidateMultipartition:
-    def test_listed_chain_tripartitions(self, chain):
+    def test_listed_chain_tripartitions(self, chain_system):
         rows = np.array(
             [
                 (0, 1, 2, 2, 2, 2, 2),  # {1}, {2}, {3, 4, 5, 6, 7}
@@ -359,66 +375,67 @@ class TestValidateMultipartition:
             ]
         )
         for predicate in partitions.PREDICATES:
-            got = validate_multipartition(chain, CHAIN_COMPONENT, rows, "tripartite", predicate)
+            got = validate_multipartition(chain_system, rows, "tripartite", predicate)
             assert got.tolist() == [True] * 3
             for row in rows:
-                assert validate_multipartition(chain, CHAIN_COMPONENT, row, "tripartite", predicate)
+                assert validate_multipartition(chain_system, row, "tripartite", predicate)
 
-    def test_interleaved_tripartition_valid(self, chain):
+    def test_interleaved_tripartition_valid(self, chain_system):
         # {1, 4, 7}, {2, 5}, {3, 6}
         row = (0, 1, 2, 0, 1, 2, 0)
-        assert validate_multipartition(chain, CHAIN_COMPONENT, row, "tripartite", "literal")
+        assert validate_multipartition(chain_system, row, "tripartite", "literal")
 
     def test_single_k4_edge_split_into_four_fails_lquad(self):
-        h = single_edge(4)
-        assert not validate_multipartition(h, (1, 2, 3, 4), (0, 1, 2, 3), "lquad", "literal")
+        system = ComponentSystem(single_edge(4), (1, 2, 3, 4))
+        assert not validate_multipartition(system, (0, 1, 2, 3), "lquad", "literal")
         # 0+1+2+3 = 6, not 0 mod 4
-        assert not validate_multipartition(h, (1, 2, 3, 4), (0, 1, 2, 3), "lquad", "residue")
+        assert not validate_multipartition(system, (0, 1, 2, 3), "lquad", "residue")
 
     def test_single_k4_edge_split_into_four_passes_slquad(self):
-        h = single_edge(4)
-        assert validate_multipartition(h, (1, 2, 3, 4), (0, 1, 2, 3), "slquad", "literal")
+        system = ComponentSystem(single_edge(4), (1, 2, 3, 4))
+        assert validate_multipartition(system, (0, 1, 2, 3), "slquad", "literal")
         # sum 6 == 2 mod 4
-        assert validate_multipartition(h, (1, 2, 3, 4), (0, 1, 2, 3), "slquad", "residue")
+        assert validate_multipartition(system, (0, 1, 2, 3), "slquad", "residue")
 
-    def test_empty_part_count_constraint(self, chain):
+    def test_empty_part_count_constraint(self, chain_system):
         row = (0,) * 7
-        assert not validate_multipartition(chain, CHAIN_COMPONENT, row, "tripartite", "residue")
+        assert not validate_multipartition(chain_system, row, "tripartite", "residue")
 
     @pytest.mark.parametrize("row", [(0, 1, 3, 2, 2, 2, 2), (0, 1, 2, 2, 2, 2), ((0, 1, 2),)])
-    def test_non_partition_rejected(self, chain, row):
+    def test_non_partition_rejected(self, chain_system, row):
         """A part outside the kind's parts, a wrong length or a wrong shape."""
         with pytest.raises(ValueError):
-            validate_multipartition(chain, CHAIN_COMPONENT, row, "tripartite", "literal")
+            validate_multipartition(chain_system, row, "tripartite", "literal")
 
-    def test_unknown_predicate_rejected(self, chain):
+    def test_unknown_predicate_rejected(self, chain_system):
         with pytest.raises(ValueError, match="unknown predicate"):
-            validate_multipartition(chain, CHAIN_COMPONENT, (0, 1) + (2,) * 5, "tripartite", "both")
+            validate_multipartition(chain_system, (0, 1) + (2,) * 5, "tripartite", "both")
 
     def test_kind_of_other_uniformity_rejected(self):
         with pytest.raises(ValueError, match="3-uniform"):
             validate_multipartition(
-                single_edge(4), (1, 2, 3, 4), (0, 1, 2, 2), "tripartite", "residue"
+                ComponentSystem(single_edge(4), (1, 2, 3, 4)), (0, 1, 2, 2), "tripartite", "residue"
             )
 
 
 class TestEnumerateMultipartitions:
     def test_single_edge_unique_tripartition(self):
-        found = enumerate_multipartitions(single_edge(3), (1, 2, 3), "tripartite", "residue")
+        system = ComponentSystem(single_edge(3), (1, 2, 3))
+        found = enumerate_multipartitions(system, "tripartite", "residue")
         assert found.tolist() == [[0, 1, 2]] and found.dtype == np.int8
 
-    def test_chain_thirteen_tripartitions(self, chain):
-        assert len(enumerate_multipartitions(chain, CHAIN_COMPONENT, "tripartite", "residue")) == 13
+    def test_chain_thirteen_tripartitions(self, chain_system):
+        assert len(enumerate_multipartitions(chain_system, "tripartite", "residue")) == 13
 
-    def test_chain_literal_equals_residue(self, chain):
+    def test_chain_literal_equals_residue(self, chain_system):
         found = [
-            enumerate_multipartitions(chain, CHAIN_COMPONENT, "tripartite", predicate)
+            enumerate_multipartitions(chain_system, "tripartite", predicate)
             for predicate in partitions.PREDICATES
         ]
         assert np.array_equal(*found)
 
-    def test_known_witnesses_present(self, chain):
-        found = enumerate_multipartitions(chain, CHAIN_COMPONENT, "tripartite", "residue")
+    def test_known_witnesses_present(self, chain_system):
+        found = enumerate_multipartitions(chain_system, "tripartite", "residue")
         normalized = {
             frozenset(frozenset(p) for p in _parts(CHAIN_COMPONENT, row, 3) if p)
             for row in found.tolist()
@@ -426,28 +443,28 @@ class TestEnumerateMultipartitions:
         assert frozenset({frozenset({1}), frozenset({2}), frozenset({3, 4, 5, 6, 7})}) in normalized
         assert frozenset({frozenset({1, 4, 7}), frozenset({2, 5}), frozenset({3, 6})}) in normalized
 
-    def test_every_witness_validates(self, k4_overlap):
+    def test_every_witness_validates(self, k4_system):
         for kind in ("lquad", "slquad"):
-            rows = enumerate_multipartitions(k4_overlap, K4_COMPONENT, kind, "residue")
-            assert validate_multipartition(k4_overlap, K4_COMPONENT, rows, kind, "residue").all()
+            rows = enumerate_multipartitions(k4_system, kind, "residue")
+            assert validate_multipartition(k4_system, rows, kind, "residue").all()
 
-    def test_wrong_uniformity_rejected(self, chain):
+    def test_wrong_uniformity_rejected(self, chain_system):
         with pytest.raises(ValueError):
-            enumerate_multipartitions(chain, CHAIN_COMPONENT, "lquad", "residue")
+            enumerate_multipartitions(chain_system, "lquad", "residue")
 
-    def test_unknown_predicate_rejected(self, chain):
+    def test_unknown_predicate_rejected(self, chain_system):
         with pytest.raises(ValueError, match="unknown predicate"):
-            enumerate_multipartitions(chain, CHAIN_COMPONENT, "tripartite", "both")
+            enumerate_multipartitions(chain_system, "tripartite", "both")
 
-    def test_budget_guard(self, chain):
+    def test_budget_guard(self, chain_system):
         with pytest.raises(BudgetExceededError):
-            enumerate_multipartitions(chain, CHAIN_COMPONENT, "tripartite", "literal", budget=100)
+            enumerate_multipartitions(chain_system, "tripartite", "literal", budget=100)
 
-    def test_residue_budget_is_the_solution_count(self, chain, monkeypatch):
+    def test_residue_budget_is_the_solution_count(self, chain_system, monkeypatch):
         """The budget bounds the solutions with exponent 0 at the first
         vertex, 3^7 / 3^3 / 3 = 27 on the chain: at that count the listing
         runs; one short, it refuses before listing any."""
-        listed = enumerate_multipartitions(chain, CHAIN_COMPONENT, "tripartite", "residue", 27)
+        listed = enumerate_multipartitions(chain_system, "tripartite", "residue", 27)
         assert len(listed) == 13
 
         def no_listing(*args):
@@ -455,9 +472,9 @@ class TestEnumerateMultipartitions:
 
         monkeypatch.setattr(partitions, "lex_solutions", no_listing)
         with pytest.raises(BudgetExceededError, match="needs 27 solutions, budget is 26"):
-            enumerate_multipartitions(chain, CHAIN_COMPONENT, "tripartite", "residue", 26)
+            enumerate_multipartitions(chain_system, "tripartite", "residue", 26)
 
-    def test_residue_rows_breaking_the_system_raise(self, chain, monkeypatch):
+    def test_residue_rows_breaking_the_system_raise(self, chain_system, monkeypatch):
         """The forward check: a listed row off the solution set raises."""
         real = partitions.lex_solutions
 
@@ -468,18 +485,19 @@ class TestEnumerateMultipartitions:
 
         monkeypatch.setattr(partitions, "lex_solutions", shifted_last)
         with pytest.raises(VerificationError, match="breaks the residue"):
-            enumerate_multipartitions(chain, CHAIN_COMPONENT, "tripartite", "residue")
+            enumerate_multipartitions(chain_system, "tripartite", "residue")
 
     def test_residue_listing_past_the_scan(self):
         """A 3-uniform hypertree of 40 vertices plus 16 edges: 3^40 part
         assignments, far past any scan, listed from the solve."""
         h = random_connected_hypergraph(random.Random(0), 3, 40, 16)
         component = tuple(range(1, 41))
+        system = ComponentSystem(h, tuple(range(1, 41)))
         with pytest.raises(BudgetExceededError, match=r"3\^40 assignments"):
-            enumerate_multipartitions(h, component, "tripartite", "literal")
-        rows = enumerate_multipartitions(h, component, "tripartite", "residue")
+            enumerate_multipartitions(system, "tripartite", "literal")
+        rows = enumerate_multipartitions(system, "tripartite", "residue")
         assert len(rows) == 13
-        assert validate_multipartition(h, component, rows, "tripartite", "residue").all()
+        assert validate_multipartition(system, rows, "tripartite", "residue").all()
         counts = solve_components(h)[LAPLACIAN]
         assert counts.n_expected == len(rows) and counts.n_matched
 
@@ -504,13 +522,14 @@ class TestEnumerateMultipartitions:
         rng = random.Random(333 + seed)
         n = rng.randint(3, 7)
         h = random_connected_hypergraph(rng, 3, n)
-        rows = enumerate_multipartitions(h, tuple(range(1, n + 1)), "tripartite", "residue")
+        system = ComponentSystem(h, tuple(range(1, n + 1)))
+        rows = enumerate_multipartitions(system, "tripartite", "residue")
         assert all(len(set(row)) == 3 for row in rows.tolist())
 
 
 def _scan_rows(h, component, kind):
     return {
-        pred: _tuples(enumerate_multipartitions(h, component, kind, pred))
+        pred: _tuples(enumerate_multipartitions(ComponentSystem(h, component), kind, pred))
         for pred in partitions.PREDICATES
     }
 
@@ -553,22 +572,22 @@ class TestScanAgainstOracle:
         expected = multipartition_witnesses(partitions.KIND_SPECS[kind], component, h.edges)
         assert _scan_rows(h, component, kind) == expected
 
-    def test_budget_equal_to_scan_size_scans(self, chain):
-        at_edge = enumerate_multipartitions(chain, CHAIN_COMPONENT, "tripartite", "literal", 3**7)
-        full = enumerate_multipartitions(chain, CHAIN_COMPONENT, "tripartite", "literal")
+    def test_budget_equal_to_scan_size_scans(self, chain_system):
+        at_edge = enumerate_multipartitions(chain_system, "tripartite", "literal", 3**7)
+        full = enumerate_multipartitions(chain_system, "tripartite", "literal")
         _assert_same_listing({"literal": at_edge}, {"literal": full})
 
-    def test_budget_one_short_refuses_before_allocating(self, chain, monkeypatch):
+    def test_budget_one_short_refuses_before_allocating(self, chain_system, monkeypatch):
         monkeypatch.setattr(partitions, "np", None)  # any array work would raise
         with pytest.raises(BudgetExceededError, match=r"3\^7 assignments, budget is 2186"):
-            enumerate_multipartitions(chain, CHAIN_COMPONENT, "tripartite", "literal", 3**7 - 1)
+            enumerate_multipartitions(chain_system, "tripartite", "literal", 3**7 - 1)
 
     def test_memory_stays_chunked(self):
         """3^11 assignments: one int64 row per assignment alone would be 15.6 MB."""
         h = random_connected_hypergraph(random.Random(11), 3, 11, extra_edges=2)
         tracemalloc.start()
         try:
-            enumerate_multipartitions(h, tuple(range(1, 12)), "tripartite", "literal")
+            enumerate_multipartitions(ComponentSystem(h, range(1, 12)), "tripartite", "literal")
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -583,7 +602,8 @@ class TestScanAgainstOracle:
         h = Hypergraph(3, 30, tuple(sorted(dense + fan)))
         tracemalloc.start()
         try:
-            rows = enumerate_multipartitions(h, tuple(range(1, 31)), "tripartite", "residue")
+            system = ComponentSystem(h, range(1, 31))
+            rows = enumerate_multipartitions(system, "tripartite", "residue")
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -600,7 +620,7 @@ class TestScanAgainstOracle:
         rows = np.random.default_rng(0).integers(0, 2, (9841, 30), dtype=np.int8)
         tracemalloc.start()
         try:
-            ok = validate_bipartition(h, tuple(range(1, 31)), rows, flavor)
+            ok = validate_bipartition(ComponentSystem(h, tuple(range(1, 31))), rows, flavor)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -654,7 +674,7 @@ class TestClassRowsArePartitionRows:
 
                 kind = partitions.N_PAIR_KINDS.get((k, operator))
                 if kind is not None:
-                    assert validate_multipartition(h, comp, n_rows, kind, "residue").all()
+                    assert validate_multipartition(cs.system, n_rows, kind, "residue").all()
                     spec = partitions.KIND_SPECS[kind]
                     scanned = multipartition_witnesses(spec, comp, h.edges)["residue"]
                     images = {_least_image(row, k) for row in n_rows.tolist()}
@@ -663,7 +683,7 @@ class TestClassRowsArePartitionRows:
                 if k % 2:
                     assert h_rows.tolist() == [[0] * len(comp)]  # the constant class only
                     continue
-                listed = enumerate_bipartitions(h, comp)
+                listed = enumerate_bipartitions(cs.system)
                 if operator == LAPLACIAN:
                     expected = _tuples(listed[partitions.EVEN]) + [(0,) * len(comp)]
                 else:

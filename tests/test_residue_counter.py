@@ -134,7 +134,7 @@ class TestBeyondTheScans:
             counts = solved[op]
             assert counts.h_matched is True
             assert counts.n_matched is True
-            assert n_literal_count(h, counts, 200_000) is None
+            assert n_literal_count(counts, 200_000) is None
 
 
 class TestRefusal:

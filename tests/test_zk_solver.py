@@ -76,7 +76,7 @@ class TestEdgeSystem:
     def test_singleton_component_always_feasible(self, eliminations):
         h = Hypergraph(3, 4, ((1, 2, 3),))
         solved = solve_components(h)
-        assert eliminations == [3]  # the edge's component only
+        assert eliminations == [((1, 2, 3), 3)]  # the edge's component only
         for operator in ("laplacian", "signless"):
             record = solved[operator].components[1]
             assert record.component == (4,) and record.singleton
