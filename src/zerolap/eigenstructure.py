@@ -36,16 +36,14 @@ residuals (``realize_classes``) are computed on whole blocks of rows, never
 class by class.
 """
 
-from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 
 from .errors import BudgetExceededError, VerificationError
-from .hypergraph import ComponentDecomposition, Hypergraph, connected_components
+from .hypergraph import ComponentDecomposition, Hypergraph, _Record, connected_components
 from .names import DEFAULT_ENUM_BUDGET, LAPLACIAN, SIGNLESS, ZERO_EIG_OPERATORS
-from .tensor_ops import eig_residual
-from .zk_solver import ComponentSystem, SolutionDescription, edge_residue
+from .zk_solver import ComponentSystem, SolutionDescription, _ArrayRecord, edge_residue
 from .zk_solver import lex_solutions, solve_mod_k
 from . import partitions as _partitions
 
@@ -61,34 +59,35 @@ ODD_SIGNLESS_REASON = (
 )
 
 
-@dataclass(frozen=True)
-class ComponentStructure:
+class ComponentStructure(_Record):
     """One component's closed-form counts for one operator, the one solve
     they come from, and the count identity's check of the H count;
     ``description`` is None where the operator has no system, and
-    ``system`` where the component is a singleton."""
+    ``system`` where the component is a singleton. ``h_expected`` is None
+    when a count hit its budget; ``counter``, the component's combinatorial
+    counts, is shared by both operators' records."""
 
-    component: tuple[int, ...]
-    singleton: bool
-    feasible: bool
-    solution_count: int
-    class_count: int
-    h_count: int
-    n_pair_count: int
-    # arrays, so records compare by their counts
-    description: SolutionDescription | None = field(repr=False, compare=False)
-    h_expected: int | None = None  # None when a count hit its budget
-    # the component's combinatorial counts, shared by both operators' records
-    counter: _partitions.ResidueCounter | None = field(default=None, repr=False, compare=False)
-    system: ComponentSystem | None = field(default=None, repr=False, compare=False)
+    # the counts: equality, hashing and repr read these, not the arrays
+    _fields = ("component", "singleton", "feasible", "solution_count", "class_count", "h_count",
+               "n_pair_count", "h_expected")
+
+    def __init__(
+        self, component: tuple[int, ...], singleton: bool, feasible: bool, solution_count: int,
+        class_count: int, h_count: int, n_pair_count: int,
+        description: SolutionDescription | None, h_expected: int | None = None,
+        counter: _partitions.ResidueCounter | None = None, system: ComponentSystem | None = None,
+    ):
+        super().__init__(component, singleton, feasible, solution_count, class_count, h_count,
+                         n_pair_count, h_expected)
+        for name, value in zip(("description", "counter", "system"), (description, counter, system)):
+            object.__setattr__(self, name, value)
 
     @property
     def h_matched(self) -> bool | None:
         return None if self.h_expected is None else self.h_expected == self.h_count
 
 
-@dataclass(frozen=True)
-class StructureCounts:
+class StructureCounts(_Record):
     """One operator's per-component records, in component order, summed
     into the class counts and deciding both count identities: the H
     classes against the bipartition counts, and the N pairs against the
@@ -96,9 +95,7 @@ class StructureCounts:
     operator), if any. ``n_expected`` is counted on first read, so a run
     that reports no N identity counts nothing."""
 
-    operator: str
-    k: int
-    components: tuple[ComponentStructure, ...]
+    _fields = ("operator", "k", "components")
 
     @property
     def h_count(self) -> int:
@@ -320,15 +317,12 @@ def _component_classes(cs: ComponentStructure, target: int) -> np.ndarray:
     return classes
 
 
-@dataclass(frozen=True, eq=False)
-class ClassListing:
+class ClassListing(_ArrayRecord):
     """One component's listed classes as arrays: the exponent rows, which
     rows are H, and their residuals. Iterating gives the report records;
     the command line writes them from the arrays."""
 
-    alphas: np.ndarray
-    real: np.ndarray
-    residuals: np.ndarray
+    _fields = ("alphas", "real", "residuals")
 
     def __len__(self) -> int:
         return len(self.alphas)
@@ -357,6 +351,8 @@ def realize_classes(
     on the component's induced sub-hypergraph; the zeros outside the
     component add nothing to the residual.
     """
+    from .tensor_ops import eig_residual  # only the commands that list classes load it
+
     k, component, edges = system.k, system.vertices, system.edges
     residue = edge_residue(k, operator)
     phases = _phases(k, int(alphas.max(initial=0)))

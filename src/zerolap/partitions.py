@@ -53,12 +53,12 @@ import functools
 import heapq
 import itertools
 import math
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .errors import BudgetExceededError, VerificationError
+from .hypergraph import _Record
 from .names import BIPARTITION_FLAVORS, DEFAULT_ENUM_BUDGET, EVEN, HM, ODD, PREDICATES
 from .names import L_QUAD, LAPLACIAN, PENTA, SIGNLESS, SL_QUAD, TRIPARTITE
 from .zk_solver import CHECK_ROWS, ComponentSystem, edge_residue, lex_solutions, solve_mod_k
@@ -68,8 +68,7 @@ from .zk_solver import CHECK_ROWS, ComponentSystem, edge_residue, lex_solutions,
 CHUNK = 4096
 
 
-@dataclass(frozen=True)
-class KindSpec:
+class KindSpec(_Record):
     """Static description of one multipartition kind, named by its key in
     ``KIND_SPECS``.
 
@@ -80,10 +79,10 @@ class KindSpec:
     ``min_nonempty`` is the literal nonemptiness demand on the parts.
     """
 
-    k: int
-    operator: str
-    min_nonempty: int
-    profiles: frozenset
+    _fields = ("k", "operator", "min_nonempty", "profiles")
+
+    def __init__(self, k: int, operator: str, min_nonempty: int, profiles: frozenset):
+        super().__init__(k, operator, min_nonempty, profiles)
 
     @property
     def rhs(self) -> int:

@@ -27,13 +27,13 @@ the bipartition as the hm search's part-index row.
 
 import cmath
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import BudgetExceededError, VerificationError
 from .hypergraph import Hypergraph, connected_components, degrees
 from .names import LAPLACIAN, SIGNLESS
+from .zk_solver import _ArrayRecord, edge_index
 
 ADJACENCY = "adjacency"
 
@@ -57,11 +57,6 @@ def _split_mul(a, b):
     """Complex product of (re, im) pairs, each float product rounded alone."""
     (ar, ai), (br, bi) = a, b
     return ar * br - ai * bi, ar * bi + ai * br
-
-
-def edge_index(h: Hypergraph) -> np.ndarray:
-    """The (|E|, k) array of 0-based vertex indices, one row per edge."""
-    return np.array(h.edges, dtype=np.intp).reshape(-1, h.k) - 1
 
 
 def apply_adjacency(h: Hypergraph, x) -> np.ndarray:
@@ -126,14 +121,10 @@ def eig_residual(h: Hypergraph, operator: str, lam: complex, x) -> float | np.nd
     return float(resid) if x.ndim == 1 else resid
 
 
-@dataclass(frozen=True, eq=False)
-class Eigenpair:
+class Eigenpair(_ArrayRecord):
     """An (eigenvalue, eigenvector) pair for one of the three operators."""
 
-    operator: str
-    value: complex
-    vector: np.ndarray
-    residual: float
+    _fields = ("operator", "value", "vector", "residual")
 
 
 def _heads_per_edge(h: Hypergraph, row) -> tuple[np.ndarray, np.ndarray]:

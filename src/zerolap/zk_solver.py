@@ -9,11 +9,12 @@ description that enumerates every solution exactly once, and the exact
 solution count. ``lex_solutions`` lists the solutions in lexicographic
 order as integer arrays, one row of exponents per solution.
 
-Every such system is given by the component's edge index, the (|E|, k)
-array of its edges' 0-based vertex indices that realization and the
-partition scans read too, and one residue. Its coefficient matrix A is the
-0/1 incidence of those edges, never built: A * alpha is each edge's sum of
-alpha over its vertices, ``x[:, edges].sum(axis=2)`` for a block of rows x.
+Every such system is given by the component's ``edge_index``, the (|E|, k)
+array of its edges' 0-based vertex indices that realization, the tensors
+and the partition scans read too, and one residue. Its coefficient matrix
+A is the 0/1 incidence of those edges, never built: A * alpha is each
+edge's sum of alpha over its vertices, ``x[:, edges].sum(axis=2)`` for a
+block of rows x.
 A system A * alpha == b (mod k) is solved through one elimination of
 [A^T | I_m] modulo k into Howell form (Storjohann & Mulders, "Fast
 algorithms for linear algebra modulo N", ESA 1998), in numpy int64. Z_k is
@@ -41,23 +42,33 @@ keeps within int64, and int64 arithmetic is exact.
 """
 
 import math
-from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 from .errors import VerificationError
-from .hypergraph import Hypergraph, induced_subhypergraph
+from .hypergraph import Hypergraph, _Record, induced_subhypergraph
 from .names import LAPLACIAN, ZERO_EIG_OPERATORS
-from .tensor_ops import edge_index
 
 # Rows of a form whose edge sums the certificate holds at once: its
 # arrays stay a few megabytes however many rows the form has.
 CHECK_ROWS = 256
 
 
-@dataclass(frozen=True, eq=False)
-class SolutionDescription:
+class _ArrayRecord(_Record):
+    """An immutable record holding arrays: it compares and hashes by
+    identity, as arrays have no single truth value for ==."""
+
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
+
+
+def edge_index(h: Hypergraph) -> np.ndarray:
+    """The (|E|, k) array of 0-based vertex indices, one row per edge."""
+    return np.array(h.edges, dtype=np.intp).reshape(-1, h.k) - 1
+
+
+class SolutionDescription(_ArrayRecord):
     """All solutions of one edge system over Z_``modulus``, read from the
     arrays of the edges' Howell form.
 
@@ -71,9 +82,7 @@ class SolutionDescription:
     product of the orders.
     """
 
-    modulus: int
-    particular: np.ndarray | None
-    kernel: np.ndarray
+    _fields = ("modulus", "particular", "kernel")
 
     @property
     def width(self) -> int:
@@ -100,8 +109,7 @@ def edge_residue(k: int, operator: str) -> int:
     return 0 if operator == LAPLACIAN else k // 2
 
 
-@dataclass(frozen=True, eq=False)
-class HowellForm:
+class HowellForm(_ArrayRecord):
     """[A^T | I_m] modulo ``modulus`` in Howell form, A being the 0/1
     incidence matrix of ``edges``.
 
@@ -115,11 +123,7 @@ class HowellForm:
     0 <= t < modulus / d are the whole row space {(y A^T, y)}, each once.
     """
 
-    modulus: int
-    edges: np.ndarray
-    image: np.ndarray
-    transform: np.ndarray
-    kernel: np.ndarray
+    _fields = ("modulus", "edges", "image", "transform", "kernel")
 
 
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:

@@ -118,16 +118,21 @@ class TestComponentsCommand:
         assert first == second
 
 
-# Runs ``python -m zerolap.cli ARGS...`` and writes the names in sys.modules
-# at exit, one a line, to the file named first.
+# Imports the modules named second (comma-separated), runs ``python -m
+# zerolap.cli ARGS...`` and writes, from an atexit hook, the names in
+# sys.modules before the run and at exit, one a line with a blank line
+# between, to the file named first.
 _MODULES_AT_EXIT = """
-import runpy, sys
-out, sys.argv = sys.argv[1], ["zerolap.cli", *sys.argv[2:]]
-try:
-    runpy.run_module("zerolap.cli", run_name="__main__", alter_sys=True)
-finally:
+import atexit, runpy, sys
+out, preload, sys.argv = sys.argv[1], sys.argv[2], ["zerolap.cli", *sys.argv[3:]]
+for name in filter(None, preload.split(",")):
+    __import__(name)
+before = list(sys.modules)
+def record():
     with open(out, "w") as f:
-        f.write("\\n".join(sys.modules))
+        f.write("\\n".join([*before, "", *sys.modules]))
+atexit.register(record)
+runpy.run_module("zerolap.cli", run_name="__main__", alter_sys=True)
 """
 
 
@@ -148,15 +153,18 @@ class TestStartupImports:
     }
     SLOW_STDLIB = {"dataclasses", "inspect", "typing", "pathlib"}
 
-    def _modules_at_exit(self, tmp_path, *argv, flags=()) -> tuple[int, set[str]]:
+    def _modules_at_exit(self, tmp_path, *argv, flags=(), preload=()) -> tuple[int, set, set]:
+        """Exit code, the modules loaded once ``preload`` is imported, and
+        the modules loaded at exit."""
         out = tmp_path / "modules.txt"
         env = dict(os.environ, PYTHONPATH=str(FIXTURE_DIR.parent / "src"))
         proc = subprocess.run(
-            [sys.executable, *flags, "-c", _MODULES_AT_EXIT, str(out), *argv],
+            [sys.executable, *flags, "-c", _MODULES_AT_EXIT, str(out), ",".join(preload), *argv],
             env=env,
             capture_output=True,
         )
-        return proc.returncode, set(out.read_text().split("\n"))
+        before, at_exit = out.read_text().split("\n\n")
+        return proc.returncode, set(before.split("\n")), set(at_exit.split("\n"))
 
     @pytest.mark.parametrize(
         "argv, code",
@@ -173,7 +181,7 @@ class TestStartupImports:
         bad = tmp_path / "bad.json"
         bad.write_text('{"k": 3, "n": 3, "edges": [[1, 2, 2]]}')
         argv = [str(bad) if arg == "BAD" else arg for arg in argv]
-        exit_code, modules = self._modules_at_exit(tmp_path, *argv, flags=["-S"])
+        exit_code, _, modules = self._modules_at_exit(tmp_path, *argv, flags=["-S"])
         assert exit_code == code
         assert {"zerolap.hypergraph", "zerolap.names"} <= modules
         assert not modules & self.ALGEBRA
@@ -181,9 +189,27 @@ class TestStartupImports:
 
     def test_solving_command_loads_the_algebra(self, tmp_path):
         """The probe sees the modules a command does load."""
-        exit_code, modules = self._modules_at_exit(tmp_path, "crosscheck", "--input", CHAIN)
+        exit_code, _, modules = self._modules_at_exit(
+            tmp_path, "zero-eigenvectors", "--input", CHAIN
+        )
         assert exit_code == 0
         assert self.ALGEBRA <= modules
+
+    @pytest.mark.parametrize(
+        "command, fixture",
+        [("crosscheck", K4), ("zero-eigenvectors", K4), ("spectral-transforms", EDGE4)],
+    )
+    def test_solving_commands_load_no_dataclasses(self, tmp_path, command, fixture):
+        """The solving modules build their records without ``dataclasses``:
+        past what numpy loads, a solving command imports none, and
+        ``crosscheck``, which realizes no vector, no ``tensor_ops``."""
+        exit_code, numpy_loaded, modules = self._modules_at_exit(
+            tmp_path, command, "--input", fixture, preload=["numpy"]
+        )
+        assert exit_code == 0
+        assert {"zerolap.zk_solver", "zerolap.partitions"} <= modules
+        assert "dataclasses" not in modules - numpy_loaded
+        assert ("zerolap.tensor_ops" in modules) is (command != "crosscheck")
 
     def test_lazy_names_resolve(self):
         """In a fresh interpreter, where no test has resolved them yet."""
@@ -201,23 +227,94 @@ class TestStartupImports:
         assert proc.returncode == 0, proc.stderr.decode()
 
 
-# Runs ``python -m zerolap.cli ARGS...`` and writes ``gc.isenabled()`` and
-# ``gc.get_freeze_count()`` to the file named first, from an atexit hook,
-# which runs after ``sys.exit``.
+class TestRecordSemantics:
+    """The records of the solving modules, built on ``hypergraph._Record``:
+    immutable; compared and hashed by identity where they hold arrays, by
+    their counts (``ComponentStructure``) or fields (``KindSpec``) otherwise."""
+
+    def _records(self):
+        counts = eigenstructure.solve_components(hypergraph.load_hypergraph(K4))["laplacian"]
+        (structure,) = counts.components
+        listing = eigenstructure.ClassListing(np.zeros((1, 1), np.int64), np.ones(1, bool), np.zeros(1))
+        pair = tensor_ops.nqz_spectral_radius(hypergraph.load_hypergraph(EDGE4))
+        form = zk_solver.howell_form(structure.system.edges, 6, 4)
+        return counts, structure, [structure.description, form, listing, pair]
+
+    def test_records_are_immutable(self):
+        counts, structure, arrays = self._records()
+        spec = partitions.KIND_SPECS[names.L_QUAD]
+        for record in [counts, structure, spec, *arrays]:
+            name = type(record)._fields[0]
+            with pytest.raises(AttributeError, match="immutable"):
+                setattr(record, name, None)
+            with pytest.raises(AttributeError, match="immutable"):
+                delattr(record, name)
+
+    def test_array_records_compare_by_identity(self):
+        _, _, arrays = self._records()
+        for record in arrays:
+            twin = type(record)(*(getattr(record, name) for name in type(record)._fields))
+            assert record == record and record != twin
+            assert hash(record) == object.__hash__(record) and len({record, twin}) == 2
+
+    def test_component_structure_compares_by_counts(self):
+        counts, structure, _ = self._records()
+        c = structure
+        twin = eigenstructure.ComponentStructure(
+            c.component, c.singleton, c.feasible, c.solution_count, c.class_count, c.h_count,
+            c.n_pair_count, None, c.h_expected,
+        )
+        assert twin == c and hash(twin) == hash(c) and repr(twin) == repr(c)
+        assert "description" not in repr(c) and "h_expected" in repr(c)
+        assert twin.description is None and twin.counter is None and twin.system is None
+        assert c.system is not None and c.counter is not None
+        bumped = eigenstructure.ComponentStructure(
+            c.component, c.singleton, c.feasible, c.solution_count, c.class_count, c.h_count,
+            c.n_pair_count, c.description, c.h_count + 1, c.counter, c.system,
+        )
+        assert bumped != c
+        same = eigenstructure.StructureCounts("laplacian", 4, (twin,))
+        assert same == counts and hash(same) == hash(counts)
+
+    def test_kind_spec_hashable(self):
+        spec = partitions.KIND_SPECS[names.TRIPARTITE]
+        twin = partitions.KindSpec(
+            k=spec.k, operator=spec.operator, min_nonempty=spec.min_nonempty, profiles=spec.profiles
+        )
+        assert twin == spec and hash(twin) == hash(spec) and len({spec, twin}) == 1
+        assert spec != partitions.KIND_SPECS[names.L_QUAD]
+
+
+# Runs ``python -m zerolap.cli ARGS...`` and writes ``gc.isenabled()`` to
+# the file named first from an atexit hook, registered before the run.
 _GC_AT_EXIT = """
 import atexit, gc, runpy, sys
 out, sys.argv = sys.argv[1], ["zerolap.cli", *sys.argv[2:]]
 def record():
     with open(out, "w") as f:
-        f.write(f"{gc.isenabled()} {gc.get_freeze_count()}")
+        f.write(f"{gc.isenabled()}")
 atexit.register(record)
 runpy.run_module("zerolap.cli", run_name="__main__", alter_sys=True)
 """
 
+# Runs ``cli.run`` with ``main`` replaced by one that writes to stdout and
+# stderr, flushing neither, and returns the code given first.
+_RUN_RETURNING = """
+import sys
+from zerolap import cli
+def main():
+    sys.stdout.write("report\\n" * 3)
+    sys.stderr.write("warning")
+    return int(sys.argv[1])
+cli.main = main
+cli.run()
+"""
+
 
 class TestProcessEntryPoint:
-    """``cli.run`` runs the process without the cyclic collector and
-    freezes the heap before exit; ``cli.main`` leaves the collector alone."""
+    """``cli.run`` runs the process without the cyclic collector and ends
+    it without the interpreter's teardown, after the exit handlers and a
+    flush of both streams; ``cli.main`` leaves the collector alone."""
 
     @pytest.mark.parametrize("enabled", [True, False])
     def test_main_leaves_the_collector_as_found(self, capsys, enabled):
@@ -239,7 +336,7 @@ class TestProcessEntryPoint:
             (["partitions", "--kind", "even", "--budget", "1", "--input", K4], 4),
         ],
     )
-    def test_module_run_disables_and_freezes(self, tmp_path, capsys, argv, code):
+    def test_module_run_disables_collector_and_runs_handlers(self, tmp_path, capsys, argv, code):
         bad = tmp_path / "bad.json"
         bad.write_text('{"k": 3, "n": 3, "edges": [[1, 2, 2]]}')
         argv = [str(bad) if arg == "BAD" else arg for arg in argv]
@@ -249,11 +346,53 @@ class TestProcessEntryPoint:
             [sys.executable, "-c", _GC_AT_EXIT, str(out), *argv], env=env, capture_output=True
         )
         assert proc.returncode == code, proc.stderr.decode()
-        enabled, frozen = out.read_text().split()
-        assert enabled == "False"
-        assert int(frozen) > 0
+        # the handler registered before the run ran, with the collector off
+        assert out.read_text() == "False"
         # the process writes what main writes in-process
         assert (proc.returncode, proc.stdout.decode()) == run(capsys, *argv)
+
+    @pytest.mark.parametrize(
+        "argv, code",
+        [
+            (["zero-eigenvectors", "--input", K4], 0),
+            (["crosscheck", "--input", "BAD"], 2),
+            (["partitions", "--budget", "1", "--input", K4], 4),
+            (["spectral-transforms", "--input", COMPLETE4], 6),
+        ],
+    )
+    def test_process_writes_what_main_writes(self, tmp_path, capsys, argv, code):
+        """stdout, stderr and an ``--out`` report are complete, byte for
+        byte as ``main`` writes them in-process, and the code passes through."""
+        bad = tmp_path / "bad.json"
+        bad.write_text('{"k": 3, "n": 3, "edges": [[1, 2, 2]]}')
+        argv = [str(bad) if arg == "BAD" else arg for arg in argv]
+        command = [sys.executable, "-m", "zerolap.cli", *argv]
+        env = dict(os.environ, PYTHONPATH=str(FIXTURE_DIR.parent / "src"))
+        proc = subprocess.run(command, env=env, capture_output=True)
+        assert proc.returncode == main(argv) == code
+        expected = capsys.readouterr()
+        assert proc.stdout.decode() == expected.out
+        assert proc.stderr.decode() == expected.err
+        report = tmp_path / "report.json"
+        argv += ["--out", str(report)]
+        assert main(argv) == code
+        in_process = report.read_text() if report.exists() else None
+        report.unlink(missing_ok=True)
+        to_file = subprocess.run([*command, "--out", str(report)], env=env, capture_output=True)
+        assert (to_file.returncode, to_file.stdout, to_file.stderr) == (code, b"", proc.stderr)
+        assert (report.read_text() if report.exists() else None) == in_process
+        assert (in_process is None) is (code == 2)
+
+    @pytest.mark.parametrize("code", [0, 2, 3, 4, 5, 6])
+    def test_run_passes_the_code_through_and_flushes(self, code):
+        """Whatever ``main`` returns is the exit code, and what it left in
+        the streams' buffers is written before the process ends."""
+        env = dict(os.environ, PYTHONPATH=str(FIXTURE_DIR.parent / "src"))
+        env.pop("PYTHONUNBUFFERED", None)  # so that both streams buffer
+        proc = subprocess.run(
+            [sys.executable, "-c", _RUN_RETURNING, str(code)], env=env, capture_output=True
+        )
+        assert (proc.returncode, proc.stdout, proc.stderr) == (code, b"report\n" * 3, b"warning")
 
 
 class TestZeroEigenvectorsCommand:
@@ -445,6 +584,29 @@ def test_over_budget_bipartitions_eliminated_once(capsys, eliminations):
     elimination modulo 4."""
     assert main(["partitions", "--input", K4, "--budget", "1"]) == 4
     assert eliminations == [(K4_VERTICES, 2), (K4_VERTICES, 4)]
+
+
+@pytest.mark.parametrize("fixture", ["k4_overlap", "two_components"])
+def test_partitions_drop_the_form_modulo_2_before_multipartitions(
+    fixture, tmp_path, capsys, monkeypatch
+):
+    """At k = 4 with the default kinds, a component's form modulo 2 is gone
+    once its bipartitions are listed: no multipartition listing, which
+    eliminates modulo 4, runs beside it."""
+    path = K4 if fixture == "k4_overlap" else _two_components(tmp_path)
+    listing = partitions.enumerate_multipartitions
+    seen = []
+
+    def watched(system, kind, *args):
+        seen.append((system.vertices, kind, sorted(system.forms)))
+        return listing(system, kind, *args)
+
+    monkeypatch.setattr(partitions, "enumerate_multipartitions", watched)
+    assert main(["partitions", "--input", path]) == 0
+    capsys.readouterr()
+    kinds = [kind for _, kind, _ in seen]
+    assert kinds == [names.L_QUAD, names.SL_QUAD] * (len(kinds) // 2) and kinds
+    assert [moduli for _, _, moduli in seen if 2 in moduli] == []
 
 
 @pytest.mark.parametrize("command", sorted(_COMMANDS))
@@ -639,16 +801,19 @@ def test_edge_passes_independent_of_component_count(command, monkeypatch, capsys
 class TestFailureExitCodes:
     def test_crosscheck_mismatch_exits_5(self, capsys, monkeypatch):
         """Wiring check: a count disagreement must surface as exit 5."""
-        import dataclasses
-
         real_solve = eigenstructure.solve_components
 
         def broken_solve(*args, **kwargs):
             return {
-                op: dataclasses.replace(
-                    counts,
-                    components=tuple(
-                        dataclasses.replace(c, h_expected=c.h_count + 1)
+                op: eigenstructure.StructureCounts(
+                    counts.operator,
+                    counts.k,
+                    tuple(
+                        eigenstructure.ComponentStructure(
+                            c.component, c.singleton, c.feasible, c.solution_count,
+                            c.class_count, c.h_count, c.n_pair_count, c.description,
+                            c.h_count + 1, c.counter, c.system,
+                        )
                         for c in counts.components
                     ),
                 )

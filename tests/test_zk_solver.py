@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 import os
 import random
@@ -23,6 +22,7 @@ from zerolap.errors import VerificationError
 from zerolap.tensor_ops import edge_index
 from zerolap.zk_solver import (
     CHECK_ROWS,
+    HowellForm,
     check_howell_form,
     edge_residue,
     howell_form,
@@ -345,7 +345,15 @@ class TestCertificate:
 
     def _rejected(self, form, match, **change):
         with pytest.raises(VerificationError, match=match):
-            check_howell_form(dataclasses.replace(form, **change))
+            check_howell_form(
+                HowellForm(
+                    form.modulus,
+                    form.edges,
+                    form.image,
+                    change.get("transform", form.transform),
+                    change.get("kernel", form.kernel),
+                )
+            )
 
     def test_transform_must_map_onto_image(self, form):
         transform = form.transform.copy()
@@ -381,7 +389,9 @@ class TestCertificate:
 
     def test_particular_solution_must_solve(self, form):
         assert solve_mod_k(form, 2).feasible
-        broken = dataclasses.replace(form, transform=np.zeros_like(form.transform))
+        broken = HowellForm(
+            form.modulus, form.edges, form.image, np.zeros_like(form.transform), form.kernel
+        )
         with pytest.raises(VerificationError, match="particular solution"):
             solve_mod_k(broken, 2)
 
