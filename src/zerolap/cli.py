@@ -92,7 +92,7 @@ _CONFIG_FIELDS = (
     ("operator", str, "both"),
     ("predicate", str, "residue"),
     ("kind", str | None, None),
-    ("tolerance", float, 1e-9),
+    ("tolerance", float, names.DEFAULT_TOLERANCE),
     ("budget", int, names.DEFAULT_ENUM_BUDGET),
     ("out", str | None, None),
     ("pretty", bool, False),

@@ -42,7 +42,7 @@ import numpy as np
 
 from .errors import BudgetExceededError, VerificationError
 from .hypergraph import ComponentDecomposition, Hypergraph, _Record, connected_components
-from .names import DEFAULT_ENUM_BUDGET, LAPLACIAN, SIGNLESS, ZERO_EIG_OPERATORS
+from .names import DEFAULT_ENUM_BUDGET, DEFAULT_TOLERANCE, LAPLACIAN, SIGNLESS, ZERO_EIG_OPERATORS
 from .zk_solver import ComponentSystem, SolutionDescription, _ArrayRecord, edge_residue
 from .zk_solver import lex_solutions, solve_mod_k
 from . import partitions as _partitions
@@ -338,7 +338,7 @@ def _phases(k: int, top: int) -> np.ndarray:
 
 
 def realize_classes(
-    system: ComponentSystem, operator: str, alphas: np.ndarray, tolerance: float = 1e-9
+    system: ComponentSystem, operator: str, alphas: np.ndarray, tolerance: float = DEFAULT_TOLERANCE
 ) -> np.ndarray:
     """Verified residuals of one component's classes for eigenvalue 0.
 
@@ -381,7 +381,7 @@ def zero_eigenvector_report(
     h: Hypergraph,
     counts: StructureCounts,
     enumerate_limit: int | None = None,
-    tolerance: float = 1e-9,
+    tolerance: float = DEFAULT_TOLERANCE,
 ) -> dict:
     """Machine-readable per-component summary of ``counts``, one
     operator's records, used by the command line.

@@ -221,6 +221,7 @@ def load_hypergraph(source: str | os.PathLike | bytes | io.IOBase) -> Hypergraph
 
     The content may be either the JSON or the plain-text format; both
     describe the same instances and are detected by the leading character.
+    A leading byte-order mark is refused in either format.
     """
     if isinstance(source, (str, os.PathLike)):
         with open(source, "rb") as stream:
@@ -235,6 +236,8 @@ def load_hypergraph(source: str | os.PathLike | bytes | io.IOBase) -> Hypergraph
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise HypergraphFormatError(f"input is not UTF-8: {exc}") from exc
+    if text.startswith("\ufeff"):
+        raise HypergraphFormatError("input starts with a byte-order mark; save it without one")
     if text.lstrip().startswith("{"):
         return parse_hypergraph_json(text)
     return parse_hypergraph_text(text)

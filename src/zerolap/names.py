@@ -1,6 +1,6 @@
 """The names the command line shares with the library: operators, partition
-kinds, predicates and the default budget. This module imports nothing, so
-the command line builds its parser and checks its config without numpy."""
+kinds, predicates and the defaults. This module imports nothing, so the
+command line builds its parser and checks its config without numpy."""
 
 LAPLACIAN = "laplacian"
 SIGNLESS = "signless"
@@ -20,3 +20,6 @@ PREDICATES = ("literal", "residue")
 
 # The one default of ``--budget``, for every budgeted step.
 DEFAULT_ENUM_BUDGET = 200_000
+
+# The one default of ``--tolerance``, the bound on each realized class's residual.
+DEFAULT_TOLERANCE = 1e-9

@@ -254,10 +254,7 @@ def enumerate_bipartitions(
         lex_solutions(desc).astype(bool) if desc.feasible else np.zeros((0, m), bool)
         for desc in systems
     ]
-    once = np.zeros(len(odd), dtype=bool)
-    for i in range(0, len(odd), CHECK_ROWS):
-        once[i : i + CHECK_ROWS] = (odd[i : i + CHECK_ROWS, edges].sum(axis=2) == 1).all(axis=1)
-    sides = {HM: odd[once]}
+    sides = {HM: odd[validate_bipartition(system, (~odd).astype(np.int8), HM)]}
     if even:
         (rows,) = even  # the all-ones side leaves v2 empty
         sides[ODD], sides[EVEN] = odd[odd[:, 0]], rows[rows[:, 0] & ~rows.all(axis=1)]
@@ -278,23 +275,20 @@ class _AffineCheck:
     """The solutions of the edge system A x == 1 (mod p), narrowed as
     vertices are assigned, for the forward check of the hm search.
 
-    Built from a particular solution x0 of the system and the kernel rows
-    of its Howell form modulo the prime p, which all have pivot 1 and
-    order p, here reduced above their pivots: the solutions are x0 plus
-    every combination t of them. Row v of ``form``, stored column-major,
-    holds vertex v's value as an affine function of the free variables
-    still unset: x_v = form[v, :-1] @ t + form[v, -1] (mod p). Assigning a
-    vertex substitutes out one free variable; the trail of substitutions
-    lets the search undo them.
+    Built from one solution x0 of the system and a basis of its kernel
+    modulo the prime p, one row per basis vector: the solutions are x0
+    plus every combination t of the rows. Row v of ``form``, stored
+    column-major, holds vertex v's value as an affine function of the
+    free variables still unset: x_v = form[v, :-1] @ t + form[v, -1]
+    (mod p). Assigning a vertex substitutes out one free variable; the
+    trail of substitutions lets the search undo them. Whether a vertex is
+    constant on the solutions left, and which constant, depends only on
+    that set of solutions, so any kernel basis gives the same verdicts.
     """
 
     def __init__(self, x0: np.ndarray, kernel: np.ndarray, p: int):
         self.p = p
-        basis = kernel.copy()  # back-substitution: every pivot is 1
-        for i, col in reversed(list(enumerate((basis != 0).argmax(axis=1)))):
-            hit = np.flatnonzero(basis[:i, col])
-            basis[hit] = (basis[hit] - np.outer(basis[hit, col], basis[i])) % p
-        self.form = np.asfortranarray(np.concatenate([basis.T, x0[:, None]], axis=1))
+        self.form = np.asfortranarray(np.concatenate([kernel.T, x0[:, None]], axis=1))
         self.trail: list = []
 
     def consistent(self, rows=slice(None)) -> bool:
@@ -330,7 +324,15 @@ class _AffineCheck:
             form[hit, j] = col
 
 
-_DEAD_END = object()
+def _primal_graph(edges: Sequence[Sequence[int]], width: int) -> list[set[int]]:
+    """Per vertex 0..width-1, the other vertices sharing an edge with it."""
+    adjacent: list[set[int]] = [set() for _ in range(width)]
+    for e in edges:
+        for v in e:
+            adjacent[v].update(e)
+    for v, near in enumerate(adjacent):
+        near.discard(v)
+    return adjacent
 
 
 def find_hm_bipartition(
@@ -346,17 +348,19 @@ def find_hm_bipartition(
     head tuple, so the witness returned is the one whose head tuple is
     least, whatever pruning removes branches holding no witness.
 
-    That pruning starts at the search's first dead end. Since |S cap e|
-    lies in [0, k], a vertex set S has exactly one head in every edge
-    precisely when its 0/1 indicator solves A x == 1 (mod p) for the least
-    prime p above k. The system's Howell form modulo p, the same
-    elimination that solves every edge system, gives its solutions
-    x = x0 + t N; the search restarts from the root, with every
-    assignment substituting out one free variable: a branch dies as soon
-    as some vertex's value becomes a constant outside {0, 1}. An
-    inconsistent system means no witness. Whether a vertex is constant on
-    the remaining solutions, and which constant, does not depend on the
-    basis N, so neither the witness nor the trial count does.
+    The first pass prunes nothing, so it never backtracks: it ends at a
+    witness or at its first dead end, an edge with no head and no unset
+    vertex. There the search restarts from the root with pruning. Since
+    |S cap e| lies in [0, k], a vertex set S has exactly one head in every
+    edge precisely when its 0/1 indicator solves A x == 1 (mod p) for the
+    least prime p above k. Every edge has k vertices, so the constant 1/k
+    (mod p) solves that system, and its solutions are 1/k + ker_p A, the
+    kernel read from the system's Howell form modulo p, the same
+    elimination that solves every edge system. Every assignment
+    substitutes out one free variable, and a branch dies as soon as some
+    vertex's value becomes a constant outside {0, 1}. Those verdicts do
+    not depend on the kernel basis, so neither the witness nor the trial
+    count does.
 
     Every candidate tried, an edge's existing head included, counts one
     trial over both passes; more than ``budget`` trials raise
@@ -369,16 +373,12 @@ def find_hm_bipartition(
         return np.ones(m, np.int8)
 
     edge_list = system.edges.tolist()
-    co_edge: list[set] = [set() for _ in range(m)]
-    for e in edge_list:
-        for v in e:
-            co_edge[v].update(e)
-    neighbours = [sorted(s - {v}) for v, s in enumerate(co_edge)]
+    neighbours = [sorted(near) for near in _primal_graph(edge_list, m)]
     trials = 0
 
     def search(check: _AffineCheck | None):
-        """Head states at the first witness, None if there is none, or
-        _DEAD_END at the first dead end when there is no check."""
+        """Head states at the first witness; None at the first dead end
+        without a check, and when there is no witness with one."""
         nonlocal trials
         state = [-1] * m  # -1 unset, 0 mass, 1 head
         assigned: list[int] = []
@@ -404,7 +404,7 @@ def find_hm_bipartition(
             e = edge_list[idx]
             candidates = [v for v in e if state[v] == 1] or [v for v in e if state[v] < 0]
             if not candidates and check is None:
-                return _DEAD_END
+                return None
             frames.append([candidates, 0, len(assigned), len(check.trail) if check else 0])
             while frames:
                 frame = frames[-1]
@@ -432,11 +432,9 @@ def find_hm_bipartition(
         return state
 
     state = search(None)
-    if state is _DEAD_END:
-        desc = solve_mod_k(system.form(_least_prime_above(system.k)), 1)
-        if not desc.feasible:
-            return None
-        check = _AffineCheck(desc.particular, desc.kernel, desc.modulus)
+    if state is None:
+        p = _least_prime_above(system.k)
+        check = _AffineCheck(np.full(m, pow(system.k, -1, p)), system.form(p).kernel, p)
         state = search(check) if check.consistent() else None
     return None if state is None else (np.array(state) != 1).astype(np.int8)
 
@@ -604,12 +602,7 @@ def elimination_order(
     as some bag would exceed ``budget`` entries over the smallest domain
     any count uses, two values: 2^|bag| > budget.
     """
-    adjacent: list[set[int]] = [set() for _ in range(width)]
-    for e in edges:
-        for v in e:
-            adjacent[v].update(e)
-    for v, near in enumerate(adjacent):
-        near.discard(v)
+    adjacent = _primal_graph(edges, width)
     heap = [(len(near), v) for v, near in enumerate(adjacent)]
     heapq.heapify(heap)
     left = [False] * width

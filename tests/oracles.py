@@ -51,6 +51,7 @@ from fractions import Fraction
 import numpy as np
 
 from zerolap.errors import VerificationError
+from zerolap.hypergraph import Hypergraph
 from zerolap.partitions import BIPARTITION_FLAVORS, HM, ODD
 
 
@@ -594,3 +595,44 @@ def scalar_realize(h, operator, component, alpha, tolerance=1e-9):
     if resid > tolerance:
         raise VerificationError(f"realized class residual {resid:.3e} exceeds tolerance {tolerance:.1e}")
     return x, resid
+
+
+# Closed-form families: class and H counts derived by hand, with no solver
+# and no counter, so they hold at sizes past both brute force and the
+# combinatorial counter. ``closed_form_counts`` gives, per operator, the
+# family's (class count, H count) on its one component.
+
+
+def complete_multipartite(sizes):
+    """K(n_1, ..., n_k): parts of ``sizes`` vertices, numbered part after
+    part, and one edge per choice of a vertex from each part."""
+    k, starts = len(sizes), [1 + sum(sizes[:i]) for i in range(len(sizes))]
+    parts = [range(start, start + size) for start, size in zip(starts, sizes)]
+    return Hypergraph(k, sum(sizes), tuple(itertools.product(*parts)))
+
+
+def loose_cycle(k, length):
+    """C_length^(k): ``length`` edges of k vertices around a cycle, each
+    sharing one vertex with the next, on (k - 1) * length vertices."""
+    n = (k - 1) * length
+    edges = tuple(tuple(((k - 1) * i + j) % n + 1 for j in range(k)) for i in range(length))
+    return Hypergraph(k, n, edges)
+
+
+def closed_form_counts(k, free):
+    """{operator: (classes, H classes)} of a component whose exponent
+    vectors with a given edge residue are k^``free`` in number, their
+    values in {0, k/2} 2^``free``, for either residue when k is even.
+
+    Shifts act freely, so a class is k solutions and an H class two. For
+    odd k, the Laplacian's one H class is the constant vector and the
+    signless operator has no system. The complete k-partite K(n_1..n_k),
+    all n_i >= 2, has free = k - 1: an exponent is constant on each part,
+    and the part values sum to the residue. The loose cycle C_l^(k) has
+    free = (k - 2) l: its l shared vertices and all but one of each
+    edge's k - 2 vertices of degree one are free, and that last one
+    brings the edge to the residue."""
+    if k % 2:
+        return {"laplacian": (k ** (free - 1), 1), "signless": (0, 0)}
+    counts = (k ** (free - 1), 2 ** (free - 1))
+    return {"laplacian": counts, "signless": counts}

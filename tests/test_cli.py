@@ -112,6 +112,19 @@ class TestComponentsCommand:
         assert main(["components", "--input", str(bad)]) == 2
         assert capsys.readouterr().err == "error: non-integer token '1_0'\n"
 
+    @pytest.mark.parametrize(
+        "name,body", [("bom.json", '{"k": 3, "n": 3, "edges": [[1, 2, 3]]}'), ("bom.txt", "3 3\n1 2 3\n")]
+    )
+    def test_byte_order_mark_exits_2_naming_it(self, tmp_path, capsys, name, body):
+        bad = tmp_path / name
+        bad.write_bytes(b"\xef\xbb\xbf" + body.encode())
+        assert main(["components", "--input", str(bad)]) == 2
+        assert capsys.readouterr().err == (
+            "error: input starts with a byte-order mark; save it without one\n"
+        )
+        bad.write_bytes(body.encode())  # the same file without the mark loads
+        assert main(["components", "--input", str(bad)]) == 0
+
     def test_byte_identical_reruns(self, capsys):
         _, first = run(capsys, "components", "--input", CHAIN)
         _, second = run(capsys, "components", "--input", CHAIN)
@@ -1042,6 +1055,12 @@ class TestConfigHandling:
         code, report = run_json(capsys, "components", "--config", str(cfg))
         assert code == 0
         assert report["config"]["tolerance"] == 1
+
+    def test_default_tolerance_is_the_named_one(self):
+        defaults = {name: default for name, _, default in cli_module._CONFIG_FIELDS}
+        assert defaults["tolerance"] is names.DEFAULT_TOLERANCE == 1e-9
+        for function in (eigenstructure.realize_classes, eigenstructure.zero_eigenvector_report):
+            assert function.__defaults__[-1] is names.DEFAULT_TOLERANCE
 
     def test_nan_tolerance_exits_2(self, capsys):
         assert main(["components", "--input", CHAIN, "--tolerance", "nan"]) == 2

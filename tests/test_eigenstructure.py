@@ -1,3 +1,4 @@
+import json
 import random
 
 import numpy as np
@@ -10,6 +11,7 @@ from zerolap.corpus import (
     with_isolated_vertices,
 )
 from zerolap import connected_components, load_hypergraph
+from zerolap.cli import main
 from zerolap.eigenstructure import (
     n_literal_count,
     realize_classes,
@@ -302,6 +304,40 @@ class TestClassicGraphSanity:
         triangle = Hypergraph(2, 3, ((1, 2), (2, 3), (1, 3)))
         assert _n_pairs(triangle, "laplacian") == 0
         assert _n_pairs(triangle, "signless") == 0
+
+
+class TestClosedFormFamilies:
+    """Counts known by hand at sizes past brute force and, for the dense
+    complete families, past the combinatorial counter."""
+
+    @pytest.mark.parametrize(
+        "h,free",
+        [
+            pytest.param(oracles.complete_multipartite((10, 10, 10)), 2, id="K(10,10,10)"),
+            pytest.param(oracles.complete_multipartite((3, 3, 3, 3)), 3, id="K(3,3,3,3)"),
+            pytest.param(oracles.complete_multipartite((2, 2, 2, 2, 2)), 4, id="K(2,2,2,2,2)"),
+            pytest.param(oracles.loose_cycle(3, 5), 5, id="C(3,5)"),
+            pytest.param(oracles.loose_cycle(4, 6), 12, id="C(4,6)"),
+            pytest.param(oracles.loose_cycle(4, 200), 400, id="C(4,200)"),
+            pytest.param(oracles.loose_cycle(3, 500), 500, id="C(3,500)"),
+        ],
+    )
+    def test_counts_match_the_closed_form(self, h, free):
+        solved = solve_components(h)
+        assert len(connected_components(h).components) == 1
+        got = {op: (s.components[0].class_count, s.h_count) for op, s in solved.items()}
+        assert got == oracles.closed_form_counts(h.k, free)
+
+    def test_crosscheck_on_k_10_10_10_leaves_n_to_the_closed_form(self, tmp_path, capsys):
+        h = oracles.complete_multipartite((10, 10, 10))
+        source = tmp_path / "k10_10_10.json"
+        source.write_text(json.dumps({"k": h.k, "n": h.n, "edges": h.edges}))
+        assert main(["crosscheck", "--input", str(source)]) == 0
+        laplacian = json.loads(capsys.readouterr().out)["crosschecks"][0]
+        assert laplacian["H_matched"] is True
+        assert (laplacian["N_pair_count"], laplacian["N_expected"]) == (1, None)
+        classes = oracles.closed_form_counts(3, 2)["laplacian"][0]
+        assert laplacian["N_pair_count"] == (classes - laplacian["H_count"]) // 2
 
 
 def test_pairing_is_perfect_matching_on_small_instances(chain):

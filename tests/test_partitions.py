@@ -365,6 +365,57 @@ class TestHmSearchElimination:
         assert eliminations == []
 
 
+class TestHmRestartReadsTheKernelOnly:
+    """The restart's solutions are 1/k + ker_p A: it solves no system, and
+    its verdicts do not depend on the kernel basis."""
+
+    def test_search_never_solves(self, monkeypatch, k3_complete4):
+        def refuse(*args):
+            raise AssertionError("the hm search solved a system")
+
+        monkeypatch.setattr(partitions, "solve_mod_k", refuse)
+        for h in (_hard_hm_instance(0), _hard_hm_instance(1)):
+            comp = tuple(range(1, h.n + 1))
+            w = find_hm_bipartition(ComponentSystem(h, comp))
+            assert tuple(w.tolist()) == hm_bipartition_dfs(h, comp)
+        assert find_hm_bipartition(ComponentSystem(k3_complete4, (1, 2, 3, 4))) is None
+        h = _loose_path(3000)
+        w = find_hm_bipartition(ComponentSystem(h, range(1, h.n + 1)))
+        # edge i is (2i+1, 2i+2, 2i+3): vertex 1, then 4, 6, ..., 6000 are heads
+        assert np.flatnonzero(w == 0).tolist() == [0, *range(3, 6000, 2)]
+
+    @settings(max_examples=60, deadline=None)
+    @given(hm_search_instances(), st.integers(0, 2**32 - 1))
+    def test_verdicts_do_not_depend_on_the_kernel_basis(self, h, seed):
+        rng = np.random.default_rng(seed)
+        p = partitions._least_prime_above(h.k)
+        for comp in connected_components(h).components:
+            system = ComponentSystem(h, comp)
+            m, kernel = len(comp), system.form(p).kernel
+            x0 = np.full(m, pow(h.k, -1, p))
+            # T = L U: unit lower triangular times upper triangular with units on the diagonal
+            r = len(kernel)
+            lower = np.tril(rng.integers(0, p, (r, r)), -1) + np.eye(r, dtype=np.int64)
+            upper = np.triu(rng.integers(0, p, (r, r)), 1) + np.diag(rng.integers(1, p, r))
+            checks = [
+                partitions._AffineCheck(x0, kernel, p),
+                partitions._AffineCheck(x0, lower @ upper @ kernel % p, p),
+            ]
+            assert checks[0].consistent() == checks[1].consistent()
+            marks = []
+            for _ in range(3 * m):
+                if marks and rng.random() < 0.3:
+                    del marks[rng.integers(len(marks)) + 1 :]
+                    for check, mark in zip(checks, marks.pop()):
+                        check.undo(mark)
+                else:
+                    marks.append([len(check.trail) for check in checks])
+                    v, value = int(rng.integers(m)), int(rng.integers(2))
+                    assert checks[0].assign(v, value) == checks[1].assign(v, value)
+                assert len(checks[0].trail) == len(checks[1].trail)
+                assert checks[0].consistent() == checks[1].consistent()
+
+
 class TestValidateMultipartition:
     def test_listed_chain_tripartitions(self, chain_system):
         rows = np.array(
