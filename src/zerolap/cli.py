@@ -330,16 +330,10 @@ def cmd_spectral_transforms(
                 "component": list(comp),
             }, EXIT_STRUCTURE
         pair = tensor_ops.nqz_spectral_radius(h=system.sub)
-        rotations = []
-        for r in range(h.k):
-            rotated = tensor_ops.hm_spectral_reflection(system.sub, row, pair, r)
-            rotations.append(
-                {
-                    "r": r,
-                    "lambda": [rotated.value.real, rotated.value.imag],
-                    "residual": rotated.residual,
-                }
-            )
+        rotations = [
+            {"r": r, "lambda": [p.value.real, p.value.imag], "residual": p.residual}
+            for r, p in enumerate(tensor_ops.hm_spectral_reflection(system.sub, row, pair))
+        ]
         entry = {
             "component": list(comp),
             "heads": [v for v, part in zip(comp, row.tolist()) if part == 0],

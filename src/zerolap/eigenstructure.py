@@ -413,8 +413,7 @@ def zero_eigenvector_report(
             entry["classes"] = [{"alpha": [0], "kind": "H", "residual": 0.0} for _ in alphas]
         else:
             residuals = realize_classes(cs.system, operator, alphas, tolerance)
-            # H rows take at most two phases pi apart: 0 (rows are shift-canonical) and k/2
-            real = np.all((alphas == 0) | (alphas == (h.k // 2 if h.k % 2 == 0 else 0)), axis=1)
+            real = _partitions.real_scalable(alphas, h.k)
             entry["classes"] = ClassListing(alphas, real, residuals)
         entry["truncated"] = len(alphas) < cs.class_count
     return {

@@ -1,8 +1,9 @@
 """k-uniform hypergraph data model.
 
 Vertices are labeled 1..n in all external formats. Edges are stored as
-sorted tuples of distinct vertex ids. All types are immutable after
-construction and all operations are pure.
+sorted tuples of distinct vertex ids, and as the read-only (|E|, k)
+``edge_index`` that every solving layer reads, built with numpy on first
+use. All types are immutable after construction and all operations are pure.
 """
 
 import io
@@ -111,6 +112,15 @@ class Hypergraph(_Record):
     def degrees(self) -> tuple[int, ...]:
         """Per-vertex incidence counts; position i-1 holds the degree of vertex i."""
         return tuple(len(self.incidence.get(v, ())) for v in range(1, self.n + 1))
+
+    @cached_property
+    def edge_index(self):
+        """The read-only (|E|, k) array of 0-based vertex indices, one row per edge."""
+        import numpy as np  # on first read, so loading a hypergraph needs no numpy
+
+        index = np.array(self.edges, dtype=np.intp).reshape(-1, self.k) - 1
+        index.flags.writeable = False
+        return index
 
 
 class ComponentDecomposition(_Record):

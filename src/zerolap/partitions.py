@@ -491,16 +491,17 @@ def _profile_table(spec: KindSpec, predicate: str) -> tuple[np.ndarray, np.ndarr
     return weights, table
 
 
+def real_scalable(rows: np.ndarray, k: int) -> np.ndarray:
+    """Per row of exponents mod k: whether one unit scalar makes its vector
+    real, that is whether the row takes one value, or two half a turn apart."""
+    offsets = (rows - rows[:, :1]) % k
+    return ((offsets == 0) | (offsets == (k // 2 if k % 2 == 0 else 0))).all(axis=1)
+
+
 def _kept(rows: np.ndarray, spec: KindSpec) -> np.ndarray:
-    """Per row: at least ``min_nonempty`` values and not real-scalable (one
-    value, or two half a turn apart: bipartitions, listed on their own)."""
-    k = spec.k
-    present = np.stack([(rows == j).any(axis=1) for j in range(k)], axis=1)
-    nonempty = present.sum(axis=1)
-    scalable = nonempty == 1
-    if k % 2 == 0:  # two values half a turn apart
-        scalable |= (nonempty == 2) & (present[:, : k // 2] & present[:, k // 2 :]).any(axis=1)
-    return (nonempty >= spec.min_nonempty) & ~scalable
+    """Per row: ``min_nonempty`` values or more, and not real-scalable (a bipartition)."""
+    nonempty = sum((rows == j).any(axis=1) for j in range(spec.k))
+    return (nonempty >= spec.min_nonempty) & ~real_scalable(rows, spec.k)
 
 
 def _digits(codes: np.ndarray, m: int, p: int) -> np.ndarray:

@@ -5,10 +5,10 @@ each vertex i, to a sum over incident edges of the product of the other
 k-1 entries; this edge-sum form costs O(k|E|) and is the only application
 path used for verification. ``apply_adjacency`` is its one implementation:
 it takes one vector or a (rows, n) batch, and a batch costs a fixed number
-of numpy calls however many rows it has. ``apply_operator`` calls the
-kernel behind it once and adds the degree term for the two Laplacians;
-the power iteration builds the (|E|, k) edge index once and calls that
-kernel at every step.
+of numpy calls however many rows it has. ``apply_operator`` calls it once
+and adds the degree term for the two Laplacians; the power iteration calls
+it at every step. Every call reads the hypergraph's one (|E|, k) edge
+index (``Hypergraph.edge_index``), built on its first use.
 
 The batch gives the same bits as applying the edge sums one vector and one
 edge at a time with complex scalars. numpy's array complex multiply may
@@ -33,7 +33,7 @@ import numpy as np
 from .errors import BudgetExceededError, VerificationError
 from .hypergraph import Hypergraph, connected_components, degrees
 from .names import LAPLACIAN, SIGNLESS
-from .zk_solver import _ArrayRecord, edge_index
+from .zk_solver import _ArrayRecord
 
 ADJACENCY = "adjacency"
 
@@ -63,12 +63,8 @@ def apply_adjacency(h: Hypergraph, x) -> np.ndarray:
     """Edge-sum form: result_i = sum over edges e containing i of
     prod_{j in e, j != i} x_j, for one vector or each row of a batch.
     Prefix/suffix products keep each edge O(k)."""
-    return _apply_adjacency(h, edge_index(h), _as_vector(h, x))
-
-
-def _apply_adjacency(h: Hypergraph, edges: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """``apply_adjacency`` on a checked vector or batch, with the edge index
-    built by the caller."""
+    x = _as_vector(h, x)
+    edges = h.edge_index
     rows = np.atleast_2d(x)
     if not len(edges):
         return np.zeros(x.shape, dtype=complex)
@@ -93,7 +89,7 @@ def apply_operator(h: Hypergraph, operator: str, x) -> np.ndarray:
     """A x^{k-1}, (D - A) x^{k-1} or (D + A) x^{k-1}: entry i of the last
     two is d_i x_i^{k-1} minus, respectively plus, the adjacency term."""
     x = _as_vector(h, x)
-    adj = _apply_adjacency(h, edge_index(h), x)
+    adj = apply_adjacency(h, x)
     if operator == ADJACENCY:
         return adj
     d = np.array(degrees(h), dtype=float)
@@ -134,7 +130,7 @@ def _heads_per_edge(h: Hypergraph, row) -> tuple[np.ndarray, np.ndarray]:
     if p.shape != (h.n,) or not np.isin(p, (0, 1)).all():
         raise ValueError(f"row must hold {h.n} entries, each 0 or 1")
     heads = p == 0
-    return heads, np.count_nonzero(heads[edge_index(h)], axis=1)
+    return heads, np.count_nonzero(heads[h.edge_index], axis=1)
 
 
 def similarity_identity_holds(h: Hypergraph, row) -> bool:
@@ -154,14 +150,15 @@ def similarity_identity_holds(h: Hypergraph, row) -> bool:
     return bool((per_edge % 2 == 1).all())
 
 
-def hm_spectral_reflection(h: Hypergraph, row, pair: Eigenpair, r: int) -> Eigenpair:
-    """Rotate an adjacency eigenpair of a head-mass bipartite hypergraph.
+def hm_spectral_reflection(h: Hypergraph, row, pair: Eigenpair) -> list[Eigenpair]:
+    """Rotate an adjacency eigenpair of a head-mass bipartite hypergraph
+    by r = 0 .. k-1, checking the row and the input pair once.
 
     ``row`` is the hm-bipartition as ``partitions.find_hm_bipartition``
     returns it: 0 on the heads, 1 on the mass side. Multiplying the head
     entries by the r-th power of the primitive k-th root of unity turns
     (lam, x) into an eigenpair for lam times that root, because every edge
-    contains exactly one head. The result is re-verified; its residual may
+    contains exactly one head. Each result is re-verified; its residual may
     not exceed the input residual by more than 1e-10.
     """
     is_head, per_edge = _heads_per_edge(h, row)
@@ -173,17 +170,21 @@ def hm_spectral_reflection(h: Hypergraph, row, pair: Eigenpair, r: int) -> Eigen
     if resid_in > PAIR_RESIDUAL_BOUND:
         raise ValueError(f"input pair unverified: residual {resid_in:.3e}")
 
-    root = cmath.exp(2j * cmath.pi * (r % h.k) / h.k)
-    y = np.array(pair.vector, dtype=complex)
-    for v in np.flatnonzero(is_head):
-        y[v] *= root
-    value = root * pair.value
-    resid_out = eig_residual(h, ADJACENCY, value, y)
-    if resid_out > resid_in + 1e-10:
-        raise VerificationError(
-            f"reflected pair residual {resid_out:.3e} exceeds input {resid_in:.3e} + 1e-10"
-        )
-    return Eigenpair(ADJACENCY, value, y, resid_out)
+    heads = np.flatnonzero(is_head)
+    rotated = []
+    for r in range(h.k):
+        root = cmath.exp(2j * cmath.pi * r / h.k)
+        y = np.array(pair.vector, dtype=complex)
+        for v in heads:
+            y[v] *= root
+        value = root * pair.value
+        resid_out = eig_residual(h, ADJACENCY, value, y)
+        if resid_out > resid_in + 1e-10:
+            raise VerificationError(
+                f"reflected pair residual {resid_out:.3e} exceeds input {resid_in:.3e} + 1e-10"
+            )
+        rotated.append(Eigenpair(ADJACENCY, value, y, resid_out))
+    return rotated
 
 
 def nqz_spectral_radius(h: Hypergraph) -> Eigenpair:
@@ -203,9 +204,8 @@ def nqz_spectral_radius(h: Hypergraph) -> Eigenpair:
         raise ValueError("spectral radius iteration needs a connected hypergraph")
     k = h.k
     x = np.ones(h.n, dtype=float)
-    edges = edge_index(h)
     for _ in range(MAX_POWER_ITERATIONS):
-        y = _apply_adjacency(h, edges, x.astype(complex)).real + x ** (k - 1)
+        y = apply_adjacency(h, x.astype(complex)).real + x ** (k - 1)
         ratios = y / x ** (k - 1)
         lo, hi = float(np.min(ratios)), float(np.max(ratios))
         if hi - lo <= POWER_TOLERANCE:

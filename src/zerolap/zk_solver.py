@@ -9,12 +9,12 @@ description that enumerates every solution exactly once, and the exact
 solution count. ``lex_solutions`` lists the solutions in lexicographic
 order as integer arrays, one row of exponents per solution.
 
-Every such system is given by the component's ``edge_index``, the (|E|, k)
-array of its edges' 0-based vertex indices that realization, the tensors
-and the partition scans read too, and one residue. Its coefficient matrix
-A is the 0/1 incidence of those edges, never built: A * alpha is each
-edge's sum of alpha over its vertices, ``x[:, edges].sum(axis=2)`` for a
-block of rows x.
+Every such system is given by one residue and the component's
+``edge_index``, the (|E|, k) array of its edges' 0-based vertex indices,
+which its sub-hypergraph builds once for realization, the tensors and the
+partition scans too. Its coefficient matrix A is the 0/1 incidence of
+those edges, never built: A * alpha is each edge's sum of alpha over its
+vertices, ``x[:, edges].sum(axis=2)`` for a block of rows x.
 A system A * alpha == b (mod k) is solved through one elimination of
 [A^T | I_m] modulo k into Howell form (Storjohann & Mulders, "Fast
 algorithms for linear algebra modulo N", ESA 1998), in numpy int64. Z_k is
@@ -61,11 +61,6 @@ class _ArrayRecord(_Record):
 
     __eq__ = object.__eq__
     __hash__ = object.__hash__
-
-
-def edge_index(h: Hypergraph) -> np.ndarray:
-    """The (|E|, k) array of 0-based vertex indices, one row per edge."""
-    return np.array(h.edges, dtype=np.intp).reshape(-1, h.k) - 1
 
 
 class SolutionDescription(_ArrayRecord):
@@ -199,15 +194,15 @@ def howell_form(edges: np.ndarray, width: int, modulus: int) -> HowellForm:
 
 class ComponentSystem:
     """One component's edge systems: ``vertices`` ascending, ``sub`` the
-    sub-hypergraph they induce (relabeled 1..m) and ``edges`` its edge
-    index. ``form(modulus)`` eliminates the edges on first use and keeps
-    the form in ``forms``, which callers clear once the component's
+    sub-hypergraph they induce (relabeled 1..m) and ``edges`` its one
+    ``edge_index``. ``form(modulus)`` eliminates the edges on first use and
+    keeps the form in ``forms``, which callers clear once the component's
     systems are solved: a ``SolutionDescription`` keeps the arrays it reads."""
 
     def __init__(self, h: Hypergraph, component):
         self.k = h.k
         self.sub, self.vertices = induced_subhypergraph(h, component)
-        self.edges = edge_index(self.sub)
+        self.edges = self.sub.edge_index
         self.forms: dict[int, HowellForm] = {}
 
     def form(self, modulus: int) -> HowellForm:

@@ -1,4 +1,5 @@
 import sys
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -63,6 +64,22 @@ def eliminations(monkeypatch):
     monkeypatch.setattr(zk_solver.ComponentSystem, "form", form)
     monkeypatch.setattr(zk_solver, "howell_form", counting)
     return calls
+
+
+@pytest.fixture
+def edge_index_builds(monkeypatch):
+    """Records every hypergraph whose ``edge_index`` is built."""
+    builds = []
+    build = Hypergraph.edge_index.func
+
+    def counting(h):
+        builds.append(h)
+        return build(h)
+
+    counted = cached_property(counting)
+    counted.__set_name__(Hypergraph, "edge_index")
+    monkeypatch.setattr(Hypergraph, "edge_index", counted)
+    return builds
 
 
 @pytest.fixture

@@ -272,14 +272,14 @@ class TestBoundedWork:
 
     def test_report_makes_no_per_class_calls(self, monkeypatch):
         calls = 0
-        real_apply = tensor_ops._apply_adjacency
+        real_apply = tensor_ops.apply_adjacency
 
-        def apply_spy(h, edges, x):
+        def apply_spy(h, x):
             nonlocal calls
             calls += 1
-            return real_apply(h, edges, x)
+            return real_apply(h, x)
 
-        monkeypatch.setattr(tensor_ops, "_apply_adjacency", apply_spy)
+        monkeypatch.setattr(tensor_ops, "apply_adjacency", apply_spy)
         limit = 5000
         report = _report(_hypertree_25(), "laplacian", enumerate_limit=limit)
         assert len(report["components"][0]["classes"]) == limit

@@ -532,6 +532,35 @@ class TestSpectralTransformsCommand:
         assert captured.out == ""
         assert "diagonal similarity identity failed on component" in captured.err
 
+    @pytest.mark.parametrize("even", [False, True])
+    def test_row_and_input_pair_checked_once(self, even, tmp_path, capsys, monkeypatch):
+        """Each component's hm row is checked by the reflection and, for even
+        k, by the similarity identity, and its input pair's residual is
+        computed once, not once per rotation."""
+        path, sizes = (_two_components(tmp_path), [6, 4]) if even else (CHAIN, [7])
+        row_checks, input_residuals, pairs = [], [], []
+        check, residual, power = (
+            tensor_ops._heads_per_edge, tensor_ops.eig_residual, tensor_ops.nqz_spectral_radius
+        )
+
+        def checking(h, row):
+            row_checks.append(h.n)
+            return check(h, row)
+
+        def computing(h, operator, lam, x):
+            if pairs and x is pairs[-1].vector:
+                input_residuals.append(h.n)
+            return residual(h, operator, lam, x)
+
+        monkeypatch.setattr(tensor_ops, "_heads_per_edge", checking)
+        monkeypatch.setattr(tensor_ops, "eig_residual", computing)
+        monkeypatch.setattr(
+            tensor_ops, "nqz_spectral_radius", lambda h: pairs.append(power(h)) or pairs[-1]
+        )
+        assert main(["spectral-transforms", "--input", path]) == 0
+        assert row_checks == [n for n in sizes for _ in range(1 + even)]
+        assert input_residuals == sizes
+
     def test_non_hm_input_exits_6(self, capsys):
         code, report = run_json(capsys, "spectral-transforms", "--input", COMPLETE4)
         assert code == 6
@@ -589,6 +618,17 @@ def test_each_component_eliminated_once(command, tmp_path, capsys, eliminations)
     assert main([command, "--input", _two_components(tmp_path), "--operator", "both"]) == 0
     first, second = tuple(range(1, 7)), tuple(range(7, 11))
     assert eliminations == [(first, 4), (first, 2), (second, 4), (second, 2)]
+
+
+@pytest.mark.parametrize(
+    "command", [["spectral-transforms"], ["zero-eigenvectors", "--operator", "both"]]
+)
+def test_edge_index_built_once_per_component(command, tmp_path, capsys, edge_index_builds):
+    """The solve, the realization, the hm search, the power iteration and
+    the reflections all read each component's one edge index; the
+    singleton builds none."""
+    assert main([*command, "--input", _two_components(tmp_path)]) == 0
+    assert [h.n for h in edge_index_builds] == [6, 4]
 
 
 def test_over_budget_bipartitions_eliminated_once(capsys, eliminations):

@@ -182,6 +182,14 @@ class TestRecords:
         assert chain.incidence[3] == [0, 1]
         assert chain.degrees is chain.degrees
 
+    def test_edge_index_is_built_once_and_read_only(self, chain):
+        assert chain.edge_index.tolist() == [[0, 1, 2], [2, 3, 4], [4, 5, 6]]
+        assert chain.edge_index is chain.edge_index
+        with pytest.raises(ValueError):
+            chain.edge_index[0, 0] = 3
+        assert chain.edge_index[0, 0] == 0
+        assert Hypergraph(3, 4, ()).edge_index.shape == (0, 3)
+
     def test_decomposition_is_read_only(self, chain):
         decomp = connected_components(chain)
         with pytest.raises(AttributeError):

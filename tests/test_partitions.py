@@ -28,7 +28,6 @@ from zerolap.corpus import (
 )
 from zerolap.eigenstructure import solve_components
 from zerolap.hypergraph import connected_components, load_hypergraph
-from zerolap.tensor_ops import edge_index
 from zerolap.zk_solver import (
     CHECK_ROWS,
     LAPLACIAN,
@@ -222,7 +221,7 @@ class TestBipartitionsPastTheScan:
 
     def test_counts_equal_the_residue_counts(self, instance):
         h, found = instance
-        counter = partitions.ResidueCounter(edge_index(h).tolist(), h.n, h.k, 200_000)
+        counter = partitions.ResidueCounter(h.edge_index.tolist(), h.n, h.k, 200_000)
         even, odd = counter.count(0, (0, 2)), counter.count(2, (0, 2))
         assert (len(found["even"]), len(found["odd"])) == (even // 2 - 1, odd // 2) == (255, 256)
 

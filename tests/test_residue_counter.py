@@ -14,7 +14,6 @@ from zerolap.cli import main
 from zerolap.errors import VerificationError
 from zerolap.hypergraph import connected_components, induced_subhypergraph, load_hypergraph
 from zerolap.partitions import N_PAIR_KINDS, ResidueCounter, elimination_order, residue_orbit_count
-from zerolap.tensor_ops import edge_index
 
 from conftest import FIXTURE_DIR
 from oracles import bipartition_witnesses, domain_edge_sum_count, multipartition_witnesses
@@ -108,7 +107,7 @@ class TestAgainstScans:
 
 def _tree_counter(k, n, seed, budget=200_000):
     h = random_connected_hypergraph(random.Random(seed), k, n)
-    return h, ResidueCounter(edge_index(h).tolist(), n, k, budget)
+    return h, ResidueCounter(h.edge_index.tolist(), n, k, budget)
 
 
 class TestBeyondTheScans:
@@ -152,7 +151,7 @@ class TestRefusal:
     def test_order_refused_past_budget_on_dense_input(self):
         rng = random.Random(0)
         h = random_connected_hypergraph(rng, 4, 100, extra_edges=90)
-        edges = edge_index(h).tolist()
+        edges = h.edge_index.tolist()
         assert elimination_order(edges, 100, 200_000) is None
         assert ResidueCounter(edges, 100, 4, 200_000).count(0, (0, 2)) is None
 
@@ -175,7 +174,7 @@ class TestVerification:
 
     def test_orbit_remainder_raises(self, monkeypatch):
         sub = induced_subhypergraph(Hypergraph(3, 3, ((1, 2, 3),)), (1, 2, 3)).hypergraph
-        counter = ResidueCounter(edge_index(sub).tolist(), 3, 3, BIG)
+        counter = ResidueCounter(sub.edge_index.tolist(), 3, 3, BIG)
         real = counter.count
         monkeypatch.setattr(
             counter, "count", lambda r, d: real(r, d) + (len(d) == 3)

@@ -188,13 +188,13 @@ class TestReflection:
 
     def test_r_zero_is_identity(self):
         h = single_edge(3)
-        out = hm_spectral_reflection(h, [0, 1, 1], self._ones_pair(h), 0)
+        out = hm_spectral_reflection(h, [0, 1, 1], self._ones_pair(h))[0]
         assert out.value == 1 + 0j
         assert np.allclose(out.vector, np.ones(3))
 
     def test_single_edge_rotation(self):
         h = single_edge(3)
-        out = hm_spectral_reflection(h, [0, 1, 1], self._ones_pair(h), 1)
+        out = hm_spectral_reflection(h, [0, 1, 1], self._ones_pair(h))[1]
         assert abs(out.value - OMEGA3) < 1e-14
         assert np.allclose(out.vector, [OMEGA3, 1, 1])
         assert out.residual <= 1e-12
@@ -203,13 +203,14 @@ class TestReflection:
         h = single_edge(4)
         pair = self._ones_pair(h)
         for _ in range(4):
-            pair = hm_spectral_reflection(h, [0, 1, 1, 1], pair, 1)
+            pair = hm_spectral_reflection(h, [0, 1, 1, 1], pair)[1]
         assert abs(pair.value - 1) < 1e-12
 
     def test_every_rotation_verifies(self, chain):
         pair = nqz_spectral_radius(chain)
-        for r in range(3):
-            out = hm_spectral_reflection(chain, head_row(7, (1, 5)), pair, r)
+        rotated = hm_spectral_reflection(chain, head_row(7, (1, 5)), pair)
+        assert len(rotated) == 3
+        for out in rotated:
             assert out.residual <= pair.residual + 1e-10
 
     def test_invalid_bipartition_rejected(self, chain):
@@ -221,13 +222,13 @@ class TestReflection:
             ([0, 1, 1, 1, 0, 2, 1], "7 entries"),
         ]:
             with pytest.raises(ValueError, match=message):
-                hm_spectral_reflection(chain, row, pair, 1)
+                hm_spectral_reflection(chain, row, pair)
 
     def test_unverified_pair_rejected(self):
         h = single_edge(3)
         bogus = Eigenpair("adjacency", 5 + 0j, np.ones(3, dtype=complex), 0.0)
         with pytest.raises(ValueError):
-            hm_spectral_reflection(h, [0, 1, 1], bogus, 1)
+            hm_spectral_reflection(h, [0, 1, 1], bogus)
 
 
 class TestSpectralRadius:
@@ -247,20 +248,19 @@ class TestSpectralRadius:
         assert pair.residual <= 1e-8
         assert np.all(pair.vector.real > 0)
 
-    def test_edge_index_built_once_per_call(self, chain, monkeypatch):
-        """Every power step reuses one edge index; only the closing residual
-        check, through ``apply_operator``, builds another."""
+    def test_edge_index_built_once_per_call(self, chain, monkeypatch, edge_index_builds):
+        """Every power step and the closing residual check read the
+        hypergraph's one edge index."""
         from zerolap import tensor_ops
 
-        builds, steps = [], []
-        build, kernel = tensor_ops.edge_index, tensor_ops._apply_adjacency
-        monkeypatch.setattr(tensor_ops, "edge_index", lambda h: builds.append(h) or build(h))
+        steps = []
+        kernel = tensor_ops.apply_adjacency
         monkeypatch.setattr(
-            tensor_ops, "_apply_adjacency", lambda *args: steps.append(1) or kernel(*args)
+            tensor_ops, "apply_adjacency", lambda *args: steps.append(1) or kernel(*args)
         )
         nqz_spectral_radius(chain)
         assert len(steps) > 10
-        assert len(builds) == 2
+        assert len(edge_index_builds) == 1 and edge_index_builds[0] is chain
 
     def test_exhausted_iteration_cap_raises(self, chain, monkeypatch):
         from zerolap import tensor_ops
@@ -285,6 +285,7 @@ class TestSpectralRadius:
         h, (v1, v2) = random_hm_bipartite(rng, k, rng.randint(1, 2), k + 2)
         pair = nqz_spectral_radius(h)
         assert pair.residual <= 1e-8
-        for r in range(k):
-            out = hm_spectral_reflection(h, head_row(h.n, v1), pair, r)
+        rotated = hm_spectral_reflection(h, head_row(h.n, v1), pair)
+        assert len(rotated) == k
+        for out in rotated:
             assert out.residual <= pair.residual + 1e-10

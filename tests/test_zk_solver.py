@@ -19,7 +19,6 @@ from zerolap import (
 from zerolap.corpus import random_connected_hypergraph, random_hypergraph
 from zerolap.eigenstructure import solve_components
 from zerolap.errors import VerificationError
-from zerolap.tensor_ops import edge_index
 from zerolap.zk_solver import (
     CHECK_ROWS,
     HowellForm,
@@ -32,7 +31,7 @@ from zerolap.zk_solver import (
 import oracles
 from conftest import single_edge
 
-CHAIN_EDGES = edge_index(Hypergraph(3, 7, ((1, 2, 3), (3, 4, 5), (5, 6, 7))))
+CHAIN_EDGES = Hypergraph(3, 7, ((1, 2, 3), (3, 4, 5), (5, 6, 7))).edge_index
 # the three 2-edges of a triangle: twice the exponent sum is 3 (mod 4), impossible
 TRIANGLE_EDGES = np.array([[0, 1], [1, 2], [0, 2]])
 
@@ -55,7 +54,7 @@ def _satisfies(modulus, edges, rhs, values):
 
 class TestEdgeSystem:
     def test_chain_laplacian_system(self, chain):
-        edges = edge_index(chain)
+        edges = chain.edge_index
         assert edges.shape == (3, 3)
         assert edges.tolist() == [[0, 1, 2], [2, 3, 4], [4, 5, 6]]
         assert edge_residue(chain.k, "laplacian") == 0
@@ -96,7 +95,7 @@ class TestSolveModK:
         assert desc.orders.tolist() == [3, 3, 3, 3]
 
     def test_single_edge_k4_signless_count(self):
-        desc = _solve(edge_index(single_edge(4)), 4, 4, 2)
+        desc = _solve(single_edge(4).edge_index, 4, 4, 2)
         assert desc.solution_count == 64
 
     def test_infeasible_even_system(self):
@@ -123,7 +122,7 @@ class TestSolveModK:
         assert desc.particular.tolist() == [0, 0, 0] and desc.solution_count == 27
 
     def test_vertex_order_within_an_edge_is_immaterial(self, k4_overlap):
-        edges = edge_index(k4_overlap)
+        edges = k4_overlap.edge_index
         form = howell_form(edges, 6, 4)
         shuffled = howell_form(edges[:, ::-1].copy(), 6, 4)
         for part in ("image", "transform", "kernel"):
@@ -137,7 +136,7 @@ class TestSolveModK:
         if k**n > 200_000:
             n = k
         h = random_hypergraph(rng, k, n, rng.randint(1, 4))
-        form = howell_form(edge_index(h), n, k)
+        form = howell_form(h.edge_index, n, k)
         for rhs in (0, k // 2):
             desc = solve_mod_k(form, rhs)
             expected = len(oracles.edge_sum_solutions(k, range(1, n + 1), h.edges, rhs))
@@ -159,7 +158,7 @@ class TestEnumeration:
         assert tuple(first[0].tolist()) == (0,) * 7
 
     def test_single_edge_k3_nine_solutions(self):
-        sols = _all_solutions(_solve(edge_index(single_edge(3)), 3, 3, 0))
+        sols = _all_solutions(_solve(single_edge(3).edge_index, 3, 3, 0))
         assert sols.shape == (9, 3)
         assert (sols.sum(axis=1) % 3 == 0).all()
 
@@ -169,7 +168,7 @@ class TestEnumeration:
             lex_solutions(desc)
 
     def test_enumeration_exhausts_exactly(self):
-        sols = _all_solutions(_solve(edge_index(single_edge(4)), 4, 4, 2)).tolist()
+        sols = _all_solutions(_solve(single_edge(4).edge_index, 4, 4, 2)).tolist()
         assert len(sols) == 64
         assert len({tuple(v) for v in sols}) == 64
 
@@ -191,7 +190,7 @@ class TestEnumeration:
         k = rng.choice([3, 4, 6])
         n = rng.randint(k, 7)
         h = random_hypergraph(rng, k, n, rng.randint(1, 3))
-        edges = edge_index(h)
+        edges = h.edge_index
         for rhs in (0, k // 2):
             desc = _solve(edges, n, k, rhs)
             brute = oracles.system_solutions(k, n, edges, rhs)
@@ -205,7 +204,7 @@ class TestEnumeration:
 def _tree_listing(rhs):
     """The solve of the hypertree's system with residue ``rhs`` and the
     oracle's first 50 solutions."""
-    edges = edge_index(random_connected_hypergraph(random.Random(0), 4, 301))
+    edges = random_connected_hypergraph(random.Random(0), 4, 301).edge_index
     desc = _solve(edges, 301, 4, rhs)
     expected = list(itertools.islice(oracles.canonical_solutions(4, 301, edges, rhs), 50))
     return desc, expected
@@ -322,6 +321,23 @@ def test_edge_systems_match_brute_force_and_smith_form(case):
     _check_against_brute_force(record.description, system)
 
 
+# (seed, k, n, |E|, modulus): systems whose elimination meets a column where
+# no pending entry divides the others, so rows are merged by extended gcd
+@pytest.mark.parametrize(
+    "seed, k, n, edge_count, modulus", [(0, 6, 17, 13, 6), (0, 4, 8, 10, 6), (23, 3, 9, 10, 30)]
+)
+def test_extended_gcd_merge_matches_smith_form(seed, k, n, edge_count, modulus, monkeypatch):
+    merges = []
+    xgcd = zk_solver._xgcd
+    monkeypatch.setattr(zk_solver, "_xgcd", lambda a, b: merges.append((a, b)) or xgcd(a, b))
+    edges = random_hypergraph(random.Random(seed), k, n, edge_count).edge_index
+    form = howell_form(edges, n, modulus)
+    assert merges
+    for rhs in range(modulus):
+        count = solve_mod_k(form, rhs).solution_count
+        assert count == oracles.snf_solution_count(modulus, n, edges, rhs), rhs
+
+
 def test_loading_oracles_needs_no_test_extras():
     """The benchmark loads ``oracles`` at every start; in a fresh
     interpreter that load imports neither sympy nor pytest."""
@@ -339,7 +355,7 @@ class TestCertificate:
 
     @pytest.fixture
     def form(self, k4_overlap):
-        form = howell_form(edge_index(k4_overlap), 6, 4)
+        form = howell_form(k4_overlap.edge_index, 6, 4)
         assert len(form.image) and len(form.kernel) >= 2
         return form
 
@@ -481,7 +497,7 @@ def test_all_ones_shift_stays_in_solution_set(seed):
     k = rng.choice([3, 4, 5])
     n = rng.randint(k, 7)
     h = random_hypergraph(rng, k, n, rng.randint(1, 3))
-    edges = edge_index(h)
+    edges = h.edge_index
     for rhs in (0, k // 2):
         desc = _solve(edges, n, k, rhs)
         if not desc.feasible:
@@ -497,6 +513,6 @@ def test_shift_orbits_partition_solutions(seed):
     k = rng.choice([3, 4, 5])
     n = rng.randint(k, 7)
     h = random_hypergraph(rng, k, n, 2)
-    desc = _solve(edge_index(h), n, k, 0)
+    desc = _solve(h.edge_index, n, k, 0)
     canonical = {oracles.shift_min(v, k) for v in _all_solutions(desc).tolist()}
     assert len(canonical) * k == desc.solution_count
