@@ -13,12 +13,11 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from zerolap import discrepancy_scan  # noqa: E402
-from zerolap.partitions import MULTIPARTITION_KINDS  # noqa: E402
+from zerolap.kinds import KIND_SPECS, discrepancy_scan  # noqa: E402
 
 
 def main() -> int:
-    for kind in MULTIPARTITION_KINDS:
+    for kind in KIND_SPECS:
         report = discrepancy_scan(kind)
         print(f"== {kind}  (modulus {report['modulus']}, required residue {report['rhs']})")
         if not report["disagreements"]:

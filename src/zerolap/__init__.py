@@ -19,7 +19,8 @@ from .hypergraph import (
     parse_hypergraph_text,
 )
 
-# The numpy-backed names, each imported from its submodule on first access.
+# The names of the solving modules and of the kind table, each imported
+# from its submodule on first access.
 _LAZY = {
     name: module
     for module, names in {
@@ -27,8 +28,9 @@ _LAZY = {
         "tensor_ops": "apply_adjacency apply_operator eig_residual hm_spectral_reflection"
         " nqz_spectral_radius similarity_identity_holds",
         "eigenstructure": "solve_components",
-        "partitions": "discrepancy_scan enumerate_bipartitions enumerate_multipartitions"
-        " find_hm_bipartition validate_bipartition validate_multipartition",
+        "kinds": "discrepancy_scan",
+        "partitions": "enumerate_bipartitions enumerate_multipartitions find_hm_bipartition"
+        " validate_bipartition validate_multipartition",
     }.items()
     for name in names.split()
 }

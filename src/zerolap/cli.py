@@ -18,9 +18,9 @@ number in a report comes from a library call; the CLI does no arithmetic.
 ``components``, ``--help``, usage errors and bad input or config files run
 on the standard library and the ``errors``, ``hypergraph`` and ``names``
 modules, without ``dataclasses``, ``typing`` or ``pathlib``; numpy and the
-algebra load inside the commands that solve, and to check a ``partitions``
-``--kind``. A ``components`` call takes about 0.07 s wall on a 2-core
-x86-64 host with Python 3.11, against about 0.2 s with numpy.
+algebra load inside the commands that solve. A ``components`` call takes
+about 0.07 s wall on a 2-core x86-64 host with Python 3.11, against about
+0.2 s with numpy.
 
 ``run()`` is the process entry (``python -m zerolap.cli`` and the
 ``zerolap`` script): it runs ``main()`` with the cyclic garbage collector
@@ -36,8 +36,8 @@ it and returns its code, for callers in a longer process.
 Exit codes: 0 success, 1 stdout closed before the report was written
 (for example piped into ``head``; the run ends without a traceback), 2
 parse/validation failure (a bad input or config file, or an unwritable
-``--out`` path), 3 internal verification failure, 4 budget exhaustion, 5
-cross-check mismatch, 6 structural precondition not met.
+``--out`` path), 3 internal verification failure, 4 budget exhaustion or
+out of memory, 5 cross-check mismatch, 6 structural precondition not met.
 """
 
 import argparse
@@ -223,6 +223,7 @@ def cmd_partitions(
     error, every bipartition kind. The form modulo 2 goes once that listing
     is made, before any multipartition kind eliminates modulo k."""
     from . import partitions
+    from .kinds import KIND_SPECS, applicable_kinds
     from .zk_solver import ComponentSystem
 
     def listing(scan, *args):
@@ -232,8 +233,8 @@ def cmd_partitions(
             return str(exc)
 
     inventories = []
-    for kind in partitions.applicable_kinds(h.k) if cfg.kind is None else [_KIND_FLAGS[cfg.kind]]:
-        family = "multipartition" if kind in partitions.KIND_SPECS else "bipartition"
+    for kind in applicable_kinds(h.k) if cfg.kind is None else [_KIND_FLAGS[cfg.kind]]:
+        family = "multipartition" if kind in KIND_SPECS else "bipartition"
         witnesses = WitnessListing(kind, "literal", 2)
         entry: dict = {"kind": kind, "family": family, "witnesses": witnesses, "count": 0}
         if family == "multipartition":  # a multipartition kind of k has k parts
@@ -268,7 +269,8 @@ def cmd_crosscheck(
     """Both count identities of each operator, as its ``StructureCounts``
     decides them, with the literal multipartition count beside each
     decided N identity."""
-    from . import eigenstructure, partitions
+    from . import eigenstructure
+    from .kinds import KIND_SPECS, applicable_kinds, discrepancy_scan
 
     checks = []
     mismatch = False
@@ -292,11 +294,7 @@ def cmd_crosscheck(
             entry["N_literal_count"] = eigenstructure.n_literal_count(counts, cfg.budget)
         mismatch = mismatch or counts.mismatch
         checks.append(entry)
-    scans = [
-        partitions.discrepancy_scan(kind)
-        for kind in partitions.applicable_kinds(h.k)
-        if kind in partitions.KIND_SPECS
-    ]
+    scans = [discrepancy_scan(kind) for kind in applicable_kinds(h.k) if kind in KIND_SPECS]
     report = {"crosschecks": checks, "discrepancies": scans}
     return report, EXIT_MISMATCH if mismatch else EXIT_OK
 
@@ -433,10 +431,11 @@ def render_report(report: dict) -> str:
     listings = []
 
     def hold(value):
-        from .eigenstructure import ClassListing  # only a solving command makes one
+        if not isinstance(value, WitnessListing):
+            from .eigenstructure import ClassListing  # only a solving command makes one
 
-        if not isinstance(value, (ClassListing, WitnessListing)):
-            return _ENCODER.default(value)  # raises json's TypeError
+            if not isinstance(value, ClassListing):
+                return _ENCODER.default(value)  # raises json's TypeError
         if not len(value):
             return []
         listings.append(value)
@@ -482,15 +481,15 @@ def main(argv: list[str] | None = None) -> int:
         cfg = _merge_config(args)
         h = load_hypergraph(cfg.input)
         if args.command == "partitions" and cfg.kind is not None:
-            from . import partitions
+            from .kinds import require_applicable
 
-            partitions.require_applicable(_KIND_FLAGS[cfg.kind], h.k)
+            require_applicable(_KIND_FLAGS[cfg.kind], h.k)
     except (HypergraphFormatError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
 
-    decomp = connected_components(h)
     try:
+        decomp = connected_components(h)
         body, code = _COMMANDS[args.command](h, decomp, cfg)
         report = {
             "command": args.command,
@@ -503,6 +502,9 @@ def main(argv: list[str] | None = None) -> int:
     except (BudgetExceededError, VerificationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET if isinstance(exc, BudgetExceededError) else EXIT_VERIFICATION
+    except MemoryError as exc:
+        print(f"error: out of memory: {str(exc) or 'an allocation failed'}", file=sys.stderr)
+        return EXIT_BUDGET
     if cfg.out:
         try:
             with open(cfg.out, "w") as out:

@@ -16,13 +16,15 @@ the one pass per run: per non-singleton component it builds one
 counts from its forms modulo k and 2, then drops the forms; the records
 keep the system for realization and the literal scans. The
 cross-checks count the same structures combinatorially, with no linear
-algebra: one ``partitions.ResidueCounter`` per component counts, by
+algebra: one ``counting.ResidueCounter`` per component counts, by
 variable elimination along one min-degree order, the vertex subsets
 meeting every edge evenly (Laplacian) or oddly (signless) for the H
-counts, and the residue-valid multipartitions for the N pair counts.
-``solve_components`` returns one ``StructureCounts`` per operator, which
-decides both count identities; the counts, class listings and
-cross-checks all read it, and nothing else solves.
+counts, and the residue-valid multipartitions for the N pair counts;
+the N kind of each (k, operator) is ``kinds.N_PAIR_KINDS``'s, and no
+count reads ``partitions``. ``solve_components`` returns one
+``StructureCounts`` per operator, which decides both count identities;
+the counts, class listings and cross-checks all read it, and nothing
+else solves.
 
 A listing is an integer array with one row of exponents per class; it
 reaches the report as it is, in a ``ClassListing`` beside the classes'
@@ -42,10 +44,11 @@ import numpy as np
 
 from .errors import BudgetExceededError, VerificationError
 from .hypergraph import ComponentDecomposition, Hypergraph, _Record, connected_components
+from .kinds import N_PAIR_KINDS, edge_residue
 from .names import DEFAULT_ENUM_BUDGET, DEFAULT_TOLERANCE, LAPLACIAN, SIGNLESS, ZERO_EIG_OPERATORS
-from .zk_solver import ComponentSystem, SolutionDescription, _ArrayRecord, edge_residue
+from .zk_solver import ComponentSystem, SolutionDescription, _ArrayRecord
 from .zk_solver import lex_solutions, solve_mod_k
-from . import partitions as _partitions
+from . import counting
 
 # Entries (classes x vertices) per realization block: bounds the memory of
 # a block while keeping the number of numpy calls per block small.
@@ -75,7 +78,7 @@ class ComponentStructure(_Record):
         self, component: tuple[int, ...], singleton: bool, feasible: bool, solution_count: int,
         class_count: int, h_count: int, n_pair_count: int,
         description: SolutionDescription | None, h_expected: int | None = None,
-        counter: _partitions.ResidueCounter | None = None, system: ComponentSystem | None = None,
+        counter: counting.ResidueCounter | None = None, system: ComponentSystem | None = None,
     ):
         super().__init__(component, singleton, feasible, solution_count, class_count, h_count,
                          n_pair_count, h_expected)
@@ -129,7 +132,7 @@ class StructureCounts(_Record):
 
     @property
     def n_kind(self) -> str | None:
-        return _partitions.N_PAIR_KINDS.get((self.k, self.operator))
+        return N_PAIR_KINDS.get((self.k, self.operator))
 
     @cached_property
     def n_expected(self) -> int | None:
@@ -141,7 +144,7 @@ class StructureCounts(_Record):
         for cs in self.components:
             if cs.singleton:
                 continue
-            n = _partitions.residue_orbit_count(cs.counter, self.n_kind)
+            n = counting.residue_orbit_count(cs.counter, self.n_kind)
             if n is None:
                 return None
             total += n
@@ -187,7 +190,7 @@ def solve_components(
     Per component, one ``ComponentSystem`` is eliminated once modulo k
     (and once modulo 2 for even k); both operators' systems and their H
     counts are solved from those forms, which are then dropped. One
-    ``partitions.ResidueCounter`` on the same edges, under ``budget``,
+    ``counting.ResidueCounter`` on the same edges, under ``budget``,
     fills both records' H cross-checks, and both records carry it and the
     system for their N counts and listings. A singleton builds neither:
     its one exponent is free, so it has k solutions and the identity
@@ -204,7 +207,7 @@ def solve_components(
         system = counter = None
         if not single:
             system = ComponentSystem(h, comp)
-            counter = _partitions.ResidueCounter(system.edges.tolist(), len(comp), k, budget)
+            counter = counting.ResidueCounter(system.edges.tolist(), len(comp), k, budget)
         expected = _component_expected(k, counter)
         for op in ZERO_EIG_OPERATORS:
             rhs = edge_residue(k, op)
@@ -247,7 +250,7 @@ def _h_class_count(k: int, system: ComponentSystem | None, rhs: int) -> int:
 
 
 def _component_expected(
-    k: int, counter: _partitions.ResidueCounter | None
+    k: int, counter: counting.ResidueCounter | None
 ) -> dict[str, int | None]:
     """Per-component right-hand sides of both operators' count identities.
 
@@ -291,12 +294,9 @@ def n_literal_count(counts: StructureCounts, budget: int) -> int | None:
         if cs.singleton:
             continue
         try:
-            rows = _partitions.enumerate_multipartitions(
-                cs.system, counts.n_kind, "literal", budget
-            )
+            total += len(counting.literal_scan(cs.system, counts.n_kind, budget))
         except BudgetExceededError:
             return None
-        total += len(rows)
     return total
 
 
@@ -413,7 +413,7 @@ def zero_eigenvector_report(
             entry["classes"] = [{"alpha": [0], "kind": "H", "residual": 0.0} for _ in alphas]
         else:
             residuals = realize_classes(cs.system, operator, alphas, tolerance)
-            real = _partitions.real_scalable(alphas, h.k)
+            real = counting.real_scalable(alphas, h.k)
             entry["classes"] = ClassListing(alphas, real, residuals)
         entry["truncated"] = len(alphas) < cs.class_count
     return {

@@ -3,11 +3,12 @@
 A zero eigenvector of the Laplacian (signless Laplacian) tensor restricted
 to a connected component is, up to a global scalar, a vector of k-th roots
 of unity exp(2*pi*i*alpha_v/k) whose exponents satisfy one linear congruence
-per edge: the exponents of an edge sum to 0 (resp. k/2) mod k. This module
-solves those systems exactly: feasibility, a particular solution, a kernel
-description that enumerates every solution exactly once, and the exact
-solution count. ``lex_solutions`` lists the solutions in lexicographic
-order as integer arrays, one row of exponents per solution.
+per edge: the exponents of an edge sum to 0 (resp. k/2) mod k, the
+residue ``kinds.edge_residue`` gives. This module solves those systems
+exactly: feasibility, a particular solution, a kernel description that
+enumerates every solution exactly once, and the exact solution count.
+``lex_solutions`` lists the solutions in lexicographic order as integer
+arrays, one row of exponents per solution.
 
 Every such system is given by one residue and the component's
 ``edge_index``, the (|E|, k) array of its edges' 0-based vertex indices,
@@ -46,9 +47,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import VerificationError
+from .errors import BudgetExceededError, VerificationError
 from .hypergraph import Hypergraph, _Record, induced_subhypergraph
-from .names import LAPLACIAN, ZERO_EIG_OPERATORS
 
 # Rows of a form whose edge sums the certificate holds at once: its
 # arrays stay a few megabytes however many rows the form has.
@@ -94,14 +94,6 @@ class SolutionDescription(_ArrayRecord):
     @cached_property
     def solution_count(self) -> int:
         return math.prod(self.orders.tolist()) if self.feasible else 0
-
-
-def edge_residue(k: int, operator: str) -> int:
-    """Exponent sum mod k that every edge needs: 0 (Laplacian) or k/2
-    (signless); ValueError for any other operator name."""
-    if operator not in ZERO_EIG_OPERATORS:
-        raise ValueError(f"unknown operator {operator!r}, expected one of {ZERO_EIG_OPERATORS}")
-    return 0 if operator == LAPLACIAN else k // 2
 
 
 class HowellForm(_ArrayRecord):
@@ -197,7 +189,9 @@ class ComponentSystem:
     sub-hypergraph they induce (relabeled 1..m) and ``edges`` its one
     ``edge_index``. ``form(modulus)`` eliminates the edges on first use and
     keeps the form in ``forms``, which callers clear once the component's
-    systems are solved: a ``SolutionDescription`` keeps the arrays it reads."""
+    systems are solved: a ``SolutionDescription`` keeps the arrays it reads.
+    An elimination whose work array does not fit in memory raises
+    BudgetExceededError, as a budget would."""
 
     def __init__(self, h: Hypergraph, component):
         self.k = h.k
@@ -207,7 +201,15 @@ class ComponentSystem:
 
     def form(self, modulus: int) -> HowellForm:
         if modulus not in self.forms:
-            self.forms[modulus] = howell_form(self.edges, len(self.vertices), modulus)
+            m, count = len(self.vertices), len(self.edges)
+            try:
+                self.forms[modulus] = howell_form(self.edges, m, modulus)
+            except MemoryError:
+                raise BudgetExceededError(
+                    f"component of vertex {self.vertices[0]} (m={m}, |E|={count}): its Howell"
+                    f" form needs a {m} x {count + m} work array of {m * (count + m) * 8} bytes,"
+                    " more than memory holds"
+                ) from None
         return self.forms[modulus]
 
 

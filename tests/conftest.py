@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from zerolap import Hypergraph, eigenstructure, hypergraph, partitions, zk_solver
+from zerolap import Hypergraph, counting, eigenstructure, hypergraph, partitions, zk_solver
 
 sys.path.insert(0, str(Path(__file__).parent))
 
@@ -116,16 +116,16 @@ def solve_calls(monkeypatch):
 
 
 @pytest.fixture
-def multipartition_scans(monkeypatch):
-    """Records (component, kind, predicate) of every multipartition listing."""
+def literal_scans(monkeypatch):
+    """Records (component, kind) of every literal multipartition scan."""
     calls = []
-    real = partitions.enumerate_multipartitions
+    real = counting.literal_scan
 
-    def counting(system, kind, predicate, *args, **kwargs):
-        calls.append((system.vertices, kind, predicate))
-        return real(system, kind, predicate, *args, **kwargs)
+    def recording(system, kind, *args, **kwargs):
+        calls.append((system.vertices, kind))
+        return real(system, kind, *args, **kwargs)
 
-    monkeypatch.setattr(partitions, "enumerate_multipartitions", counting)
+    monkeypatch.setattr(counting, "literal_scan", recording)
     return calls
 
 
@@ -147,13 +147,13 @@ def bipartition_scans(monkeypatch):
 def elimination_orders(monkeypatch):
     """Records the vertex count of every elimination order computed."""
     calls = []
-    real = partitions.elimination_order
+    real = counting.elimination_order
 
-    def counting(edges, width, budget):
+    def recording(edges, width, budget):
         calls.append(width)
         return real(edges, width, budget)
 
-    monkeypatch.setattr(partitions, "elimination_order", counting)
+    monkeypatch.setattr(counting, "elimination_order", recording)
     return calls
 
 
@@ -161,11 +161,11 @@ def elimination_orders(monkeypatch):
 def residue_counts(monkeypatch):
     """Records (vertex count, residue, domain) of every count by elimination."""
     calls = []
-    real = partitions.count_assignments
+    real = counting.count_assignments
 
-    def counting(edges, bags, k, residue, domain, budget):
+    def recording(edges, bags, k, residue, domain, budget):
         calls.append((len(bags), residue, tuple(domain)))
         return real(edges, bags, k, residue, domain, budget)
 
-    monkeypatch.setattr(partitions, "count_assignments", counting)
+    monkeypatch.setattr(counting, "count_assignments", recording)
     return calls

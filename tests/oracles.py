@@ -52,7 +52,7 @@ import numpy as np
 
 from zerolap.errors import VerificationError
 from zerolap.hypergraph import Hypergraph
-from zerolap.partitions import BIPARTITION_FLAVORS, HM, ODD
+from zerolap.names import BIPARTITION_FLAVORS, HM, ODD
 
 
 def edge_sum_solutions(k, vertices, edges, rhs):

@@ -4,6 +4,7 @@ import json
 import math
 import os
 import random
+import resource
 import subprocess
 import sys
 import weakref
@@ -13,11 +14,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from zerolap import eigenstructure, hypergraph, names, partitions, tensor_ops, zk_solver
+from zerolap import counting, eigenstructure, hypergraph, names, partitions, tensor_ops, zk_solver
 from zerolap import cli as cli_module
 from zerolap.cli import _COMMANDS, EXIT_BROKEN_PIPE, main, render_report
-from zerolap.corpus import random_hm_bipartite
+from zerolap.corpus import random_connected_hypergraph, random_hm_bipartite
 from zerolap.errors import VerificationError
+from zerolap.kinds import KIND_SPECS, N_PAIR_KINDS, KindSpec
 
 from conftest import FIXTURE_DIR
 
@@ -163,6 +165,7 @@ class TestStartupImports:
         "zerolap.tensor_ops",
         "zerolap.eigenstructure",
         "zerolap.partitions",
+        "zerolap.counting",
     }
     SLOW_STDLIB = {"dataclasses", "inspect", "typing", "pathlib"}
 
@@ -188,6 +191,7 @@ class TestStartupImports:
             (["crosscheck", "--input", CHAIN, "--tolerance", "-1"], 2),
             (["partitions", "--operator", "adjacency", "--input", CHAIN], 2),
             (["--help"], 0),
+            (["partitions", "--kind", "tri", "--input", K4], 2),
         ],
     )
     def test_no_algebra_loaded(self, tmp_path, argv, code):
@@ -201,12 +205,28 @@ class TestStartupImports:
         assert not modules & self.SLOW_STDLIB
 
     def test_solving_command_loads_the_algebra(self, tmp_path):
-        """The probe sees the modules a command does load."""
+        """The probe sees the modules a command does load: all of the
+        algebra but ``partitions``, which no count or class listing reads."""
         exit_code, _, modules = self._modules_at_exit(
             tmp_path, "zero-eigenvectors", "--input", CHAIN
         )
         assert exit_code == 0
-        assert self.ALGEBRA <= modules
+        assert self.ALGEBRA - {"zerolap.partitions"} <= modules
+        assert "zerolap.partitions" not in modules
+
+    def test_components_loads_only_the_model(self, tmp_path):
+        exit_code, _, modules = self._modules_at_exit(tmp_path, "components", "--input", K4)
+        assert exit_code == 0
+        # the command line itself runs as __main__
+        expected = {"zerolap", "zerolap.errors", "zerolap.hypergraph", "zerolap.names"}
+        assert {name for name in modules if name.split(".")[0] == "zerolap"} == expected
+
+    def test_partitions_loads_no_eigenstructure(self, tmp_path):
+        """Its listings render without the class listing's module."""
+        exit_code, _, modules = self._modules_at_exit(tmp_path, "partitions", "--input", K4)
+        assert exit_code == 0
+        assert {"zerolap.partitions", "zerolap.counting"} <= modules
+        assert not modules & {"zerolap.eigenstructure", "zerolap.tensor_ops"}
 
     @pytest.mark.parametrize(
         "command, fixture",
@@ -220,9 +240,10 @@ class TestStartupImports:
             tmp_path, command, "--input", fixture, preload=["numpy"]
         )
         assert exit_code == 0
-        assert {"zerolap.zk_solver", "zerolap.partitions"} <= modules
+        assert {"zerolap.zk_solver", "zerolap.counting"} <= modules
         assert "dataclasses" not in modules - numpy_loaded
         assert ("zerolap.tensor_ops" in modules) is (command != "crosscheck")
+        assert ("zerolap.partitions" in modules) is (command == "spectral-transforms")
 
     def test_lazy_names_resolve(self):
         """In a fresh interpreter, where no test has resolved them yet."""
@@ -240,6 +261,45 @@ class TestStartupImports:
         assert proc.returncode == 0, proc.stderr.decode()
 
 
+# Imports the module named first, or runs the file it names, and prints
+# the names in sys.modules, one a line.
+_MODULES_LOADED = """
+import runpy, sys
+if sys.argv[1].endswith(".py"):
+    runpy.run_path(sys.argv[1])
+else:
+    __import__(sys.argv[1])
+print("\\n".join(sys.modules))
+"""
+
+
+class TestRouteIsolation:
+    """The combinatorial counts and the brute-force oracles load apart from
+    the exact solve, and the kind table without numpy, each in a fresh
+    interpreter."""
+
+    SOLVE = {"zerolap.zk_solver", "zerolap.partitions", "zerolap.eigenstructure"}
+
+    def _loaded(self, target: str) -> set:
+        env = dict(os.environ, PYTHONPATH=str(FIXTURE_DIR.parent / "src"))
+        run = [sys.executable, "-c", _MODULES_LOADED, target]
+        proc = subprocess.run(run, env=env, capture_output=True, text=True, check=True)
+        return set(proc.stdout.split())
+
+    def test_counting_loads_no_solver(self):
+        loaded = self._loaded("zerolap.counting")
+        assert {"numpy", "zerolap.kinds"} <= loaded
+        assert not loaded & {*self.SOLVE, "zerolap.tensor_ops"}
+
+    def test_kinds_loads_no_numpy(self):
+        loaded = self._loaded("zerolap.kinds")
+        assert "zerolap.kinds" in loaded and "numpy" not in loaded
+
+    def test_oracles_load_no_solver(self):
+        loaded = self._loaded(str(FIXTURE_DIR.parent / "tests" / "oracles.py"))
+        assert "zerolap.hypergraph" in loaded and not loaded & self.SOLVE
+
+
 class TestRecordSemantics:
     """The records of the solving modules, built on ``hypergraph._Record``:
     immutable; compared and hashed by identity where they hold arrays, by
@@ -255,7 +315,7 @@ class TestRecordSemantics:
 
     def test_records_are_immutable(self):
         counts, structure, arrays = self._records()
-        spec = partitions.KIND_SPECS[names.L_QUAD]
+        spec = KIND_SPECS[names.L_QUAD]
         for record in [counts, structure, spec, *arrays]:
             name = type(record)._fields[0]
             with pytest.raises(AttributeError, match="immutable"):
@@ -290,12 +350,12 @@ class TestRecordSemantics:
         assert same == counts and hash(same) == hash(counts)
 
     def test_kind_spec_hashable(self):
-        spec = partitions.KIND_SPECS[names.TRIPARTITE]
-        twin = partitions.KindSpec(
+        spec = KIND_SPECS[names.TRIPARTITE]
+        twin = KindSpec(
             k=spec.k, operator=spec.operator, min_nonempty=spec.min_nonempty, profiles=spec.profiles
         )
         assert twin == spec and hash(twin) == hash(spec) and len({spec, twin}) == 1
-        assert spec != partitions.KIND_SPECS[names.L_QUAD]
+        assert spec != KIND_SPECS[names.L_QUAD]
 
 
 # Runs ``python -m zerolap.cli ARGS...`` and writes ``gc.isenabled()`` to
@@ -703,22 +763,16 @@ def test_no_form_outlives_its_component(command, tmp_path, capsys, eliminations,
 
 
 @pytest.mark.parametrize("path", [CHAIN, K4, EDGE3, EDGE4])
-def test_crosscheck_scans_each_component_and_kind_once(path, capsys, multipartition_scans):
+def test_crosscheck_scans_each_component_and_kind_once(path, capsys, literal_scans):
     h = hypergraph.load_hypergraph(path)
     decomp = hypergraph.connected_components(h)
-    kinds = [
-        partitions.N_PAIR_KINDS[(h.k, op)]
-        for op in ("laplacian", "signless")
-        if (h.k, op) in partitions.N_PAIR_KINDS
-    ]
+    kinds = [N_PAIR_KINDS[h.k, op] for op in ("laplacian", "signless") if (h.k, op) in N_PAIR_KINDS]
     comps = [c for c, single in zip(decomp.components, decomp.singleton) if not single]
     assert main(["crosscheck", "--input", path]) == 0
-    assert multipartition_scans == [(comp, kind, "literal") for kind in kinds for comp in comps]
+    assert literal_scans == [(comp, kind) for kind in kinds for comp in comps]
 
 
-def test_crosscheck_scans_nothing_for_an_unchecked_n_identity(
-    tmp_path, capsys, multipartition_scans
-):
+def test_crosscheck_scans_nothing_for_an_unchecked_n_identity(tmp_path, capsys, literal_scans):
     """One 3-edge beside all ten triples of a 5-set, under budget 100: the
     counter refuses the 5-set's tripartite count (a bag of 3^5 entries),
     so the Laplacian N identity stays unchecked, the report carries no
@@ -732,7 +786,7 @@ def test_crosscheck_scans_nothing_for_an_unchecked_n_identity(
     assert lap["N_expected"] is None and lap["N_matched"] is None
     assert lap["N_formula"].endswith("(budget exceeded, unchecked)")
     assert "N_literal_count" not in lap
-    assert multipartition_scans == []
+    assert literal_scans == []
 
 
 def test_zero_eigenvectors_counts_no_n_identity(capsys, monkeypatch):
@@ -742,8 +796,8 @@ def test_zero_eigenvectors_counts_no_n_identity(capsys, monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("zero-eigenvectors read an N identity")
 
-    monkeypatch.setattr(partitions, "residue_orbit_count", refuse)
-    monkeypatch.setattr(partitions, "enumerate_multipartitions", refuse)
+    monkeypatch.setattr(counting, "residue_orbit_count", refuse)
+    monkeypatch.setattr(counting, "literal_scan", refuse)
     assert main(["zero-eigenvectors", "--input", CHAIN]) == 0
     capsys.readouterr()
 
@@ -915,6 +969,57 @@ class TestFailureExitCodes:
         assert err == "error: synthetic placeholder clash\n"
 
 
+class TestOutOfMemory:
+    """Under a 3 GiB address space, an input whose Howell form or whose
+    decomposition does not fit exits 4 with no traceback. The solving
+    commands run on a 3-uniform hypertree of 20 001 vertices, whose form's
+    work array takes 20001 x 30001 int64 entries, 4.47 GiB.
+    ``spectral-transforms`` is left out: on that input the first pass of
+    its hm search finds a witness, so it builds no form and exits 0."""
+
+    LIMIT = 3 * 2**30
+
+    @pytest.fixture(scope="class")
+    def hypertree(self, tmp_path_factory):
+        h = random_connected_hypergraph(random.Random(0), 3, 20001)
+        path = tmp_path_factory.mktemp("memory") / "hypertree.json"
+        path.write_text(json.dumps({"k": h.k, "n": h.n, "edges": [list(e) for e in h.edges]}))
+        return str(path)
+
+    def _run(self, *argv) -> subprocess.CompletedProcess:
+        def cap():
+            resource.setrlimit(resource.RLIMIT_AS, (self.LIMIT, self.LIMIT))
+
+        # one BLAS thread: the numpy import's own reservations then fit the
+        # cap whatever the host's core count
+        env = dict(os.environ, PYTHONPATH=str(FIXTURE_DIR.parent / "src"), OPENBLAS_NUM_THREADS="1")
+        run = [sys.executable, "-m", "zerolap.cli", *argv]
+        return subprocess.run(run, env=env, capture_output=True, text=True, preexec_fn=cap)
+
+    @pytest.mark.parametrize("command", ["zero-eigenvectors", "crosscheck"])
+    def test_solve_past_memory_exits_4(self, command, hypertree):
+        proc = self._run(command, "--input", hypertree)
+        assert proc.returncode == 4 and "Traceback" not in proc.stderr
+        assert proc.stderr == (
+            "error: component of vertex 1 (m=20001, |E|=10000): its Howell form needs a"
+            " 20001 x 30001 work array of 4800400008 bytes, more than memory holds\n"
+        )
+
+    def test_partitions_records_each_kind(self, hypertree):
+        proc = self._run("partitions", "--input", hypertree)
+        assert proc.returncode == 4 and proc.stderr == ""
+        entries = json.loads(proc.stdout)["partitions"]
+        assert [entry["kind"] for entry in entries] == ["hm", "tripartite"]
+        assert all("4800400008 bytes" in entry["budget_exceeded"] for entry in entries)
+
+    def test_decomposition_past_memory_exits_4(self, tmp_path):
+        path = tmp_path / "edgeless.json"
+        path.write_text(json.dumps({"k": 3, "n": 10**9, "edges": []}))
+        proc = self._run("components", "--input", str(path))
+        assert proc.returncode == 4 and "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("error: out of memory") and proc.stderr.count("\n") == 1
+
+
 class TestConfigHandling:
     def test_config_file_supplies_values(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
@@ -1017,7 +1122,7 @@ class TestConfigHandling:
     def test_kind_of_the_input_uniformity_runs(self, capsys):
         code, report = run_json(capsys, "partitions", "--input", K4, "--kind", "lquad")
         assert code == 0
-        assert [entry["kind"] for entry in report["partitions"]] == [partitions.L_QUAD]
+        assert [entry["kind"] for entry in report["partitions"]] == [names.L_QUAD]
 
     def test_unknown_kind_in_config_exits_2(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

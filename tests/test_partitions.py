@@ -19,7 +19,7 @@ from zerolap import (
     validate_bipartition,
     validate_multipartition,
 )
-from zerolap import partitions
+from zerolap import counting, kinds, names, partitions
 from zerolap.corpus import (
     mixed_corpus,
     random_connected_hypergraph,
@@ -28,13 +28,8 @@ from zerolap.corpus import (
 )
 from zerolap.eigenstructure import solve_components
 from zerolap.hypergraph import connected_components, load_hypergraph
-from zerolap.zk_solver import (
-    CHECK_ROWS,
-    LAPLACIAN,
-    ZERO_EIG_OPERATORS,
-    ComponentSystem,
-    lex_solutions,
-)
+from zerolap.names import LAPLACIAN, ZERO_EIG_OPERATORS
+from zerolap.zk_solver import CHECK_ROWS, ComponentSystem, lex_solutions
 
 from conftest import FIXTURE_DIR, single_edge
 from oracles import bipartition_witnesses, hm_bipartition_dfs, multipartition_witnesses
@@ -88,7 +83,7 @@ class TestValidateBipartition:
         assert got.tolist() == [True, False, True]
         assert validate_bipartition(k4_system, rows[:0], "even").shape == (0,)
 
-    @pytest.mark.parametrize("flavor", partitions.BIPARTITION_FLAVORS)
+    @pytest.mark.parametrize("flavor", names.BIPARTITION_FLAVORS)
     def test_block_past_check_rows_matches_each_row(self, k4_system, flavor):
         """Every verdict of a block checked a few rows at a time is the
         verdict of its row alone, across the block boundaries."""
@@ -146,7 +141,7 @@ class TestEnumerateBipartitions:
     def test_trivial_component_lists_empty_blocks(self):
         found = enumerate_bipartitions(ComponentSystem(Hypergraph(3, 4, ((1, 2, 3),)), (4,)))
         assert {flavor: rows.shape for flavor, rows in found.items()} == {
-            flavor: (0, 1) for flavor in partitions.BIPARTITION_FLAVORS
+            flavor: (0, 1) for flavor in names.BIPARTITION_FLAVORS
         }
 
 
@@ -162,7 +157,7 @@ def bipartition_instances(draw):
 
 
 def _assert_hm_listing_holds_search_witness(h, component):
-    listed = enumerate_bipartitions(ComponentSystem(h, component))[partitions.HM]
+    listed = enumerate_bipartitions(ComponentSystem(h, component))[names.HM]
     w = find_hm_bipartition(ComponentSystem(h, component))
     if w is None or w.all():  # none, or the vacuous witness of an edgeless component
         assert len(listed) == 0
@@ -178,10 +173,10 @@ class TestBipartitionScanAgainstOracle:
     def test_every_flavor(self, instance):
         h, component = instance
         found = enumerate_bipartitions(ComponentSystem(h, component))
-        assert list(found) == list(partitions.BIPARTITION_FLAVORS)
+        assert list(found) == list(names.BIPARTITION_FLAVORS)
         for flavor, witnesses in found.items():
             assert witnesses.dtype == np.int8 and witnesses.shape[1:] == (len(component),)
-            if flavor in partitions.applicable_kinds(h.k):
+            if flavor in kinds.applicable_kinds(h.k):
                 assert _tuples(witnesses) == bipartition_witnesses(h, component, flavor), flavor
             else:
                 assert len(witnesses) == 0, flavor
@@ -221,7 +216,7 @@ class TestBipartitionsPastTheScan:
 
     def test_counts_equal_the_residue_counts(self, instance):
         h, found = instance
-        counter = partitions.ResidueCounter(h.edge_index.tolist(), h.n, h.k, 200_000)
+        counter = counting.ResidueCounter(h.edge_index.tolist(), h.n, h.k, 200_000)
         even, odd = counter.count(0, (0, 2)), counter.count(2, (0, 2))
         assert (len(found["even"]), len(found["odd"])) == (even // 2 - 1, odd // 2) == (255, 256)
 
@@ -424,7 +419,7 @@ class TestValidateMultipartition:
                 (0, 0, 0, 0, 0, 1, 2),  # {1, 2, 3, 4, 5}, {6}, {7}
             ]
         )
-        for predicate in partitions.PREDICATES:
+        for predicate in names.PREDICATES:
             got = validate_multipartition(chain_system, rows, "tripartite", predicate)
             assert got.tolist() == [True] * 3
             for row in rows:
@@ -480,7 +475,7 @@ class TestEnumerateMultipartitions:
     def test_chain_literal_equals_residue(self, chain_system):
         found = [
             enumerate_multipartitions(chain_system, "tripartite", predicate)
-            for predicate in partitions.PREDICATES
+            for predicate in names.PREDICATES
         ]
         assert np.array_equal(*found)
 
@@ -564,7 +559,7 @@ class TestEnumerateMultipartitions:
             5: [("penta", "laplacian")],
         }[k]
         for kind, operator in cases:
-            scanned = multipartition_witnesses(partitions.KIND_SPECS[kind], comp, h.edges)
+            scanned = multipartition_witnesses(kinds.KIND_SPECS[kind], comp, h.edges)
             assert len(scanned["residue"]) == solve_components(h)[operator].n_pair_count
 
     @pytest.mark.parametrize("seed", range(5))
@@ -580,7 +575,7 @@ class TestEnumerateMultipartitions:
 def _scan_rows(h, component, kind):
     return {
         pred: _tuples(enumerate_multipartitions(ComponentSystem(h, component), kind, pred))
-        for pred in partitions.PREDICATES
+        for pred in names.PREDICATES
     }
 
 
@@ -592,7 +587,7 @@ def scan_instances(draw):
     edge = st.lists(st.integers(1, n), min_size=k, max_size=k, unique=True)
     edges = draw(st.lists(edge.map(lambda e: tuple(sorted(e))), max_size=5, unique=True))
     component = draw(st.lists(st.integers(1, n), min_size=1, unique=True))
-    kind = draw(st.sampled_from([kd for kd, spec in partitions.KIND_SPECS.items() if spec.k == k]))
+    kind = draw(st.sampled_from([kd for kd, spec in kinds.KIND_SPECS.items() if spec.k == k]))
     return Hypergraph(k, n, tuple(edges)), tuple(component), kind
 
 
@@ -608,18 +603,18 @@ class TestScanAgainstOracle:
             for comp, single in zip(decomp.components, decomp.singleton):
                 if single:
                     continue
-                for kind, spec in partitions.KIND_SPECS.items():
+                for kind, spec in kinds.KIND_SPECS.items():
                     if spec.k == h.k:
                         expected = multipartition_witnesses(spec, comp, h.edges)
                         assert _scan_rows(h, comp, kind) == expected, (h, comp, kind)
                         kinds_seen.add(kind)
-        assert kinds_seen == set(partitions.MULTIPARTITION_KINDS)
+        assert kinds_seen == set(kinds.KIND_SPECS)
 
     @settings(max_examples=60, deadline=None)
     @given(scan_instances())
     def test_small_instances(self, instance):
         h, component, kind = instance
-        expected = multipartition_witnesses(partitions.KIND_SPECS[kind], component, h.edges)
+        expected = multipartition_witnesses(kinds.KIND_SPECS[kind], component, h.edges)
         assert _scan_rows(h, component, kind) == expected
 
     def test_budget_equal_to_scan_size_scans(self, chain_system):
@@ -628,7 +623,8 @@ class TestScanAgainstOracle:
         _assert_same_listing({"literal": at_edge}, {"literal": full})
 
     def test_budget_one_short_refuses_before_allocating(self, chain_system, monkeypatch):
-        monkeypatch.setattr(partitions, "np", None)  # any array work would raise
+        for module in (partitions, counting):
+            monkeypatch.setattr(module, "np", None)  # any array work would raise
         with pytest.raises(BudgetExceededError, match=r"3\^7 assignments, budget is 2186"):
             enumerate_multipartitions(chain_system, "tripartite", "literal", 3**7 - 1)
 
@@ -660,7 +656,7 @@ class TestScanAgainstOracle:
         assert len(rows) == 9841
         assert peak < 16 * 2**20
 
-    @pytest.mark.parametrize("flavor", partitions.BIPARTITION_FLAVORS)
+    @pytest.mark.parametrize("flavor", names.BIPARTITION_FLAVORS)
     def test_bipartition_check_stays_chunked(self, flavor):
         """9841 random rows over the same 229 edges: their edge meets
         checked at once would take 24 MB for hm and 37 MB for odd/even."""
@@ -722,10 +718,10 @@ class TestClassRowsArePartitionRows:
                 n_rows, h_rows = alphas[~real], alphas[real]
                 assert len(n_rows) == 2 * cs.n_pair_count
 
-                kind = partitions.N_PAIR_KINDS.get((k, operator))
+                kind = kinds.N_PAIR_KINDS.get((k, operator))
                 if kind is not None:
                     assert validate_multipartition(cs.system, n_rows, kind, "residue").all()
-                    spec = partitions.KIND_SPECS[kind]
+                    spec = kinds.KIND_SPECS[kind]
                     scanned = multipartition_witnesses(spec, comp, h.edges)["residue"]
                     images = {_least_image(row, k) for row in n_rows.tolist()}
                     assert images == set(scanned)
@@ -735,9 +731,9 @@ class TestClassRowsArePartitionRows:
                     continue
                 listed = enumerate_bipartitions(cs.system)
                 if operator == LAPLACIAN:
-                    expected = _tuples(listed[partitions.EVEN]) + [(0,) * len(comp)]
+                    expected = _tuples(listed[names.EVEN]) + [(0,) * len(comp)]
                 else:
-                    expected = _tuples(listed[partitions.ODD])
+                    expected = _tuples(listed[names.ODD])
                 assert sorted(_tuples(h_rows // (k // 2))) == sorted(expected)
 
 
@@ -745,13 +741,13 @@ class TestKindTable:
     """``KIND_SPECS`` is the one description of a multipartition kind."""
 
     def test_residue_and_pairing_come_from_the_operator(self):
-        assert {kind: (spec.k, spec.rhs) for kind, spec in partitions.KIND_SPECS.items()} == {
+        assert {kind: (spec.k, spec.rhs) for kind, spec in kinds.KIND_SPECS.items()} == {
             "tripartite": (3, 0),
             "lquad": (4, 0),
             "slquad": (4, 2),
             "penta": (5, 0),
         }
-        assert partitions.N_PAIR_KINDS == {
+        assert kinds.N_PAIR_KINDS == {
             (3, "laplacian"): "tripartite",
             (4, "laplacian"): "lquad",
             (4, "signless"): "slquad",
@@ -767,8 +763,8 @@ class TestKindTable:
     )
     def test_require_applicable(self, kind, k, message):
         with pytest.raises(ValueError, match=f"^{message}$"):
-            partitions.require_applicable(kind, k)
-        partitions.require_applicable(kind, 5 if kind == "penta" else 4)
+            kinds.require_applicable(kind, k)
+        kinds.require_applicable(kind, 5 if kind == "penta" else 4)
 
 
 def _flagged(kind):

@@ -1,4 +1,4 @@
-"""The counter by variable elimination (``partitions.ResidueCounter``)
+"""The counter by variable elimination (``counting.ResidueCounter``)
 against brute force, the oracles' exhaustive scans and the exact solver."""
 
 import random
@@ -7,13 +7,14 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from zerolap import Hypergraph, partitions
+from zerolap import Hypergraph, counting, names
 from zerolap.corpus import random_connected_hypergraph, random_hypergraph
 from zerolap.eigenstructure import n_literal_count, solve_components
 from zerolap.cli import main
 from zerolap.errors import VerificationError
 from zerolap.hypergraph import connected_components, induced_subhypergraph, load_hypergraph
-from zerolap.partitions import N_PAIR_KINDS, ResidueCounter, elimination_order, residue_orbit_count
+from zerolap.counting import ResidueCounter, elimination_order, residue_orbit_count
+from zerolap.kinds import KIND_SPECS, N_PAIR_KINDS
 
 from conftest import FIXTURE_DIR
 from oracles import bipartition_witnesses, domain_edge_sum_count, multipartition_witnesses
@@ -80,8 +81,8 @@ class TestAgainstScans:
             if lap.singleton:
                 assert lap.h_expected == sig.h_expected == 1
             elif k % 2 == 0:
-                even = bipartition_witnesses(h, lap.component, partitions.EVEN)
-                odd = bipartition_witnesses(h, lap.component, partitions.ODD)
+                even = bipartition_witnesses(h, lap.component, names.EVEN)
+                odd = bipartition_witnesses(h, lap.component, names.ODD)
                 assert lap.h_expected == len(even) + 1
                 assert sig.h_expected == len(odd)
 
@@ -96,7 +97,7 @@ class TestAgainstScans:
             kind = N_PAIR_KINDS.get((k, op))
             if kind is None:
                 continue
-            spec = partitions.KIND_SPECS[kind]
+            spec = KIND_SPECS[kind]
             for cs in solved[op].components:
                 if cs.singleton:
                     continue
@@ -138,7 +139,7 @@ class TestBeyondTheScans:
 
 class TestRefusal:
     def test_single_k5_edge_over_budget_allocates_nothing(self, monkeypatch):
-        monkeypatch.setattr(partitions, "np", None)  # any array work would raise
+        monkeypatch.setattr(counting, "np", None)  # any array work would raise
         counter = ResidueCounter([(0, 1, 2, 3, 4)], 5, 5, 2000)
         assert counter.count(0, range(5)) is None  # 5^5 = 3125 entries
         assert residue_orbit_count(counter, "penta") is None
@@ -160,9 +161,9 @@ class TestVerification:
     def test_scan_disagreeing_with_count_raises(self, monkeypatch, capsys):
         """A counter off by one is a cross-check mismatch: ``n_matched`` is
         False and the command exits 5."""
-        real = partitions.residue_orbit_count
+        real = counting.residue_orbit_count
         monkeypatch.setattr(
-            partitions, "residue_orbit_count", lambda counter, kind: real(counter, kind) + 1
+            counting, "residue_orbit_count", lambda counter, kind: real(counter, kind) + 1
         )
         path = str(FIXTURE_DIR / "k3_chain_n7.json")
         h = load_hypergraph(path)

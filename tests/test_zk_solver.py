@@ -19,11 +19,11 @@ from zerolap import (
 from zerolap.corpus import random_connected_hypergraph, random_hypergraph
 from zerolap.eigenstructure import solve_components
 from zerolap.errors import VerificationError
+from zerolap.kinds import edge_residue
 from zerolap.zk_solver import (
     CHECK_ROWS,
     HowellForm,
     check_howell_form,
-    edge_residue,
     howell_form,
     lex_solutions,
 )
