@@ -173,7 +173,8 @@ class TestStartupImports:
         """Exit code, the modules loaded once ``preload`` is imported, and
         the modules loaded at exit."""
         out = tmp_path / "modules.txt"
-        env = dict(os.environ, PYTHONPATH=str(FIXTURE_DIR.parent / "src"))
+        paths = [str(FIXTURE_DIR.parent / "src"), str(FIXTURE_DIR.parent / "tests")]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(paths))
         proc = subprocess.run(
             [sys.executable, *flags, "-c", _MODULES_AT_EXIT, str(out), ",".join(preload), *argv],
             env=env,
@@ -245,6 +246,21 @@ class TestStartupImports:
         assert ("zerolap.tensor_ops" in modules) is (command != "crosscheck")
         assert ("zerolap.partitions" in modules) is (command == "spectral-transforms")
 
+    @pytest.mark.parametrize(
+        "module, absent",
+        [
+            ("zerolap.counting", ["zk_solver", "partitions", "eigenstructure", "tensor_ops"]),
+            ("oracles", ["zk_solver", "partitions", "eigenstructure"]),
+            ("zerolap.kinds", ["numpy"]),
+        ],
+    )
+    def test_routes_load_apart(self, tmp_path, module, absent):
+        """The combinatorial counts and the brute-force oracles load apart
+        from the exact solve, and the kind table loads no numpy."""
+        _, loaded, _ = self._modules_at_exit(tmp_path, "--help", preload=[module])
+        assert module in loaded
+        assert not loaded & {name if name == "numpy" else f"zerolap.{name}" for name in absent}
+
     def test_lazy_names_resolve(self):
         """In a fresh interpreter, where no test has resolved them yet."""
         script = (
@@ -259,45 +275,6 @@ class TestStartupImports:
         env = dict(os.environ, PYTHONPATH=str(FIXTURE_DIR.parent / "src"))
         proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True)
         assert proc.returncode == 0, proc.stderr.decode()
-
-
-# Imports the module named first, or runs the file it names, and prints
-# the names in sys.modules, one a line.
-_MODULES_LOADED = """
-import runpy, sys
-if sys.argv[1].endswith(".py"):
-    runpy.run_path(sys.argv[1])
-else:
-    __import__(sys.argv[1])
-print("\\n".join(sys.modules))
-"""
-
-
-class TestRouteIsolation:
-    """The combinatorial counts and the brute-force oracles load apart from
-    the exact solve, and the kind table without numpy, each in a fresh
-    interpreter."""
-
-    SOLVE = {"zerolap.zk_solver", "zerolap.partitions", "zerolap.eigenstructure"}
-
-    def _loaded(self, target: str) -> set:
-        env = dict(os.environ, PYTHONPATH=str(FIXTURE_DIR.parent / "src"))
-        run = [sys.executable, "-c", _MODULES_LOADED, target]
-        proc = subprocess.run(run, env=env, capture_output=True, text=True, check=True)
-        return set(proc.stdout.split())
-
-    def test_counting_loads_no_solver(self):
-        loaded = self._loaded("zerolap.counting")
-        assert {"numpy", "zerolap.kinds"} <= loaded
-        assert not loaded & {*self.SOLVE, "zerolap.tensor_ops"}
-
-    def test_kinds_loads_no_numpy(self):
-        loaded = self._loaded("zerolap.kinds")
-        assert "zerolap.kinds" in loaded and "numpy" not in loaded
-
-    def test_oracles_load_no_solver(self):
-        loaded = self._loaded(str(FIXTURE_DIR.parent / "tests" / "oracles.py"))
-        assert "zerolap.hypergraph" in loaded and not loaded & self.SOLVE
 
 
 class TestRecordSemantics:
