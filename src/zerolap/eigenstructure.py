@@ -187,15 +187,14 @@ def solve_components(
 ) -> dict[str, StructureCounts]:
     """Both operators' records, each component's in component order.
 
-    Per component, one ``ComponentSystem`` is eliminated once modulo k
-    (and once modulo 2 for even k); both operators' systems and their H
-    counts are solved from those forms, which are then dropped. One
-    ``counting.ResidueCounter`` on the same edges, under ``budget``,
-    fills both records' H cross-checks, and both records carry it and the
-    system for their N counts and listings. A singleton builds neither:
-    its one exponent is free, so it has k solutions and the identity
-    kernel under either operator. ``decomp`` is ``h``'s decomposition
-    when the caller already has it. The functions below read
+    Per component, both operators' systems and their H counts are solved
+    from one ``ComponentSystem``'s forms modulo k and, for even k, 2, which
+    are then dropped. One ``counting.ResidueCounter`` on the same edges,
+    under ``budget``, fills both records' H cross-checks, and both records
+    carry it and the system for their N counts and listings. A singleton
+    builds neither: its one exponent is free, so it has k solutions and the
+    identity kernel under either operator. ``decomp`` is ``h``'s
+    decomposition when the caller already has it. The functions below read
     ``result[operator]``.
     """
     if decomp is None:

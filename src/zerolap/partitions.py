@@ -13,7 +13,7 @@ Two predicates decide whether a vertex partition is admissible:
 
 Every function here that reads one component takes its
 ``zk_solver.ComponentSystem``: the edge index of its induced
-sub-hypergraph, and its Howell forms, each eliminated once per modulus.
+sub-hypergraph, and its Howell forms, each built once per modulus.
 A partition witness is a row of part indices: entry i is the part of the
 component's i-th vertex, vertices in ascending order. Listings are int8
 arrays with one row per witness, as ``zk_solver.lex_solutions`` lists

@@ -11,35 +11,29 @@ enumerates every solution exactly once, and the exact solution count.
 arrays, one row of exponents per solution.
 
 Every such system is given by one residue and the component's
-``edge_index``, the (|E|, k) array of its edges' 0-based vertex indices,
-which its sub-hypergraph builds once for realization, the tensors and the
-partition scans too. Its coefficient matrix A is the 0/1 incidence of
-those edges, never built: A * alpha is each edge's sum of alpha over its
-vertices, ``x[:, edges].sum(axis=2)`` for a block of rows x.
-A system A * alpha == b (mod k) is solved through one elimination of
-[A^T | I_m] modulo k into Howell form (Storjohann & Mulders, "Fast
-algorithms for linear algebra modulo N", ESA 1998), in numpy int64. Z_k is
-not a field for composite k, so the elimination pivots on the entry of
-least gcd with k, merges rows by extended gcd, and keeps the Howell
-property by carrying (k/d) times each pivot row of pivot d on to the later
-columns. The rows with a pivot among the |E| edge columns give the image
-part (H1, T1), with T1 * A^T == H1; the others give the kernel rows K,
-zero on the edge columns and echelon in vertex order, each with a pivot d
-dividing k and order k/d. Forward substitution of a right-hand side
-through H1 gives z, and z * T1 is a particular solution. A solution set
-is that particular solution beside the form's own kernel array K
-(``SolutionDescription``), with no other copy of either.
+``edge_index``, the (|E|, k) array of its edges' 0-based vertex indices.
+Its coefficient matrix A is the 0/1 incidence of those edges, never
+built: A * alpha is each edge's sum of alpha over its vertices,
+``x[:, edges].sum(axis=2)`` for a block of rows x. A system
+A * alpha == b (mod k) is solved through the Howell form of [A^T | I_m]
+modulo k (Storjohann & Mulders, "Fast algorithms for linear algebra
+modulo N", ESA 1998), eliminated modulo each prime power of k and joined
+by CRT (Howell, "Spans in the module (Z_m)^s", 1986). The rows with a
+pivot among the |E| edge columns give the image part (H1, T1), with
+T1 * A^T == H1; the others give the kernel rows K, zero on the edge
+columns and echelon in vertex order, each with a pivot d dividing k and
+order k/d. Forward substitution of a right-hand side through H1 gives z,
+and z * T1 is a particular solution, which a ``SolutionDescription``
+keeps beside the form's own kernel array K, copying neither.
 
 The form depends only on the edges and the modulus, not on the residue.
-Every layer reads a component through its ``ComponentSystem``, built
-once: its edge index, and ``form(modulus)``, eliminated once per modulus.
-The form modulo k serves both residues, the one modulo 2 the H classes
-and bipartitions, and the hm search one modulo the least prime above k.
-This is the program's one exact solver: each form is checked by a
-certificate (``check_howell_form``) and each particular solution against
-every edge; a failure raises VerificationError. Entries are reduced mod
-k after every step, so products stay near k^2, which ``Hypergraph``
-keeps within int64, and int64 arithmetic is exact.
+Every layer reads a component through its one ``ComponentSystem``, which
+builds each ``form(modulus)`` once: modulo k for both residues, modulo 2
+for the H classes, the bipartitions and a join modulo k = 2 (mod 4), and
+modulo the least prime above k for the hm search. Each form is checked by
+a certificate (``check_howell_form``) and each particular solution against
+every edge, raising VerificationError. Entries are reduced mod k after
+every step, so products stay below k^2, which ``Hypergraph`` keeps in int64.
 """
 
 import math
@@ -50,9 +44,8 @@ import numpy as np
 from .errors import BudgetExceededError, VerificationError
 from .hypergraph import Hypergraph, _Record, induced_subhypergraph
 
-# Rows of a form whose edge sums the certificate holds at once: its
-# arrays stay a few megabytes however many rows the form has.
-CHECK_ROWS = 256
+# Rows of a form in the temporaries of the certificate and of the join: a few megabytes.
+CHECK_ROWS = 128
 
 
 class _ArrayRecord(_Record):
@@ -98,14 +91,13 @@ class SolutionDescription(_ArrayRecord):
 
 class HowellForm(_ArrayRecord):
     """[A^T | I_m] modulo ``modulus`` in Howell form, A being the 0/1
-    incidence matrix of ``edges``.
+    incidence matrix of ``edges``, the (|E|, r) array of 0-based vertex
+    indices: A has a one at (e, v) for each v in row e.
 
-    ``edges`` is the (|E|, r) array of 0-based vertex indices, one row per
-    edge, so A has a one at (e, v) for each v in row e. The rows of the
-    form whose pivot lies among the |E| edge columns are split there into
-    ``image`` (H1) and ``transform`` (T1), so T1 * A^T == H1; the others
-    are zero on those columns and ``kernel`` (K) holds their vertex part,
-    so K * A^T == 0. Both parts are echelon, each pivot d divides the
+    The rows whose pivot lies among the |E| edge columns are split there
+    into ``image`` (H1) and ``transform`` (T1), so T1 * A^T == H1; the
+    others are zero on those columns and ``kernel`` (K) holds their vertex
+    part, so K * A^T == 0. Both parts are echelon, each pivot d divides the
     modulus, and the combinations of the rows with coefficients
     0 <= t < modulus / d are the whole row space {(y A^T, y)}, each once.
     """
@@ -113,44 +105,29 @@ class HowellForm(_ArrayRecord):
     _fields = ("modulus", "edges", "image", "transform", "kernel")
 
 
-def _xgcd(a: int, b: int) -> tuple[int, int, int]:
-    """Extended Euclid: returns (g, x, y) with x*a + y*b == g == gcd(a, b)."""
-    old_r, r = a, b
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_s, s = s, old_s - q * s
-        old_t, t = t, old_t - q * t
-    return old_r, old_s, old_t
-
-
-def _unit_to_gcd(a: int, n: int) -> int:
-    """A unit u of Z_n with u * a == gcd(a, n) (mod n)."""
-    g = math.gcd(a, n)
-    step = n // g
-    u = pow(a // g, -1, step) if step > 1 else 1
-    # u is fixed mod n/g; some lift u + j*(n/g) is also coprime to n
-    while math.gcd(u, n) != 1:
-        u += step
-    return u % n
+def _prime_powers(n: int) -> list[int]:
+    """The powers of distinct primes whose product is n > 1, by ascending prime."""
+    p = next((p for p in range(2, math.isqrt(n) + 1) if n % p == 0), n)  # least prime factor
+    q = math.gcd(n, p ** n.bit_length())  # the largest power of p dividing n
+    return [q] if q == n else [q, *_prime_powers(n // q)]
 
 
 def howell_form(edges: np.ndarray, width: int, modulus: int) -> HowellForm:
     """Howell form of [A^T | I_width] modulo ``modulus``, A being the 0/1
     incidence matrix of ``edges``; with no edges the kernel is the identity.
 
-    Column by column, the rows still pending (all zero left of the column)
-    are merged into one pivot row whose entry d generates the ideal of
-    their entries: the row of least gcd with the modulus is scaled by a
-    unit, then rows it does not divide are merged in by extended gcd, and
-    the other rows are cleared by subtraction. The pivot row's slot then
-    takes (modulus / d) times the pivot row, which is zero in the column,
-    so every row-space element that is zero left of a column stays a
-    combination of the rows pivoting there or later: the Howell property.
-    The result is checked by ``check_howell_form`` before it is returned.
+    Any modulus but a prime power q joins the forms modulo its prime powers
+    (``_join``). Modulo q, column by column, the pending row (zero left of
+    the column) whose entry a has the least valuation, times the unit
+    (a/d)^-1 mod q/d, d = gcd(a, q), pivots on d, which divides the other
+    pending entries: their rows are cleared by subtraction. Its slot then
+    takes (q/d) times it, zero in the column, so every row-space element
+    zero left of a column stays a combination of the rows pivoting there or
+    later: the Howell property. ``check_howell_form`` checks the result.
     """
+    powers = _prime_powers(modulus)
+    if len(powers) > 1:
+        return _join([howell_form(edges, width, q) for q in powers])
     n = modulus
     count = len(edges)
     work = np.zeros((width, count + width), dtype=np.int64)
@@ -162,14 +139,10 @@ def howell_form(edges: np.ndarray, width: int, modulus: int) -> HowellForm:
         if not len(hit):
             continue
         i = hit[np.argmin(np.gcd(work[hit, col], n))]
-        pivot = work[i] * _unit_to_gcd(int(work[i, col]), n) % n
+        d = math.gcd(int(work[i, col]), n)
+        pivot = work[i] * pow(int(work[i, col]) // d, -1, n // d) % n
         work[i] = 0
         hit = hit[hit != i]
-        for j in hit[work[hit, col] % pivot[col] != 0]:
-            a, b = int(pivot[col]), int(work[j, col])
-            g, s, t = _xgcd(a, b)
-            pivot, work[j] = (s * pivot + t * work[j]) % n, (b // g * pivot - a // g * work[j]) % n
-        d = int(pivot[col])
         work[hit, col:] = (work[hit, col:] - (work[hit, col] // d)[:, None] * pivot[col:]) % n
         if d > 1:
             work[i] = pivot * (n // d) % n
@@ -184,13 +157,46 @@ def howell_form(edges: np.ndarray, width: int, modulus: int) -> HowellForm:
     return form
 
 
+def _join(parts: list[HowellForm]) -> HowellForm:
+    """The form modulo n from the forms of the same edges modulo the prime
+    powers q_i of n, by CRT. A column where some part pivots gets one row:
+    each part's row there (0 if none) times D / d_i and times e_i, 1 modulo
+    q_i and 0 modulo the other parts, summed. Its pivot D, the product of
+    the parts' pivots d_i (q_i for a part with none), divides n."""
+    n, edges = math.prod(part.modulus for part in parts), parts[0].edges
+    count, width = len(edges), parts[0].kernel.shape[1]
+    pivots = [_form_pivots(part) for part in parts]
+    orders = np.ones(count + width, dtype=np.int64)  # n / D, column by column
+    for part, (part_cols, d) in zip(parts, pivots):
+        orders[part_cols] *= part.modulus // d
+    cols = np.flatnonzero(orders > 1)
+    rank = int(np.searchsorted(cols, count))
+    image = np.zeros((rank, count), dtype=np.int64)
+    vertex = np.zeros((len(cols), width), dtype=np.int64)  # the rows' vertex columns
+    for part, (part_cols, d) in zip(parts, pivots):
+        q, at, r = part.modulus, np.searchsorted(cols, part_cols), len(part.image)
+        # D / d_i is a unit modulo q_i; every product stays below n^2
+        scale = n // orders[part_cols] // d % q * (n // q * pow(n // q, -1, q)) % n
+        for block, place, rows, times in (
+            (image, at[:r], part.image, scale[:r]),
+            (vertex, at[:r], part.transform, scale[:r]),
+            (vertex, at[r:], part.kernel, scale[r:]),
+        ):
+            for i in range(0, len(rows), CHECK_ROWS):  # a few rows at a time: small temporaries
+                j = slice(i, i + CHECK_ROWS)
+                block[place[j]] = (block[place[j]] + rows[j] * times[j, None] % n) % n
+    form = HowellForm(n, edges, image, vertex[:rank], vertex[rank:].copy())
+    check_howell_form(form)
+    return form
+
+
 class ComponentSystem:
     """One component's edge systems: ``vertices`` ascending, ``sub`` the
     sub-hypergraph they induce (relabeled 1..m) and ``edges`` its one
-    ``edge_index``. ``form(modulus)`` eliminates the edges on first use and
-    keeps the form in ``forms``, which callers clear once the component's
-    systems are solved: a ``SolutionDescription`` keeps the arrays it reads.
-    An elimination whose work array does not fit in memory raises
+    ``edge_index``. ``form(modulus)`` keeps each form it builds, and those
+    modulo the prime powers it joins, in ``forms``, which callers clear once
+    the component's systems are solved: a ``SolutionDescription`` keeps the
+    arrays it reads. A form that does not fit in memory raises
     BudgetExceededError, as a budget would."""
 
     def __init__(self, h: Hypergraph, component):
@@ -202,8 +208,12 @@ class ComponentSystem:
     def form(self, modulus: int) -> HowellForm:
         if modulus not in self.forms:
             m, count = len(self.vertices), len(self.edges)
+            powers = _prime_powers(modulus)
             try:
-                self.forms[modulus] = howell_form(self.edges, m, modulus)
+                if len(powers) > 1:
+                    self.forms[modulus] = _join([self.form(q) for q in powers])
+                else:
+                    self.forms[modulus] = howell_form(self.edges, m, modulus)
             except MemoryError:
                 raise BudgetExceededError(
                     f"component of vertex {self.vertices[0]} (m={m}, |E|={count}): its Howell"
@@ -225,10 +235,17 @@ def _pivots(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return cols, block[np.arange(len(block)), cols]
 
 
-def check_howell_form(form: HowellForm) -> None:
-    """Certificate that ``form`` lists the row space of [A^T | I_m] exactly.
+def _form_pivots(form: HowellForm) -> tuple[np.ndarray, np.ndarray]:
+    """Column (among all |E| + m) and value of each row's pivot, image rows first."""
+    (image_cols, image_d), (kernel_cols, kernel_d) = _pivots(form.image), _pivots(form.kernel)
+    cols = np.concatenate([image_cols, len(form.edges) + kernel_cols])
+    return cols, np.concatenate([image_d, kernel_d])
 
-    Checked through the edges, in O(m * |E| * r) for edges of r vertices,
+
+def check_howell_form(form: HowellForm) -> None:
+    """Certificate that ``form`` lists the row space of [A^T | I_m] exactly,
+    raising VerificationError on the first clause that fails. Checked
+    through the edges, in O(m * |E| * r) for edges of r vertices,
     ``CHECK_ROWS`` rows at a time:
 
     * T1 * A^T == H1 and K * A^T == 0, so every row lies in the row space
@@ -239,8 +256,6 @@ def check_howell_form(form: HowellForm) -> None:
     * the product of modulus / d over all rows is modulus^m, so those
       combinations are the whole row space, and those of K alone are
       exactly the kernel.
-
-    Raises VerificationError on the first clause that fails.
     """
     n, edges = form.modulus, form.edges
     width = form.transform.shape[1]
@@ -251,9 +266,7 @@ def check_howell_form(form: HowellForm) -> None:
     for i in range(0, len(form.kernel), CHECK_ROWS):
         if (_edge_sums(form.kernel[i : i + CHECK_ROWS], edges) % n).any():
             raise VerificationError("Howell form: a kernel row is not a solution")
-    (image_pivots, image_d), (kernel_pivots, kernel_d) = _pivots(form.image), _pivots(form.kernel)
-    pivots = np.concatenate([image_pivots, len(edges) + kernel_pivots])
-    d = np.concatenate([image_d, kernel_d])
+    pivots, d = _form_pivots(form)
     # an all-zero row (H1's part included) shows up as a pivot entry of 0
     if ((d <= 0) | (d >= n)).any() or (np.diff(pivots) <= 0).any() or (n % d).any():
         raise VerificationError("Howell form: rows not echelon with pivots dividing the modulus")
@@ -322,9 +335,7 @@ def lex_solutions(desc: SolutionDescription, limit: int | None = None) -> np.nda
     return out[:limit]
 
 
-# No command solves by Smith normal form any more; the exact solver is the
-# Howell form above, and the tests count through sympy's Smith form. This
-# name stays bound only because the benchmark's traced mode still looks it
-# up (bench/run.py hands it to tracing.SnfSampler, which then samples
+# Bound only because the benchmark's traced mode looks the name up
+# (bench/run.py hands it to tracing.SnfSampler, which then samples
 # nothing); it goes when the benchmark reads the library's own run stats.
 smith_normal_form = None

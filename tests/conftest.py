@@ -45,7 +45,9 @@ def k3_complete4() -> Hypergraph:
 @pytest.fixture
 def eliminations(monkeypatch):
     """Records (component vertices, modulus) of every Howell-form
-    elimination, each made by some ``ComponentSystem.form``."""
+    elimination, each made by some ``ComponentSystem.form`` and each modulo
+    a prime power: the form modulo any other modulus is joined from the
+    forms its system keeps for those prime powers, with no elimination."""
     calls = []
     asking = []  # the vertices of the system whose form is being asked for
     real_form, real = zk_solver.ComponentSystem.form, zk_solver.howell_form

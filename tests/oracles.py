@@ -2,9 +2,9 @@
 
 Everything above the scalar section recomputes results by direct
 exhaustive enumeration, by the textbook dense-tensor definition or by
-sympy's integer Smith normal form, sharing no algorithmic path with the
-library: no Howell elimination, no kernel parametrization, no edge-sum
-shortcut. Three of them are the library's former algorithms, kept as
+sympy's integer Smith normal form or Groebner bases, sharing no
+algorithmic path with the library: no Howell elimination, no kernel
+parametrization, no edge-sum shortcut. Three of them are the library's former algorithms, kept as
 references for what replaced them: ``bipartition_witnesses`` scans the
 subsets once per flavor, where ``enumerate_bipartitions`` reads them off
 the solutions modulo 2; ``hm_bipartition_dfs`` is the recursive search
@@ -12,9 +12,11 @@ that ``find_hm_bipartition`` replaced; and ``materialize_dense`` with
 ``diag_similarity`` builds both tensors in exact rationals and transforms
 one entry by entry, where ``tensor_ops.similarity_identity_holds`` reads
 the edges' sign products. ``snf_solution_count`` counts solutions through
-sympy's Smith form, the route the Howell-form elimination replaced. It
-imports sympy when called, so loading this module (as the benchmark does)
-needs neither sympy nor pytest.
+sympy's Smith form, the route the Howell-form elimination replaced.
+``groebner_zero_eigenvectors`` solves L x^(k-1) = 0 (or S) as polynomials,
+without the paper's root-of-unity form of the entries. Both import sympy
+when called, so loading this module (as the benchmark does) needs
+neither sympy nor pytest.
 
 The scalar section keeps the library's former per-class pipeline: one
 solution, one class and one edge at a time with complex scalars. The
@@ -597,6 +599,47 @@ def scalar_realize(h, operator, component, alpha, tolerance=1e-9):
     return x, resid
 
 
+def zero_eigenvector_polynomials(h, operator):
+    """The n polynomials of L x^(k-1) (``operator`` "laplacian") or
+    S x^(k-1) ("signless"), in the sympy symbols x1..xn, straight from the
+    tensor's definition: entry i is d_i x_i^(k-1) -+ the sum over the edges
+    e holding i of the product of x_j over e minus i. Returns (polynomials,
+    symbols)."""
+    # imported here, so that loading this module needs no sympy
+    from sympy import Mul, symbols
+
+    xs = symbols(f"x1:{h.n + 1}")
+    sign = -1 if operator == "laplacian" else 1
+    polys = []
+    for i in range(1, h.n + 1):
+        meets = [e for e in h.edges if i in e]
+        rest = sum(Mul(*(xs[j - 1] for j in e if j != i)) for e in meets)
+        polys.append(len(meets) * xs[i - 1] ** (h.k - 1) + sign * rest)
+    return polys, xs
+
+
+def groebner_zero_eigenvectors(h, operator, fixed=((1, 1),)):
+    """Every complex solution of the zero-eigenvalue system with the
+    entries ``fixed`` as (vertex, value) pairs, by a lex Groebner basis and
+    sympy's ``solve_poly_system``: a list of complex vectors, one per
+    solution, or None when the basis is [1] (no solution). This route does
+    not assume that eigenvector entries are roots of unity; with x_1 = 1
+    each solution stands for one class of zero eigenvectors."""
+    from sympy import N, groebner, solve_poly_system
+
+    polys, xs = zero_eigenvector_polynomials(h, operator)
+    values = {xs[v - 1]: value for v, value in fixed}
+    free = [x for x in xs if x not in values]
+    basis = groebner([p.subs(values) for p in polys], *free, order="lex")
+    if list(basis.exprs) == [1]:
+        return None
+    vectors = []
+    for solution in solve_poly_system(list(basis.exprs), *free):
+        point = {**values, **dict(zip(free, solution))}
+        vectors.append(np.array([complex(N(point[x], 30)) for x in xs]))
+    return vectors
+
+
 # Closed-form families: class and H counts derived by hand, with no solver
 # and no counter, so they hold at sizes past both brute force and the
 # combinatorial counter. ``closed_form_counts`` gives, per operator, the
@@ -619,6 +662,21 @@ def loose_cycle(k, length):
     return Hypergraph(k, n, edges)
 
 
+def power_hypergraph(graph_edges, vertex_count, k):
+    """G^(k): each edge {u, v} of the graph on vertices 1..``vertex_count``
+    gains k - 2 new vertices of its own, numbered after the graph's."""
+    edges = []
+    for i, (u, v) in enumerate(graph_edges):
+        start = vertex_count + (k - 2) * i + 1
+        edges.append((u, v, *range(start, start + k - 2)))
+    return Hypergraph(k, vertex_count + (k - 2) * len(graph_edges), tuple(edges))
+
+
+def complete_hypergraph(k, n):
+    """K_n^(k): every k-subset of n vertices is an edge."""
+    return Hypergraph(k, n, tuple(itertools.combinations(range(1, n + 1), k)))
+
+
 def closed_form_counts(k, free):
     """{operator: (classes, H classes)} of a component whose exponent
     vectors with a given edge residue are k^``free`` in number, their
@@ -631,7 +689,9 @@ def closed_form_counts(k, free):
     and the part values sum to the residue. The loose cycle C_l^(k) has
     free = (k - 2) l: its l shared vertices and all but one of each
     edge's k - 2 vertices of degree one are free, and that last one
-    brings the edge to the residue."""
+    brings the edge to the residue. The power hypergraph G^(k) of a
+    connected graph G has free = |V| + (k - 3) |E| the same way: G's
+    vertices, and all but one of each edge's k - 2 new vertices."""
     if k % 2:
         return {"laplacian": (k ** (free - 1), 1), "signless": (0, 0)}
     counts = (k ** (free - 1), 2 ** (free - 1))

@@ -639,11 +639,11 @@ def test_both_operators_share_one_factorization(command, capsys, eliminations):
     assert eliminations == [(K4_VERTICES, 4), (K4_VERTICES, 2)]  # one component, k = 4
 
 
-def _two_components(tmp_path):
-    """Two 4-uniform components, of two edges and of one, beside a singleton."""
-    path = tmp_path / "two_components.json"
-    edges = [[1, 2, 3, 4], [3, 4, 5, 6], [7, 8, 9, 10]]
-    path.write_text(json.dumps({"k": 4, "n": 11, "edges": edges}))
+def _two_components(tmp_path, k=4):
+    """Two k-uniform components, of two edges and of one, beside a singleton."""
+    path = tmp_path / f"two_components_k{k}.json"
+    edges = [[*range(1, k + 1)], [*range(k - 1, 2 * k - 1)], [*range(2 * k - 1, 3 * k - 1)]]
+    path.write_text(json.dumps({"k": k, "n": 3 * k - 1, "edges": edges}))
     return str(path)
 
 
@@ -655,6 +655,16 @@ def test_each_component_eliminated_once(command, tmp_path, capsys, eliminations)
     assert main([command, "--input", _two_components(tmp_path), "--operator", "both"]) == 0
     first, second = tuple(range(1, 7)), tuple(range(7, 11))
     assert eliminations == [(first, 4), (first, 2), (second, 4), (second, 2)]
+
+
+@pytest.mark.parametrize("command", ["zero-eigenvectors", "crosscheck"])
+def test_each_k6_component_eliminated_once_per_prime_power(command, tmp_path, capsys, eliminations):
+    """At k = 6 each non-singleton component is eliminated once modulo 2
+    and once modulo 3, in that order: its form modulo 6 is their join, and
+    the H counts read the same form modulo 2."""
+    assert main([command, "--input", _two_components(tmp_path, 6), "--operator", "both"]) == 0
+    first, second = tuple(range(1, 11)), tuple(range(11, 17))
+    assert eliminations == [(first, 2), (first, 3), (second, 2), (second, 3)]
 
 
 @pytest.mark.parametrize(
@@ -701,17 +711,19 @@ def test_partitions_drop_the_form_modulo_2_before_multipartitions(
 
 @pytest.mark.parametrize("command", sorted(_COMMANDS))
 def test_one_system_per_component(command, tmp_path, capsys, eliminations, induced_builds):
-    """On every fixture, and on two components beside a singleton, each
-    non-singleton component's sub-hypergraph is induced once, and each
-    (component, modulus) eliminated at most once; ``components`` builds
-    neither."""
-    for path in [*sorted(map(str, FIXTURE_DIR.iterdir())), _two_components(tmp_path)]:
+    """On every fixture, and on two components beside a singleton at k = 4
+    and at k = 6, each non-singleton component's sub-hypergraph is induced
+    once, and each (component, modulus) eliminated at most once, modulo a
+    prime power; ``components`` builds neither."""
+    inputs = [*sorted(map(str, FIXTURE_DIR.iterdir())), _two_components(tmp_path)]
+    for path in [*inputs, _two_components(tmp_path, 6)]:
         eliminations.clear()
         induced_builds.clear()
         main([command, "--input", path])
         capsys.readouterr()
         assert induced_builds == ([] if command == "components" else _non_singletons(path)), path
         assert len(set(eliminations)) == len(eliminations), path
+        assert all(len(zk_solver._prime_powers(q)) == 1 for _, q in eliminations), path
 
 
 @pytest.mark.parametrize("command", ["zero-eigenvectors", "crosscheck", "partitions"])
@@ -980,6 +992,20 @@ class TestOutOfMemory:
         assert proc.stderr == (
             "error: component of vertex 1 (m=20001, |E|=10000): its Howell form needs a"
             " 20001 x 30001 work array of 4800400008 bytes, more than memory holds\n"
+        )
+
+    def test_prime_power_part_past_memory_exits_4(self, tmp_path):
+        """At k = 6 the form modulo 6 is joined from those modulo 2 and 3;
+        the part modulo 2, eliminated first, does not fit, and its work
+        array of 20001 x 24001 int64 entries (3.58 GiB) is named."""
+        h = random_connected_hypergraph(random.Random(0), 6, 20001)
+        path = tmp_path / "hypertree_k6.json"
+        path.write_text(json.dumps({"k": h.k, "n": h.n, "edges": [list(e) for e in h.edges]}))
+        proc = self._run("zero-eigenvectors", "--input", str(path))
+        assert proc.returncode == 4 and "Traceback" not in proc.stderr
+        assert proc.stderr == (
+            "error: component of vertex 1 (m=20001, |E|=4000): its Howell form needs a"
+            " 20001 x 24001 work array of 3840352008 bytes, more than memory holds\n"
         )
 
     def test_partitions_records_each_kind(self, hypertree):

@@ -7,6 +7,7 @@ import pytest
 from zerolap import Hypergraph
 from zerolap.corpus import (
     mixed_corpus,
+    random_connected_hypergraph,
     random_hypergraph,
     with_isolated_vertices,
 )
@@ -18,6 +19,7 @@ from zerolap.eigenstructure import (
     solve_components,
     zero_eigenvector_report,
 )
+from zerolap import zk_solver
 from zerolap.zk_solver import ComponentSystem
 
 import oracles
@@ -47,14 +49,19 @@ ONE_FACTORIZATION_CASES = [
     pytest.param(load_hypergraph(FIXTURE_DIR / "k3_chain_n7.json"), id="k3_chain"),
     pytest.param(Hypergraph(4, 9, ((1, 2, 3, 4), (5, 6, 7, 8))), id="k4_two_edges_and_singleton"),
     pytest.param(Hypergraph(2, 6, ((1, 2), (2, 3), (3, 1), (4, 5))), id="k2_triangle_edge_and_singleton"),
+    pytest.param(Hypergraph(6, 7, ((1, 2, 3, 4, 5, 6),)), id="k6_edge_and_singleton"),
 ]
 
 
 def _eliminations_per_run(h):
-    """(component, modulus) of the eliminations one pass should make: one
-    modulo k per non-singleton component, serving both operators, then
-    one modulo 2 for the H counts when k is even (the same one when k = 2)."""
-    per_component = [h.k, 2] if h.k % 2 == 0 and h.k > 2 else [h.k]
+    """(component, prime power) of the eliminations one pass should make:
+    per non-singleton component one modulo each prime power of k, whose
+    join (when k has two prime factors or more) is the form modulo k that
+    serves both operators, then one modulo 2 for the H counts when k is
+    even, unless 2 is among them already."""
+    per_component = zk_solver._prime_powers(h.k)
+    if h.k % 2 == 0 and 2 not in per_component:
+        per_component.append(2)
     decomp = connected_components(h)
     comps = [c for c, single in zip(decomp.components, decomp.singleton) if not single]
     return [(c, modulus) for c in comps for modulus in per_component]
@@ -70,6 +77,15 @@ class TestOneFactorizationPerComponent:
             assert counts.n_expected in (None, counts.n_pair_count)
             n_literal_count(counts, 200_000)
         assert eliminations == _eliminations_per_run(h)
+
+    def test_k12_eliminates_modulo_4_3_and_2(self, eliminations):
+        """k = 12: the form modulo 12 joins those modulo 4 and 3, and the H
+        counts need one more, modulo 2."""
+        h = Hypergraph(12, 13, (tuple(range(1, 13)),))
+        solved = solve_components(h)
+        assert eliminations == [(tuple(range(1, 13)), q) for q in (4, 3, 2)]
+        assert [s.h_count for s in solved.values()] == [2**10 + 1, 2**10 + 1]  # with {13}
+        assert [s.components[0].class_count for s in solved.values()] == [12**10, 12**10]
 
     @pytest.mark.parametrize("h", ONE_FACTORIZATION_CASES)
     def test_one_solve_per_component_and_operator(self, h, solve_calls):
@@ -338,6 +354,74 @@ class TestClosedFormFamilies:
         assert (laplacian["N_pair_count"], laplacian["N_expected"]) == (1, None)
         classes = oracles.closed_form_counts(3, 2)["laplacian"][0]
         assert laplacian["N_pair_count"] == (classes - laplacian["H_count"]) // 2
+
+
+def _connected_graph(vertex_count, edge_count, seed=0):
+    """A seeded connected simple graph: a random spanning tree, then
+    random distinct extra edges."""
+    rng = random.Random(seed)
+    order = list(range(1, vertex_count + 1))
+    rng.shuffle(order)
+    edges = {tuple(sorted((v, rng.choice(order[:i])))) for i, v in enumerate(order) if i}
+    while len(edges) < edge_count:
+        edges.add(tuple(sorted(rng.sample(range(1, vertex_count + 1), 2))))
+    return sorted(edges)
+
+
+class TestClosedFormFamiliesAtCompositeK:
+    """Power hypergraphs and complete hypergraphs, at sizes (up to 630
+    vertices) past brute force; at k = 6, 10 and 12 the form modulo k is
+    joined from the forms modulo its prime powers."""
+
+    @pytest.mark.parametrize("k", [3, 4, 5, 6, 10, 12])
+    @pytest.mark.parametrize("vertex_count, edge_count", [(5, 7), (8, 12), (30, 60)])
+    def test_power_hypergraph(self, k, vertex_count, edge_count):
+        graph = _connected_graph(vertex_count, edge_count)
+        h = oracles.power_hypergraph(graph, vertex_count, k)
+        assert len(connected_components(h).components) == 1
+        got = {op: (s.components[0].class_count, s.h_count) for op, s in solve_components(h).items()}
+        free = vertex_count + (k - 3) * edge_count
+        assert got == oracles.closed_form_counts(k, free)
+
+    @pytest.mark.parametrize("k, n", [(3, 6), (4, 7), (6, 8), (10, 12)])
+    def test_complete_hypergraph(self, k, n):
+        """Edges differing in one vertex force equal exponents, so every
+        exponent is one a with k * a equal to the residue: one class, H,
+        for the Laplacian and none for the signless operator."""
+        h = oracles.complete_hypergraph(k, n)
+        got = {op: (s.components[0].class_count, s.h_count) for op, s in solve_components(h).items()}
+        assert got == {"laplacian": (1, 1), "signless": (0, 0)}
+
+
+# (k, n, extra edges) of the inputs random_connected_hypergraph(Random(0), ...)
+# on which the theorem is checked without its phase assumption; k = 5 is
+# left out, as one edge alone takes the Groebner basis about ten seconds
+THEOREM_CASES = [(3, 5, 0), (3, 5, 1), (3, 7, 1), (4, 5, 0), (4, 7, 0)]
+
+
+class TestTheoremWithoutPhaseAssumption:
+    """The paper's theorem by a route that does not assume it: the complex
+    solutions of L x^(k-1) = 0 (or S) with x_1 = 1, from a Groebner basis,
+    are one per class, and every entry is a k-th root of unity."""
+
+    @pytest.mark.parametrize("operator", ["laplacian", "signless"])
+    @pytest.mark.parametrize("k, n, extra", THEOREM_CASES)
+    def test_solutions_are_the_classes(self, k, n, extra, operator):
+        h = random_connected_hypergraph(random.Random(0), k, n, extra)
+        (record,) = solve_components(h)[operator].components
+        vectors = oracles.groebner_zero_eigenvectors(h, operator) or []
+        assert len(vectors) == record.class_count
+        for x in vectors:
+            assert np.abs(np.abs(x) - 1).max() < 1e-9
+            assert np.abs(x**k - 1).max() < 1e-9
+
+    @pytest.mark.parametrize("operator", ["laplacian", "signless"])
+    @pytest.mark.parametrize("k, n, extra", THEOREM_CASES)
+    def test_no_zero_eigenvector_vanishes_at_the_first_vertex(self, k, n, extra, operator):
+        """With x_1 = 0 and any other entry x_j = 1 the basis is [1]."""
+        h = random_connected_hypergraph(random.Random(0), k, n, extra)
+        for j in range(2, n + 1):
+            assert oracles.groebner_zero_eigenvectors(h, operator, ((1, 0), (j, 1))) is None, j
 
 
 def test_pairing_is_perfect_matching_on_small_instances(chain):

@@ -262,7 +262,7 @@ def zk_systems(draw):
     s-subset (s >= 2) of s + 1 or more vertices. Those edges force their
     vertices to one value a with s * a equal to the residue, so such a
     system is infeasible whenever gcd(s, N) does not divide the residue."""
-    n = draw(st.sampled_from([2, 3, 4, 5, 6, 7, 8, 9, 12]))
+    n = draw(st.sampled_from([2, 3, 4, 5, 6, 7, 8, 9, 10, 12, 15, 30]))
     top = 4 if n <= 6 else 3
     if draw(st.booleans()):
         size = draw(st.integers(2, top - 1))
@@ -321,18 +321,21 @@ def test_edge_systems_match_brute_force_and_smith_form(case):
     _check_against_brute_force(record.description, system)
 
 
-# (seed, k, n, |E|, modulus): systems whose elimination meets a column where
-# no pending entry divides the others, so rows are merged by extended gcd
+# (seed, k, n, |E|, modulus): systems whose elimination modulo the
+# composite modulus would meet a column where no pending entry divides the
+# others; their forms are joined from the forms modulo each prime power
 @pytest.mark.parametrize(
     "seed, k, n, edge_count, modulus", [(0, 6, 17, 13, 6), (0, 4, 8, 10, 6), (23, 3, 9, 10, 30)]
 )
-def test_extended_gcd_merge_matches_smith_form(seed, k, n, edge_count, modulus, monkeypatch):
-    merges = []
-    xgcd = zk_solver._xgcd
-    monkeypatch.setattr(zk_solver, "_xgcd", lambda a, b: merges.append((a, b)) or xgcd(a, b))
+def test_crt_join_matches_smith_form(seed, k, n, edge_count, modulus, monkeypatch):
+    joins = []
+    join = zk_solver._join
+    monkeypatch.setattr(zk_solver, "_join", lambda parts: joins.append(parts) or join(parts))
     edges = random_hypergraph(random.Random(seed), k, n, edge_count).edge_index
     form = howell_form(edges, n, modulus)
-    assert merges
+    assert [[part.modulus for part in parts] for parts in joins] == [
+        [2, 3] if modulus == 6 else [2, 3, 5]
+    ]
     for rhs in range(modulus):
         count = solve_mod_k(form, rhs).solution_count
         assert count == oracles.snf_solution_count(modulus, n, edges, rhs), rhs
