@@ -139,7 +139,7 @@ def _merge_config(args: argparse.Namespace) -> AnalysisConfig:
         try:
             with open(args.config, "rb") as stream:  # JSON text is UTF-8 in any locale
                 values = json.loads(stream.read().decode("utf-8"))
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise HypergraphFormatError(f"cannot read config file: {exc}") from exc
         if not isinstance(values, dict):
             raise HypergraphFormatError(
@@ -507,7 +507,8 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_BUDGET
     if cfg.out:
         try:
-            with open(cfg.out, "w") as out:
+            # the bytes stdout writes, a file name's undecodable bytes included
+            with open(cfg.out, "w", encoding="utf-8", errors="surrogateescape") as out:
                 print(rendered, file=out)  # then the newline: no second copy of the report
         except OSError as exc:
             print(f"error: cannot write report: {exc}", file=sys.stderr)

@@ -47,12 +47,8 @@ from .hypergraph import ComponentDecomposition, Hypergraph, _Record, connected_c
 from .kinds import N_PAIR_KINDS, edge_residue
 from .names import DEFAULT_ENUM_BUDGET, DEFAULT_TOLERANCE, LAPLACIAN, SIGNLESS, ZERO_EIG_OPERATORS
 from .zk_solver import ComponentSystem, SolutionDescription, _ArrayRecord
-from .zk_solver import lex_solutions, solve_mod_k
+from .zk_solver import _blocks, _edge_sums, lex_solutions, solve_mod_k
 from . import counting
-
-# Entries (classes x vertices) per realization block: bounds the memory of
-# a block while keeping the number of numpy calls per block small.
-BLOCK_CELLS = 1 << 12
 
 # Reason attached to reports when the signless system has no solutions
 # because k is odd and the component is not a singleton.
@@ -346,9 +342,9 @@ def realize_classes(
     zeros elsewhere. Both checks run on every row: the exact integer
     residue of every induced edge, and the numeric residual under
     ``tolerance``. The first row failing either is an internal bug and
-    raises VerificationError. Rows go through ``eig_residual`` in blocks,
-    on the component's induced sub-hypergraph; the zeros outside the
-    component add nothing to the residual.
+    raises VerificationError. Rows go through ``eig_residual`` on the
+    induced sub-hypergraph in blocks sized by the 8|E|k floats a row holds
+    in ``apply_adjacency``; the zeros outside the component add nothing.
     """
     from .tensor_ops import eig_residual  # only the commands that list classes load it
 
@@ -356,10 +352,9 @@ def realize_classes(
     residue = edge_residue(k, operator)
     phases = _phases(k, int(alphas.max(initial=0)))
     out = np.empty(len(alphas))
-    step = max(1, BLOCK_CELLS // len(component))
-    for start in range(0, len(alphas), step):
-        block = alphas[start : start + step]
-        exact = block[:, edges].sum(axis=2) % k == residue
+    for cut in _blocks(len(alphas), 8 * len(edges) * k):
+        block = alphas[cut]
+        exact = _edge_sums(block, edges) % k == residue
         resid = eig_residual(system.sub, operator, 0.0, phases[block])
         failed = ~exact.all(axis=1) | (resid > tolerance)
         if failed.any():
@@ -372,7 +367,7 @@ def realize_classes(
             raise VerificationError(
                 f"realized class residual {resid[row]:.3e} exceeds tolerance {tolerance:.1e}"
             )
-        out[start : start + len(block)] = resid
+        out[cut] = resid
     return out
 
 

@@ -47,7 +47,7 @@ from .counting import _kept, _primal_graph, _profile_table, literal_scan
 from .errors import BudgetExceededError, VerificationError
 from .kinds import applicable_kinds, kind_spec
 from .names import BIPARTITION_FLAVORS, DEFAULT_ENUM_BUDGET, EVEN, HM, ODD
-from .zk_solver import CHECK_ROWS, ComponentSystem, lex_solutions, solve_mod_k
+from .zk_solver import ComponentSystem, _blocks, _edge_sums, lex_solutions, solve_mod_k
 
 
 def _part_rows(system: ComponentSystem, rows, parts: int) -> np.ndarray:
@@ -78,10 +78,10 @@ def validate_bipartition(system: ComponentSystem, rows, flavor: str):
     ok = in_v1.any(axis=1)
     if flavor != HM:
         ok &= ~in_v1.all(axis=1)
-    for i in range(0, len(block), CHECK_ROWS):  # the edge meets of a few rows at a time
-        meets = in_v1[i : i + CHECK_ROWS][:, edges].sum(axis=2)
+    for cut in _blocks(len(block), len(edges)):
+        meets = _edge_sums(in_v1[cut], edges)
         hits = meets == 1 if flavor == HM else meets % 2 == (flavor == ODD)
-        ok[i : i + CHECK_ROWS] &= hits.all(axis=1)
+        ok[cut] &= hits.all(axis=1)
     ok |= not len(edges)
     return ok if np.ndim(rows) == 2 else bool(ok[0])
 
@@ -310,9 +310,9 @@ def validate_multipartition(system: ComponentSystem, rows, kind: str, predicate:
     weights, table = _profile_table(spec, predicate)
     block, edges = _part_rows(system, rows, spec.k), system.edges
     ok = sum((block == j).any(axis=1) for j in range(spec.k)) >= spec.min_nonempty
-    for i in range(0, len(block), CHECK_ROWS):  # the edge profiles of a few rows at a time
-        profiles = weights[block[i : i + CHECK_ROWS]][:, edges].sum(axis=2)
-        ok[i : i + CHECK_ROWS] &= table[profiles].all(axis=1)
+    for cut in _blocks(len(block), len(edges)):
+        profiles = _edge_sums(weights[block[cut]], edges)
+        ok[cut] &= table[profiles].all(axis=1)
     return ok if np.ndim(rows) == 2 else bool(ok[0])
 
 

@@ -33,7 +33,7 @@ import numpy as np
 from .errors import BudgetExceededError, VerificationError
 from .hypergraph import Hypergraph, connected_components, degrees
 from .names import LAPLACIAN, SIGNLESS
-from .zk_solver import _ArrayRecord
+from .zk_solver import _ArrayRecord, _edge_sums
 
 ADJACENCY = "adjacency"
 
@@ -130,7 +130,7 @@ def _heads_per_edge(h: Hypergraph, row) -> tuple[np.ndarray, np.ndarray]:
     if p.shape != (h.n,) or not np.isin(p, (0, 1)).all():
         raise ValueError(f"row must hold {h.n} entries, each 0 or 1")
     heads = p == 0
-    return heads, np.count_nonzero(heads[h.edge_index], axis=1)
+    return heads, _edge_sums(heads[None, :], h.edge_index)[0]
 
 
 def similarity_identity_holds(h: Hypergraph, row) -> bool:

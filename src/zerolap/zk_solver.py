@@ -13,8 +13,8 @@ arrays, one row of exponents per solution.
 Every such system is given by one residue and the component's
 ``edge_index``, the (|E|, k) array of its edges' 0-based vertex indices.
 Its coefficient matrix A is the 0/1 incidence of those edges, never
-built: A * alpha is each edge's sum of alpha over its vertices,
-``x[:, edges].sum(axis=2)`` for a block of rows x. A system
+built: A * alpha is each edge's sum of alpha over its vertices, which
+``_edge_sums`` forms for a block of rows, one edge slot at a time. A system
 A * alpha == b (mod k) is solved through the Howell form of [A^T | I_m]
 modulo k (Storjohann & Mulders, "Fast algorithms for linear algebra
 modulo N", ESA 1998), eliminated modulo each prime power of k and joined
@@ -44,8 +44,9 @@ import numpy as np
 from .errors import BudgetExceededError, VerificationError
 from .hypergraph import Hypergraph, _Record, induced_subhypergraph
 
-# Rows of a form in the temporaries of the certificate and of the join: a few megabytes.
-CHECK_ROWS = 128
+# Entries that one block of rows may add to the temporaries of any blockwise
+# pass, about a megabyte of int64; ``_blocks`` divides it by one row's share.
+BLOCK_ENTRIES = 1 << 17
 
 
 class _ArrayRecord(_Record):
@@ -182,8 +183,7 @@ def _join(parts: list[HowellForm]) -> HowellForm:
             (vertex, at[:r], part.transform, scale[:r]),
             (vertex, at[r:], part.kernel, scale[r:]),
         ):
-            for i in range(0, len(rows), CHECK_ROWS):  # a few rows at a time: small temporaries
-                j = slice(i, i + CHECK_ROWS)
+            for j in _blocks(len(rows), rows.shape[1]):
                 block[place[j]] = (block[place[j]] + rows[j] * times[j, None] % n) % n
     form = HowellForm(n, edges, image, vertex[:rank], vertex[rank:].copy())
     check_howell_form(form)
@@ -223,9 +223,20 @@ class ComponentSystem:
         return self.forms[modulus]
 
 
+def _blocks(count: int, entries: int):
+    """``count`` rows as slices of BLOCK_ENTRIES // ``entries`` rows (at least
+    one), ``entries`` being what one row adds to a pass's temporaries."""
+    step = max(1, BLOCK_ENTRIES // max(1, entries))
+    return (slice(i, i + step) for i in range(0, count, step))
+
+
 def _edge_sums(left: np.ndarray, edges: np.ndarray) -> np.ndarray:
-    """left @ A^T for the incidence matrix A of ``edges``: each row's sum over each edge."""
-    return left[:, edges].sum(axis=2)
+    """left @ A^T for the incidence matrix A of ``edges``, as int64: each row's sum
+    over each edge, added one edge slot at a time, never gathered as (rows, |E|, k)."""
+    sums = np.take(left, edges[:, 0], axis=1).astype(np.int64)
+    for slot in range(1, edges.shape[1]):
+        sums += np.take(left, edges[:, slot], axis=1)
+    return sums
 
 
 def _pivots(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -245,8 +256,8 @@ def _form_pivots(form: HowellForm) -> tuple[np.ndarray, np.ndarray]:
 def check_howell_form(form: HowellForm) -> None:
     """Certificate that ``form`` lists the row space of [A^T | I_m] exactly,
     raising VerificationError on the first clause that fails. Checked
-    through the edges, in O(m * |E| * r) for edges of r vertices,
-    ``CHECK_ROWS`` rows at a time:
+    through the edges, in O(m * |E| * r) for edges of r vertices, in
+    ``_blocks`` of rows sized by |E|:
 
     * T1 * A^T == H1 and K * A^T == 0, so every row lies in the row space
       {(y A^T, y)}, which has modulus^m elements;
@@ -259,12 +270,11 @@ def check_howell_form(form: HowellForm) -> None:
     """
     n, edges = form.modulus, form.edges
     width = form.transform.shape[1]
-    for i in range(0, len(form.transform), CHECK_ROWS):
-        block = slice(i, i + CHECK_ROWS)
-        if ((_edge_sums(form.transform[block], edges) - form.image[block]) % n).any():
+    for cut in _blocks(len(form.transform), len(edges)):
+        if ((_edge_sums(form.transform[cut], edges) - form.image[cut]) % n).any():
             raise VerificationError("Howell form: T1 * A^T differs from H1")
-    for i in range(0, len(form.kernel), CHECK_ROWS):
-        if (_edge_sums(form.kernel[i : i + CHECK_ROWS], edges) % n).any():
+    for cut in _blocks(len(form.kernel), len(edges)):
+        if (_edge_sums(form.kernel[cut], edges) % n).any():
             raise VerificationError("Howell form: a kernel row is not a solution")
     pivots, d = _form_pivots(form)
     # an all-zero row (H1's part included) shows up as a pivot entry of 0

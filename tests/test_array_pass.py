@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from zerolap import Hypergraph, apply_adjacency, nqz_spectral_radius, tensor_ops
-from zerolap import eigenstructure
+from zerolap import eigenstructure, zk_solver
 from zerolap.cli import main
 from zerolap.corpus import (
     disjoint_union,
@@ -255,6 +255,21 @@ class TestBoundedWork:
         # all 531 441 classes as int64 rows alone would take 106 MB
         assert peak < 8 * 2**20
 
+    def test_dense_multipartite_report_memory_follows_edges(self):
+        """K(5,5,5,5,5): 25 vertices, 3125 edges, 125 Laplacian classes.
+        Realization blocks sized by vertices held 141 MB of complex edge
+        products; blocks sized by edges hold a few megabytes."""
+        h = oracles.complete_multipartite([5] * 5)
+        counts = solve_components(h)["laplacian"]
+        tracemalloc.start()
+        try:
+            report = zero_eigenvector_report(h, counts)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(report["components"][0]["classes"]) == 125
+        assert peak < 16 * 2**20
+
     def test_enumeration_stops_at_the_limit(self, monkeypatch):
         """The listing asks the solver for the capped number of solutions
         only, never for the component's 531 441 classes."""
@@ -283,4 +298,5 @@ class TestBoundedWork:
         limit = 5000
         report = _report(_hypertree_25(), "laplacian", enumerate_limit=limit)
         assert len(report["components"][0]["classes"]) == limit
-        assert calls == math.ceil(limit / (eigenstructure.BLOCK_CELLS // 25))
+        # 12 edges of 3 vertices: a row adds 8 * 12 * 3 floats of edge products
+        assert calls == math.ceil(limit / (zk_solver.BLOCK_ENTRIES // (8 * 12 * 3)))

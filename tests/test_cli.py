@@ -433,6 +433,37 @@ class TestProcessEntryPoint:
         assert (report.read_text() if report.exists() else None) == in_process
         assert (in_process is None) is (code == 2)
 
+    @pytest.mark.parametrize(
+        "locale, folder",
+        [
+            ({"LC_ALL": "C.UTF-8"}, b"lat\xe9"),
+            ({"LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0"}, "\u00e9".encode()),
+        ],
+        ids=["utf8-locale", "c-locale"],
+    )
+    def test_out_file_holds_the_bytes_stdout_prints(self, tmp_path, locale, folder):
+        """A --pretty report echoes the input path as the file system
+        decoded it: a byte the locale cannot decode is a lone surrogate,
+        which the report file writes back as that byte, as stdout does."""
+        directory = os.path.join(os.fsencode(tmp_path), folder)
+        os.mkdir(directory)
+        source = os.path.join(directory, b"in.json")
+        with open(source, "wb") as stream:
+            stream.write((FIXTURE_DIR / "k3_chain_n7.json").read_bytes())
+        env = dict(os.environ, PYTHONPATH=str(FIXTURE_DIR.parent / "src"), **locale)
+        command = [sys.executable, "-m", "zerolap.cli", "components", "--pretty", "--input", source]
+        printed = subprocess.run(command, env=env, capture_output=True)
+        report = tmp_path / "report.txt"
+        written = subprocess.run([*command, "--out", str(report)], env=env, capture_output=True)
+        assert (written.returncode, written.stdout, written.stderr) == (0, b"", b"")
+        assert (printed.returncode, printed.stderr) == (0, b"")
+        assert b"input: " + source in printed.stdout
+
+        def lines(text):  # all but the echoed ``out`` field
+            return [line for line in text.splitlines() if not line.startswith(b"  out: ")]
+
+        assert lines(report.read_bytes()) == lines(printed.stdout)
+
     @pytest.mark.parametrize("code", [0, 2, 3, 4, 5, 6])
     def test_run_passes_the_code_through_and_flushes(self, code):
         """Whatever ``main`` returns is the exit code, and what it left in
@@ -940,6 +971,53 @@ class TestFailureExitCodes:
         proc.stderr.close()
         assert proc.wait() == EXIT_BROKEN_PIPE
         assert stderr == b""
+
+    @staticmethod
+    def _parse_failure(capsys, argv, message):
+        """Exit 2 with ``message`` as the one line on stderr: no traceback."""
+        assert main(["components", *argv]) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
+    def test_no_input_exits_2(self, capsys):
+        self._parse_failure(capsys, [], "no input file given (flag --input or config file)")
+
+    @pytest.mark.parametrize("budget", ["0", "-5", "config"])
+    def test_nonpositive_budget_exits_2(self, tmp_path, capsys, budget):
+        argv = ["--input", CHAIN, "--budget", budget]
+        if budget == "config":
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps({"budget": 0}))
+            argv[2:] = ["--config", str(cfg)]
+        self._parse_failure(capsys, argv, "budget must be positive")
+
+    def test_missing_config_exits_2(self, tmp_path, capsys):
+        cfg = str(tmp_path / "absent.json")
+        message = f"cannot read config file: [Errno 2] No such file or directory: {cfg!r}"
+        self._parse_failure(capsys, ["--config", cfg], message)
+
+    def test_config_not_json_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text("input: k3_chain_n7.json")
+        message = "cannot read config file: Expecting value: line 1 column 1 (char 0)"
+        self._parse_failure(capsys, ["--config", str(cfg)], message)
+
+    def test_config_not_utf8_names_the_config_file(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_bytes(b'{"input": "\xff"}')
+        message = (
+            "cannot read config file: 'utf-8' codec can't decode byte 0xff in position 11:"
+            " invalid start byte"
+        )
+        self._parse_failure(capsys, ["--config", str(cfg)], message)
+
+    def test_input_not_utf8_exits_2(self, tmp_path, capsys):
+        source = tmp_path / "in.json"
+        source.write_bytes(b'{"k": 3, "n": 3, "edges": []}\xff')
+        message = (
+            "input is not UTF-8: 'utf-8' codec can't decode byte 0xff in position 29:"
+            " invalid start byte"
+        )
+        self._parse_failure(capsys, ["--input", str(source)], message)
 
     def test_verification_failure_exits_3(self, monkeypatch, capsys):
         def broken_report(*args, **kwargs):

@@ -79,6 +79,12 @@ class TestLoading:
         data = (FIXTURE_DIR / "k3_chain_n7.json").read_bytes()
         assert load_hypergraph(data) == load_hypergraph(io.BytesIO(data))
 
+    @pytest.mark.parametrize("name", ["k3_chain_n7.json", "k3_chain_n7.txt"])
+    def test_load_from_text_stream(self, name):
+        """A stream of text reads as the file does from disk."""
+        path = FIXTURE_DIR / name
+        assert load_hypergraph(io.StringIO(path.read_text())) == load_hypergraph(path)
+
     def test_text_roundtrip_via_json_dict(self, chain):
         obj = {"k": chain.k, "n": chain.n, "edges": [list(e) for e in chain.edges]}
         assert parse_hypergraph_json(json.dumps(obj)) == chain

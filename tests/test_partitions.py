@@ -19,7 +19,7 @@ from zerolap import (
     validate_bipartition,
     validate_multipartition,
 )
-from zerolap import counting, kinds, names, partitions
+from zerolap import counting, kinds, names, partitions, zk_solver
 from zerolap.corpus import (
     mixed_corpus,
     random_connected_hypergraph,
@@ -29,7 +29,7 @@ from zerolap.corpus import (
 from zerolap.eigenstructure import solve_components
 from zerolap.hypergraph import connected_components, load_hypergraph
 from zerolap.names import LAPLACIAN, ZERO_EIG_OPERATORS
-from zerolap.zk_solver import CHECK_ROWS, ComponentSystem, lex_solutions
+from zerolap.zk_solver import ComponentSystem, lex_solutions
 
 from conftest import FIXTURE_DIR, single_edge
 from oracles import bipartition_witnesses, hm_bipartition_dfs, multipartition_witnesses
@@ -84,10 +84,11 @@ class TestValidateBipartition:
         assert validate_bipartition(k4_system, rows[:0], "even").shape == (0,)
 
     @pytest.mark.parametrize("flavor", names.BIPARTITION_FLAVORS)
-    def test_block_past_check_rows_matches_each_row(self, k4_system, flavor):
-        """Every verdict of a block checked a few rows at a time is the
+    def test_block_past_one_block_matches_each_row(self, k4_system, flavor, monkeypatch):
+        """Every verdict of a block checked 128 rows at a time is the
         verdict of its row alone, across the block boundaries."""
-        rows = np.random.default_rng(1).integers(0, 2, (2 * CHECK_ROWS + 7, 6), dtype=np.int8)
+        monkeypatch.setattr(zk_solver, "BLOCK_ENTRIES", 128 * len(k4_system.edges))
+        rows = np.random.default_rng(1).integers(0, 2, (2 * 128 + 7, 6), dtype=np.int8)
         got = validate_bipartition(k4_system, rows, flavor)
         assert 0 < got.sum() < len(rows)
         assert got.tolist() == [

@@ -3,6 +3,7 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -21,7 +22,6 @@ from zerolap.eigenstructure import solve_components
 from zerolap.errors import VerificationError
 from zerolap.kinds import edge_residue
 from zerolap.zk_solver import (
-    CHECK_ROWS,
     HowellForm,
     check_howell_form,
     howell_form,
@@ -58,6 +58,16 @@ class TestEdgeSystem:
         assert edges.shape == (3, 3)
         assert edges.tolist() == [[0, 1, 2], [2, 3, 4], [4, 5, 6]]
         assert edge_residue(chain.k, "laplacian") == 0
+
+    @pytest.mark.parametrize("dtype", [np.bool_, np.int8, np.int16, np.int64])
+    def test_edge_sums_match_the_gathered_sum(self, dtype):
+        """Slot-by-slot sums are the (rows, |E|, k) gather's sums, in int64:
+        int8 rows of entries up to 100 over 6-edges pass int8's range."""
+        h = random_hypergraph(random.Random(0), 6, 20, 30)
+        rows = np.random.default_rng(0).integers(0, 101, (7, h.n)).astype(dtype)
+        got = zk_solver._edge_sums(rows, h.edge_index)
+        assert got.dtype == np.int64
+        assert got.tolist() == rows[:, h.edge_index].astype(np.int64).sum(axis=2).tolist()
 
     def test_single_edge_k4_signless_rhs(self):
         assert edge_residue(4, "signless") == 2
@@ -385,15 +395,29 @@ class TestCertificate:
         self._rejected(form, "kernel row", kernel=kernel)
 
     @pytest.mark.parametrize("part,match", [("transform", "T1"), ("kernel", "kernel row")])
-    def test_rows_past_the_first_block_are_checked(self, part, match):
-        """The first row of the second block of ``CHECK_ROWS`` rows, broken
-        alone, is caught: a loose path of 3-edges has more rows than one
-        block in both parts."""
-        edges = np.array([[2 * i, 2 * i + 1, 2 * i + 2] for i in range(CHECK_ROWS + 10)])
+    def test_rows_past_the_first_block_are_checked(self, part, match, monkeypatch):
+        """The first row of the second block, broken alone, is caught: with
+        blocks of 16 rows over its edges, a loose path of 3-edges has more
+        rows than one block in both parts."""
+        edges = np.array([[2 * i, 2 * i + 1, 2 * i + 2] for i in range(40)])
         form = howell_form(edges, 2 * len(edges) + 1, 3)
+        monkeypatch.setattr(zk_solver, "BLOCK_ENTRIES", 16 * len(edges))
         rows = getattr(form, part).copy()
-        rows[CHECK_ROWS, 0] = (rows[CHECK_ROWS, 0] + 1) % 3
+        rows[16, 0] = (rows[16, 0] + 1) % 3
         self._rejected(form, match, **{part: rows})
+
+    def test_certificate_memory_follows_the_block(self):
+        """A k = 6 form of 1000 edges on 200 vertices: 128 rows gathered
+        per edge and slot took 6.8 MB, summed one slot at a time 2 MB."""
+        h = random_hypergraph(random.Random(0), 6, 200, 1000)
+        form = howell_form(h.edge_index, h.n, 6)
+        tracemalloc.start()
+        try:
+            check_howell_form(form)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
 
     def test_rows_must_be_echelon(self, form):
         self._rejected(form, "echelon", kernel=form.kernel[::-1].copy())
