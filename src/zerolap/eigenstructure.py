@@ -28,14 +28,13 @@ else solves.
 
 A listing is an integer array with one row of exponents per class; it
 reaches the report as it is, in a ``ClassListing`` beside the classes'
-kinds and residuals. Within each component the classes are listed in
-lexicographic order of their shift-canonical exponents (exponent 0 at the
-component's first vertex): they are the first solutions in
-``zk_solver.lex_solutions`` order. A listing therefore depends only on the
-solution set, not on how it was solved, and a capped listing holds the
-lexicographically first classes. Kinds, the exact residue check and the
-residuals (``realize_classes``) are computed on whole blocks of rows, never
-class by class.
+kinds and residuals. Each component's classes are ``zk_solver.lex_classes``'s,
+a singleton's from its scalar description: shift-canonical exponents (0 at
+the component's first vertex) in lexicographic order. A listing therefore
+depends only on the solution set, not on how it was solved, and a capped
+listing holds the lexicographically first classes. Kinds, the exact
+residue check and the residuals (``realize_classes``) are computed on
+whole blocks of rows, never class by class.
 """
 
 from functools import cached_property
@@ -47,7 +46,7 @@ from .hypergraph import ComponentDecomposition, Hypergraph, _Record, connected_c
 from .kinds import N_PAIR_KINDS, edge_residue
 from .names import DEFAULT_ENUM_BUDGET, DEFAULT_TOLERANCE, LAPLACIAN, SIGNLESS, ZERO_EIG_OPERATORS
 from .zk_solver import ComponentSystem, SolutionDescription, _ArrayRecord
-from .zk_solver import _blocks, _edge_sums, lex_solutions, solve_mod_k
+from .zk_solver import _blocks, _edge_sums, lex_classes, solve_mod_k
 from . import counting
 
 # Reason attached to reports when the signless system has no solutions
@@ -208,8 +207,8 @@ def solve_components(
             rhs = edge_residue(k, op)
             if single:
                 desc = scalar
-            else:  # for odd k the signless residue k/2 is no integer: no system
-                desc = None if op == SIGNLESS and k % 2 else solve_mod_k(system.form(k), rhs)
+            else:  # no residue (signless at odd k): no system
+                desc = None if rhs is None else solve_mod_k(system.form(k), rhs)
             feasible = desc is not None and desc.feasible
             count = desc.solution_count if feasible else 0
             classes = count // k
@@ -259,13 +258,13 @@ def _component_expected(
     component (``counter`` None) is bipartite by convention and counts
     once (it carries no two-sided witness, which is where the singleton
     correction in the aggregate formula comes from). Odd k: one class per
-    component for the Laplacian, the scalar class on singletons for the
-    signless operator. None when a count would exceed the counter's budget.
+    component where ``edge_residue`` gives a residue (the Laplacian), none
+    where it gives None. None when a count would exceed the counter's budget.
     """
     if counter is None:
         return {LAPLACIAN: 1, SIGNLESS: 1}
     if k % 2 == 1:
-        return {LAPLACIAN: 1, SIGNLESS: 0}
+        return {op: int(edge_residue(k, op) is not None) for op in ZERO_EIG_OPERATORS}
     out = {}
     for op in ZERO_EIG_OPERATORS:
         subsets = counter.count(edge_residue(k, op), (0, k // 2))
@@ -293,23 +292,6 @@ def n_literal_count(counts: StructureCounts, budget: int) -> int | None:
         except BudgetExceededError:
             return None
     return total
-
-
-def _component_classes(cs: ComponentStructure, target: int) -> np.ndarray:
-    """The lexicographically first ``target`` classes of one component.
-
-    Adding 1 to every exponent keeps every edge sum (each edge has k
-    vertices), so each value at the first vertex is taken by the same
-    number of solutions: the first class_count solutions in lexicographic
-    order are exactly those with exponent 0 there, one per class. A
-    singleton's one class is the exponent 0, listed without a solve.
-    """
-    if target == 0 or cs.singleton:
-        return np.zeros((target, len(cs.component)), dtype=np.int64)
-    classes = lex_solutions(cs.description, target)
-    if classes[:, 0].any():
-        raise VerificationError(f"shift symmetry broken on component {cs.component}")
-    return classes
 
 
 class ClassListing(_ArrayRecord):
@@ -385,14 +367,17 @@ def zero_eigenvector_report(
     a capped listing holds each component's lexicographically first
     classes; counts always come from the closed form, so each component's
     ``truncated`` flag tells whether its listing fell short of its count.
-    Each non-singleton component's classes are a ``ClassListing``.
+    Each component's classes are a ``ClassListing``; ``rhs`` is
+    ``kinds.edge_residue``'s, or None on an infeasible component.
     """
     operator = counts.operator
     rhs = edge_residue(h.k, operator)
     remaining = float("inf") if enumerate_limit is None else enumerate_limit
     components = counts.component_entries()
     for entry, cs in zip(components, counts.components):
-        alphas = _component_classes(cs, min(cs.class_count, remaining))
+        alphas = np.zeros((0, len(cs.component)), dtype=np.int64)
+        if cs.description is not None:
+            alphas = lex_classes(cs.description, min(cs.class_count, remaining))
         remaining -= len(alphas)
         entry.update(
             singleton=cs.singleton,
@@ -404,11 +389,10 @@ def zero_eigenvector_report(
         if cs.description is None:
             entry["reason"] = ODD_SIGNLESS_REASON
         if cs.singleton:  # the scalar: real, with no edge to check and residual 0
-            entry["classes"] = [{"alpha": [0], "kind": "H", "residual": 0.0} for _ in alphas]
+            residuals = np.zeros(len(alphas))
         else:
             residuals = realize_classes(cs.system, operator, alphas, tolerance)
-            real = counting.real_scalable(alphas, h.k)
-            entry["classes"] = ClassListing(alphas, real, residuals)
+        entry["classes"] = ClassListing(alphas, counting.real_scalable(alphas, h.k), residuals)
         entry["truncated"] = len(alphas) < cs.class_count
     return {
         "operator": operator,

@@ -14,12 +14,14 @@ from .names import BIPARTITION_FLAVORS, HM, L_QUAD, LAPLACIAN, PENTA, SIGNLESS, 
 from .names import ZERO_EIG_OPERATORS
 
 
-def edge_residue(k: int, operator: str) -> int:
-    """Exponent sum mod k that every edge needs: 0 (Laplacian) or k/2
-    (signless); ValueError for any other operator name."""
+def edge_residue(k: int, operator: str) -> int | None:
+    """Exponent sum mod k that every edge needs, 0 (Laplacian) or k/2 (signless);
+    None for signless at odd k, which has no edge system. ValueError for other names."""
     if operator not in ZERO_EIG_OPERATORS:
         raise ValueError(f"unknown operator {operator!r}, expected one of {ZERO_EIG_OPERATORS}")
-    return 0 if operator == LAPLACIAN else k // 2
+    if operator == LAPLACIAN:
+        return 0
+    return None if k % 2 else k // 2
 
 
 class KindSpec(_Record):

@@ -16,7 +16,7 @@ Every function here that reads one component takes its
 sub-hypergraph, and its Howell forms, each built once per modulus.
 A partition witness is a row of part indices: entry i is the part of the
 component's i-th vertex, vertices in ascending order. Listings are int8
-arrays with one row per witness, as ``zk_solver.lex_solutions`` lists
+arrays with one row per witness, as ``zk_solver.lex_classes`` lists
 classes, and the validators take one row or a block of rows. So a class's
 exponent row alpha is itself the partition it characterizes, part j
 holding the vertices of phase exp(2 pi i j / k), and for an H class
@@ -47,7 +47,7 @@ from .counting import _kept, _primal_graph, _profile_table, literal_scan
 from .errors import BudgetExceededError, VerificationError
 from .kinds import applicable_kinds, kind_spec
 from .names import BIPARTITION_FLAVORS, DEFAULT_ENUM_BUDGET, EVEN, HM, ODD
-from .zk_solver import ComponentSystem, _blocks, _edge_sums, lex_solutions, solve_mod_k
+from .zk_solver import ComponentSystem, _blocks, _edge_sums, lex_classes, lex_solutions, solve_mod_k
 
 
 def _part_rows(system: ComponentSystem, rows, parts: int) -> np.ndarray:
@@ -329,10 +329,10 @@ def enumerate_multipartitions(
     ``residue`` reads the rows from the solve. The kept solutions of the
     kind's system modulo k form a set the group keeps (edges have k
     vertices, the residue is 0 or k/2) and acts on freely, so each orbit
-    holds two solutions with exponent 0 at the first vertex, alpha and
-    -alpha: the first solution_count / k in lexicographic order. More of
-    those than ``budget`` raise BudgetExceededError before any is
-    listed; a listed row breaking the residue raises VerificationError.
+    holds two of the system's classes, alpha and -alpha, as
+    ``zk_solver.lex_classes`` lists them. More classes than ``budget``
+    raise BudgetExceededError before any is listed; a listed row breaking
+    the residue or the shift symmetry raises VerificationError.
 
     ``literal`` rows are ``counting.literal_scan``'s.
     """
@@ -341,16 +341,15 @@ def enumerate_multipartitions(
         return literal_scan(system, kind, budget)
     if predicate != "residue":
         raise ValueError(f"unknown predicate {predicate!r}")
-    m, k = len(system.vertices), spec.k
-    desc = solve_mod_k(system.form(k), spec.rhs)
-    solutions = desc.solution_count // k
+    desc = solve_mod_k(system.form(spec.k), spec.rhs)
+    solutions = desc.solution_count // spec.k
     if solutions > budget:
         raise BudgetExceededError(
             f"residue multipartition listing needs {solutions} solutions, budget is {budget}"
         )
-    rows = (lex_solutions(desc, solutions) if desc.feasible else np.zeros((0, m))).astype(np.int8)
+    rows = lex_classes(desc, solutions).astype(np.int8)
     rows = rows[_kept(rows, spec)]
-    negated = -rows % k
+    negated = -rows % spec.k
     at = np.arange(len(rows)), (rows != negated).argmax(axis=1)
     rows = rows[rows[at] < negated[at]]
     if not validate_multipartition(system, rows, kind, "residue").all():

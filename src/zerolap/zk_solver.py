@@ -7,8 +7,8 @@ per edge: the exponents of an edge sum to 0 (resp. k/2) mod k, the
 residue ``kinds.edge_residue`` gives. This module solves those systems
 exactly: feasibility, a particular solution, a kernel description that
 enumerates every solution exactly once, and the exact solution count.
-``lex_solutions`` lists the solutions in lexicographic order as integer
-arrays, one row of exponents per solution.
+``lex_solutions`` lists the solutions in lexicographic order, one int64 row
+of exponents each; ``lex_classes`` lists the first solution_count / k, the classes.
 
 Every such system is given by one residue and the component's
 ``edge_index``, the (|E|, k) array of its edges' 0-based vertex indices.
@@ -343,6 +343,21 @@ def lex_solutions(desc: SolutionDescription, limit: int | None = None) -> np.nda
         out = ((out[:, None, :] + np.arange(min(order, keep))[:, None] * row) % k).reshape(-1, desc.width)
         out = out[:keep]
     return out[:limit]
+
+
+def lex_classes(desc: SolutionDescription, limit: int) -> np.ndarray:
+    """The first ``limit`` of a system's classes, its first solution_count / k
+    solutions in ``lex_solutions`` order: adding 1 to every exponent keeps
+    every edge sum (edges have k vertices), so these are the solutions with
+    exponent 0 at the first vertex, one per shift class; a listed row that
+    is not 0 there raises VerificationError. An infeasible system has none."""
+    limit = min(limit, desc.solution_count // desc.modulus)
+    if not limit:
+        return np.zeros((0, desc.width), dtype=np.int64)
+    classes = lex_solutions(desc, limit)
+    if classes[:, 0].any():
+        raise VerificationError("shift symmetry broken: a listed class is not 0 at the first vertex")
+    return classes
 
 
 # Bound only because the benchmark's traced mode looks the name up

@@ -26,6 +26,7 @@ from conftest import FIXTURE_DIR
 CHAIN = str(FIXTURE_DIR / "k3_chain_n7.json")
 K4 = str(FIXTURE_DIR / "k4_overlap_n6.json")
 EDGE3 = str(FIXTURE_DIR / "single_edge_k3.json")
+EDGE3_ISOLATED = str(FIXTURE_DIR / "single_edge_k3_isolated.json")
 EDGE4 = str(FIXTURE_DIR / "single_edge_k4.json")
 COMPLETE4 = str(FIXTURE_DIR / "k3_complete_n4.json")
 K4_VERTICES = tuple(range(1, 7))
@@ -506,6 +507,29 @@ class TestZeroEigenvectorsCommand:
         assert comp["feasible"] is False
         assert comp["classes"] == []
         assert "odd uniformity" in comp["reason"]
+
+    @staticmethod
+    def _signless_singleton(capsys, path):
+        code, report = run_json(
+            capsys, "zero-eigenvectors", "--input", str(path), "--operator", "signless"
+        )
+        assert code == 0
+        singleton = report["operators"][0]["components"][-1]
+        assert singleton["singleton"] is True and singleton["feasible"] is True
+        assert singleton["classes"] == [{"alpha": [0], "kind": "H", "residual": 0.0}]
+        return singleton
+
+    def test_odd_k_singleton_has_no_signless_rhs(self, capsys):
+        """At odd k, k/2 is no residue: the singleton's signless record,
+        feasible with its scalar class, carries no edge residue."""
+        singleton = self._signless_singleton(capsys, EDGE3_ISOLATED)
+        assert singleton["vertices"] == [4] and singleton["rhs"] is None
+
+    def test_even_k_singleton_keeps_the_signless_rhs(self, tmp_path, capsys):
+        path = tmp_path / "edge_k4_isolated.json"
+        path.write_text(json.dumps({"k": 4, "n": 5, "edges": [[1, 2, 3, 4]]}))
+        singleton = self._signless_singleton(capsys, path)
+        assert singleton["vertices"] == [5] and singleton["rhs"] == 2
 
     def test_both_operators_by_default(self, capsys):
         _, report = run_json(capsys, "zero-eigenvectors", "--input", EDGE4)

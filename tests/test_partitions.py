@@ -516,21 +516,34 @@ class TestEnumerateMultipartitions:
         def no_listing(*args):
             raise AssertionError("listed past the budget")
 
-        monkeypatch.setattr(partitions, "lex_solutions", no_listing)
+        monkeypatch.setattr(zk_solver, "lex_solutions", no_listing)
         with pytest.raises(BudgetExceededError, match="needs 27 solutions, budget is 26"):
             enumerate_multipartitions(chain_system, "tripartite", "residue", 26)
 
     def test_residue_rows_breaking_the_system_raise(self, chain_system, monkeypatch):
         """The forward check: a listed row off the solution set raises."""
-        real = partitions.lex_solutions
+        real = zk_solver.lex_solutions
 
         def shifted_last(desc, limit):
             rows = real(desc, limit)
             rows[:, -1] = (rows[:, -1] + 1) % 3
             return rows
 
-        monkeypatch.setattr(partitions, "lex_solutions", shifted_last)
+        monkeypatch.setattr(zk_solver, "lex_solutions", shifted_last)
         with pytest.raises(VerificationError, match="breaks the residue"):
+            enumerate_multipartitions(chain_system, "tripartite", "residue")
+
+    def test_residue_rows_off_the_shift_symmetry_raise(self, chain_system, monkeypatch):
+        """Every row shifted by +1 still solves the system, but no listed
+        row is 0 at the first vertex: the listing refuses it instead of
+        taking 26 rows for the chain's 13 orbits."""
+        real = zk_solver.lex_solutions
+
+        def shifted(desc, limit=None):
+            return (real(desc, limit) + 1) % desc.modulus
+
+        monkeypatch.setattr(zk_solver, "lex_solutions", shifted)
+        with pytest.raises(VerificationError, match="shift symmetry broken"):
             enumerate_multipartitions(chain_system, "tripartite", "residue")
 
     def test_residue_listing_past_the_scan(self):

@@ -230,6 +230,23 @@ class TestReflection:
         with pytest.raises(ValueError):
             hm_spectral_reflection(h, [0, 1, 1], bogus)
 
+    def test_non_adjacency_pair_rejected(self):
+        h = single_edge(3)
+        pair = Eigenpair("laplacian", 0j, np.ones(3, dtype=complex), 0.0)
+        with pytest.raises(ValueError, match="reflection requires an adjacency eigenpair"):
+            hm_spectral_reflection(h, [0, 1, 1], pair)
+
+    def test_reflected_residual_above_the_input_raises(self, monkeypatch):
+        """A rotated pair whose residual exceeds the input's by more than
+        1e-10 is a verification failure, not a result."""
+        from zerolap import tensor_ops
+
+        h = single_edge(3)
+        residuals = iter([0.0, 0.0, 2e-10])  # the input, then rotations r = 0 and 1
+        monkeypatch.setattr(tensor_ops, "eig_residual", lambda *args: next(residuals))
+        with pytest.raises(VerificationError, match=r"exceeds input 0.000e\+00 \+ 1e-10"):
+            hm_spectral_reflection(h, [0, 1, 1], self._ones_pair(h))
+
 
 class TestSpectralRadius:
     def test_single_edge_k3_regular(self):
@@ -268,6 +285,16 @@ class TestSpectralRadius:
         monkeypatch.setattr(tensor_ops, "MAX_POWER_ITERATIONS", 3)
         with pytest.raises(BudgetExceededError, match="within 3 iterations"):
             nqz_spectral_radius(chain)
+
+    def test_residual_above_the_bound_warns(self, chain, monkeypatch):
+        """A converged pair whose residual is above ``PAIR_RESIDUAL_BOUND``
+        is still returned, with a RuntimeWarning."""
+        from zerolap import tensor_ops
+
+        monkeypatch.setattr(tensor_ops, "PAIR_RESIDUAL_BOUND", 1e-20)
+        with pytest.warns(RuntimeWarning, match="above 1.0e-20"):
+            pair = nqz_spectral_radius(chain)
+        assert 1e-20 < pair.residual <= 1e-8
 
     def test_disconnected_rejected(self):
         h = Hypergraph(3, 6, ((1, 2, 3),))

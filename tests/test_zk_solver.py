@@ -25,6 +25,7 @@ from zerolap.zk_solver import (
     HowellForm,
     check_howell_form,
     howell_form,
+    lex_classes,
     lex_solutions,
 )
 
@@ -71,6 +72,12 @@ class TestEdgeSystem:
 
     def test_single_edge_k4_signless_rhs(self):
         assert edge_residue(4, "signless") == 2
+
+    @pytest.mark.parametrize("k", [3, 5])
+    def test_odd_k_signless_has_no_residue(self, k):
+        """k/2 is no residue mod an odd k: the signless edges have no system."""
+        assert edge_residue(k, "signless") is None
+        assert edge_residue(k, "laplacian") == 0
 
     @pytest.mark.parametrize("operator", ["adjacency", "both", "Laplacian"])
     def test_unknown_operator_rejected(self, operator):
@@ -209,6 +216,20 @@ class TestEnumeration:
                 continue
             rows = [tuple(v) for v in lex_solutions(desc, limit).tolist()]
             assert rows == brute[:limit]
+
+
+class TestLexClasses:
+    def test_classes_are_the_first_solutions_at_exponent_zero(self):
+        """The chain's 81 solutions make 27 classes: the first 27 solutions,
+        exactly those with exponent 0 at the first vertex."""
+        desc = _solve(CHAIN_EDGES, 7, 3, 0)
+        solutions = lex_solutions(desc)
+        assert lex_classes(desc, 100).tolist() == solutions[solutions[:, 0] == 0].tolist()
+        assert lex_classes(desc, 5).tolist() == solutions[:5].tolist()
+        assert lex_classes(desc, 0).shape == (0, 7)
+
+    def test_infeasible_system_has_no_class(self):
+        assert lex_classes(_solve(TRIANGLE_EDGES, 3, 4, 1), 10).shape == (0, 3)
 
 
 def _tree_listing(rhs):
