@@ -28,9 +28,9 @@ else solves.
 
 A listing is an integer array with one row of exponents per class; it
 reaches the report as it is, in a ``ClassListing`` beside the classes'
-kinds and residuals. Each component's classes are ``zk_solver.lex_classes``'s,
-a singleton's from its scalar description: shift-canonical exponents (0 at
-the component's first vertex) in lexicographic order. A listing therefore
+kinds and residuals. A component's classes are ``zk_solver.lex_classes``'s
+(a singleton's one class, 0, is a plain record): shift-canonical exponents
+(0 at the component's first vertex) in lexicographic order. A listing therefore
 depends only on the solution set, not on how it was solved, and a capped
 listing holds the lexicographically first classes. Kinds, the exact
 residue check and the residuals (``realize_classes``) are computed on
@@ -367,18 +367,17 @@ def zero_eigenvector_report(
     a capped listing holds each component's lexicographically first
     classes; counts always come from the closed form, so each component's
     ``truncated`` flag tells whether its listing fell short of its count.
-    Each component's classes are a ``ClassListing``; ``rhs`` is
-    ``kinds.edge_residue``'s, or None on an infeasible component.
+    A non-singleton's classes are a ``ClassListing`` of ``lex_classes`` rows.
+    ``rhs`` is ``kinds.edge_residue``'s on a feasible component (singletons
+    are: an odd-k singleton's signless ``rhs`` is its None), else None.
     """
     operator = counts.operator
     rhs = edge_residue(h.k, operator)
     remaining = float("inf") if enumerate_limit is None else enumerate_limit
     components = counts.component_entries()
     for entry, cs in zip(components, counts.components):
-        alphas = np.zeros((0, len(cs.component)), dtype=np.int64)
-        if cs.description is not None:
-            alphas = lex_classes(cs.description, min(cs.class_count, remaining))
-        remaining -= len(alphas)
+        listed = min(cs.class_count, remaining)
+        remaining -= listed
         entry.update(
             singleton=cs.singleton,
             feasible=cs.feasible,
@@ -387,13 +386,14 @@ def zero_eigenvector_report(
             class_count=cs.class_count,
         )
         if cs.description is None:
-            entry["reason"] = ODD_SIGNLESS_REASON
-        if cs.singleton:  # the scalar: real, with no edge to check and residual 0
-            residuals = np.zeros(len(alphas))
+            entry.update(reason=ODD_SIGNLESS_REASON, classes=[])
+        elif cs.singleton:  # the scalar's class [0]: real, no edge to check, residual 0
+            entry["classes"] = [{"alpha": [0], "kind": "H", "residual": 0.0} for _ in range(listed)]
         else:
+            alphas = lex_classes(cs.description, listed, f"component {cs.component}")
             residuals = realize_classes(cs.system, operator, alphas, tolerance)
-        entry["classes"] = ClassListing(alphas, counting.real_scalable(alphas, h.k), residuals)
-        entry["truncated"] = len(alphas) < cs.class_count
+            entry["classes"] = ClassListing(alphas, counting.real_scalable(alphas, h.k), residuals)
+        entry["truncated"] = listed < cs.class_count
     return {
         "operator": operator,
         "k": h.k,

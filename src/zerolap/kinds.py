@@ -41,8 +41,8 @@ class KindSpec(_Record):
         super().__init__(k, operator, min_nonempty, profiles)
 
     @property
-    def rhs(self) -> int:
-        """The residue of every edge's exponent sum in ``operator``'s system."""
+    def rhs(self) -> int | None:
+        """``edge_residue(k, operator)``: every edge's residue, or None (no system)."""
         return edge_residue(self.k, self.operator)
 
 

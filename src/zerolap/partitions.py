@@ -347,7 +347,7 @@ def enumerate_multipartitions(
         raise BudgetExceededError(
             f"residue multipartition listing needs {solutions} solutions, budget is {budget}"
         )
-    rows = lex_classes(desc, solutions).astype(np.int8)
+    rows = lex_classes(desc, solutions, f"{kind} on {system.vertices}").astype(np.int8)
     rows = rows[_kept(rows, spec)]
     negated = -rows % spec.k
     at = np.arange(len(rows)), (rows != negated).argmax(axis=1)

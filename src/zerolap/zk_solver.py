@@ -345,18 +345,18 @@ def lex_solutions(desc: SolutionDescription, limit: int | None = None) -> np.nda
     return out[:limit]
 
 
-def lex_classes(desc: SolutionDescription, limit: int) -> np.ndarray:
+def lex_classes(desc: SolutionDescription, limit: int, where: str = "a system") -> np.ndarray:
     """The first ``limit`` of a system's classes, its first solution_count / k
     solutions in ``lex_solutions`` order: adding 1 to every exponent keeps
     every edge sum (edges have k vertices), so these are the solutions with
-    exponent 0 at the first vertex, one per shift class; a listed row that
-    is not 0 there raises VerificationError. An infeasible system has none."""
+    exponent 0 at the first vertex, one per shift class; a listed row not 0
+    there raises VerificationError naming ``where``. An infeasible system has none."""
     limit = min(limit, desc.solution_count // desc.modulus)
     if not limit:
         return np.zeros((0, desc.width), dtype=np.int64)
     classes = lex_solutions(desc, limit)
     if classes[:, 0].any():
-        raise VerificationError("shift symmetry broken: a listed class is not 0 at the first vertex")
+        raise VerificationError(f"shift symmetry broken on {where}: class not 0 at first vertex")
     return classes
 
 

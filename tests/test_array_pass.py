@@ -212,7 +212,7 @@ class TestChecksFireOnBatches:
         counts = StructureCounts(
             "laplacian", 3, (ComponentStructure((1, 2), False, True, 3, 1, 1, 0, desc),)
         )
-        with pytest.raises(VerificationError, match="shift symmetry broken"):
+        with pytest.raises(VerificationError, match=r"shift symmetry broken on component \(1, 2\)"):
             zero_eigenvector_report(Hypergraph(3, 2, ()), counts)
 
     def test_tolerance_below_known_residual(self, capsys):

@@ -458,7 +458,7 @@ def test_report_singleton_and_infeasible_entries(chain):
     assert len(comp_entry["classes"]) == 27
     assert singleton_entry["vertices"] == [8]
     assert singleton_entry["count"] == 3
-    assert list(singleton_entry["classes"]) == [{"alpha": [0], "kind": "H", "residual": 0.0}]
+    assert singleton_entry["classes"] == [{"alpha": [0], "kind": "H", "residual": 0.0}]
 
     (entry,) = _report(single_edge(3), "signless")["components"]
     assert entry["rhs"] is None

@@ -543,7 +543,7 @@ class TestEnumerateMultipartitions:
             return (real(desc, limit) + 1) % desc.modulus
 
         monkeypatch.setattr(zk_solver, "lex_solutions", shifted)
-        with pytest.raises(VerificationError, match="shift symmetry broken"):
+        with pytest.raises(VerificationError, match=r"shift symmetry broken on tripartite on \(1, 2,"):
             enumerate_multipartitions(chain_system, "tripartite", "residue")
 
     def test_residue_listing_past_the_scan(self):
